@@ -44,9 +44,11 @@ from .matrixcore import (
 )
 from .overlap import (
     DeltaBoundCheck,
+    GridPoint,
     OverlapResult,
     delta_matrix_bound_check,
     dirichlet_flux_closed_form,
+    evaluate_point,
     flux_matrix,
     lemma_factorization_check,
     overlap_at,

@@ -19,10 +19,15 @@ A config is a single JSON document (no environment variables are read):
       "tolerances": {"slope_abs_err": 0.05}   # optional per-experiment knobs
     }
 
-Every CSV row carries the config hash, grid points are evaluated by a
-worker pool (--jobs, default: available parallelism) and merged in grid
-order, and floats are printed with 17 significant digits, so identical
-configs produce byte-identical CSV files.
+Every CSV row carries the config hash, grid points are evaluated in grid
+order (or by a pool of --jobs worker processes and merged in grid order),
+and floats are printed with 17 significant digits, so identical configs
+produce byte-identical CSV files.
+
+--jobs defaults to 1.  Each grid point already runs multithreaded BLAS, so
+extra worker processes oversubscribe the cores: on a 2-core machine the
+periodic N = 128 .. 2048 overlap sweep took 86.5 s at --jobs 2 against
+10.8 s at --jobs 1 (bench/README.md).
 
 Exit codes: 0 success, 2 property-check failure, 1 config or numerical error.
 """
@@ -33,7 +38,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -175,8 +179,8 @@ def _overlap_point(args) -> tuple:
     pot_spec, bc_value, rho, n = args
     pot = potential_from_dict(pot_spec)
     L = n / (2.0 * rho)
-    res = overlap.overlap_at(pot, BoundaryCondition(bc_value), n, L)
-    check = overlap.delta_matrix_bound_check(pot, BoundaryCondition(bc_value), n, L)
+    point = overlap.evaluate_point(pot, BoundaryCondition(bc_value), n, L)
+    res, check = point.overlap, point.bound_check
     return (
         n,
         L,
@@ -431,7 +435,13 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run an experiment described by a JSON config")
     runp.add_argument("config", type=Path, help="path to the config JSON document")
-    runp.add_argument("--jobs", type=int, default=None, help="worker processes (default: available parallelism)")
+    runp.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes (default: 1; grid points already use multithreaded BLAS, "
+        "and --jobs 2 on 2 cores ran the periodic sweep 8x slower: 86.5 s against 10.8 s)",
+    )
     runp.add_argument("--out", type=Path, default=None, help="output directory (overrides config output_path)")
     sub.add_parser("selftest", help="run the built-in property suite")
     args = parser.parse_args(argv)
@@ -454,9 +464,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_OR_NUMERICAL
 
     out_dir = args.out if args.out is not None else Path(config.output_path)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     try:
-        return run_experiment(config, out_dir, jobs)
+        return run_experiment(config, out_dir, args.jobs)
     except (DomainError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_OR_NUMERICAL

@@ -25,26 +25,6 @@ def gauss_legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def panel_nodes(edges: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened nodes/weights of a composite Gauss-Legendre rule.
-
-    Parameters
-    ----------
-    edges : increasing array of panel boundaries, shape (P+1,)
-    npts : points per panel
-
-    Returns
-    -------
-    nodes, weights : arrays of shape (P * npts,)
-    """
-    x, w = gauss_legendre_rule(npts)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def build_edges(
     a: float,
     b: float,
@@ -127,12 +107,6 @@ def adaptive_gauss_legendre(
     if abs(total.imag) == 0.0:
         return total.real
     return total
-
-
-def riemann_sum(f, a: float, b: float, n: int = 10**7) -> float:
-    """Midpoint Riemann sum with ``n`` points; brute-force oracle use only."""
-    xs = a + (b - a) * (np.arange(n) + 0.5) / n
-    return float(np.sum(f(xs)) * (b - a) / n)
 
 
 def cis_integral(omega, a: float, b: float):

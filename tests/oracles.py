@@ -4,13 +4,15 @@ Everything here deliberately avoids the code paths under test: cofactor
 expansion instead of LU, Cauchy's product formula instead of any matrix
 at all, raw partial sums with elementary Euler-Maclaurin closures instead
 of the recurrence-based polygamma, and midpoint Riemann sums instead of
-Gauss-Legendre panels.
+Gauss-Legendre panels.  The periodic energy difference is summed level by
+level in Python integers and 50-digit mpmath arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -150,3 +152,23 @@ def random_positive_real_symbol(rng: np.random.Generator, floor: float, degree: 
         return out
 
     return f, coeffs, floor
+
+
+def energy_difference_mp(total_flux: float, N: int, L: float) -> mpmath.mpf:
+    """Periodic E_a - E_0 at 50 digits from exact level-by-level index sums.
+
+    The free window is {-m, ..., m} (odd N) or {-m, ..., m-1} (even N) with
+    m = N // 2; the perturbed one is shifted by -n, where total_flux =
+    n pi + delta with delta in (-pi/2, pi/2].  Each eigenvalue
+    ((j pi + phi) / L)^2 expands to (pi^2 j^2 + 2 pi phi j + phi^2) / L^2,
+    and the integer sums over j are accumulated one index at a time.
+    """
+    with mpmath.workdps(50):
+        phi = mpmath.mpf(total_flux)
+        n = int(mpmath.ceil(phi / mpmath.pi - mpmath.mpf(1) / 2))
+        m = N // 2
+        free = range(-m, m + 1) if N % 2 else range(-m, m)
+        pert = range(free.start - n, free.stop - n)
+        sum_p = sum(pert)
+        squares = sum(j * j for j in pert) - sum(j * j for j in free)
+        return (mpmath.pi**2 * squares + 2 * mpmath.pi * phi * sum_p + N * phi**2) / mpmath.mpf(L) ** 2

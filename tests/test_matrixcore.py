@@ -145,6 +145,53 @@ def test_norm_sandwich_property():
         assert tr <= rank * op + 1e-8
 
 
+def _recording_svd(monkeypatch):
+    """Record the shape of every matrix passed to np.linalg.svd."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_trace_norm_zero_matrix_is_exactly_zero(n):
+    assert trace_norm(np.zeros((n, n), dtype=complex)) == 0.0
+
+
+def test_trace_norm_full_rank_takes_dense_fallback(monkeypatch):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    dense = np.linalg.svd(m, compute_uv=False).sum()
+    shapes = _recording_svd(monkeypatch)
+    tn = trace_norm(m)
+    # sketches of 32 and 64 columns fail the certificate; 128 = N/2 is dense
+    assert shapes == [(32, 256), (64, 256), (256, 256)]
+    assert tn == float(dense)
+
+
+def test_trace_norm_low_rank_certified_by_sketch(monkeypatch):
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal((300, 5)) + 1j * rng.standard_normal((300, 5))
+    v = rng.standard_normal((300, 5)) + 1j * rng.standard_normal((300, 5))
+    m = u @ v.conj().T
+    dense = np.linalg.svd(m, compute_uv=False).sum()
+    shapes = _recording_svd(monkeypatch)
+    tn = trace_norm(m)
+    assert shapes == [(32, 300)]
+    assert_allclose(tn, dense, rtol=1e-10)
+
+
+def test_trace_norm_rectangular_low_rank():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((400, 3)) @ rng.standard_normal((3, 150))
+    assert_allclose(trace_norm(m), np.linalg.svd(m, compute_uv=False).sum(), rtol=1e-10)
+
+
 def test_operator_norm_zero_matrix():
     assert operator_norm(np.zeros((4, 4))) == 0.0
 

@@ -9,9 +9,11 @@ from scipy.integrate import quad
 
 from flux_catastrophe.errors import DomainError
 from flux_catastrophe.matrixcore import BasisSpec, assemble_toeplitz, fh_matrix, log_det, trace_norm
+import flux_catastrophe.overlap as overlap_module
 from flux_catastrophe.overlap import (
     delta_matrix_bound_check,
     dirichlet_flux_closed_form,
+    evaluate_point,
     flux_matrix,
     lemma_factorization_check,
     overlap_at,
@@ -179,6 +181,60 @@ def test_delta_bound_holds_both_bcs(bump_quarter_pi):
     for bc in (PER, DIR):
         chk = delta_matrix_bound_check(bump_quarter_pi, bc, 48, 24.0)
         assert chk.holds, (bc, chk)
+
+
+def _delta_n(a, bc, N, L):
+    return overlap_matrix(a, bc, N, L).entries - flux_matrix(a, bc, N, L).entries
+
+
+# flux pi/4 has n_L = 0, flux 2.0 has n_L = 1 (the (-1)^{n_L} sign in Delta_N)
+@pytest.mark.parametrize("N", [64, 256, 512])
+@pytest.mark.parametrize(
+    "flux, bc",
+    [(math.pi / 4, PER), (2.0, PER), (2.0, DIR)],
+    ids=["periodic-even-nL", "periodic-odd-nL", "dirichlet"],
+)
+def test_trace_norm_of_delta_matches_dense_svd(flux, bc, N):
+    a = gaussian_bump_with_flux(flux)
+    L = N / 2.0
+    assert flux_profile(a, L).n_L == round(flux / math.pi)
+    delta = _delta_n(a, bc, N, L)
+    dense = np.linalg.svd(delta, compute_uv=False).sum()
+    assert_allclose(trace_norm(delta), dense, rtol=1e-10)
+
+
+def test_trace_norm_of_delta_is_deterministic():
+    a = gaussian_bump_with_flux(2.0)
+    delta = _delta_n(a, PER, 256, 128.0)
+    first, second = trace_norm(delta), trace_norm(delta)
+    assert first.hex() == second.hex()
+
+
+def test_evaluate_point_builds_each_matrix_once(monkeypatch):
+    calls = {"overlap_matrix": 0, "flux_matrix": 0}
+    for name in calls:
+        original = getattr(overlap_module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(overlap_module, name, counted)
+    a = gaussian_bump_with_flux(2.0)
+    for bc in (PER, DIR):
+        for name in calls:
+            calls[name] = 0
+        evaluate_point(a, bc, 40, 20.0)
+        assert calls == {"overlap_matrix": 1, "flux_matrix": 1}, bc
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_evaluate_point_equals_overlap_at_and_bound_check(bc):
+    a = gaussian_bump_with_flux(2.0)
+    point = evaluate_point(a, bc, 40, 20.0)
+    assert point.overlap == overlap_at(a, bc, 40, 20.0)
+    assert point.bound_check == delta_matrix_bound_check(a, bc, 40, 20.0)
+    assert point.bound_check.trace_norm_delta == trace_norm(_delta_n(a, bc, 40, 20.0))
 
 
 # -- symbol splitting ---------------------------------------------------------

@@ -7,7 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from flux_catastrophe.errors import DomainError
-from flux_catastrophe.potential import GaussianBump, PiecewiseLinear, gaussian_bump_with_flux, zero_potential
+from flux_catastrophe.potential import (
+    GaussianBump,
+    PiecewiseLinear,
+    flux_profile,
+    gaussian_bump_with_flux,
+    zero_potential,
+)
 from flux_catastrophe.spectrum import (
     BoundaryCondition,
     GroundStateSpec,
@@ -20,6 +26,8 @@ from flux_catastrophe.spectrum import (
     occupied_indices,
     perturbed_multiplicities,
 )
+
+from oracles import energy_difference_mp
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -93,6 +101,19 @@ def test_energy_difference_matches_direct_summation():
         free = ground_state_energy(PER, a, N, L, perturbed=False)
         pert = ground_state_energy(PER, a, N, L, perturbed=True)
         assert abs(closed - (pert - free)) <= 1e-10 * max(abs(closed), 1.0)
+
+
+@pytest.mark.parametrize("N", [100001, 1000001])
+def test_energy_direct_at_large_N_vs_mpmath(N):
+    # flux 2.0 gives n_L = 1, so the perturbed window is shifted; a float sum
+    # of the N squared levels was off by 6.1e-9 relative at N = 10^6
+    a = gaussian_bump_with_flux(2.0)
+    L = N / 2.0
+    exact = energy_difference_mp(flux_profile(a, L).total_flux, N, L)
+    direct = energy_difference_direct(PER, a, N, L)
+    assert abs(direct - exact) <= 1e-14 * abs(exact)
+    closed = energy_difference(PER, a, N, L)
+    assert abs(closed - direct) <= 1e-10 * abs(closed)  # the energy experiment's gate
 
 
 def test_finite_size_energy_values():
