@@ -7,10 +7,12 @@ matrix is Toeplitz in the classical sense; the Dirichlet sine/cosine basis
 produces a Toeplitz-plus-Hankel structure instead.
 
 Determinants of these matrices decay polynomially in N, so their
-magnitudes are kept in log space throughout (LogDet).  Dense LU with
-partial pivoting (LAPACK via numpy) is deliberately preferred over fast
-Toeplitz solvers: at desk scale the O(N^3) cost is irrelevant and pivoted
-LU keeps the decaying determinants trustworthy.
+magnitudes are kept in log space throughout (LogDet).  They come from
+dense LU with partial pivoting (LAPACK via numpy), which keeps the
+decaying determinants trustworthy.  That O(N^3) factorization is now the
+costliest step of an overlap sweep: the matrices themselves are assembled
+in O(N^2) from O(N) verified coefficients, and the trace norm of the
+low-rank Delta_N costs O(N^2 k).
 """
 
 from __future__ import annotations
@@ -235,10 +237,14 @@ def assemble_toeplitz(
 
     Raises
     ------
+    DomainError
+        when ``max_refine`` < 1, which would leave nothing to compare.
     NumericalError
         carrying the worst entry index when refinement stalls above the
         requested tolerance.
     """
+    if max_refine < 1:
+        raise DomainError("max_refine must be >= 1: the quadrature check compares two builds")
     L = basis.L
     idx = basis.indices
     N = len(idx)

@@ -21,6 +21,25 @@ assembled from O(N) one-dimensional integrals.  The jump-symbol matrix has
 the closed form with diagonal cos(Phi_L(L)) and off-diagonal entries
 (2i/pi) sin(Phi_L(L)) [1/(j+k) +- 1/(j-k)] on opposite parities.
 
+Support sums.  Both bases need S[m] = sum_x w_x f(x) e^{i m h x} over the
+support's quadrature nodes for M = 2N -+ 1 consecutive m: the periodic t_d
+at h = pi/L, and the Dirichlet I_cos = (P_+ + P_-)/2, I_sin = (P_+ - P_-)/2i
+from the sums P_+ at +h and P_- at -h, h = pi/2L.  Writing m = B q + r with
+B = ceil(sqrt(M)) turns each phase into a product of two exponentials, so
+B + M/B rows of exp and one complex matrix product replace M x n
+exponentials.
+
+Quadrature check.  The doubling check (refine 0 against refine 1, and on
+while needed) compares the O(N) coefficient vectors, not two N x N
+matrices.  Periodic entries are the t_d themselves, so max |dt_d| is the
+entrywise change exactly; a Dirichlet entry is (+-I[|j-k|] +- I[j+k]) / 2L,
+so max(|dI_cos|, |dI_sin|) / L bounds every entry change from above.  The
+accepted coefficients are assembled once: the periodic matrix is a copy of
+a strided Toeplitz view, and each Dirichlet row is a Toeplitz part in j - k
+plus a Hankel part in j + k with signs set by the row's parity.  The
+Dirichlet jump-symbol matrix goes through the same assembler from its
+closed-form integrals.
+
 Delta_N has low numerical rank.  In both bases the exact and the jump
 symbol agree outside the support [-R, R], so
 Delta_N = <phi_j, (e^{i g_L} - e^{i g~_L}) phi_k> only sees the basis
@@ -46,6 +65,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError
 from .matrixcore import LogDet, SymbolKind, SymbolMatrix, log_det, trace_norm
@@ -89,9 +109,25 @@ def _support_nodes(a: MagneticPotential, L: float, omega_max: float, refine: int
     return R, nodes, weights
 
 
+def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """S[m] = sum_x values_x e^{i (shift + m) h x} for m = 0 .. M-1.
+
+    With B = ceil(sqrt(M)) and m = B q + r, each phase factors as
+    e^{i (shift + B q) h x} e^{i r h x}, so B + ceil(M / B) rows of complex
+    exponentials and one (ceil(M / B) x n) (n x B) matrix product replace
+    M x n exponentials.  Every phase is a product of two exponentials and
+    stays exact to rounding.
+    """
+    B = math.isqrt(M - 1) + 1
+    Q = -(-M // B)
+    outer = np.exp(1j * np.outer(h * (shift + B * np.arange(Q)), nodes)) * values
+    inner = np.exp(1j * np.outer(nodes, h * np.arange(B)))
+    return (outer @ inner).ravel()[:M]
+
+
 def _periodic_overlap_coefficients(
     a: MagneticPotential, L: float, prof: FluxProfile, N: int, refine: int
-) -> np.ndarray:
+) -> tuple[np.ndarray]:
     """The 2N-1 Toeplitz coefficients t_d of e^{i g_L}, d = -(N-1) .. N-1."""
     delta = prof.delta_L
     total = prof.total_flux
@@ -100,31 +136,25 @@ def _periodic_overlap_coefficients(
     omega_max = float(np.max(np.abs(omega)))
     R, nodes, weights = _support_nodes(a, L, omega_max, refine)
     g = prof.phi_at(nodes) - delta * nodes / L
-    boundary = np.exp(1j * g) * weights
-    phases = np.exp(1j * np.outer(np.pi * d / L, nodes))
-    middle = phases @ boundary
+    middle = _phase_sums(np.pi / L, -(N - 1), 2 * N - 1, nodes, np.exp(1j * g) * weights)
     right = np.exp(1j * total) * cis_integral(omega, R, L) if L > R else 0.0
     left = np.exp(-1j * total) * cis_integral(omega, -L, -R) if L > R else 0.0
-    return (middle + right + left) / (2.0 * L)
-
-
-def _toeplitz_from_coefficients(t: np.ndarray, N: int) -> np.ndarray:
-    rows = np.arange(N)
-    return t[(N - 1) + rows[:, None] - rows[None, :]]
+    return ((middle + right + left) / (2.0 * L),)
 
 
 def _dirichlet_trig_integrals(
     a: MagneticPotential, L: float, prof: FluxProfile, N: int, refine: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """I_cos[m], I_sin[m] = int e^{i Phi_L(x)} {cos, sin}(pi m x / 2L) dx, m = 0..2N."""
-    ms = np.arange(0, 2 * N + 1, dtype=float)
-    omega = np.pi * ms / (2.0 * L)
-    omega_max = float(omega[-1])
-    R, nodes, weights = _support_nodes(a, L, omega_max, refine)
+    M = 2 * N + 1
+    h = np.pi / (2.0 * L)
+    omega = h * np.arange(M)
+    R, nodes, weights = _support_nodes(a, L, float(omega[-1]), refine)
     eig = np.exp(1j * prof.phi_at(nodes)) * weights
-    args = np.outer(omega, nodes)
-    icos = np.cos(args) @ eig
-    isin = np.sin(args) @ eig
+    plus = _phase_sums(h, 0, M, nodes, eig)
+    minus = _phase_sums(-h, 0, M, nodes, eig)
+    icos = 0.5 * (plus + minus)
+    isin = -0.5j * (plus - minus)
     if L > R:
         phi = prof.total_flux
         # on the outer intervals e^{i Phi_L} is the constant e^{+-i phi}, and
@@ -136,29 +166,57 @@ def _dirichlet_trig_integrals(
     return icos, isin
 
 
-def _dirichlet_entries_from_integrals(icos: np.ndarray, isin: np.ndarray, N: int, L: float) -> np.ndarray:
-    j = np.arange(1, N + 1)
-    jj = j[:, None]
-    kk = j[None, :]
-    diffs = jj - kk
-    sums = jj + kk
-    ic = icos[np.abs(diffs)]
-    ic_sum = icos[sums]
-    is_diff = np.sign(diffs) * isin[np.abs(diffs)]
-    is_sum = isin[sums]
-    both_even = (jj % 2 == 0) & (kk % 2 == 0)
-    both_odd = (jj % 2 == 1) & (kk % 2 == 1)
-    row_even = (jj % 2 == 0) & (kk % 2 == 1)
-    entries = np.where(
-        both_even,
-        ic - ic_sum,
-        np.where(
-            both_odd,
-            ic + ic_sum,
-            np.where(row_even, is_diff + is_sum, -is_diff + is_sum),
-        ),
+def _toeplitz(t: np.ndarray, N: int) -> np.ndarray:
+    """Read-only N x N view with entry (j, k) = t[(N - 1) + j - k]."""
+    return sliding_window_view(t[::-1], N)[::-1]
+
+
+def _hankel(h: np.ndarray, N: int) -> np.ndarray:
+    """Read-only N x N view with entry (j, k) = h[j + k]."""
+    return sliding_window_view(h, N)
+
+
+def _dirichlet_matrix(icos: np.ndarray, isin: np.ndarray, N: int, L: float) -> np.ndarray:
+    """Dirichlet matrix entries, j, k = 1..N, from I_cos[m] and I_sin[m], m = 0..2N.
+
+    phi_j is a cosine for odd j and a sine for even j, so every product is
+    a cosine or a sine of (j - k) and of (j + k): each row is a Toeplitz
+    part in j - k plus a Hankel part in j + k, with signs set by the row's
+    parity.  Same-parity pairs (even m) read I_cos, mixed pairs (odd m)
+    read I_sin.
+    """
+    d = np.arange(-(N - 1), N)
+    s = np.arange(2, 2 * N + 1)
+    diff_even = d % 2 == 0
+    sum_even = s % 2 == 0
+    cos_diff = icos[np.abs(d)]
+    sin_diff = np.sign(d) * isin[np.abs(d)]
+    out = np.empty((N, N), dtype=complex)
+    # rows j = 1, 3, ... (cosines) sit at 0-based 0::2, rows j = 2, 4, ... at 1::2
+    np.add(
+        _toeplitz(np.where(diff_even, cos_diff, -sin_diff), N)[0::2],
+        _hankel(np.where(sum_even, icos[s], isin[s]), N)[0::2],
+        out=out[0::2],
     )
-    return entries / (2.0 * L)
+    np.add(
+        _toeplitz(np.where(diff_even, cos_diff, sin_diff), N)[1::2],
+        _hankel(np.where(sum_even, -icos[s], isin[s]), N)[1::2],
+        out=out[1::2],
+    )
+    out /= 2.0 * L
+    return out
+
+
+def _entry_change_bound(bc: BoundaryCondition, coarse, fine, L: float) -> float:
+    """Largest entry change between two builds, from their coefficient vectors.
+
+    Periodic entries are the t_d themselves, so max |dt_d| is the entrywise
+    maximum exactly.  A Dirichlet entry is (+-I[|j-k|] +- I[j+k]) / 2L, so
+    max(|dI_cos|, |dI_sin|) / L bounds every entry change from above (the
+    assembly's own rounding, about 1e-16, aside).
+    """
+    worst = max(float(np.max(np.abs(f - c))) for c, f in zip(coarse, fine))
+    return worst if bc is BoundaryCondition.PERIODIC else worst / L
 
 
 def overlap_matrix(
@@ -174,31 +232,29 @@ def overlap_matrix(
 
     Returns T_N(e^{i g_L}) in the free eigenbasis; its determinant equals
     the physical overlap determinant between the occupied windows N_0 and
-    N_{n_L} (periodic) or 1..N (Dirichlet).  Entries are verified by
-    doubling the quadrature resolution until they move by less than
-    ``quadrature_tol``.
+    N_{n_L} (periodic) or 1..N (Dirichlet).  The O(N) coefficients are
+    verified by doubling the quadrature resolution until no entry can move
+    by more than ``quadrature_tol``; the matrix is assembled once, from the
+    accepted coefficients.
     """
     bc = BoundaryCondition.parse(bc)
     if N < 1:
         raise DomainError("N must be >= 1")
+    if max_refine < 1:
+        raise DomainError("max_refine must be >= 1: the quadrature check compares two builds")
     if L < a.support_radius:
         raise DomainError(
             f"L = {L} is smaller than the support radius {a.support_radius}; "
             "the compact-support reduction requires L >= support_radius"
         )
     prof = flux_profile(a, L)
+    periodic = bc is BoundaryCondition.PERIODIC
+    coefficients = _periodic_overlap_coefficients if periodic else _dirichlet_trig_integrals
 
-    def build(refine: int) -> np.ndarray:
-        if bc is BoundaryCondition.PERIODIC:
-            t = _periodic_overlap_coefficients(a, L, prof, N, refine)
-            return _toeplitz_from_coefficients(t, N)
-        icos, isin = _dirichlet_trig_integrals(a, L, prof, N, refine)
-        return _dirichlet_entries_from_integrals(icos, isin, N, L)
-
-    current = build(0)
+    current = coefficients(a, L, prof, N, 0)
     for refine in range(1, max_refine + 1):
-        refined = build(refine)
-        worst = float(np.max(np.abs(refined - current)))
+        refined = coefficients(a, L, prof, N, refine)
+        worst = _entry_change_bound(bc, current, refined, L)
         current = refined
         if worst <= quadrature_tol:
             break
@@ -208,7 +264,8 @@ def overlap_matrix(
             achieved=worst,
             requested=quadrature_tol,
         )
-    return SymbolMatrix(entries=current, n=N, bc=bc, symbol_kind=SymbolKind.EXACT_GAUGE, L=L)
+    entries = _toeplitz(current[0], N).copy() if periodic else _dirichlet_matrix(*current, N, L)
+    return SymbolMatrix(entries=entries, n=N, bc=bc, symbol_kind=SymbolKind.EXACT_GAUGE, L=L)
 
 
 def periodic_flux_closed_form(delta: float, n_L: int, N: int) -> np.ndarray:
@@ -219,25 +276,19 @@ def periodic_flux_closed_form(delta: float, n_L: int, N: int) -> np.ndarray:
 def dirichlet_flux_closed_form(total_flux: float, N: int) -> np.ndarray:
     """Closed-form Dirichlet matrix of the jump symbol e^{i Phi_L(L) sign(x)}.
 
-    Diagonal cos(Phi); (2i/pi) sin(Phi) [1/(j+k) + 1/(j-k)] for even row j,
-    odd column k; the same with a minus on 1/(j-k) for odd j, even k; zero
-    when j +- k is even.
+    The entries read I_cos only at even m and I_sin only at odd m, and for
+    the jump symbol those are closed: I_cos[0] = 2L cos(Phi), I_cos[m] = 0
+    for even m > 0, I_sin[m] = 4iL sin(Phi) / (pi m) for odd m.  L cancels
+    from the entries (2L = 1 below): diagonal cos(Phi);
+    (2i/pi) sin(Phi) [1/(j+k) + 1/(j-k)] for even row j, odd column k; the
+    same with a minus on 1/(j-k) for odd j, even k; zero when j +- k is even.
     """
-    j = np.arange(1, N + 1)
-    jj = j[:, None]
-    kk = j[None, :]
-    entries = np.zeros((N, N), dtype=complex)
-    np.fill_diagonal(entries, math.cos(total_flux))
-    odd_pair = (jj - kk) % 2 == 1  # excludes the diagonal
-    with np.errstate(divide="ignore"):
-        plus = 1.0 / (jj + kk) + 1.0 / np.where(jj == kk, 1, jj - kk)
-        minus = 1.0 / (jj + kk) - 1.0 / np.where(jj == kk, 1, jj - kk)
-    coeff = 2j / math.pi * math.sin(total_flux)
-    row_even = (jj % 2 == 0) & odd_pair
-    row_odd = (jj % 2 == 1) & odd_pair
-    entries[row_even] = coeff * plus[row_even]
-    entries[row_odd] = coeff * minus[row_odd]
-    return entries
+    odd = np.arange(1, 2 * N + 1, 2)
+    icos = np.zeros(2 * N + 1, dtype=complex)
+    icos[0] = math.cos(total_flux)
+    isin = np.zeros(2 * N + 1, dtype=complex)
+    isin[odd] = 2j * math.sin(total_flux) / (math.pi * odd)
+    return _dirichlet_matrix(icos, isin, N, 0.5)
 
 
 def flux_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> SymbolMatrix:

@@ -5,7 +5,10 @@ expansion instead of LU, Cauchy's product formula instead of any matrix
 at all, raw partial sums with elementary Euler-Maclaurin closures instead
 of the recurrence-based polygamma, and midpoint Riemann sums instead of
 Gauss-Legendre panels.  The periodic energy difference is summed level by
-level in Python integers and 50-digit mpmath arithmetic.
+level in Python integers and 50-digit mpmath arithmetic.  The overlap
+matrices are rebuilt with one complex exponential per (frequency, node)
+pair and an entrywise parity-mask assembly, in place of the package's
+factored phase sums and Toeplitz-plus-Hankel views.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ import math
 
 import mpmath
 import numpy as np
+
+from flux_catastrophe.overlap import _support_nodes
+from flux_catastrophe.potential import flux_profile
+from flux_catastrophe.quadrature import cis_integral
 
 
 def cofactor_det(m: np.ndarray) -> complex:
@@ -172,3 +179,83 @@ def energy_difference_mp(total_flux: float, N: int, L: float) -> mpmath.mpf:
         sum_p = sum(pert)
         squares = sum(j * j for j in pert) - sum(j * j for j in free)
         return (mpmath.pi**2 * squares + 2 * mpmath.pi * phi * sum_p + N * phi**2) / mpmath.mpf(L) ** 2
+
+
+def dense_overlap_matrix(a, periodic: bool, N: int, L: float, refine: int) -> np.ndarray:
+    """T_N(e^{i g_L}) at quadrature level ``refine`` with a dense phase matrix.
+
+    Shares the support nodes, the flux profile and the exact outer-interval
+    integrals with the package; the sums over the nodes and the assembly
+    are brute force.
+    """
+    prof = flux_profile(a, L)
+    total = prof.total_flux
+    if periodic:
+        delta = prof.delta_L
+        d = np.arange(-(N - 1), N, dtype=float)
+        omega = (np.pi * d - delta) / L
+        R, nodes, weights = _support_nodes(a, L, float(np.max(np.abs(omega))), refine)
+        boundary = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
+        t = np.exp(1j * np.outer(np.pi * d / L, nodes)) @ boundary
+        if L > R:
+            t = t + np.exp(1j * total) * cis_integral(omega, R, L) + np.exp(-1j * total) * cis_integral(omega, -L, -R)
+        rows = np.arange(N)
+        return (t / (2.0 * L))[(N - 1) + rows[:, None] - rows[None, :]]
+    omega = np.pi * np.arange(0, 2 * N + 1, dtype=float) / (2.0 * L)
+    R, nodes, weights = _support_nodes(a, L, float(omega[-1]), refine)
+    eig = np.exp(1j * prof.phi_at(nodes)) * weights
+    args = np.outer(omega, nodes)
+    icos = np.cos(args) @ eig
+    isin = np.sin(args) @ eig
+    if L > R:
+        right = cis_integral(omega, R, L)
+        left = cis_integral(omega, -L, -R)
+        icos += np.exp(1j * total) * right.real + np.exp(-1j * total) * left.real
+        isin += np.exp(1j * total) * right.imag + np.exp(-1j * total) * left.imag
+    return dirichlet_entries_masked(icos, isin, N, L)
+
+
+def dirichlet_entries_masked(icos: np.ndarray, isin: np.ndarray, N: int, L: float) -> np.ndarray:
+    """Dirichlet entries from I_cos, I_sin by one parity case per entry."""
+    j = np.arange(1, N + 1)
+    jj = j[:, None]
+    kk = j[None, :]
+    diffs = jj - kk
+    sums = jj + kk
+    ic = icos[np.abs(diffs)]
+    ic_sum = icos[sums]
+    is_diff = np.sign(diffs) * isin[np.abs(diffs)]
+    is_sum = isin[sums]
+    both_even = (jj % 2 == 0) & (kk % 2 == 0)
+    both_odd = (jj % 2 == 1) & (kk % 2 == 1)
+    row_even = (jj % 2 == 0) & (kk % 2 == 1)
+    entries = np.where(
+        both_even,
+        ic - ic_sum,
+        np.where(
+            both_odd,
+            ic + ic_sum,
+            np.where(row_even, is_diff + is_sum, -is_diff + is_sum),
+        ),
+    )
+    return entries / (2.0 * L)
+
+
+def dirichlet_flux_masked(total_flux: float, N: int) -> np.ndarray:
+    """Dirichlet jump-symbol matrix written entry by entry: diagonal cos(Phi),
+    (2i/pi) sin(Phi) [1/(j+k) +- 1/(j-k)] on opposite parities (+ for even j)."""
+    j = np.arange(1, N + 1)
+    jj = j[:, None]
+    kk = j[None, :]
+    entries = np.zeros((N, N), dtype=complex)
+    np.fill_diagonal(entries, math.cos(total_flux))
+    odd_pair = (jj - kk) % 2 == 1
+    with np.errstate(divide="ignore"):
+        plus = 1.0 / (jj + kk) + 1.0 / np.where(jj == kk, 1, jj - kk)
+        minus = 1.0 / (jj + kk) - 1.0 / np.where(jj == kk, 1, jj - kk)
+    coeff = 2j / math.pi * math.sin(total_flux)
+    row_even = (jj % 2 == 0) & odd_pair
+    row_odd = (jj % 2 == 1) & odd_pair
+    entries[row_even] = coeff * plus[row_even]
+    entries[row_odd] = coeff * minus[row_odd]
+    return entries

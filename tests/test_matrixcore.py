@@ -230,6 +230,12 @@ def test_assemble_matches_fh_closed_form_small():
     assert m.toeplitz_deviation() < 1e-9
 
 
+def test_assemble_max_refine_below_one_is_a_domain_error():
+    one = lambda x: np.ones_like(np.asarray(x), dtype=complex)
+    with pytest.raises(DomainError, match="max_refine"):
+        assemble_toeplitz(one, BasisSpec.periodic_window(8.0, 16), max_refine=0)
+
+
 def test_property_checks_identity_symbol():
     basis = BasisSpec.periodic_window(2.0, 6)
     one = lambda x: np.ones_like(np.asarray(x), dtype=complex)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from flux_catastrophe.errors import DomainError
+from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.matrixcore import BasisSpec, assemble_toeplitz, fh_matrix, log_det, trace_norm
 import flux_catastrophe.overlap as overlap_module
 from flux_catastrophe.overlap import (
@@ -25,10 +26,12 @@ from flux_catastrophe.potential import (
     GaussianBump,
     flux_profile,
     gaussian_bump_with_flux,
+    potential_from_dict,
     weighted_abs_moment,
     zero_potential,
 )
 from flux_catastrophe.spectrum import BoundaryCondition
+from oracles import dense_overlap_matrix, dirichlet_flux_masked
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -235,6 +238,129 @@ def test_evaluate_point_equals_overlap_at_and_bound_check(bc):
     assert point.overlap == overlap_at(a, bc, 40, 20.0)
     assert point.bound_check == delta_matrix_bound_check(a, bc, 40, 20.0)
     assert point.bound_check.trace_norm_delta == trace_norm(_delta_n(a, bc, 40, 20.0))
+
+
+# -- factored build from O(N) verified coefficients ---------------------------
+
+# the potentials of the benchmark's two overlap sweeps
+SWEEP_POTENTIALS = {
+    PER: gaussian_bump_with_flux(2.0),
+    DIR: potential_from_dict(
+        {
+            "kind": "piecewise_linear",
+            "knots": [[-3, 0], [-1.5, 0.6], [0, 1.2], [0.5, 0.3], [2.5, 0]],
+            "support_radius": 3,
+        }
+    ),
+}
+
+
+def _coefficients(a, bc, N, L, refine):
+    build = overlap_module._periodic_overlap_coefficients if bc is PER else overlap_module._dirichlet_trig_integrals
+    return build(a, L, flux_profile(a, L), N, refine)
+
+
+def _assemble(bc, coefficients, N, L):
+    if bc is PER:
+        return overlap_module._toeplitz(coefficients[0], N)
+    return overlap_module._dirichlet_matrix(*coefficients, N, L)
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 64, 4095])
+@pytest.mark.parametrize("shift", ["zero", "negative"])
+def test_phase_sums_match_dense_exponentials(M, shift):
+    rng = np.random.default_rng(M)
+    m0 = 0 if shift == "zero" else -M
+    h = math.pi / max(M / 2, 4.0)  # the periodic spacing pi / L on the path L = N / 2
+    nodes = rng.uniform(-4.0, 4.0, 300)
+    values = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    got = overlap_module._phase_sums(h, m0, M, nodes, values)
+    expected = np.exp(1j * np.outer(h * (m0 + np.arange(M)), nodes)) @ values
+    assert got.shape == (M,)
+    assert float(np.max(np.abs(got - expected))) <= 1e-14 * float(np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 64, 181])
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_overlap_matrix_matches_dense_reference(bc, N):
+    for a in (gaussian_bump_with_flux(2.0), SWEEP_POTENTIALS[DIR]):
+        L = max(N / 2.0, a.support_radius)
+        m = overlap_matrix(a, bc, N, L).entries
+        assert m.flags.c_contiguous and m.flags.writeable
+        assert_allclose(m, dense_overlap_matrix(a, bc is PER, N, L, refine=1), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 64])
+@pytest.mark.parametrize("total_flux", [0.0, math.pi / 4, 2.0, -1.1])
+def test_dirichlet_flux_closed_form_matches_mask_formula(total_flux, N):
+    got = dirichlet_flux_closed_form(total_flux, N)
+    assert_allclose(got, dirichlet_flux_masked(total_flux, N), rtol=0, atol=1e-15)
+
+
+def _perturbed_pair(rng, sizes):
+    """Random coarse coefficient vectors and a refinement that moves them by ~1e-6."""
+    coarse = tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in sizes)
+    fine = tuple(c + 1e-6 * (rng.standard_normal(c.size) + 1j * rng.standard_normal(c.size)) for c in coarse)
+    return coarse, fine
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 64])
+def test_periodic_quadrature_check_equals_entrywise_change(N):
+    a = GaussianBump(center=0.2, width=0.5, amplitude=0.8, support_radius=4.0)
+    L = max(N / 2.0, 4.0)
+    builds = [tuple(_coefficients(a, PER, N, L, r) for r in (0, 1))]
+    builds.append(_perturbed_pair(np.random.default_rng(N), [2 * N - 1]))
+    for coarse, fine in builds:
+        entrywise = float(np.max(np.abs(_assemble(PER, fine, N, L) - _assemble(PER, coarse, N, L))))
+        assert overlap_module._entry_change_bound(PER, coarse, fine, L) == entrywise
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 64])
+def test_dirichlet_quadrature_check_bounds_entrywise_change(N):
+    # random coefficients, so that the change stands far above the assembly's
+    # rounding (the quadrature builds agree to ~1e-16 already at refine 0)
+    L = max(N / 2.0, 3.0)
+    coarse, fine = _perturbed_pair(np.random.default_rng(N), [2 * N + 1, 2 * N + 1])
+    entrywise = float(np.max(np.abs(_assemble(DIR, fine, N, L) - _assemble(DIR, coarse, N, L))))
+    assert overlap_module._entry_change_bound(DIR, coarse, fine, L) >= entrywise
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_unsettled_quadrature_raises_with_achieved_error(bc):
+    with pytest.raises(NumericalError) as info:
+        overlap_matrix(gaussian_bump_with_flux(2.0), bc, 16, 8.0, quadrature_tol=1e-30, max_refine=2)
+    assert info.value.context["requested"] == 1e-30
+    assert info.value.context["achieved"] > 1e-30
+
+
+@pytest.mark.parametrize("N", [128, 2048])
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_sweep_potentials_accept_the_refine_one_build(bc, N):
+    a = SWEEP_POTENTIALS[bc]
+    L = N / 2.0
+    coarse, fine = (_coefficients(a, bc, N, L, r) for r in (0, 1))
+    assert overlap_module._entry_change_bound(bc, coarse, fine, L) <= 1e-10
+    assert np.array_equal(overlap_matrix(a, bc, N, L).entries, _assemble(bc, fine, N, L))
+
+
+def test_max_refine_below_one_is_a_domain_error():
+    with pytest.raises(DomainError, match="max_refine"):
+        overlap_matrix(gaussian_bump_with_flux(math.pi / 4), PER, 16, 8.0, max_refine=0)
+
+
+@pytest.mark.parametrize("build", [overlap_matrix, flux_matrix])
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(build, bc):
+    a = SWEEP_POTENTIALS[bc]
+    N, L = 512, 256.0
+    build(a, bc, N, L)  # warm the cached quadrature rule
+    tracemalloc.start()
+    try:
+        result = build(a, bc, N, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * result.entries.nbytes, peak / result.entries.nbytes
 
 
 # -- symbol splitting ---------------------------------------------------------
