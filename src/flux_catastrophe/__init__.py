@@ -12,6 +12,7 @@ from .potential import (
     PiecewiseLinear,
     flux_decomposition,
     flux_profile,
+    full_line_delta,
     gaussian_bump_with_flux,
     moment_integrals,
     potential_from_dict,
@@ -30,18 +31,7 @@ from .spectrum import (
     ground_state_energy,
     occupied_indices,
 )
-from .matrixcore import (
-    BasisSpec,
-    LogDet,
-    SymbolKind,
-    SymbolMatrix,
-    assemble_toeplitz,
-    fh_matrix,
-    log_det,
-    operator_norm,
-    toeplitz_property_checks,
-    trace_norm,
-)
+from .matrixcore import LogDet, fh_matrix, log_det, operator_norm, trace_norm
 from .overlap import (
     DeltaBoundCheck,
     GridPoint,

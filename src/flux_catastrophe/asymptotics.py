@@ -170,20 +170,18 @@ class AndersonIntegral:
     value: float
 
 
-def anderson_integral(delta: float, N: int, even_n: bool = False) -> AndersonIntegral:
+def anderson_integral(delta: float, N: int) -> AndersonIntegral:
     """Anderson integral I_N for the jump symbol at flux angle ``delta``.
 
-    ``even_n`` selects the window {-m, ..., m-1} (the odd-N proof window
-    with the top index removed) instead of {-m, ..., m}.  Translation
-    invariance of the squared matrix elements makes every window of N
-    consecutive indices give the same value, so the flag does not change
-    the result; it exists to mirror the two bookkeeping conventions.
+    Translation invariance of the squared matrix elements makes every
+    window of N consecutive indices give the same value, so the odd-N
+    window {-m, ..., m} and the even-N window {-m, ..., m-1} need no
+    separate case.
     """
     if abs(delta) >= math.pi / 2:
         raise DomainError("anderson_integral requires |delta| < pi/2")
     if N < 1:
         raise DomainError("N must be >= 1")
-    del even_n  # value is window-length only; see docstring
     if delta == 0.0:
         return AndersonIntegral(N=N, delta=0.0, value=0.0)
     c = delta / math.pi

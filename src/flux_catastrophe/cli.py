@@ -45,7 +45,7 @@ from pathlib import Path
 
 from . import asymptotics, hilbert, overlap, spectrum
 from .errors import DomainError, NumericalError
-from .potential import MagneticPotential, flux_decomposition, potential_from_dict, potential_to_dict
+from .potential import MagneticPotential, full_line_delta, potential_from_dict, potential_to_dict
 from .spectrum import BoundaryCondition
 
 EXPERIMENTS = (
@@ -145,11 +145,7 @@ class ExperimentConfig:
             return self.delta_override
         if self.potential is None:
             raise DomainError("experiment needs either a potential or delta_override")
-        total = 0.5 * (
-            float(self.potential.antiderivative(self.potential.support_radius))
-            - float(self.potential.antiderivative(-self.potential.support_radius))
-        )
-        return flux_decomposition(total)[1]
+        return full_line_delta(self.potential)
 
 
 def _fmt(value) -> str:
@@ -424,7 +420,7 @@ def selftest() -> int:
 
     zero = zero_potential()
     m = overlap.overlap_matrix(zero, BoundaryCondition.PERIODIC, 16, 8.0)
-    check("zero potential identity", float(np.max(np.abs(m.entries - np.eye(16)))) < 1e-10)
+    check("zero potential identity", float(np.max(np.abs(m - np.eye(16)))) < 1e-10)
 
     print(f"selftest: {'all checks passed' if failures == 0 else f'{failures} check(s) FAILED'}")
     return EXIT_OK if failures == 0 else EXIT_PROPERTY_FAILURE

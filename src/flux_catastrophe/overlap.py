@@ -68,10 +68,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError
-from .matrixcore import LogDet, SymbolKind, SymbolMatrix, log_det, trace_norm
-from .matrixcore import fh_matrix
+from .matrixcore import LogDet, _toeplitz, fh_matrix, log_det, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_profile, moment_integrals
-from .quadrature import cis_integral, gauss_legendre_rule
+from .quadrature import build_edges, cis_integral, gauss_legendre_rule
 from .spectrum import BoundaryCondition
 
 
@@ -94,16 +93,10 @@ def _support_nodes(a: MagneticPotential, L: float, omega_max: float, refine: int
     R = min(a.support_radius, L)
     wavelength = 2.0 * math.pi / omega_max if omega_max > 0 else 2.0 * R
     base_width = min(wavelength / 8.0, a.resolution_scale / 2.0)
-    width = base_width / (2.0**refine)
-    brk = sorted({-R, R} | {b for b in a.breakpoints if -R < b < R} | {0.0})
-    edges: list[float] = [brk[0]]
-    for lo, hi in zip(brk[:-1], brk[1:]):
-        k = max(1, int(math.ceil((hi - lo) / width)))
-        edges.extend(np.linspace(lo, hi, k + 1)[1:].tolist())
-    edges_arr = np.asarray(edges)
+    edges = build_edges(-R, R, (*a.breakpoints, 0.0), base_width / (2.0**refine))
     x, w = gauss_legendre_rule(16)
-    mid = 0.5 * (edges_arr[1:] + edges_arr[:-1])
-    half = 0.5 * (edges_arr[1:] - edges_arr[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return R, nodes, weights
@@ -166,11 +159,6 @@ def _dirichlet_trig_integrals(
     return icos, isin
 
 
-def _toeplitz(t: np.ndarray, N: int) -> np.ndarray:
-    """Read-only N x N view with entry (j, k) = t[(N - 1) + j - k]."""
-    return sliding_window_view(t[::-1], N)[::-1]
-
-
 def _hankel(h: np.ndarray, N: int) -> np.ndarray:
     """Read-only N x N view with entry (j, k) = h[j + k]."""
     return sliding_window_view(h, N)
@@ -227,7 +215,7 @@ def overlap_matrix(
     *,
     quadrature_tol: float = 1e-10,
     max_refine: int = 4,
-) -> SymbolMatrix:
+) -> np.ndarray:
     """Overlap matrix of the free and perturbed N-fermion ground states.
 
     Returns T_N(e^{i g_L}) in the free eigenbasis; its determinant equals
@@ -264,13 +252,15 @@ def overlap_matrix(
             achieved=worst,
             requested=quadrature_tol,
         )
-    entries = _toeplitz(current[0], N).copy() if periodic else _dirichlet_matrix(*current, N, L)
-    return SymbolMatrix(entries=entries, n=N, bc=bc, symbol_kind=SymbolKind.EXACT_GAUGE, L=L)
+    return _toeplitz(current[0], N).copy() if periodic else _dirichlet_matrix(*current, N, L)
 
 
 def periodic_flux_closed_form(delta: float, n_L: int, N: int) -> np.ndarray:
     """Entries of T_N(e^{i g~_L}): (-1)^{n_L} sin(delta)/(delta - pi(j-k))."""
-    return (-1.0) ** (n_L % 2) * fh_matrix(delta, N).entries
+    m = fh_matrix(delta, N)
+    if n_L % 2:
+        np.negative(m, out=m)
+    return m
 
 
 def dirichlet_flux_closed_form(total_flux: float, N: int) -> np.ndarray:
@@ -291,17 +281,15 @@ def dirichlet_flux_closed_form(total_flux: float, N: int) -> np.ndarray:
     return _dirichlet_matrix(icos, isin, N, 0.5)
 
 
-def flux_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> SymbolMatrix:
+def flux_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> np.ndarray:
     """Closed-form matrix T_N(e^{i g~_L}) of the idealized jump symbol."""
     bc = BoundaryCondition.parse(bc)
     if L < a.support_radius:
         raise DomainError("L must be at least the support radius")
     prof = flux_profile(a, L)
     if bc is BoundaryCondition.PERIODIC:
-        entries = periodic_flux_closed_form(prof.delta_L, prof.n_L, N)
-    else:
-        entries = dirichlet_flux_closed_form(prof.total_flux, N)
-    return SymbolMatrix(entries=entries, n=N, bc=bc, symbol_kind=SymbolKind.DISCONTINUOUS_FLUX, L=L)
+        return periodic_flux_closed_form(prof.delta_L, prof.n_L, N)
+    return dirichlet_flux_closed_form(prof.total_flux, N)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +329,8 @@ def evaluate_point(
     splitting argument applies entrywise).
     """
     prof = flux_profile(a, L)
-    exact = overlap_matrix(a, bc, N, L).entries
-    flux = flux_matrix(a, bc, N, L).entries
+    exact = overlap_matrix(a, bc, N, L)
+    flux = flux_matrix(a, bc, N, L)
     ld_exact = log_det(exact)
     ld_flux = log_det(flux)
     if math.isinf(ld_flux.log_magnitude):

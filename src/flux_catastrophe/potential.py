@@ -220,6 +220,17 @@ def flux_decomposition(total_flux: float) -> tuple[int, float]:
     return n, total_flux - n * math.pi
 
 
+def full_line_delta(a: MagneticPotential) -> float:
+    """delta of the full-line flux 1/2 int a = n pi + delta.
+
+    This is delta_L for every L >= support_radius, computed without
+    building a flux profile.
+    """
+    R = a.support_radius
+    total = 0.5 * (float(a.antiderivative(R)) - float(a.antiderivative(-R)))
+    return flux_decomposition(total)[1]
+
+
 def flux_profile(a: MagneticPotential, L: float) -> FluxProfile:
     """Flux profile Phi_L of ``a`` on [-L, L].
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .potential import MagneticPotential, flux_decomposition, flux_profile
+from .potential import MagneticPotential, flux_decomposition, flux_profile, full_line_delta
 
 
 class BoundaryCondition(str, Enum):
@@ -181,11 +181,7 @@ def finite_size_energy(a: MagneticPotential | None, parity: str, rho: float) -> 
         raise DomainError("density rho must be positive")
     if parity not in ("odd", "even"):
         raise DomainError("parity must be 'odd' or 'even'")
-    if a is None:
-        delta = 0.0
-    else:
-        total = 0.5 * (float(a.antiderivative(a.support_radius)) - float(a.antiderivative(-a.support_radius)))
-        _, delta = flux_decomposition(total)
+    delta = 0.0 if a is None else full_line_delta(a)
     if parity == "odd":
         return 4.0 * delta * delta * rho * rho
     return 4.0 * delta * (delta - math.pi) * rho * rho

@@ -8,19 +8,27 @@ Gauss-Legendre panels.  The periodic energy difference is summed level by
 level in Python integers and 50-digit mpmath arithmetic.  The overlap
 matrices are rebuilt with one complex exponential per (frequency, node)
 pair and an entrywise parity-mask assembly, in place of the package's
-factored phase sums and Toeplitz-plus-Hankel views.
+factored phase sums and Toeplitz-plus-Hankel views.  assemble_toeplitz
+integrates <phi_j, f phi_k> for any symbol f over all of [-L, L] on its
+own Gauss-Legendre panels, with the basis functions evaluated directly and
+every entry checked by panel doubling, in place of the package's
+support-only coefficient sums and closed-form outer integrals.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
 
+from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.overlap import _support_nodes
 from flux_catastrophe.potential import flux_profile
 from flux_catastrophe.quadrature import cis_integral
+from flux_catastrophe.spectrum import BoundaryCondition
 
 
 def cofactor_det(m: np.ndarray) -> complex:
@@ -259,3 +267,99 @@ def dirichlet_flux_masked(total_flux: float, N: int) -> np.ndarray:
     entries[row_even] = coeff * plus[row_even]
     entries[row_odd] = coeff * minus[row_odd]
     return entries
+
+
+@dataclass(frozen=True)
+class BasisSpec:
+    """Eigenbasis window of the free Hamiltonian on [-L, L]."""
+
+    bc: BoundaryCondition
+    L: float
+    indices: tuple[int, ...]
+
+    @classmethod
+    def periodic_window(cls, L: float, N: int) -> "BasisSpec":
+        m = N // 2
+        idx = range(-m, m + 1) if N % 2 == 1 else range(-m, m)
+        return cls(BoundaryCondition.PERIODIC, L, tuple(idx))
+
+    @classmethod
+    def dirichlet_window(cls, L: float, N: int) -> "BasisSpec":
+        return cls(BoundaryCondition.DIRICHLET, L, tuple(range(1, N + 1)))
+
+    def functions_at(self, x: np.ndarray) -> np.ndarray:
+        """Matrix of basis values, shape (len(indices), len(x))."""
+        x = np.asarray(x, dtype=float)
+        js = np.asarray(self.indices, dtype=float)
+        if self.bc is BoundaryCondition.PERIODIC:
+            return np.exp(-1j * np.pi * np.outer(js, x) / self.L) / np.sqrt(2.0 * self.L)
+        phases = np.pi * np.outer(js, x) / (2.0 * self.L)
+        even = (np.asarray(self.indices) % 2 == 0)[:, None]
+        return np.where(even, np.sin(phases), np.cos(phases)) / np.sqrt(self.L)
+
+    def max_frequency(self) -> float:
+        """Largest angular frequency of any product conj(phi_j) phi_k."""
+        top = max(abs(j) for j in self.indices)
+        if self.bc is BoundaryCondition.PERIODIC:
+            return 2.0 * np.pi * top / self.L
+        return np.pi * top / self.L  # (j + k) pi / (2L) <= 2 top pi / (2L)
+
+
+ASSEMBLY_TOL = 1e-11
+
+
+def assemble_toeplitz(
+    symbol: Callable[[np.ndarray], np.ndarray],
+    basis: BasisSpec,
+    breakpoints: Sequence[float] = (),
+    max_refine: int = 4,
+) -> np.ndarray:
+    """The generalized Toeplitz matrix <phi_j, f phi_k> by quadrature.
+
+    Panels never straddle the declared symbol discontinuities (x = 0 and
+    the interval ends are always included) and are capped at an eighth of
+    the shortest oscillation wavelength over the index window.  Every
+    entry is integrated on the panel set and again on its twice-refined
+    version with 16-point Gauss-Legendre panels; refinement repeats until
+    the worst entry moves by less than ASSEMBLY_TOL.  Raises DomainError
+    for ``max_refine`` < 1 and NumericalError, carrying the worst entry,
+    when refinement stalls.
+    """
+    if max_refine < 1:
+        raise DomainError("max_refine must be >= 1: the quadrature check compares two builds")
+    L = basis.L
+    idx = basis.indices
+    omega_max = basis.max_frequency()
+    wavelength = 2.0 * np.pi / omega_max if omega_max > 0 else 2.0 * L
+    max_width = min(wavelength / 8.0, L / 4.0)
+    brk = sorted({-L, 0.0, L} | {float(b) for b in breakpoints if -L < b < L})
+    x, w = np.polynomial.legendre.leggauss(16)
+
+    def entries_for(width: float) -> np.ndarray:
+        pieces = [np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)[1:] for lo, hi in zip(brk, brk[1:])]
+        edges = np.concatenate([[-L], *pieces])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        weights = (half[:, None] * w[None, :]).ravel()
+        fw = symbol(nodes) * weights
+        phi = basis.functions_at(nodes)  # (N, nodes)
+        return (phi.conj() * fw[None, :]) @ phi.T
+
+    current = entries_for(max_width)
+    width = max_width
+    for _ in range(max_refine):
+        width /= 2.0
+        refined = entries_for(width)
+        err = np.abs(refined - current)
+        worst = float(err.max())
+        current = refined
+        if worst <= ASSEMBLY_TOL:
+            return current
+    worst_idx = np.unravel_index(int(np.argmax(err)), err.shape)
+    raise NumericalError(
+        "quadrature refinement stalled above tolerance",
+        worst_entry=(idx[worst_idx[0]], idx[worst_idx[1]]),
+        achieved=worst,
+        requested=ASSEMBLY_TOL,
+    )

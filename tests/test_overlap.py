@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from flux_catastrophe.errors import DomainError, NumericalError
-from flux_catastrophe.matrixcore import BasisSpec, assemble_toeplitz, fh_matrix, log_det, trace_norm
+from flux_catastrophe.matrixcore import _toeplitz, fh_matrix, log_det, trace_norm
 import flux_catastrophe.overlap as overlap_module
 from flux_catastrophe.overlap import (
     delta_matrix_bound_check,
@@ -24,6 +26,7 @@ from flux_catastrophe.overlap import (
 )
 from flux_catastrophe.potential import (
     GaussianBump,
+    PiecewiseLinear,
     flux_profile,
     gaussian_bump_with_flux,
     potential_from_dict,
@@ -31,7 +34,7 @@ from flux_catastrophe.potential import (
     zero_potential,
 )
 from flux_catastrophe.spectrum import BoundaryCondition
-from oracles import dense_overlap_matrix, dirichlet_flux_masked
+from oracles import BasisSpec, assemble_toeplitz, dense_overlap_matrix, dirichlet_flux_masked
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -40,7 +43,7 @@ DIR = BoundaryCondition.DIRICHLET
 def test_zero_potential_gives_identity_overlap(zero_pot):
     for bc in (PER, DIR):
         m = overlap_matrix(zero_pot, bc, 12, 6.0)
-        assert_allclose(m.entries, np.eye(12), atol=1e-12)
+        assert_allclose(m, np.eye(12), atol=1e-12)
         assert math.exp(2 * log_det(m).log_magnitude) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -67,16 +70,16 @@ def test_periodic_overlap_2x2_vs_independent_quadrature():
     # window for N=2 is {-1, 0}: differences j-k
     for (j, k) in ((0, 0), (0, 1), (1, 0), (1, 1)):
         d = j - k
-        assert abs(m.entries[j, k] - entry(d)) < 1e-10
+        assert abs(m[j, k] - entry(d)) < 1e-10
 
 
 def test_dirichlet_single_state_unimodularity():
     a = gaussian_bump_with_flux(0.8)
     m = overlap_matrix(a, DIR, 1, 6.0)
-    assert abs(m.entries[0, 0]) <= 1.0 + 1e-12
-    assert abs(m.entries[0, 0]) < 1.0  # flux varies over the support of phi_1^2
+    assert abs(m[0, 0]) <= 1.0 + 1e-12
+    assert abs(m[0, 0]) < 1.0  # flux varies over the support of phi_1^2
     z = overlap_matrix(zero_potential(), DIR, 1, 6.0)
-    assert abs(z.entries[0, 0]) == pytest.approx(1.0, abs=1e-13)
+    assert abs(z[0, 0]) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_overlap_requires_support_inside_interval():
@@ -90,7 +93,7 @@ def test_overlap_requires_support_inside_interval():
 def test_flux_matrix_zero_flux_identity(zero_pot):
     for bc in (PER, DIR):
         m = flux_matrix(zero_pot, bc, 9, 5.0)
-        assert_allclose(m.entries, np.eye(9), atol=1e-15)
+        assert_allclose(m, np.eye(9), atol=1e-15)
 
 
 def test_dirichlet_flux_entry_example():
@@ -106,7 +109,7 @@ def test_dirichlet_flux_entry_example():
 def test_periodic_flux_matrix_det_2x2():
     delta = math.pi / 4
     m = flux_matrix(gaussian_bump_with_flux(delta), PER, 2, 4.0)
-    s = fh_matrix(delta, 2).entries
+    s = fh_matrix(delta, 2)
     det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
     ld = log_det(m)
     assert_allclose(math.exp(ld.log_magnitude), abs(det), rtol=1e-13)
@@ -119,7 +122,7 @@ def test_periodic_flux_matrix_sign_for_odd_n_L():
     prof = flux_profile(a, L)
     assert prof.n_L == 1
     m = flux_matrix(a, PER, 6, L)
-    assert_allclose(m.entries, -fh_matrix(prof.delta_L, 6).entries, atol=0)
+    assert_allclose(m, -fh_matrix(prof.delta_L, 6), atol=0)
     # and the closed form matches the assembled symbol e^{i g~_L}
     basis = BasisSpec.periodic_window(L, 6)
 
@@ -129,7 +132,7 @@ def test_periodic_flux_matrix_sign_for_odd_n_L():
         return np.exp(1j * (prof.total_flux * sgn - prof.delta_L * x / L))
 
     assembled = assemble_toeplitz(jump_symbol, basis)
-    assert float(np.max(np.abs(assembled.entries - m.entries))) < 1e-9
+    assert float(np.max(np.abs(assembled - m))) < 1e-9
 
 
 def test_overlap_det_bounded_by_one():
@@ -187,7 +190,7 @@ def test_delta_bound_holds_both_bcs(bump_quarter_pi):
 
 
 def _delta_n(a, bc, N, L):
-    return overlap_matrix(a, bc, N, L).entries - flux_matrix(a, bc, N, L).entries
+    return overlap_matrix(a, bc, N, L) - flux_matrix(a, bc, N, L)
 
 
 # flux pi/4 has n_L = 0, flux 2.0 has n_L = 1 (the (-1)^{n_L} sign in Delta_N)
@@ -262,7 +265,7 @@ def _coefficients(a, bc, N, L, refine):
 
 def _assemble(bc, coefficients, N, L):
     if bc is PER:
-        return overlap_module._toeplitz(coefficients[0], N)
+        return _toeplitz(coefficients[0], N)
     return overlap_module._dirichlet_matrix(*coefficients, N, L)
 
 
@@ -285,7 +288,7 @@ def test_phase_sums_match_dense_exponentials(M, shift):
 def test_overlap_matrix_matches_dense_reference(bc, N):
     for a in (gaussian_bump_with_flux(2.0), SWEEP_POTENTIALS[DIR]):
         L = max(N / 2.0, a.support_radius)
-        m = overlap_matrix(a, bc, N, L).entries
+        m = overlap_matrix(a, bc, N, L)
         assert m.flags.c_contiguous and m.flags.writeable
         assert_allclose(m, dense_overlap_matrix(a, bc is PER, N, L, refine=1), rtol=0, atol=1e-14)
 
@@ -340,7 +343,7 @@ def test_sweep_potentials_accept_the_refine_one_build(bc, N):
     L = N / 2.0
     coarse, fine = (_coefficients(a, bc, N, L, r) for r in (0, 1))
     assert overlap_module._entry_change_bound(bc, coarse, fine, L) <= 1e-10
-    assert np.array_equal(overlap_matrix(a, bc, N, L).entries, _assemble(bc, fine, N, L))
+    assert np.array_equal(overlap_matrix(a, bc, N, L), _assemble(bc, fine, N, L))
 
 
 def test_max_refine_below_one_is_a_domain_error():
@@ -348,19 +351,63 @@ def test_max_refine_below_one_is_a_domain_error():
         overlap_matrix(gaussian_bump_with_flux(math.pi / 4), PER, 16, 8.0, max_refine=0)
 
 
-@pytest.mark.parametrize("build", [overlap_matrix, flux_matrix])
-@pytest.mark.parametrize("bc", [PER, DIR])
-def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(build, bc):
-    a = SWEEP_POTENTIALS[bc]
+MEMORY_CASES = [(bc, build) for build in (overlap_matrix, flux_matrix) for bc in (PER, DIR)] + [(PER, fh_matrix)]
+
+
+@pytest.mark.parametrize(
+    "bc, build", MEMORY_CASES, ids=[f"{bc.value}-{build.__name__}" for bc, build in MEMORY_CASES]
+)
+def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(bc, build):
+    # the periodic sweep potential has n_L = 1, so flux_matrix takes the sign flip
     N, L = 512, 256.0
-    build(a, bc, N, L)  # warm the cached quadrature rule
+    args = (math.pi / 4, N) if build is fh_matrix else (SWEEP_POTENTIALS[bc], bc, N, L)
+    build(*args)  # warm the cached quadrature rule
     tracemalloc.start()
     try:
-        result = build(a, bc, N, L)
+        result = build(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * result.entries.nbytes, peak / result.entries.nbytes
+    assert peak <= 1.5 * result.nbytes, peak / result.nbytes
+
+
+@st.composite
+def _piecewise_linear_cases(draw, n_L):
+    """A PiecewiseLinear potential with 3-6 knots spanning [-R, R] and full-line
+    flux n_L pi + delta, an interval half-length L = R or L > R, and N <= 16."""
+    R = draw(st.floats(0.5, 4.0))
+    k = draw(st.integers(3, 6))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=k - 1, max_size=k - 1)))
+    xs = -R + 2.0 * R * np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    xs[-1] = R
+    shape = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)))
+    delta = draw(st.floats(-1.57, 1.57))
+    # adding a constant c to every knot value adds c R to the flux (1/2) int a
+    shape_flux = 0.25 * float(np.sum((shape[1:] + shape[:-1]) * np.diff(xs)))
+    values = shape + (n_L * math.pi + delta - shape_flux) / R
+    a = PiecewiseLinear(tuple(zip(xs.tolist(), values.tolist())))
+    L = R + draw(st.just(0.0) | st.floats(0.1, 4.0))
+    return a, L, draw(st.integers(1, 16))
+
+
+@pytest.mark.parametrize("n_L", [-1, 0, 1, 2])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_overlap_matrix_matches_reference_assembly_on_random_potentials(n_L, data):
+    a, L, N = data.draw(_piecewise_linear_cases(n_L))
+    prof = flux_profile(a, L)
+    assert prof.n_L == n_L
+    exact_periodic = lambda x: np.exp(1j * (prof.phi_at(x) - prof.delta_L * x / L))
+    exact_dirichlet = lambda x: np.exp(1j * prof.phi_at(x))
+    for bc, symbol, basis in (
+        (PER, exact_periodic, BasisSpec.periodic_window(L, N)),
+        (DIR, exact_dirichlet, BasisSpec.dirichlet_window(L, N)),
+    ):
+        m = overlap_matrix(a, bc, N, L)
+        reference = assemble_toeplitz(symbol, basis, breakpoints=a.breakpoints)
+        assert float(np.max(np.abs(m - reference))) <= 1e-10, bc
+        # a compression of the unitary multiplication by e^{i g}: |det| <= 1
+        assert log_det(m).log_magnitude <= 1e-12, bc
 
 
 # -- symbol splitting ---------------------------------------------------------

@@ -13,6 +13,7 @@ from flux_catastrophe.potential import (
     PiecewiseLinear,
     flux_decomposition,
     flux_profile,
+    full_line_delta,
     gaussian_bump_with_flux,
     moment_integrals,
     potential_from_dict,
@@ -99,6 +100,7 @@ def test_delta_L_independent_of_L_beyond_support():
     d1 = flux_profile(a, 5.0).delta_L
     d2 = flux_profile(a, 50.0).delta_L
     assert abs(d1 - d2) < 1e-14
+    assert abs(full_line_delta(a) - d1) < 1e-14
 
 
 def test_moment_integrals_zero_potential():
