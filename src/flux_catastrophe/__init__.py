@@ -36,12 +36,9 @@ from .overlap import (
     DeltaBoundCheck,
     GridPoint,
     OverlapResult,
-    delta_matrix_bound_check,
     dirichlet_flux_closed_form,
     evaluate_point,
     flux_matrix,
-    lemma_factorization_check,
-    overlap_at,
     overlap_matrix,
     periodic_split_symbols,
 )
@@ -59,8 +56,6 @@ from .asymptotics import (
     upper_bound_exponent,
 )
 from .hilbert import (
-    HilbertMatrix,
-    KMatrix,
     KPartNorms,
     block_reduction_check,
     dirichlet_flux_logdet,
@@ -68,6 +63,7 @@ from .hilbert import (
     hilbert_section_norm,
     k_matrix,
     k_part_norms,
+    k_parts,
 )
 
 __version__ = "0.1.0"

@@ -16,8 +16,23 @@ A config is a single JSON document (no environment variables are read):
       "n_grid": [128, 181, 256, ...],    # strictly increasing
       "delta_override": 0.7853981633,    # optional: bypass the potential
       "output_path": "results",          # directory for CSV artifacts
-      "tolerances": {"slope_abs_err": 0.05}   # optional per-experiment knobs
+      "tolerances": {"slope_abs_err": 0.05}   # optional, keys below
     }
+
+Each experiment is a row of EXPERIMENTS (grid-point worker, CSV columns,
+gate, tolerance keys); run_experiment maps the worker over n_grid, writes
+the CSV and applies the gate.  Tolerance keys and defaults:
+
+    overlap_sweep      band_factor 1e4 (max C_{N,L} / min C_{N,L})
+    lemma_check        shares overlap_sweep's row; writes lemma_check.csv
+    exponent_fit       slope_abs_err 0.05 (|slope + 2 delta^2 / pi^2|)
+    anderson           none (det <= exp(-I) at every point)
+    energy             direct_rel_err 1e-10 (closed form vs direct sum)
+    dirichlet_hilbert  slope_slack 0.05 (slope <= -2 sin^2(delta) / pi^2 + slack)
+
+Other tolerance keys, a missing potential (overlap_sweep, lemma_check), a
+missing potential and delta_override (exponent_fit, anderson,
+dirichlet_hilbert) and an odd N (dirichlet_hilbert) are config errors.
 
 Every CSV row carries the config hash, grid points are evaluated in grid
 order (or by a pool of --jobs worker processes and merged in grid order),
@@ -39,23 +54,27 @@ import hashlib
 import json
 import math
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 from . import asymptotics, hilbert, overlap, spectrum
 from .errors import DomainError, NumericalError
-from .potential import MagneticPotential, full_line_delta, potential_from_dict, potential_to_dict
-from .spectrum import BoundaryCondition
-
-EXPERIMENTS = (
-    "overlap_sweep",
-    "exponent_fit",
-    "anderson",
-    "lemma_check",
-    "energy",
-    "dirichlet_hilbert",
+from .matrixcore import fh_matrix, log_det
+from .potential import (
+    MagneticPotential,
+    flux_profile,
+    full_line_delta,
+    potential_from_dict,
+    potential_to_dict,
+    zero_potential,
 )
+from .spectrum import BoundaryCondition
 
 EXIT_OK = 0
 EXIT_CONFIG_OR_NUMERICAL = 1
@@ -76,9 +95,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise DomainError(f"invalid config:\n  must be a JSON object, got {type(raw).__name__}")
         errors: list[str] = []
         experiment = raw.get("experiment")
-        if experiment not in EXPERIMENTS:
+        row = EXPERIMENTS.get(experiment) if isinstance(experiment, str) else None
+        if row is None:
             errors.append(f"experiment: must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}")
         pot = None
         if raw.get("potential") is not None:
@@ -92,19 +114,20 @@ class ExperimentConfig:
         except DomainError as exc:
             errors.append(f"bc: {exc}")
         rho = raw.get("rho", 1.0)
-        if not isinstance(rho, (int, float)) or rho <= 0:
+        if not _is_number(rho) or rho <= 0:
             errors.append(f"rho: must be a positive number, got {rho!r}")
         n_grid = raw.get("n_grid", list(asymptotics.DEFAULT_N_GRID))
-        if (
-            not isinstance(n_grid, list)
-            or not n_grid
-            or not all(isinstance(n, int) and n >= 1 for n in n_grid)
-            or any(b <= a for a, b in zip(n_grid[:-1], n_grid[1:]))
-        ):
+        grid_ok = (
+            isinstance(n_grid, list)
+            and bool(n_grid)
+            and all(type(n) is int and n >= 1 for n in n_grid)
+            and all(b > a for a, b in zip(n_grid[:-1], n_grid[1:]))
+        )
+        if not grid_ok:
             errors.append(f"n_grid: must be a nonempty strictly increasing list of integers, got {n_grid!r}")
         delta = raw.get("delta_override")
         if delta is not None:
-            if not isinstance(delta, (int, float)) or abs(delta) >= math.pi / 2:
+            if not _is_number(delta) or abs(delta) >= math.pi / 2:
                 errors.append(f"delta_override: must be a number with |delta| < pi/2, got {delta!r}")
         out = raw.get("output_path", "results")
         if not isinstance(out, str) or not out:
@@ -112,22 +135,23 @@ class ExperimentConfig:
         tol = raw.get("tolerances", {})
         if not isinstance(tol, dict):
             errors.append(f"tolerances: must be an object, got {tol!r}")
+        if row is not None:
+            has_potential = raw.get("potential") is not None
+            if row.needs == "potential" and not has_potential:
+                errors.append(f"potential: {experiment} requires a potential")
+            if row.needs == "delta" and not has_potential and delta is None:
+                errors.append(f"delta_override: {experiment} needs either a potential or delta_override")
+            if row.even_n and grid_ok and any(n % 2 for n in n_grid):
+                errors.append(f"n_grid: {experiment} requires even N values (N = 2M), got {n_grid!r}")
+            for key, value in tol.items() if isinstance(tol, dict) else ():
+                if key not in row.tolerances:
+                    accepted = ", ".join(row.tolerances) or "none"
+                    errors.append(f"tolerances: unknown key {key!r} for {experiment} (accepted: {accepted})")
+                elif not _is_number(value):
+                    errors.append(f"tolerances: {key} must be a finite number, got {value!r}")
         if errors:
             raise DomainError("invalid config:\n  " + "\n  ".join(errors))
-        canonical = {
-            "experiment": experiment,
-            "potential": potential_to_dict(pot) if pot is not None else None,
-            "bc": bc.value,
-            "rho": float(rho),
-            "n_grid": list(n_grid),
-            "delta_override": None if delta is None else float(delta),
-            "output_path": out,
-            "tolerances": {k: tol[k] for k in sorted(tol)},
-        }
-        digest = hashlib.sha256(
-            json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()[:12]
-        return cls(
+        config = cls(
             experiment=experiment,
             potential=pot,
             bc=bc,
@@ -136,16 +160,31 @@ class ExperimentConfig:
             delta_override=None if delta is None else float(delta),
             output_path=out,
             tolerances={k: float(v) for k, v in tol.items()},
-            config_hash=digest,
         )
+        canonical = {
+            "experiment": experiment,
+            "potential": potential_to_dict(pot) if pot is not None else None,
+            "bc": bc.value,
+            "rho": config.rho,
+            "n_grid": config.n_grid,
+            "delta_override": config.delta_override,
+            "output_path": out,
+            "tolerances": {k: tol[k] for k in sorted(tol)},
+        }
+        serial = json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
+        config.config_hash = hashlib.sha256(serial).hexdigest()[:12]
+        return config
 
     def resolve_delta(self) -> float:
         """The flux angle delta: the override, or the potential's full-line value."""
         if self.delta_override is not None:
             return self.delta_override
-        if self.potential is None:
-            raise DomainError("experiment needs either a potential or delta_override")
         return full_line_delta(self.potential)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; JSON true/false parse to bools, which are ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _fmt(value) -> str:
@@ -167,20 +206,18 @@ def write_rows(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-grid-point workers (top level for picklability)
+# per-grid-point workers (top level for picklability): (config, N) -> CSV row
 # ---------------------------------------------------------------------------
 
 
-def _overlap_point(args) -> tuple:
-    pot_spec, bc_value, rho, n = args
-    pot = potential_from_dict(pot_spec)
-    L = n / (2.0 * rho)
-    point = overlap.evaluate_point(pot, BoundaryCondition(bc_value), n, L)
+def _overlap_point(config: ExperimentConfig, n: int) -> tuple:
+    L = n / (2.0 * config.rho)
+    point = overlap.evaluate_point(config.potential, config.bc, n, L)
     res, check = point.overlap, point.bound_check
     return (
         n,
         L,
-        rho,
+        config.rho,
         res.delta_L,
         res.n_L,
         2.0 * res.logdet_exact.log_magnitude,
@@ -192,27 +229,20 @@ def _overlap_point(args) -> tuple:
     )
 
 
-def _fh_point(args) -> tuple:
-    delta, n = args
-    from .matrixcore import fh_matrix, log_det
-
-    ld = log_det(fh_matrix(delta, n))
-    return (n, 2.0 * ld.log_magnitude)
+def _fh_point(config: ExperimentConfig, n: int) -> tuple:
+    return (n, 2.0 * log_det(fh_matrix(config.resolve_delta(), n)).log_magnitude)
 
 
-def _anderson_point(args) -> tuple:
-    delta, n = args
-    from .matrixcore import fh_matrix, log_det
-
+def _anderson_point(config: ExperimentConfig, n: int) -> tuple:
+    delta = config.resolve_delta()
     ld = log_det(fh_matrix(delta, n))
     integral = asymptotics.anderson_integral(delta, n)
     check = asymptotics.upper_bound_check(ld, integral)
     return (n, delta, integral.value, check.log_overlap_sq, check.holds)
 
 
-def _energy_point(args) -> tuple:
-    pot_spec, rho, n = args
-    pot = potential_from_dict(pot_spec) if pot_spec is not None else None
+def _energy_point(config: ExperimentConfig, n: int) -> tuple:
+    pot, rho = config.potential, config.rho
     L = n / (2.0 * rho)
     bc = BoundaryCondition.PERIODIC
     diff = spectrum.energy_difference(bc, pot, n, L)
@@ -221,19 +251,12 @@ def _energy_point(args) -> tuple:
     limit = spectrum.finite_size_energy(pot, parity, rho)
     scaled = n * diff
     rel = abs(scaled - limit) / abs(limit) if limit != 0 else abs(scaled)
-    if pot is not None:
-        from .potential import flux_profile
-
-        delta = flux_profile(pot, L).delta_L
-    else:
-        delta = 0.0
+    delta = flux_profile(pot, L).delta_L if pot is not None else 0.0
     return (n, L, rho, delta, parity, diff, direct, scaled, limit, rel)
 
 
-def _dirichlet_point(args) -> tuple:
-    delta, n = args
-    if n % 2:
-        raise DomainError(f"dirichlet_hilbert needs even N, got {n}")
+def _dirichlet_point(config: ExperimentConfig, n: int) -> tuple:
+    delta = config.resolve_delta()
     m = n // 2
     ld = hilbert.dirichlet_flux_logdet(delta, m)
     norms = hilbert.k_part_norms(m)
@@ -249,122 +272,142 @@ def _run_pool(worker, args_list, jobs: int) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# gates: (config, columns by name, tolerances, out_dir) -> (ok, message)
 # ---------------------------------------------------------------------------
 
 
+def _c_band_gate(config: ExperimentConfig, cols: dict, tol: dict, out_dir: Path) -> tuple[bool, str]:
+    """The factorization lemma: 0 < C_{N,L} < inf at every point, within
+    an empirical band max C / min C <= band_factor (the lemma's constants
+    are unnamed), and ||Delta_N||_1 within its moment bound."""
+    ratios = cols["C_ratio"]
+    finite = [c for c in ratios if math.isfinite(c) and c > 0]
+    degenerate = [n for n, c in zip(cols["N"], ratios) if not (math.isfinite(c) and c > 0)]
+    lo, hi = (min(finite), max(finite)) if finite else (math.nan, math.nan)
+    bound_ok = all(cols["bound_holds"])
+    band_ok = not finite or hi / lo <= tol["band_factor"]
+    message = (
+        f"{config.experiment}: {len(ratios)} points, C in [{lo:.6g}, {hi:.6g}], "
+        f"delta bound {'holds' if bound_ok else 'VIOLATED'}, "
+        f"band {'ok' if band_ok else 'EXCEEDED'}"
+    )
+    if degenerate:
+        message += f", degenerate C at N = {degenerate}"
+    return bound_ok and band_ok and not degenerate, message
+
+
+def _exponent_gate(config: ExperimentConfig, cols: dict, tol: dict, out_dir: Path) -> tuple[bool, str]:
+    """Fitted decay slope within slope_abs_err of -2 delta^2 / pi^2; writes exponent_fit.csv."""
+    delta = config.resolve_delta()
+    series = list(zip(cols["N"], cols["log_det_sq"]))
+    fit = asymptotics.fit_decay_exponent(series)
+    target = asymptotics.theorem_exponent(delta)
+    write_rows(
+        out_dir / "exponent_fit.csv",
+        ["config_hash", "delta", "target_exponent", "fitted_slope", "residual", "n_points"],
+        [(config.config_hash, delta, target, fit.slope, fit.max_abs_residual, len(series))],
+    )
+    err = abs(fit.slope - target)
+    budget = tol["slope_abs_err"]
+    return err <= budget, (
+        f"exponent_fit: delta={delta:.6g} fitted slope {fit.slope:.6f} vs target {target:.6f} "
+        f"(|err| = {err:.2e}, budget {budget:g}, prefactor estimate c = {math.exp(fit.intercept):.6g})"
+    )
+
+
+def _anderson_gate(config: ExperimentConfig, cols: dict, tol: dict, out_dir: Path) -> tuple[bool, str]:
+    ok = all(cols["upper_bound_holds"])
+    return ok, f"anderson: {len(cols['N'])} points, det <= exp(-I) {'holds' if ok else 'VIOLATED'}"
+
+
+def _energy_gate(config: ExperimentConfig, cols: dict, tol: dict, out_dir: Path) -> tuple[bool, str]:
+    worst = max(
+        abs(closed - direct) / max(abs(direct), 1e-300)
+        for closed, direct in zip(cols["energy_difference"], cols["direct_difference"])
+    )
+    return worst <= tol["direct_rel_err"], (
+        f"energy: {len(cols['N'])} points, worst closed-vs-direct rel err {worst:.2e}; "
+        f"N*dE = {cols['N_times_diff'][-1]:.9g} vs limit {cols['limit'][-1]:.9g} at N = {cols['N'][-1]}"
+    )
+
+
+def _dirichlet_gate(config: ExperimentConfig, cols: dict, tol: dict, out_dir: Path) -> tuple[bool, str]:
+    delta = config.resolve_delta()
+    op_ok = all(v <= math.pi**2 / 4 + 1e-8 for v in cols["opnorm_mm"])
+    series = list(zip(cols["N"], cols["logdet_sq"]))
+    fit = asymptotics.fit_decay_exponent(series) if len(series) >= 4 else None
+    bound = asymptotics.upper_bound_exponent(delta)
+    slope_ok = fit is None or fit.slope <= bound + tol["slope_slack"]
+    slope_txt = "n/a (need >= 4 grid points)" if fit is None else f"{fit.slope:.6f}"
+    return op_ok and slope_ok, (
+        f"dirichlet_hilbert: {len(series)} points, slope {slope_txt} vs bound {bound:.6f}, "
+        f"||K--|| <= pi^2/4 {'holds' if op_ok else 'VIOLATED'}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the experiment table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A row of the experiment table.  The CSV prefixes the worker's
+    ``columns`` with config_hash; ``tolerances`` holds every key the gate
+    reads, with its default.  ``needs`` ("potential", "delta" for a
+    potential or delta_override, or "") and ``even_n`` are checked at load."""
+
+    worker: Callable[[ExperimentConfig, int], tuple]
+    csv: str
+    columns: tuple[str, ...]
+    gate: Callable[[ExperimentConfig, dict, dict, Path], tuple[bool, str]]
+    tolerances: dict[str, float]
+    needs: str = ""
+    even_n: bool = False
+
+
+_SWEEP = Experiment(
+    _overlap_point, "overlap_sweep.csv",
+    ("N", "L", "rho", "delta_L", "n_L", "log_D_sq", "log_Dtilde_sq", "C_ratio", "trace_norm_delta", "bound",
+     "bound_holds"),
+    _c_band_gate, {"band_factor": 1e4}, needs="potential",
+)
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "overlap_sweep": _SWEEP,
+    "exponent_fit": Experiment(
+        _fh_point, "exponent_fit_series.csv", ("N", "log_det_sq"),
+        _exponent_gate, {"slope_abs_err": 0.05}, needs="delta",
+    ),
+    "anderson": Experiment(
+        _anderson_point, "anderson.csv", ("N", "delta", "anderson_integral", "log_Dtilde_sq", "upper_bound_holds"),
+        _anderson_gate, {}, needs="delta",
+    ),
+    "lemma_check": replace(_SWEEP, csv="lemma_check.csv"),
+    "energy": Experiment(
+        _energy_point, "energy.csv",
+        ("N", "L", "rho", "delta", "parity", "energy_difference", "direct_difference", "N_times_diff", "limit",
+         "rel_err"),
+        _energy_gate, {"direct_rel_err": 1e-10},
+    ),
+    "dirichlet_hilbert": Experiment(
+        _dirichlet_point, "dirichlet_hilbert.csv",
+        ("M", "N", "delta", "logdet_sq", "trace_mm", "trace_pp", "mixed_bound", "opnorm_mm", "hilbert_section_norm"),
+        _dirichlet_gate, {"slope_slack": 0.05}, needs="delta", even_n=True,
+    ),
+}
+
+
 def run_experiment(config: ExperimentConfig, out_dir: Path, jobs: int) -> int:
-    name = config.experiment
-    tol = config.tolerances
-    if name in ("overlap_sweep", "lemma_check"):
-        if config.potential is None:
-            raise DomainError(f"{name} requires a potential")
-        pot_spec = potential_to_dict(config.potential)
-        rows = _run_pool(
-            _overlap_point,
-            [(pot_spec, config.bc.value, config.rho, n) for n in config.n_grid],
-            jobs,
-        )
-        rows = [(config.config_hash, *r) for r in rows]
-        header = [
-            "config_hash", "N", "L", "rho", "delta_L", "n_L",
-            "log_D_sq", "log_Dtilde_sq", "C_ratio", "trace_norm_delta", "bound", "bound_holds",
-        ]
-        write_rows(out_dir / f"{name}.csv", header, rows)
-        ratios = [r[8] for r in rows if math.isfinite(r[8]) and r[8] > 0]
-        bound_ok = all(bool(r[-1]) for r in rows)
-        band = tol.get("band_factor", 1e4)
-        band_ok = True
-        if ratios:
-            band_ok = max(ratios) / min(ratios) <= band
-        print(
-            f"{name}: {len(rows)} points, C in [{min(ratios):.6g}, {max(ratios):.6g}], "
-            f"delta bound {'holds' if bound_ok else 'VIOLATED'}, "
-            f"band {'ok' if band_ok else 'EXCEEDED'}"
-        )
-        return EXIT_OK if bound_ok and band_ok else EXIT_PROPERTY_FAILURE
-
-    if name == "exponent_fit":
-        delta = config.resolve_delta()
-        series = _run_pool(_fh_point, [(delta, n) for n in config.n_grid], jobs)
-        fit = asymptotics.fit_decay_exponent(series)
-        target = asymptotics.theorem_exponent(delta)
-        rows = [(config.config_hash, delta, target, fit.slope, fit.max_abs_residual, len(series))]
-        write_rows(
-            out_dir / "exponent_fit.csv",
-            ["config_hash", "delta", "target_exponent", "fitted_slope", "residual", "n_points"],
-            rows,
-        )
-        series_rows = [(config.config_hash, n, v) for n, v in series]
-        write_rows(out_dir / "exponent_fit_series.csv", ["config_hash", "N", "log_det_sq"], series_rows)
-        err = abs(fit.slope - target)
-        budget = tol.get("slope_abs_err", 0.05)
-        print(
-            f"exponent_fit: delta={delta:.6g} fitted slope {fit.slope:.6f} vs target {target:.6f} "
-            f"(|err| = {err:.2e}, budget {budget:g}, prefactor estimate c = {math.exp(fit.intercept):.6g})"
-        )
-        return EXIT_OK if err <= budget else EXIT_PROPERTY_FAILURE
-
-    if name == "anderson":
-        delta = config.resolve_delta()
-        rows = _run_pool(_anderson_point, [(delta, n) for n in config.n_grid], jobs)
-        rows = [(config.config_hash, *r) for r in rows]
-        write_rows(
-            out_dir / "anderson.csv",
-            ["config_hash", "N", "delta", "anderson_integral", "log_Dtilde_sq", "upper_bound_holds"],
-            rows,
-        )
-        ok = all(bool(r[-1]) for r in rows)
-        print(f"anderson: {len(rows)} points, det <= exp(-I) {'holds' if ok else 'VIOLATED'}")
-        return EXIT_OK if ok else EXIT_PROPERTY_FAILURE
-
-    if name == "energy":
-        pot_spec = potential_to_dict(config.potential) if config.potential is not None else None
-        rows = _run_pool(_energy_point, [(pot_spec, config.rho, n) for n in config.n_grid], jobs)
-        rows = [(config.config_hash, *r) for r in rows]
-        write_rows(
-            out_dir / "energy.csv",
-            [
-                "config_hash", "N", "L", "rho", "delta", "parity",
-                "energy_difference", "direct_difference", "N_times_diff", "limit", "rel_err",
-            ],
-            rows,
-        )
-        worst = max(abs(r[6] - r[7]) / max(abs(r[7]), 1e-300) for r in rows)
-        last = rows[-1]
-        print(
-            f"energy: {len(rows)} points, worst closed-vs-direct rel err {worst:.2e}; "
-            f"N*dE = {last[8]:.9g} vs limit {last[9]:.9g} at N = {last[1]}"
-        )
-        budget = tol.get("direct_rel_err", 1e-10)
-        return EXIT_OK if worst <= budget else EXIT_PROPERTY_FAILURE
-
-    if name == "dirichlet_hilbert":
-        delta = config.resolve_delta()
-        if any(n % 2 for n in config.n_grid):
-            raise DomainError("dirichlet_hilbert requires even N values (N = 2M)")
-        rows = _run_pool(_dirichlet_point, [(delta, n) for n in config.n_grid], jobs)
-        rows = [(config.config_hash, *r) for r in rows]
-        write_rows(
-            out_dir / "dirichlet_hilbert.csv",
-            [
-                "config_hash", "M", "N", "delta", "logdet_sq",
-                "trace_mm", "trace_pp", "mixed_bound", "opnorm_mm", "hilbert_section_norm",
-            ],
-            rows,
-        )
-        op_ok = all(r[8] <= math.pi**2 / 4 + 1e-8 for r in rows)
-        fit = asymptotics.fit_decay_exponent([(r[2], r[4]) for r in rows]) if len(rows) >= 4 else None
-        bound = asymptotics.upper_bound_exponent(delta)
-        slope_ok = fit is None or fit.slope <= bound + config.tolerances.get("slope_slack", 0.05)
-        slope_txt = "n/a (need >= 4 grid points)" if fit is None else f"{fit.slope:.6f}"
-        print(
-            f"dirichlet_hilbert: {len(rows)} points, slope {slope_txt} vs bound {bound:.6f}, "
-            f"||K--|| <= pi^2/4 {'holds' if op_ok else 'VIOLATED'}"
-        )
-        return EXIT_OK if op_ok and slope_ok else EXIT_PROPERTY_FAILURE
-
-    raise DomainError(f"unknown experiment {name!r}")
+    """Evaluate every grid point, write the experiment's CSV, apply its gate."""
+    row = EXPERIMENTS[config.experiment]
+    header = ["config_hash", *row.columns]
+    rows = [(config.config_hash, *r) for r in _run_pool(partial(row.worker, config), config.n_grid, jobs)]
+    write_rows(out_dir / row.csv, header, rows)
+    cols = dict(zip(header, zip(*rows)))
+    ok, message = row.gate(config, cols, {**row.tolerances, **config.tolerances}, out_dir)
+    print(message)
+    return EXIT_OK if ok else EXIT_PROPERTY_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +415,19 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# each experiment's own row on a small grid
+_BUMP = {"kind": "gaussian_bump", "total_flux": math.pi / 4}
+_SELFTEST_CONFIGS = (
+    {"experiment": "exponent_fit", "delta_override": math.pi / 4, "n_grid": [64, 91, 128, 181, 256]},
+    {"experiment": "anderson", "delta_override": math.pi / 4, "n_grid": [16, 64, 256]},
+    {"experiment": "lemma_check", "potential": _BUMP, "n_grid": [32, 64, 128]},
+    {"experiment": "energy", "potential": _BUMP, "n_grid": [101]},
+    {"experiment": "dirichlet_hilbert", "delta_override": math.pi / 4, "n_grid": [256]},
+)
+
+
 def selftest() -> int:
     """Fast built-in property suite; the full acceptance suite lives in pytest."""
-    import numpy as np
-
-    from .matrixcore import fh_matrix, log_det
-    from .potential import gaussian_bump_with_flux, zero_potential
-
     failures = 0
 
     def check(label: str, ok: bool, detail: str = "") -> None:
@@ -386,37 +435,16 @@ def selftest() -> int:
         print(f"selftest {label}: {'PASS' if ok else 'FAIL'}{' ' + detail if detail else ''}")
         failures += 0 if ok else 1
 
-    delta = math.pi / 4
-    series = asymptotics.fh_decay_series(delta, (64, 91, 128, 181, 256))
-    fit = asymptotics.fit_decay_exponent(series)
-    target = asymptotics.theorem_exponent(delta)
-    check("exponent", abs(fit.slope - target) <= 0.05, f"slope {fit.slope:.4f} target {target:.4f}")
+    with tempfile.TemporaryDirectory() as scratch:
+        for raw in _SELFTEST_CONFIGS:
+            config = ExperimentConfig.from_dict(raw)
+            check(config.experiment, run_experiment(config, Path(scratch), 1) == EXIT_OK)
 
     ld0 = log_det(fh_matrix(0.0, 64))
     check("delta-zero overlap", abs(2 * ld0.log_magnitude) < 1e-10)
 
-    ok = True
-    for n in (16, 64, 256):
-        c = asymptotics.upper_bound_check(log_det(fh_matrix(delta, n)), asymptotics.anderson_integral(delta, n))
-        ok = ok and c.holds
-    check("det<=exp(-tr)", ok)
-
-    pot = gaussian_bump_with_flux(delta)
-    rep = overlap.lemma_factorization_check(pot, BoundaryCondition.PERIODIC, [32, 64, 128], rho=1.0)
-    check("lemma band", not rep.flagged and not rep.degenerate, rep.summary())
-
-    bound = overlap.delta_matrix_bound_check(pot, BoundaryCondition.PERIODIC, 64, 32.0)
-    check("delta trace bound", bound.holds, f"{bound.trace_norm_delta:.4f} <= {bound.bound:.4f}")
-
-    d = spectrum.energy_difference(BoundaryCondition.PERIODIC, pot, 101, 50.5)
-    direct = spectrum.energy_difference_direct(BoundaryCondition.PERIODIC, pot, 101, 50.5)
-    check("energy closed form", abs(d - direct) <= 1e-10 * abs(d))
-
-    ldb, ldr = hilbert.block_reduction_check(delta, 8)
+    ldb, ldr = hilbert.block_reduction_check(math.pi / 4, 8)
     check("dirichlet reduction", abs(ldb - ldr) < 1e-8, f"{ldb:.10f} vs {ldr:.10f}")
-
-    norms = hilbert.k_part_norms(128)
-    check("K-- norm", norms.op_mm <= math.pi**2 / 4 + 1e-8, f"{norms.op_mm:.6f}")
 
     zero = zero_potential()
     m = overlap.overlap_matrix(zero, BoundaryCondition.PERIODIC, 16, 8.0)

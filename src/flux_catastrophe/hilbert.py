@@ -30,26 +30,14 @@ from .matrixcore import LogDet, log_det, operator_norm
 from .overlap import dirichlet_flux_closed_form
 
 
-@dataclass(frozen=True)
-class HilbertMatrix:
-    """Finite section of the Hilbert matrix (1/(j+k+eta))_{j,k >= 1}."""
-
-    eta: float = -0.5
-    dimension: int = 1
-
-    def __post_init__(self):
-        if self.eta <= -2.0 and float(self.eta).is_integer():
-            raise DomainError("-eta must not be a positive integer")
-        if self.dimension < 1:
-            raise DomainError("dimension must be >= 1")
-
-    def section(self) -> np.ndarray:
-        j = np.arange(1, self.dimension + 1, dtype=float)
-        return 1.0 / (j[:, None] + j[None, :] + self.eta)
-
-
 def hilbert_section(M: int, eta: float = -0.5) -> np.ndarray:
-    return HilbertMatrix(eta=eta, dimension=M).section()
+    """Finite section (1/(j+k+eta))_{j,k=1..M} of the Hilbert matrix."""
+    if eta <= -2.0 and float(eta).is_integer():
+        raise DomainError("-eta must not be a positive integer")
+    if M < 1:
+        raise DomainError("dimension must be >= 1")
+    j = np.arange(1, M + 1, dtype=float)
+    return 1.0 / (j[:, None] + j[None, :] + eta)
 
 
 def hilbert_section_norm(M: int) -> float:
@@ -82,22 +70,12 @@ def hilbert_square_closed_form(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(diff == 0.0, diag, off)
 
 
-@dataclass
-class KMatrix:
-    """K_M with its four-part decomposition (keys '--', '+-', '-+', '++')."""
+def k_matrix(M: int) -> np.ndarray:
+    """K_M from polygamma closed forms (second-order partial fractions).
 
-    M: int
-    entries: np.ndarray
-    parts: dict[str, np.ndarray] | None = None
-
-
-def k_matrix(M: int, with_parts: bool = True) -> KMatrix:
-    """Assemble K_M and its parts from polygamma closed forms.
-
-    The full matrix is computed independently of the parts (second-order
-    partial fractions), so the decomposition identity
-    K = K^{--} + K^{+-} + K^{-+} + K^{++} is a real consistency check
-    rather than a tautology.
+    It is computed independently of the parts in ``k_parts``, so the
+    decomposition identity K = K^{--} + K^{+-} + K^{-+} + K^{++} is a real
+    consistency check rather than a tautology.
     """
     if M < 1:
         raise DomainError("M must be >= 1")
@@ -106,30 +84,51 @@ def k_matrix(M: int, with_parts: bool = True) -> KMatrix:
     k = jv[None, :]
     psi_plus = digamma(M + 0.5 + jv)
     psi_minus = digamma(M + 0.5 - jv)
-    tri_plus = trigamma(M + 0.5 + jv)
-    tri_minus = trigamma(M + 0.5 - jv)
 
     # direct form: sum_l 1/((l-1/2)^2 - j^2) = (psi(M+1/2+j) - psi(M+1/2-j))/(2j)
     S = (psi_plus - psi_minus) / (2.0 * jv)
     denom = j**2 - k**2
     with np.errstate(divide="ignore", invalid="ignore"):
         K = j * k * (S[:, None] - S[None, :]) / np.where(denom == 0.0, 1.0, denom)
-    diag = 0.25 * (tri_minus + tri_plus) - (psi_plus - psi_minus) / (4.0 * jv)
+    diag = 0.25 * (trigamma(M + 0.5 - jv) + trigamma(M + 0.5 + jv)) - (psi_plus - psi_minus) / (4.0 * jv)
     K[np.arange(M), np.arange(M)] = diag
+    return K
 
-    parts = None
-    if with_parts:
-        dj = j - k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kmm = 0.25 * (psi_minus[:, None] - psi_minus[None, :]) / np.where(dj == 0.0, 1.0, k - j)
-            kpp = 0.25 * (psi_plus[:, None] - psi_plus[None, :]) / np.where(dj == 0.0, 1.0, j - k)
-        idx = np.arange(M)
-        kmm[idx, idx] = 0.25 * tri_minus
-        kpp[idx, idx] = 0.25 * tri_plus
-        kpm = -0.25 * (psi_plus[:, None] - psi_minus[None, :]) / (j + k)
-        kmp = -0.25 * (psi_plus[None, :] - psi_minus[:, None]) / (j + k)
-        parts = {"--": kmm, "+-": kpm, "-+": kmp, "++": kpp}
-    return KMatrix(M=M, entries=K, parts=parts)
+
+def _divided_differences(f: np.ndarray, df: np.ndarray, scale: float) -> np.ndarray:
+    """scale (f_j - f_k) / (j - k) off the diagonal and scale df_j on it.
+
+    Built in place from two M x M arrays, the result and the index gaps.
+    """
+    idx = np.arange(f.size, dtype=float)
+    out = np.subtract.outer(f, f)
+    gaps = np.subtract.outer(idx, idx)
+    np.fill_diagonal(gaps, 1.0)
+    out /= gaps
+    out *= scale
+    np.fill_diagonal(out, scale * df)
+    return out
+
+
+def _k_minus_minus(M: int) -> np.ndarray:
+    """K^{--}_{jk} = (psi(M+1/2-j) - psi(M+1/2-k)) / (4 (k - j)), trigamma / 4 on the diagonal."""
+    if M < 1:
+        raise DomainError("M must be >= 1")
+    x = M + 0.5 - np.arange(1, M + 1, dtype=float)
+    return _divided_differences(-digamma(x), trigamma(x), 0.25)
+
+
+def k_parts(M: int) -> dict[str, np.ndarray]:
+    """The four parts of K_M, keyed '--', '+-', '-+', '++', from polygamma closed forms."""
+    kmm = _k_minus_minus(M)
+    jv = np.arange(1, M + 1, dtype=float)
+    psi_plus = digamma(M + 0.5 + jv)
+    psi_minus = digamma(M + 0.5 - jv)
+    jk = jv[:, None] + jv[None, :]
+    kpm = -0.25 * (psi_plus[:, None] - psi_minus[None, :]) / jk
+    kmp = -0.25 * (psi_plus[None, :] - psi_minus[:, None]) / jk
+    kpp = _divided_differences(psi_plus, trigamma(M + 0.5 + jv), 0.25)
+    return {"--": kmm, "+-": kpm, "-+": kmp, "++": kpp}
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,7 @@ def k_part_norms(M: int) -> KPartNorms:
     t_mm, t_pp = k_part_traces(M)
     # ||P A*(1-P)||_2^2 = 4 tr K^{--} and ||P B (1-P)||_2^2 = 4 tr K^{++}
     t_mixed = 0.25 * math.sqrt(4.0 * t_mm) * math.sqrt(4.0 * t_pp)
-    km = k_matrix(M, with_parts=True)
-    op_mm = operator_norm(km.parts["--"])
+    op_mm = operator_norm(_k_minus_minus(M))
     return KPartNorms(t_mm=t_mm, t_pp=t_pp, t_mixed=t_mixed, op_mm=op_mm)
 
 
@@ -173,7 +171,7 @@ def dirichlet_flux_logdet(delta: float, M: int) -> LogDet:
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")
-    K = k_matrix(M, with_parts=False).entries
+    K = k_matrix(M)
     A = np.eye(M) - (4.0 / math.pi**2) * math.sin(delta) ** 2 * K
     return log_det(A)
 
@@ -192,10 +190,10 @@ def remainder_logdet(delta: float, M: int) -> LogDet:
     det(I - [I - (4/pi^2) sin^2 K^{--}]^{-1} (4/pi^2) sin^2 (K^{++} + K^{+-} + K^{-+})).
     Only boundedness is expected of it; no asymptotics are asserted.
     """
-    km = k_matrix(M, with_parts=True)
+    parts = k_parts(M)
     c = (4.0 / math.pi**2) * math.sin(delta) ** 2
-    lead = np.eye(M) - c * km.parts["--"]
-    rest = c * (km.parts["++"] + km.parts["+-"] + km.parts["-+"])
+    lead = np.eye(M) - c * parts["--"]
+    rest = c * (parts["++"] + parts["+-"] + parts["-+"])
     A = np.eye(M) - np.linalg.solve(lead, rest)
     return log_det(A)
 
@@ -209,13 +207,6 @@ def remark_overlap_logdet(delta: float, N: int, eta: float = -0.5) -> LogDet:
     """
     # (H_eta^2)_{jk} = sum_{r>=1} 1/((j+r+eta)(k+r+eta))
     #              = (psi(j+eta+1) - psi(k+eta+1)) / (j-k), trigamma on the diagonal
-    j = np.arange(1, N + 1, dtype=float)
-    a = j[:, None] + eta
-    b = j[None, :] + eta
-    diff = a - b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = (digamma(a + 1.0) - digamma(b + 1.0)) / np.where(diff == 0.0, 1.0, diff)
-    diag = trigamma(j + eta + 1.0)
-    h2 = np.where(diff == 0.0, diag[:, None] * np.ones_like(b), off)
-    A = np.eye(N) - (math.sin(delta) ** 2 / math.pi**2) * h2
+    x = np.arange(1, N + 1, dtype=float) + eta + 1.0
+    A = np.eye(N) - (math.sin(delta) ** 2 / math.pi**2) * _divided_differences(digamma(x), trigamma(x), 1.0)
     return log_det(A)

@@ -54,15 +54,16 @@ certified randomized range finder; it is the same compact-support fact
 behind the paper's estimate ||Delta_N||_1 <= (N/L) int |y a(y)| dy.
 
 evaluate_point builds both matrices once per grid point and derives the
-log-determinants, C_{N,L}, ||Delta_N||_1 and the moment bound from them;
-overlap_at and delta_matrix_bound_check are views of its result.
+log-determinants, C_{N,L}, ||Delta_N||_1 and the moment bound from them.
+The band gate on C_{N,L} along a grid is the overlap_sweep row of the
+CLI's experiment table (cli._c_band_gate).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -78,9 +79,6 @@ from .spectrum import BoundaryCondition
 class OverlapResult:
     """Log-determinants and their ratio C_{N,L} for one grid point."""
 
-    N: int
-    L: float
-    bc: BoundaryCondition
     delta_L: float
     n_L: int
     logdet_exact: LogDet
@@ -312,21 +310,14 @@ class GridPoint:
     bound_check: DeltaBoundCheck
 
 
-def evaluate_point(
-    a: MagneticPotential,
-    bc: BoundaryCondition,
-    N: int,
-    L: float,
-    *,
-    slack: float = 1e-8,
-) -> GridPoint:
+def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> GridPoint:
     """Build T_N(e^{i g_L}) and T_N(e^{i g~_L}) once and derive every result.
 
     From the two matrices: both log-determinants, C_{N,L} = |D|^2 / |D~|^2,
     Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}) and its trace norm, checked
     against the periodic proof's estimate ||Delta_N||_1 <= (N/L) int |y a(y)| dy
     (numerically it holds for the Dirichlet basis as well; the same
-    splitting argument applies entrywise).
+    splitting argument applies entrywise), up to an absolute slack of 1e-8.
     """
     prof = flux_profile(a, L)
     exact = overlap_matrix(a, bc, N, L)
@@ -342,99 +333,13 @@ def evaluate_point(
     bound = N / L * weighted
     return GridPoint(
         overlap=OverlapResult(
-            N=N,
-            L=L,
-            bc=BoundaryCondition.parse(bc),
             delta_L=prof.delta_L,
             n_L=prof.n_L,
             logdet_exact=ld_exact,
             logdet_flux=ld_flux,
             c_ratio=c_ratio,
         ),
-        bound_check=DeltaBoundCheck(trace_norm_delta=tn, bound=bound, holds=tn <= bound + slack),
-    )
-
-
-def overlap_at(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> OverlapResult:
-    """Both log-determinants and C_{N,L} = |D|^2 / |D~|^2 at one (N, L)."""
-    return evaluate_point(a, bc, N, L).overlap
-
-
-def delta_matrix_bound_check(
-    a: MagneticPotential,
-    bc: BoundaryCondition,
-    N: int,
-    L: float,
-    *,
-    slack: float = 1e-8,
-) -> DeltaBoundCheck:
-    """Trace-norm bound ||Delta_N||_1 <= (N/L) int |y a(y)| dy at one (N, L)."""
-    return evaluate_point(a, bc, N, L, slack=slack).bound_check
-
-
-# ---------------------------------------------------------------------------
-# Lemma checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LemmaCheckReport:
-    results: list[OverlapResult]
-    min_ratio: float
-    max_ratio: float
-    band_factor: float
-    flagged: bool
-    degenerate: list[int]
-
-    def summary(self) -> str:
-        if not self.results:
-            return "no grid points evaluated"
-        spread = self.max_ratio / self.min_ratio if self.min_ratio > 0 else math.inf
-        status = "FLAGGED" if self.flagged else "ok"
-        return (
-            f"C ratio in [{self.min_ratio:.6g}, {self.max_ratio:.6g}] "
-            f"(spread {spread:.4g}, alarm band {self.band_factor:g}): {status}"
-        )
-
-
-def lemma_factorization_check(
-    a: MagneticPotential,
-    bc: BoundaryCondition,
-    n_grid: Sequence[int],
-    rho: float,
-    *,
-    band_factor: float = 1e4,
-) -> LemmaCheckReport:
-    """Track C_{N,L} along the thermodynamic path L = N / (2 rho).
-
-    The proof guarantees 0 < delta_1 <= C_{N,L} <= delta_2 for small
-    enough density but names no values, so this is an empirical band: the
-    report flags spreads above ``band_factor`` and lists grid points with
-    a vanishing flux determinant separately.
-    """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-    results: list[OverlapResult] = []
-    degenerate: list[int] = []
-    for N in n_grid:
-        L = N / (2.0 * rho)
-        if L < a.support_radius:
-            raise DomainError(f"grid point N={N} gives L={L} below the support radius")
-        res = overlap_at(a, bc, int(N), L)
-        if math.isinf(res.c_ratio) or res.c_ratio == 0.0:
-            degenerate.append(int(N))
-        results.append(res)
-    finite = [r.c_ratio for r in results if math.isfinite(r.c_ratio) and r.c_ratio > 0]
-    lo = min(finite) if finite else math.nan
-    hi = max(finite) if finite else math.nan
-    flagged = bool(finite) and hi / lo > band_factor
-    return LemmaCheckReport(
-        results=results,
-        min_ratio=lo,
-        max_ratio=hi,
-        band_factor=band_factor,
-        flagged=flagged,
-        degenerate=degenerate,
+        bound_check=DeltaBoundCheck(trace_norm_delta=tn, bound=bound, holds=tn <= bound + 1e-8),
     )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -34,6 +35,31 @@ def test_digamma_classical_values():
     assert_allclose(digamma(1.0), -EULER_GAMMA, rtol=1e-14)
     assert_allclose(digamma(2.0), 1.0 - EULER_GAMMA, rtol=1e-14)
     assert_allclose(digamma(0.5), -EULER_GAMMA - 2 * math.log(2.0), rtol=1e-14)
+
+
+# 41 points across the recurrence/asymptotic switch at x = 16, the float just
+# below it, and points from the small-x recurrence to the K_M arguments
+# M + 1/2 -+ j (up to 8191.5 on the benchmark grid) and beyond
+POLYGAMMA_POINTS = [
+    *np.linspace(15.0, 17.0, 41),
+    np.nextafter(16.0, 0.0),
+    0.5,
+    1.4616321449683623,  # the positive zero of digamma
+    4095.5,
+    8191.5,
+    1e6,
+]
+
+
+@pytest.mark.parametrize("fn, oracle", [(digamma, mpmath.digamma), (trigamma, lambda x: mpmath.psi(1, x))],
+                         ids=["digamma", "trigamma"])
+def test_polygamma_against_50_digit_mpmath(fn, oracle):
+    xs = np.array(POLYGAMMA_POINTS)
+    with mpmath.workdps(50):
+        ref = np.array([float(oracle(mpmath.mpf(float(x)))) for x in xs])
+    budget = 1e-14 * np.maximum(np.abs(ref), 1.0)  # relative, absolute below 1
+    assert np.all(np.abs(fn(xs) - ref) <= budget)
+    assert all(abs(fn(float(x)) - r) <= b for x, r, b in zip(xs, ref, budget))
 
 
 def test_trigamma_classical_values():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from flux_catastrophe import cli
+from flux_catastrophe import cli, overlap
 
 # flux 2.0 gives n_L = 1; support radius 4 keeps L = N / 2 >= 4 on every grid below
 POTENTIAL = {"kind": "gaussian_bump", "center": 0, "width": 0.5, "total_flux": 2.0, "support_radius": 4}
@@ -42,6 +45,13 @@ def test_invalid_config_exits_1_with_every_message(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_that_is_not_an_object_exits_1(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]")
+    assert cli.main(["run", str(config)]) == cli.EXIT_CONFIG_OR_NUMERICAL
+    assert "error: invalid config:\n  must be a JSON object, got list" in capsys.readouterr().err
+
+
 def test_missing_and_malformed_config_exit_1(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "absent.json")]) == cli.EXIT_CONFIG_OR_NUMERICAL
     assert "config file not found" in capsys.readouterr().err
@@ -72,12 +82,140 @@ def test_jobs_defaults_to_one(tmp_path, monkeypatch):
     assert seen == [1]
 
 
-@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
-def test_csv_identical_for_one_and_two_jobs(tmp_path, bc):
-    config = _sweep(tmp_path, bc=bc)
+@pytest.mark.parametrize("case", ["periodic", "dirichlet", "anderson"])
+def test_csv_identical_for_one_and_two_jobs(tmp_path, case):
+    if case == "anderson":
+        config = _write_config(tmp_path, experiment="anderson", delta_override=0.5, n_grid=[16, 32, 64])
+        csv = "anderson.csv"
+    else:
+        config, csv = _sweep(tmp_path, bc=case), "overlap_sweep.csv"
     outputs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
         assert cli.main(["run", config, "--jobs", jobs, "--out", str(out)]) == cli.EXIT_OK
-        outputs.append((out / "overlap_sweep.csv").read_bytes())
+        outputs.append((out / csv).read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# one tiny config per experiment: the CSV header and the phrase of a passing gate
+EXPERIMENT_CASES = {
+    "overlap_sweep": (
+        {"potential": POTENTIAL, "n_grid": [16, 24, 32]},
+        "config_hash,N,L,rho,delta_L,n_L,log_D_sq,log_Dtilde_sq,C_ratio,trace_norm_delta,bound,bound_holds",
+        "delta bound holds, band ok",
+    ),
+    "lemma_check": (
+        {"potential": POTENTIAL, "n_grid": [16, 24, 32]},
+        "config_hash,N,L,rho,delta_L,n_L,log_D_sq,log_Dtilde_sq,C_ratio,trace_norm_delta,bound,bound_holds",
+        "delta bound holds, band ok",
+    ),
+    "exponent_fit": (
+        {"delta_override": 0.5, "n_grid": [64, 128, 256, 512]},
+        "config_hash,N,log_det_sq",
+        "budget 0.05",
+    ),
+    "anderson": (
+        {"delta_override": 0.5, "n_grid": [16, 32, 64]},
+        "config_hash,N,delta,anderson_integral,log_Dtilde_sq,upper_bound_holds",
+        "det <= exp(-I) holds",
+    ),
+    "energy": (
+        {"potential": POTENTIAL, "n_grid": [101, 1001]},
+        "config_hash,N,L,rho,delta,parity,energy_difference,direct_difference,N_times_diff,limit,rel_err",
+        "worst closed-vs-direct rel err",
+    ),
+    "dirichlet_hilbert": (
+        {"delta_override": 0.5, "n_grid": [16, 32, 64, 128]},
+        "config_hash,M,N,delta,logdet_sq,trace_mm,trace_pp,mixed_bound,opnorm_mm,hilbert_section_norm",
+        "||K--|| <= pi^2/4 holds",
+    ),
+}
+CSV_NAMES = {"exponent_fit": "exponent_fit_series"}
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENT_CASES))
+def test_each_experiment_runs_and_passes_its_gate(tmp_path, capsys, experiment):
+    fields, header, phrase = EXPERIMENT_CASES[experiment]
+    config = _write_config(tmp_path, experiment=experiment, **fields)
+    out = tmp_path / "out"
+    assert cli.main(["run", config, "--out", str(out)]) == cli.EXIT_OK
+    lines = (out / f"{CSV_NAMES.get(experiment, experiment)}.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + len(fields["n_grid"])
+    stdout = capsys.readouterr().out
+    assert stdout.startswith(f"{experiment}: ") and phrase in stdout
+    if experiment == "exponent_fit":
+        summary = (out / "exponent_fit.csv").read_text().splitlines()
+        assert summary[0] == "config_hash,delta,target_exponent,fitted_slope,residual,n_points"
+        assert len(summary) == 2
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"experiment": "dirichlet_hilbert", "delta_override": 0.5, "n_grid": [16, 33]},
+         "n_grid: dirichlet_hilbert requires even N values (N = 2M)"),
+        ({"experiment": "overlap_sweep", "n_grid": [16, 32]}, "potential: overlap_sweep requires a potential"),
+        ({"experiment": "lemma_check", "n_grid": [16, 32]}, "potential: lemma_check requires a potential"),
+        ({"experiment": "anderson", "n_grid": [16, 32]},
+         "delta_override: anderson needs either a potential or delta_override"),
+        ({"experiment": "anderson", "delta_override": 0.5, "tolerances": {"slope_abs_err": 0.1}},
+         "tolerances: unknown key 'slope_abs_err' for anderson (accepted: none)"),
+        ({"experiment": "exponent_fit", "delta_override": 0.5, "tolerances": {"slope_abs_eror": 1e-9}},
+         "tolerances: unknown key 'slope_abs_eror' for exponent_fit (accepted: slope_abs_err)"),
+        ({"experiment": "exponent_fit", "delta_override": 0.5, "tolerances": {"slope_abs_err": "abc"}},
+         "tolerances: slope_abs_err must be a finite number, got 'abc'"),
+        ({"experiment": "energy", "potential": POTENTIAL, "tolerances": {"direct_rel_err": True}},
+         "tolerances: direct_rel_err must be a finite number, got True"),
+        ({"experiment": "overlap_sweep", "potential": POTENTIAL, "tolerances": {"band_factor": math.inf}},
+         "tolerances: band_factor must be a finite number, got inf"),
+        ({"experiment": "anderson", "delta_override": 0.5, "n_grid": [True, 2]},
+         "n_grid: must be a nonempty strictly increasing list of integers"),
+    ],
+    ids=["odd-N", "sweep-no-potential", "lemma-no-potential", "no-delta", "no-tolerance-keys",
+         "misspelled-key", "non-numeric", "bool", "infinite", "bool-in-grid"],
+)
+def test_experiment_preconditions_are_config_errors(tmp_path, capsys, fields, message):
+    config = _write_config(tmp_path, **fields)
+    assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_OR_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config:")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+# the canonical config dict behind every bench CSV's config_hash column
+BENCH_CONFIG_HASHES = {
+    "closed_forms_anderson": "38b1848a573b",
+    "closed_forms_dirichlet_hilbert": "ad896e0f1f07",
+    "closed_forms_energy": "8bdce56c0497",
+    "closed_forms_exponent_fit": "4f4f3f7c4341",
+    "sweep_dirichlet": "83a3f8055746",
+    "sweep_periodic": "17d251830075",
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_CONFIG_HASHES))
+def test_bench_config_hashes_are_pinned(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{name}.json"
+    config = cli.ExperimentConfig.from_dict(json.loads(path.read_text()))
+    assert config.config_hash == BENCH_CONFIG_HASHES[name]
+
+
+def test_selftest_passes(capsys):
+    assert cli.main(["selftest"]) == cli.EXIT_OK
+    assert "selftest: all checks passed" in capsys.readouterr().out
+
+
+def test_selftest_lemma_band_fails_on_a_degenerate_point(monkeypatch, capsys):
+    # C = inf stands for a vanishing flux determinant at one grid point
+    original = overlap.evaluate_point
+
+    def degenerate_at_64(a, bc, N, L):
+        point = original(a, bc, N, L)
+        return replace(point, overlap=replace(point.overlap, c_ratio=math.inf)) if N == 64 else point
+
+    monkeypatch.setattr(overlap, "evaluate_point", degenerate_at_64)
+    assert cli.main(["selftest"]) == cli.EXIT_PROPERTY_FAILURE
+    out = capsys.readouterr().out
+    assert "selftest lemma_check: FAIL" in out and "degenerate C at N = [64]" in out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from numpy.testing import assert_allclose
 from flux_catastrophe.asymptotics import trigamma
 from flux_catastrophe.errors import DomainError
 from flux_catastrophe.hilbert import (
-    HilbertMatrix,
     block_reduction_check,
     dirichlet_flux_logdet,
     flip_operator,
@@ -19,6 +19,7 @@ from flux_catastrophe.hilbert import (
     k_matrix,
     k_part_norms,
     k_part_traces,
+    k_parts,
     remainder_logdet,
     remark_overlap_logdet,
 )
@@ -31,9 +32,9 @@ def test_hilbert_section_basics():
     assert_allclose(h[0, 1], 2.0 / 5.0, rtol=1e-15)
     assert np.array_equal(h, h.T)
     with pytest.raises(DomainError):
-        HilbertMatrix(eta=-2.0, dimension=3)
+        hilbert_section(3, eta=-2.0)
     with pytest.raises(DomainError):
-        HilbertMatrix(dimension=0)
+        hilbert_section(0)
 
 
 def test_hilbert_section_norm_m1_m2():
@@ -71,48 +72,48 @@ def test_hilbert_square_closed_form_values():
 
 
 def test_k11_value_pinned_by_bruteforce_sum():
-    km = k_matrix(1)
+    k11 = k_matrix(1)[0, 0]
     # frozen from the 10^7-term sum oracle; also equals pi^2/4 - 16/9
-    assert_allclose(km.entries[0, 0], 0.6896233224945618, rtol=1e-12)
-    assert_allclose(km.entries[0, 0], k_entry_bruteforce(1, 1, 1), rtol=1e-12)
+    assert_allclose(k11, 0.6896233224945618, rtol=1e-12)
+    assert_allclose(k11, k_entry_bruteforce(1, 1, 1), rtol=1e-12)
 
 
 def test_k_matrix_decomposition_identity():
-    km = k_matrix(8, with_parts=True)
-    total = sum(km.parts[key] for key in ("--", "+-", "-+", "++"))
-    assert float(np.max(np.abs(km.entries - total))) < 1e-12
+    parts = k_parts(8)
+    assert sorted(parts) == ["++", "+-", "-+", "--"]
+    total = sum(parts.values())
+    assert float(np.max(np.abs(k_matrix(8) - total))) < 1e-12
 
 
 def test_k_matrix_vs_bruteforce_entries():
-    km = k_matrix(3)
+    K = k_matrix(3)
     for (j, k) in ((1, 1), (1, 2), (2, 3), (3, 3)):
-        assert_allclose(km.entries[j - 1, k - 1], k_entry_bruteforce(3, j, k, l_terms=10**6), rtol=1e-11)
+        assert_allclose(K[j - 1, k - 1], k_entry_bruteforce(3, j, k, l_terms=10**6), rtol=1e-11)
 
 
 def test_k_parts_positive_semidefinite():
-    km = k_matrix(16, with_parts=True)
+    parts = k_parts(16)
     for key in ("--", "++"):
-        part = km.parts[key]
+        part = parts[key]
         assert np.array_equal(part, part.T)
         assert float(np.min(np.linalg.eigvalsh(part))) >= -1e-10
 
 
 def test_k_mm_is_flipped_hilbert_square_section():
     M = 6
-    km = k_matrix(M, with_parts=True)
     p = np.arange(M, dtype=float)  # 0-based flipped indices M - j
     grid_p = p[::-1][:, None] * np.ones(M)
     grid_q = np.ones((M, 1)) * p[::-1][None, :]
     closed = 0.25 * hilbert_square_closed_form(grid_p, grid_q)
-    assert_allclose(km.parts["--"], closed, rtol=1e-12)
+    assert_allclose(k_parts(M)["--"], closed, rtol=1e-12)
 
 
 def test_k_part_traces_match_matrices():
     M = 24
-    km = k_matrix(M, with_parts=True)
+    parts = k_parts(M)
     t_mm, t_pp = k_part_traces(M)
-    assert_allclose(np.trace(km.parts["--"]), t_mm, rtol=1e-13)
-    assert_allclose(np.trace(km.parts["++"]), t_pp, rtol=1e-13)
+    assert_allclose(np.trace(parts["--"]), t_mm, rtol=1e-13)
+    assert_allclose(np.trace(parts["++"]), t_pp, rtol=1e-13)
 
 
 def test_k_part_norms_bounds():
@@ -121,6 +122,20 @@ def test_k_part_norms_bounds():
     # trace norm dominates operator norm for the PSD leading part
     assert norms.t_mm >= norms.op_mm - 1e-10
     assert norms.t_mixed == pytest.approx(math.sqrt(norms.t_mm * norms.t_pp), rel=1e-12)
+
+
+def test_k_part_norms_peak_memory_is_about_two_matrices():
+    # k_part_norms needs K^{--} alone; building K_M and all four parts for it
+    # peaked at 8x one M x M matrix
+    M = 512
+    k_part_norms(8)  # warm up lazy allocations outside the measurement
+    tracemalloc.start()
+    try:
+        k_part_norms(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * M * M * 8
 
 
 def test_trace_mm_log_growth():
@@ -159,9 +174,8 @@ def test_leading_factor_invertibility_margin():
     # 1 - sin^2(delta) (4/pi^2) ||K^{--}||
     delta = 3 * math.pi / 8
     M = 64
-    km = k_matrix(M, with_parts=True)
     norms = k_part_norms(M)
-    lead = np.eye(M) - (4.0 / math.pi**2) * math.sin(delta) ** 2 * km.parts["--"]
+    lead = np.eye(M) - (4.0 / math.pi**2) * math.sin(delta) ** 2 * k_parts(M)["--"]
     smin = float(np.min(np.linalg.svd(lead, compute_uv=False)))
     margin = 1.0 - math.sin(delta) ** 2 * norms.op_mm * 4.0 / math.pi**2
     assert smin > 0
@@ -184,7 +198,8 @@ def test_remark_overlap_logdet_runs():
 
 
 def test_k_matrix_domain_error():
-    with pytest.raises(DomainError):
-        k_matrix(0)
+    for build in (k_matrix, k_parts):
+        with pytest.raises(DomainError):
+            build(0)
     with pytest.raises(DomainError):
         dirichlet_flux_logdet(2.0, 4)

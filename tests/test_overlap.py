@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -10,16 +11,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from flux_catastrophe import cli
 from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.matrixcore import _toeplitz, fh_matrix, log_det, trace_norm
 import flux_catastrophe.overlap as overlap_module
 from flux_catastrophe.overlap import (
-    delta_matrix_bound_check,
     dirichlet_flux_closed_form,
     evaluate_point,
     flux_matrix,
-    lemma_factorization_check,
-    overlap_at,
     overlap_matrix,
     periodic_flux_closed_form,
     periodic_split_symbols,
@@ -29,6 +28,7 @@ from flux_catastrophe.potential import (
     PiecewiseLinear,
     flux_profile,
     gaussian_bump_with_flux,
+    moment_integrals,
     potential_from_dict,
     weighted_abs_moment,
     zero_potential,
@@ -144,31 +144,49 @@ def test_overlap_det_bounded_by_one():
 
 
 def test_c_ratio_consistency_identity(bump_quarter_pi):
-    res = overlap_at(bump_quarter_pi, PER, 24, 12.0)
+    res = evaluate_point(bump_quarter_pi, PER, 24, 12.0).overlap
     expected = math.exp(2.0 * (res.logdet_exact.log_magnitude - res.logdet_flux.log_magnitude))
     assert_allclose(res.c_ratio, expected, rtol=1e-14)
 
 
-def test_lemma_check_zero_potential_all_ones(zero_pot):
-    rep = lemma_factorization_check(zero_pot, PER, [4, 8, 16], rho=1.0)
-    assert_allclose([r.c_ratio for r in rep.results], 1.0, atol=1e-10)
-    assert not rep.flagged and not rep.degenerate
+# the factorization lemma's band gate runs as the CLI's lemma_check experiment
+def _lemma_check(tmp_path, potential: dict, n_grid: list[int]):
+    config = tmp_path / "lemma.json"
+    config.write_text(json.dumps({"experiment": "lemma_check", "potential": potential, "rho": 1.0, "n_grid": n_grid}))
+    out = tmp_path / "out"
+    code = cli.main(["run", str(config), "--out", str(out)])
+    csv = out / "lemma_check.csv"
+    if not csv.exists():
+        return code, None
+    header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+    return code, [float(row[header.index("C_ratio")]) for row in rows]
 
 
-def test_lemma_check_small_band(bump_quarter_pi):
-    rep = lemma_factorization_check(bump_quarter_pi, PER, [16, 32, 64], rho=1.0)
-    assert rep.max_ratio / rep.min_ratio < 1.5
-    assert not rep.flagged
-    assert "C ratio in" in rep.summary()
+def test_lemma_check_zero_potential_all_ones(tmp_path, capsys):
+    code, ratios = _lemma_check(tmp_path, {"kind": "zero"}, [4, 8, 16])
+    assert code == cli.EXIT_OK
+    assert_allclose(ratios, 1.0, atol=1e-10)
+    assert "band ok" in capsys.readouterr().out
 
 
-def test_lemma_check_rejects_small_L(bump_quarter_pi):
-    with pytest.raises(DomainError):
-        lemma_factorization_check(bump_quarter_pi, PER, [4], rho=1.0)  # L = 2 < support 4
+def test_lemma_check_small_band(tmp_path, capsys):
+    # the potential spec of the bump_quarter_pi fixture
+    code, ratios = _lemma_check(tmp_path, {"kind": "gaussian_bump", "total_flux": math.pi / 4}, [16, 32, 64])
+    assert code == cli.EXIT_OK
+    assert max(ratios) / min(ratios) < 1.5
+    out = capsys.readouterr().out
+    assert out.startswith("lemma_check: 3 points, C in [") and "band ok" in out
+
+
+def test_lemma_check_rejects_small_L(tmp_path, capsys):
+    code, ratios = _lemma_check(tmp_path, {"kind": "gaussian_bump", "total_flux": math.pi / 4}, [4])
+    assert code == cli.EXIT_CONFIG_OR_NUMERICAL  # L = 2 < support 4
+    assert ratios is None
+    assert "smaller than the support radius" in capsys.readouterr().err
 
 
 def test_delta_bound_zero_potential(zero_pot):
-    chk = delta_matrix_bound_check(zero_pot, PER, 8, 5.0)
+    chk = evaluate_point(zero_pot, PER, 8, 5.0).bound_check
     assert chk.trace_norm_delta == pytest.approx(0.0, abs=1e-11)
     assert chk.bound == 0.0
     assert chk.holds
@@ -177,15 +195,15 @@ def test_delta_bound_zero_potential(zero_pot):
 def test_delta_bound_scales_with_density(bump_quarter_pi):
     # bound = (N/L) * weighted_l1 = 2 rho * weighted_l1, independent of N at fixed rho
     rho = 1.0
-    chk1 = delta_matrix_bound_check(bump_quarter_pi, PER, 16, 16 / (2 * rho))
-    chk2 = delta_matrix_bound_check(bump_quarter_pi, PER, 32, 32 / (2 * rho))
+    chk1 = evaluate_point(bump_quarter_pi, PER, 16, 16 / (2 * rho)).bound_check
+    chk2 = evaluate_point(bump_quarter_pi, PER, 32, 32 / (2 * rho)).bound_check
     assert_allclose(chk1.bound, chk2.bound, rtol=1e-12)
     assert chk1.holds and chk2.holds
 
 
 def test_delta_bound_holds_both_bcs(bump_quarter_pi):
     for bc in (PER, DIR):
-        chk = delta_matrix_bound_check(bump_quarter_pi, bc, 48, 24.0)
+        chk = evaluate_point(bump_quarter_pi, bc, 48, 24.0).bound_check
         assert chk.holds, (bc, chk)
 
 
@@ -235,12 +253,18 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
-def test_evaluate_point_equals_overlap_at_and_bound_check(bc):
+def test_evaluate_point_matches_each_quantity_built_directly(bc):
     a = gaussian_bump_with_flux(2.0)
     point = evaluate_point(a, bc, 40, 20.0)
-    assert point.overlap == overlap_at(a, bc, 40, 20.0)
-    assert point.bound_check == delta_matrix_bound_check(a, bc, 40, 20.0)
-    assert point.bound_check.trace_norm_delta == trace_norm(_delta_n(a, bc, 40, 20.0))
+    res, check = point.overlap, point.bound_check
+    prof = flux_profile(a, 20.0)
+    assert (res.delta_L, res.n_L) == (prof.delta_L, prof.n_L)
+    assert res.logdet_exact == log_det(overlap_matrix(a, bc, 40, 20.0))
+    assert res.logdet_flux == log_det(flux_matrix(a, bc, 40, 20.0))
+    assert res.c_ratio == math.exp(2.0 * (res.logdet_exact.log_magnitude - res.logdet_flux.log_magnitude))
+    assert check.trace_norm_delta == trace_norm(_delta_n(a, bc, 40, 20.0))
+    assert check.bound == 40 / 20.0 * moment_integrals(a, 20.0)[1]
+    assert check.holds == (check.trace_norm_delta <= check.bound + 1e-8)
 
 
 # -- factored build from O(N) verified coefficients ---------------------------
