@@ -1,4 +1,4 @@
-"""Decay-exponent extraction, the Anderson integral, and polygamma support.
+"""Decay-exponent fits, the Anderson integral, and digamma/trigamma.
 
 The overlap with the idealized jump symbol decays like N^(-2 delta^2/pi^2)
 (exact exponent), while det(A) <= exp(-tr(1-A)) bounds it from above by
@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .matrixcore import LogDet, fh_matrix, log_det
 
 # Bernoulli numbers B_2 .. B_12 for the asymptotic expansions.
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
@@ -84,15 +83,6 @@ def trigamma(x):
     return float(out[0]) if scalar else out
 
 
-def polygamma(order: int, x):
-    """Digamma (order 0) or trigamma (order 1); other orders are out of scope."""
-    if order == 0:
-        return digamma(x)
-    if order == 1:
-        return trigamma(x)
-    raise DomainError("only orders 0 and 1 are implemented")
-
-
 # ---------------------------------------------------------------------------
 # exponent fitting
 # ---------------------------------------------------------------------------
@@ -104,39 +94,25 @@ DEFAULT_N_GRID = (128, 181, 256, 362, 512, 724, 1024, 1448, 2048)
 class ExponentFit:
     """Least-squares line through (ln N, log value) pairs."""
 
-    grid: tuple[tuple[int, float], ...]
     slope: float
     intercept: float
     max_abs_residual: float
-    last_pair_slope: float
 
 
 def fit_decay_exponent(series: Sequence[tuple[int, float]]) -> ExponentFit:
-    """Ordinary least squares of log values against ln N.
-
-    Also reports the two-point slope of the final pair, a cheap
-    convergence diagnostic for the o(1) drift of the prefactor.
-    """
+    """Ordinary least squares of log values against ln N."""
     pts = [(int(n), float(v)) for n, v in series]
     if len(pts) < 4:
         raise DomainError("need at least 4 points to fit a decay exponent")
     ns = [n for n, _ in pts]
     if len(set(ns)) != len(ns):
         raise DomainError("N values must be distinct")
-    pts.sort()
-    x = np.log([n for n, _ in pts])
+    x = np.log(ns)
     y = np.array([v for _, v in pts])
     design = np.vstack([x, np.ones_like(x)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - (slope * x + intercept)
-    last_pair = (y[-1] - y[-2]) / (x[-1] - x[-2])
-    return ExponentFit(
-        grid=tuple(pts),
-        slope=float(slope),
-        intercept=float(intercept),
-        max_abs_residual=float(np.max(np.abs(resid))),
-        last_pair_slope=float(last_pair),
-    )
+    return ExponentFit(slope=float(slope), intercept=float(intercept), max_abs_residual=float(np.max(np.abs(resid))))
 
 
 def theorem_exponent(delta: float) -> float:
@@ -149,75 +125,28 @@ def upper_bound_exponent(delta: float) -> float:
     return -2.0 * math.sin(delta) ** 2 / (math.pi * math.pi)
 
 
-def fh_decay_series(delta: float, n_grid: Sequence[int] = DEFAULT_N_GRID) -> list[tuple[int, float]]:
-    """(N, log |det T_N|^2) for the jump-symbol Toeplitz matrix over a grid."""
-    out = []
-    for n in n_grid:
-        ld = log_det(fh_matrix(delta, int(n)))
-        out.append((int(n), 2.0 * ld.log_magnitude))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Anderson integral
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AndersonIntegral:
-    N: int
-    delta: float
-    value: float
-
-
-def anderson_integral(delta: float, N: int) -> AndersonIntegral:
+def anderson_integral(delta: float, N: int) -> float:
     """Anderson integral I_N for the jump symbol at flux angle ``delta``.
 
     Translation invariance of the squared matrix elements makes every
     window of N consecutive indices give the same value, so the odd-N
     window {-m, ..., m} and the even-N window {-m, ..., m-1} need no
-    separate case.
+    separate case.  At |delta| = pi/2 the shifts N + 1 -+ 1/2 stay
+    positive, so only |delta| > pi/2 is rejected.
     """
-    if abs(delta) >= math.pi / 2:
-        raise DomainError("anderson_integral requires |delta| < pi/2")
+    if abs(delta) > math.pi / 2:
+        raise DomainError("anderson_integral requires |delta| <= pi/2")
     if N < 1:
         raise DomainError("N must be >= 1")
     if delta == 0.0:
-        return AndersonIntegral(N=N, delta=0.0, value=0.0)
+        return 0.0
     c = delta / math.pi
     t = np.arange(1, N + 1, dtype=float)
     finite = float(np.sum(t / (t - c) ** 2) + np.sum(t / (t + c) ** 2))
     tails = N * (trigamma(N + 1 - c) + trigamma(N + 1 + c))
-    value = math.sin(delta) ** 2 / math.pi**2 * (finite + tails)
-    return AndersonIntegral(N=N, delta=delta, value=value)
-
-
-def anderson_tail(delta: float, N: int, sign: int) -> float:
-    """Closed form of the tail sum_{t > N} 1/(t + sign*delta/pi)^2 (trigamma)."""
-    if sign not in (-1, 1):
-        raise DomainError("sign must be +1 or -1")
-    return float(trigamma(N + 1 + sign * delta / math.pi))
-
-
-@dataclass(frozen=True)
-class UpperBoundCheck:
-    """Outcome of the det(A) <= exp(-tr(1-A)) mechanism for one (delta, N)."""
-
-    holds: bool
-    log_overlap_sq: float
-    neg_anderson: float
-    slack: float
-
-    def report(self) -> str:
-        rel = "<=" if self.holds else ">"
-        return (
-            f"log|D~|^2 = {self.log_overlap_sq:.12g} {rel} "
-            f"-I = {self.neg_anderson:.12g} (slack {self.slack:g})"
-        )
-
-
-def upper_bound_check(flux_det: LogDet, anderson: AndersonIntegral, slack: float = 1e-8) -> UpperBoundCheck:
-    """Check |D~_N|^2 <= exp(-I_N), i.e. 2 log|D~| <= -I + slack."""
-    lhs = 2.0 * flux_det.log_magnitude
-    rhs = -anderson.value
-    return UpperBoundCheck(holds=lhs <= rhs + slack, log_overlap_sq=lhs, neg_anderson=rhs, slack=slack)
+    return math.sin(delta) ** 2 / math.pi**2 * (finite + tails)

@@ -11,9 +11,10 @@ A config is a single JSON document (no environment variables are read):
                                          # anderson | lemma_check | energy |
                                          # dirichlet_hilbert
       "potential": {...} | null,         # potential schema, see potential.py
-      "bc": "periodic" | "dirichlet",
+      "bc": "periodic" | "dirichlet",    # energy: Dirichlet dE is exactly 0
       "rho": 1.0,                        # density, L = N / (2 rho)
-      "n_grid": [128, 181, 256, ...],    # strictly increasing
+      "n_grid": [128, 181, 256, ...],    # strictly increasing; exponent_fit
+                                         # needs at least 4 points
       "delta_override": 0.7853981633,    # optional: bypass the potential
       "output_path": "results",          # directory for CSV artifacts
       "tolerances": {"slope_abs_err": 0.05}   # optional, keys below
@@ -32,7 +33,13 @@ the CSV and applies the gate.  Tolerance keys and defaults:
 
 Other tolerance keys, a missing potential (overlap_sweep, lemma_check), a
 missing potential and delta_override (exponent_fit, anderson,
-dirichlet_hilbert) and an odd N (dirichlet_hilbert) are config errors.
+dirichlet_hilbert), fewer than 4 grid points (exponent_fit) and an odd N
+(dirichlet_hilbert) are config errors, reported before any output exists.
+
+energy honours bc: the periodic rows hold the closed-form and direct-sum
+differences and the limit 4 delta^2 rho^2 or 4 delta (delta - pi) rho^2 of
+N dE; under Dirichlet boundary conditions the spectrum does not move, so
+dE, the direct sum and the limit are all exactly 0.
 
 Every CSV row carries the config hash, grid points are evaluated in grid
 order (or by a pool of --jobs worker processes and merged in grid order),
@@ -143,6 +150,8 @@ class ExperimentConfig:
                 errors.append(f"delta_override: {experiment} needs either a potential or delta_override")
             if row.even_n and grid_ok and any(n % 2 for n in n_grid):
                 errors.append(f"n_grid: {experiment} requires even N values (N = 2M), got {n_grid!r}")
+            if grid_ok and len(n_grid) < row.min_points:
+                errors.append(f"n_grid: {experiment} needs at least {row.min_points} points, got {n_grid!r}")
             for key, value in tol.items() if isinstance(tol, dict) else ():
                 if key not in row.tolerances:
                     accepted = ", ".join(row.tolerances) or "none"
@@ -212,43 +221,28 @@ def write_rows(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 def _overlap_point(config: ExperimentConfig, n: int) -> tuple:
     L = n / (2.0 * config.rho)
-    point = overlap.evaluate_point(config.potential, config.bc, n, L)
-    res, check = point.overlap, point.bound_check
-    return (
-        n,
-        L,
-        config.rho,
-        res.delta_L,
-        res.n_L,
-        2.0 * res.logdet_exact.log_magnitude,
-        2.0 * res.logdet_flux.log_magnitude,
-        res.c_ratio,
-        check.trace_norm_delta,
-        check.bound,
-        check.holds,
-    )
+    return (n, L, config.rho, *overlap.evaluate_point(config.potential, config.bc, n, L))
 
 
 def _fh_point(config: ExperimentConfig, n: int) -> tuple:
-    return (n, 2.0 * log_det(fh_matrix(config.resolve_delta(), n)).log_magnitude)
+    return (n, 2.0 * log_det(fh_matrix(config.resolve_delta(), n)))
 
 
 def _anderson_point(config: ExperimentConfig, n: int) -> tuple:
+    """det(A) <= exp(-tr(1 - A)) for the jump symbol: log|D~|^2 <= -I_N, up to 1e-8."""
     delta = config.resolve_delta()
-    ld = log_det(fh_matrix(delta, n))
+    log_sq = 2.0 * log_det(fh_matrix(delta, n))
     integral = asymptotics.anderson_integral(delta, n)
-    check = asymptotics.upper_bound_check(ld, integral)
-    return (n, delta, integral.value, check.log_overlap_sq, check.holds)
+    return (n, delta, integral, log_sq, log_sq <= -integral + 1e-8)
 
 
 def _energy_point(config: ExperimentConfig, n: int) -> tuple:
-    pot, rho = config.potential, config.rho
+    pot, rho, bc = config.potential, config.rho, config.bc
     L = n / (2.0 * rho)
-    bc = BoundaryCondition.PERIODIC
     diff = spectrum.energy_difference(bc, pot, n, L)
     direct = spectrum.energy_difference_direct(bc, pot, n, L)
     parity = "odd" if n % 2 else "even"
-    limit = spectrum.finite_size_energy(pot, parity, rho)
+    limit = spectrum.finite_size_energy(pot, parity, rho) if bc is BoundaryCondition.PERIODIC else 0.0
     scaled = n * diff
     rel = abs(scaled - limit) / abs(limit) if limit != 0 else abs(scaled)
     delta = flux_profile(pot, L).delta_L if pot is not None else 0.0
@@ -261,7 +255,7 @@ def _dirichlet_point(config: ExperimentConfig, n: int) -> tuple:
     ld = hilbert.dirichlet_flux_logdet(delta, m)
     norms = hilbert.k_part_norms(m)
     hn = hilbert.hilbert_section_norm(m)
-    return (m, n, delta, 2.0 * ld.log_magnitude, norms.t_mm, norms.t_pp, norms.t_mixed, norms.op_mm, hn)
+    return (m, n, delta, 2.0 * ld, norms.t_mm, norms.t_pp, norms.t_mixed, norms.op_mm, hn)
 
 
 def _run_pool(worker, args_list, jobs: int) -> list[tuple]:
@@ -355,7 +349,8 @@ class Experiment:
     """A row of the experiment table.  The CSV prefixes the worker's
     ``columns`` with config_hash; ``tolerances`` holds every key the gate
     reads, with its default.  ``needs`` ("potential", "delta" for a
-    potential or delta_override, or "") and ``even_n`` are checked at load."""
+    potential or delta_override, or ""), ``even_n`` and ``min_points`` (the
+    shortest n_grid) are checked at load."""
 
     worker: Callable[[ExperimentConfig, int], tuple]
     csv: str
@@ -364,6 +359,7 @@ class Experiment:
     tolerances: dict[str, float]
     needs: str = ""
     even_n: bool = False
+    min_points: int = 1
 
 
 _SWEEP = Experiment(
@@ -377,7 +373,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "overlap_sweep": _SWEEP,
     "exponent_fit": Experiment(
         _fh_point, "exponent_fit_series.csv", ("N", "log_det_sq"),
-        _exponent_gate, {"slope_abs_err": 0.05}, needs="delta",
+        _exponent_gate, {"slope_abs_err": 0.05}, needs="delta", min_points=4,
     ),
     "anderson": Experiment(
         _anderson_point, "anderson.csv", ("N", "delta", "anderson_integral", "log_Dtilde_sq", "upper_bound_holds"),
@@ -440,8 +436,7 @@ def selftest() -> int:
             config = ExperimentConfig.from_dict(raw)
             check(config.experiment, run_experiment(config, Path(scratch), 1) == EXIT_OK)
 
-    ld0 = log_det(fh_matrix(0.0, 64))
-    check("delta-zero overlap", abs(2 * ld0.log_magnitude) < 1e-10)
+    check("delta-zero overlap", abs(2 * log_det(fh_matrix(0.0, 64))) < 1e-10)
 
     ldb, ldr = hilbert.block_reduction_check(math.pi / 4, 8)
     check("dirichlet reduction", abs(ldb - ldr) < 1e-8, f"{ldb:.10f} vs {ldr:.10f}")

@@ -26,18 +26,16 @@ import numpy as np
 
 from .asymptotics import digamma, trigamma
 from .errors import DomainError
-from .matrixcore import LogDet, log_det, operator_norm
+from .matrixcore import log_det, operator_norm
 from .overlap import dirichlet_flux_closed_form
 
 
-def hilbert_section(M: int, eta: float = -0.5) -> np.ndarray:
-    """Finite section (1/(j+k+eta))_{j,k=1..M} of the Hilbert matrix."""
-    if eta <= -2.0 and float(eta).is_integer():
-        raise DomainError("-eta must not be a positive integer")
+def hilbert_section(M: int) -> np.ndarray:
+    """Finite section (1/(j+k-1/2))_{j,k=1..M} of the Hilbert matrix H_{-1/2}."""
     if M < 1:
         raise DomainError("dimension must be >= 1")
     j = np.arange(1, M + 1, dtype=float)
-    return 1.0 / (j[:, None] + j[None, :] + eta)
+    return 1.0 / (j[:, None] + j[None, :] - 0.5)
 
 
 def hilbert_section_norm(M: int) -> float:
@@ -49,33 +47,12 @@ def hilbert_section_norm(M: int) -> float:
     return operator_norm(hilbert_section(M))
 
 
-def flip_operator(M: int) -> np.ndarray:
-    """The index-reversing involution Theta_M (unitary, Theta^2 = I)."""
-    return np.fliplr(np.eye(M))
-
-
-def hilbert_square_closed_form(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(H^2)_{pq} = sum_r 1/((p+r-1/2)(q+r-1/2)) via digamma differences.
-
-    Equals (psi(p+1/2) - psi(q+1/2)) / (p - q) off the diagonal and
-    psi_1(p+1/2) on it; valid for p, q > -1/2 so the flipped K^{--}
-    indexing (which reaches p = 0) stays inside the domain.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    diff = p - q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = (digamma(p + 0.5) - digamma(q + 0.5)) / np.where(diff == 0.0, 1.0, diff)
-    diag = trigamma(p + 0.5)
-    return np.where(diff == 0.0, diag, off)
-
-
 def k_matrix(M: int) -> np.ndarray:
     """K_M from polygamma closed forms (second-order partial fractions).
 
-    It is computed independently of the parts in ``k_parts``, so the
-    decomposition identity K = K^{--} + K^{+-} + K^{-+} + K^{++} is a real
-    consistency check rather than a tautology.
+    It is computed independently of the four partial-fraction parts, so
+    the decomposition identity K = K^{--} + K^{+-} + K^{-+} + K^{++} is a
+    real consistency check rather than a tautology.
     """
     if M < 1:
         raise DomainError("M must be >= 1")
@@ -118,19 +95,6 @@ def _k_minus_minus(M: int) -> np.ndarray:
     return _divided_differences(-digamma(x), trigamma(x), 0.25)
 
 
-def k_parts(M: int) -> dict[str, np.ndarray]:
-    """The four parts of K_M, keyed '--', '+-', '-+', '++', from polygamma closed forms."""
-    kmm = _k_minus_minus(M)
-    jv = np.arange(1, M + 1, dtype=float)
-    psi_plus = digamma(M + 0.5 + jv)
-    psi_minus = digamma(M + 0.5 - jv)
-    jk = jv[:, None] + jv[None, :]
-    kpm = -0.25 * (psi_plus[:, None] - psi_minus[None, :]) / jk
-    kmp = -0.25 * (psi_plus[None, :] - psi_minus[:, None]) / jk
-    kpp = _divided_differences(psi_plus, trigamma(M + 0.5 + jv), 0.25)
-    return {"--": kmm, "+-": kpm, "-+": kmp, "++": kpp}
-
-
 @dataclass(frozen=True)
 class KPartNorms:
     """Trace norms of the K pieces plus the operator norm of K^{--}.
@@ -162,12 +126,11 @@ def k_part_norms(M: int) -> KPartNorms:
     return KPartNorms(t_mm=t_mm, t_pp=t_pp, t_mixed=t_mixed, op_mm=op_mm)
 
 
-def dirichlet_flux_logdet(delta: float, M: int) -> LogDet:
-    """log det(I - (4/pi^2) sin^2(delta) K_M) for even particle number N = 2M.
+def dirichlet_flux_logdet(delta: float, M: int) -> float:
+    """log|det(I - (4/pi^2) sin^2(delta) K_M)| for even particle number N = 2M.
 
-    The log magnitude equals log |D~_{N,L}| of the assembled 2M x 2M
-    Dirichlet jump-symbol matrix; `block_reduction_check` verifies the
-    agreement.
+    It equals log |D~_{N,L}| of the assembled 2M x 2M Dirichlet
+    jump-symbol matrix; `block_reduction_check` verifies the agreement.
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")
@@ -179,34 +142,4 @@ def dirichlet_flux_logdet(delta: float, M: int) -> LogDet:
 def block_reduction_check(delta: float, M: int) -> tuple[float, float]:
     """(log|det block|, log|det reduced|) for the 2M x 2M vs K_M determinants."""
     block = dirichlet_flux_closed_form(delta, 2 * M)
-    ld_block = log_det(block).log_magnitude
-    ld_reduced = dirichlet_flux_logdet(delta, M).log_magnitude
-    return ld_block, ld_reduced
-
-
-def remainder_logdet(delta: float, M: int) -> LogDet:
-    """The bounded second factor of the Dirichlet determinant split.
-
-    det(I - [I - (4/pi^2) sin^2 K^{--}]^{-1} (4/pi^2) sin^2 (K^{++} + K^{+-} + K^{-+})).
-    Only boundedness is expected of it; no asymptotics are asserted.
-    """
-    parts = k_parts(M)
-    c = (4.0 / math.pi**2) * math.sin(delta) ** 2
-    lead = np.eye(M) - c * parts["--"]
-    rest = c * (parts["++"] + parts["+-"] + parts["-+"])
-    A = np.eye(M) - np.linalg.solve(lead, rest)
-    return log_det(A)
-
-
-def remark_overlap_logdet(delta: float, N: int, eta: float = -0.5) -> LogDet:
-    """Exploratory determinant det(I - (sin^2 delta / pi^2) P_N H_eta^2 P_N).
-
-    This is the object controlling the exact Dirichlet asymptotics; no
-    Szego-type theorem covers it, so the value is reported without any
-    asserted decay rate.
-    """
-    # (H_eta^2)_{jk} = sum_{r>=1} 1/((j+r+eta)(k+r+eta))
-    #              = (psi(j+eta+1) - psi(k+eta+1)) / (j-k), trigamma on the diagonal
-    x = np.arange(1, N + 1, dtype=float) + eta + 1.0
-    A = np.eye(N) - (math.sin(delta) ** 2 / math.pi**2) * _divided_differences(digamma(x), trigamma(x), 1.0)
-    return log_det(A)
+    return log_det(block), dirichlet_flux_logdet(delta, M)

@@ -7,8 +7,8 @@ strided Toeplitz view that turns 2N - 1 coefficients into a matrix, the
 closed-form jump-symbol matrix fh_matrix, the log-determinant, the
 certified trace norm and the power-iteration operator norm.
 
-Determinants of these matrices decay polynomially in N, so their
-magnitudes are kept in log space throughout (LogDet).  They come from
+Determinants of these matrices decay polynomially in N, so only their
+magnitudes are kept, in log space throughout.  They come from
 dense LU with partial pivoting (LAPACK via numpy), which keeps the
 decaying determinants trustworthy.  That O(N^3) factorization is the
 costliest step of an overlap sweep: the matrices themselves are assembled
@@ -19,7 +19,6 @@ low-rank Delta_N costs O(N^2 k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,35 +26,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DomainError, NumericalError
 
 
-@dataclass(frozen=True)
-class LogDet:
-    """A determinant stored as log|det| plus a phase in (-pi, pi].
+def log_det(matrix: np.ndarray) -> float:
+    """log|det| via LU with partial pivoting; -inf for a singular matrix.
 
-    det = exp(log_magnitude) * exp(i phase); a singular matrix is encoded
-    as log_magnitude = -inf with phase 0.
-    """
-
-    log_magnitude: float
-    phase: float
-
-    @property
-    def value(self) -> complex:
-        return np.exp(self.log_magnitude) * np.exp(1j * self.phase)
-
-
-def log_det(matrix: np.ndarray) -> LogDet:
-    """Log-determinant via LU with partial pivoting.
-
-    log_magnitude accumulates ln|u_ii| over the pivots and the phase is the
-    argument of the pivot-sign product, reduced to (-pi, pi].
+    The magnitude accumulates ln|u_ii| over the pivots.  The phase of the
+    determinant is not kept: every consumer reads |det|^2 only.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("log_det needs a square matrix")
     sign, logabs = np.linalg.slogdet(m)
-    if logabs == -np.inf or sign == 0:
-        return LogDet(log_magnitude=-np.inf, phase=0.0)
-    return LogDet(log_magnitude=float(logabs), phase=float(np.angle(sign)))
+    return -math.inf if sign == 0 else float(logabs)
 
 
 _SKETCH_SEED = 0x5EED
@@ -163,12 +144,14 @@ def fh_matrix(delta: float, N: int) -> np.ndarray:
 
     This is the determinant-carrying matrix of the jump symbol: the
     diagonal is sin(delta)/delta (with the analytic limit 1 as delta -> 0,
-    evaluated by series below |delta| < 1e-4 to dodge 0/0).  The result
+    evaluated by series below |delta| < 1e-4 to dodge 0/0).  At
+    |delta| = pi/2 it is (1/pi) times the nonsingular Cauchy matrix
+    1/(1/2 -+ (j-k)), so only |delta| > pi/2 is rejected.  The result
     is a writable copy of a strided view of the 2N - 1 coefficients, so
     the only N x N allocation is the result itself.
     """
-    if abs(delta) >= np.pi / 2:
-        raise DomainError("fh_matrix requires |delta| < pi/2")
+    if abs(delta) > np.pi / 2:
+        raise DomainError("fh_matrix requires |delta| <= pi/2")
     if N < 1:
         raise DomainError("N must be >= 1")
     d = np.arange(-(N - 1), N, dtype=float)

@@ -62,28 +62,16 @@ CLI's experiment table (cli._c_band_gate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError
-from .matrixcore import LogDet, _toeplitz, fh_matrix, log_det, trace_norm
+from .matrixcore import _toeplitz, fh_matrix, log_det, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_profile, moment_integrals
 from .quadrature import build_edges, cis_integral, gauss_legendre_rule
 from .spectrum import BoundaryCondition
-
-
-@dataclass(frozen=True)
-class OverlapResult:
-    """Log-determinants and their ratio C_{N,L} for one grid point."""
-
-    delta_L: float
-    n_L: int
-    logdet_exact: LogDet
-    logdet_flux: LogDet
-    c_ratio: float
 
 
 def _support_nodes(a: MagneticPotential, L: float, omega_max: float, refine: int):
@@ -205,29 +193,26 @@ def _entry_change_bound(bc: BoundaryCondition, coarse, fine, L: float) -> float:
     return worst if bc is BoundaryCondition.PERIODIC else worst / L
 
 
-def overlap_matrix(
-    a: MagneticPotential,
-    bc: BoundaryCondition,
-    N: int,
-    L: float,
-    *,
-    quadrature_tol: float = 1e-10,
-    max_refine: int = 4,
-) -> np.ndarray:
+# Quadrature doubling check: refine until no entry moves by more than
+# _QUADRATURE_TOL, comparing at most _MAX_REFINE refinements with their
+# predecessors.
+_QUADRATURE_TOL = 1e-10
+_MAX_REFINE = 4
+
+
+def overlap_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> np.ndarray:
     """Overlap matrix of the free and perturbed N-fermion ground states.
 
     Returns T_N(e^{i g_L}) in the free eigenbasis; its determinant equals
     the physical overlap determinant between the occupied windows N_0 and
     N_{n_L} (periodic) or 1..N (Dirichlet).  The O(N) coefficients are
     verified by doubling the quadrature resolution until no entry can move
-    by more than ``quadrature_tol``; the matrix is assembled once, from the
-    accepted coefficients.
+    by more than 1e-10; the matrix is assembled once, from the accepted
+    coefficients.
     """
     bc = BoundaryCondition.parse(bc)
     if N < 1:
         raise DomainError("N must be >= 1")
-    if max_refine < 1:
-        raise DomainError("max_refine must be >= 1: the quadrature check compares two builds")
     if L < a.support_radius:
         raise DomainError(
             f"L = {L} is smaller than the support radius {a.support_radius}; "
@@ -238,17 +223,17 @@ def overlap_matrix(
     coefficients = _periodic_overlap_coefficients if periodic else _dirichlet_trig_integrals
 
     current = coefficients(a, L, prof, N, 0)
-    for refine in range(1, max_refine + 1):
+    for refine in range(1, _MAX_REFINE + 1):
         refined = coefficients(a, L, prof, N, refine)
         worst = _entry_change_bound(bc, current, refined, L)
         current = refined
-        if worst <= quadrature_tol:
+        if worst <= _QUADRATURE_TOL:
             break
     else:
         raise NumericalError(
             "overlap entry quadrature did not settle",
             achieved=worst,
-            requested=quadrature_tol,
+            requested=_QUADRATURE_TOL,
         )
     return _toeplitz(current[0], N).copy() if periodic else _dirichlet_matrix(*current, N, L)
 
@@ -295,19 +280,22 @@ def flux_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaBoundCheck:
+class GridPoint(NamedTuple):
+    """What one (N, L) grid point yields, in the column order of the overlap CSV.
+
+    log_D_sq and log_Dtilde_sq are log |det|^2 of T_N(e^{i g_L}) and
+    T_N(e^{i g~_L}); c_ratio is C_{N,L} = |D|^2 / |D~|^2 (inf when D~ = 0);
+    bound_holds compares ||Delta_N||_1 with its moment bound.
+    """
+
+    delta_L: float
+    n_L: int
+    log_D_sq: float
+    log_Dtilde_sq: float
+    c_ratio: float
     trace_norm_delta: float
     bound: float
-    holds: bool
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """Everything one (N, L) grid point yields: C_{N,L} and the Delta_N bound."""
-
-    overlap: OverlapResult
-    bound_check: DeltaBoundCheck
+    bound_holds: bool
 
 
 def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> GridPoint:
@@ -324,102 +312,7 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     flux = flux_matrix(a, bc, N, L)
     ld_exact = log_det(exact)
     ld_flux = log_det(flux)
-    if math.isinf(ld_flux.log_magnitude):
-        c_ratio = math.inf
-    else:
-        c_ratio = math.exp(2.0 * (ld_exact.log_magnitude - ld_flux.log_magnitude))
+    c_ratio = math.inf if math.isinf(ld_flux) else math.exp(2.0 * (ld_exact - ld_flux))
     tn = trace_norm(exact - flux)
-    _, weighted = moment_integrals(a, L)
-    bound = N / L * weighted
-    return GridPoint(
-        overlap=OverlapResult(
-            delta_L=prof.delta_L,
-            n_L=prof.n_L,
-            logdet_exact=ld_exact,
-            logdet_flux=ld_flux,
-            c_ratio=c_ratio,
-        ),
-        bound_check=DeltaBoundCheck(trace_norm_delta=tn, bound=bound, holds=tn <= bound + 1e-8),
-    )
-
-
-# ---------------------------------------------------------------------------
-# symbol splitting (periodic proof of the factorization lemma)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SplitSymbols:
-    """The four hermitian split symbols e^+, e^-, f^+, f^- of the periodic proof.
-
-    With Theta the Heaviside function (Theta(0) = 1, so x = 0 belongs to
-    the '+' branch and the '-' branch is supported on x < 0):
-
-        e^{i g_L} - e^{i g~_L} = e^+ + e^- + i (f^- - f^+)   pointwise.
-    """
-
-    e_plus: Callable[[np.ndarray], np.ndarray]
-    e_minus: Callable[[np.ndarray], np.ndarray]
-    f_plus: Callable[[np.ndarray], np.ndarray]
-    f_minus: Callable[[np.ndarray], np.ndarray]
-    exact_symbol: Callable[[np.ndarray], np.ndarray]
-    flux_symbol: Callable[[np.ndarray], np.ndarray]
-
-    def reconstruction(self, x):
-        return self.e_plus(x) + self.e_minus(x) + 1j * (self.f_minus(x) - self.f_plus(x))
-
-    def difference(self, x):
-        return self.exact_symbol(x) - self.flux_symbol(x)
-
-
-def heaviside(x):
-    """Heaviside step with Theta(0) = 1."""
-    return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, 0.0)
-
-
-def periodic_split_symbols(a: MagneticPotential, L: float) -> SplitSymbols:
-    prof = flux_profile(a, L)
-    delta = prof.delta_L
-    total = prof.total_flux
-
-    def g(x):
-        return prof.phi_at(x) - delta * np.asarray(x, dtype=float) / L
-
-    def g_tilde(x):
-        x = np.asarray(x, dtype=float)
-        sgn = np.where(x >= 0.0, 1.0, -1.0)  # sign(0) = +1, matching Theta(0) = 1
-        return total * sgn - delta * x / L
-
-    def e_plus(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * heaviside(x) * np.sin(0.5 * prof.phi_plus(x) - delta * x / L) * np.sin(0.5 * prof.phi_minus(x))
-
-    def _minus_branch(x):
-        # Theta(-x) restricted to the complement of the '+' branch: since
-        # Theta(0) = 1 assigns x = 0 to '+', the '-' symbols live on x < 0.
-        return np.where(np.asarray(x, dtype=float) < 0.0, 1.0, 0.0)
-
-    def e_minus(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * _minus_branch(x) * np.sin(0.5 * prof.phi_minus(x) + delta * x / L) * np.sin(
-            0.5 * prof.phi_plus(x)
-        )
-
-    def f_plus(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * heaviside(x) * np.cos(0.5 * prof.phi_plus(x) - delta * x / L) * np.sin(0.5 * prof.phi_minus(x))
-
-    def f_minus(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * _minus_branch(x) * np.cos(0.5 * prof.phi_minus(x) + delta * x / L) * np.sin(
-            0.5 * prof.phi_plus(x)
-        )
-
-    return SplitSymbols(
-        e_plus=e_plus,
-        e_minus=e_minus,
-        f_plus=f_plus,
-        f_minus=f_minus,
-        exact_symbol=lambda x: np.exp(1j * g(x)),
-        flux_symbol=lambda x: np.exp(1j * g_tilde(x)),
-    )
+    bound = N / L * moment_integrals(a, L)
+    return GridPoint(prof.delta_L, prof.n_L, 2.0 * ld_exact, 2.0 * ld_flux, c_ratio, tn, bound, tn <= bound + 1e-8)

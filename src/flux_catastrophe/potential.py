@@ -6,7 +6,6 @@ flux quantities on an interval [-L, L] derive from it:
 
     Phi_L(x)   = 1/2 int_{-L}^x a  -  1/2 int_x^L a        (magnetic flux)
     Phi_L(L)   = 1/2 int_{-L}^L a  =  n_L pi + delta_L,    delta_L in (-pi/2, pi/2]
-    Phi_L^+(x) = int_{-L}^x a,     Phi_L^-(x) = int_x^L a  (half fluxes)
 
 Compact support makes delta_L independent of L once L >= support_radius,
 which is what pins the decay exponents downstream.
@@ -14,10 +13,8 @@ which is what pins the decay exponents downstream.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -192,20 +189,16 @@ def gaussian_bump_with_flux(
 
 @dataclass
 class FluxProfile:
-    """All flux quantities of a potential on [-L, L].
+    """The flux quantities of a potential on [-L, L].
 
-    ``phi_at``, ``phi_plus`` and ``phi_minus`` are vectorized callables for
-    Phi_L, Phi_L^+ and Phi_L^-.  The decomposition satisfies
-    total_flux = n_L * pi + delta_L with delta_L in (-pi/2, pi/2].
+    ``phi_at`` is the vectorized callable for Phi_L.  The decomposition
+    satisfies total_flux = n_L * pi + delta_L with delta_L in (-pi/2, pi/2].
     """
 
-    L: float
     total_flux: float
     n_L: int
     delta_L: float
     phi_at: Callable[[np.ndarray], np.ndarray]
-    phi_plus: Callable[[np.ndarray], np.ndarray]
-    phi_minus: Callable[[np.ndarray], np.ndarray]
 
 
 def flux_decomposition(total_flux: float) -> tuple[int, float]:
@@ -240,38 +233,22 @@ def flux_profile(a: MagneticPotential, L: float) -> FluxProfile:
     if L <= 0:
         raise DomainError("interval half-length L must be positive")
     lo = float(a.antiderivative(-L))
-    total_integral = float(a.antiderivative(L)) - lo
-    total_flux = 0.5 * total_integral
-
-    def phi_plus(x):
-        return a.antiderivative(x) - lo
-
-    def phi_minus(x):
-        return (total_integral + lo) - a.antiderivative(x)
+    total_flux = 0.5 * (float(a.antiderivative(L)) - lo)
 
     def phi_at(x):
         return a.antiderivative(x) - lo - total_flux
 
     n_L, delta_L = flux_decomposition(total_flux)
-    return FluxProfile(
-        L=L,
-        total_flux=total_flux,
-        n_L=n_L,
-        delta_L=delta_L,
-        phi_at=phi_at,
-        phi_plus=phi_plus,
-        phi_minus=phi_minus,
-    )
+    return FluxProfile(total_flux=total_flux, n_L=n_L, delta_L=delta_L, phi_at=phi_at)
 
 
-def weighted_abs_moment(a: MagneticPotential, lo: float, hi: float, *, weight_y: bool = True) -> float:
-    """integral over [lo, hi] of |y a(y)| dy (or |a| if ``weight_y`` is false)."""
+def weighted_abs_moment(a: MagneticPotential, lo: float, hi: float) -> float:
+    """integral over [lo, hi] of |y a(y)| dy."""
     if hi <= lo:
         return 0.0
 
     def integrand(y):
-        vals = np.abs(a(y))
-        return np.abs(y) * vals if weight_y else vals
+        return np.abs(y) * np.abs(a(y))
 
     brk = set(a.breakpoints) | {0.0}
     return float(
@@ -286,27 +263,29 @@ def weighted_abs_moment(a: MagneticPotential, lo: float, hi: float, *, weight_y:
     )
 
 
-def moment_integrals(a: MagneticPotential, L: float) -> tuple[float, float]:
-    """(integral of |a|, integral of |y a(y)|) over [-L, L], abs tol 1e-12."""
+def moment_integrals(a: MagneticPotential, L: float) -> float:
+    """integral of |y a(y)| over [-L, L], abs tol 1e-12: the moment in the
+    ||Delta_N||_1 bound."""
     if L <= 0:
         raise DomainError("interval half-length L must be positive")
-    lo = max(-L, -a.support_radius)
-    hi = min(L, a.support_radius)
-    if hi <= lo:
-        return 0.0, 0.0
-    l1 = weighted_abs_moment(a, lo, hi, weight_y=False)
-    weighted = weighted_abs_moment(a, lo, hi, weight_y=True)
-    return l1, weighted
+    return weighted_abs_moment(a, max(-L, -a.support_radius), min(L, a.support_radius))
 
 
 # ---------------------------------------------------------------------------
-# JSON schema (documented in the README):
-#   {"kind": "gaussian_bump", "center": c, "width": w,
-#    "amplitude": A | "total_flux": phi, "support_radius": R}
+# JSON schema of the "potential" field of a CLI config.  Every field but
+# "kind" (and the "knots", "x0", "dx", "values" of their kinds) is optional:
+#   {"kind": "gaussian_bump", "center": c (0), "width": w (0.5),
+#    "amplitude": A (1) | "total_flux": phi, "support_radius": R (4)}
+#       total_flux sets A so that Phi_L(L) = phi for L >= R; giving both
+#       amplitude and total_flux is an error
 #   {"kind": "piecewise_linear", "knots": [[x, v], ...], "support_radius": R}
+#       at least two knots with strictly increasing x; R defaults to, and is
+#       raised to, max(|x_first|, |x_last|)
 #   {"kind": "table_samples", "x0": x0, "dx": dx, "values": [...],
 #    "support_radius": R}
-#   {"kind": "zero", "support_radius": R}
+#       samples at x0, x0 + dx, ..., interpolated linearly (dx > 0, at
+#       least two values); R as for piecewise_linear
+#   {"kind": "zero", "support_radius": R (1)}
 # ---------------------------------------------------------------------------
 
 
@@ -347,15 +326,6 @@ def potential_from_dict(spec: dict) -> MagneticPotential:
     except KeyError as exc:
         raise DomainError(f"potential spec missing field {exc}") from exc
     raise DomainError(f"unknown potential kind {kind!r}")
-
-
-def potential_from_json(path_or_text: str | Path) -> MagneticPotential:
-    """Load a potential from a JSON file path or a JSON string."""
-    text = str(path_or_text)
-    p = Path(text)
-    if p.suffix == ".json" or p.exists():
-        text = p.read_text()
-    return potential_from_dict(json.loads(text))
 
 
 def potential_to_dict(a: MagneticPotential) -> dict:

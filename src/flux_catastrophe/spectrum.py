@@ -1,4 +1,4 @@
-"""One-particle eigenpairs and N-fermion ground-state energies.
+"""N-fermion ground-state energy differences.
 
 Periodic boundary conditions on [-L, L]: the free eigenvalues are
 (pi j / L)^2 with plane-wave eigenfunctions, and gauging away the vector
@@ -17,14 +17,12 @@ states, and every closed form below refers to that choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .potential import MagneticPotential, flux_decomposition, flux_profile, full_line_delta
+from .potential import MagneticPotential, flux_profile, full_line_delta
 
 
 class BoundaryCondition(str, Enum):
@@ -39,40 +37,6 @@ class BoundaryCondition(str, Enum):
             return cls(str(value).lower())
         except ValueError:
             raise DomainError(f"unknown boundary condition {value!r}") from None
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Closed-form eigenvalues of the free and gauged Hamiltonian on [-L, L]."""
-
-    bc: BoundaryCondition
-    L: float
-    total_flux: float  # Phi_L(L); ignored by the Dirichlet branch
-
-    def free_eigenvalue(self, j):
-        j = np.asarray(j, dtype=float)
-        if self.bc is BoundaryCondition.PERIODIC:
-            return (math.pi * j / self.L) ** 2
-        return (math.pi * j / (2.0 * self.L)) ** 2
-
-    def perturbed_eigenvalue(self, j):
-        j = np.asarray(j, dtype=float)
-        if self.bc is BoundaryCondition.PERIODIC:
-            return ((j * math.pi + self.total_flux) / self.L) ** 2
-        return (math.pi * j / (2.0 * self.L)) ** 2
-
-    def index_set_description(self) -> str:
-        if self.bc is BoundaryCondition.PERIODIC:
-            return "all integers j"
-        return "integers j >= 1"
-
-
-def eigensystem(bc: BoundaryCondition, a: MagneticPotential | None, L: float) -> EigenSystem:
-    bc = BoundaryCondition.parse(bc)
-    if L <= 0:
-        raise DomainError("L must be positive")
-    total = flux_profile(a, L).total_flux if a is not None else 0.0
-    return EigenSystem(bc=bc, L=L, total_flux=total)
 
 
 def occupied_indices(bc: BoundaryCondition, N: int, n_shift: int = 0) -> np.ndarray:
@@ -90,43 +54,6 @@ def occupied_indices(bc: BoundaryCondition, N: int, n_shift: int = 0) -> np.ndar
     if N % 2 == 1:
         return np.arange(-m - n_shift, m - n_shift + 1)
     return np.arange(-m - n_shift, m - n_shift)
-
-
-@dataclass(frozen=True)
-class GroundStateSpec:
-    """Bookkeeping for one N-fermion Slater ground state."""
-
-    N: int
-    m: int
-    occupied: tuple[int, ...]
-
-    @classmethod
-    def build(cls, bc: BoundaryCondition, N: int, n_shift: int = 0) -> "GroundStateSpec":
-        occ = occupied_indices(bc, N, n_shift)
-        return cls(N=N, m=N // 2, occupied=tuple(int(j) for j in occ))
-
-
-def ground_state_energy(
-    bc: BoundaryCondition,
-    a: MagneticPotential | None,
-    N: int,
-    L: float,
-    perturbed: bool = False,
-) -> float:
-    """Sum of the N occupied eigenvalues.
-
-    The Dirichlet result is independent of the potential; the periodic
-    perturbed state occupies the shifted window around -n_L.
-    """
-    bc = BoundaryCondition.parse(bc)
-    needs_flux = perturbed and bc is BoundaryCondition.PERIODIC
-    es = eigensystem(bc, a if needs_flux else None, L)
-    if bc is BoundaryCondition.DIRICHLET or not perturbed:
-        j = occupied_indices(bc, N)
-        return float(np.sum(es.free_eigenvalue(j)))
-    n_L, _ = flux_decomposition(es.total_flux)
-    j = occupied_indices(bc, N, n_L)
-    return float(np.sum(es.perturbed_eigenvalue(j)))
 
 
 def energy_difference(bc: BoundaryCondition, a: MagneticPotential | None, N: int, L: float) -> float:
@@ -185,33 +112,3 @@ def finite_size_energy(a: MagneticPotential | None, parity: str, rho: float) -> 
     if parity == "odd":
         return 4.0 * delta * delta * rho * rho
     return 4.0 * delta * (delta - math.pi) * rho * rho
-
-
-def eigenvalue_multiplicities(values: Iterable[float], tol: float = 1e-12) -> list[tuple[float, int]]:
-    """Cluster eigenvalues into (value, multiplicity) pairs at tolerance ``tol``."""
-    vals = sorted(float(v) for v in values)
-    out: list[tuple[float, int]] = []
-    for v in vals:
-        if out and abs(v - out[-1][0]) <= tol * max(1.0, abs(v)):
-            prev, count = out[-1]
-            out[-1] = (prev, count + 1)
-        else:
-            out.append((v, 1))
-    return out
-
-
-def perturbed_multiplicities(
-    a: MagneticPotential | None,
-    L: float,
-    window: Sequence[int],
-    tol: float = 1e-12,
-) -> list[tuple[float, int]]:
-    """Multiplicities of periodic perturbed eigenvalues over an index window.
-
-    The spectrum is non-degenerate exactly when Phi_L(L) is not an integer
-    multiple of pi/2; callers should centre the window so that the pairing
-    j <-> -j - 2 Phi/pi stays inside it.
-    """
-    es = eigensystem(BoundaryCondition.PERIODIC, a, L)
-    vals = es.perturbed_eigenvalue(np.asarray(list(window), dtype=float))
-    return eigenvalue_multiplicities(vals.tolist(), tol)

@@ -12,7 +12,11 @@ factored phase sums and Toeplitz-plus-Hankel views.  assemble_toeplitz
 integrates <phi_j, f phi_k> for any symbol f over all of [-L, L] on its
 own Gauss-Legendre panels, with the basis functions evaluated directly and
 every entry checked by panel doubling, in place of the package's
-support-only coefficient sums and closed-form outer integrals.
+support-only coefficient sums and closed-form outer integrals.  The
+partial-fraction parts of K_M and the square of the Hilbert matrix are
+written through the package's digamma/trigamma, but by other formulas than
+hilbert.k_matrix.  The half fluxes Phi_L^+ and Phi_L^- come from the
+potential's antiderivative, in place of the flux profile's Phi_L.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from typing import Callable, Sequence
 import mpmath
 import numpy as np
 
+from flux_catastrophe.asymptotics import digamma, trigamma
 from flux_catastrophe.errors import DomainError, NumericalError
+from flux_catastrophe.hilbert import _divided_differences, _k_minus_minus
 from flux_catastrophe.overlap import _support_nodes
 from flux_catastrophe.potential import flux_profile
 from flux_catastrophe.quadrature import cis_integral
@@ -113,6 +119,46 @@ def k_entry_bruteforce(M: int, j: int, k: int, l_terms: int = 10**7) -> float:
     z = M + l_terms + 0.5
     partial += j * k * (1.0 / (3.0 * z**3) + 1.0 / (2.0 * z**4))
     return partial
+
+
+def hilbert_square_closed_form(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(H^2)_{pq} = sum_r 1/((p+r-1/2)(q+r-1/2)) via digamma differences.
+
+    Equals (psi(p+1/2) - psi(q+1/2)) / (p - q) off the diagonal and
+    psi_1(p+1/2) on it; valid for p, q > -1/2 so the flipped K^{--}
+    indexing (which reaches p = 0) stays inside the domain.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    diff = p - q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = (digamma(p + 0.5) - digamma(q + 0.5)) / np.where(diff == 0.0, 1.0, diff)
+    diag = trigamma(p + 0.5)
+    return np.where(diff == 0.0, diag, off)
+
+
+def k_parts(M: int) -> dict[str, np.ndarray]:
+    """The four parts of K_M, keyed '--', '+-', '-+', '++', from polygamma closed forms.
+
+    '--' is the package's K^{--}, the one part a CLI row reads; the other
+    three exist only here, so that their sum with it checks k_matrix.
+    """
+    kmm = _k_minus_minus(M)
+    jv = np.arange(1, M + 1, dtype=float)
+    psi_plus = digamma(M + 0.5 + jv)
+    psi_minus = digamma(M + 0.5 - jv)
+    jk = jv[:, None] + jv[None, :]
+    kpm = -0.25 * (psi_plus[:, None] - psi_minus[None, :]) / jk
+    kmp = -0.25 * (psi_plus[None, :] - psi_minus[:, None]) / jk
+    kpp = _divided_differences(psi_plus, trigamma(M + 0.5 + jv), 0.25)
+    return {"--": kmm, "+-": kpm, "-+": kmp, "++": kpp}
+
+
+def half_fluxes(a, L: float):
+    """Phi_L^+(x) = int_{-L}^x a and Phi_L^-(x) = int_x^L a, as callables."""
+    lo = float(a.antiderivative(-L))
+    hi = float(a.antiderivative(L))
+    return (lambda x: a.antiderivative(x) - lo), (lambda x: hi - a.antiderivative(x))
 
 
 def riemann_abs_moment(a, lo: float, hi: float, n: int = 10**7, weight_y: bool = False) -> float:

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from flux_catastrophe import cli, overlap
+from oracles import cauchy_fh_logdet_sq
 
 # flux 2.0 gives n_L = 1; support radius 4 keeps L = N / 2 >= 4 on every grid below
 POTENTIAL = {"kind": "gaussian_bump", "center": 0, "width": 0.5, "total_flux": 2.0, "support_radius": 4}
@@ -62,10 +62,11 @@ def test_missing_and_malformed_config_exit_1(tmp_path, capsys):
 
 
 def test_numerical_domain_error_exits_1(tmp_path, capsys):
-    # a decay-exponent fit needs at least 4 grid points
-    config = _write_config(tmp_path, experiment="exponent_fit", delta_override=0.5, n_grid=[16, 32, 64])
+    # N = 4 puts L = 2 inside the potential's support radius 4, which only
+    # the overlap build can tell
+    config = _write_config(tmp_path, experiment="overlap_sweep", potential=POTENTIAL, n_grid=[4])
     assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_OR_NUMERICAL
-    assert "need at least 4 points" in capsys.readouterr().err
+    assert "smaller than the support radius" in capsys.readouterr().err
 
 
 def test_tight_gate_exits_2(tmp_path, capsys):
@@ -171,9 +172,11 @@ def test_each_experiment_runs_and_passes_its_gate(tmp_path, capsys, experiment):
          "tolerances: band_factor must be a finite number, got inf"),
         ({"experiment": "anderson", "delta_override": 0.5, "n_grid": [True, 2]},
          "n_grid: must be a nonempty strictly increasing list of integers"),
+        ({"experiment": "exponent_fit", "delta_override": 0.5, "n_grid": [16, 32, 64]},
+         "n_grid: exponent_fit needs at least 4 points, got [16, 32, 64]"),
     ],
     ids=["odd-N", "sweep-no-potential", "lemma-no-potential", "no-delta", "no-tolerance-keys",
-         "misspelled-key", "non-numeric", "bool", "infinite", "bool-in-grid"],
+         "misspelled-key", "non-numeric", "bool", "infinite", "bool-in-grid", "short-fit-grid"],
 )
 def test_experiment_preconditions_are_config_errors(tmp_path, capsys, fields, message):
     config = _write_config(tmp_path, **fields)
@@ -213,9 +216,69 @@ def test_selftest_lemma_band_fails_on_a_degenerate_point(monkeypatch, capsys):
 
     def degenerate_at_64(a, bc, N, L):
         point = original(a, bc, N, L)
-        return replace(point, overlap=replace(point.overlap, c_ratio=math.inf)) if N == 64 else point
+        return point._replace(c_ratio=math.inf) if N == 64 else point
 
     monkeypatch.setattr(overlap, "evaluate_point", degenerate_at_64)
     assert cli.main(["selftest"]) == cli.EXIT_PROPERTY_FAILURE
     out = capsys.readouterr().out
     assert "selftest lemma_check: FAIL" in out and "degenerate C at N = [64]" in out
+
+
+# -- degenerate corners: a flux of exactly (n + 1/2) pi gives delta_L = +pi/2,
+# one of exactly n pi gives delta_L = 0; triangles of height h have flux h / 2
+
+
+def _triangle(height: float) -> dict:
+    return {"kind": "piecewise_linear", "knots": [[-1, 0], [0, height], [1, 0]]}
+
+
+def _sweep_columns(tmp_path, potential: dict, n_grid: list[int]) -> dict[str, list[float]]:
+    config = _write_config(tmp_path, experiment="overlap_sweep", potential=potential, rho=1.0, n_grid=n_grid)
+    out = tmp_path / "out"
+    assert cli.main(["run", config, "--out", str(out)]) == cli.EXIT_OK
+    header, *rows = [line.split(",") for line in (out / "overlap_sweep.csv").read_text().splitlines()]
+    return {name: [float(row[i]) for row in rows] for i, name in enumerate(header) if name != "config_hash"}
+
+
+def test_sweep_at_delta_pi_over_2_matches_cauchy_determinant(tmp_path):
+    # odd and even N: the jump matrix sin(delta) / (delta - pi (j-k)) is Cauchy at delta = pi/2
+    cols = _sweep_columns(tmp_path, _triangle(math.pi), [5, 6, 7, 8])
+    assert cols["delta_L"] == [math.pi / 2] * 4 and cols["n_L"] == [0] * 4
+    for n, value in zip(cols["N"], cols["log_Dtilde_sq"]):
+        assert abs(value - cauchy_fh_logdet_sq(math.pi / 2, int(n))) <= 1e-10, n
+
+
+def test_sweep_at_delta_zero_with_even_n(tmp_path):
+    # flux pi: n_L = 1 and delta_L = 0, so the jump matrix is -I and C_{N,L} = |D|^2
+    cols = _sweep_columns(tmp_path, _triangle(2.0 * math.pi), [4, 6, 8])
+    assert cols["delta_L"] == [0.0] * 3 and cols["n_L"] == [1] * 3
+    assert cols["log_Dtilde_sq"] == [0.0] * 3
+    assert cols["C_ratio"] == [math.exp(v) for v in cols["log_D_sq"]]
+
+
+# -- energy honours bc
+
+# the energy CSV rows of this config before bc was read, unchanged since
+PERIODIC_ENERGY_ROWS = [
+    "216ae66e2377,101,50.5,1,-1.1415926535897933,odd,0.051613219276443002,0.051613219276443016,"
+    "5.212935146920743,5.2129351469207439,1.7037971788787129e-16",
+    "216ae66e2377,1000,500,1,-1.1415926535897933,even,0.019558611522559832,0.019558611522559843,"
+    "19.558611522559833,19.558611522559833,0",
+]
+
+
+def test_energy_periodic_rows_are_unchanged(tmp_path):
+    config = _write_config(tmp_path, experiment="energy", potential=POTENTIAL, n_grid=[101, 1000])
+    assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert (tmp_path / "out" / "energy.csv").read_text().splitlines()[1:] == PERIODIC_ENERGY_ROWS
+
+
+def test_energy_dirichlet_writes_zeros(tmp_path, capsys):
+    config = _write_config(tmp_path, experiment="energy", bc="dirichlet", potential=POTENTIAL, n_grid=[101, 1000])
+    assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    header, *rows = [line.split(",") for line in (tmp_path / "out" / "energy.csv").read_text().splitlines()]
+    for row in rows:
+        values = dict(zip(header, row))
+        for column in ("energy_difference", "direct_difference", "N_times_diff", "limit", "rel_err"):
+            assert values[column] == "0", (column, row)
+    assert "N*dE = 0 vs limit 0" in capsys.readouterr().out

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from flux_catastrophe.overlap import (
     flux_matrix,
     overlap_matrix,
     periodic_flux_closed_form,
-    periodic_split_symbols,
 )
 from flux_catastrophe.potential import (
     GaussianBump,
@@ -34,7 +35,7 @@ from flux_catastrophe.potential import (
     zero_potential,
 )
 from flux_catastrophe.spectrum import BoundaryCondition
-from oracles import BasisSpec, assemble_toeplitz, dense_overlap_matrix, dirichlet_flux_masked
+from oracles import BasisSpec, assemble_toeplitz, dense_overlap_matrix, dirichlet_flux_masked, half_fluxes
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -44,7 +45,7 @@ def test_zero_potential_gives_identity_overlap(zero_pot):
     for bc in (PER, DIR):
         m = overlap_matrix(zero_pot, bc, 12, 6.0)
         assert_allclose(m, np.eye(12), atol=1e-12)
-        assert math.exp(2 * log_det(m).log_magnitude) == pytest.approx(1.0, abs=1e-12)
+        assert math.exp(2 * log_det(m)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_periodic_overlap_2x2_vs_independent_quadrature():
@@ -111,8 +112,7 @@ def test_periodic_flux_matrix_det_2x2():
     m = flux_matrix(gaussian_bump_with_flux(delta), PER, 2, 4.0)
     s = fh_matrix(delta, 2)
     det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-    ld = log_det(m)
-    assert_allclose(math.exp(ld.log_magnitude), abs(det), rtol=1e-13)
+    assert_allclose(math.exp(log_det(m)), abs(det), rtol=1e-13)
 
 
 def test_periodic_flux_matrix_sign_for_odd_n_L():
@@ -139,14 +139,13 @@ def test_overlap_det_bounded_by_one():
     a = gaussian_bump_with_flux(1.2)
     for N in (4, 16, 33):
         m = overlap_matrix(a, PER, N, max(8.0, N / 2))
-        val = math.exp(2 * log_det(m).log_magnitude)
+        val = math.exp(2 * log_det(m))
         assert -1e-12 <= val <= 1.0 + 1e-10
 
 
 def test_c_ratio_consistency_identity(bump_quarter_pi):
-    res = evaluate_point(bump_quarter_pi, PER, 24, 12.0).overlap
-    expected = math.exp(2.0 * (res.logdet_exact.log_magnitude - res.logdet_flux.log_magnitude))
-    assert_allclose(res.c_ratio, expected, rtol=1e-14)
+    res = evaluate_point(bump_quarter_pi, PER, 24, 12.0)
+    assert_allclose(res.c_ratio, math.exp(res.log_D_sq - res.log_Dtilde_sq), rtol=1e-14)
 
 
 # the factorization lemma's band gate runs as the CLI's lemma_check experiment
@@ -186,25 +185,25 @@ def test_lemma_check_rejects_small_L(tmp_path, capsys):
 
 
 def test_delta_bound_zero_potential(zero_pot):
-    chk = evaluate_point(zero_pot, PER, 8, 5.0).bound_check
+    chk = evaluate_point(zero_pot, PER, 8, 5.0)
     assert chk.trace_norm_delta == pytest.approx(0.0, abs=1e-11)
     assert chk.bound == 0.0
-    assert chk.holds
+    assert chk.bound_holds
 
 
 def test_delta_bound_scales_with_density(bump_quarter_pi):
     # bound = (N/L) * weighted_l1 = 2 rho * weighted_l1, independent of N at fixed rho
     rho = 1.0
-    chk1 = evaluate_point(bump_quarter_pi, PER, 16, 16 / (2 * rho)).bound_check
-    chk2 = evaluate_point(bump_quarter_pi, PER, 32, 32 / (2 * rho)).bound_check
+    chk1 = evaluate_point(bump_quarter_pi, PER, 16, 16 / (2 * rho))
+    chk2 = evaluate_point(bump_quarter_pi, PER, 32, 32 / (2 * rho))
     assert_allclose(chk1.bound, chk2.bound, rtol=1e-12)
-    assert chk1.holds and chk2.holds
+    assert chk1.bound_holds and chk2.bound_holds
 
 
 def test_delta_bound_holds_both_bcs(bump_quarter_pi):
     for bc in (PER, DIR):
-        chk = evaluate_point(bump_quarter_pi, bc, 48, 24.0).bound_check
-        assert chk.holds, (bc, chk)
+        chk = evaluate_point(bump_quarter_pi, bc, 48, 24.0)
+        assert chk.bound_holds, (bc, chk)
 
 
 def _delta_n(a, bc, N, L):
@@ -256,15 +255,15 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
 def test_evaluate_point_matches_each_quantity_built_directly(bc):
     a = gaussian_bump_with_flux(2.0)
     point = evaluate_point(a, bc, 40, 20.0)
-    res, check = point.overlap, point.bound_check
     prof = flux_profile(a, 20.0)
-    assert (res.delta_L, res.n_L) == (prof.delta_L, prof.n_L)
-    assert res.logdet_exact == log_det(overlap_matrix(a, bc, 40, 20.0))
-    assert res.logdet_flux == log_det(flux_matrix(a, bc, 40, 20.0))
-    assert res.c_ratio == math.exp(2.0 * (res.logdet_exact.log_magnitude - res.logdet_flux.log_magnitude))
-    assert check.trace_norm_delta == trace_norm(_delta_n(a, bc, 40, 20.0))
-    assert check.bound == 40 / 20.0 * moment_integrals(a, 20.0)[1]
-    assert check.holds == (check.trace_norm_delta <= check.bound + 1e-8)
+    assert (point.delta_L, point.n_L) == (prof.delta_L, prof.n_L)
+    ld_exact = log_det(overlap_matrix(a, bc, 40, 20.0))
+    ld_flux = log_det(flux_matrix(a, bc, 40, 20.0))
+    assert (point.log_D_sq, point.log_Dtilde_sq) == (2.0 * ld_exact, 2.0 * ld_flux)
+    assert point.c_ratio == math.exp(2.0 * (ld_exact - ld_flux))
+    assert point.trace_norm_delta == trace_norm(_delta_n(a, bc, 40, 20.0))
+    assert point.bound == 40 / 20.0 * moment_integrals(a, 20.0)
+    assert point.bound_holds == (point.trace_norm_delta <= point.bound + 1e-8)
 
 
 # -- factored build from O(N) verified coefficients ---------------------------
@@ -353,9 +352,11 @@ def test_dirichlet_quadrature_check_bounds_entrywise_change(N):
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
-def test_unsettled_quadrature_raises_with_achieved_error(bc):
+def test_unsettled_quadrature_raises_with_achieved_error(bc, monkeypatch):
+    monkeypatch.setattr(overlap_module, "_QUADRATURE_TOL", 1e-30)
+    monkeypatch.setattr(overlap_module, "_MAX_REFINE", 2)
     with pytest.raises(NumericalError) as info:
-        overlap_matrix(gaussian_bump_with_flux(2.0), bc, 16, 8.0, quadrature_tol=1e-30, max_refine=2)
+        overlap_matrix(gaussian_bump_with_flux(2.0), bc, 16, 8.0)
     assert info.value.context["requested"] == 1e-30
     assert info.value.context["achieved"] > 1e-30
 
@@ -368,11 +369,6 @@ def test_sweep_potentials_accept_the_refine_one_build(bc, N):
     coarse, fine = (_coefficients(a, bc, N, L, r) for r in (0, 1))
     assert overlap_module._entry_change_bound(bc, coarse, fine, L) <= 1e-10
     assert np.array_equal(overlap_matrix(a, bc, N, L), _assemble(bc, fine, N, L))
-
-
-def test_max_refine_below_one_is_a_domain_error():
-    with pytest.raises(DomainError, match="max_refine"):
-        overlap_matrix(gaussian_bump_with_flux(math.pi / 4), PER, 16, 8.0, max_refine=0)
 
 
 MEMORY_CASES = [(bc, build) for build in (overlap_matrix, flux_matrix) for bc in (PER, DIR)] + [(PER, fh_matrix)]
@@ -431,10 +427,84 @@ def test_overlap_matrix_matches_reference_assembly_on_random_potentials(n_L, dat
         reference = assemble_toeplitz(symbol, basis, breakpoints=a.breakpoints)
         assert float(np.max(np.abs(m - reference))) <= 1e-10, bc
         # a compression of the unitary multiplication by e^{i g}: |det| <= 1
-        assert log_det(m).log_magnitude <= 1e-12, bc
+        assert log_det(m) <= 1e-12, bc
 
 
-# -- symbol splitting ---------------------------------------------------------
+# -- symbol splitting (periodic proof of the factorization lemma) ------------
+
+
+@dataclass(frozen=True)
+class SplitSymbols:
+    """The four hermitian split symbols e^+, e^-, f^+, f^- of the periodic proof.
+
+    With Theta the Heaviside function (Theta(0) = 1, so x = 0 belongs to
+    the '+' branch and the '-' branch is supported on x < 0):
+
+        e^{i g_L} - e^{i g~_L} = e^+ + e^- + i (f^- - f^+)   pointwise.
+    """
+
+    e_plus: Callable[[np.ndarray], np.ndarray]
+    e_minus: Callable[[np.ndarray], np.ndarray]
+    f_plus: Callable[[np.ndarray], np.ndarray]
+    f_minus: Callable[[np.ndarray], np.ndarray]
+    exact_symbol: Callable[[np.ndarray], np.ndarray]
+    flux_symbol: Callable[[np.ndarray], np.ndarray]
+
+    def reconstruction(self, x):
+        return self.e_plus(x) + self.e_minus(x) + 1j * (self.f_minus(x) - self.f_plus(x))
+
+    def difference(self, x):
+        return self.exact_symbol(x) - self.flux_symbol(x)
+
+
+def heaviside(x):
+    """Heaviside step with Theta(0) = 1."""
+    return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, 0.0)
+
+
+def periodic_split_symbols(a, L: float) -> SplitSymbols:
+    prof = flux_profile(a, L)
+    phi_plus, phi_minus = half_fluxes(a, L)
+    delta = prof.delta_L
+    total = prof.total_flux
+
+    def g(x):
+        return prof.phi_at(x) - delta * np.asarray(x, dtype=float) / L
+
+    def g_tilde(x):
+        x = np.asarray(x, dtype=float)
+        sgn = np.where(x >= 0.0, 1.0, -1.0)  # sign(0) = +1, matching Theta(0) = 1
+        return total * sgn - delta * x / L
+
+    def e_plus(x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 * heaviside(x) * np.sin(0.5 * phi_plus(x) - delta * x / L) * np.sin(0.5 * phi_minus(x))
+
+    def _minus_branch(x):
+        # Theta(-x) restricted to the complement of the '+' branch: since
+        # Theta(0) = 1 assigns x = 0 to '+', the '-' symbols live on x < 0.
+        return np.where(np.asarray(x, dtype=float) < 0.0, 1.0, 0.0)
+
+    def e_minus(x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 * _minus_branch(x) * np.sin(0.5 * phi_minus(x) + delta * x / L) * np.sin(0.5 * phi_plus(x))
+
+    def f_plus(x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 * heaviside(x) * np.cos(0.5 * phi_plus(x) - delta * x / L) * np.sin(0.5 * phi_minus(x))
+
+    def f_minus(x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 * _minus_branch(x) * np.cos(0.5 * phi_minus(x) + delta * x / L) * np.sin(0.5 * phi_plus(x))
+
+    return SplitSymbols(
+        e_plus=e_plus,
+        e_minus=e_minus,
+        f_plus=f_plus,
+        f_minus=f_minus,
+        exact_symbol=lambda x: np.exp(1j * g(x)),
+        flux_symbol=lambda x: np.exp(1j * g_tilde(x)),
+    )
 
 
 def test_split_symbol_reconstruction_identity(bump_quarter_pi):

@@ -1,0 +1,74 @@
+"""Every public name in the package is used by the package itself.
+
+The shipped package holds what the CLI runs; proof devices, oracles and
+other test-only code live under tests/.  This walks the AST of
+src/flux_catastrophe/*.py and follows references from the module-level
+code that is not a definition (the ``__main__`` entry points), through the
+bodies of the top-level definitions they reach.  A public top-level name
+that is never reached is reported: a name used only by its own definition,
+by tests, or by other unreached code counts as unused.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "flux_catastrophe"
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Names read in ``node``: bare names and attributes such as ``module.name``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def unreached_public_names(src: Path = SRC) -> list[str]:
+    bodies: dict[str, list[ast.stmt]] = {}
+    roots: set[str] = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = _defined_names(node)
+            for name in names:
+                bodies.setdefault(name, []).append(node)
+            if not names and not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _referenced(node)
+    reached: set[str] = set()
+    pending = [name for name in roots if name in bodies]
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in bodies[name]:
+            pending.extend(n for n in _referenced(node) if n in bodies and n not in reached)
+    return sorted(name for name in bodies if not name.startswith("_") and name not in reached)
+
+
+def test_every_public_name_is_used_by_the_package():
+    assert unreached_public_names() == []
+
+
+def test_the_walk_reports_an_unused_name(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def main():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def only_tests():\n    return only_tests_too()\n\n"
+        "def only_tests_too():\n    return 2\n\n"
+        "if __name__ == '__main__':\n    main()\n"
+    )
+    assert unreached_public_names(tmp_path) == ["only_tests", "only_tests_too"]

@@ -16,15 +16,10 @@ from flux_catastrophe.potential import (
 )
 from flux_catastrophe.spectrum import (
     BoundaryCondition,
-    GroundStateSpec,
-    eigenvalue_multiplicities,
-    eigensystem,
     energy_difference,
     energy_difference_direct,
     finite_size_energy,
-    ground_state_energy,
     occupied_indices,
-    perturbed_multiplicities,
 )
 
 from oracles import energy_difference_mp
@@ -33,30 +28,17 @@ PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
 
 
-def test_dirichlet_ground_state_energy_closed_form():
-    # (pi/2)^2 (1 + 4 + 9) with L = 1, independent of the potential
-    expected = (math.pi / 2) ** 2 * 14
-    a = gaussian_bump_with_flux(0.9, support_radius=0.8)
-    assert_allclose(ground_state_energy(DIR, a, 3, 1.0, perturbed=True), expected, rtol=1e-15)
-    assert_allclose(ground_state_energy(DIR, None, 3, 1.0), expected, rtol=1e-15)
-
-
-def test_periodic_free_energy():
-    assert_allclose(ground_state_energy(PER, None, 3, 1.0), 2 * math.pi**2, rtol=1e-15)
-
-
 def test_periodic_perturbed_single_particle_minimum():
     a = gaussian_bump_with_flux(2.9)  # n_L = 1, delta_L = 2.9 - pi
     L = 6.0
-    from flux_catastrophe.potential import flux_profile
-
     prof = flux_profile(a, L)
-    e1 = ground_state_energy(PER, a, 1, L, perturbed=True)
+    # one free particle sits at j = 0 with energy 0, so E_a - E_0 is the
+    # perturbed one-particle ground energy of the window {-n_L}
+    e1 = energy_difference_direct(PER, a, 1, L)
     assert_allclose(e1, (prof.delta_L / L) ** 2, rtol=1e-13)
-    # and it is really the minimum over a wide index range
-    es = eigensystem(PER, a, L)
+    # and it is really the minimum of ((j pi + Phi_L(L)) / L)^2 over a wide index range
     js = np.arange(-50, 51)
-    assert e1 <= np.min(es.perturbed_eigenvalue(js)) + 1e-15
+    assert e1 <= np.min(((js * math.pi + prof.total_flux) / L) ** 2) + 1e-15
 
 
 def test_occupied_windows_match_convention():
@@ -64,8 +46,6 @@ def test_occupied_windows_match_convention():
     assert occupied_indices(PER, 4, 0).tolist() == [-2, -1, 0, 1]
     assert occupied_indices(PER, 5, 2).tolist() == [-4, -3, -2, -1, 0]
     assert occupied_indices(DIR, 4).tolist() == [1, 2, 3, 4]
-    spec = GroundStateSpec.build(PER, 4, 1)
-    assert spec.m == 2 and len(spec.occupied) == 4
 
 
 def test_energy_difference_closed_forms():
@@ -98,9 +78,8 @@ def test_energy_difference_matches_direct_summation():
         closed = energy_difference(PER, a, N, L)
         direct = energy_difference_direct(PER, a, N, L)
         assert abs(closed - direct) <= 1e-10 * max(abs(closed), abs(direct), 1e-30)
-        free = ground_state_energy(PER, a, N, L, perturbed=False)
-        pert = ground_state_energy(PER, a, N, L, perturbed=True)
-        assert abs(closed - (pert - free)) <= 1e-10 * max(abs(closed), 1.0)
+        levels = float(energy_difference_mp(flux_profile(a, L).total_flux, N, L))
+        assert abs(closed - levels) <= 1e-10 * max(abs(closed), 1.0)
 
 
 @pytest.mark.parametrize("N", [100001, 1000001])
@@ -159,27 +138,3 @@ def test_two_limit_points_are_distinct():
     assert_allclose(odd, finite_size_energy(a, "odd", rho), rtol=1e-3)
     assert_allclose(even, finite_size_energy(a, "even", rho), rtol=1e-3)
     assert abs(odd[-1] - even[-1]) > 1.0
-
-
-def test_degeneracy_bookkeeping():
-    # integer flux multiple of pi: all nonzero eigenvalues doubly degenerate
-    a_int = gaussian_bump_with_flux(math.pi)  # n_L = 1, delta_L = 0
-    mult = perturbed_multiplicities(a_int, 8.0, range(-7, 6))  # window centred at -n_L = -1
-    counts = sorted(c for _, c in mult)
-    assert counts.count(2) >= 5 and counts.count(1) == 1  # only the zero mode is simple
-
-    # half-integer flux: everything pairs up
-    a_half = gaussian_bump_with_flux(math.pi / 2)
-    mult = perturbed_multiplicities(a_half, 8.0, range(-6, 6))
-    assert all(c == 2 for _, c in mult)
-
-    # generic flux: all simple
-    a_gen = gaussian_bump_with_flux(0.9)
-    mult = perturbed_multiplicities(a_gen, 8.0, range(-6, 7))
-    assert all(c == 1 for _, c in mult)
-
-
-def test_eigenvalue_multiplicities_tolerance():
-    vals = [1.0, 1.0 + 1e-14, 2.0, 3.0, 3.0 + 5e-13 * 3]
-    clustered = eigenvalue_multiplicities(vals, tol=1e-12)
-    assert [c for _, c in clustered] == [2, 1, 2]
