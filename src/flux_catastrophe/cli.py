@@ -134,8 +134,8 @@ class ExperimentConfig:
             errors.append(f"n_grid: must be a nonempty strictly increasing list of integers, got {n_grid!r}")
         delta = raw.get("delta_override")
         if delta is not None:
-            if not _is_number(delta) or abs(delta) >= math.pi / 2:
-                errors.append(f"delta_override: must be a number with |delta| < pi/2, got {delta!r}")
+            if not _is_number(delta) or abs(delta) > math.pi / 2:
+                errors.append(f"delta_override: must be a number with |delta| <= pi/2, got {delta!r}")
         out = raw.get("output_path", "results")
         if not isinstance(out, str) or not out:
             errors.append(f"output_path: must be a nonempty string, got {out!r}")

@@ -1,8 +1,8 @@
 """Toeplitz matrices as plain arrays, their log-determinants and norms.
 
 The overlap objects are N x N arrays: classical Toeplitz in the plane-wave
-basis of the periodic problem, Toeplitz-plus-Hankel in the Dirichlet
-sine/cosine basis.  This module holds what every consumer shares: the
+basis of the periodic problem, Toeplitz-minus-Hankel in the Dirichlet
+sine basis.  This module holds what every consumer shares: the
 strided Toeplitz view that turns 2N - 1 coefficients into a matrix, the
 closed-form jump-symbol matrix fh_matrix, the log-determinant, the
 certified trace norm and the power-iteration operator norm.

@@ -15,16 +15,18 @@ g~_L(x) = Phi_L(L) sign(x) - delta_L x / L has the exact entries
 (-1)^{n_L} sin(delta_L) / (delta_L - pi (j-k)); the sign flip for odd n_L is
 invisible in |det| but matters for the entrywise difference Delta_N.
 
-Dirichlet case.  g_L = Phi_L in the sine/cosine basis; products of two
-basis functions reduce to single cosines/sines, so the N^2 entries are
-assembled from O(N) one-dimensional integrals.  The jump-symbol matrix has
-the closed form with diagonal cos(Phi_L(L)) and off-diagonal entries
-(2i/pi) sin(Phi_L(L)) [1/(j+k) +- 1/(j-k)] on opposite parities.
+Dirichlet case.  g_L = Phi_L.  In y = pi (x + L) / 2L the free
+eigenfunctions are sin(j y) / sqrt(L), so entry (j, k) is c_{|j-k|} - c_{j+k}
+with c_m = (1/pi) int_0^pi e^{i Phi_L} cos(m y) dy, m = 0..2N: a
+Toeplitz-minus-Hankel matrix, as in Deift, Its & Krasovsky (Ann. of
+Math. 174, 2011).  Outside the support e^{i Phi_L} is constant, so those
+parts of c_m are closed-form cosine integrals.  The jump symbol has
+c~_0 = cos(Phi_L(L)) and c~_m = -(2i/pi) sin(Phi_L(L)) sin(m pi/2) / m.
 
-Support sums.  Both bases need S[m] = sum_x w_x f(x) e^{i m h x} over the
-support's quadrature nodes for M = 2N -+ 1 consecutive m: the periodic t_d
-at h = pi/L, and the Dirichlet I_cos = (P_+ + P_-)/2, I_sin = (P_+ - P_-)/2i
-from the sums P_+ at +h and P_- at -h, h = pi/2L.  Writing m = B q + r with
+Support sums.  Both bases need S[m] = sum_u w_u f(u) e^{i m h u} over the
+support's quadrature nodes u for M consecutive m: the periodic t_d
+(nodes x, h = pi/L) and the Dirichlet c_m (nodes y and -y, h = 1, since
+cos(m y) is the mean of e^{+-i m y}).  Writing m = B q + r with
 B = ceil(sqrt(M)) turns each phase into a product of two exponentials, so
 B + M/B rows of exp and one complex matrix product replace M x n
 exponentials.
@@ -32,13 +34,9 @@ exponentials.
 Quadrature check.  The doubling check (refine 0 against refine 1, and on
 while needed) compares the O(N) coefficient vectors, not two N x N
 matrices.  Periodic entries are the t_d themselves, so max |dt_d| is the
-entrywise change exactly; a Dirichlet entry is (+-I[|j-k|] +- I[j+k]) / 2L,
-so max(|dI_cos|, |dI_sin|) / L bounds every entry change from above.  The
-accepted coefficients are assembled once: the periodic matrix is a copy of
-a strided Toeplitz view, and each Dirichlet row is a Toeplitz part in j - k
-plus a Hankel part in j + k with signs set by the row's parity.  The
-Dirichlet jump-symbol matrix goes through the same assembler from its
-closed-form integrals.
+entrywise change exactly; a Dirichlet entry is c_{|j-k|} - c_{j+k}, so
+2 max |dc_m| bounds every entry change from above.  The accepted vector is
+assembled once, from strided Toeplitz and Hankel views.
 
 Delta_N has low numerical rank.  In both bases the exact and the jump
 symbol agree outside the support [-R, R], so
@@ -69,7 +67,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError
 from .matrixcore import _toeplitz, fh_matrix, log_det, trace_norm
-from .potential import FluxProfile, MagneticPotential, flux_profile, moment_integrals
+from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
 from .quadrature import build_edges, cis_integral, gauss_legendre_rule
 from .spectrum import BoundaryCondition
 
@@ -106,7 +104,7 @@ def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndar
 
 def _periodic_overlap_coefficients(
     a: MagneticPotential, L: float, prof: FluxProfile, N: int, refine: int
-) -> tuple[np.ndarray]:
+) -> np.ndarray:
     """The 2N-1 Toeplitz coefficients t_d of e^{i g_L}, d = -(N-1) .. N-1."""
     delta = prof.delta_L
     total = prof.total_flux
@@ -118,79 +116,34 @@ def _periodic_overlap_coefficients(
     middle = _phase_sums(np.pi / L, -(N - 1), 2 * N - 1, nodes, np.exp(1j * g) * weights)
     right = np.exp(1j * total) * cis_integral(omega, R, L) if L > R else 0.0
     left = np.exp(-1j * total) * cis_integral(omega, -L, -R) if L > R else 0.0
-    return ((middle + right + left) / (2.0 * L),)
+    return (middle + right + left) / (2.0 * L)
 
 
-def _dirichlet_trig_integrals(
+def _dirichlet_cosine_coefficients(
     a: MagneticPotential, L: float, prof: FluxProfile, N: int, refine: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """I_cos[m], I_sin[m] = int e^{i Phi_L(x)} {cos, sin}(pi m x / 2L) dx, m = 0..2N."""
+) -> np.ndarray:
+    """c_m = (1/pi) int_0^pi e^{i Phi_L} cos(m y) dy, m = 0..2N, with y = pi (x + L) / 2L."""
     M = 2 * N + 1
     h = np.pi / (2.0 * L)
-    omega = h * np.arange(M)
-    R, nodes, weights = _support_nodes(a, L, float(omega[-1]), refine)
-    eig = np.exp(1j * prof.phi_at(nodes)) * weights
-    plus = _phase_sums(h, 0, M, nodes, eig)
-    minus = _phase_sums(-h, 0, M, nodes, eig)
-    icos = 0.5 * (plus + minus)
-    isin = -0.5j * (plus - minus)
+    R, nodes, weights = _support_nodes(a, L, h * (M - 1), refine)
+    y = h * (nodes + L)
+    # dy / pi = dx / 2L, and cos(m y) is the mean of e^{i m y} and e^{-i m y}
+    half = np.exp(1j * prof.phi_at(nodes)) * weights / (4.0 * L)
+    c = _phase_sums(1.0, 0, M, np.concatenate([y, -y]), np.concatenate([half, half]))
     if L > R:
+        # e^{i Phi_L} is e^{-i phi} below y(-R) and e^{+i phi} above y(R)
+        m = np.arange(M)
         phi = prof.total_flux
-        # on the outer intervals e^{i Phi_L} is the constant e^{+-i phi}, and
-        # Re/Im of int e^{i w x} dx give the cosine/sine integrals directly
-        right = cis_integral(omega, R, L)
-        left = cis_integral(omega, -L, -R)
-        icos += np.exp(1j * phi) * right.real + np.exp(-1j * phi) * left.real
-        isin += np.exp(1j * phi) * right.imag + np.exp(-1j * phi) * left.imag
-    return icos, isin
+        below = cis_integral(m, 0.0, h * (L - R)).real
+        above = cis_integral(m, h * (L + R), np.pi).real
+        c += (np.exp(-1j * phi) * below + np.exp(1j * phi) * above) / np.pi
+    return c
 
 
-def _hankel(h: np.ndarray, N: int) -> np.ndarray:
-    """Read-only N x N view with entry (j, k) = h[j + k]."""
-    return sliding_window_view(h, N)
-
-
-def _dirichlet_matrix(icos: np.ndarray, isin: np.ndarray, N: int, L: float) -> np.ndarray:
-    """Dirichlet matrix entries, j, k = 1..N, from I_cos[m] and I_sin[m], m = 0..2N.
-
-    phi_j is a cosine for odd j and a sine for even j, so every product is
-    a cosine or a sine of (j - k) and of (j + k): each row is a Toeplitz
-    part in j - k plus a Hankel part in j + k, with signs set by the row's
-    parity.  Same-parity pairs (even m) read I_cos, mixed pairs (odd m)
-    read I_sin.
-    """
-    d = np.arange(-(N - 1), N)
-    s = np.arange(2, 2 * N + 1)
-    diff_even = d % 2 == 0
-    sum_even = s % 2 == 0
-    cos_diff = icos[np.abs(d)]
-    sin_diff = np.sign(d) * isin[np.abs(d)]
-    out = np.empty((N, N), dtype=complex)
-    # rows j = 1, 3, ... (cosines) sit at 0-based 0::2, rows j = 2, 4, ... at 1::2
-    np.add(
-        _toeplitz(np.where(diff_even, cos_diff, -sin_diff), N)[0::2],
-        _hankel(np.where(sum_even, icos[s], isin[s]), N)[0::2],
-        out=out[0::2],
-    )
-    np.add(
-        _toeplitz(np.where(diff_even, cos_diff, sin_diff), N)[1::2],
-        _hankel(np.where(sum_even, -icos[s], isin[s]), N)[1::2],
-        out=out[1::2],
-    )
-    out /= 2.0 * L
-    return out
-
-
-def _entry_change_bound(bc: BoundaryCondition, coarse, fine, L: float) -> float:
-    """Largest entry change between two builds, from their coefficient vectors.
-
-    Periodic entries are the t_d themselves, so max |dt_d| is the entrywise
-    maximum exactly.  A Dirichlet entry is (+-I[|j-k|] +- I[j+k]) / 2L, so
-    max(|dI_cos|, |dI_sin|) / L bounds every entry change from above (the
-    assembly's own rounding, about 1e-16, aside).
-    """
-    worst = max(float(np.max(np.abs(f - c))) for c, f in zip(coarse, fine))
-    return worst if bc is BoundaryCondition.PERIODIC else worst / L
+def _toeplitz_minus_hankel(c: np.ndarray, N: int) -> np.ndarray:
+    """N x N matrix with entry (j, k) = c[|j - k|] - c[j + k], j, k = 1..N, from c[0 .. 2N]."""
+    toeplitz = _toeplitz(np.concatenate([c[N - 1 : 0 : -1], c[:N]]), N)
+    return np.subtract(toeplitz, sliding_window_view(c[2:], N))
 
 
 # Quadrature doubling check: refine until no entry moves by more than
@@ -220,12 +173,14 @@ def overlap_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
         )
     prof = flux_profile(a, L)
     periodic = bc is BoundaryCondition.PERIODIC
-    coefficients = _periodic_overlap_coefficients if periodic else _dirichlet_trig_integrals
+    coefficients = _periodic_overlap_coefficients if periodic else _dirichlet_cosine_coefficients
+    # an entry is t_{j-k} (periodic) or c_{|j-k|} - c_{j+k} (Dirichlet)
+    coefficients_per_entry = 1.0 if periodic else 2.0
 
     current = coefficients(a, L, prof, N, 0)
     for refine in range(1, _MAX_REFINE + 1):
         refined = coefficients(a, L, prof, N, refine)
-        worst = _entry_change_bound(bc, current, refined, L)
+        worst = coefficients_per_entry * float(np.max(np.abs(refined - current)))
         current = refined
         if worst <= _QUADRATURE_TOL:
             break
@@ -235,7 +190,7 @@ def overlap_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
             achieved=worst,
             requested=_QUADRATURE_TOL,
         )
-    return _toeplitz(current[0], N).copy() if periodic else _dirichlet_matrix(*current, N, L)
+    return _toeplitz(current, N).copy() if periodic else _toeplitz_minus_hankel(current, N)
 
 
 def periodic_flux_closed_form(delta: float, n_L: int, N: int) -> np.ndarray:
@@ -249,19 +204,21 @@ def periodic_flux_closed_form(delta: float, n_L: int, N: int) -> np.ndarray:
 def dirichlet_flux_closed_form(total_flux: float, N: int) -> np.ndarray:
     """Closed-form Dirichlet matrix of the jump symbol e^{i Phi_L(L) sign(x)}.
 
-    The entries read I_cos only at even m and I_sin only at odd m, and for
-    the jump symbol those are closed: I_cos[0] = 2L cos(Phi), I_cos[m] = 0
-    for even m > 0, I_sin[m] = 4iL sin(Phi) / (pi m) for odd m.  L cancels
-    from the entries (2L = 1 below): diagonal cos(Phi);
-    (2i/pi) sin(Phi) [1/(j+k) + 1/(j-k)] for even row j, odd column k; the
-    same with a minus on 1/(j-k) for odd j, even k; zero when j +- k is even.
+    The symbol is e^{-i Phi} for y < pi/2 and e^{+i Phi} above, so its
+    cosine coefficients are c~_0 = cos(Phi) and
+    c~_m = -(2i/pi) sin(Phi) sin(m pi/2) / m, which vanishes for even m > 0:
+    the diagonal is cos(Phi), and off it only opposite parities couple.
+    At delta_L = pi/2 (Phi an odd multiple of pi/2) c~_0 is set to exactly
+    0, where math.cos would leave 6e-17: the matrix is then exactly
+    singular for odd N, whose index set splits into parity classes of
+    unequal size.
     """
     odd = np.arange(1, 2 * N + 1, 2)
-    icos = np.zeros(2 * N + 1, dtype=complex)
-    icos[0] = math.cos(total_flux)
-    isin = np.zeros(2 * N + 1, dtype=complex)
-    isin[odd] = 2j * math.sin(total_flux) / (math.pi * odd)
-    return _dirichlet_matrix(icos, isin, N, 0.5)
+    c = np.zeros(2 * N + 1, dtype=complex)
+    c[0] = 0.0 if flux_decomposition(total_flux)[1] == math.pi / 2 else math.cos(total_flux)
+    # sin(m pi/2) = (-1)^((m-1)/2) for odd m
+    c[odd] = -2j * math.sin(total_flux) / (math.pi * odd) * (-1.0) ** (odd // 2)
+    return _toeplitz_minus_hankel(c, N)
 
 
 def flux_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> np.ndarray:

@@ -49,6 +49,11 @@ def _panel_integral(f, lo, hi, x, w):
     return half * np.sum(w * f(nodes), axis=-1)
 
 
+# points of the Gauss-Legendre rule on each panel, and the deepest bisection
+_PANEL_POINTS = 15
+_MAX_DEPTH = 40
+
+
 def adaptive_gauss_legendre(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -57,8 +62,6 @@ def adaptive_gauss_legendre(
     abs_tol: float = 1e-12,
     breakpoints: Sequence[float] = (),
     max_width: float | None = None,
-    npts: int = 15,
-    max_depth: int = 40,
 ) -> float | complex:
     """Integrate ``f`` over [a, b] by recursive panel bisection.
 
@@ -77,7 +80,7 @@ def adaptive_gauss_legendre(
         raise ValueError("integration bounds must satisfy a <= b")
     if b == a:
         return 0.0
-    x, w = gauss_legendre_rule(npts)
+    x, w = gauss_legendre_rule(_PANEL_POINTS)
     edges = build_edges(a, b, breakpoints, max_width)
     total = 0.0 + 0.0j
     worst = 0.0
@@ -94,7 +97,7 @@ def adaptive_gauss_legendre(
         if err <= abs_tol * max((hi - lo) / span, 1e-3) or err <= 1e-16 * max(1.0, abs(fine)):
             total += fine
             worst = max(worst, err)
-        elif depth >= max_depth:
+        elif depth >= _MAX_DEPTH:
             raise NumericalError(
                 "adaptive quadrature did not converge",
                 interval=(lo, hi),

@@ -39,17 +39,14 @@ class BoundaryCondition(str, Enum):
             raise DomainError(f"unknown boundary condition {value!r}") from None
 
 
-def occupied_indices(bc: BoundaryCondition, N: int, n_shift: int = 0) -> np.ndarray:
-    """Occupied one-particle indices of the N-fermion ground state.
+def occupied_indices(N: int, n_shift: int = 0) -> np.ndarray:
+    """Occupied one-particle indices of the periodic N-fermion ground state.
 
-    Periodic: the window is centred at -n_shift (n_shift = n_L for the
-    perturbed state, 0 for the free one).  Dirichlet: always 1..N.
+    The window is centred at -n_shift (n_shift = n_L for the perturbed
+    state, 0 for the free one).
     """
-    bc = BoundaryCondition.parse(bc)
     if N < 1:
         raise DomainError("N must be >= 1")
-    if bc is BoundaryCondition.DIRICHLET:
-        return np.arange(1, N + 1)
     m = N // 2
     if N % 2 == 1:
         return np.arange(-m - n_shift, m - n_shift + 1)
@@ -90,8 +87,8 @@ def energy_difference_direct(bc: BoundaryCondition, a: MagneticPotential | None,
     prof = flux_profile(a, L) if a is not None else None
     total = prof.total_flux if prof is not None else 0.0
     n_L = prof.n_L if prof is not None else 0
-    free = occupied_indices(bc, N, 0)
-    pert = occupied_indices(bc, N, n_L)
+    free = occupied_indices(N, 0)
+    pert = occupied_indices(N, n_L)
     sum_p = int(np.sum(pert))
     squares_diff = int(np.sum((pert - free) * (pert + free)))
     return (math.pi**2 * squares_diff + 2.0 * math.pi * total * sum_p + N * total * total) / (L * L)

@@ -6,9 +6,10 @@ at all, raw partial sums with elementary Euler-Maclaurin closures instead
 of the recurrence-based polygamma, and midpoint Riemann sums instead of
 Gauss-Legendre panels.  The periodic energy difference is summed level by
 level in Python integers and 50-digit mpmath arithmetic.  The overlap
-matrices are rebuilt with one complex exponential per (frequency, node)
-pair and an entrywise parity-mask assembly, in place of the package's
-factored phase sums and Toeplitz-plus-Hankel views.  assemble_toeplitz
+matrices are rebuilt with one exponential or cosine per (frequency, node)
+pair and an index-array gather, in place of the package's factored phase
+sums and strided Toeplitz and Hankel views; the Dirichlet jump-symbol
+matrix is written entry by entry with integer parity signs.  assemble_toeplitz
 integrates <phi_j, f phi_k> for any symbol f over all of [-L, L] on its
 own Gauss-Legendre panels, with the basis functions evaluated directly and
 every entry checked by panel doubling, in place of the package's
@@ -238,9 +239,9 @@ def energy_difference_mp(total_flux: float, N: int, L: float) -> mpmath.mpf:
 def dense_overlap_matrix(a, periodic: bool, N: int, L: float, refine: int) -> np.ndarray:
     """T_N(e^{i g_L}) at quadrature level ``refine`` with a dense phase matrix.
 
-    Shares the support nodes, the flux profile and the exact outer-interval
-    integrals with the package; the sums over the nodes and the assembly
-    are brute force.
+    Shares the support nodes and the flux profile with the package, and
+    the periodic outer-interval integrals; the sums over the nodes, the
+    Dirichlet outer integrals and the assembly are written out.
     """
     prof = flux_profile(a, L)
     total = prof.total_flux
@@ -255,64 +256,42 @@ def dense_overlap_matrix(a, periodic: bool, N: int, L: float, refine: int) -> np
             t = t + np.exp(1j * total) * cis_integral(omega, R, L) + np.exp(-1j * total) * cis_integral(omega, -L, -R)
         rows = np.arange(N)
         return (t / (2.0 * L))[(N - 1) + rows[:, None] - rows[None, :]]
-    omega = np.pi * np.arange(0, 2 * N + 1, dtype=float) / (2.0 * L)
-    R, nodes, weights = _support_nodes(a, L, float(omega[-1]), refine)
-    eig = np.exp(1j * prof.phi_at(nodes)) * weights
-    args = np.outer(omega, nodes)
-    icos = np.cos(args) @ eig
-    isin = np.sin(args) @ eig
+    # Dirichlet: entry (j, k) = c[|j - k|] - c[j + k] in the sine basis, with
+    # c_m = (1/2L) int e^{i Phi_L} cos(m y) dx and y = pi (x + L) / 2L
+    h = np.pi / (2.0 * L)
+    m = np.arange(0, 2 * N + 1)
+    R, nodes, weights = _support_nodes(a, L, h * 2 * N, refine)
+    c = np.cos(np.outer(m, h * (nodes + L))) @ (np.exp(1j * prof.phi_at(nodes)) * weights) / (2.0 * L)
     if L > R:
-        right = cis_integral(omega, R, L)
-        left = cis_integral(omega, -L, -R)
-        icos += np.exp(1j * total) * right.real + np.exp(-1j * total) * left.real
-        isin += np.exp(1j * total) * right.imag + np.exp(-1j * total) * left.imag
-    return dirichlet_entries_masked(icos, isin, N, L)
-
-
-def dirichlet_entries_masked(icos: np.ndarray, isin: np.ndarray, N: int, L: float) -> np.ndarray:
-    """Dirichlet entries from I_cos, I_sin by one parity case per entry."""
+        # int cos(m y) dy over [0, y(-R)] and [y(R), pi], written out
+        lo, hi = h * (L - R), h * (L + R)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            below = np.where(m == 0, lo, np.sin(m * lo) / m)
+            above = np.where(m == 0, np.pi - hi, (np.sin(m * np.pi) - np.sin(m * hi)) / m)
+        c = c + (np.exp(-1j * total) * below + np.exp(1j * total) * above) / np.pi
     j = np.arange(1, N + 1)
-    jj = j[:, None]
-    kk = j[None, :]
-    diffs = jj - kk
-    sums = jj + kk
-    ic = icos[np.abs(diffs)]
-    ic_sum = icos[sums]
-    is_diff = np.sign(diffs) * isin[np.abs(diffs)]
-    is_sum = isin[sums]
-    both_even = (jj % 2 == 0) & (kk % 2 == 0)
-    both_odd = (jj % 2 == 1) & (kk % 2 == 1)
-    row_even = (jj % 2 == 0) & (kk % 2 == 1)
-    entries = np.where(
-        both_even,
-        ic - ic_sum,
-        np.where(
-            both_odd,
-            ic + ic_sum,
-            np.where(row_even, is_diff + is_sum, -is_diff + is_sum),
-        ),
-    )
-    return entries / (2.0 * L)
+    return c[np.abs(j[:, None] - j[None, :])] - c[j[:, None] + j[None, :]]
 
 
-def dirichlet_flux_masked(total_flux: float, N: int) -> np.ndarray:
-    """Dirichlet jump-symbol matrix written entry by entry: diagonal cos(Phi),
-    (2i/pi) sin(Phi) [1/(j+k) +- 1/(j-k)] on opposite parities (+ for even j)."""
-    j = np.arange(1, N + 1)
-    jj = j[:, None]
-    kk = j[None, :]
-    entries = np.zeros((N, N), dtype=complex)
-    np.fill_diagonal(entries, math.cos(total_flux))
-    odd_pair = (jj - kk) % 2 == 1
-    with np.errstate(divide="ignore"):
-        plus = 1.0 / (jj + kk) + 1.0 / np.where(jj == kk, 1, jj - kk)
-        minus = 1.0 / (jj + kk) - 1.0 / np.where(jj == kk, 1, jj - kk)
+def dirichlet_flux_entries(total_flux: float, N: int) -> np.ndarray:
+    """Dirichlet jump-symbol matrix in the sine basis, one entry at a time.
+
+    cos(Phi) on the diagonal; for odd j - k,
+    (2i/pi) sin(Phi) [s(j+k) / (j+k) - s(j-k) / (j-k)] with
+    s(m) = sin(m pi/2) = (-1)^((m-1)/2) from integer arithmetic; zero when
+    j - k is even and nonzero.
+    """
+    out = np.zeros((N, N), dtype=complex)
     coeff = 2j / math.pi * math.sin(total_flux)
-    row_even = (jj % 2 == 0) & odd_pair
-    row_odd = (jj % 2 == 1) & odd_pair
-    entries[row_even] = coeff * plus[row_even]
-    entries[row_odd] = coeff * minus[row_odd]
-    return entries
+    for j in range(1, N + 1):
+        for k in range(1, N + 1):
+            if j == k:
+                out[j - 1, k - 1] = math.cos(total_flux)
+            elif (j - k) % 2:
+                s_sum = (-1) ** ((j + k - 1) // 2)
+                s_diff = (-1) ** ((j - k - 1) // 2)
+                out[j - 1, k - 1] = coeff * (s_sum / (j + k) - s_diff / (j - k))
+    return out
 
 
 @dataclass(frozen=True)
@@ -339,9 +318,7 @@ class BasisSpec:
         js = np.asarray(self.indices, dtype=float)
         if self.bc is BoundaryCondition.PERIODIC:
             return np.exp(-1j * np.pi * np.outer(js, x) / self.L) / np.sqrt(2.0 * self.L)
-        phases = np.pi * np.outer(js, x) / (2.0 * self.L)
-        even = (np.asarray(self.indices) % 2 == 0)[:, None]
-        return np.where(even, np.sin(phases), np.cos(phases)) / np.sqrt(self.L)
+        return np.sin(np.pi * np.outer(js, x + self.L) / (2.0 * self.L)) / np.sqrt(self.L)
 
     def max_frequency(self) -> float:
         """Largest angular frequency of any product conj(phi_j) phi_k."""

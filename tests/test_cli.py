@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from flux_catastrophe import cli, overlap
+from flux_catastrophe import cli, hilbert, overlap
 from oracles import cauchy_fh_logdet_sq
 
 # flux 2.0 gives n_L = 1; support radius 4 keeps L = N / 2 >= 4 on every grid below
@@ -174,9 +174,12 @@ def test_each_experiment_runs_and_passes_its_gate(tmp_path, capsys, experiment):
          "n_grid: must be a nonempty strictly increasing list of integers"),
         ({"experiment": "exponent_fit", "delta_override": 0.5, "n_grid": [16, 32, 64]},
          "n_grid: exponent_fit needs at least 4 points, got [16, 32, 64]"),
+        ({"experiment": "anderson", "delta_override": math.nextafter(math.pi / 2, 4.0), "n_grid": [4]},
+         f"delta_override: must be a number with |delta| <= pi/2, got {math.nextafter(math.pi / 2, 4.0)!r}"),
     ],
     ids=["odd-N", "sweep-no-potential", "lemma-no-potential", "no-delta", "no-tolerance-keys",
-         "misspelled-key", "non-numeric", "bool", "infinite", "bool-in-grid", "short-fit-grid"],
+         "misspelled-key", "non-numeric", "bool", "infinite", "bool-in-grid", "short-fit-grid",
+         "delta-above-pi-over-2"],
 )
 def test_experiment_preconditions_are_config_errors(tmp_path, capsys, fields, message):
     config = _write_config(tmp_path, **fields)
@@ -232,10 +235,12 @@ def _triangle(height: float) -> dict:
     return {"kind": "piecewise_linear", "knots": [[-1, 0], [0, height], [1, 0]]}
 
 
-def _sweep_columns(tmp_path, potential: dict, n_grid: list[int]) -> dict[str, list[float]]:
-    config = _write_config(tmp_path, experiment="overlap_sweep", potential=potential, rho=1.0, n_grid=n_grid)
+def _sweep_columns(
+    tmp_path, potential: dict, n_grid: list[int], bc: str = "periodic", exit_code: int = cli.EXIT_OK
+) -> dict[str, list[float]]:
+    config = _write_config(tmp_path, experiment="overlap_sweep", potential=potential, bc=bc, rho=1.0, n_grid=n_grid)
     out = tmp_path / "out"
-    assert cli.main(["run", config, "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["run", config, "--out", str(out)]) == exit_code
     header, *rows = [line.split(",") for line in (out / "overlap_sweep.csv").read_text().splitlines()]
     return {name: [float(row[i]) for row in rows] for i, name in enumerate(header) if name != "config_hash"}
 
@@ -248,12 +253,39 @@ def test_sweep_at_delta_pi_over_2_matches_cauchy_determinant(tmp_path):
         assert abs(value - cauchy_fh_logdet_sq(math.pi / 2, int(n))) <= 1e-10, n
 
 
+def test_dirichlet_sweep_at_delta_pi_over_2(tmp_path, capsys):
+    # cos(Phi) = 0 empties the jump matrix's diagonal, and only opposite parities
+    # couple: for odd N the two parity classes differ in size, so D~ = 0 exactly
+    cols = _sweep_columns(tmp_path, _triangle(math.pi), [4, 5, 6, 7, 8, 9, 64, 65], "dirichlet",
+                          cli.EXIT_PROPERTY_FAILURE)
+    assert cols["delta_L"] == [math.pi / 2] * 8
+    for n, log_dtilde, c_ratio in zip(cols["N"], cols["log_Dtilde_sq"], cols["C_ratio"]):
+        if n % 2:
+            assert (log_dtilde, c_ratio) == (-math.inf, math.inf), n
+        else:
+            reduced = 2.0 * hilbert.dirichlet_flux_logdet(math.pi / 2, int(n) // 2)
+            assert abs(log_dtilde - reduced) <= 1e-10, n
+            assert math.isfinite(c_ratio) and c_ratio > 0, n
+    assert "degenerate C at N = [5, 7, 9, 65]" in capsys.readouterr().out
+
+
 def test_sweep_at_delta_zero_with_even_n(tmp_path):
     # flux pi: n_L = 1 and delta_L = 0, so the jump matrix is -I and C_{N,L} = |D|^2
     cols = _sweep_columns(tmp_path, _triangle(2.0 * math.pi), [4, 6, 8])
     assert cols["delta_L"] == [0.0] * 3 and cols["n_L"] == [1] * 3
     assert cols["log_Dtilde_sq"] == [0.0] * 3
     assert cols["C_ratio"] == [math.exp(v) for v in cols["log_D_sq"]]
+
+
+def test_delta_override_of_pi_over_2_is_accepted(tmp_path):
+    config = _write_config(tmp_path, experiment="anderson", delta_override=math.pi / 2, n_grid=[4, 5, 16])
+    out = tmp_path / "out"
+    assert cli.main(["run", config, "--out", str(out)]) == cli.EXIT_OK
+    header, *rows = [line.split(",") for line in (out / "anderson.csv").read_text().splitlines()]
+    for row in rows:
+        values = dict(zip(header, row))
+        assert float(values["delta"]) == math.pi / 2
+        assert abs(float(values["log_Dtilde_sq"]) - cauchy_fh_logdet_sq(math.pi / 2, int(values["N"]))) <= 1e-10
 
 
 # -- energy honours bc

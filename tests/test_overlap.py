@@ -35,7 +35,7 @@ from flux_catastrophe.potential import (
     zero_potential,
 )
 from flux_catastrophe.spectrum import BoundaryCondition
-from oracles import BasisSpec, assemble_toeplitz, dense_overlap_matrix, dirichlet_flux_masked, half_fluxes
+from oracles import BasisSpec, assemble_toeplitz, dense_overlap_matrix, dirichlet_flux_entries, half_fluxes
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -98,13 +98,23 @@ def test_flux_matrix_zero_flux_identity(zero_pot):
 
 
 def test_dirichlet_flux_entry_example():
-    # j = 1 (odd), k = 2 (even), Phi = pi/4: (2i/pi) sin(pi/4) (1/3 - 1/(-1))
+    # j = 1, k = 2, Phi = pi/4: (2i/pi) sin(pi/4) [sin(3 pi/2) / 3 - sin(-pi/2) / (-1)]
     m = dirichlet_flux_closed_form(math.pi / 4, 4)
-    expected = 2j / math.pi * math.sin(math.pi / 4) * (1.0 / 3.0 + 1.0)
+    expected = -2j / math.pi * math.sin(math.pi / 4) * (1.0 / 3.0 + 1.0)
     assert_allclose(m[0, 1], expected, rtol=1e-15)
     # parity-even pairs vanish off the diagonal
     assert m[0, 2] == 0.0 and m[1, 3] == 0.0
     assert_allclose(np.diag(m), math.cos(math.pi / 4), rtol=1e-15)
+
+
+@pytest.mark.parametrize("total_flux", [math.pi / 2, -math.pi / 2, 3 * math.pi / 2])
+def test_dirichlet_flux_matrix_is_singular_at_delta_pi_over_2_for_odd_n(total_flux):
+    # delta_L = pi/2: the diagonal is exactly 0 and only opposite parities couple,
+    # and for odd N the odd indices outnumber the even ones
+    for N in (1, 3, 5, 7, 9, 65, 181):
+        m = dirichlet_flux_closed_form(total_flux, N)
+        assert np.all(np.diag(m) == 0.0), N
+        assert log_det(m) == -math.inf, N
 
 
 def test_periodic_flux_matrix_det_2x2():
@@ -281,15 +291,31 @@ SWEEP_POTENTIALS = {
 }
 
 
+_COEFFICIENTS = {PER: "_periodic_overlap_coefficients", DIR: "_dirichlet_cosine_coefficients"}
+
+
 def _coefficients(a, bc, N, L, refine):
-    build = overlap_module._periodic_overlap_coefficients if bc is PER else overlap_module._dirichlet_trig_integrals
-    return build(a, L, flux_profile(a, L), N, refine)
+    return getattr(overlap_module, _COEFFICIENTS[bc])(a, L, flux_profile(a, L), N, refine)
 
 
-def _assemble(bc, coefficients, N, L):
+def _assemble(bc, coefficients, N):
     if bc is PER:
-        return _toeplitz(coefficients[0], N)
-    return overlap_module._dirichlet_matrix(*coefficients, N, L)
+        return _toeplitz(coefficients, N)
+    return overlap_module._toeplitz_minus_hankel(coefficients, N)
+
+
+def _first_change_bound(a, bc, N, L, builds=None):
+    """The entry-change bound overlap_matrix reports for its refine-0 / refine-1
+    comparison; ``builds`` replaces the two coefficient vectors it compares."""
+    with pytest.MonkeyPatch.context() as patch:
+        # a negative tolerance settles no comparison, so the error carries the first bound
+        patch.setattr(overlap_module, "_QUADRATURE_TOL", -1.0)
+        patch.setattr(overlap_module, "_MAX_REFINE", 1)
+        if builds is not None:
+            patch.setattr(overlap_module, _COEFFICIENTS[bc], lambda a, L, prof, N, refine: builds[refine])
+        with pytest.raises(NumericalError) as info:
+            overlap_matrix(a, bc, N, L)
+    return info.value.context["achieved"]
 
 
 @pytest.mark.parametrize("M", [1, 2, 7, 64, 4095])
@@ -319,15 +345,15 @@ def test_overlap_matrix_matches_dense_reference(bc, N):
 @pytest.mark.parametrize("N", [1, 2, 7, 64])
 @pytest.mark.parametrize("total_flux", [0.0, math.pi / 4, 2.0, -1.1])
 def test_dirichlet_flux_closed_form_matches_mask_formula(total_flux, N):
+    # the sine-basis entries written one at a time, with integer parity signs
     got = dirichlet_flux_closed_form(total_flux, N)
-    assert_allclose(got, dirichlet_flux_masked(total_flux, N), rtol=0, atol=1e-15)
+    assert_allclose(got, dirichlet_flux_entries(total_flux, N), rtol=0, atol=1e-15)
 
 
-def _perturbed_pair(rng, sizes):
-    """Random coarse coefficient vectors and a refinement that moves them by ~1e-6."""
-    coarse = tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in sizes)
-    fine = tuple(c + 1e-6 * (rng.standard_normal(c.size) + 1j * rng.standard_normal(c.size)) for c in coarse)
-    return coarse, fine
+def _perturbed_pair(rng, size):
+    """A random coarse coefficient vector and a refinement that moves it by ~1e-6."""
+    coarse = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return coarse, coarse + 1e-6 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 64])
@@ -335,10 +361,10 @@ def test_periodic_quadrature_check_equals_entrywise_change(N):
     a = GaussianBump(center=0.2, width=0.5, amplitude=0.8, support_radius=4.0)
     L = max(N / 2.0, 4.0)
     builds = [tuple(_coefficients(a, PER, N, L, r) for r in (0, 1))]
-    builds.append(_perturbed_pair(np.random.default_rng(N), [2 * N - 1]))
+    builds.append(_perturbed_pair(np.random.default_rng(N), 2 * N - 1))
     for coarse, fine in builds:
-        entrywise = float(np.max(np.abs(_assemble(PER, fine, N, L) - _assemble(PER, coarse, N, L))))
-        assert overlap_module._entry_change_bound(PER, coarse, fine, L) == entrywise
+        entrywise = float(np.max(np.abs(_assemble(PER, fine, N) - _assemble(PER, coarse, N))))
+        assert _first_change_bound(a, PER, N, L, (coarse, fine)) == entrywise
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 64])
@@ -346,9 +372,10 @@ def test_dirichlet_quadrature_check_bounds_entrywise_change(N):
     # random coefficients, so that the change stands far above the assembly's
     # rounding (the quadrature builds agree to ~1e-16 already at refine 0)
     L = max(N / 2.0, 3.0)
-    coarse, fine = _perturbed_pair(np.random.default_rng(N), [2 * N + 1, 2 * N + 1])
-    entrywise = float(np.max(np.abs(_assemble(DIR, fine, N, L) - _assemble(DIR, coarse, N, L))))
-    assert overlap_module._entry_change_bound(DIR, coarse, fine, L) >= entrywise
+    coarse, fine = _perturbed_pair(np.random.default_rng(N), 2 * N + 1)
+    entrywise = float(np.max(np.abs(_assemble(DIR, fine, N) - _assemble(DIR, coarse, N))))
+    bound = _first_change_bound(SWEEP_POTENTIALS[DIR], DIR, N, L, (coarse, fine))
+    assert bound >= entrywise
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
@@ -366,9 +393,8 @@ def test_unsettled_quadrature_raises_with_achieved_error(bc, monkeypatch):
 def test_sweep_potentials_accept_the_refine_one_build(bc, N):
     a = SWEEP_POTENTIALS[bc]
     L = N / 2.0
-    coarse, fine = (_coefficients(a, bc, N, L, r) for r in (0, 1))
-    assert overlap_module._entry_change_bound(bc, coarse, fine, L) <= 1e-10
-    assert np.array_equal(overlap_matrix(a, bc, N, L), _assemble(bc, fine, N, L))
+    assert _first_change_bound(a, bc, N, L) <= 1e-10
+    assert np.array_equal(overlap_matrix(a, bc, N, L), _assemble(bc, _coefficients(a, bc, N, L, 1), N))
 
 
 MEMORY_CASES = [(bc, build) for build in (overlap_matrix, flux_matrix) for bc in (PER, DIR)] + [(PER, fh_matrix)]

@@ -42,10 +42,9 @@ def test_periodic_perturbed_single_particle_minimum():
 
 
 def test_occupied_windows_match_convention():
-    assert occupied_indices(PER, 5, 0).tolist() == [-2, -1, 0, 1, 2]
-    assert occupied_indices(PER, 4, 0).tolist() == [-2, -1, 0, 1]
-    assert occupied_indices(PER, 5, 2).tolist() == [-4, -3, -2, -1, 0]
-    assert occupied_indices(DIR, 4).tolist() == [1, 2, 3, 4]
+    assert occupied_indices(5, 0).tolist() == [-2, -1, 0, 1, 2]
+    assert occupied_indices(4, 0).tolist() == [-2, -1, 0, 1]
+    assert occupied_indices(5, 2).tolist() == [-4, -3, -2, -1, 0]
 
 
 def test_energy_difference_closed_forms():
