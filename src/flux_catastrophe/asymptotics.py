@@ -1,8 +1,9 @@
 """Decay-exponent fits, the Anderson integral, and digamma/trigamma.
 
 The overlap with the idealized jump symbol decays like N^(-2 delta^2/pi^2)
-(exact exponent), while det(A) <= exp(-tr(1-A)) bounds it from above by
-exp(-I_N) with I_N the Anderson integral
+(exact exponent) with the Fisher-Hartwig constant 2 log[G(1+c) G(1-c)],
+c = delta/pi, as its prefactor in log space, while det(A) <= exp(-tr(1-A))
+bounds it from above by exp(-I_N) with I_N the Anderson integral
 
     I_N = sum_{j in W} sum_{k not in W} |<phi_j, e^{i g~} phi_k>|^2,
 
@@ -83,6 +84,26 @@ def trigamma(x):
     return float(out[0]) if scalar else out
 
 
+def _hurwitz_zeta(s: int, x: float) -> float:
+    """zeta(s, x) = sum_{d>=0} (x + d)^(-s) for an integer s >= 2 and x >= 64.
+
+    Euler-Maclaurin at x:
+    x^(1-s) / (s-1) + x^(-s) / 2 + sum_j B_2j / (2j)! s (s+1) ... (s+2j-2) x^(-s-2j+1),
+    through B_12; at x >= 64 and s <= 10 the next term is below 1e-19 of
+    the first.
+    """
+    out = x ** (1 - s) / (s - 1) + 0.5 * x ** (-s)
+    rising = float(s)  # s (s+1) ... (s+2j-2)
+    power = x ** (-s - 1)  # x^(-s-2j+1)
+    factorial = 2.0  # (2j)!
+    for j, b in enumerate(_BERNOULLI, start=1):
+        out += b / factorial * rising * power
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        power /= x * x
+        factorial *= (2 * j + 1) * (2 * j + 2)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # exponent fitting
 # ---------------------------------------------------------------------------
@@ -118,6 +139,38 @@ def fit_decay_exponent(series: Sequence[tuple[int, float]]) -> ExponentFit:
 def theorem_exponent(delta: float) -> float:
     """Exact decay exponent -2 delta^2 / pi^2 of log|overlap|^2 versus ln N."""
     return -2.0 * delta * delta / (math.pi * math.pi)
+
+
+# zeta(2m - 1) - 1 for m = 2 .. 15, to double precision
+_ZETA_ODD_MINUS_ONE = (
+    0.2020569031595943, 0.03692775514336993, 0.008349277381922827, 0.0020083928260822143,
+    0.0004941886041194645, 0.00012271334757848915, 3.058823630702049e-05, 7.637197637899763e-06,
+    1.908212716553939e-06, 4.769329867878064e-07, 1.1921992596531106e-07, 2.980350351465228e-08,
+    7.45071178983543e-09, 1.862659723513049e-09,
+)
+_EULER_GAMMA = 0.5772156649015329
+
+
+def theorem_constant(delta: float) -> float:
+    """Fisher-Hartwig constant 2 log[G(1+c) G(1-c)], c = delta / pi, of log|overlap|^2.
+
+    log|det T_N|^2 = -2 c^2 ln N + 2 log[G(1+c) G(1-c)] + o(1) for the jump
+    symbol (G is Barnes' G-function), and
+
+        log G(1+c) + log G(1-c) = -(1+gamma) c^2 - sum_{m>=2} zeta(2m-1) c^(2m) / m.
+
+    Splitting zeta(2m-1) = 1 + (zeta(2m-1) - 1) sums the ones in closed
+    form, sum_{m>=2} c^(2m) / m = -log(1 - c^2) - c^2, and leaves a remainder
+    whose terms fall like (c/2)^(2m) <= 16^(-m) for |delta| <= pi/2; every
+    term has the same sign.
+    """
+    c2 = (delta / math.pi) ** 2
+    power = c2
+    rest = 0.0
+    for m, z in enumerate(_ZETA_ODD_MINUS_ONE, start=2):
+        power *= c2
+        rest += z * power / m
+    return 2.0 * (-_EULER_GAMMA * c2 + math.log1p(-c2) - rest)
 
 
 def upper_bound_exponent(delta: float) -> float:

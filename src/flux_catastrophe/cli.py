@@ -26,7 +26,9 @@ the CSV and applies the gate.  Tolerance keys and defaults:
 
     overlap_sweep      band_factor 1e4 (max C_{N,L} / min C_{N,L})
     lemma_check        shares overlap_sweep's row; writes lemma_check.csv
-    exponent_fit       slope_abs_err 0.05 (|slope + 2 delta^2 / pi^2|)
+    exponent_fit       slope_abs_err 0.05 (|slope + 2 delta^2 / pi^2|),
+                       constant_abs_err 1e-4 (|intercept - 2 log G(1+c) G(1-c)|,
+                       c = delta / pi, G Barnes' G-function)
     anderson           none (det <= exp(-I) at every point)
     energy             direct_rel_err 1e-10 (closed form vs direct sum)
     dirichlet_hilbert  slope_slack 0.05 (slope <= -2 sin^2(delta) / pi^2 + slack)
@@ -72,7 +74,7 @@ import numpy as np
 
 from . import asymptotics, hilbert, overlap, spectrum
 from .errors import DomainError, NumericalError
-from .matrixcore import fh_matrix, log_det
+from .matrixcore import fh_log_det, fh_matrix, log_det
 from .potential import (
     MagneticPotential,
     flux_profile,
@@ -225,13 +227,13 @@ def _overlap_point(config: ExperimentConfig, n: int) -> tuple:
 
 
 def _fh_point(config: ExperimentConfig, n: int) -> tuple:
-    return (n, 2.0 * log_det(fh_matrix(config.resolve_delta(), n)))
+    return (n, 2.0 * fh_log_det(config.resolve_delta(), n))
 
 
 def _anderson_point(config: ExperimentConfig, n: int) -> tuple:
     """det(A) <= exp(-tr(1 - A)) for the jump symbol: log|D~|^2 <= -I_N, up to 1e-8."""
     delta = config.resolve_delta()
-    log_sq = 2.0 * log_det(fh_matrix(delta, n))
+    log_sq = 2.0 * fh_log_det(delta, n)
     integral = asymptotics.anderson_integral(delta, n)
     return (n, delta, integral, log_sq, log_sq <= -integral + 1e-8)
 
@@ -291,11 +293,13 @@ def _c_band_gate(config: ExperimentConfig, cols: dict, tol: dict, out_dir: Path)
 
 
 def _exponent_gate(config: ExperimentConfig, cols: dict, tol: dict, out_dir: Path) -> tuple[bool, str]:
-    """Fitted decay slope within slope_abs_err of -2 delta^2 / pi^2; writes exponent_fit.csv."""
+    """Fitted decay slope within slope_abs_err of -2 delta^2 / pi^2 and intercept
+    within constant_abs_err of the Fisher-Hartwig constant; writes exponent_fit.csv."""
     delta = config.resolve_delta()
     series = list(zip(cols["N"], cols["log_det_sq"]))
     fit = asymptotics.fit_decay_exponent(series)
     target = asymptotics.theorem_exponent(delta)
+    constant = asymptotics.theorem_constant(delta)
     write_rows(
         out_dir / "exponent_fit.csv",
         ["config_hash", "delta", "target_exponent", "fitted_slope", "residual", "n_points"],
@@ -303,9 +307,12 @@ def _exponent_gate(config: ExperimentConfig, cols: dict, tol: dict, out_dir: Pat
     )
     err = abs(fit.slope - target)
     budget = tol["slope_abs_err"]
-    return err <= budget, (
+    constant_err = abs(fit.intercept - constant)
+    constant_budget = tol["constant_abs_err"]
+    return err <= budget and constant_err <= constant_budget, (
         f"exponent_fit: delta={delta:.6g} fitted slope {fit.slope:.6f} vs target {target:.6f} "
-        f"(|err| = {err:.2e}, budget {budget:g}, prefactor estimate c = {math.exp(fit.intercept):.6g})"
+        f"(|err| = {err:.2e}, budget {budget:g}); intercept {fit.intercept:.9f} vs "
+        f"2 log G(1+c)G(1-c) = {constant:.9f} (|err| = {constant_err:.2e}, budget {constant_budget:g})"
     )
 
 
@@ -373,7 +380,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "overlap_sweep": _SWEEP,
     "exponent_fit": Experiment(
         _fh_point, "exponent_fit_series.csv", ("N", "log_det_sq"),
-        _exponent_gate, {"slope_abs_err": 0.05}, needs="delta", min_points=4,
+        _exponent_gate, {"slope_abs_err": 0.05, "constant_abs_err": 1e-4}, needs="delta", min_points=4,
     ),
     "anderson": Experiment(
         _anderson_point, "anderson.csv", ("N", "delta", "anderson_integral", "log_Dtilde_sq", "upper_bound_holds"),
@@ -437,6 +444,12 @@ def selftest() -> int:
             check(config.experiment, run_experiment(config, Path(scratch), 1) == EXIT_OK)
 
     check("delta-zero overlap", abs(2 * log_det(fh_matrix(0.0, 64))) < 1e-10)
+
+    # the O(N) Cauchy sum against dense LU of the matrix it stands for
+    worst = max(
+        abs(fh_log_det(delta, n) - log_det(fh_matrix(delta, n))) for delta in (math.pi / 4, math.pi / 2) for n in (64, 181)
+    )
+    check("jump log-det vs LU", worst < 1e-12, f"max |diff| {worst:.1e}")
 
     ldb, ldr = hilbert.block_reduction_check(math.pi / 4, 8)
     check("dirichlet reduction", abs(ldb - ldr) < 1e-8, f"{ldb:.10f} vs {ldr:.10f}")

@@ -52,23 +52,28 @@ def k_matrix(M: int) -> np.ndarray:
 
     It is computed independently of the four partial-fraction parts, so
     the decomposition identity K = K^{--} + K^{+-} + K^{-+} + K^{++} is a
-    real consistency check rather than a tautology.
+    real consistency check rather than a tautology.  Off the diagonal
+    K_jk = j k (S_j - S_k) / (j^2 - k^2), built in place in the result with
+    one M x M scratch array that holds j k and then j^2 - k^2, so the peak
+    is two M x M arrays.
     """
     if M < 1:
         raise DomainError("M must be >= 1")
     jv = np.arange(1, M + 1, dtype=float)
-    j = jv[:, None]
-    k = jv[None, :]
     psi_plus = digamma(M + 0.5 + jv)
     psi_minus = digamma(M + 0.5 - jv)
 
     # direct form: sum_l 1/((l-1/2)^2 - j^2) = (psi(M+1/2+j) - psi(M+1/2-j))/(2j)
     S = (psi_plus - psi_minus) / (2.0 * jv)
-    denom = j**2 - k**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = j * k * (S[:, None] - S[None, :]) / np.where(denom == 0.0, 1.0, denom)
+    K = np.subtract.outer(S, S)
+    scratch = np.multiply.outer(jv, jv)
+    K *= scratch
+    np.subtract.outer(jv**2, jv**2, out=scratch)
+    np.fill_diagonal(scratch, 1.0)
+    K /= scratch
+    del scratch
     diag = 0.25 * (trigamma(M + 0.5 - jv) + trigamma(M + 0.5 + jv)) - (psi_plus - psi_minus) / (4.0 * jv)
-    K[np.arange(M), np.arange(M)] = diag
+    np.fill_diagonal(K, diag)
     return K
 
 
@@ -134,8 +139,9 @@ def dirichlet_flux_logdet(delta: float, M: int) -> float:
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")
-    K = k_matrix(M)
-    A = np.eye(M) - (4.0 / math.pi**2) * math.sin(delta) ** 2 * K
+    A = k_matrix(M)
+    A *= -(4.0 / math.pi**2) * math.sin(delta) ** 2
+    A.flat[:: M + 1] += 1.0
     return log_det(A)
 
 

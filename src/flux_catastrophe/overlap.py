@@ -66,7 +66,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError
-from .matrixcore import _toeplitz, fh_matrix, log_det, trace_norm
+from .matrixcore import _toeplitz, fh_log_det, fh_matrix, log_det, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
 from .quadrature import build_edges, cis_integral, gauss_legendre_rule
 from .spectrum import BoundaryCondition
@@ -263,13 +263,25 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     against the periodic proof's estimate ||Delta_N||_1 <= (N/L) int |y a(y)| dy
     (numerically it holds for the Dirichlet basis as well; the same
     splitting argument applies entrywise), up to an absolute slack of 1e-8.
+
+    The periodic |D~| comes from matrixcore.fh_log_det, in O(N): the sign
+    (-1)^{n_L} of the jump matrix leaves |det| unchanged.  The Dirichlet one
+    factors the jump matrix by LU.  Delta_N is formed in place of the exact
+    matrix once its log-determinant is taken, and the jump matrix is freed
+    before the trace norm, so at most two N x N matrices are alive at once
+    besides a factorization's copy.
     """
     prof = flux_profile(a, L)
     exact = overlap_matrix(a, bc, N, L)
-    flux = flux_matrix(a, bc, N, L)
     ld_exact = log_det(exact)
-    ld_flux = log_det(flux)
+    flux = flux_matrix(a, bc, N, L)
+    if BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC:
+        ld_flux = fh_log_det(prof.delta_L, N)
+    else:
+        ld_flux = log_det(flux)
     c_ratio = math.inf if math.isinf(ld_flux) else math.exp(2.0 * (ld_exact - ld_flux))
-    tn = trace_norm(exact - flux)
+    exact -= flux
+    del flux
+    tn = trace_norm(exact)
     bound = N / L * moment_integrals(a, L)
     return GridPoint(prof.delta_L, prof.n_L, 2.0 * ld_exact, 2.0 * ld_flux, c_ratio, tn, bound, tn <= bound + 1e-8)

@@ -12,12 +12,13 @@ from flux_catastrophe.asymptotics import (
     anderson_integral,
     digamma,
     fit_decay_exponent,
+    theorem_constant,
     theorem_exponent,
     trigamma,
     upper_bound_exponent,
 )
 from flux_catastrophe.errors import DomainError
-from flux_catastrophe.matrixcore import fh_matrix, log_det
+from flux_catastrophe.matrixcore import fh_log_det
 from oracles import anderson_bruteforce, cauchy_fh_logdet_sq, inv_square_tail_partial
 
 EULER_GAMMA = 0.5772156649015329
@@ -117,14 +118,23 @@ def test_target_exponent_arithmetic():
 
 
 def _fh_series(delta, n_grid):
-    """(N, log |det T_N|^2) of the jump-symbol matrix, as the exponent_fit row computes it."""
-    return [(n, 2.0 * log_det(fh_matrix(delta, n))) for n in n_grid]
+    """(N, log |det T_N|^2) of the jump-symbol matrix from the O(N) Cauchy sum
+    fh_log_det, as the exponent_fit row computes it."""
+    return [(n, 2.0 * fh_log_det(delta, n)) for n in n_grid]
 
 
 def test_fh_series_matches_cauchy_product_oracle():
     delta = math.pi / 3
     for n, val in _fh_series(delta, (8, 16, 32, 64)):
         assert_allclose(val, cauchy_fh_logdet_sq(delta, n), atol=5e-10)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.25, 0.45, 0.5])
+def test_theorem_constant_matches_barnes_g(c):
+    with mpmath.workdps(30):
+        oracle = float(2 * mpmath.log(mpmath.barnesg(1 + c) * mpmath.barnesg(1 - c)))
+    assert abs(theorem_constant(c * math.pi) - oracle) <= 1e-14
+    assert theorem_constant(-c * math.pi) == theorem_constant(c * math.pi)
 
 
 def test_sliding_window_slopes_converge():
@@ -214,7 +224,7 @@ def test_anderson_leading_log_coefficient():
 
 def _upper_bound_sides(delta, N):
     """(log|D~_N|^2, -I_N): the bound holds when the first is <= the second + 1e-8."""
-    return 2.0 * log_det(fh_matrix(delta, N)), -anderson_integral(delta, N)
+    return 2.0 * fh_log_det(delta, N), -anderson_integral(delta, N)
 
 
 def test_upper_bound_trivial_at_zero():

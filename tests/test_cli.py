@@ -163,7 +163,7 @@ def test_each_experiment_runs_and_passes_its_gate(tmp_path, capsys, experiment):
         ({"experiment": "anderson", "delta_override": 0.5, "tolerances": {"slope_abs_err": 0.1}},
          "tolerances: unknown key 'slope_abs_err' for anderson (accepted: none)"),
         ({"experiment": "exponent_fit", "delta_override": 0.5, "tolerances": {"slope_abs_eror": 1e-9}},
-         "tolerances: unknown key 'slope_abs_eror' for exponent_fit (accepted: slope_abs_err)"),
+         "tolerances: unknown key 'slope_abs_eror' for exponent_fit (accepted: slope_abs_err, constant_abs_err)"),
         ({"experiment": "exponent_fit", "delta_override": 0.5, "tolerances": {"slope_abs_err": "abc"}},
          "tolerances: slope_abs_err must be a finite number, got 'abc'"),
         ({"experiment": "energy", "potential": POTENTIAL, "tolerances": {"direct_rel_err": True}},
@@ -188,6 +188,32 @@ def test_experiment_preconditions_are_config_errors(tmp_path, capsys, fields, me
     assert err.startswith("error: invalid config:")
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+def _exponent_fit(tmp_path, capsys, n_grid, **tolerances):
+    """(exit code, stdout, fitted slope) of an exponent_fit run at delta = pi/4."""
+    config = _write_config(tmp_path, experiment="exponent_fit", delta_override=math.pi / 4, n_grid=n_grid,
+                           tolerances=tolerances)
+    out = tmp_path / "out"
+    code = cli.main(["run", config, "--out", str(out)])
+    header, row = [line.split(",") for line in (out / "exponent_fit.csv").read_text().splitlines()]
+    return code, capsys.readouterr().out, float(dict(zip(header, row))["fitted_slope"])
+
+
+def test_exponent_fit_out_to_ten_million(tmp_path, capsys):
+    # the O(N) Cauchy sum reaches N = 10^7, where the fit is the theorem's to 1e-9
+    grid = [100_000, 316_228, 1_000_000, 3_162_278, 10_000_000]
+    code, stdout, slope = _exponent_fit(tmp_path, capsys, grid, slope_abs_err=1e-9, constant_abs_err=1e-9)
+    assert code == cli.EXIT_OK, stdout
+    assert abs(slope + 0.125) <= 1e-9
+    assert "2 log G(1+c)G(1-c) = -0.202024360" in stdout
+
+
+def test_exponent_fit_gate_checks_the_constant(tmp_path, capsys):
+    # on N = 64 .. 181 the intercept is 1e-5 from the constant while the slope passes
+    code, stdout, slope = _exponent_fit(tmp_path, capsys, [64, 91, 128, 181], constant_abs_err=1e-12)
+    assert code == cli.EXIT_PROPERTY_FAILURE
+    assert abs(slope + 0.125) <= 0.05 and "budget 1e-12" in stdout
 
 
 # the canonical config dict behind every bench CSV's config_hash column

@@ -126,6 +126,22 @@ def test_k_part_norms_peak_memory_is_about_two_matrices():
     assert peak <= 2.5 * M * M * 8
 
 
+@pytest.mark.parametrize("build", [k_matrix, lambda M: dirichlet_flux_logdet(math.pi / 4, M)],
+                         ids=["k_matrix", "dirichlet_flux_logdet"])
+def test_k_matrix_peak_memory_is_two_matrices(build):
+    # K_M is built in place next to one scratch array; the broadcast formula
+    # with np.where and np.eye peaked at 3.13x one M x M matrix
+    M = 1024
+    build(8)
+    tracemalloc.start()
+    try:
+        build(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * M * M * 8, peak / (M * M * 8)
+
+
 def test_trace_mm_log_growth():
     t1, _ = k_part_traces(512)
     t2, _ = k_part_traces(1024)

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from flux_catastrophe.errors import DomainError
-from flux_catastrophe.matrixcore import fh_matrix, log_det, operator_norm, trace_norm
-from oracles import BasisSpec, assemble_toeplitz, cofactor_det
+from flux_catastrophe.matrixcore import fh_log_det, fh_matrix, log_det, operator_norm, trace_norm
+from oracles import BasisSpec, assemble_toeplitz, cauchy_fh_logdet_sq, cofactor_det
 
 
 # -- fh_matrix --------------------------------------------------------------
@@ -46,6 +47,46 @@ def test_fh_depends_only_on_difference():
     m = fh_matrix(0.6, 9)
     assert m.flags.c_contiguous and m.flags.writeable
     assert float(max(np.ptp(np.diagonal(m, d)) for d in range(-8, 9))) == 0.0
+
+
+# -- fh_log_det: the O(N) Cauchy sum ------------------------------------------
+
+FH_DELTAS = [0.0, 1e-5, 0.3, math.pi / 4, -1.0, math.pi / 2, -math.pi / 2]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 63, 64, 65, 181, 512])
+def test_fh_log_det_matches_50_digit_cauchy_product(N):
+    for delta in FH_DELTAS:
+        assert abs(2.0 * fh_log_det(delta, N) - cauchy_fh_logdet_sq(delta, N)) <= 1e-13, delta
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 64, 65, 511, 2048])
+def test_fh_log_det_matches_dense_lu(N):
+    for delta in FH_DELTAS:
+        assert abs(fh_log_det(delta, N) - log_det(fh_matrix(delta, N))) <= 1e-11, delta
+
+
+def test_fh_log_det_is_exactly_zero_at_delta_zero():
+    assert fh_log_det(0.0, 1) == 0.0 and fh_log_det(0.0, 10**6) == 0.0
+
+
+@pytest.mark.parametrize("delta", [0.3, math.pi / 4, math.pi / 2])
+@pytest.mark.parametrize("N", [10**6, 10**7])
+def test_fh_log_det_approaches_the_barnes_g_constant(delta, N):
+    # log|det|^2 = -2 c^2 ln N + 2 log G(1+c) G(1-c) + O(N^-2); the O(N^-2)
+    # term is 3e-14 at N = 10^6, so the sum holds no cancellation of size N^2
+    c = delta / math.pi
+    with mpmath.workdps(30):
+        constant = float(2 * mpmath.log(mpmath.barnesg(1 + c) * mpmath.barnesg(1 - c)))
+    assert abs(2.0 * fh_log_det(delta, N) + 2.0 * c * c * math.log(N) - constant) <= 1e-12
+
+
+def test_fh_log_det_domain():
+    assert math.isfinite(fh_log_det(-math.pi / 2, 4))
+    with pytest.raises(DomainError):
+        fh_log_det(np.nextafter(math.pi / 2, 4.0), 4)
+    with pytest.raises(DomainError):
+        fh_log_det(0.3, 0)
 
 
 # -- log_det ----------------------------------------------------------------

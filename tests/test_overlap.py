@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from flux_catastrophe import cli
 from flux_catastrophe.errors import DomainError, NumericalError
-from flux_catastrophe.matrixcore import _toeplitz, fh_matrix, log_det, trace_norm
+from flux_catastrophe.matrixcore import _toeplitz, fh_log_det, fh_matrix, log_det, trace_norm
 import flux_catastrophe.overlap as overlap_module
 from flux_catastrophe.overlap import (
     dirichlet_flux_closed_form,
@@ -268,7 +268,10 @@ def test_evaluate_point_matches_each_quantity_built_directly(bc):
     prof = flux_profile(a, 20.0)
     assert (point.delta_L, point.n_L) == (prof.delta_L, prof.n_L)
     ld_exact = log_det(overlap_matrix(a, bc, 40, 20.0))
-    ld_flux = log_det(flux_matrix(a, bc, 40, 20.0))
+    ld_dense = log_det(flux_matrix(a, bc, 40, 20.0))
+    # the periodic jump matrix's log-det is the O(N) Cauchy sum; LU is its oracle
+    ld_flux = fh_log_det(prof.delta_L, 40) if bc is PER else ld_dense
+    assert abs(ld_flux - ld_dense) <= 1e-13
     assert (point.log_D_sq, point.log_Dtilde_sq) == (2.0 * ld_exact, 2.0 * ld_flux)
     assert point.c_ratio == math.exp(2.0 * (ld_exact - ld_flux))
     assert point.trace_norm_delta == trace_norm(_delta_n(a, bc, 40, 20.0))
@@ -415,6 +418,23 @@ def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(bc, build):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * result.nbytes, peak / result.nbytes
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_evaluate_point_peak_memory_is_about_two_matrices(bc):
+    # Delta_N is formed in place of the exact matrix and the jump matrix is
+    # freed before the trace norm; holding exact, flux and exact - flux
+    # together peaked at 3.3x (periodic) and 3.8x (Dirichlet)
+    N, L = 1024, 512.0
+    a = SWEEP_POTENTIALS[bc]
+    evaluate_point(a, bc, N, L)  # warm the cached quadrature rule
+    tracemalloc.start()
+    try:
+        evaluate_point(a, bc, N, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * N * N * 16, peak / (N * N * 16)
 
 
 @st.composite
