@@ -27,7 +27,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .asymptotics import _hurwitz_zeta
+from .asymptotics import euler_product_log_tail
 from .errors import DomainError, NumericalError
 
 
@@ -170,15 +170,6 @@ def fh_matrix(delta: float, N: int) -> np.ndarray:
     return _toeplitz(s, N).copy()
 
 
-# fh_log_det: the tail tau_N takes the terms d < 64 one by one, then the
-# zeta series at x = max(N, 64), where c^2 / x^2 <= 2^-14 and five terms
-# leave a relative remainder below 1e-22; the finite sum runs in blocks of
-# 2^16 terms so that no temporary grows with N.
-_FH_DIRECT_TERMS = 64
-_FH_ZETA_TERMS = 5
-_FH_BLOCK = 1 << 16
-
-
 def fh_log_det(delta: float, N: int) -> float:
     """log|det fh_matrix(delta, N)| in O(N), from Cauchy's determinant formula.
 
@@ -193,10 +184,11 @@ def fh_log_det(delta: float, N: int) -> float:
 
         log|det| = sum_{d=1}^{N-1} d log(1 - c^2/d^2) + N tau_N,
         tau_N = sum_{d>=N} log(1 - c^2/d^2)
-              = -sum_{k>=1} (c^(2k) / k) zeta(2k, N).
+              = -sum_{k>=1} (c^(2k) / k) zeta(2k, N),
 
-    Since |c| <= 1/2, every term is negative and no sum cancels, where the
-    textbook form subtracts sums of size N^2 log N.  Dense LU of
+    the latter from asymptotics.euler_product_log_tail.  Since |c| <= 1/2,
+    every term is negative and no sum cancels, where the textbook form
+    subtracts sums of size N^2 log N.  Dense LU of
     fh_matrix is the test oracle.  The domain is fh_matrix's,
     |delta| <= pi/2 and N >= 1, and delta = 0 gives exactly 0.0.
     """
@@ -206,16 +198,7 @@ def fh_log_det(delta: float, N: int) -> float:
         raise DomainError("N must be >= 1")
     if delta == 0.0:
         return 0.0
-    c2 = (delta / math.pi) ** 2
-    head = 0.0
-    for lo in range(1, N, _FH_BLOCK):
-        d = np.arange(lo, min(lo + _FH_BLOCK, N), dtype=float)
-        head += float(np.sum(d * np.log1p(-c2 / (d * d))))
-    x = max(N, _FH_DIRECT_TERMS)
-    d = np.arange(N, x, dtype=float)
-    tail = float(np.sum(np.log1p(-c2 / (d * d))))
-    power = 1.0
-    for k in range(1, _FH_ZETA_TERMS + 1):
-        power *= c2
-        tail -= power / k * _hurwitz_zeta(2 * k, float(x))
-    return head + N * tail
+    c = delta / math.pi
+    d = np.arange(1, N, dtype=float)
+    head = float(np.sum(d * np.log1p(-(c * c) / (d * d))))
+    return head + N * euler_product_log_tail(c, N)

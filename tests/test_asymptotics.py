@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from flux_catastrophe.asymptotics import (
     anderson_integral,
     digamma,
+    euler_product_log_tail,
     fit_decay_exponent,
     theorem_constant,
     theorem_exponent,
@@ -135,6 +136,22 @@ def test_theorem_constant_matches_barnes_g(c):
         oracle = float(2 * mpmath.log(mpmath.barnesg(1 + c) * mpmath.barnesg(1 - c)))
     assert abs(theorem_constant(c * math.pi) - oracle) <= 1e-14
     assert theorem_constant(-c * math.pi) == theorem_constant(c * math.pi)
+
+
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 10**4])
+def test_euler_product_log_tail_matches_mpmath(N):
+    for c in (1e-5, 0.1, -0.3, 0.5):
+        with mpmath.workdps(30):
+            head = mpmath.fsum(mpmath.log(1 - mpmath.mpf(c) ** 2 / d**2) for d in range(1, N))
+            oracle = float(mpmath.log(mpmath.sinpi(c) / (mpmath.pi * c)) - head)
+        assert abs(euler_product_log_tail(c, N) - oracle) <= 1e-16 + 1e-14 * abs(oracle), c
+
+
+def test_euler_product_log_tail_domain():
+    with pytest.raises(DomainError):
+        euler_product_log_tail(np.nextafter(0.5, 1.0), 4)
+    with pytest.raises(DomainError):
+        euler_product_log_tail(0.3, 0)
 
 
 def test_sliding_window_slopes_converge():

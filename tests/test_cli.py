@@ -190,9 +190,9 @@ def test_experiment_preconditions_are_config_errors(tmp_path, capsys, fields, me
     assert not (tmp_path / "out").exists()
 
 
-def _exponent_fit(tmp_path, capsys, n_grid, **tolerances):
-    """(exit code, stdout, fitted slope) of an exponent_fit run at delta = pi/4."""
-    config = _write_config(tmp_path, experiment="exponent_fit", delta_override=math.pi / 4, n_grid=n_grid,
+def _exponent_fit(tmp_path, capsys, n_grid, delta=math.pi / 4, **tolerances):
+    """(exit code, stdout, fitted slope) of an exponent_fit run, by default at delta = pi/4."""
+    config = _write_config(tmp_path, experiment="exponent_fit", delta_override=delta, n_grid=n_grid,
                            tolerances=tolerances)
     out = tmp_path / "out"
     code = cli.main(["run", config, "--out", str(out)])
@@ -214,6 +214,14 @@ def test_exponent_fit_gate_checks_the_constant(tmp_path, capsys):
     code, stdout, slope = _exponent_fit(tmp_path, capsys, [64, 91, 128, 181], constant_abs_err=1e-12)
     assert code == cli.EXIT_PROPERTY_FAILURE
     assert abs(slope + 0.125) <= 0.05 and "budget 1e-12" in stdout
+
+
+@pytest.mark.parametrize("n_grid", [[1, 2, 3, 4], [1, 10, 11, 12], [16, 23, 32, 45]])
+def test_exponent_fit_default_budgets_pass_on_small_grids(tmp_path, capsys, n_grid):
+    # at |delta| = pi/2 the finite-N intercept error is largest: 2.4e-2 on
+    # N = 1..4 and 2.6e-2 on N = 1, 10, 11, 12, inside the default 0.05
+    code, stdout, _ = _exponent_fit(tmp_path, capsys, n_grid, delta=math.pi / 2)
+    assert code == cli.EXIT_OK, stdout
 
 
 # the canonical config dict behind every bench CSV's config_hash column
