@@ -47,7 +47,7 @@ def _prepare(x) -> tuple[np.ndarray, bool]:
 def digamma(x):
     """psi(x) for x > 0, relative error <= 1e-13 (recurrence + asymptotics)."""
     arr, scalar = _prepare(x)
-    steps = int(np.ceil(max(0.0, _SHIFT - float(arr.min()))))
+    steps = int(np.ceil(max(0.0, _SHIFT - float(arr.min(initial=_SHIFT)))))
     acc = np.zeros_like(arr)
     for i in range(steps):
         shifted = arr + i
@@ -67,7 +67,7 @@ def digamma(x):
 def trigamma(x):
     """psi_1(x) for x > 0, relative error <= 1e-13."""
     arr, scalar = _prepare(x)
-    steps = int(np.ceil(max(0.0, _SHIFT - float(arr.min()))))
+    steps = int(np.ceil(max(0.0, _SHIFT - float(arr.min(initial=_SHIFT)))))
     acc = np.zeros_like(arr)
     for i in range(steps):
         shifted = arr + i

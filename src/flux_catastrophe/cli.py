@@ -41,7 +41,8 @@ theorem's exponent and constant.
 
 Other tolerance keys, a missing potential (overlap_sweep, lemma_check), a
 missing potential and delta_override (exponent_fit, anderson,
-dirichlet_hilbert), fewer than 4 grid points (exponent_fit) and an odd N
+dirichlet_hilbert), a delta_override anywhere else (overlap_sweep,
+lemma_check, energy), fewer than 4 grid points (exponent_fit) and an odd N
 (dirichlet_hilbert) are config errors, reported before any output exists.
 
 energy honours bc: the periodic rows hold the closed-form and direct-sum
@@ -141,9 +142,8 @@ class ExperimentConfig:
         if not grid_ok:
             errors.append(f"n_grid: must be a nonempty strictly increasing list of integers, got {n_grid!r}")
         delta = raw.get("delta_override")
-        if delta is not None:
-            if not _is_number(delta) or abs(delta) > math.pi / 2:
-                errors.append(f"delta_override: must be a number with |delta| <= pi/2, got {delta!r}")
+        if delta is not None and (not _is_number(delta) or abs(delta) > math.pi / 2):
+            errors.append(f"delta_override: must be a number with |delta| <= pi/2, got {delta!r}")
         out = raw.get("output_path", "results")
         if not isinstance(out, str) or not out:
             errors.append(f"output_path: must be a nonempty string, got {out!r}")
@@ -156,6 +156,8 @@ class ExperimentConfig:
                 errors.append(f"potential: {experiment} requires a potential")
             if row.needs == "delta" and not has_potential and delta is None:
                 errors.append(f"delta_override: {experiment} needs either a potential or delta_override")
+            if row.needs != "delta" and delta is not None:
+                errors.append(f"delta_override: {experiment} takes delta from its potential, not delta_override")
             if row.even_n and grid_ok and any(n % 2 for n in n_grid):
                 errors.append(f"n_grid: {experiment} requires even N values (N = 2M), got {n_grid!r}")
             if grid_ok and len(n_grid) < row.min_points:
@@ -258,12 +260,9 @@ def _energy_point(config: ExperimentConfig, n: int) -> tuple:
 
 
 def _dirichlet_point(config: ExperimentConfig, n: int) -> tuple:
-    delta = config.resolve_delta()
-    m = n // 2
-    ld = hilbert.dirichlet_flux_logdet(delta, m)
-    norms = hilbert.k_part_norms(m)
-    hn = hilbert.hilbert_section_norm(m)
-    return (m, n, delta, 2.0 * ld, norms.t_mm, norms.t_pp, norms.t_mixed, norms.op_mm, hn)
+    delta, m = config.resolve_delta(), n // 2
+    ld = hilbert.dirichlet_flux_logdet(delta, n)
+    return (m, n, delta, 2.0 * ld, *hilbert.k_part_norms(m), hilbert.hilbert_section_norm(m))
 
 
 def _run_pool(worker, args_list, jobs: int) -> list[tuple]:
@@ -362,8 +361,8 @@ class Experiment:
     """A row of the experiment table.  The CSV prefixes the worker's
     ``columns`` with config_hash; ``tolerances`` holds every key the gate
     reads, with its default.  ``needs`` ("potential", "delta" for a
-    potential or delta_override, or ""), ``even_n`` and ``min_points`` (the
-    shortest n_grid) are checked at load."""
+    potential or delta_override, the only rows that accept one, or ""),
+    ``even_n`` and ``min_points`` (the shortest n_grid) are checked at load."""
 
     worker: Callable[[ExperimentConfig, int], tuple]
     csv: str
@@ -449,16 +448,18 @@ def selftest() -> int:
             config = ExperimentConfig.from_dict(raw)
             check(config.experiment, run_experiment(config, Path(scratch), 1) == EXIT_OK)
 
-    check("delta-zero overlap", abs(2 * log_det(fh_matrix(0.0, 64))) < 1e-10)
-
-    # the O(N) Cauchy sum against dense LU of the matrix it stands for
+    # the O(N) Cauchy sum and the Dirichlet parity reduction against dense LU of
+    # the matrices they stand for; at delta = 0 the jump matrix is the identity
     worst = max(
-        abs(fh_log_det(delta, n) - log_det(fh_matrix(delta, n))) for delta in (math.pi / 4, math.pi / 2) for n in (64, 181)
+        abs(fh_log_det(delta, n) - log_det(fh_matrix(delta, n))) for delta in (0.0, math.pi / 4, math.pi / 2)
+        for n in (64, 181)
     )
     check("jump log-det vs LU", worst < 1e-12, f"max |diff| {worst:.1e}")
-
-    ldb, ldr = hilbert.block_reduction_check(math.pi / 4, 8)
-    check("dirichlet reduction", abs(ldb - ldr) < 1e-8, f"{ldb:.10f} vs {ldr:.10f}")
+    worst = max(
+        abs(log_det(overlap.dirichlet_flux_closed_form(math.pi / 4, n)) - hilbert.dirichlet_flux_logdet(math.pi / 4, n))
+        for n in (16, 17)
+    )
+    check("dirichlet reduction", worst < 1e-8, f"max |diff| {worst:.1e}")
 
     zero = zero_potential()
     m = overlap.overlap_matrix(zero, BoundaryCondition.PERIODIC, 16, 8.0)

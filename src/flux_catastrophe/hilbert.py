@@ -1,15 +1,23 @@
 """Dirichlet-case reduction: K matrices, Hilbert sections, and the upper bound.
 
-For even particle number N = 2M the Dirichlet jump-symbol determinant
-reduces to an M x M problem,
+The N x N Dirichlet jump-symbol matrix is F = c I + i s S, c = cos Phi_L(L),
+s = sin Phi_L(L), with a real symmetric S that couples only opposite
+parities: S = [[0, B], [B^T, 0]] on the T = ceil(N/2) odd and M = floor(N/2)
+even indices.  The Schur complement on these parity blocks gives, for every N,
 
-    |D~_{N,L}| = |det( I - (4/pi^2) sin^2(delta_L) K_M )|,
+    det F = c^(N - 2M) det(c^2 I + s^2 B^T B),  I - B^T B = (4/pi^2) K,
 
-where (K_M)_{jk} = j k sum_{l > M} 1 / [((l-1/2)^2 - j^2)((l-1/2)^2 - k^2)].
-Partial fractions split K_M into four pieces K^{--} + K^{+-} + K^{-+} + K^{++}
-whose entries are infinite sums of products 1/(l - 1/2 -+ j); every such sum
-collapses to digamma/trigamma closed forms, so no truncation parameter
-exists anywhere in this module.
+up to the sign similarity diag((-1)^k) on K, since the infinite matrix is
+unitary and I - B^T B sums the odd rows beyond N:
+
+    K_jk = j k sum_{l > T} 1 / [((l-1/2)^2 - j^2)((l-1/2)^2 - k^2)],  j, k = 1..M.
+
+So |D~_{N,L}| = |cos delta_L|^(N-2M) |det(I - (4/pi^2) sin^2(delta_L) K)|,
+and for even N (T = M) K is the paper's K_M.  Partial fractions split K_M
+into four pieces K^{--} + K^{+-} + K^{-+} + K^{++} whose entries are
+infinite sums of products 1/(l - 1/2 -+ j); every such sum collapses to
+digamma/trigamma closed forms, so no truncation parameter exists anywhere
+in this module.
 
 K^{--} is a flipped finite section of the square of the Hilbert matrix
 H = (1/(j+k-1/2)) and inherits the norm bound ||K^{--}|| <= pi^2/4 from
@@ -20,14 +28,13 @@ O(1), which is what produces the sin^2(delta) upper-bound exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .asymptotics import digamma, trigamma
 from .errors import DomainError
 from .matrixcore import log_det, operator_norm
-from .overlap import dirichlet_flux_closed_form
 
 
 def hilbert_section(M: int) -> np.ndarray:
@@ -47,8 +54,8 @@ def hilbert_section_norm(M: int) -> float:
     return operator_norm(hilbert_section(M))
 
 
-def k_matrix(M: int) -> np.ndarray:
-    """K_M from polygamma closed forms (second-order partial fractions).
+def k_matrix(N: int) -> np.ndarray:
+    """The M x M matrix K of N particles (K_M for even N = 2M) from polygamma closed forms.
 
     It is computed independently of the four partial-fraction parts, so
     the decomposition identity K = K^{--} + K^{+-} + K^{-+} + K^{++} is a
@@ -57,13 +64,14 @@ def k_matrix(M: int) -> np.ndarray:
     one M x M scratch array that holds j k and then j^2 - k^2, so the peak
     is two M x M arrays.
     """
-    if M < 1:
-        raise DomainError("M must be >= 1")
+    if N < 1:
+        raise DomainError("N must be >= 1")
+    M, T = N // 2, (N + 1) // 2
     jv = np.arange(1, M + 1, dtype=float)
-    psi_plus = digamma(M + 0.5 + jv)
-    psi_minus = digamma(M + 0.5 - jv)
+    psi_plus = digamma(T + 0.5 + jv)
+    psi_minus = digamma(T + 0.5 - jv)
 
-    # direct form: sum_l 1/((l-1/2)^2 - j^2) = (psi(M+1/2+j) - psi(M+1/2-j))/(2j)
+    # direct form: sum_l 1/((l-1/2)^2 - j^2) = (psi(T+1/2+j) - psi(T+1/2-j))/(2j)
     S = (psi_plus - psi_minus) / (2.0 * jv)
     K = np.subtract.outer(S, S)
     scratch = np.multiply.outer(jv, jv)
@@ -72,7 +80,7 @@ def k_matrix(M: int) -> np.ndarray:
     np.fill_diagonal(scratch, 1.0)
     K /= scratch
     del scratch
-    diag = 0.25 * (trigamma(M + 0.5 - jv) + trigamma(M + 0.5 + jv)) - (psi_plus - psi_minus) / (4.0 * jv)
+    diag = 0.25 * (trigamma(T + 0.5 - jv) + trigamma(T + 0.5 + jv)) - (psi_plus - psi_minus) / (4.0 * jv)
     np.fill_diagonal(K, diag)
     return K
 
@@ -100,9 +108,8 @@ def _k_minus_minus(M: int) -> np.ndarray:
     return _divided_differences(-digamma(x), trigamma(x), 0.25)
 
 
-@dataclass(frozen=True)
-class KPartNorms:
-    """Trace norms of the K pieces plus the operator norm of K^{--}.
+class KPartNorms(NamedTuple):
+    """Trace norms of the K pieces plus the operator norm of K^{--}, in CSV column order.
 
     K^{--} and K^{++} are positive semidefinite, so their trace norms are
     their traces; the mixed pieces are bounded by Cauchy-Schwarz on the
@@ -127,25 +134,24 @@ def k_part_norms(M: int) -> KPartNorms:
     t_mm, t_pp = k_part_traces(M)
     # ||P A*(1-P)||_2^2 = 4 tr K^{--} and ||P B (1-P)||_2^2 = 4 tr K^{++}
     t_mixed = 0.25 * math.sqrt(4.0 * t_mm) * math.sqrt(4.0 * t_pp)
-    op_mm = operator_norm(_k_minus_minus(M))
-    return KPartNorms(t_mm=t_mm, t_pp=t_pp, t_mixed=t_mixed, op_mm=op_mm)
+    return KPartNorms(t_mm, t_pp, t_mixed, operator_norm(_k_minus_minus(M)))
 
 
-def dirichlet_flux_logdet(delta: float, M: int) -> float:
-    """log|det(I - (4/pi^2) sin^2(delta) K_M)| for even particle number N = 2M.
+def dirichlet_flux_logdet(delta: float, N: int) -> float:
+    """log|D~_{N,L}| of the N x N Dirichlet jump-symbol matrix, any N >= 1.
 
-    It equals log |D~_{N,L}| of the assembled 2M x 2M Dirichlet
-    jump-symbol matrix; `block_reduction_check` verifies the agreement.
+    det F = c^(N - 2M) det(c^2 I + s^2 B^T B) with I - B^T B = (4/pi^2) K
+    (module docstring) makes it (N - 2M) log|cos delta| plus the real M x M
+    log|det(I - (4/pi^2) sin^2(delta) K)|, M = N // 2; odd N at delta = pi/2
+    gives exactly -inf.  Dense LU of overlap.dirichlet_flux_closed_form is
+    the test oracle.
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")
-    A = k_matrix(M)
+    A = k_matrix(N)
     A *= -(4.0 / math.pi**2) * math.sin(delta) ** 2
-    A.flat[:: M + 1] += 1.0
-    return log_det(A)
-
-
-def block_reduction_check(delta: float, M: int) -> tuple[float, float]:
-    """(log|det block|, log|det reduced|) for the 2M x 2M vs K_M determinants."""
-    block = dirichlet_flux_closed_form(delta, 2 * M)
-    return log_det(block), dirichlet_flux_logdet(delta, M)
+    A.flat[:: N // 2 + 1] += 1.0
+    ld = log_det(A)
+    if N % 2:
+        ld += -math.inf if abs(delta) == math.pi / 2 else math.log(abs(math.cos(delta)))
+    return ld

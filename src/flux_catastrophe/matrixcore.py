@@ -9,15 +9,15 @@ fh_log_det, the dense log-determinant, the certified trace norm and the
 power-iteration operator norm.
 
 Determinants of these matrices decay polynomially in N, so only their
-magnitudes are kept, in log space throughout.  The jump-symbol matrix is
-a scaled Cauchy matrix, so fh_log_det sums Cauchy's product formula in
-O(N) with no dense factorization (its docstring has the derivation).
-Every other determinant comes from dense LU with partial pivoting (LAPACK
-via numpy), which keeps the decaying determinants trustworthy; that
-O(N^3) factorization of the exact overlap matrix is the costliest step of
-an overlap sweep.  The matrices themselves are assembled in O(N^2) from
-O(N) verified coefficients, and the trace norm of the low-rank Delta_N
-costs O(N^2 k).
+magnitudes are kept, in log space throughout.  fh_log_det sums Cauchy's
+product formula for the periodic jump-symbol matrix in O(N) (its docstring
+has the derivation); hilbert.dirichlet_flux_logdet reduces the Dirichlet
+one to a real (N // 2) x (N // 2) determinant.  log_det, dense LU with
+partial pivoting (LAPACK via numpy), factors that reduced matrix and the
+exact overlap matrix, whose O(N^3) LU is the costliest step of an overlap
+sweep.  The matrices themselves are assembled in O(N^2) from O(N)
+verified coefficients, and the trace norm of the low-rank Delta_N costs
+O(N^2 k).
 """
 
 from __future__ import annotations

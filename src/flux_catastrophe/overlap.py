@@ -26,10 +26,7 @@ c~_0 = cos(Phi_L(L)) and c~_m = -(2i/pi) sin(Phi_L(L)) sin(m pi/2) / m.
 Support sums.  Both bases need S[m] = sum_u w_u f(u) e^{i m h u} over the
 support's quadrature nodes u for M consecutive m: the periodic t_d
 (nodes x, h = pi/L) and the Dirichlet c_m (nodes y and -y, h = 1, since
-cos(m y) is the mean of e^{+-i m y}).  Writing m = B q + r with
-B = ceil(sqrt(M)) turns each phase into a product of two exponentials, so
-B + M/B rows of exp and one complex matrix product replace M x n
-exponentials.
+cos(m y) is the mean of e^{+-i m y}); _phase_sums factors the phases.
 
 Quadrature check.  The doubling check (refine 0 against refine 1, and on
 while needed) compares the O(N) coefficient vectors, not two N x N
@@ -51,10 +48,11 @@ from N = 128 to 2048.  matrixcore.trace_norm uses this through a
 certified randomized range finder; it is the same compact-support fact
 behind the paper's estimate ||Delta_N||_1 <= (N/L) int |y a(y)| dy.
 
-evaluate_point builds both matrices once per grid point and derives the
-log-determinants, C_{N,L}, ||Delta_N||_1 and the moment bound from them.
-The band gate on C_{N,L} along a grid is the overlap_sweep row of the
-CLI's experiment table (cli._c_band_gate).
+evaluate_point builds both matrices once per grid point and derives
+C_{N,L}, ||Delta_N||_1 and the moment bound; the jump log-determinant
+comes in closed form from (delta_L, N).  The band gate on C_{N,L} along a
+grid is the overlap_sweep row of the CLI's experiment table
+(cli._c_band_gate).
 """
 
 from __future__ import annotations
@@ -66,6 +64,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError
+from .hilbert import dirichlet_flux_logdet
 from .matrixcore import _toeplitz, fh_log_det, fh_matrix, log_det, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
 from .quadrature import build_edges, cis_integral, gauss_legendre_rule
@@ -258,30 +257,24 @@ class GridPoint(NamedTuple):
 def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> GridPoint:
     """Build T_N(e^{i g_L}) and T_N(e^{i g~_L}) once and derive every result.
 
-    From the two matrices: both log-determinants, C_{N,L} = |D|^2 / |D~|^2,
-    Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}) and its trace norm, checked
-    against the periodic proof's estimate ||Delta_N||_1 <= (N/L) int |y a(y)| dy
-    (numerically it holds for the Dirichlet basis as well; the same
+    |D~| depends on (delta_L, N) alone and is taken before any jump matrix
+    exists: matrixcore.fh_log_det in O(N) (periodic; the sign (-1)^{n_L}
+    leaves |det| unchanged) or the real parity reduction
+    hilbert.dirichlet_flux_logdet (Dirichlet).  Then |D| by LU, C_{N,L} =
+    |D|^2 / |D~|^2, and Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}), formed in
+    place of the exact matrix, so at most two N x N matrices are alive at
+    once, a factorization's copy included.  Its trace norm is checked
+    against the periodic proof's estimate ||Delta_N||_1 <= (N/L) int |y a(y)|
+    dy (numerically it holds for the Dirichlet basis as well; the same
     splitting argument applies entrywise), up to an absolute slack of 1e-8.
-
-    The periodic |D~| comes from matrixcore.fh_log_det, in O(N): the sign
-    (-1)^{n_L} of the jump matrix leaves |det| unchanged.  The Dirichlet one
-    factors the jump matrix by LU.  Delta_N is formed in place of the exact
-    matrix once its log-determinant is taken, and the jump matrix is freed
-    before the trace norm, so at most two N x N matrices are alive at once
-    besides a factorization's copy.
     """
     prof = flux_profile(a, L)
+    periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
+    ld_flux = (fh_log_det if periodic else dirichlet_flux_logdet)(prof.delta_L, N)
     exact = overlap_matrix(a, bc, N, L)
     ld_exact = log_det(exact)
-    flux = flux_matrix(a, bc, N, L)
-    if BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC:
-        ld_flux = fh_log_det(prof.delta_L, N)
-    else:
-        ld_flux = log_det(flux)
     c_ratio = math.inf if math.isinf(ld_flux) else math.exp(2.0 * (ld_exact - ld_flux))
-    exact -= flux
-    del flux
+    exact -= flux_matrix(a, bc, N, L)
     tn = trace_norm(exact)
     bound = N / L * moment_integrals(a, L)
     return GridPoint(prof.delta_L, prof.n_L, 2.0 * ld_exact, 2.0 * ld_flux, c_ratio, tn, bound, tn <= bound + 1e-8)

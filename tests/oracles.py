@@ -115,13 +115,14 @@ def inv_square_tail_partial(a: float, terms: int = 10**7) -> float:
     return partial + _inv_square_tail(terms + 1 + a)
 
 
-def k_entry_bruteforce(M: int, j: int, k: int, l_terms: int = 10**7) -> float:
-    """(K_M)_{jk} by direct summation with an integral-closed tail."""
-    l = np.arange(M + 1, M + 1 + l_terms, dtype=float)
+def k_entry_bruteforce(T: int, j: int, k: int, l_terms: int = 10**7) -> float:
+    """K_jk = j k sum_{l > T} 1/(((l-1/2)^2 - j^2)((l-1/2)^2 - k^2)) by direct summation
+    with an integral-closed tail; T = ceil(N/2) for N particles."""
+    l = np.arange(T + 1, T + 1 + l_terms, dtype=float)
     base = (l - 0.5) ** 2
     partial = float(np.sum(j * k / ((base - j * j) * (base - k * k))))
     # remaining terms behave like j k / l^4; close with the integral
-    z = M + l_terms + 0.5
+    z = T + l_terms + 0.5
     partial += j * k * (1.0 / (3.0 * z**3) + 1.0 / (2.0 * z**4))
     return partial
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from flux_catastrophe import cli, hilbert, overlap
+from flux_catastrophe import cli, overlap
+from flux_catastrophe.matrixcore import log_det
 from oracles import cauchy_fh_logdet_sq
 
 # flux 2.0 gives n_L = 1; support radius 4 keeps L = N / 2 >= 4 on every grid below
@@ -176,10 +177,16 @@ def test_each_experiment_runs_and_passes_its_gate(tmp_path, capsys, experiment):
          "n_grid: exponent_fit needs at least 4 points, got [16, 32, 64]"),
         ({"experiment": "anderson", "delta_override": math.nextafter(math.pi / 2, 4.0), "n_grid": [4]},
          f"delta_override: must be a number with |delta| <= pi/2, got {math.nextafter(math.pi / 2, 4.0)!r}"),
+        ({"experiment": "overlap_sweep", "potential": POTENTIAL, "delta_override": 0.1, "n_grid": [16, 32]},
+         "delta_override: overlap_sweep takes delta from its potential, not delta_override"),
+        ({"experiment": "lemma_check", "potential": POTENTIAL, "delta_override": 0.1, "n_grid": [16, 32]},
+         "delta_override: lemma_check takes delta from its potential, not delta_override"),
+        ({"experiment": "energy", "potential": POTENTIAL, "delta_override": 0.1, "n_grid": [101]},
+         "delta_override: energy takes delta from its potential, not delta_override"),
     ],
     ids=["odd-N", "sweep-no-potential", "lemma-no-potential", "no-delta", "no-tolerance-keys",
          "misspelled-key", "non-numeric", "bool", "infinite", "bool-in-grid", "short-fit-grid",
-         "delta-above-pi-over-2"],
+         "delta-above-pi-over-2", "sweep-delta-override", "lemma-delta-override", "energy-delta-override"],
 )
 def test_experiment_preconditions_are_config_errors(tmp_path, capsys, fields, message):
     config = _write_config(tmp_path, **fields)
@@ -297,8 +304,8 @@ def test_dirichlet_sweep_at_delta_pi_over_2(tmp_path, capsys):
         if n % 2:
             assert (log_dtilde, c_ratio) == (-math.inf, math.inf), n
         else:
-            reduced = 2.0 * hilbert.dirichlet_flux_logdet(math.pi / 2, int(n) // 2)
-            assert abs(log_dtilde - reduced) <= 1e-10, n
+            dense = 2.0 * log_det(overlap.dirichlet_flux_closed_form(math.pi / 2, int(n)))
+            assert abs(log_dtilde - dense) <= 1e-10, n
             assert math.isfinite(c_ratio) and c_ratio > 0, n
     assert "degenerate C at N = [5, 7, 9, 65]" in capsys.readouterr().out
 

@@ -11,7 +11,6 @@ from flux_catastrophe.asymptotics import trigamma
 from flux_catastrophe.errors import DomainError
 from flux_catastrophe.hilbert import (
     _k_minus_minus,
-    block_reduction_check,
     dirichlet_flux_logdet,
     hilbert_section,
     hilbert_section_norm,
@@ -19,6 +18,9 @@ from flux_catastrophe.hilbert import (
     k_part_norms,
     k_part_traces,
 )
+from flux_catastrophe.matrixcore import log_det
+from flux_catastrophe.overlap import dirichlet_flux_closed_form
+from flux_catastrophe.potential import flux_decomposition
 from oracles import hilbert_square_closed_form, k_entry_bruteforce, k_parts
 
 
@@ -60,7 +62,7 @@ def test_hilbert_square_closed_form_values():
 
 
 def test_k11_value_pinned_by_bruteforce_sum():
-    k11 = k_matrix(1)[0, 0]
+    k11 = k_matrix(2)[0, 0]
     # frozen from the 10^7-term sum oracle; also equals pi^2/4 - 16/9
     assert_allclose(k11, 0.6896233224945618, rtol=1e-12)
     assert_allclose(k11, k_entry_bruteforce(1, 1, 1), rtol=1e-12)
@@ -70,13 +72,16 @@ def test_k_matrix_decomposition_identity():
     parts = k_parts(8)
     assert sorted(parts) == ["++", "+-", "-+", "--"]
     total = sum(parts.values())
-    assert float(np.max(np.abs(k_matrix(8) - total))) < 1e-12
+    assert float(np.max(np.abs(k_matrix(16) - total))) < 1e-12
 
 
 def test_k_matrix_vs_bruteforce_entries():
-    K = k_matrix(3)
-    for (j, k) in ((1, 1), (1, 2), (2, 3), (3, 3)):
-        assert_allclose(K[j - 1, k - 1], k_entry_bruteforce(3, j, k, l_terms=10**6), rtol=1e-11)
+    # N = 6 and N = 7 both give 3 x 3 matrices; the sums start after T = ceil(N / 2)
+    for N, T in ((6, 3), (7, 4)):
+        K = k_matrix(N)
+        assert K.shape == (3, 3)
+        for (j, k) in ((1, 1), (1, 2), (2, 3), (3, 3)):
+            assert_allclose(K[j - 1, k - 1], k_entry_bruteforce(T, j, k, l_terms=10**6), rtol=1e-11)
 
 
 def test_k_parts_positive_semidefinite():
@@ -126,16 +131,16 @@ def test_k_part_norms_peak_memory_is_about_two_matrices():
     assert peak <= 2.5 * M * M * 8
 
 
-@pytest.mark.parametrize("build", [k_matrix, lambda M: dirichlet_flux_logdet(math.pi / 4, M)],
+@pytest.mark.parametrize("build", [k_matrix, lambda N: dirichlet_flux_logdet(math.pi / 4, N)],
                          ids=["k_matrix", "dirichlet_flux_logdet"])
 def test_k_matrix_peak_memory_is_two_matrices(build):
     # K_M is built in place next to one scratch array; the broadcast formula
     # with np.where and np.eye peaked at 3.13x one M x M matrix
     M = 1024
-    build(8)
+    build(16)
     tracemalloc.start()
     try:
-        build(M)
+        build(2 * M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -149,25 +154,46 @@ def test_trace_mm_log_growth():
 
 
 def test_dirichlet_flux_logdet_zero_delta():
-    assert dirichlet_flux_logdet(0.0, 16) == 0.0
+    assert dirichlet_flux_logdet(0.0, 32) == 0.0
+    assert dirichlet_flux_logdet(0.0, 33) == 0.0
 
 
 def test_dirichlet_flux_logdet_m1():
     # det(1 - (2/pi^2) K_11) with K_11 from the brute-force oracle
     k11 = k_entry_bruteforce(1, 1, 1, l_terms=10**6)
     expected = 1.0 - (4.0 / math.pi**2) * math.sin(math.pi / 4) ** 2 * k11
-    assert_allclose(math.exp(dirichlet_flux_logdet(math.pi / 4, 1)), abs(expected), rtol=1e-11)
+    assert_allclose(math.exp(dirichlet_flux_logdet(math.pi / 4, 2)), abs(expected), rtol=1e-11)
 
 
-@pytest.mark.parametrize("delta,M", [(math.pi / 4, 8), (math.pi / 3, 16), (3 * math.pi / 8, 32)])
-def test_block_reduction_agreement(delta, M):
-    ld_block, ld_reduced = block_reduction_check(delta, M)
-    assert abs(ld_block - ld_reduced) < 1e-8
+@pytest.mark.parametrize("delta,N", [(math.pi / 4, 16), (math.pi / 3, 32), (3 * math.pi / 8, 64),
+                                     (math.pi / 4, 17), (math.pi / 3, 33), (3 * math.pi / 8, 65)])
+def test_block_reduction_agreement(delta, N):
+    # delta in (-pi/2, pi/2) is its own flux decomposition
+    ld_block = log_det(dirichlet_flux_closed_form(delta, N))
+    assert abs(ld_block - dirichlet_flux_logdet(delta, N)) < 1e-8
+
+
+# fluxes of both signs, n_L = 0, 1 and 2, and delta = pi/2 reached from -pi/2, pi/2 and 3 pi/2
+REDUCTION_FLUXES = [0.3, math.pi / 4, -1.1, 2.0, 2.0 + math.pi, math.pi / 2, -math.pi / 2, 3 * math.pi / 2]
+
+
+@pytest.mark.parametrize("flux", REDUCTION_FLUXES)
+def test_dirichlet_flux_logdet_matches_lu_for_every_n(flux):
+    # the parity Schur complement holds for both parities; at delta = pi/2 the
+    # odd-N jump matrix is exactly singular and both routes give -inf
+    delta = flux_decomposition(flux)[1]
+    for N in range(1, 65):
+        dense = log_det(dirichlet_flux_closed_form(flux, N))
+        reduced = dirichlet_flux_logdet(delta, N)
+        if math.isinf(dense) or math.isinf(reduced):
+            assert dense == reduced == -math.inf and N % 2 and delta == math.pi / 2, (N, dense, reduced)
+        else:
+            assert abs(dense - reduced) <= 1e-12, (N, dense - reduced)
 
 
 def test_dirichlet_logdet_decays_in_M():
     delta = math.pi / 4
-    vals = [dirichlet_flux_logdet(delta, m) for m in (8, 12, 16, 24, 32, 48, 64)]
+    vals = [dirichlet_flux_logdet(delta, 2 * m) for m in (8, 12, 16, 24, 32, 48, 64)]
     assert all(b <= a + 1e-12 for a, b in zip(vals[:-1], vals[1:]))
 
 
@@ -188,5 +214,6 @@ def test_k_matrix_domain_error():
     for build in (k_matrix, _k_minus_minus):
         with pytest.raises(DomainError):
             build(0)
-    with pytest.raises(DomainError):
-        dirichlet_flux_logdet(2.0, 4)
+    for args in ((2.0, 4), (0.5, 0)):
+        with pytest.raises(DomainError):
+            dirichlet_flux_logdet(*args)

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -15,7 +16,10 @@ from scipy.integrate import quad
 
 from flux_catastrophe import cli
 from flux_catastrophe.errors import DomainError, NumericalError
-from flux_catastrophe.matrixcore import _toeplitz, fh_log_det, fh_matrix, log_det, trace_norm
+from flux_catastrophe.hilbert import dirichlet_flux_logdet
+import flux_catastrophe.hilbert as hilbert_module
+from flux_catastrophe.matrixcore import _toeplitz, fh_matrix, log_det, trace_norm
+import flux_catastrophe.matrixcore as matrixcore_module
 import flux_catastrophe.overlap as overlap_module
 from flux_catastrophe.overlap import (
     dirichlet_flux_closed_form,
@@ -262,18 +266,41 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
+def test_evaluate_point_factors_no_complex_matrix_but_the_overlap(monkeypatch, bc):
+    # both jump log-dets come from (delta_L, N); dense complex LU is spent on
+    # the exact overlap matrix alone
+    built, factored = [], []
+    original_build, original_log_det = overlap_module.overlap_matrix, log_det
+
+    def recording_build(*args):
+        built.append(original_build(*args))
+        return built[-1]
+
+    def recording_log_det(m):
+        factored.append(m)
+        return original_log_det(m)
+
+    monkeypatch.setattr(overlap_module, "overlap_matrix", recording_build)
+    for module in (overlap_module, hilbert_module, matrixcore_module):
+        monkeypatch.setattr(module, "log_det", recording_log_det)
+    evaluate_point(gaussian_bump_with_flux(2.0), bc, 40, 20.0)
+    complex_args = [m for m in factored if np.iscomplexobj(m)]
+    assert len(built) == 1 and len(complex_args) == 1 and complex_args[0] is built[0]
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
 def test_evaluate_point_matches_each_quantity_built_directly(bc):
     a = gaussian_bump_with_flux(2.0)
     point = evaluate_point(a, bc, 40, 20.0)
     prof = flux_profile(a, 20.0)
     assert (point.delta_L, point.n_L) == (prof.delta_L, prof.n_L)
     ld_exact = log_det(overlap_matrix(a, bc, 40, 20.0))
-    ld_dense = log_det(flux_matrix(a, bc, 40, 20.0))
-    # the periodic jump matrix's log-det is the O(N) Cauchy sum; LU is its oracle
-    ld_flux = fh_log_det(prof.delta_L, 40) if bc is PER else ld_dense
-    assert abs(ld_flux - ld_dense) <= 1e-13
-    assert (point.log_D_sq, point.log_Dtilde_sq) == (2.0 * ld_exact, 2.0 * ld_flux)
-    assert point.c_ratio == math.exp(2.0 * (ld_exact - ld_flux))
+    assert point.log_D_sq == 2.0 * ld_exact
+    # the jump log-det is the O(N) Cauchy sum (periodic) or the parity reduction
+    # (Dirichlet); dense LU of the closed-form jump matrix is its oracle
+    dense = fh_matrix(prof.delta_L, 40) if bc is PER else dirichlet_flux_closed_form(prof.total_flux, 40)
+    assert abs(point.log_Dtilde_sq - 2.0 * log_det(dense)) <= 2e-13
+    assert point.c_ratio == math.exp(2.0 * ld_exact - point.log_Dtilde_sq)
     assert point.trace_norm_delta == trace_norm(_delta_n(a, bc, 40, 20.0))
     assert point.bound == 40 / 20.0 * moment_integrals(a, 20.0)
     assert point.bound_holds == (point.trace_norm_delta <= point.bound + 1e-8)
@@ -292,6 +319,17 @@ SWEEP_POTENTIALS = {
         }
     ),
 }
+
+
+def test_dirichlet_sweep_jump_logdet_matches_lu_at_every_bench_n():
+    # the Dirichlet sweep's |D~| is the parity reduction at delta_L = 1.2375 for
+    # N = 128 .. 2048, odd N = 181 included; dense LU is its oracle
+    a = SWEEP_POTENTIALS[DIR]
+    config = json.loads((Path(__file__).resolve().parents[1] / "bench" / "configs" / "sweep_dirichlet.json").read_text())
+    for N in config["n_grid"]:
+        prof = flux_profile(a, N / 2.0)
+        dense = log_det(dirichlet_flux_closed_form(prof.total_flux, N))
+        assert abs(dirichlet_flux_logdet(prof.delta_L, N) - dense) <= 1e-10, N
 
 
 _COEFFICIENTS = {PER: "_periodic_overlap_coefficients", DIR: "_dirichlet_cosine_coefficients"}
