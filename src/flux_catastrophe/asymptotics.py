@@ -1,5 +1,5 @@
-"""Decay-exponent fits, the Anderson integral, digamma/trigamma and the
-log tail of Euler's sine product.
+"""Decay-exponent fits, the Anderson integral and the Hurwitz zeta function
+behind digamma, trigamma and the Barnes-G constant.
 
 The overlap with the idealized jump symbol decays like N^(-2 delta^2/pi^2)
 (exact exponent) with the Fisher-Hartwig constant 2 log[G(1+c) G(1-c)],
@@ -16,8 +16,10 @@ rescaling the double sum gives
           + N (psi_1(N+1-c) + psi_1(N+1+c)) ],      c = delta / pi,
     S(c) = sum_{t=1}^{N} t / (t - c)^2.
 
-The infinite tails are trigamma values, evaluated by recurrence plus the
-asymptotic Bernoulli series, never by truncation.
+Every infinite sum in the package is a value of hurwitz_zeta: one
+recurrence plus one Euler-Maclaurin series gives psi = -zeta(1, .),
+psi_1 = zeta(2, .), the odd zeta values of the Barnes-G constant and the
+tail of matrixcore.fh_log_det, never a truncated sum.
 """
 
 from __future__ import annotations
@@ -30,112 +32,59 @@ import numpy as np
 
 from .errors import DomainError
 
-# Bernoulli numbers B_2 .. B_12 for the asymptotic expansions.
+# Bernoulli numbers B_2 .. B_12 for the Euler-Maclaurin series.
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
-_SHIFT = 16.0
+_ASYMPTOTIC_FROM = 64.0
 
 
-def _prepare(x) -> tuple[np.ndarray, bool]:
+def hurwitz_zeta(s: int, x):
+    """zeta(s, x) = sum_{d>=0} (x + d)^(-s) for an integer s >= 1 and x > 0.
+
+    At s = 1 the series diverges and the regularised value -psi(x) is
+    returned (DLMF 25.11), so digamma and trigamma are -zeta(1, x) and
+    zeta(2, x).  The recurrence zeta(s, x) = x^(-s) + zeta(s, x + 1) raises
+    every argument below 64 to y in [64, 65); from y >= 64 on,
+    Euler-Maclaurin applies:
+
+        zeta(s, y) = y^(1-s) / (s-1) + y^(-s) / 2
+                     + sum_{j=1}^{6} B_2j / (2j)! s (s+1) ... (s+2j-2) y^(-s-2j+1),
+
+    with -ln y in place of y^(1-s) / (s-1) at s = 1.  For s <= 29 the
+    first omitted term is below 3e-15 of the sum.  Scalars give a float,
+    arrays an array.
+    """
+    if s < 1:
+        raise DomainError("hurwitz_zeta requires an integer s >= 1")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("polygamma requires strictly positive finite arguments")
-    return arr, scalar
+        raise DomainError("hurwitz_zeta requires strictly positive finite arguments")
+    steps = np.ceil(np.maximum(_ASYMPTOTIC_FROM - arr, 0.0))
+    head = np.zeros_like(arr)
+    for i in range(int(steps.max(initial=0.0))):
+        head += np.where(i < steps, (arr + i) ** -s, 0.0)
+    y = arr + steps
+    power = y ** -s  # y^(-s-2j+1) in the loop
+    out = (-np.log(y) if s == 1 else y ** (1 - s) / (s - 1)) + 0.5 * power
+    power /= y
+    coef = s / 2.0  # s (s+1) ... (s+2j-2) / (2j)!
+    for j, b in enumerate(_BERNOULLI, start=1):
+        out += b * coef * power
+        coef *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2))
+        power /= y * y
+    out += head
+    return float(out[0]) if scalar else out
 
 
 def digamma(x):
-    """psi(x) for x > 0, relative error <= 1e-13 (recurrence + asymptotics)."""
-    arr, scalar = _prepare(x)
-    steps = int(np.ceil(max(0.0, _SHIFT - float(arr.min(initial=_SHIFT)))))
-    acc = np.zeros_like(arr)
-    for i in range(steps):
-        shifted = arr + i
-        acc += np.where(shifted < _SHIFT, 1.0 / shifted, 0.0)
-    k = np.ceil(np.maximum(_SHIFT - arr, 0.0))
-    y = arr + k
-    inv2 = 1.0 / (y * y)
-    series = np.zeros_like(y)
-    power = inv2.copy()
-    for n, b in enumerate(_BERNOULLI, start=1):
-        series += b / (2 * n) * power
-        power *= inv2
-    out = np.log(y) - 0.5 / y - series - acc
-    return float(out[0]) if scalar else out
+    """psi(x) = -zeta(1, x) for x > 0."""
+    return -hurwitz_zeta(1, x)
 
 
 def trigamma(x):
-    """psi_1(x) for x > 0, relative error <= 1e-13."""
-    arr, scalar = _prepare(x)
-    steps = int(np.ceil(max(0.0, _SHIFT - float(arr.min(initial=_SHIFT)))))
-    acc = np.zeros_like(arr)
-    for i in range(steps):
-        shifted = arr + i
-        acc += np.where(shifted < _SHIFT, 1.0 / (shifted * shifted), 0.0)
-    k = np.ceil(np.maximum(_SHIFT - arr, 0.0))
-    y = arr + k
-    inv = 1.0 / y
-    inv2 = inv * inv
-    series = np.zeros_like(y)
-    power = inv * inv2  # 1/y^3
-    for b in _BERNOULLI:
-        series += b * power
-        power *= inv2
-    out = inv + 0.5 * inv2 + series + acc
-    return float(out[0]) if scalar else out
-
-
-def _hurwitz_zeta(s: int, x: float) -> float:
-    """zeta(s, x) = sum_{d>=0} (x + d)^(-s) for an integer s >= 2 and x >= 64.
-
-    Euler-Maclaurin at x:
-    x^(1-s) / (s-1) + x^(-s) / 2 + sum_j B_2j / (2j)! s (s+1) ... (s+2j-2) x^(-s-2j+1),
-    through B_12; at x >= 64 and s <= 10 the next term is below 1e-19 of
-    the first.
-    """
-    out = x ** (1 - s) / (s - 1) + 0.5 * x ** (-s)
-    rising = float(s)  # s (s+1) ... (s+2j-2)
-    power = x ** (-s - 1)  # x^(-s-2j+1)
-    factorial = 2.0  # (2j)!
-    for j, b in enumerate(_BERNOULLI, start=1):
-        out += b / factorial * rising * power
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-        power /= x * x
-        factorial *= (2 * j + 1) * (2 * j + 2)
-    return out
-
-
-# euler_product_log_tail takes the terms d < 64 one by one, then the zeta
-# series at x = max(N, 64), where c^2 / x^2 <= 2^-14 and five terms leave a
-# relative remainder below 1e-22.
-_TAIL_DIRECT_TERMS = 64
-_TAIL_ZETA_TERMS = 5
-
-
-def euler_product_log_tail(c: float, N: int) -> float:
-    """tau_N = sum_{d>=N} log(1 - c^2/d^2) for |c| <= 1/2 and N >= 1.
-
-    The log of the tail of Euler's product sin(pi c) / (pi c) =
-    prod_{d>=1} (1 - c^2/d^2).  Expanding each log,
-
-        tau_N = -sum_{k>=1} (c^(2k) / k) zeta(2k, N),
-
-    with zeta(s, x) the Hurwitz zeta function.  Every term is negative, so
-    nothing cancels.
-    """
-    if abs(c) > 0.5:
-        raise DomainError("euler_product_log_tail requires |c| <= 1/2")
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    c2 = c * c
-    x = max(N, _TAIL_DIRECT_TERMS)
-    d = np.arange(N, x, dtype=float)
-    tail = float(np.sum(np.log1p(-c2 / (d * d))))
-    power = 1.0
-    for k in range(1, _TAIL_ZETA_TERMS + 1):
-        power *= c2
-        tail -= power / k * _hurwitz_zeta(2 * k, float(x))
-    return tail
+    """psi_1(x) = zeta(2, x) for x > 0."""
+    return hurwitz_zeta(2, x)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +124,6 @@ def theorem_exponent(delta: float) -> float:
     return -2.0 * delta * delta / (math.pi * math.pi)
 
 
-# zeta(2m - 1) - 1 for m = 2 .. 15, to double precision
-_ZETA_ODD_MINUS_ONE = (
-    0.2020569031595943, 0.03692775514336993, 0.008349277381922827, 0.0020083928260822143,
-    0.0004941886041194645, 0.00012271334757848915, 3.058823630702049e-05, 7.637197637899763e-06,
-    1.908212716553939e-06, 4.769329867878064e-07, 1.1921992596531106e-07, 2.980350351465228e-08,
-    7.45071178983543e-09, 1.862659723513049e-09,
-)
 _EULER_GAMMA = 0.5772156649015329
 
 
@@ -193,17 +135,17 @@ def theorem_constant(delta: float) -> float:
 
         log G(1+c) + log G(1-c) = -(1+gamma) c^2 - sum_{m>=2} zeta(2m-1) c^(2m) / m.
 
-    Splitting zeta(2m-1) = 1 + (zeta(2m-1) - 1) sums the ones in closed
-    form, sum_{m>=2} c^(2m) / m = -log(1 - c^2) - c^2, and leaves a remainder
+    Splitting zeta(2m-1) = 1 + zeta(2m-1, 2) sums the ones in closed form,
+    sum_{m>=2} c^(2m) / m = -log(1 - c^2) - c^2, and leaves a remainder
     whose terms fall like (c/2)^(2m) <= 16^(-m) for |delta| <= pi/2; every
-    term has the same sign.
+    term has the same sign, and m <= 15 reaches double precision.
     """
     c2 = (delta / math.pi) ** 2
     power = c2
     rest = 0.0
-    for m, z in enumerate(_ZETA_ODD_MINUS_ONE, start=2):
+    for m in range(2, 16):
         power *= c2
-        rest += z * power / m
+        rest += hurwitz_zeta(2 * m - 1, 2.0) * power / m
     return 2.0 * (-_EULER_GAMMA * c2 + math.log1p(-c2) - rest)
 
 

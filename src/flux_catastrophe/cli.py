@@ -42,8 +42,9 @@ theorem's exponent and constant.
 Other tolerance keys, a missing potential (overlap_sweep, lemma_check), a
 missing potential and delta_override (exponent_fit, anderson,
 dirichlet_hilbert), a delta_override anywhere else (overlap_sweep,
-lemma_check, energy), fewer than 4 grid points (exponent_fit) and an odd N
-(dirichlet_hilbert) are config errors, reported before any output exists.
+lemma_check, energy), fewer than 4 grid points (exponent_fit), an odd N
+(dirichlet_hilbert) and a potential field, knot or table value that is not
+a finite JSON number are config errors, reported before any output exists.
 
 energy honours bc: the periodic rows hold the closed-form and direct-sum
 differences and the limit 4 delta^2 rho^2 or 4 delta (delta - pi) rho^2 of
@@ -56,9 +57,10 @@ and floats are printed with 17 significant digits, so identical configs
 produce byte-identical CSV files.
 
 --jobs defaults to 1.  Each grid point already runs multithreaded BLAS, so
-extra worker processes oversubscribe the cores: on a 2-core machine the
-periodic N = 128 .. 2048 overlap sweep took 86.5 s at --jobs 2 against
-10.8 s at --jobs 1 (bench/README.md).
+extra worker processes oversubscribe the cores: on a 2-core Xeon VM
+(OpenBLAS 0.3.31, 2 threads) the periodic N = 128 .. 2048 overlap sweep,
+bench/configs/sweep_periodic.json, took 1.62, 1.71 and 1.64 s at --jobs 1
+against 2.37, 2.48 and 5.80 s at --jobs 2 (wall clock of the command).
 
 Exit codes: 0 success, 2 property-check failure, 1 config or numerical error.
 """
@@ -86,6 +88,7 @@ from .potential import (
     MagneticPotential,
     flux_profile,
     full_line_delta,
+    is_number,
     potential_from_dict,
     potential_to_dict,
     zero_potential,
@@ -130,7 +133,7 @@ class ExperimentConfig:
         except DomainError as exc:
             errors.append(f"bc: {exc}")
         rho = raw.get("rho", 1.0)
-        if not _is_number(rho) or rho <= 0:
+        if not is_number(rho) or rho <= 0:
             errors.append(f"rho: must be a positive number, got {rho!r}")
         n_grid = raw.get("n_grid", list(asymptotics.DEFAULT_N_GRID))
         grid_ok = (
@@ -142,7 +145,7 @@ class ExperimentConfig:
         if not grid_ok:
             errors.append(f"n_grid: must be a nonempty strictly increasing list of integers, got {n_grid!r}")
         delta = raw.get("delta_override")
-        if delta is not None and (not _is_number(delta) or abs(delta) > math.pi / 2):
+        if delta is not None and (not is_number(delta) or abs(delta) > math.pi / 2):
             errors.append(f"delta_override: must be a number with |delta| <= pi/2, got {delta!r}")
         out = raw.get("output_path", "results")
         if not isinstance(out, str) or not out:
@@ -166,7 +169,7 @@ class ExperimentConfig:
                 if key not in row.tolerances:
                     accepted = ", ".join(row.tolerances) or "none"
                     errors.append(f"tolerances: unknown key {key!r} for {experiment} (accepted: {accepted})")
-                elif not _is_number(value):
+                elif not is_number(value):
                     errors.append(f"tolerances: {key} must be a finite number, got {value!r}")
         if errors:
             raise DomainError("invalid config:\n  " + "\n  ".join(errors))
@@ -199,11 +202,6 @@ class ExperimentConfig:
         if self.delta_override is not None:
             return self.delta_override
         return full_line_delta(self.potential)
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number; JSON true/false parse to bools, which are ints."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _fmt(value) -> str:
@@ -479,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="worker processes (default: 1; grid points already use multithreaded BLAS, "
-        "and --jobs 2 on 2 cores ran the periodic sweep 8x slower: 86.5 s against 10.8 s)",
+        "so more workers oversubscribe the cores)",
     )
     runp.add_argument("--out", type=Path, default=None, help="output directory (overrides config output_path)")
     sub.add_parser("selftest", help="run the built-in property suite")

@@ -4,13 +4,13 @@ The overlap objects are N x N arrays: classical Toeplitz in the plane-wave
 basis of the periodic problem, Toeplitz-minus-Hankel in the Dirichlet
 sine basis.  This module holds what every consumer shares: the
 strided Toeplitz view that turns 2N - 1 coefficients into a matrix, the
-closed-form jump-symbol matrix fh_matrix and its O(N) log-determinant
+closed-form jump-symbol matrix fh_matrix and its O(1) log-determinant
 fh_log_det, the dense log-determinant, the certified trace norm and the
 power-iteration operator norm.
 
 Determinants of these matrices decay polynomially in N, so only their
 magnitudes are kept, in log space throughout.  fh_log_det sums Cauchy's
-product formula for the periodic jump-symbol matrix in O(N) (its docstring
+product formula for the periodic jump-symbol matrix in O(1) (its docstring
 has the derivation); hilbert.dirichlet_flux_logdet reduces the Dirichlet
 one to a real (N // 2) x (N // 2) determinant.  log_det, dense LU with
 partial pivoting (LAPACK via numpy), factors that reduced matrix and the
@@ -27,7 +27,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .asymptotics import euler_product_log_tail
+from .asymptotics import hurwitz_zeta
 from .errors import DomainError, NumericalError
 
 
@@ -139,7 +139,7 @@ def operator_norm(m: np.ndarray) -> float:
     )
 
 
-def _toeplitz(t: np.ndarray, N: int) -> np.ndarray:
+def toeplitz(t: np.ndarray, N: int) -> np.ndarray:
     """Read-only N x N view with entry (j, k) = t[(N - 1) + j - k]."""
     return sliding_window_view(t[::-1], N)[::-1]
 
@@ -167,11 +167,11 @@ def fh_matrix(delta: float, N: int) -> np.ndarray:
         s[N - 1] = 1.0 - d2 / 6.0 * (1.0 - d2 / 20.0)
     else:
         s[N - 1] = np.sin(delta) / delta
-    return _toeplitz(s, N).copy()
+    return toeplitz(s, N).copy()
 
 
 def fh_log_det(delta: float, N: int) -> float:
-    """log|det fh_matrix(delta, N)| in O(N), from Cauchy's determinant formula.
+    """log|det fh_matrix(delta, N)| in O(1), from Cauchy's determinant formula.
 
     With c = delta / pi the matrix is (sin(delta) / pi) times the Cauchy
     matrix 1 / ((k + c) - j), whose determinant is a ratio of difference
@@ -180,17 +180,20 @@ def fh_log_det(delta: float, N: int) -> float:
         |det| = |sin(delta) / delta|^N  prod_{d=1}^{N-1} (1 - c^2/d^2)^-(N-d),
 
     and Euler's product sin(pi c) / (pi c) = prod_{d>=1} (1 - c^2/d^2)
-    absorbs the first factor, leaving
+    absorbs the first factor, leaving sum_{d>=1} min(d, N) log(1 - c^2/d^2).
+    The terms d < 64 are summed directly.  Beyond, c^2/d^2 <= 2^-14, so
+    five terms of the log series leave a relative remainder below 1e-22,
+    and summing them over d with asymptotics.hurwitz_zeta gives, with
+    X = max(N, 64),
 
-        log|det| = sum_{d=1}^{N-1} d log(1 - c^2/d^2) + N tau_N,
-        tau_N = sum_{d>=N} log(1 - c^2/d^2)
-              = -sum_{k>=1} (c^(2k) / k) zeta(2k, N),
+        log|det| = sum_{d=1}^{63} min(d, N) log(1 - c^2/d^2)
+                   - sum_{k=1}^{5} (c^(2k) / k) [zeta(2k-1, 64) - zeta(2k-1, X)
+                                                 + N zeta(2k, X)],
 
-    the latter from asymptotics.euler_product_log_tail.  Since |c| <= 1/2,
-    every term is negative and no sum cancels, where the textbook form
-    subtracts sums of size N^2 log N.  Dense LU of
-    fh_matrix is the test oracle.  The domain is fh_matrix's,
-    |delta| <= pi/2 and N >= 1, and delta = 0 gives exactly 0.0.
+    where zeta(1, .) is -psi.  Since |c| <= 1/2, every term is negative and
+    no sum cancels, where the textbook form subtracts sums of size
+    N^2 log N.  Dense LU of fh_matrix is the test oracle.  The domain is
+    fh_matrix's, |delta| <= pi/2 and N >= 1, and delta = 0 gives exactly 0.0.
     """
     if abs(delta) > np.pi / 2:
         raise DomainError("fh_log_det requires |delta| <= pi/2")
@@ -198,7 +201,11 @@ def fh_log_det(delta: float, N: int) -> float:
         raise DomainError("N must be >= 1")
     if delta == 0.0:
         return 0.0
-    c = delta / math.pi
-    d = np.arange(1, N, dtype=float)
-    head = float(np.sum(d * np.log1p(-(c * c) / (d * d))))
-    return head + N * euler_product_log_tail(c, N)
+    c2 = (delta / math.pi) ** 2
+    d = np.arange(1.0, 64.0)
+    out = float(np.sum(np.minimum(d, N) * np.log1p(-c2 / (d * d))))
+    x = float(max(N, 64))
+    for k in range(1, 6):
+        lo, hi = hurwitz_zeta(2 * k - 1, [64.0, x])
+        out -= c2**k / k * (lo - hi + N * hurwitz_zeta(2 * k, x))
+    return out

@@ -65,7 +65,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError
 from .hilbert import dirichlet_flux_logdet
-from .matrixcore import _toeplitz, fh_log_det, fh_matrix, log_det, trace_norm
+from .matrixcore import fh_log_det, fh_matrix, log_det, toeplitz, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
 from .quadrature import build_edges, cis_integral, gauss_legendre_rule
 from .spectrum import BoundaryCondition
@@ -141,8 +141,7 @@ def _dirichlet_cosine_coefficients(
 
 def _toeplitz_minus_hankel(c: np.ndarray, N: int) -> np.ndarray:
     """N x N matrix with entry (j, k) = c[|j - k|] - c[j + k], j, k = 1..N, from c[0 .. 2N]."""
-    toeplitz = _toeplitz(np.concatenate([c[N - 1 : 0 : -1], c[:N]]), N)
-    return np.subtract(toeplitz, sliding_window_view(c[2:], N))
+    return np.subtract(toeplitz(np.concatenate([c[N - 1 : 0 : -1], c[:N]]), N), sliding_window_view(c[2:], N))
 
 
 # Quadrature doubling check: refine until no entry moves by more than
@@ -189,7 +188,7 @@ def overlap_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
             achieved=worst,
             requested=_QUADRATURE_TOL,
         )
-    return _toeplitz(current, N).copy() if periodic else _toeplitz_minus_hankel(current, N)
+    return toeplitz(current, N).copy() if periodic else _toeplitz_minus_hankel(current, N)
 
 
 def periodic_flux_closed_form(delta: float, n_L: int, N: int) -> np.ndarray:

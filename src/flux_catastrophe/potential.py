@@ -273,7 +273,8 @@ def moment_integrals(a: MagneticPotential, L: float) -> float:
 
 # ---------------------------------------------------------------------------
 # JSON schema of the "potential" field of a CLI config.  Every field but
-# "kind" (and the "knots", "x0", "dx", "values" of their kinds) is optional:
+# "kind" (and the "knots", "x0", "dx", "values" of their kinds) is optional,
+# and every number in it must be a finite JSON number:
 #   {"kind": "gaussian_bump", "center": c (0), "width": w (0.5),
 #    "amplitude": A (1) | "total_flux": phi, "support_radius": R (4)}
 #       total_flux sets A so that Phi_L(L) = phi for L >= R; giving both
@@ -289,40 +290,53 @@ def moment_integrals(a: MagneticPotential, L: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def is_number(value) -> bool:
+    """A finite JSON number; JSON true/false parse to bools, which are ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def potential_from_dict(spec: dict) -> MagneticPotential:
-    """Build a potential from its JSON document; raises DomainError on bad fields."""
+    """Build a potential from its JSON document; raises DomainError on bad fields.
+
+    Every numeric field, knot and table value must be a finite JSON number
+    (is_number): strings, booleans, NaN and infinities are rejected here,
+    before any point is evaluated.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("potential spec must be an object with a 'kind' field")
     kind = spec["kind"]
+
+    def number(key: str, default: float | None = None) -> float:
+        value = spec[key] if default is None else spec.get(key, default)
+        if not is_number(value):
+            raise DomainError(f"{key} must be a finite number, got {value!r}")
+        return float(value)
+
     try:
         if kind == "gaussian_bump":
             if "total_flux" in spec and "amplitude" in spec:
                 raise DomainError("give either 'amplitude' or 'total_flux', not both")
+            shape = {"center": number("center", 0.0), "width": number("width", 0.5),
+                     "support_radius": number("support_radius", 4.0)}
             if "total_flux" in spec:
-                return gaussian_bump_with_flux(
-                    float(spec["total_flux"]),
-                    center=float(spec.get("center", 0.0)),
-                    width=float(spec.get("width", 0.5)),
-                    support_radius=float(spec.get("support_radius", 4.0)),
-                )
-            return GaussianBump(
-                center=float(spec.get("center", 0.0)),
-                width=float(spec.get("width", 0.5)),
-                amplitude=float(spec.get("amplitude", 1.0)),
-                support_radius=float(spec.get("support_radius", 4.0)),
-            )
+                return gaussian_bump_with_flux(number("total_flux"), **shape)
+            return GaussianBump(amplitude=number("amplitude", 1.0), **shape)
         if kind == "piecewise_linear":
-            knots = tuple((float(x), float(v)) for x, v in spec["knots"])
-            return PiecewiseLinear(knots, support_radius=float(spec.get("support_radius", 0.0)))
+            knots = spec["knots"]
+            if not isinstance(knots, list) or not all(
+                isinstance(k, list) and len(k) == 2 and all(map(is_number, k)) for k in knots
+            ):
+                raise DomainError(f"knots must be a list of [x, v] pairs of finite numbers, got {knots!r}")
+            pairs = tuple((float(x), float(v)) for x, v in knots)
+            return PiecewiseLinear(pairs, support_radius=number("support_radius", 0.0))
         if kind == "table_samples":
-            return table_samples(
-                float(spec["x0"]),
-                float(spec["dx"]),
-                [float(v) for v in spec["values"]],
-                support_radius=float(spec.get("support_radius", 0.0)),
-            )
+            values = spec["values"]
+            if not isinstance(values, list) or not all(map(is_number, values)):
+                raise DomainError(f"values must be a list of finite numbers, got {values!r}")
+            x0, dx = number("x0"), number("dx")
+            return table_samples(x0, dx, [float(v) for v in values], support_radius=number("support_radius", 0.0))
         if kind == "zero":
-            return zero_potential(float(spec.get("support_radius", 1.0)))
+            return zero_potential(number("support_radius", 1.0))
     except KeyError as exc:
         raise DomainError(f"potential spec missing field {exc}") from exc
     raise DomainError(f"unknown potential kind {kind!r}")

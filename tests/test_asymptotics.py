@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 from flux_catastrophe.asymptotics import (
     anderson_integral,
     digamma,
-    euler_product_log_tail,
     fit_decay_exponent,
+    hurwitz_zeta,
     theorem_constant,
     theorem_exponent,
     trigamma,
@@ -34,14 +34,16 @@ def test_digamma_classical_values():
     assert_allclose(digamma(0.5), -EULER_GAMMA - 2 * math.log(2.0), rtol=1e-14)
 
 
-# 41 points across the recurrence/asymptotic switch at x = 16, the float just
-# below it, and points from the small-x recurrence to the K_M arguments
+# 41 points across the recurrence/asymptotic switch at x = 64, the floats
+# next to it, and points from the small-x recurrence to the K_M arguments
 # M + 1/2 -+ j (up to 8191.5 on the benchmark grid) and beyond
 POLYGAMMA_POINTS = [
-    *np.linspace(15.0, 17.0, 41),
-    np.nextafter(16.0, 0.0),
+    *np.linspace(63.0, 65.0, 41),
+    np.nextafter(64.0, 0.0),
+    np.nextafter(64.0, 65.0),
     0.5,
     1.4616321449683623,  # the positive zero of digamma
+    16.0,
     4095.5,
     8191.5,
     1e6,
@@ -92,6 +94,29 @@ def test_polygamma_domain_errors():
         trigamma(-1.5)
 
 
+# x = 20 needs the recurrence: Euler-Maclaurin at 20 itself is off by 3e-8 at s = 29
+ZETA_POINTS = [0.5, 2.0, 20.0, 63.9, 64.0, 1e6]
+
+
+@pytest.mark.parametrize("s", range(1, 30))
+def test_hurwitz_zeta_against_mpmath(s):
+    # 80 digits: at 50, mpmath 1.3's zeta(26, 64) is itself off by 2e-13
+    with mpmath.workdps(80):
+        ref = [float(-mpmath.digamma(x) if s == 1 else mpmath.zeta(s, x)) for x in ZETA_POINTS]
+    assert_allclose(hurwitz_zeta(s, ZETA_POINTS), ref, rtol=1e-14, atol=0.0)
+    assert all(abs(hurwitz_zeta(s, x) - r) <= 1e-14 * abs(r) for x, r in zip(ZETA_POINTS, ref))
+
+
+def test_hurwitz_zeta_domain():
+    assert hurwitz_zeta(2, np.array([])).shape == (0,)
+    with pytest.raises(DomainError):
+        hurwitz_zeta(0, 2.0)
+    with pytest.raises(DomainError):
+        hurwitz_zeta(3, [1.0, 0.0])
+    with pytest.raises(DomainError):
+        hurwitz_zeta(3, math.inf)
+
+
 # -- fitting --------------------------------------------------------------------
 
 
@@ -136,22 +161,6 @@ def test_theorem_constant_matches_barnes_g(c):
         oracle = float(2 * mpmath.log(mpmath.barnesg(1 + c) * mpmath.barnesg(1 - c)))
     assert abs(theorem_constant(c * math.pi) - oracle) <= 1e-14
     assert theorem_constant(-c * math.pi) == theorem_constant(c * math.pi)
-
-
-@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 10**4])
-def test_euler_product_log_tail_matches_mpmath(N):
-    for c in (1e-5, 0.1, -0.3, 0.5):
-        with mpmath.workdps(30):
-            head = mpmath.fsum(mpmath.log(1 - mpmath.mpf(c) ** 2 / d**2) for d in range(1, N))
-            oracle = float(mpmath.log(mpmath.sinpi(c) / (mpmath.pi * c)) - head)
-        assert abs(euler_product_log_tail(c, N) - oracle) <= 1e-16 + 1e-14 * abs(oracle), c
-
-
-def test_euler_product_log_tail_domain():
-    with pytest.raises(DomainError):
-        euler_product_log_tail(np.nextafter(0.5, 1.0), 4)
-    with pytest.raises(DomainError):
-        euler_product_log_tail(0.3, 0)
 
 
 def test_sliding_window_slopes_converge():

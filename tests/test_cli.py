@@ -183,10 +183,30 @@ def test_each_experiment_runs_and_passes_its_gate(tmp_path, capsys, experiment):
          "delta_override: lemma_check takes delta from its potential, not delta_override"),
         ({"experiment": "energy", "potential": POTENTIAL, "delta_override": 0.1, "n_grid": [101]},
          "delta_override: energy takes delta from its potential, not delta_override"),
+        ({"experiment": "overlap_sweep", "potential": {**POTENTIAL, "width": "0.5"}, "n_grid": [16, 32]},
+         "potential: width must be a finite number, got '0.5'"),
+        ({"experiment": "overlap_sweep", "potential": {**POTENTIAL, "width": True}, "n_grid": [16, 32]},
+         "potential: width must be a finite number, got True"),
+        ({"experiment": "overlap_sweep", "potential": {**POTENTIAL, "total_flux": math.nan}, "n_grid": [16, 32]},
+         "potential: total_flux must be a finite number, got nan"),
+        ({"experiment": "overlap_sweep", "potential": {"kind": "zero", "support_radius": -math.inf},
+          "n_grid": [16, 32]},
+         "potential: support_radius must be a finite number, got -inf"),
+        ({"experiment": "overlap_sweep", "n_grid": [16, 32],
+          "potential": {"kind": "piecewise_linear", "knots": [[-1, 0], [0, "2"], [1, 0]]}},
+         "potential: knots must be a list of [x, v] pairs of finite numbers, got [[-1, 0], [0, '2'], [1, 0]]"),
+        ({"experiment": "overlap_sweep", "n_grid": [16, 32],
+          "potential": {"kind": "table_samples", "x0": -1, "dx": 0.5, "values": [0, math.inf, 0]}},
+         "potential: values must be a list of finite numbers, got [0, inf, 0]"),
+        ({"experiment": "overlap_sweep", "n_grid": [16, 32],
+          "potential": {"kind": "table_samples", "x0": -1, "dx": False, "values": [0, 1, 0]}},
+         "potential: dx must be a finite number, got False"),
     ],
     ids=["odd-N", "sweep-no-potential", "lemma-no-potential", "no-delta", "no-tolerance-keys",
          "misspelled-key", "non-numeric", "bool", "infinite", "bool-in-grid", "short-fit-grid",
-         "delta-above-pi-over-2", "sweep-delta-override", "lemma-delta-override", "energy-delta-override"],
+         "delta-above-pi-over-2", "sweep-delta-override", "lemma-delta-override", "energy-delta-override",
+         "potential-string", "potential-bool", "potential-nan", "potential-infinite", "potential-knot",
+         "potential-table-value", "potential-table-bool"],
 )
 def test_experiment_preconditions_are_config_errors(tmp_path, capsys, fields, message):
     config = _write_config(tmp_path, **fields)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -54,7 +55,7 @@ def test_fh_depends_only_on_difference():
 FH_DELTAS = [0.0, 1e-5, 0.3, math.pi / 4, -1.0, math.pi / 2, -math.pi / 2]
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 63, 64, 65, 181, 512])
+@pytest.mark.parametrize("N", [1, 2, 3, 63, 64, 65, 181, 512, 10**4])
 def test_fh_log_det_matches_50_digit_cauchy_product(N):
     for delta in FH_DELTAS:
         assert abs(2.0 * fh_log_det(delta, N) - cauchy_fh_logdet_sq(delta, N)) <= 1e-13, delta
@@ -79,6 +80,17 @@ def test_fh_log_det_approaches_the_barnes_g_constant(delta, N):
     with mpmath.workdps(30):
         constant = float(2 * mpmath.log(mpmath.barnesg(1 + c) * mpmath.barnesg(1 - c)))
     assert abs(2.0 * fh_log_det(delta, N) + 2.0 * c * c * math.log(N) - constant) <= 1e-12
+
+
+def test_fh_log_det_at_ten_million_allocates_no_array_of_size_n():
+    fh_log_det(math.pi / 4, 64)  # warm-up: imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        fh_log_det(math.pi / 4, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_fh_log_det_domain():

@@ -18,7 +18,7 @@ from flux_catastrophe import cli
 from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.hilbert import dirichlet_flux_logdet
 import flux_catastrophe.hilbert as hilbert_module
-from flux_catastrophe.matrixcore import _toeplitz, fh_matrix, log_det, trace_norm
+from flux_catastrophe.matrixcore import fh_matrix, log_det, toeplitz, trace_norm
 import flux_catastrophe.matrixcore as matrixcore_module
 import flux_catastrophe.overlap as overlap_module
 from flux_catastrophe.overlap import (
@@ -341,7 +341,7 @@ def _coefficients(a, bc, N, L, refine):
 
 def _assemble(bc, coefficients, N):
     if bc is PER:
-        return _toeplitz(coefficients, N)
+        return toeplitz(coefficients, N)
     return overlap_module._toeplitz_minus_hankel(coefficients, N)
 
 

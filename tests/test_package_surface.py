@@ -1,4 +1,5 @@
-"""Every public name in the package is used by the package itself.
+"""Every public name in the package is used by the package itself, and no
+module reaches into another module's private names.
 
 The shipped package holds what the CLI runs; proof devices, oracles and
 other test-only code live under tests/.  This walks the AST of
@@ -7,6 +8,10 @@ code that is not a definition (the ``__main__`` entry points), through the
 bodies of the top-level definitions they reach.  A public top-level name
 that is never reached is reported: a name used only by its own definition,
 by tests, or by other unreached code counts as unused.
+
+A name with a leading underscore is private to its module: importing it
+from another module, or reading it as an attribute of an imported module,
+is reported too.  What two modules share is public.
 """
 
 from __future__ import annotations
@@ -72,3 +77,43 @@ def test_the_walk_reports_an_unused_name(tmp_path):
         "if __name__ == '__main__':\n    main()\n"
     )
     assert unreached_public_names(tmp_path) == ["only_tests", "only_tests_too"]
+
+
+def private_imports(src: Path = SRC) -> list[str]:
+    """``module: name`` for every underscore name a module takes from another."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+                if node.level and node.module is None:  # from . import module
+                    modules |= {alias.asname or alias.name for alias in node.names}
+                else:
+                    out += [f"{path.stem}: {name}" for name in names if name.startswith("_")]
+            elif isinstance(node, ast.Import):
+                modules |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                out.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    return out
+
+
+def test_no_module_imports_a_private_name():
+    assert private_imports() == []
+
+
+def test_the_check_reports_a_private_import(tmp_path):
+    (tmp_path / "overlap.py").write_text(
+        "from . import matrixcore\n"
+        "from .matrixcore import _toeplitz, toeplitz\n\n"
+        "def build():\n    return matrixcore._assemble(toeplitz, _toeplitz, matrixcore.__name__)\n"
+    )
+    assert private_imports(tmp_path) == ["overlap: _toeplitz", "overlap: matrixcore._assemble"]
