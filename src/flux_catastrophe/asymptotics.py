@@ -14,7 +14,10 @@ rescaling the double sum gives
 
     I_N = (sin^2 delta / pi^2) * [ S(c) + S(-c)
           + N (psi_1(N+1-c) + psi_1(N+1+c)) ],      c = delta / pi,
-    S(c) = sum_{t=1}^{N} t / (t - c)^2.
+    S(c) = sum_{t=1}^{N} t / (t - c)^2
+         = psi(N+1-c) - psi(1-c) + c [psi_1(1-c) - psi_1(N+1-c)],
+
+by t / (t - c)^2 = 1 / (t - c) + c / (t - c)^2, so I_N costs O(1).
 
 Every infinite sum in the package is a value of hurwitz_zeta: one
 recurrence plus one Euler-Maclaurin series gives psi = -zeta(1, .),
@@ -174,8 +177,7 @@ def anderson_integral(delta: float, N: int) -> float:
         raise DomainError("N must be >= 1")
     if delta == 0.0:
         return 0.0
-    c = delta / math.pi
-    t = np.arange(1, N + 1, dtype=float)
-    finite = float(np.sum(t / (t - c) ** 2) + np.sum(t / (t + c) ** 2))
-    tails = N * (trigamma(N + 1 - c) + trigamma(N + 1 + c))
-    return math.sin(delta) ** 2 / math.pi**2 * (finite + tails)
+    # S(b) + N psi_1(N+1-b) for b = +-c, the closed form of the module docstring
+    b = np.array([delta, -delta]) / math.pi
+    terms = digamma(N + 1 - b) - digamma(1 - b) + b * trigamma(1 - b) + (N - b) * trigamma(N + 1 - b)
+    return math.sin(delta) ** 2 / math.pi**2 * float(np.sum(terms))

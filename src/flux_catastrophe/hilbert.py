@@ -22,7 +22,10 @@ in this module.
 K^{--} is a flipped finite section of the square of the Hilbert matrix
 H = (1/(j+k-1/2)) and inherits the norm bound ||K^{--}|| <= pi^2/4 from
 ||H|| = pi; its trace grows like (1/4) ln N while the other pieces stay
-O(1), which is what produces the sin^2(delta) upper-bound exponent.
+O(1), which is what produces the sin^2(delta) upper-bound exponent.  The
+Hankel section of H and K^{--} are applied by FFT Toeplitz products from
+O(M) vectors and their traces are closed forms, so only k_matrix and
+dirichlet_flux_logdet hold an M x M array.
 """
 
 from __future__ import annotations
@@ -34,24 +37,20 @@ import numpy as np
 
 from .asymptotics import digamma, trigamma
 from .errors import DomainError
-from .matrixcore import log_det, operator_norm
-
-
-def hilbert_section(M: int) -> np.ndarray:
-    """Finite section (1/(j+k-1/2))_{j,k=1..M} of the Hilbert matrix H_{-1/2}."""
-    if M < 1:
-        raise DomainError("dimension must be >= 1")
-    j = np.arange(1, M + 1, dtype=float)
-    return 1.0 / (j[:, None] + j[None, :] - 0.5)
+from .matrixcore import log_det, operator_norm, toeplitz_product
 
 
 def hilbert_section_norm(M: int) -> float:
-    """Operator norm of the M x M section of H_{-1/2} (power iteration).
+    """Operator norm of the M x M section (1/(j+k-1/2))_{j,k=1..M} of H_{-1/2}.
 
-    Finite sections are strictly below the full operator norm pi and
-    increase with M.
+    The section is the Hankel matrix h_{j+k}, h_s = 1/(s - 1/2), so its
+    product with v is the Toeplitz product of h with v reversed.  Finite
+    sections are strictly below the full norm pi and increase with M.
     """
-    return operator_norm(hilbert_section(M))
+    if M < 1:
+        raise DomainError("dimension must be >= 1")
+    h = 1.0 / (np.arange(2, 2 * M + 1) - 0.5)
+    return operator_norm(lambda v: toeplitz_product(h, v[::-1]), M)
 
 
 def k_matrix(N: int) -> np.ndarray:
@@ -85,29 +84,6 @@ def k_matrix(N: int) -> np.ndarray:
     return K
 
 
-def _divided_differences(f: np.ndarray, df: np.ndarray, scale: float) -> np.ndarray:
-    """scale (f_j - f_k) / (j - k) off the diagonal and scale df_j on it.
-
-    Built in place from two M x M arrays, the result and the index gaps.
-    """
-    idx = np.arange(f.size, dtype=float)
-    out = np.subtract.outer(f, f)
-    gaps = np.subtract.outer(idx, idx)
-    np.fill_diagonal(gaps, 1.0)
-    out /= gaps
-    out *= scale
-    np.fill_diagonal(out, scale * df)
-    return out
-
-
-def _k_minus_minus(M: int) -> np.ndarray:
-    """K^{--}_{jk} = (psi(M+1/2-j) - psi(M+1/2-k)) / (4 (k - j)), trigamma / 4 on the diagonal."""
-    if M < 1:
-        raise DomainError("M must be >= 1")
-    x = M + 0.5 - np.arange(1, M + 1, dtype=float)
-    return _divided_differences(-digamma(x), trigamma(x), 0.25)
-
-
 class KPartNorms(NamedTuple):
     """Trace norms of the K pieces plus the operator norm of K^{--}, in CSV column order.
 
@@ -123,18 +99,36 @@ class KPartNorms(NamedTuple):
 
 
 def k_part_traces(M: int) -> tuple[float, float]:
-    """Closed-form traces of K^{--} and K^{++} (no matrix assembly)."""
-    jv = np.arange(1, M + 1, dtype=float)
-    t_mm = 0.25 * float(np.sum(trigamma(jv - 0.5)))
-    t_pp = 0.25 * float(np.sum(trigamma(M + 0.5 + jv)))
-    return t_mm, t_pp
+    """Traces (1/4) sum_{j=0}^{M-1} psi_1(x + j) of K^{--} (x = 1/2) and K^{++} (x = M + 3/2).
+
+    Summed over j, psi_1(x + j) counts 1/(x + m)^2 min(m + 1, M) times: the
+    tail m >= M is M psi_1(x + M), and the head (m + 1)/(x + m)^2 =
+    1/(x + m) + (1 - x)/(x + m)^2 is two polygamma differences.
+    """
+    x = np.array([0.5, M + 1.5])
+    t = M * trigamma(x + M) + digamma(x + M) - digamma(x) + (1.0 - x) * (trigamma(x) - trigamma(x + M))
+    return 0.25 * float(t[0]), 0.25 * float(t[1])
 
 
 def k_part_norms(M: int) -> KPartNorms:
+    """The dirichlet_hilbert row's K-part norms in O(M) memory.
+
+    K^{--}_jk = (psi(x_j) - psi(x_k)) / (4 (k - j)), psi_1(x_j) / 4 on the
+    diagonal, x_j = M + 1/2 - j.  With f = psi(x) and the Toeplitz
+    T_jk = 1/(k - j) (zero diagonal), K^{--} v = (1/4) [f Tv - T(f v) +
+    psi_1(x) v]: two Toeplitz products per power-iteration step.
+    """
+    if M < 1:
+        raise DomainError("M must be >= 1")
     t_mm, t_pp = k_part_traces(M)
     # ||P A*(1-P)||_2^2 = 4 tr K^{--} and ||P B (1-P)||_2^2 = 4 tr K^{++}
     t_mixed = 0.25 * math.sqrt(4.0 * t_mm) * math.sqrt(4.0 * t_pp)
-    return KPartNorms(t_mm, t_pp, t_mixed, operator_norm(_k_minus_minus(M)))
+    x = M + 0.5 - np.arange(1, M + 1, dtype=float)
+    f, df = digamma(x), trigamma(x)
+    d = np.arange(1 - M, M, dtype=float)
+    t = np.divide(-1.0, d, out=np.zeros_like(d), where=d != 0)
+    op_mm = operator_norm(lambda v: 0.25 * (f * toeplitz_product(t, v) - toeplitz_product(t, f * v) + df * v), M)
+    return KPartNorms(t_mm, t_pp, t_mixed, op_mm)
 
 
 def dirichlet_flux_logdet(delta: float, N: int) -> float:

@@ -1,12 +1,13 @@
-"""Toeplitz matrices as plain arrays, their log-determinants and norms.
+"""Toeplitz matrices and products, their log-determinants and norms.
 
 The overlap objects are N x N arrays: classical Toeplitz in the plane-wave
 basis of the periodic problem, Toeplitz-minus-Hankel in the Dirichlet
-sine basis.  This module holds what every consumer shares: the
-strided Toeplitz view that turns 2N - 1 coefficients into a matrix, the
+sine basis.  This module holds what every consumer shares: the strided
+view that turns 2N - 1 coefficients into a Toeplitz matrix, the FFT
+product toeplitz_product that applies it without forming it, the
 closed-form jump-symbol matrix fh_matrix and its O(1) log-determinant
-fh_log_det, the dense log-determinant, the certified trace norm and the
-power-iteration operator norm.
+fh_log_det, the dense log-determinant, the certified trace norm, and the
+power-iteration norm of a symmetric operator given by its product.
 
 Determinants of these matrices decay polynomially in N, so only their
 magnitudes are kept, in log space throughout.  fh_log_det sums Cauchy's
@@ -23,6 +24,7 @@ O(N^2 k).
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -96,39 +98,24 @@ _POWER_REL_TOL = 1e-10
 _POWER_MAX_ITER = 10_000
 
 
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value by power iteration on m* m.
+def operator_norm(apply: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+    """Norm (largest |eigenvalue|) of a real symmetric n x n operator, given as v -> A v.
 
-    Hermitian inputs iterate the matrix directly (their operator norm is
-    the dominant |eigenvalue|); general inputs alternate m and m*.  The
-    start vector is a fixed pseudorandom unit vector, so the result is
-    deterministic for a given matrix.  The iteration stops once two
-    successive estimates agree to a relative 1e-10 and raises
-    NumericalError after 10,000 iterations.
+    Power iteration from a fixed pseudorandom unit vector, so the result is
+    deterministic.  It stops once two successive estimates agree to a
+    relative 1e-10 and raises NumericalError after 10,000 iterations.
     """
-    a = np.asarray(m)
-    if a.size == 0:
-        return 0.0
-    n = a.shape[1]
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n)
-    if np.iscomplexobj(a):
-        v = v + 1j * rng.standard_normal(n)
-    v = v / np.linalg.norm(v)
-    hermitian = a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T)
+    v = np.random.default_rng(0x5EED).standard_normal(n)
+    v /= np.linalg.norm(v)
     prev = -1.0
     sigma = 0.0
     for _ in range(_POWER_MAX_ITER):
-        w = a @ v
+        w = apply(v)
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
             return 0.0
-        if hermitian:
-            v = w / sigma
-        else:
-            u = a.conj().T @ w
-            v = u / np.linalg.norm(u)
-        if abs(sigma - prev) <= _POWER_REL_TOL * max(sigma, 1e-300):
+        v = w / sigma
+        if abs(sigma - prev) <= _POWER_REL_TOL * sigma:
             return sigma
         prev = sigma
     raise NumericalError(
@@ -142,6 +129,19 @@ def operator_norm(m: np.ndarray) -> float:
 def toeplitz(t: np.ndarray, N: int) -> np.ndarray:
     """Read-only N x N view with entry (j, k) = t[(N - 1) + j - k]."""
     return sliding_window_view(t[::-1], N)[::-1]
+
+
+def toeplitz_product(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """toeplitz(t, n) @ v for real t and v, n = len(v), in O(n log n).
+
+    The product is entries n - 1 .. 2n - 2 of the convolution t * v (3n - 2
+    entries).  A cyclic convolution of length >= 2n - 1, one real FFT, folds
+    the entries past its end onto indices below n - 1 only, so those are exact.
+    """
+    n = len(v)
+    size = 1 << (2 * n - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(t, size) * np.fft.rfft(v, size), size)
+    return conv[n - 1 : 2 * n - 1]
 
 
 def fh_matrix(delta: float, N: int) -> np.ndarray:

@@ -71,7 +71,7 @@ from .quadrature import build_edges, cis_integral, gauss_legendre_rule
 from .spectrum import BoundaryCondition
 
 
-def _support_nodes(a: MagneticPotential, L: float, omega_max: float, refine: int):
+def support_nodes(a: MagneticPotential, L: float, omega_max: float, refine: int):
     """Panel nodes/weights covering the potential support at resolution level ``refine``."""
     R = min(a.support_radius, L)
     wavelength = 2.0 * math.pi / omega_max if omega_max > 0 else 2.0 * R
@@ -110,7 +110,7 @@ def _periodic_overlap_coefficients(
     d = np.arange(-(N - 1), N, dtype=float)
     omega = (np.pi * d - delta) / L
     omega_max = float(np.max(np.abs(omega)))
-    R, nodes, weights = _support_nodes(a, L, omega_max, refine)
+    R, nodes, weights = support_nodes(a, L, omega_max, refine)
     g = prof.phi_at(nodes) - delta * nodes / L
     middle = _phase_sums(np.pi / L, -(N - 1), 2 * N - 1, nodes, np.exp(1j * g) * weights)
     right = np.exp(1j * total) * cis_integral(omega, R, L) if L > R else 0.0
@@ -124,7 +124,7 @@ def _dirichlet_cosine_coefficients(
     """c_m = (1/pi) int_0^pi e^{i Phi_L} cos(m y) dy, m = 0..2N, with y = pi (x + L) / 2L."""
     M = 2 * N + 1
     h = np.pi / (2.0 * L)
-    R, nodes, weights = _support_nodes(a, L, h * (M - 1), refine)
+    R, nodes, weights = support_nodes(a, L, h * (M - 1), refine)
     y = h * (nodes + L)
     # dy / pi = dx / 2L, and cos(m y) is the mean of e^{i m y} and e^{-i m y}
     half = np.exp(1j * prof.phi_at(nodes)) * weights / (4.0 * L)

@@ -17,8 +17,12 @@ every entry checked by panel doubling, in place of the package's
 support-only coefficient sums and closed-form outer integrals.  The
 partial-fraction parts of K_M and the square of the Hilbert matrix are
 written through the package's digamma/trigamma, but by other formulas than
-hilbert.k_matrix.  The half fluxes Phi_L^+ and Phi_L^- come from the
-potential's antiderivative, in place of the flux profile's Phi_L.
+hilbert.k_matrix; they and the Hilbert section are dense matrices, the
+references for the package's FFT products.  No private name of the package
+is imported: what an oracle shares with the package (the polygammas, the
+support nodes, the flux profile) is public.  The half fluxes Phi_L^+ and
+Phi_L^- come from the potential's antiderivative, in place of the flux
+profile's Phi_L.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ import numpy as np
 
 from flux_catastrophe.asymptotics import digamma, trigamma
 from flux_catastrophe.errors import DomainError, NumericalError
-from flux_catastrophe.hilbert import _divided_differences, _k_minus_minus
-from flux_catastrophe.overlap import _support_nodes
+from flux_catastrophe.overlap import support_nodes
 from flux_catastrophe.potential import flux_profile
 from flux_catastrophe.quadrature import cis_integral
 from flux_catastrophe.spectrum import BoundaryCondition
@@ -143,20 +146,43 @@ def hilbert_square_closed_form(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(diff == 0.0, diag, off)
 
 
+def hilbert_section(M: int) -> np.ndarray:
+    """Dense finite section (1/(j+k-1/2))_{j,k=1..M} of the Hilbert matrix H_{-1/2}."""
+    j = np.arange(1, M + 1, dtype=float)
+    return 1.0 / (j[:, None] + j[None, :] - 0.5)
+
+
+def divided_differences(f: np.ndarray, df: np.ndarray, scale: float) -> np.ndarray:
+    """Dense scale (f_j - f_k) / (j - k) off the diagonal and scale df_j on it."""
+    idx = np.arange(f.size, dtype=float)
+    gaps = idx[:, None] - idx[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    out = scale * (f[:, None] - f[None, :]) / gaps
+    np.fill_diagonal(out, scale * df)
+    return out
+
+
+def k_minus_minus(M: int) -> np.ndarray:
+    """Dense K^{--}_{jk} = (psi(M+1/2-j) - psi(M+1/2-k)) / (4 (k - j)), trigamma / 4 on the diagonal."""
+    x = M + 0.5 - np.arange(1, M + 1, dtype=float)
+    return divided_differences(-digamma(x), trigamma(x), 0.25)
+
+
 def k_parts(M: int) -> dict[str, np.ndarray]:
     """The four parts of K_M, keyed '--', '+-', '-+', '++', from polygamma closed forms.
 
-    '--' is the package's K^{--}, the one part a CLI row reads; the other
-    three exist only here, so that their sum with it checks k_matrix.
+    The package applies K^{--} as Toeplitz products and never builds any
+    part, so their sum checks hilbert.k_matrix, and '--' is the dense
+    reference for hilbert.k_part_norms.
     """
-    kmm = _k_minus_minus(M)
+    kmm = k_minus_minus(M)
     jv = np.arange(1, M + 1, dtype=float)
     psi_plus = digamma(M + 0.5 + jv)
     psi_minus = digamma(M + 0.5 - jv)
     jk = jv[:, None] + jv[None, :]
     kpm = -0.25 * (psi_plus[:, None] - psi_minus[None, :]) / jk
     kmp = -0.25 * (psi_plus[None, :] - psi_minus[:, None]) / jk
-    kpp = _divided_differences(psi_plus, trigamma(M + 0.5 + jv), 0.25)
+    kpp = divided_differences(psi_plus, trigamma(M + 0.5 + jv), 0.25)
     return {"--": kmm, "+-": kpm, "-+": kmp, "++": kpp}
 
 
@@ -254,7 +280,7 @@ def dense_overlap_matrix(a, periodic: bool, N: int, L: float, refine: int) -> np
         delta = prof.delta_L
         d = np.arange(-(N - 1), N, dtype=float)
         omega = (np.pi * d - delta) / L
-        R, nodes, weights = _support_nodes(a, L, float(np.max(np.abs(omega))), refine)
+        R, nodes, weights = support_nodes(a, L, float(np.max(np.abs(omega))), refine)
         boundary = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
         t = np.exp(1j * np.outer(np.pi * d / L, nodes)) @ boundary
         if L > R:
@@ -265,7 +291,7 @@ def dense_overlap_matrix(a, periodic: bool, N: int, L: float, refine: int) -> np
     # c_m = (1/2L) int e^{i Phi_L} cos(m y) dx and y = pi (x + L) / 2L
     h = np.pi / (2.0 * L)
     m = np.arange(0, 2 * N + 1)
-    R, nodes, weights = _support_nodes(a, L, h * 2 * N, refine)
+    R, nodes, weights = support_nodes(a, L, h * 2 * N, refine)
     c = np.cos(np.outer(m, h * (nodes + L))) @ (np.exp(1j * prof.phi_at(nodes)) * weights) / (2.0 * L)
     if L > R:
         # int cos(m y) dy over [0, y(-R)] and [y(R), pi], written out

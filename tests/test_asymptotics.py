@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -205,6 +206,30 @@ def test_anderson_n1_value_pinned_by_bruteforce():
 def test_anderson_matches_double_sum_oracle(delta, N):
     got = anderson_integral(delta, N)
     assert_allclose(got, anderson_bruteforce(delta, N), rtol=1e-10)
+
+
+@pytest.mark.parametrize("delta", [math.pi / 4, math.pi / 2, -1.0, 1e-9])
+@pytest.mark.parametrize("N", [17, 5793, 10**6])
+def test_anderson_closed_form_matches_finite_sums(delta, N):
+    # S(+-c) = sum_{t=1}^N t / (t -+ c)^2 summed term by term, against the
+    # polygamma closed form; the tails are the trigammas in both
+    c = delta / math.pi
+    t = np.arange(1, N + 1, dtype=float)
+    finite = math.fsum(t / (t - c) ** 2) + math.fsum(t / (t + c) ** 2)
+    tails = N * (trigamma(N + 1 - c) + trigamma(N + 1 + c))
+    expected = math.sin(delta) ** 2 / math.pi**2 * (finite + tails)
+    assert_allclose(anderson_integral(delta, N), expected, rtol=1e-14)
+
+
+def test_anderson_at_ten_million_allocates_no_array_of_size_n():
+    anderson_integral(math.pi / 4, 64)  # warm-up outside the trace
+    tracemalloc.start()
+    try:
+        anderson_integral(math.pi / 4, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_anderson_window_invariance():

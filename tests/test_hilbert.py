@@ -10,9 +10,7 @@ from numpy.testing import assert_allclose
 from flux_catastrophe.asymptotics import trigamma
 from flux_catastrophe.errors import DomainError
 from flux_catastrophe.hilbert import (
-    _k_minus_minus,
     dirichlet_flux_logdet,
-    hilbert_section,
     hilbert_section_norm,
     k_matrix,
     k_part_norms,
@@ -21,7 +19,7 @@ from flux_catastrophe.hilbert import (
 from flux_catastrophe.matrixcore import log_det
 from flux_catastrophe.overlap import dirichlet_flux_closed_form
 from flux_catastrophe.potential import flux_decomposition
-from oracles import hilbert_square_closed_form, k_entry_bruteforce, k_parts
+from oracles import hilbert_section, hilbert_square_closed_form, k_entry_bruteforce, k_minus_minus, k_parts
 
 
 def test_hilbert_section_basics():
@@ -30,7 +28,7 @@ def test_hilbert_section_basics():
     assert_allclose(h[0, 1], 2.0 / 5.0, rtol=1e-15)
     assert np.array_equal(h, h.T)
     with pytest.raises(DomainError):
-        hilbert_section(0)
+        hilbert_section_norm(0)
 
 
 def test_hilbert_section_norm_m1_m2():
@@ -45,6 +43,14 @@ def test_hilbert_section_norms_increase_below_pi():
     norms = [hilbert_section_norm(m) for m in (1, 2, 4, 8, 16, 64, 256)]
     assert all(b > a for a, b in zip(norms[:-1], norms[1:]))
     assert all(n < math.pi for n in norms)
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 256, 1024])
+def test_norms_match_dense_oracle_matrices(M):
+    # the package applies both operators as FFT Toeplitz products; the
+    # oracles write them out entry by entry
+    assert_allclose(hilbert_section_norm(M), np.linalg.norm(hilbert_section(M), 2), rtol=1e-10)
+    assert_allclose(k_part_norms(M).op_mm, np.linalg.norm(k_minus_minus(M), 2), rtol=1e-10)
 
 
 def test_hilbert_square_closed_form_values():
@@ -117,18 +123,19 @@ def test_k_part_norms_bounds():
     assert norms.t_mixed == pytest.approx(math.sqrt(norms.t_mm * norms.t_pp), rel=1e-12)
 
 
-def test_k_part_norms_peak_memory_is_about_two_matrices():
-    # k_part_norms needs K^{--} alone; building K_M and all four parts for it
-    # peaked at 8x one M x M matrix
-    M = 512
-    k_part_norms(8)  # warm up lazy allocations outside the measurement
+@pytest.mark.parametrize("norm", [hilbert_section_norm, k_part_norms])
+def test_norm_peak_memory_is_linear_in_m(norm):
+    # both operators are applied from O(M) generating vectors; one M x M
+    # array would be M / 64 = 64 times this budget
+    M = 4096
+    norm(8)  # warm up lazy allocations (numpy.fft) outside the measurement
     tracemalloc.start()
     try:
-        k_part_norms(M)
+        norm(M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * M * M * 8
+    assert peak <= 64 * M * 8, peak / (M * 8)
 
 
 @pytest.mark.parametrize("build", [k_matrix, lambda N: dirichlet_flux_logdet(math.pi / 4, N)],
@@ -145,6 +152,14 @@ def test_k_matrix_peak_memory_is_two_matrices(build):
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * M * M * 8, peak / (M * M * 8)
+
+
+@pytest.mark.parametrize("M", [1, 2, 24, 4096])
+def test_k_part_traces_match_trigamma_sums(M):
+    jv = np.arange(1, M + 1, dtype=float)
+    t_mm, t_pp = k_part_traces(M)
+    assert_allclose(t_mm, 0.25 * math.fsum(trigamma(jv - 0.5)), rtol=1e-14)
+    assert_allclose(t_pp, 0.25 * math.fsum(trigamma(M + 0.5 + jv)), rtol=1e-14)
 
 
 def test_trace_mm_log_growth():
@@ -211,7 +226,7 @@ def test_leading_factor_invertibility_margin():
 
 
 def test_k_matrix_domain_error():
-    for build in (k_matrix, _k_minus_minus):
+    for build in (k_matrix, k_part_norms):
         with pytest.raises(DomainError):
             build(0)
     for args in ((2.0, 4), (0.5, 0)):

@@ -9,7 +9,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from flux_catastrophe.errors import DomainError
-from flux_catastrophe.matrixcore import fh_log_det, fh_matrix, log_det, operator_norm, trace_norm
+from flux_catastrophe.matrixcore import (
+    fh_log_det,
+    fh_matrix,
+    log_det,
+    operator_norm,
+    toeplitz,
+    toeplitz_product,
+    trace_norm,
+)
 from oracles import BasisSpec, assemble_toeplitz, cauchy_fh_logdet_sq, cofactor_det
 
 
@@ -142,7 +150,7 @@ def test_log_det_requires_square():
 def test_norms_on_diagonal_matrix():
     m = np.diag([1.0, -2.0, 3.0])
     assert_allclose(trace_norm(m), 6.0, rtol=1e-14)
-    assert_allclose(operator_norm(m), 3.0, rtol=1e-10)
+    assert_allclose(operator_norm(m.__matmul__, 3), 3.0, rtol=1e-10)
 
 
 def test_trace_norm_rank_one():
@@ -151,7 +159,9 @@ def test_trace_norm_rank_one():
     v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     m = np.outer(u, v.conj())
     assert_allclose(trace_norm(m), np.linalg.norm(u) * np.linalg.norm(v), rtol=1e-12)
-    assert_allclose(operator_norm(m), np.linalg.norm(u) * np.linalg.norm(v), rtol=1e-9)
+    # operator_norm takes symmetric operators only: u u^T has norm |u|^2
+    r = u.real
+    assert_allclose(operator_norm(np.outer(r, r).__matmul__, 7), r @ r, rtol=1e-9)
 
 
 def test_norms_vs_eigendecomposition_oracle():
@@ -160,15 +170,18 @@ def test_norms_vs_eigendecomposition_oracle():
     # independent oracle: singular values from the hermitian eigenproblem of m* m
     sv = np.sqrt(np.maximum(np.linalg.eigvalsh(m.conj().T @ m), 0.0))
     assert_allclose(trace_norm(m), float(np.sum(sv)), rtol=1e-9)
-    assert_allclose(operator_norm(m), float(np.max(sv)), rtol=1e-9)
+    # a random real symmetric matrix: the norm is the largest |eigenvalue|
+    sym = m.real + m.real.T
+    assert_allclose(operator_norm(sym.__matmul__, 6), float(np.max(np.abs(np.linalg.eigvalsh(sym)))), rtol=1e-9)
 
 
 def test_norm_sandwich_property():
     rng = np.random.default_rng(23)
     for _ in range(10):
         n = int(rng.integers(2, 9))
-        m = rng.standard_normal((n, n))
-        op, tr = operator_norm(m), trace_norm(m)
+        a = rng.standard_normal((n, n))
+        m = a + a.T
+        op, tr = operator_norm(m.__matmul__, n), trace_norm(m)
         rank = np.linalg.matrix_rank(m)
         assert op <= tr + 1e-10
         assert tr <= rank * op + 1e-8
@@ -222,7 +235,18 @@ def test_trace_norm_rectangular_low_rank():
 
 
 def test_operator_norm_zero_matrix():
-    assert operator_norm(np.zeros((4, 4))) == 0.0
+    assert operator_norm(np.zeros((4, 4)).__matmul__, 4) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4097])
+def test_toeplitz_product_matches_dense_toeplitz(n):
+    rng = np.random.default_rng(n)
+    t = rng.standard_normal(2 * n - 1)
+    v = rng.standard_normal(n)
+    fast = toeplitz_product(t, v)
+    assert fast.shape == (n,)
+    # FFT rounding is relative to |t| |v|; an index slip is an O(1) error
+    assert_allclose(fast, toeplitz(t, n) @ v, rtol=0, atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(v))
 
 
 # -- reference assembly (tests/oracles.py) ----------------------------------
@@ -291,7 +315,7 @@ def _assert_real_symbol_properties(m, floor):
     """T(f) of a real symbol f >= floor > 0: self-adjoint, PSD, ||T^-1|| <= 1/floor."""
     assert float(np.max(np.abs(m - m.conj().T))) <= 1e-9
     assert float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))) >= -1e-10
-    inverse_norm = operator_norm(np.linalg.inv(m))
+    inverse_norm = np.linalg.norm(np.linalg.inv(m), 2)
     assert inverse_norm <= 1.0 / floor + 1e-8
     return inverse_norm
 
@@ -311,4 +335,4 @@ def test_property_checks_shifted_cosine():
 def test_property_checks_fh_symbol_inverse_bound():
     # Re e^{i g~} >= cos(delta), so ||T^{-1}|| <= 1/cos(delta)
     delta = math.pi / 4
-    assert operator_norm(np.linalg.inv(fh_matrix(delta, 24))) <= 1.0 / math.cos(delta) + 1e-8
+    assert np.linalg.norm(np.linalg.inv(fh_matrix(delta, 24)), 2) <= 1.0 / math.cos(delta) + 1e-8

@@ -11,7 +11,8 @@ by tests, or by other unreached code counts as unused.
 
 A name with a leading underscore is private to its module: importing it
 from another module, or reading it as an attribute of an imported module,
-is reported too.  What two modules share is public.
+is reported too.  What two modules share is public.  The same check keeps
+tests/oracles.py off the package's private names.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ def private_imports(src: Path = SRC) -> list[str]:
 
 def test_no_module_imports_a_private_name():
     assert private_imports() == []
+
+
+def test_oracles_import_no_private_name():
+    # an oracle that borrows a package helper would share the code it checks
+    tests = Path(__file__).resolve().parent
+    assert [name for name in private_imports(tests) if name.startswith("oracles:")] == []
 
 
 def test_the_check_reports_a_private_import(tmp_path):
