@@ -64,9 +64,11 @@ def hurwitz_zeta(s: int, x):
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("hurwitz_zeta requires strictly positive finite arguments")
     steps = np.ceil(np.maximum(_ASYMPTOTIC_FROM - arr, 0.0))
+    # the recurrence terms of the arguments below 64 only, one column each
+    low = steps > 0.0
+    i = np.arange(steps.max(initial=0.0))[:, None]
     head = np.zeros_like(arr)
-    for i in range(int(steps.max(initial=0.0))):
-        head += np.where(i < steps, (arr + i) ** -s, 0.0)
+    head[low] = np.sum(np.where(i < steps[low], (arr[low] + i) ** -s, 0.0), axis=0)
     y = arr + steps
     power = y ** -s  # y^(-s-2j+1) in the loop
     out = (-np.log(y) if s == 1 else y ** (1 - s) / (s - 1)) + 0.5 * power

@@ -446,7 +446,7 @@ def selftest() -> int:
             config = ExperimentConfig.from_dict(raw)
             check(config.experiment, run_experiment(config, Path(scratch), 1) == EXIT_OK)
 
-    # the O(N) Cauchy sum and the Dirichlet parity reduction against dense LU of
+    # the O(1) Cauchy sum and the Dirichlet parity reduction against dense LU of
     # the matrices they stand for; at delta = 0 the jump matrix is the identity
     worst = max(
         abs(fh_log_det(delta, n) - log_det(fh_matrix(delta, n))) for delta in (0.0, math.pi / 4, math.pi / 2)

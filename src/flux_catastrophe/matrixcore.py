@@ -105,7 +105,7 @@ def operator_norm(apply: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     deterministic.  It stops once two successive estimates agree to a
     relative 1e-10 and raises NumericalError after 10,000 iterations.
     """
-    v = np.random.default_rng(0x5EED).standard_normal(n)
+    v = np.random.default_rng(_SKETCH_SEED).standard_normal(n)
     v /= np.linalg.norm(v)
     prev = -1.0
     sigma = 0.0

@@ -7,26 +7,30 @@ so only the 2N-1 Fourier-type integrals
 
     t_d = (1/2L) int_{-L}^{L} e^{i g_L(x)} e^{i pi d x / L} dx
 
-are needed.  Outside the potential's support g_L is linear, so those parts
-integrate in closed form and quadrature only ever sees the support.
+are needed: t_d = F((pi d - delta_L) / L) with the transform F below.
 
 The companion matrix T_N(e^{i g~_L}) with
 g~_L(x) = Phi_L(L) sign(x) - delta_L x / L has the exact entries
 (-1)^{n_L} sin(delta_L) / (delta_L - pi (j-k)); the sign flip for odd n_L is
 invisible in |det| but matters for the entrywise difference Delta_N.
 
-Dirichlet case.  g_L = Phi_L.  In y = pi (x + L) / 2L the free
-eigenfunctions are sin(j y) / sqrt(L), so entry (j, k) is c_{|j-k|} - c_{j+k}
-with c_m = (1/pi) int_0^pi e^{i Phi_L} cos(m y) dy, m = 0..2N: a
+Dirichlet case.  g_L = Phi_L.  The free eigenfunctions are sin(j y) / sqrt(L)
+with y = pi (x + L) / 2L, so entry (j, k) is c_{|j-k|} - c_{j+k} with
+c_m = (1/2L) int_{-L}^{L} e^{i Phi_L(x)} cos(m y) dx, m = 0..2N: a
 Toeplitz-minus-Hankel matrix, as in Deift, Its & Krasovsky (Ann. of
-Math. 174, 2011).  Outside the support e^{i Phi_L} is constant, so those
-parts of c_m are closed-form cosine integrals.  The jump symbol has
-c~_0 = cos(Phi_L(L)) and c~_m = -(2i/pi) sin(Phi_L(L)) sin(m pi/2) / m.
+Math. 174, 2011).  As cos(m y) is the mean of i^{+-m} e^{+-i m pi x / 2L},
+c_m = [i^m F(m pi / 2L) + i^{-m} F(-m pi / 2L)] / 2 with the transform F
+below.  The jump symbol has c~_0 = cos(Phi_L(L)) and
+c~_m = -(2i/pi) sin(Phi_L(L)) sin(m pi/2) / m.
 
-Support sums.  Both bases need S[m] = sum_u w_u f(u) e^{i m h u} over the
-support's quadrature nodes u for M consecutive m: the periodic t_d
-(nodes x, h = pi/L) and the Dirichlet c_m (nodes y and -y, h = 1, since
-cos(m y) is the mean of e^{+-i m y}); _phase_sums factors the phases.
+Support sums.  Both bases sample one transform,
+F(w) = (1/2L) int_{-L}^{L} e^{i Phi_L(x)} e^{i w x} dx, on an evenly spaced
+grid w_m = (step (shift + m) - delta) / L: the periodic t_d need step = pi
+and delta = delta_L, the Dirichlet c_m step = pi/2 and delta = 0.  Outside
+[-R, R] e^{i Phi_L} is the constant e^{+-i Phi_L(L)}, so those parts are
+closed-form cis integrals (zero when L = R).  Over the support the
+quadrature nodes x give sum_x w_x e^{i (Phi_L(x) - delta x / L)}
+e^{i (shift + m) step x / L}, whose phases _phase_sums factors.
 
 Quadrature check.  The doubling check (refine 0 against refine 1, and on
 while needed) compares the O(N) coefficient vectors, not two N x N
@@ -101,42 +105,35 @@ def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndar
     return (outer @ inner).ravel()[:M]
 
 
+def _symbol_transform(
+    a: MagneticPotential, L: float, prof: FluxProfile, step: float, delta: float, shift: int, M: int, refine: int
+) -> np.ndarray:
+    """F(w) = (1/2L) int_{-L}^{L} e^{i Phi_L(x)} e^{i w x} dx at w_m = (step (shift + m) - delta) / L, m = 0..M-1."""
+    omega = (step * (shift + np.arange(M)) - delta) / L
+    R, nodes, weights = support_nodes(a, L, float(np.max(np.abs(omega))), refine)
+    values = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
+    support = _phase_sums(step / L, shift, M, nodes, values)
+    # e^{i Phi_L} is e^{+i Phi_L(L)} on [R, L] and e^{-i Phi_L(L)} on [-L, -R]
+    right = np.exp(1j * prof.total_flux) * cis_integral(omega, R, L)
+    left = np.exp(-1j * prof.total_flux) * cis_integral(omega, -L, -R)
+    return (support + right + left) / (2.0 * L)
+
+
 def _periodic_overlap_coefficients(
     a: MagneticPotential, L: float, prof: FluxProfile, N: int, refine: int
 ) -> np.ndarray:
     """The 2N-1 Toeplitz coefficients t_d of e^{i g_L}, d = -(N-1) .. N-1."""
-    delta = prof.delta_L
-    total = prof.total_flux
-    d = np.arange(-(N - 1), N, dtype=float)
-    omega = (np.pi * d - delta) / L
-    omega_max = float(np.max(np.abs(omega)))
-    R, nodes, weights = support_nodes(a, L, omega_max, refine)
-    g = prof.phi_at(nodes) - delta * nodes / L
-    middle = _phase_sums(np.pi / L, -(N - 1), 2 * N - 1, nodes, np.exp(1j * g) * weights)
-    right = np.exp(1j * total) * cis_integral(omega, R, L) if L > R else 0.0
-    left = np.exp(-1j * total) * cis_integral(omega, -L, -R) if L > R else 0.0
-    return (middle + right + left) / (2.0 * L)
+    return _symbol_transform(a, L, prof, np.pi, prof.delta_L, -(N - 1), 2 * N - 1, refine)
 
 
 def _dirichlet_cosine_coefficients(
     a: MagneticPotential, L: float, prof: FluxProfile, N: int, refine: int
 ) -> np.ndarray:
-    """c_m = (1/pi) int_0^pi e^{i Phi_L} cos(m y) dy, m = 0..2N, with y = pi (x + L) / 2L."""
-    M = 2 * N + 1
-    h = np.pi / (2.0 * L)
-    R, nodes, weights = support_nodes(a, L, h * (M - 1), refine)
-    y = h * (nodes + L)
-    # dy / pi = dx / 2L, and cos(m y) is the mean of e^{i m y} and e^{-i m y}
-    half = np.exp(1j * prof.phi_at(nodes)) * weights / (4.0 * L)
-    c = _phase_sums(1.0, 0, M, np.concatenate([y, -y]), np.concatenate([half, half]))
-    if L > R:
-        # e^{i Phi_L} is e^{-i phi} below y(-R) and e^{+i phi} above y(R)
-        m = np.arange(M)
-        phi = prof.total_flux
-        below = cis_integral(m, 0.0, h * (L - R)).real
-        above = cis_integral(m, h * (L + R), np.pi).real
-        c += (np.exp(-1j * phi) * below + np.exp(1j * phi) * above) / np.pi
-    return c
+    """c_m = (1/2L) int_{-L}^{L} e^{i Phi_L} cos(m y) dx, m = 0..2N, with y = pi (x + L) / 2L."""
+    F = _symbol_transform(a, L, prof, np.pi / 2.0, 0.0, -2 * N, 4 * N + 1, refine)
+    # cos(m y) is the mean of i^{+-m} e^{+-i m pi x / 2L}
+    i_m = np.array([1.0, 1j, -1.0, -1j])[np.arange(2 * N + 1) % 4]
+    return 0.5 * (i_m * F[2 * N :] + i_m.conj() * F[2 * N :: -1])
 
 
 def _toeplitz_minus_hankel(c: np.ndarray, N: int) -> np.ndarray:
@@ -257,7 +254,7 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     """Build T_N(e^{i g_L}) and T_N(e^{i g~_L}) once and derive every result.
 
     |D~| depends on (delta_L, N) alone and is taken before any jump matrix
-    exists: matrixcore.fh_log_det in O(N) (periodic; the sign (-1)^{n_L}
+    exists: matrixcore.fh_log_det in O(1) (periodic; the sign (-1)^{n_L}
     leaves |det| unchanged) or the real parity reduction
     hilbert.dirichlet_flux_logdet (Dirichlet).  Then |D| by LU, C_{N,L} =
     |D|^2 / |D~|^2, and Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}), formed in

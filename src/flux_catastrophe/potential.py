@@ -115,10 +115,7 @@ class PiecewiseLinear:
         object.__setattr__(self, "_cum", cum)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        vals = np.interp(x, self._xs, self._vs, left=0.0, right=0.0)
-        outside = (x < self._xs[0]) | (x > self._xs[-1])
-        return np.where(outside, 0.0, vals)
+        return np.interp(x, self._xs, self._vs, left=0.0, right=0.0)
 
     def antiderivative(self, x):
         x = np.asarray(x, dtype=float)

@@ -2,7 +2,8 @@
 
 bench/run.py compares every benchmark CSV with its copy in bench/reference/,
 but it runs outside the unit tests.  This runs each benchmark config in
-process on the small end of its grid and compares every column but
+process on the small end of its grid (the sweeps also at their top N, 2048,
+where rounding moves are largest) and compares every column but
 config_hash (which hashes the shortened grid) with the matching reference
 rows, under bench/reference/tolerances.json, so that a basis or sign slip
 in the overlap layer, or a moved closed form (log-determinants, polygamma
@@ -63,7 +64,7 @@ def _assert_matches_reference(tmp_path: Path, workload: str, name: str, n_grid: 
 
 @pytest.mark.parametrize("sweep", ["sweep_periodic", "sweep_dirichlet"])
 def test_sweep_matches_bench_reference_rows(tmp_path, sweep):
-    _assert_matches_reference(tmp_path, sweep, "overlap_sweep.csv", [128, 181])
+    _assert_matches_reference(tmp_path, sweep, "overlap_sweep.csv", [128, 181, 2048])
 
 
 @pytest.mark.parametrize("workload, name, n_grid", CLOSED_FORMS, ids=[case[0] for case in CLOSED_FORMS])

@@ -78,6 +78,34 @@ def test_periodic_overlap_2x2_vs_independent_quadrature():
         assert abs(m[j, k] - entry(d)) < 1e-10
 
 
+@pytest.mark.parametrize("margin", [0.0, 1.5])
+@pytest.mark.parametrize("potential", ["sweep", "bump"])
+def test_dirichlet_overlap_vs_independent_quadrature(potential, margin):
+    # every entry (1/L) int sin(j y) sin(k y) e^{i Phi_L(x)} dx, y = pi (x + L) / 2L,
+    # by scipy quad on the whole interval; margin 0 puts L on the support radius
+    a = SWEEP_POTENTIALS[DIR] if potential == "sweep" else GaussianBump(0.2, 0.5, 0.8, 4.0)
+    N = 3
+    L = a.support_radius + margin
+    m = overlap_matrix(a, DIR, N, L)
+    prof = flux_profile(a, L)
+    pts = sorted({-a.support_radius, *a.breakpoints, 0.0, a.support_radius} - {-L, L})
+
+    def entry(j, k):
+        def integrand(x, part):
+            y = math.pi * (x + L) / (2 * L)
+            phi = float(prof.phi_at(np.array([x]))[0])
+            return math.sin(j * y) * math.sin(k * y) * part(phi)
+
+        re, im = (
+            quad(integrand, -L, L, args=(part,), points=pts, limit=400, epsabs=1e-12)[0] for part in (math.cos, math.sin)
+        )
+        return (re + 1j * im) / L
+
+    for j in range(1, N + 1):
+        for k in range(1, N + 1):
+            assert abs(m[j - 1, k - 1] - entry(j, k)) < 1e-10, (j, k)
+
+
 def test_dirichlet_single_state_unimodularity():
     a = gaussian_bump_with_flux(0.8)
     m = overlap_matrix(a, DIR, 1, 6.0)

@@ -140,8 +140,10 @@ def test_table_samples_matches_piecewise():
 def test_compact_support_guarantee():
     a = GaussianBump(support_radius=3.0)
     assert a(np.array([3.5, -3.2, 100.0])).tolist() == [0.0, 0.0, 0.0]
-    p = PiecewiseLinear(((-1.0, 0.5), (1.0, 0.5)))
-    assert p(np.array([-1.5, 1.5])).tolist() == [0.0, 0.0]
+    p = PiecewiseLinear(((-1.0, 0.25), (1.0, 0.5)))
+    # the end knots keep their values; one ulp beyond them a(x) is 0
+    x = np.array([-1.0, 1.0, np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), -1.5, 1.5])
+    assert p(x).tolist() == [0.25, 0.5, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_json_roundtrip_and_errors():
