@@ -62,7 +62,8 @@ extra worker processes oversubscribe the cores: on a 2-core Xeon VM
 bench/configs/sweep_periodic.json, took 1.62, 1.71 and 1.64 s at --jobs 1
 against 2.37, 2.48 and 5.80 s at --jobs 2 (wall clock of the command).
 
-Exit codes: 0 success, 2 property-check failure, 1 config or numerical error.
+Exit codes: 0 success, 2 property-check failure, 1 config, numerical or
+usage error (a --jobs below 1 is one).
 """
 
 from __future__ import annotations
@@ -447,20 +448,21 @@ def selftest() -> int:
             check(config.experiment, run_experiment(config, Path(scratch), 1) == EXIT_OK)
 
     # the O(1) Cauchy sum and the Dirichlet parity reduction against dense LU of
-    # the matrices they stand for; at delta = 0 the jump matrix is the identity
+    # the jump matrices they stand for (fh_matrix, and flux_matrix's Dirichlet
+    # assembly); at delta = 0 the jump matrix is the identity
     worst = max(
         abs(fh_log_det(delta, n) - log_det(fh_matrix(delta, n))) for delta in (0.0, math.pi / 4, math.pi / 2)
         for n in (64, 181)
     )
     check("jump log-det vs LU", worst < 1e-12, f"max |diff| {worst:.1e}")
     worst = max(
-        abs(log_det(overlap.dirichlet_flux_closed_form(math.pi / 4, n)) - hilbert.dirichlet_flux_logdet(math.pi / 4, n))
+        abs(log_det(overlap.flux_matrix(math.pi / 4, BoundaryCondition.DIRICHLET, n))
+            - hilbert.dirichlet_flux_logdet(math.pi / 4, n))
         for n in (16, 17)
     )
     check("dirichlet reduction", worst < 1e-8, f"max |diff| {worst:.1e}")
 
-    zero = zero_potential()
-    m = overlap.overlap_matrix(zero, BoundaryCondition.PERIODIC, 16, 8.0)
+    m = overlap.overlap_matrix(flux_profile(zero_potential(), 8.0), BoundaryCondition.PERIODIC, 16)
     check("zero potential identity", float(np.max(np.abs(m - np.eye(16)))) < 1e-10)
 
     print(f"selftest: {'all checks passed' if failures == 0 else f'{failures} check(s) FAILED'}")
@@ -481,7 +483,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     runp.add_argument("--out", type=Path, default=None, help="output directory (overrides config output_path)")
     sub.add_parser("selftest", help="run the built-in property suite")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "run" and args.jobs < 1:
+            runp.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, the property-failure code here
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG_OR_NUMERICAL
 
     if args.command == "selftest":
         return selftest()

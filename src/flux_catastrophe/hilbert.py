@@ -1,9 +1,10 @@
 """Dirichlet-case reduction: K matrices, Hilbert sections, and the upper bound.
 
-The N x N Dirichlet jump-symbol matrix is F = c I + i s S, c = cos Phi_L(L),
-s = sin Phi_L(L), with a real symmetric S that couples only opposite
-parities: S = [[0, B], [B^T, 0]] on the T = ceil(N/2) odd and M = floor(N/2)
-even indices.  The Schur complement on these parity blocks gives, for every N,
+The N x N Dirichlet jump-symbol matrix, overlap.flux_matrix(Phi_L(L),
+DIRICHLET, N), is F = c I + i s S, c = cos Phi_L(L), s = sin Phi_L(L),
+with a real symmetric S that couples only opposite parities:
+S = [[0, B], [B^T, 0]] on the T = ceil(N/2) odd and M = floor(N/2) even
+indices.  The Schur complement on these parity blocks gives, for every N,
 
     det F = c^(N - 2M) det(c^2 I + s^2 B^T B),  I - B^T B = (4/pi^2) K,
 
@@ -137,8 +138,8 @@ def dirichlet_flux_logdet(delta: float, N: int) -> float:
     det F = c^(N - 2M) det(c^2 I + s^2 B^T B) with I - B^T B = (4/pi^2) K
     (module docstring) makes it (N - 2M) log|cos delta| plus the real M x M
     log|det(I - (4/pi^2) sin^2(delta) K)|, M = N // 2; odd N at delta = pi/2
-    gives exactly -inf.  Dense LU of overlap.dirichlet_flux_closed_form is
-    the test oracle.
+    gives exactly -inf.  Dense LU of overlap.flux_matrix(Phi, DIRICHLET, N),
+    Phi = n pi + delta, is the test oracle.
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")

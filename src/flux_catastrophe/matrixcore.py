@@ -148,8 +148,9 @@ def fh_matrix(delta: float, N: int) -> np.ndarray:
     """Toeplitz matrix with entries sin(delta) / (delta - pi (j-k)).
 
     This is the determinant-carrying matrix of the jump symbol: the
-    diagonal is sin(delta)/delta (with the analytic limit 1 as delta -> 0,
-    evaluated by series below |delta| < 1e-4 to dodge 0/0).  At
+    diagonal is sin(delta)/delta, which the same formula gives at d = 0
+    to within an ulp for every delta down to the smallest subnormal; only
+    delta = 0 (0/0) is set to the limit 1.  At
     |delta| = pi/2 it is (1/pi) times the nonsingular Cauchy matrix
     1/(1/2 -+ (j-k)), so only |delta| > pi/2 is rejected.  The result
     is a writable copy of a strided view of the 2N - 1 coefficients, so
@@ -162,11 +163,8 @@ def fh_matrix(delta: float, N: int) -> np.ndarray:
     d = np.arange(-(N - 1), N, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sin(delta) / (delta - np.pi * d)
-    if abs(delta) < 1e-4:
-        d2 = delta * delta
-        s[N - 1] = 1.0 - d2 / 6.0 * (1.0 - d2 / 20.0)
-    else:
-        s[N - 1] = np.sin(delta) / delta
+    if delta == 0.0:
+        s[N - 1] = 1.0
     return toeplitz(s, N).copy()
 
 
@@ -208,4 +206,4 @@ def fh_log_det(delta: float, N: int) -> float:
     for k in range(1, 6):
         lo, hi = hurwitz_zeta(2 * k - 1, [64.0, x])
         out -= c2**k / k * (lo - hi + N * hurwitz_zeta(2 * k, x))
-    return out
+    return float(out)

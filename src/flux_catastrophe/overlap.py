@@ -9,8 +9,8 @@ so only the 2N-1 Fourier-type integrals
 
 are needed: t_d = F((pi d - delta_L) / L) with the transform F below.
 
-The companion matrix T_N(e^{i g~_L}) with
-g~_L(x) = Phi_L(L) sign(x) - delta_L x / L has the exact entries
+The companion T_N(e^{i g~_L}), g~_L(x) = Phi_L(L) sign(x) - delta_L x / L,
+needs only Phi_L(L) = n_L pi + delta_L (flux_matrix, in both bases): entries
 (-1)^{n_L} sin(delta_L) / (delta_L - pi (j-k)); the sign flip for odd n_L is
 invisible in |det| but matters for the entrywise difference Delta_N.
 
@@ -37,7 +37,8 @@ while needed) compares the O(N) coefficient vectors, not two N x N
 matrices.  Periodic entries are the t_d themselves, so max |dt_d| is the
 entrywise change exactly; a Dirichlet entry is c_{|j-k|} - c_{j+k}, so
 2 max |dc_m| bounds every entry change from above.  The accepted vector is
-assembled once, from strided Toeplitz and Hankel views.
+assembled once by _assemble, from strided Toeplitz and Hankel views; the
+Dirichlet jump matrix goes through the same assembly from its c~_m.
 
 Delta_N has low numerical rank.  In both bases the exact and the jump
 symbol agree outside the support [-R, R], so
@@ -52,11 +53,11 @@ from N = 128 to 2048.  matrixcore.trace_norm uses this through a
 certified randomized range finder; it is the same compact-support fact
 behind the paper's estimate ||Delta_N||_1 <= (N/L) int |y a(y)| dy.
 
-evaluate_point builds both matrices once per grid point and derives
-C_{N,L}, ||Delta_N||_1 and the moment bound; the jump log-determinant
-comes in closed form from (delta_L, N).  The band gate on C_{N,L} along a
-grid is the overlap_sweep row of the CLI's experiment table
-(cli._c_band_gate).
+evaluate_point builds the flux profile and both matrices once per grid
+point and derives C_{N,L}, ||Delta_N||_1 and the moment bound; the jump
+log-determinant comes in closed form from (delta_L, N).  The band gate on
+C_{N,L} along a grid is the overlap_sweep row of the CLI's experiment
+table (cli._c_band_gate).
 """
 
 from __future__ import annotations
@@ -105,12 +106,11 @@ def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndar
     return (outer @ inner).ravel()[:M]
 
 
-def _symbol_transform(
-    a: MagneticPotential, L: float, prof: FluxProfile, step: float, delta: float, shift: int, M: int, refine: int
-) -> np.ndarray:
+def _symbol_transform(prof: FluxProfile, step: float, delta: float, shift: int, M: int, refine: int) -> np.ndarray:
     """F(w) = (1/2L) int_{-L}^{L} e^{i Phi_L(x)} e^{i w x} dx at w_m = (step (shift + m) - delta) / L, m = 0..M-1."""
+    L = prof.L
     omega = (step * (shift + np.arange(M)) - delta) / L
-    R, nodes, weights = support_nodes(a, L, float(np.max(np.abs(omega))), refine)
+    R, nodes, weights = support_nodes(prof.potential, L, float(np.max(np.abs(omega))), refine)
     values = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
     support = _phase_sums(step / L, shift, M, nodes, values)
     # e^{i Phi_L} is e^{+i Phi_L(L)} on [R, L] and e^{-i Phi_L(L)} on [-L, -R]
@@ -119,25 +119,24 @@ def _symbol_transform(
     return (support + right + left) / (2.0 * L)
 
 
-def _periodic_overlap_coefficients(
-    a: MagneticPotential, L: float, prof: FluxProfile, N: int, refine: int
-) -> np.ndarray:
+def _periodic_overlap_coefficients(prof: FluxProfile, N: int, refine: int) -> np.ndarray:
     """The 2N-1 Toeplitz coefficients t_d of e^{i g_L}, d = -(N-1) .. N-1."""
-    return _symbol_transform(a, L, prof, np.pi, prof.delta_L, -(N - 1), 2 * N - 1, refine)
+    return _symbol_transform(prof, np.pi, prof.delta_L, -(N - 1), 2 * N - 1, refine)
 
 
-def _dirichlet_cosine_coefficients(
-    a: MagneticPotential, L: float, prof: FluxProfile, N: int, refine: int
-) -> np.ndarray:
+def _dirichlet_cosine_coefficients(prof: FluxProfile, N: int, refine: int) -> np.ndarray:
     """c_m = (1/2L) int_{-L}^{L} e^{i Phi_L} cos(m y) dx, m = 0..2N, with y = pi (x + L) / 2L."""
-    F = _symbol_transform(a, L, prof, np.pi / 2.0, 0.0, -2 * N, 4 * N + 1, refine)
+    F = _symbol_transform(prof, np.pi / 2.0, 0.0, -2 * N, 4 * N + 1, refine)
     # cos(m y) is the mean of i^{+-m} e^{+-i m pi x / 2L}
     i_m = np.array([1.0, 1j, -1.0, -1j])[np.arange(2 * N + 1) % 4]
     return 0.5 * (i_m * F[2 * N :] + i_m.conj() * F[2 * N :: -1])
 
 
-def _toeplitz_minus_hankel(c: np.ndarray, N: int) -> np.ndarray:
-    """N x N matrix with entry (j, k) = c[|j - k|] - c[j + k], j, k = 1..N, from c[0 .. 2N]."""
+def _assemble(c: np.ndarray, N: int, periodic: bool) -> np.ndarray:
+    """New N x N array with entry (j, k) = c[(N - 1) + j - k] (periodic, c[0 .. 2N-2])
+    or c[|j - k|] - c[j + k], j, k = 1..N (Dirichlet, c[0 .. 2N])."""
+    if periodic:
+        return toeplitz(c, N).copy()
     return np.subtract(toeplitz(np.concatenate([c[N - 1 : 0 : -1], c[:N]]), N), sliding_window_view(c[2:], N))
 
 
@@ -148,33 +147,32 @@ _QUADRATURE_TOL = 1e-10
 _MAX_REFINE = 4
 
 
-def overlap_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> np.ndarray:
+def overlap_matrix(prof: FluxProfile, bc: BoundaryCondition, N: int) -> np.ndarray:
     """Overlap matrix of the free and perturbed N-fermion ground states.
 
-    Returns T_N(e^{i g_L}) in the free eigenbasis; its determinant equals
-    the physical overlap determinant between the occupied windows N_0 and
-    N_{n_L} (periodic) or 1..N (Dirichlet).  The O(N) coefficients are
-    verified by doubling the quadrature resolution until no entry can move
-    by more than 1e-10; the matrix is assembled once, from the accepted
-    coefficients.
+    Returns T_N(e^{i g_L}) in the free eigenbasis on the profile's [-L, L];
+    its determinant equals the physical overlap determinant between the
+    occupied windows N_0 and N_{n_L} (periodic) or 1..N (Dirichlet).  The
+    O(N) coefficients are verified by doubling the quadrature resolution
+    until no entry can move by more than 1e-10; the matrix is assembled
+    once, from the accepted coefficients.
     """
     bc = BoundaryCondition.parse(bc)
     if N < 1:
         raise DomainError("N must be >= 1")
-    if L < a.support_radius:
+    if prof.L < prof.potential.support_radius:
         raise DomainError(
-            f"L = {L} is smaller than the support radius {a.support_radius}; "
+            f"L = {prof.L} is smaller than the support radius {prof.potential.support_radius}; "
             "the compact-support reduction requires L >= support_radius"
         )
-    prof = flux_profile(a, L)
     periodic = bc is BoundaryCondition.PERIODIC
     coefficients = _periodic_overlap_coefficients if periodic else _dirichlet_cosine_coefficients
     # an entry is t_{j-k} (periodic) or c_{|j-k|} - c_{j+k} (Dirichlet)
     coefficients_per_entry = 1.0 if periodic else 2.0
 
-    current = coefficients(a, L, prof, N, 0)
+    current = coefficients(prof, N, 0)
     for refine in range(1, _MAX_REFINE + 1):
-        refined = coefficients(a, L, prof, N, refine)
+        refined = coefficients(prof, N, refine)
         worst = coefficients_per_entry * float(np.max(np.abs(refined - current)))
         current = refined
         if worst <= _QUADRATURE_TOL:
@@ -185,46 +183,28 @@ def overlap_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
             achieved=worst,
             requested=_QUADRATURE_TOL,
         )
-    return toeplitz(current, N).copy() if periodic else _toeplitz_minus_hankel(current, N)
+    return _assemble(current, N, periodic)
 
 
-def periodic_flux_closed_form(delta: float, n_L: int, N: int) -> np.ndarray:
-    """Entries of T_N(e^{i g~_L}): (-1)^{n_L} sin(delta)/(delta - pi(j-k))."""
-    m = fh_matrix(delta, N)
-    if n_L % 2:
-        np.negative(m, out=m)
-    return m
+def flux_matrix(total_flux: float, bc: BoundaryCondition, N: int) -> np.ndarray:
+    """Closed-form T_N(e^{i g~_L}) of the jump symbol from Phi = Phi_L(L) = n_L pi + delta_L.
 
-
-def dirichlet_flux_closed_form(total_flux: float, N: int) -> np.ndarray:
-    """Closed-form Dirichlet matrix of the jump symbol e^{i Phi_L(L) sign(x)}.
-
-    The symbol is e^{-i Phi} for y < pi/2 and e^{+i Phi} above, so its
-    cosine coefficients are c~_0 = cos(Phi) and
-    c~_m = -(2i/pi) sin(Phi) sin(m pi/2) / m, which vanishes for even m > 0:
-    the diagonal is cos(Phi), and off it only opposite parities couple.
-    At delta_L = pi/2 (Phi an odd multiple of pi/2) c~_0 is set to exactly
-    0, where math.cos would leave 6e-17: the matrix is then exactly
-    singular for odd N, whose index set splits into parity classes of
-    unequal size.
+    Periodic: (-1)^{n_L} fh_matrix(delta_L, N).  Dirichlet: the symbol is
+    e^{-i Phi} below y = pi/2 and e^{+i Phi} above, so c~_m vanishes for
+    even m > 0 and off the diagonal cos(Phi) only opposite parities couple.
+    At delta_L = pi/2 c~_0 is exactly 0, where math.cos would leave 6e-17:
+    the matrix is then exactly singular for odd N (unequal parity classes).
     """
+    n_L, delta_L = flux_decomposition(total_flux)
+    if BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC:
+        m = fh_matrix(delta_L, N)
+        return np.negative(m, out=m) if n_L % 2 else m
     odd = np.arange(1, 2 * N + 1, 2)
     c = np.zeros(2 * N + 1, dtype=complex)
-    c[0] = 0.0 if flux_decomposition(total_flux)[1] == math.pi / 2 else math.cos(total_flux)
+    c[0] = 0.0 if delta_L == math.pi / 2 else math.cos(total_flux)
     # sin(m pi/2) = (-1)^((m-1)/2) for odd m
     c[odd] = -2j * math.sin(total_flux) / (math.pi * odd) * (-1.0) ** (odd // 2)
-    return _toeplitz_minus_hankel(c, N)
-
-
-def flux_matrix(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> np.ndarray:
-    """Closed-form matrix T_N(e^{i g~_L}) of the idealized jump symbol."""
-    bc = BoundaryCondition.parse(bc)
-    if L < a.support_radius:
-        raise DomainError("L must be at least the support radius")
-    prof = flux_profile(a, L)
-    if bc is BoundaryCondition.PERIODIC:
-        return periodic_flux_closed_form(prof.delta_L, prof.n_L, N)
-    return dirichlet_flux_closed_form(prof.total_flux, N)
+    return _assemble(c, N, False)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +231,9 @@ class GridPoint(NamedTuple):
 
 
 def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> GridPoint:
-    """Build T_N(e^{i g_L}) and T_N(e^{i g~_L}) once and derive every result.
+    """Build the flux profile, T_N(e^{i g_L}) and T_N(e^{i g~_L}) once each and derive every result.
 
+    overlap_matrix reads the profile and flux_matrix only its Phi_L(L).
     |D~| depends on (delta_L, N) alone and is taken before any jump matrix
     exists: matrixcore.fh_log_det in O(1) (periodic; the sign (-1)^{n_L}
     leaves |det| unchanged) or the real parity reduction
@@ -267,10 +248,10 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     prof = flux_profile(a, L)
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
     ld_flux = (fh_log_det if periodic else dirichlet_flux_logdet)(prof.delta_L, N)
-    exact = overlap_matrix(a, bc, N, L)
+    exact = overlap_matrix(prof, bc, N)
     ld_exact = log_det(exact)
     c_ratio = math.inf if math.isinf(ld_flux) else math.exp(2.0 * (ld_exact - ld_flux))
-    exact -= flux_matrix(a, bc, N, L)
+    exact -= flux_matrix(prof.total_flux, bc, N)
     tn = trace_norm(exact)
     bound = N / L * moment_integrals(a, L)
     return GridPoint(prof.delta_L, prof.n_L, 2.0 * ld_exact, 2.0 * ld_flux, c_ratio, tn, bound, tn <= bound + 1e-8)

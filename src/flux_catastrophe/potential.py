@@ -179,19 +179,30 @@ def gaussian_bump_with_flux(
     width: float = 0.5,
     support_radius: float = 4.0,
 ) -> GaussianBump:
-    """Gaussian bump whose half integral (= Phi_L(L) for L >= support) is ``total_flux``."""
+    """Gaussian bump whose half integral (= Phi_L(L) for L >= support) is ``total_flux``.
+
+    DomainError when no finite amplitude gives it: the unit bump integrates
+    to 0 (support_radius 0, or a center far outside the support) or to so
+    little that the amplitude overflows.
+    """
     unit = GaussianBump(center, width, 1.0, support_radius).total_integral
-    return GaussianBump(center, width, 2.0 * total_flux / unit, support_radius)
+    amplitude = 2.0 * total_flux / unit if unit else math.inf
+    if not math.isfinite(amplitude):
+        raise DomainError(f"total_flux: the unit bump integrates to {unit!r} over its support")
+    return GaussianBump(center, width, amplitude, support_radius)
 
 
 @dataclass
 class FluxProfile:
-    """The flux quantities of a potential on [-L, L].
+    """The flux quantities of ``potential`` on [-L, L].
 
-    ``phi_at`` is the vectorized callable for Phi_L.  The decomposition
-    satisfies total_flux = n_L * pi + delta_L with delta_L in (-pi/2, pi/2].
+    ``phi_at`` is the vectorized callable for Phi_L and closes over both.
+    The decomposition satisfies total_flux = n_L * pi + delta_L with
+    delta_L in (-pi/2, pi/2].
     """
 
+    potential: MagneticPotential
+    L: float
     total_flux: float
     n_L: int
     delta_L: float
@@ -236,7 +247,7 @@ def flux_profile(a: MagneticPotential, L: float) -> FluxProfile:
         return a.antiderivative(x) - lo - total_flux
 
     n_L, delta_L = flux_decomposition(total_flux)
-    return FluxProfile(total_flux=total_flux, n_L=n_L, delta_L=delta_L, phi_at=phi_at)
+    return FluxProfile(potential=a, L=L, total_flux=total_flux, n_L=n_L, delta_L=delta_L, phi_at=phi_at)
 
 
 def weighted_abs_moment(a: MagneticPotential, lo: float, hi: float) -> float:

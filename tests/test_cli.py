@@ -8,6 +8,7 @@ import pytest
 
 from flux_catastrophe import cli, overlap
 from flux_catastrophe.matrixcore import log_det
+from flux_catastrophe.spectrum import BoundaryCondition
 from oracles import cauchy_fh_logdet_sq
 
 # flux 2.0 gives n_L = 1; support radius 4 keeps L = N / 2 >= 4 on every grid below
@@ -82,6 +83,31 @@ def test_jobs_defaults_to_one(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", lambda config, out_dir, jobs: seen.append(jobs) or cli.EXIT_OK)
     assert cli.main(["run", _sweep(tmp_path)]) == cli.EXIT_OK
     assert seen == [1]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["run"], "the following arguments are required: config"),
+        ([], "the following arguments are required: command"),
+        (["rerun"], "invalid choice: 'rerun'"),
+        (["run", "CONFIG", "--jobs", "two"], "argument --jobs: invalid int value: 'two'"),
+        (["run", "CONFIG", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+        (["run", "CONFIG", "--jobs", "-1"], "argument --jobs: must be at least 1, got -1"),
+    ],
+    ids=["no-config", "no-command", "unknown-command", "jobs-word", "jobs-zero", "jobs-negative"],
+)
+def test_usage_errors_exit_1_before_any_run(tmp_path, monkeypatch, capsys, args, message):
+    # argparse's own usage-error code is 2, the property-failure code here
+    monkeypatch.setattr(cli, "run_experiment", lambda *_: pytest.fail("a usage error reached run_experiment"))
+    config = _sweep(tmp_path)
+    assert cli.main([config if arg == "CONFIG" else arg for arg in args]) == cli.EXIT_CONFIG_OR_NUMERICAL
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["run", "--help"]) == cli.EXIT_OK
+    assert "--jobs" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", ["periodic", "dirichlet", "anderson"])
@@ -201,12 +227,17 @@ def test_each_experiment_runs_and_passes_its_gate(tmp_path, capsys, experiment):
         ({"experiment": "overlap_sweep", "n_grid": [16, 32],
           "potential": {"kind": "table_samples", "x0": -1, "dx": False, "values": [0, 1, 0]}},
          "potential: dx must be a finite number, got False"),
+        ({"experiment": "overlap_sweep", "potential": {**POTENTIAL, "support_radius": 0}, "n_grid": [16, 32]},
+         "potential: total_flux: the unit bump integrates to 0.0 over its support"),
+        ({"experiment": "overlap_sweep", "potential": {**POTENTIAL, "center": 100}, "n_grid": [16, 32]},
+         "potential: total_flux: the unit bump integrates to 0.0 over its support"),
     ],
     ids=["odd-N", "sweep-no-potential", "lemma-no-potential", "no-delta", "no-tolerance-keys",
          "misspelled-key", "non-numeric", "bool", "infinite", "bool-in-grid", "short-fit-grid",
          "delta-above-pi-over-2", "sweep-delta-override", "lemma-delta-override", "energy-delta-override",
          "potential-string", "potential-bool", "potential-nan", "potential-infinite", "potential-knot",
-         "potential-table-value", "potential-table-bool"],
+         "potential-table-value", "potential-table-bool", "potential-bump-without-support",
+         "potential-bump-outside-support"],
 )
 def test_experiment_preconditions_are_config_errors(tmp_path, capsys, fields, message):
     config = _write_config(tmp_path, **fields)
@@ -324,7 +355,7 @@ def test_dirichlet_sweep_at_delta_pi_over_2(tmp_path, capsys):
         if n % 2:
             assert (log_dtilde, c_ratio) == (-math.inf, math.inf), n
         else:
-            dense = 2.0 * log_det(overlap.dirichlet_flux_closed_form(math.pi / 2, int(n)))
+            dense = 2.0 * log_det(overlap.flux_matrix(math.pi / 2, BoundaryCondition.DIRICHLET, int(n)))
             assert abs(log_dtilde - dense) <= 1e-10, n
             assert math.isfinite(c_ratio) and c_ratio > 0, n
     assert "degenerate C at N = [5, 7, 9, 65]" in capsys.readouterr().out

@@ -17,8 +17,9 @@ from flux_catastrophe.hilbert import (
     k_part_traces,
 )
 from flux_catastrophe.matrixcore import log_det
-from flux_catastrophe.overlap import dirichlet_flux_closed_form
+from flux_catastrophe.overlap import flux_matrix
 from flux_catastrophe.potential import flux_decomposition
+from flux_catastrophe.spectrum import BoundaryCondition
 from oracles import hilbert_section, hilbert_square_closed_form, k_entry_bruteforce, k_minus_minus, k_parts
 
 
@@ -184,7 +185,7 @@ def test_dirichlet_flux_logdet_m1():
                                      (math.pi / 4, 17), (math.pi / 3, 33), (3 * math.pi / 8, 65)])
 def test_block_reduction_agreement(delta, N):
     # delta in (-pi/2, pi/2) is its own flux decomposition
-    ld_block = log_det(dirichlet_flux_closed_form(delta, N))
+    ld_block = log_det(flux_matrix(delta, BoundaryCondition.DIRICHLET, N))
     assert abs(ld_block - dirichlet_flux_logdet(delta, N)) < 1e-8
 
 
@@ -198,7 +199,7 @@ def test_dirichlet_flux_logdet_matches_lu_for_every_n(flux):
     # odd-N jump matrix is exactly singular and both routes give -inf
     delta = flux_decomposition(flux)[1]
     for N in range(1, 65):
-        dense = log_det(dirichlet_flux_closed_form(flux, N))
+        dense = log_det(flux_matrix(flux, BoundaryCondition.DIRICHLET, N))
         reduced = dirichlet_flux_logdet(delta, N)
         if math.isinf(dense) or math.isinf(reduced):
             assert dense == reduced == -math.inf and N % 2 and delta == math.pi / 2, (N, dense, reduced)

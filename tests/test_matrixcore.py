@@ -43,6 +43,16 @@ def test_fh_small_delta_series_branch():
     assert fh_matrix(0.0, 3)[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("delta", [5e-324, 1e-300, 1e-9, 9.9e-5, 1e-4, 0.3])
+def test_fh_diagonal_is_sin_delta_over_delta_to_one_ulp(delta):
+    # the Toeplitz formula at d = 0, for either sign of delta, against 40 digits
+    with mpmath.workdps(40):
+        exact = float(mpmath.sin(mpmath.mpf(delta)) / mpmath.mpf(delta))
+    for signed in (delta, -delta):
+        diagonal = fh_matrix(signed, 3).diagonal()
+        assert np.all(np.abs(diagonal - exact) <= math.ulp(exact)), (signed, diagonal - exact)
+
+
 def test_fh_domain_error():
     # |delta| = pi/2 gives the nonsingular Cauchy matrix -+1 / (pi (-+1/2 - (j-k)))
     assert fh_matrix(-math.pi / 2, 4)[0, 1] == pytest.approx(-2.0 / math.pi, rel=1e-15)
@@ -73,6 +83,12 @@ def test_fh_log_det_matches_50_digit_cauchy_product(N):
 def test_fh_log_det_matches_dense_lu(N):
     for delta in FH_DELTAS:
         assert abs(fh_log_det(delta, N) - log_det(fh_matrix(delta, N))) <= 1e-11, delta
+
+
+@pytest.mark.parametrize("N", [1, 63, 64, 10**6])
+def test_fh_log_det_returns_a_python_float(N):
+    for delta in (0.0, math.pi / 4, -math.pi / 2):
+        assert type(fh_log_det(delta, N)) is float, (delta, N)
 
 
 def test_fh_log_det_is_exactly_zero_at_delta_zero():

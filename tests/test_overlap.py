@@ -18,16 +18,10 @@ from flux_catastrophe import cli
 from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.hilbert import dirichlet_flux_logdet
 import flux_catastrophe.hilbert as hilbert_module
-from flux_catastrophe.matrixcore import fh_matrix, log_det, toeplitz, trace_norm
+from flux_catastrophe.matrixcore import fh_matrix, log_det, trace_norm
 import flux_catastrophe.matrixcore as matrixcore_module
 import flux_catastrophe.overlap as overlap_module
-from flux_catastrophe.overlap import (
-    dirichlet_flux_closed_form,
-    evaluate_point,
-    flux_matrix,
-    overlap_matrix,
-    periodic_flux_closed_form,
-)
+from flux_catastrophe.overlap import evaluate_point, flux_matrix, overlap_matrix
 from flux_catastrophe.potential import (
     GaussianBump,
     PiecewiseLinear,
@@ -47,7 +41,7 @@ DIR = BoundaryCondition.DIRICHLET
 
 def test_zero_potential_gives_identity_overlap(zero_pot):
     for bc in (PER, DIR):
-        m = overlap_matrix(zero_pot, bc, 12, 6.0)
+        m = overlap_matrix(flux_profile(zero_pot, 6.0), bc, 12)
         assert_allclose(m, np.eye(12), atol=1e-12)
         assert math.exp(2 * log_det(m)) == pytest.approx(1.0, abs=1e-12)
 
@@ -55,8 +49,8 @@ def test_zero_potential_gives_identity_overlap(zero_pot):
 def test_periodic_overlap_2x2_vs_independent_quadrature():
     a = GaussianBump(center=0.2, width=0.5, amplitude=0.8, support_radius=4.0)
     L = 5.0
-    m = overlap_matrix(a, PER, 2, L)
     prof = flux_profile(a, L)
+    m = overlap_matrix(prof, PER, 2)
 
     def entry(d):
         def integrand_re(x):
@@ -86,8 +80,8 @@ def test_dirichlet_overlap_vs_independent_quadrature(potential, margin):
     a = SWEEP_POTENTIALS[DIR] if potential == "sweep" else GaussianBump(0.2, 0.5, 0.8, 4.0)
     N = 3
     L = a.support_radius + margin
-    m = overlap_matrix(a, DIR, N, L)
     prof = flux_profile(a, L)
+    m = overlap_matrix(prof, DIR, N)
     pts = sorted({-a.support_radius, *a.breakpoints, 0.0, a.support_radius} - {-L, L})
 
     def entry(j, k):
@@ -108,30 +102,31 @@ def test_dirichlet_overlap_vs_independent_quadrature(potential, margin):
 
 def test_dirichlet_single_state_unimodularity():
     a = gaussian_bump_with_flux(0.8)
-    m = overlap_matrix(a, DIR, 1, 6.0)
+    m = overlap_matrix(flux_profile(a, 6.0), DIR, 1)
     assert abs(m[0, 0]) <= 1.0 + 1e-12
     assert abs(m[0, 0]) < 1.0  # flux varies over the support of phi_1^2
-    z = overlap_matrix(zero_potential(), DIR, 1, 6.0)
+    z = overlap_matrix(flux_profile(zero_potential(), 6.0), DIR, 1)
     assert abs(z[0, 0]) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_overlap_requires_support_inside_interval():
     a = gaussian_bump_with_flux(0.5)  # support radius 4
     with pytest.raises(DomainError):
-        overlap_matrix(a, PER, 8, 3.0)
-    with pytest.raises(DomainError):
-        flux_matrix(a, PER, 8, 3.0)
+        overlap_matrix(flux_profile(a, 3.0), PER, 8)
+    for bc in (PER, DIR):
+        with pytest.raises(DomainError):
+            evaluate_point(a, bc, 8, 3.0)
 
 
 def test_flux_matrix_zero_flux_identity(zero_pot):
     for bc in (PER, DIR):
-        m = flux_matrix(zero_pot, bc, 9, 5.0)
+        m = flux_matrix(flux_profile(zero_pot, 5.0).total_flux, bc, 9)
         assert_allclose(m, np.eye(9), atol=1e-15)
 
 
 def test_dirichlet_flux_entry_example():
     # j = 1, k = 2, Phi = pi/4: (2i/pi) sin(pi/4) [sin(3 pi/2) / 3 - sin(-pi/2) / (-1)]
-    m = dirichlet_flux_closed_form(math.pi / 4, 4)
+    m = flux_matrix(math.pi / 4, DIR, 4)
     expected = -2j / math.pi * math.sin(math.pi / 4) * (1.0 / 3.0 + 1.0)
     assert_allclose(m[0, 1], expected, rtol=1e-15)
     # parity-even pairs vanish off the diagonal
@@ -144,14 +139,14 @@ def test_dirichlet_flux_matrix_is_singular_at_delta_pi_over_2_for_odd_n(total_fl
     # delta_L = pi/2: the diagonal is exactly 0 and only opposite parities couple,
     # and for odd N the odd indices outnumber the even ones
     for N in (1, 3, 5, 7, 9, 65, 181):
-        m = dirichlet_flux_closed_form(total_flux, N)
+        m = flux_matrix(total_flux, DIR, N)
         assert np.all(np.diag(m) == 0.0), N
         assert log_det(m) == -math.inf, N
 
 
 def test_periodic_flux_matrix_det_2x2():
     delta = math.pi / 4
-    m = flux_matrix(gaussian_bump_with_flux(delta), PER, 2, 4.0)
+    m = flux_matrix(flux_profile(gaussian_bump_with_flux(delta), 4.0).total_flux, PER, 2)
     s = fh_matrix(delta, 2)
     det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
     assert_allclose(math.exp(log_det(m)), abs(det), rtol=1e-13)
@@ -163,7 +158,7 @@ def test_periodic_flux_matrix_sign_for_odd_n_L():
     L = 6.0
     prof = flux_profile(a, L)
     assert prof.n_L == 1
-    m = flux_matrix(a, PER, 6, L)
+    m = flux_matrix(prof.total_flux, PER, 6)
     assert_allclose(m, -fh_matrix(prof.delta_L, 6), atol=0)
     # and the closed form matches the assembled symbol e^{i g~_L}
     basis = BasisSpec.periodic_window(L, 6)
@@ -180,7 +175,7 @@ def test_periodic_flux_matrix_sign_for_odd_n_L():
 def test_overlap_det_bounded_by_one():
     a = gaussian_bump_with_flux(1.2)
     for N in (4, 16, 33):
-        m = overlap_matrix(a, PER, N, max(8.0, N / 2))
+        m = overlap_matrix(flux_profile(a, max(8.0, N / 2)), PER, N)
         val = math.exp(2 * log_det(m))
         assert -1e-12 <= val <= 1.0 + 1e-10
 
@@ -249,7 +244,8 @@ def test_delta_bound_holds_both_bcs(bump_quarter_pi):
 
 
 def _delta_n(a, bc, N, L):
-    return overlap_matrix(a, bc, N, L) - flux_matrix(a, bc, N, L)
+    prof = flux_profile(a, L)
+    return overlap_matrix(prof, bc, N) - flux_matrix(prof.total_flux, bc, N)
 
 
 # flux pi/4 has n_L = 0, flux 2.0 has n_L = 1 (the (-1)^{n_L} sign in Delta_N)
@@ -276,7 +272,8 @@ def test_trace_norm_of_delta_is_deterministic():
 
 
 def test_evaluate_point_builds_each_matrix_once(monkeypatch):
-    calls = {"overlap_matrix": 0, "flux_matrix": 0}
+    # and the flux profile once: overlap_matrix takes it, flux_matrix needs only Phi_L(L)
+    calls = {"overlap_matrix": 0, "flux_matrix": 0, "flux_profile": 0}
     for name in calls:
         original = getattr(overlap_module, name)
 
@@ -290,7 +287,7 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
         for name in calls:
             calls[name] = 0
         evaluate_point(a, bc, 40, 20.0)
-        assert calls == {"overlap_matrix": 1, "flux_matrix": 1}, bc
+        assert calls == {"overlap_matrix": 1, "flux_matrix": 1, "flux_profile": 1}, bc
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
@@ -322,11 +319,11 @@ def test_evaluate_point_matches_each_quantity_built_directly(bc):
     point = evaluate_point(a, bc, 40, 20.0)
     prof = flux_profile(a, 20.0)
     assert (point.delta_L, point.n_L) == (prof.delta_L, prof.n_L)
-    ld_exact = log_det(overlap_matrix(a, bc, 40, 20.0))
+    ld_exact = log_det(overlap_matrix(prof, bc, 40))
     assert point.log_D_sq == 2.0 * ld_exact
     # the jump log-det is the O(N) Cauchy sum (periodic) or the parity reduction
     # (Dirichlet); dense LU of the closed-form jump matrix is its oracle
-    dense = fh_matrix(prof.delta_L, 40) if bc is PER else dirichlet_flux_closed_form(prof.total_flux, 40)
+    dense = flux_matrix(prof.total_flux, bc, 40)
     assert abs(point.log_Dtilde_sq - 2.0 * log_det(dense)) <= 2e-13
     assert point.c_ratio == math.exp(2.0 * ld_exact - point.log_Dtilde_sq)
     assert point.trace_norm_delta == trace_norm(_delta_n(a, bc, 40, 20.0))
@@ -356,7 +353,7 @@ def test_dirichlet_sweep_jump_logdet_matches_lu_at_every_bench_n():
     config = json.loads((Path(__file__).resolve().parents[1] / "bench" / "configs" / "sweep_dirichlet.json").read_text())
     for N in config["n_grid"]:
         prof = flux_profile(a, N / 2.0)
-        dense = log_det(dirichlet_flux_closed_form(prof.total_flux, N))
+        dense = log_det(flux_matrix(prof.total_flux, DIR, N))
         assert abs(dirichlet_flux_logdet(prof.delta_L, N) - dense) <= 1e-10, N
 
 
@@ -364,13 +361,11 @@ _COEFFICIENTS = {PER: "_periodic_overlap_coefficients", DIR: "_dirichlet_cosine_
 
 
 def _coefficients(a, bc, N, L, refine):
-    return getattr(overlap_module, _COEFFICIENTS[bc])(a, L, flux_profile(a, L), N, refine)
+    return getattr(overlap_module, _COEFFICIENTS[bc])(flux_profile(a, L), N, refine)
 
 
 def _assemble(bc, coefficients, N):
-    if bc is PER:
-        return toeplitz(coefficients, N)
-    return overlap_module._toeplitz_minus_hankel(coefficients, N)
+    return overlap_module._assemble(coefficients, N, bc is PER)
 
 
 def _first_change_bound(a, bc, N, L, builds=None):
@@ -381,9 +376,9 @@ def _first_change_bound(a, bc, N, L, builds=None):
         patch.setattr(overlap_module, "_QUADRATURE_TOL", -1.0)
         patch.setattr(overlap_module, "_MAX_REFINE", 1)
         if builds is not None:
-            patch.setattr(overlap_module, _COEFFICIENTS[bc], lambda a, L, prof, N, refine: builds[refine])
+            patch.setattr(overlap_module, _COEFFICIENTS[bc], lambda prof, N, refine: builds[refine])
         with pytest.raises(NumericalError) as info:
-            overlap_matrix(a, bc, N, L)
+            overlap_matrix(flux_profile(a, L), bc, N)
     return info.value.context["achieved"]
 
 
@@ -406,7 +401,7 @@ def test_phase_sums_match_dense_exponentials(M, shift):
 def test_overlap_matrix_matches_dense_reference(bc, N):
     for a in (gaussian_bump_with_flux(2.0), SWEEP_POTENTIALS[DIR]):
         L = max(N / 2.0, a.support_radius)
-        m = overlap_matrix(a, bc, N, L)
+        m = overlap_matrix(flux_profile(a, L), bc, N)
         assert m.flags.c_contiguous and m.flags.writeable
         assert_allclose(m, dense_overlap_matrix(a, bc is PER, N, L, refine=1), rtol=0, atol=1e-14)
 
@@ -415,8 +410,20 @@ def test_overlap_matrix_matches_dense_reference(bc, N):
 @pytest.mark.parametrize("total_flux", [0.0, math.pi / 4, 2.0, -1.1])
 def test_dirichlet_flux_closed_form_matches_mask_formula(total_flux, N):
     # the sine-basis entries written one at a time, with integer parity signs
-    got = dirichlet_flux_closed_form(total_flux, N)
+    got = flux_matrix(total_flux, DIR, N)
     assert_allclose(got, dirichlet_flux_entries(total_flux, N), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 16])
+@pytest.mark.parametrize("total_flux", [0.0, math.pi / 4, 2.0, -1.1, 3 * math.pi / 2])
+def test_dirichlet_flux_matrix_matches_jump_symbol_quadrature(total_flux, N):
+    # <phi_j, e^{i Phi sign x} phi_k> in the sine basis by the panel oracle,
+    # which shares neither the cosine coefficients nor the assembly
+    def jump_symbol(x):
+        return np.exp(1j * total_flux * np.where(np.asarray(x) >= 0.0, 1.0, -1.0))
+
+    reference = assemble_toeplitz(jump_symbol, BasisSpec.dirichlet_window(3.0, N))
+    assert float(np.max(np.abs(flux_matrix(total_flux, DIR, N) - reference))) <= 1e-12
 
 
 def _perturbed_pair(rng, size):
@@ -452,7 +459,7 @@ def test_unsettled_quadrature_raises_with_achieved_error(bc, monkeypatch):
     monkeypatch.setattr(overlap_module, "_QUADRATURE_TOL", 1e-30)
     monkeypatch.setattr(overlap_module, "_MAX_REFINE", 2)
     with pytest.raises(NumericalError) as info:
-        overlap_matrix(gaussian_bump_with_flux(2.0), bc, 16, 8.0)
+        overlap_matrix(flux_profile(gaussian_bump_with_flux(2.0), 8.0), bc, 16)
     assert info.value.context["requested"] == 1e-30
     assert info.value.context["achieved"] > 1e-30
 
@@ -463,7 +470,7 @@ def test_sweep_potentials_accept_the_refine_one_build(bc, N):
     a = SWEEP_POTENTIALS[bc]
     L = N / 2.0
     assert _first_change_bound(a, bc, N, L) <= 1e-10
-    assert np.array_equal(overlap_matrix(a, bc, N, L), _assemble(bc, _coefficients(a, bc, N, L, 1), N))
+    assert np.array_equal(overlap_matrix(flux_profile(a, L), bc, N), _assemble(bc, _coefficients(a, bc, N, L, 1), N))
 
 
 MEMORY_CASES = [(bc, build) for build in (overlap_matrix, flux_matrix) for bc in (PER, DIR)] + [(PER, fh_matrix)]
@@ -475,7 +482,8 @@ MEMORY_CASES = [(bc, build) for build in (overlap_matrix, flux_matrix) for bc in
 def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(bc, build):
     # the periodic sweep potential has n_L = 1, so flux_matrix takes the sign flip
     N, L = 512, 256.0
-    args = (math.pi / 4, N) if build is fh_matrix else (SWEEP_POTENTIALS[bc], bc, N, L)
+    prof = flux_profile(SWEEP_POTENTIALS[bc], L)
+    args = {fh_matrix: (math.pi / 4, N), overlap_matrix: (prof, bc, N), flux_matrix: (prof.total_flux, bc, N)}[build]
     build(*args)  # warm the cached quadrature rule
     tracemalloc.start()
     try:
@@ -535,7 +543,7 @@ def test_overlap_matrix_matches_reference_assembly_on_random_potentials(n_L, dat
         (PER, exact_periodic, BasisSpec.periodic_window(L, N)),
         (DIR, exact_dirichlet, BasisSpec.dirichlet_window(L, N)),
     ):
-        m = overlap_matrix(a, bc, N, L)
+        m = overlap_matrix(prof, bc, N)
         reference = assemble_toeplitz(symbol, basis, breakpoints=a.breakpoints)
         assert float(np.max(np.abs(m - reference))) <= 1e-10, bc
         # a compression of the unitary multiplication by e^{i g}: |det| <= 1
