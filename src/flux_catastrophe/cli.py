@@ -63,7 +63,8 @@ bench/configs/sweep_periodic.json, took 1.62, 1.71 and 1.64 s at --jobs 1
 against 2.37, 2.48 and 5.80 s at --jobs 2 (wall clock of the command).
 
 Exit codes: 0 success, 2 property-check failure, 1 config, numerical or
-usage error (a --jobs below 1 is one).
+usage error (a --jobs below 1 is one, and so is an output directory that
+cannot be created, which is reported before any grid point runs).
 """
 
 from __future__ import annotations
@@ -509,6 +510,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_OR_NUMERICAL
 
     out_dir = args.out if args.out is not None else Path(config.output_path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_OR_NUMERICAL
     try:
         return run_experiment(config, out_dir, args.jobs)
     except (DomainError, NumericalError) as exc:

@@ -32,13 +32,16 @@ closed-form cis integrals (zero when L = R).  Over the support the
 quadrature nodes x give sum_x w_x e^{i (Phi_L(x) - delta x / L)}
 e^{i (shift + m) step x / L}, whose phases _phase_sums factors.
 
-Quadrature check.  The doubling check (refine 0 against refine 1, and on
-while needed) compares the O(N) coefficient vectors, not two N x N
-matrices.  Periodic entries are the t_d themselves, so max |dt_d| is the
-entrywise change exactly; a Dirichlet entry is c_{|j-k|} - c_{j+k}, so
-2 max |dc_m| bounds every entry change from above.  The accepted vector is
-assembled once by _assemble, from strided Toeplitz and Hankel views; the
-Dirichlet jump matrix goes through the same assembly from its c~_m.
+Quadrature check.  The panel-doubling driver the moment bound shares,
+quadrature.adaptive_gauss_legendre, compares the O(N) coefficient vectors
+(refine 0 against refine 1, and on while needed), not two N x N matrices.
+Periodic entries are the t_d themselves, so max |dt_d| is the entrywise
+change exactly; a Dirichlet entry is c_{|j-k|} - c_{j+k}, so 2 max |dc_m|
+bounds every entry change from above and the driver gets half the entry
+tolerance.  As |c| <= 1 (the symbol is unimodular) its max(1, |c|) floor
+leaves the check absolute.  The accepted vector is assembled once by
+_assemble, from strided Toeplitz and Hankel views; the Dirichlet jump
+matrix goes through the same assembly from its c~_m.
 
 Delta_N has low numerical rank.  In both bases the exact and the jump
 symbol agree outside the support [-R, R], so
@@ -68,11 +71,11 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .hilbert import dirichlet_flux_logdet
 from .matrixcore import fh_log_det, fh_matrix, log_det, toeplitz, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
-from .quadrature import build_edges, cis_integral, gauss_legendre_rule
+from .quadrature import adaptive_gauss_legendre, build_edges, cis_integral, gauss_legendre_rule, panel_nodes
 from .spectrum import BoundaryCondition
 
 
@@ -82,12 +85,7 @@ def support_nodes(a: MagneticPotential, L: float, omega_max: float, refine: int)
     wavelength = 2.0 * math.pi / omega_max if omega_max > 0 else 2.0 * R
     base_width = min(wavelength / 8.0, a.resolution_scale / 2.0)
     edges = build_edges(-R, R, (*a.breakpoints, 0.0), base_width / (2.0**refine))
-    x, w = gauss_legendre_rule(16)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return R, nodes, weights
+    return (R, *panel_nodes(edges, *gauss_legendre_rule(16)))
 
 
 def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -141,10 +139,8 @@ def _assemble(c: np.ndarray, N: int, periodic: bool) -> np.ndarray:
 
 
 # Quadrature doubling check: refine until no entry moves by more than
-# _QUADRATURE_TOL, comparing at most _MAX_REFINE refinements with their
-# predecessors.
+# _QUADRATURE_TOL.
 _QUADRATURE_TOL = 1e-10
-_MAX_REFINE = 4
 
 
 def overlap_matrix(prof: FluxProfile, bc: BoundaryCondition, N: int) -> np.ndarray:
@@ -170,20 +166,8 @@ def overlap_matrix(prof: FluxProfile, bc: BoundaryCondition, N: int) -> np.ndarr
     # an entry is t_{j-k} (periodic) or c_{|j-k|} - c_{j+k} (Dirichlet)
     coefficients_per_entry = 1.0 if periodic else 2.0
 
-    current = coefficients(prof, N, 0)
-    for refine in range(1, _MAX_REFINE + 1):
-        refined = coefficients(prof, N, refine)
-        worst = coefficients_per_entry * float(np.max(np.abs(refined - current)))
-        current = refined
-        if worst <= _QUADRATURE_TOL:
-            break
-    else:
-        raise NumericalError(
-            "overlap entry quadrature did not settle",
-            achieved=worst,
-            requested=_QUADRATURE_TOL,
-        )
-    return _assemble(current, N, periodic)
+    c = adaptive_gauss_legendre(lambda refine: coefficients(prof, N, refine), _QUADRATURE_TOL / coefficients_per_entry)
+    return _assemble(c, N, periodic)
 
 
 def flux_matrix(total_flux: float, bc: BoundaryCondition, N: int) -> np.ndarray:
@@ -195,6 +179,8 @@ def flux_matrix(total_flux: float, bc: BoundaryCondition, N: int) -> np.ndarray:
     At delta_L = pi/2 c~_0 is exactly 0, where math.cos would leave 6e-17:
     the matrix is then exactly singular for odd N (unequal parity classes).
     """
+    if N < 1:
+        raise DomainError("N must be >= 1")
     n_L, delta_L = flux_decomposition(total_flux)
     if BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC:
         m = fh_matrix(delta_L, N)

@@ -1,17 +1,20 @@
-"""Adaptive Gauss-Legendre quadrature and phase-integral helpers.
+"""Panel Gauss-Legendre quadrature with one doubling check, and phase-integral helpers.
 
 All integrands appearing in this package are piecewise smooth: magnetic
 potentials are smooth between declared breakpoints and the gauge symbols
-oscillate at known basis frequencies.  Panel-based Gauss-Legendre with
-recursive bisection therefore converges fast, provided panels never
-straddle a declared breakpoint and are no wider than an eighth of the
-shortest oscillation wavelength.
+oscillate at known basis frequencies.  Both integrals the package needs,
+the overlap coefficients of e^{i Phi_L} and the moment int |y a(y)| dy,
+therefore use the same scheme: 16-point Gauss-Legendre panels that never
+straddle a breakpoint (build_edges, panel_nodes), under a width cap the
+caller sets from the resolution it needs, and one refinement policy,
+adaptive_gauss_legendre, which halves every panel until two successive
+estimates agree.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -21,95 +24,54 @@ from .errors import NumericalError
 @lru_cache(maxsize=32)
 def gauss_legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``npts``-point Gauss-Legendre rule on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return x, w
+    return np.polynomial.legendre.leggauss(npts)
 
 
-def build_edges(
-    a: float,
-    b: float,
-    breakpoints: Iterable[float] = (),
-    max_width: float | None = None,
-) -> np.ndarray:
-    """Panel edges over [a, b] honouring breakpoints and a width cap."""
-    pts = sorted({a, b} | {float(p) for p in breakpoints if a < p < b})
-    edges: list[float] = [pts[0]]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if max_width is not None and hi - lo > max_width:
-            k = int(np.ceil((hi - lo) / max_width))
-            edges.extend(np.linspace(lo, hi, k + 1)[1:].tolist())
-        else:
-            edges.append(hi)
-    return np.asarray(edges)
+def build_edges(a: float, b: float, breakpoints: Iterable[float], max_width: float) -> np.ndarray:
+    """Panel edges over [a, b]: the breakpoints inside it, and between them
+    the np.linspace cuts into ceil(gap / max_width) equal panels."""
+    p = np.asarray([*breakpoints], dtype=float)
+    pts = np.unique(np.concatenate([[a, b], p[(a < p) & (p < b)]]))
+    gap = np.diff(pts)
+    k = np.ceil(gap / max_width).astype(int)
+    panel = np.repeat(np.arange(len(k)), k)
+    j = np.arange(len(panel)) - np.repeat(np.cumsum(k) - k, k)
+    return np.append(pts[panel] + j * (gap / k)[panel], b)
 
 
-def _panel_integral(f, lo, hi, x, w):
-    half = 0.5 * (hi - lo)
-    nodes = 0.5 * (lo + hi) + half * x
-    return half * np.sum(w * f(nodes), axis=-1)
+def panel_nodes(edges: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat nodes and weights of the rule (x, w) on [-1, 1] mapped onto every panel of ``edges``."""
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
-# points of the Gauss-Legendre rule on each panel, and the deepest bisection
-_PANEL_POINTS = 15
-_MAX_DEPTH = 40
+# the most panel halvings the doubling check compares with their predecessors
+_MAX_REFINE = 4
 
 
-def adaptive_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    abs_tol: float = 1e-12,
-    breakpoints: Sequence[float] = (),
-    max_width: float | None = None,
-) -> float | complex:
-    """Integrate ``f`` over [a, b] by recursive panel bisection.
+def adaptive_gauss_legendre(estimate: Callable[[int], float | np.ndarray], abs_tol: float):
+    """The first settled estimate of the panel-doubling sequence.
 
-    ``f`` must accept a numpy array of abscissae and return values of the
-    same shape (real or complex).  Each panel is accepted when the one-panel
-    estimate agrees with its two-half refinement within the panel's share
-    of ``abs_tol``; otherwise the panel is split.
-
-    Raises
-    ------
-    NumericalError
-        if some panel still disagrees at the maximum recursion depth; the
-        achieved error estimate is attached.
+    ``estimate(refine)`` is a float or an array of quadratures on panels
+    halved ``refine`` times.  For refine = 0, 1, ... the first estimate whose
+    largest absolute change from its predecessor is at most
+    ``abs_tol * max(1, max |estimate|)`` is returned: the check is absolute
+    for estimates of modulus up to 1, and large ones settle at their
+    rounding.  NumericalError, carrying the last change (achieved) and its
+    bound (requested), when none has settled after _MAX_REFINE halvings.
     """
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
-    if b == a:
-        return 0.0
-    x, w = gauss_legendre_rule(_PANEL_POINTS)
-    edges = build_edges(a, b, breakpoints, max_width)
-    total = 0.0 + 0.0j
-    worst = 0.0
-    span = b - a
-    # iterative stack of (lo, hi, depth, coarse estimate)
-    stack = [(lo, hi, 0, _panel_integral(f, lo, hi, x, w)) for lo, hi in zip(edges[:-1], edges[1:])]
-    while stack:
-        lo, hi, depth, coarse = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _panel_integral(f, lo, mid, x, w)
-        right = _panel_integral(f, mid, hi, x, w)
-        fine = left + right
-        err = abs(fine - coarse)
-        if err <= abs_tol * max((hi - lo) / span, 1e-3) or err <= 1e-16 * max(1.0, abs(fine)):
-            total += fine
-            worst = max(worst, err)
-        elif depth >= _MAX_DEPTH:
-            raise NumericalError(
-                "adaptive quadrature did not converge",
-                interval=(lo, hi),
-                achieved=err,
-                requested=abs_tol,
-            )
-        else:
-            stack.append((lo, mid, depth + 1, left))
-            stack.append((mid, hi, depth + 1, right))
-    if abs(total.imag) == 0.0:
-        return total.real
-    return total
+    current = estimate(0)
+    for refine in range(1, _MAX_REFINE + 1):
+        refined = estimate(refine)
+        change = float(np.max(np.abs(refined - current)))
+        requested = abs_tol * max(1.0, float(np.max(np.abs(refined))))
+        if change <= requested:
+            return refined
+        current = refined
+    raise NumericalError("panel quadrature did not settle", achieved=change, requested=requested)
 
 
 def cis_integral(omega, a: float, b: float):

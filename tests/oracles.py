@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: cofactor
 expansion instead of LU, Cauchy's product formula in 50-digit mpmath
 instead of any matrix at all or the package's cancellation-free O(N)
 sum, raw partial sums with elementary Euler-Maclaurin closures instead
-of the recurrence-based polygamma, and midpoint Riemann sums instead of
+of the recurrence-based polygamma, and midpoint Riemann sums or closed-form
+mpmath integrals between the roots of each linear piece instead of
 Gauss-Legendre panels.  The periodic energy difference is summed level by
 level in Python integers and 50-digit mpmath arithmetic.  The overlap
 matrices are rebuilt with one exponential or cosine per (frequency, node)
@@ -200,6 +201,33 @@ def riemann_abs_moment(a, lo: float, hi: float, n: int = 10**7, weight_y: bool =
     if weight_y:
         vals = np.abs(xs) * vals
     return float(np.sum(vals) * (hi - lo) / n)
+
+
+def piecewise_linear_abs_moment_mp(knots: Sequence[tuple[float, float]], L: float) -> float:
+    """int_{-L}^{L} |y a(y)| dy of the piecewise-linear a through ``knots`` in 50-digit mpmath.
+
+    The knots, 0, the clip points +-L and the roots of every linear piece
+    (computed in mpmath) split the line into intervals on which y a(y) is a
+    quadratic of one sign, integrated in closed form.
+    """
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(x) for x, _ in knots]
+        vs = [mpmath.mpf(v) for _, v in knots]
+        L = mpmath.mpf(L)
+        total = mpmath.mpf(0)
+        for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
+            slope = (v1 - v0) / (x1 - x0)
+            cuts = [x0, x1, mpmath.mpf(0), -L, L]
+            if v0 * v1 < 0:
+                cuts.append(x0 - v0 / slope)
+            cuts = sorted(c for c in set(cuts) if x0 <= c <= x1 and -L <= c <= L)
+
+            def primitive(y, x0=x0, v0=v0, slope=slope):
+                # int y (v0 + slope (y - x0)) dy
+                return slope * y**3 / 3 + (v0 - slope * x0) * y**2 / 2
+
+            total += mpmath.fsum(abs(primitive(q) - primitive(p)) for p, q in zip(cuts[:-1], cuts[1:]))
+        return float(total)
 
 
 def toeplitz_from_coefficients(coeffs: dict[int, complex], N: int) -> np.ndarray:

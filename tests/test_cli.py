@@ -71,6 +71,23 @@ def test_numerical_domain_error_exits_1(tmp_path, capsys):
     assert "smaller than the support radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["out", "output_path"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "through-a-file"])
+def test_unwritable_output_directory_exits_1(tmp_path, capsys, where, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = str(blocker / below) if below else str(blocker)
+    if where == "out":
+        code = cli.main(["run", _sweep(tmp_path), "--out", out])
+    else:
+        code = cli.main(["run", _sweep(tmp_path, output_path=out)])
+    assert code == cli.EXIT_CONFIG_OR_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs:")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_tight_gate_exits_2(tmp_path, capsys):
     # C_{N,L} moves slightly along the grid, so a band of exactly 1 is exceeded
     config = _sweep(tmp_path, tolerances={"band_factor": 1.0})

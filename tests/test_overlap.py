@@ -21,6 +21,7 @@ import flux_catastrophe.hilbert as hilbert_module
 from flux_catastrophe.matrixcore import fh_matrix, log_det, trace_norm
 import flux_catastrophe.matrixcore as matrixcore_module
 import flux_catastrophe.overlap as overlap_module
+import flux_catastrophe.quadrature as quadrature_module
 from flux_catastrophe.overlap import evaluate_point, flux_matrix, overlap_matrix
 from flux_catastrophe.potential import (
     GaussianBump,
@@ -116,6 +117,13 @@ def test_overlap_requires_support_inside_interval():
     for bc in (PER, DIR):
         with pytest.raises(DomainError):
             evaluate_point(a, bc, 8, 3.0)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_flux_matrix_rejects_n_below_one(bc, N):
+    with pytest.raises(DomainError, match="N must be >= 1"):
+        flux_matrix(0.5, bc, N)
 
 
 def test_flux_matrix_zero_flux_identity(zero_pot):
@@ -368,18 +376,23 @@ def _assemble(bc, coefficients, N):
     return overlap_module._assemble(coefficients, N, bc is PER)
 
 
+# coefficients in one entry: t_{j-k} (periodic) or c_{|j-k|} - c_{j+k} (Dirichlet)
+_PER_ENTRY = {PER: 1.0, DIR: 2.0}
+
+
 def _first_change_bound(a, bc, N, L, builds=None):
-    """The entry-change bound overlap_matrix reports for its refine-0 / refine-1
+    """The entry-change bound of overlap_matrix's refine-0 / refine-1
     comparison; ``builds`` replaces the two coefficient vectors it compares."""
     with pytest.MonkeyPatch.context() as patch:
-        # a negative tolerance settles no comparison, so the error carries the first bound
+        # a negative tolerance settles no comparison, so the error carries the first change
         patch.setattr(overlap_module, "_QUADRATURE_TOL", -1.0)
-        patch.setattr(overlap_module, "_MAX_REFINE", 1)
+        patch.setattr(quadrature_module, "_MAX_REFINE", 1)
         if builds is not None:
             patch.setattr(overlap_module, _COEFFICIENTS[bc], lambda prof, N, refine: builds[refine])
         with pytest.raises(NumericalError) as info:
             overlap_matrix(flux_profile(a, L), bc, N)
-    return info.value.context["achieved"]
+    # the driver reports the largest coefficient change; an entry holds _PER_ENTRY of them
+    return _PER_ENTRY[bc] * info.value.context["achieved"]
 
 
 @pytest.mark.parametrize("M", [1, 2, 7, 64, 4095])
@@ -457,11 +470,12 @@ def test_dirichlet_quadrature_check_bounds_entrywise_change(N):
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_unsettled_quadrature_raises_with_achieved_error(bc, monkeypatch):
     monkeypatch.setattr(overlap_module, "_QUADRATURE_TOL", 1e-30)
-    monkeypatch.setattr(overlap_module, "_MAX_REFINE", 2)
+    monkeypatch.setattr(quadrature_module, "_MAX_REFINE", 2)
     with pytest.raises(NumericalError) as info:
         overlap_matrix(flux_profile(gaussian_bump_with_flux(2.0), 8.0), bc, 16)
-    assert info.value.context["requested"] == 1e-30
-    assert info.value.context["achieved"] > 1e-30
+    # the driver works in coefficient units; every |c| <= 1, so its max(1, |c|) floor is 1
+    assert _PER_ENTRY[bc] * info.value.context["requested"] == 1e-30
+    assert _PER_ENTRY[bc] * info.value.context["achieved"] > 1e-30
 
 
 @pytest.mark.parametrize("N", [128, 2048])

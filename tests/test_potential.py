@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from flux_catastrophe.errors import DomainError
 from flux_catastrophe.potential import (
+    MOMENT_TOL,
     GaussianBump,
     PiecewiseLinear,
     flux_decomposition,
@@ -22,7 +23,7 @@ from flux_catastrophe.potential import (
     weighted_abs_moment,
     zero_potential,
 )
-from oracles import half_fluxes, riemann_abs_moment
+from oracles import half_fluxes, piecewise_linear_abs_moment_mp, riemann_abs_moment
 
 
 def test_zero_potential_flux_is_identically_zero():
@@ -125,6 +126,31 @@ def test_piecewise_linear_sign_change_moments():
     a = PiecewiseLinear(((-2.0, 0.0), (-1.0, 1.0), (1.0, -1.0), (2.0, 0.0)))
     weighted = moment_integrals(a, 3.0)
     assert_allclose(weighted, riemann_abs_moment(a, -2.0, 2.0, n=10**7, weight_y=True), rtol=1e-8)
+
+
+# |y a(y)| has a kink inside the segments where a changes sign
+SIGN_CHANGING_KNOTS = ((-4.431, 0.925), (-2.848, 1.048), (-1.53, -0.077), (-0.897, 0.815), (3.053, -0.783),
+                       (3.851, 1.462), (4.325, 1.152))
+
+
+def _random_sign_changing_knots(seed: int) -> tuple[tuple[float, float], ...]:
+    rng = np.random.default_rng(seed)
+    while True:
+        xs = np.sort(rng.uniform(-5.0, 5.0, rng.integers(3, 10)))
+        vs = rng.uniform(-1.5, 1.5, len(xs))
+        if np.all(np.diff(xs) > 1e-3) and np.any(vs[:-1] * vs[1:] < 0):
+            return tuple(zip(xs.tolist(), vs.tolist()))
+
+
+@pytest.mark.parametrize(
+    "knots, L",
+    [(SIGN_CHANGING_KNOTS, 7.595), (SIGN_CHANGING_KNOTS, 2.0)]
+    + [(_random_sign_changing_knots(seed), 5.0 + seed / 10.0) for seed in range(40)],
+)
+def test_piecewise_linear_moment_matches_mpmath(knots, L):
+    exact = piecewise_linear_abs_moment_mp(knots, L)
+    got = moment_integrals(PiecewiseLinear(knots), L)
+    assert abs(got - exact) <= MOMENT_TOL * max(1.0, abs(exact))
 
 
 def test_table_samples_matches_piecewise():
