@@ -39,12 +39,12 @@ the smallest grids: at |delta| = pi/2 it reaches 1.8e-2 in the slope
 both errors are below 1e-4, so a tighter budget there checks the
 theorem's exponent and constant.
 
-Other tolerance keys, a missing potential (overlap_sweep, lemma_check), a
-missing potential and delta_override (exponent_fit, anderson,
-dirichlet_hilbert), a delta_override anywhere else (overlap_sweep,
+Unknown or negative tolerances, a missing potential (overlap_sweep,
+lemma_check), a missing potential and delta_override (exponent_fit,
+anderson, dirichlet_hilbert), a delta_override anywhere else (overlap_sweep,
 lemma_check, energy), fewer than 4 grid points (exponent_fit), an odd N
-(dirichlet_hilbert) and a potential field, knot or table value that is not
-a finite JSON number are config errors, reported before any output exists.
+(dirichlet_hilbert) and a potential field, knot or table value that is not a
+finite JSON number are config errors, reported before any output exists.
 
 energy honours bc: the periodic rows hold the closed-form and direct-sum
 differences and the limit 4 delta^2 rho^2 or 4 delta (delta - pi) rho^2 of
@@ -171,8 +171,8 @@ class ExperimentConfig:
                 if key not in row.tolerances:
                     accepted = ", ".join(row.tolerances) or "none"
                     errors.append(f"tolerances: unknown key {key!r} for {experiment} (accepted: {accepted})")
-                elif not is_number(value):
-                    errors.append(f"tolerances: {key} must be a finite number, got {value!r}")
+                elif not is_number(value) or value < 0:
+                    errors.append(f"tolerances: {key} must be a non-negative finite number, got {value!r}")
         if errors:
             raise DomainError("invalid config:\n  " + "\n  ".join(errors))
         config = cls(

@@ -32,9 +32,10 @@ closed-form cis integrals (zero when L = R).  Over the support the
 quadrature nodes x give sum_x w_x e^{i (Phi_L(x) - delta x / L)}
 e^{i (shift + m) step x / L}, whose phases _phase_sums factors.
 
-Quadrature check.  The panel-doubling driver the moment bound shares,
-quadrature.adaptive_gauss_legendre, compares the O(N) coefficient vectors
-(refine 0 against refine 1, and on while needed), not two N x N matrices.
+Quadrature check.  support_nodes' panels end at the breakpoints and are at
+most an eighth of the shortest wavelength wide; the doubling driver the
+moment shares, quadrature.adaptive_gauss_legendre, halves them all and
+compares the O(N) coefficient vectors, not two N x N matrices.
 Periodic entries are the t_d themselves, so max |dt_d| is the entrywise
 change exactly; a Dirichlet entry is c_{|j-k|} - c_{j+k}, so 2 max |dc_m|
 bounds every entry change from above and the driver gets half the entry
@@ -80,11 +81,11 @@ from .spectrum import BoundaryCondition
 
 
 def support_nodes(a: MagneticPotential, L: float, omega_max: float, refine: int):
-    """Panel nodes/weights covering the potential support at resolution level ``refine``."""
+    """(R, nodes, weights) of 16-point panels on [-R, R], R = min(support_radius, L), ending at
+    a's breakpoints and at most 2 pi / omega_max / 8 wide, each halved ``refine`` times."""
     R = min(a.support_radius, L)
     wavelength = 2.0 * math.pi / omega_max if omega_max > 0 else 2.0 * R
-    base_width = min(wavelength / 8.0, a.resolution_scale / 2.0)
-    edges = build_edges(-R, R, (*a.breakpoints, 0.0), base_width / (2.0**refine))
+    edges = build_edges(-R, R, a.breakpoints, wavelength / 8.0, refine)
     return (R, *panel_nodes(edges, *gauss_legendre_rule(16)))
 
 

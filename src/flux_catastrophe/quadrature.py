@@ -4,11 +4,11 @@ All integrands appearing in this package are piecewise smooth: magnetic
 potentials are smooth between declared breakpoints and the gauge symbols
 oscillate at known basis frequencies.  Both integrals the package needs,
 the overlap coefficients of e^{i Phi_L} and the moment int |y a(y)| dy,
-therefore use the same scheme: 16-point Gauss-Legendre panels that never
-straddle a breakpoint (build_edges, panel_nodes), under a width cap the
-caller sets from the resolution it needs, and one refinement policy,
-adaptive_gauss_legendre, which halves every panel until two successive
-estimates agree.
+therefore use the same scheme: 16-point Gauss-Legendre panels between the
+potential's breakpoints (build_edges, panel_nodes), at most as wide as the
+caller's one width rule allows, and one refinement policy,
+adaptive_gauss_legendre, which halves every panel exactly until two
+successive estimates agree.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ def gauss_legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(npts)
 
 
-def build_edges(a: float, b: float, breakpoints: Iterable[float], max_width: float) -> np.ndarray:
-    """Panel edges over [a, b]: the breakpoints inside it, and between them
-    the np.linspace cuts into ceil(gap / max_width) equal panels."""
+def build_edges(a: float, b: float, breakpoints: Iterable[float], max_width: float, refine: int) -> np.ndarray:
+    """Panel edges over [a, b]: the breakpoints inside it, and between them the np.linspace
+    cuts into ceil(gap / max_width) * 2**refine equal panels (refine r + 1 halves refine r)."""
     p = np.asarray([*breakpoints], dtype=float)
     pts = np.unique(np.concatenate([[a, b], p[(a < p) & (p < b)]]))
     gap = np.diff(pts)
-    k = np.ceil(gap / max_width).astype(int)
+    k = np.ceil(gap / max_width).astype(int) * 2**refine
     panel = np.repeat(np.arange(len(k)), k)
     j = np.arange(len(panel)) - np.repeat(np.cumsum(k) - k, k)
     return np.append(pts[panel] + j * (gap / k)[panel], b)

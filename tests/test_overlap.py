@@ -73,12 +73,18 @@ def test_periodic_overlap_2x2_vs_independent_quadrature():
         assert abs(m[j, k] - entry(d)) < 1e-10
 
 
+# features far below the wavelength: a 1e-4 segment among 4-wide ones, and a bump 1e-3 wide
+SHORT_SEGMENT_KNOTS = PiecewiseLinear(((-4.0, 0.0), (0.0, 1.0), (1e-4, 1.0), (4.0, 0.0)))
+NARROW_BUMP = gaussian_bump_with_flux(0.8, center=0.2, width=1e-3)
+
+
 @pytest.mark.parametrize("margin", [0.0, 1.5])
-@pytest.mark.parametrize("potential", ["sweep", "bump"])
+@pytest.mark.parametrize("potential", ["sweep", "bump", "short-segment", "narrow-bump"])
 def test_dirichlet_overlap_vs_independent_quadrature(potential, margin):
     # every entry (1/L) int sin(j y) sin(k y) e^{i Phi_L(x)} dx, y = pi (x + L) / 2L,
     # by scipy quad on the whole interval; margin 0 puts L on the support radius
-    a = SWEEP_POTENTIALS[DIR] if potential == "sweep" else GaussianBump(0.2, 0.5, 0.8, 4.0)
+    a = {"sweep": SWEEP_POTENTIALS[DIR], "bump": GaussianBump(0.2, 0.5, 0.8, 4.0),
+         "short-segment": SHORT_SEGMENT_KNOTS, "narrow-bump": NARROW_BUMP}[potential]
     N = 3
     L = a.support_radius + margin
     prof = flux_profile(a, L)
@@ -99,6 +105,17 @@ def test_dirichlet_overlap_vs_independent_quadrature(potential, margin):
     for j in range(1, N + 1):
         for k in range(1, N + 1):
             assert abs(m[j - 1, k - 1] - entry(j, k)) < 1e-10, (j, k)
+
+
+@pytest.mark.parametrize("a", [SHORT_SEGMENT_KNOTS, NARROW_BUMP], ids=["short-segment", "narrow-bump"])
+@pytest.mark.parametrize("refine", [0, 1])
+def test_support_nodes_stay_within_the_wavelength_and_breakpoint_budget(a, refine):
+    # a short feature costs panels at its breakpoints only, not over the whole support
+    L, omega = 64.0, 127 * math.pi / 64
+    R, nodes, weights = overlap_module.support_nodes(a, L, omega, refine)
+    panels = math.ceil(2 * R / (2 * math.pi / omega / 8)) + len(a.breakpoints)
+    assert len(nodes) == len(weights) <= 16 * 2**refine * panels
+    assert abs(weights.sum() - 2 * R) <= 1e-12 * R
 
 
 def test_dirichlet_single_state_unimodularity():

@@ -124,3 +124,42 @@ def test_the_check_reports_a_private_import(tmp_path):
         "def build():\n    return matrixcore._assemble(toeplitz, _toeplitz, matrixcore.__name__)\n"
     )
     assert private_imports(tmp_path) == ["overlap: _toeplitz", "overlap: matrixcore._assemble"]
+
+
+def unread_members(src: Path = SRC) -> list[str]:
+    """``Class.name`` for every public method or property of a package class
+    whose name no attribute read in the package uses: a member left behind
+    when its last caller went."""
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{cls.name}.{member.name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+        and member.name not in read
+    )
+
+
+def test_every_public_member_is_read_by_the_package():
+    assert unread_members() == []
+
+
+def test_the_check_reports_an_unread_member(tmp_path):
+    (tmp_path / "potential.py").write_text(
+        "class Bump:\n"
+        "    def __call__(self, x):\n        return x\n\n"
+        "    @property\n    def breakpoints(self):\n        return ()\n\n"
+        "    @property\n    def smallest_gap(self):\n        return 1.0\n\n"
+        "    def to_dict(self):\n        return {}\n\n"
+        "def edges(a):\n    a.to_dict = None\n    return a.breakpoints\n"
+    )
+    assert unread_members(tmp_path) == ["Bump.smallest_gap", "Bump.to_dict"]

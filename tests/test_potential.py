@@ -138,14 +138,16 @@ def _random_sign_changing_knots(seed: int) -> tuple[tuple[float, float], ...]:
     while True:
         xs = np.sort(rng.uniform(-5.0, 5.0, rng.integers(3, 10)))
         vs = rng.uniform(-1.5, 1.5, len(xs))
-        if np.all(np.diff(xs) > 1e-3) and np.any(vs[:-1] * vs[1:] < 0):
+        if np.any(vs[:-1] * vs[1:] < 0):
             return tuple(zip(xs.tolist(), vs.tolist()))
 
 
 @pytest.mark.parametrize(
     "knots, L",
     [(SIGN_CHANGING_KNOTS, 7.595), (SIGN_CHANGING_KNOTS, 2.0)]
-    + [(_random_sign_changing_knots(seed), 5.0 + seed / 10.0) for seed in range(40)],
+    + [(_random_sign_changing_knots(seed), 5.0 + seed / 10.0) for seed in range(40)]
+    # a 1e-4 segment among 4-wide ones
+    + [(((-4.0, 0.0), (0.0, 1.0), (1e-4, 1.0), (4.0, 0.0)), 6.0)],
 )
 def test_piecewise_linear_moment_matches_mpmath(knots, L):
     exact = piecewise_linear_abs_moment_mp(knots, L)

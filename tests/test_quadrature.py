@@ -74,12 +74,12 @@ def test_panel_nodes_integrate_polynomials_of_degree_31_exactly(degree):
     assert abs(weights @ p(nodes) - exact) <= 1e-14 * scale
 
 
-def _linspace_edges(a, b, breakpoints, max_width):
-    """The panel edges one np.linspace call per gap wider than max_width gives."""
+def _linspace_edges(a, b, breakpoints, max_width, refine):
+    """The panel edges one np.linspace call per gap gives."""
     pts = sorted({a, b} | {float(p) for p in breakpoints if a < p < b})
     edges = [pts[0]]
     for lo, hi in zip(pts[:-1], pts[1:]):
-        edges.extend(np.linspace(lo, hi, math.ceil((hi - lo) / max_width) + 1)[1:] if hi - lo > max_width else [hi])
+        edges.extend(np.linspace(lo, hi, math.ceil((hi - lo) / max_width) * 2**refine + 1)[1:])
     return np.asarray(edges)
 
 
@@ -90,6 +90,12 @@ def test_build_edges_equals_the_linspace_loop(seed):
     # breakpoints outside [a, b], on its ends and repeated are all ignored
     breakpoints = [*rng.uniform(-12.0, 12.0, rng.integers(0, 8)), 0.0, 0.0, a, b]
     for max_width in (rng.uniform(1e-3, 5.0), (b - a) / rng.integers(1, 9), 0.5):
-        edges = build_edges(a, b, breakpoints, max_width)
-        assert np.array_equal(edges, _linspace_edges(a, b, breakpoints, max_width))
-        assert np.all(np.diff(edges) <= max_width * (1.0 + 1e-15))
+        coarser = None
+        for refine in (0, 1, 2):
+            edges = build_edges(a, b, breakpoints, max_width, refine)
+            assert np.array_equal(edges, _linspace_edges(a, b, breakpoints, max_width, refine))
+            assert np.all(np.diff(edges) <= max_width / 2**refine * (1.0 + 1e-15))
+            # every refinement halves every panel exactly: the coarser edges stay
+            if coarser is not None:
+                assert np.array_equal(edges[::2], coarser)
+            coarser = edges
