@@ -39,7 +39,8 @@ the smallest grids: at |delta| = pi/2 it reaches 1.8e-2 in the slope
 both errors are below 1e-4, so a tighter budget there checks the
 theorem's exponent and constant.
 
-Unknown or negative tolerances, a missing potential (overlap_sweep,
+Unknown or negative tolerances, a band_factor below 1 (max C / min C is
+never below 1, so no run could pass it), a missing potential (overlap_sweep,
 lemma_check), a missing potential and delta_override (exponent_fit,
 anderson, dirichlet_hilbert), a delta_override anywhere else (overlap_sweep,
 lemma_check, energy), fewer than 4 grid points (exponent_fit), an odd N
@@ -173,6 +174,8 @@ class ExperimentConfig:
                     errors.append(f"tolerances: unknown key {key!r} for {experiment} (accepted: {accepted})")
                 elif not is_number(value) or value < 0:
                     errors.append(f"tolerances: {key} must be a non-negative finite number, got {value!r}")
+                elif key == "band_factor" and value < 1:
+                    errors.append(f"tolerances: band_factor must be >= 1, since max C / min C >= 1, got {value!r}")
         if errors:
             raise DomainError("invalid config:\n  " + "\n  ".join(errors))
         config = cls(
@@ -459,9 +462,16 @@ def selftest() -> int:
     worst = max(
         abs(log_det(overlap.flux_matrix(math.pi / 4, BoundaryCondition.DIRICHLET, n))
             - hilbert.dirichlet_flux_logdet(math.pi / 4, n))
-        for n in (16, 17)
+        for n in (16, 17, 181, 256)
     )
     check("dirichlet reduction", worst < 1e-8, f"max |diff| {worst:.1e}")
+    # the matrix-free, certified log det(I - alpha K) against LU of the dense K
+    alpha = (4.0 / math.pi**2) * math.sin(math.pi / 4) ** 2
+    worst = max(
+        abs(log_det(np.eye(n // 2) - alpha * hilbert.k_matrix(n)) - hilbert.dirichlet_flux_logdet(math.pi / 4, n))
+        for n in (48, 256)
+    )
+    check("matrix-free K log-det vs dense K", worst < 1e-12, f"max |diff| {worst:.1e}")
 
     m = overlap.overlap_matrix(flux_profile(zero_potential(), 8.0), BoundaryCondition.PERIODIC, 16)
     check("zero potential identity", float(np.max(np.abs(m - np.eye(16)))) < 1e-10)

@@ -25,20 +25,23 @@ H = (1/(j+k-1/2)) and inherits the norm bound ||K^{--}|| <= pi^2/4 from
 ||H|| = pi; its trace grows like (1/4) ln N while the other pieces stay
 O(1), which is what produces the sin^2(delta) upper-bound exponent.  The
 Hankel section of H and K^{--} are applied by FFT Toeplitz products from
-O(M) vectors and their traces are closed forms, so only k_matrix and
-dirichlet_flux_logdet hold an M x M array.
+O(M) vectors and their traces are closed forms.  K itself is applied the
+same way, four FFT Toeplitz/Hankel products per block of columns, and
+dirichlet_flux_logdet takes log det(I - (4/pi^2) sin^2(delta) K) from its
+few eigenvalues above rounding under a closed-form trace certificate, so
+only k_matrix, the dense oracle, holds an M x M array.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .asymptotics import digamma, trigamma
 from .errors import DomainError
-from .matrixcore import log_det, operator_norm, toeplitz_product
+from .matrixcore import operator_norm, toeplitz_product
 
 
 def hilbert_section_norm(M: int) -> float:
@@ -54,8 +57,23 @@ def hilbert_section_norm(M: int) -> float:
     return operator_norm(lambda v: toeplitz_product(h, v[::-1]), M)
 
 
+def _k_vectors(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """j = 1..M, S_j = sum_{l > T} 1 / ((l-1/2)^2 - j^2) and the diagonal K_jj, all in closed form.
+
+    K_jk = j k (S_j - S_k) / (j^2 - k^2) off the diagonal, so these three
+    vectors fix all of K.
+    """
+    M, T = N // 2, (N + 1) // 2
+    jv = np.arange(1, M + 1, dtype=float)
+    psi_plus = digamma(T + 0.5 + jv)
+    psi_minus = digamma(T + 0.5 - jv)
+    S = (psi_plus - psi_minus) / (2.0 * jv)
+    diag = 0.25 * (trigamma(T + 0.5 - jv) + trigamma(T + 0.5 + jv)) - 0.5 * S
+    return jv, S, diag
+
+
 def k_matrix(N: int) -> np.ndarray:
-    """The M x M matrix K of N particles (K_M for even N = 2M) from polygamma closed forms.
+    """The M x M matrix K of N particles (K_M for even N = 2M), the dense oracle of dirichlet_flux_logdet.
 
     It is computed independently of the four partial-fraction parts, so
     the decomposition identity K = K^{--} + K^{+-} + K^{-+} + K^{++} is a
@@ -66,13 +84,7 @@ def k_matrix(N: int) -> np.ndarray:
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-    M, T = N // 2, (N + 1) // 2
-    jv = np.arange(1, M + 1, dtype=float)
-    psi_plus = digamma(T + 0.5 + jv)
-    psi_minus = digamma(T + 0.5 - jv)
-
-    # direct form: sum_l 1/((l-1/2)^2 - j^2) = (psi(T+1/2+j) - psi(T+1/2-j))/(2j)
-    S = (psi_plus - psi_minus) / (2.0 * jv)
+    jv, S, diag = _k_vectors(N)
     K = np.subtract.outer(S, S)
     scratch = np.multiply.outer(jv, jv)
     K *= scratch
@@ -80,9 +92,33 @@ def k_matrix(N: int) -> np.ndarray:
     np.fill_diagonal(scratch, 1.0)
     K /= scratch
     del scratch
-    diag = 0.25 * (trigamma(T + 0.5 - jv) + trigamma(T + 0.5 + jv)) - (psi_plus - psi_minus) / (4.0 * jv)
     np.fill_diagonal(K, diag)
     return K
+
+
+def _k_product(N: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """V -> K V for an (M, k) block V in O(k M log M), and tr K.
+
+    jk / (j^2 - k^2) = (j/2) [1/(j - k) - 1/(j + k)] turns the off-diagonal
+    entries into K V = diag V + (j/2) [S (T - H) V - (T - H)(S V)] with the
+    Toeplitz T_jk = 1/(j - k) (zero diagonal) and the Hankel H_jk = 1/(j + k),
+    whose diagonal term drops out of the difference; each is one
+    toeplitz_product over all k columns.
+    """
+    jv, S, diag = _k_vectors(N)
+    M = len(jv)
+    d = np.arange(1 - M, M, dtype=float)
+    t = np.divide(1.0, d, out=np.zeros_like(d), where=d != 0)
+    h = 1.0 / np.arange(2, 2 * M + 1, dtype=float)
+    half_j, S, diag = 0.5 * jv[:, None], S[:, None], diag[:, None]
+
+    def t_minus_h(V: np.ndarray) -> np.ndarray:
+        return toeplitz_product(t, V) - toeplitz_product(h, V[::-1])
+
+    def apply(V: np.ndarray) -> np.ndarray:
+        return diag * V + half_j * (S * t_minus_h(V) - t_minus_h(S * V))
+
+    return apply, float(np.sum(diag))
 
 
 class KPartNorms(NamedTuple):
@@ -132,21 +168,67 @@ def k_part_norms(M: int) -> KPartNorms:
     return KPartNorms(t_mm, t_pp, t_mixed, op_mm)
 
 
+_SKETCH_SEED = 0x5EED
+_SKETCH_COLUMNS = 24
+_LOGDET_ABS_ERR = 1e-12
+
+
 def dirichlet_flux_logdet(delta: float, N: int) -> float:
-    """log|D~_{N,L}| of the N x N Dirichlet jump-symbol matrix, any N >= 1.
+    """log|D~_{N,L}| of the N x N Dirichlet jump-symbol matrix, any N >= 1, from O(M) vectors.
 
     det F = c^(N - 2M) det(c^2 I + s^2 B^T B) with I - B^T B = (4/pi^2) K
-    (module docstring) makes it (N - 2M) log|cos delta| plus the real M x M
-    log|det(I - (4/pi^2) sin^2(delta) K)|, M = N // 2; odd N at delta = pi/2
-    gives exactly -inf.  Dense LU of overlap.flux_matrix(Phi, DIRICHLET, N),
-    Phi = n pi + delta, is the test oracle.
+    (module docstring) makes it (N - 2M) log|cos delta| plus
+    log det(I - alpha K), alpha = (4/pi^2) sin^2(delta), M = N // 2; odd N
+    at delta = pi/2 gives exactly -inf and delta = 0 exactly 0.0.
+
+    K is positive semidefinite, and all but its first twenty or so
+    eigenvalues are below rounding for N <= 2^17, so the log-det is a
+    randomized Rayleigh-Ritz sum (Halko, Martinsson, Tropp, SIAM Review 53,
+    2011): a fixed-seed Gaussian sketch of k = 24 columns gives
+    Q = qr(K Omega), and sum log1p(-alpha lambda) runs over the eigenvalues
+    lambda of Q^T K Q.  K is only ever applied to M x k blocks
+    (_k_product), so for M > k no M x M array exists.  The result is
+    certified: with Q_perp completing Q, the Schur complement on
+    (Q, Q_perp) and ||K_12||_F^2 <= ||K_11|| tr K_22 give
+
+        0 <= log det(I - alpha K_11) - log det(I - alpha K) <= alpha g / (1 - alpha g),
+
+    g = gap / (1 - alpha lambda_max), where gap = tr K - sum lambda = tr K_22
+    >= 0 (tr K is the sum of the closed-form diagonal), plus
+    (log2 M + k) eps (tr K + sum |lambda|) for the rounding of the two sums.
+    The sum is returned once this bound is <= 1e-12; otherwise k doubles,
+    and once k >= M the sketch is replaced by the identity, which is exact.
+    The seed is fixed, so the result is deterministic.  LU of the dense K
+    of k_matrix and of overlap.flux_matrix(Phi, DIRICHLET, N),
+    Phi = n pi + delta, are the test oracles.
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")
-    A = k_matrix(N)
-    A *= -(4.0 / math.pi**2) * math.sin(delta) ** 2
-    A.flat[:: N // 2 + 1] += 1.0
-    ld = log_det(A)
+    if N < 1:
+        raise DomainError("N must be >= 1")
+    odd = 0.0
     if N % 2:
-        ld += -math.inf if abs(delta) == math.pi / 2 else math.log(abs(math.cos(delta)))
-    return ld
+        if abs(delta) == math.pi / 2:
+            return -math.inf
+        odd = math.log(abs(math.cos(delta)))
+    alpha = (4.0 / math.pi**2) * math.sin(delta) ** 2
+    M = N // 2
+    if alpha == 0.0 or M == 0:
+        return odd
+    apply, trace = _k_product(N)
+    rng = np.random.default_rng(_SKETCH_SEED)
+    k = _SKETCH_COLUMNS
+    while True:
+        exact = k >= M
+        q = np.eye(M) if exact else np.linalg.qr(apply(rng.standard_normal((M, k))))[0]
+        ritz = q.T @ apply(q)
+        lam = np.linalg.eigvalsh(0.5 * (ritz + ritz.T))
+        ld = float(np.sum(np.log1p(-alpha * lam)))
+        if exact:
+            return odd + ld
+        rounding = (M.bit_length() + k) * np.finfo(float).eps * (trace + float(np.sum(np.abs(lam))))
+        gap = max(trace - float(np.sum(lam)), 0.0) + rounding
+        alpha_g = alpha * gap / (1.0 - alpha * float(lam[-1]))
+        if alpha_g < 1.0 and alpha_g / (1.0 - alpha_g) <= _LOGDET_ABS_ERR:
+            return odd + ld
+        k *= 2

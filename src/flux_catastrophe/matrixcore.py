@@ -13,8 +13,9 @@ Determinants of these matrices decay polynomially in N, so only their
 magnitudes are kept, in log space throughout.  fh_log_det sums Cauchy's
 product formula for the periodic jump-symbol matrix in O(1) (its docstring
 has the derivation); hilbert.dirichlet_flux_logdet reduces the Dirichlet
-one to a real (N // 2) x (N // 2) determinant.  log_det, dense LU with
-partial pivoting (LAPACK via numpy), factors that reduced matrix and the
+one to a real (N // 2) x (N // 2) determinant of low rank plus identity,
+which it takes from blocks of toeplitz_product without forming it.
+log_det, dense LU with partial pivoting (LAPACK via numpy), factors the
 exact overlap matrix, whose O(N^3) LU is the costliest step of an overlap
 sweep.  The matrices themselves are assembled in O(N^2) from O(N)
 verified coefficients, and the trace norm of the low-rank Delta_N costs
@@ -132,16 +133,18 @@ def toeplitz(t: np.ndarray, N: int) -> np.ndarray:
 
 
 def toeplitz_product(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """toeplitz(t, n) @ v for real t and v, n = len(v), in O(n log n).
+    """toeplitz(t, n) @ v for real t and a real vector or (n, k) block v, n = len(v), in O(k n log n).
 
     The product is entries n - 1 .. 2n - 2 of the convolution t * v (3n - 2
-    entries).  A cyclic convolution of length >= 2n - 1, one real FFT, folds
-    the entries past its end onto indices below n - 1 only, so those are exact.
+    entries).  A cyclic convolution of length >= 2n - 1, one real FFT along
+    axis 0, folds the entries past its end onto indices below n - 1 only, so
+    those are exact.  One call serves every column of a block.
     """
     n = len(v)
     size = 1 << (2 * n - 2).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(t, size) * np.fft.rfft(v, size), size)
-    return conv[n - 1 : 2 * n - 1]
+    spectrum = np.fft.rfft(v, size, axis=0)
+    np.multiply(np.fft.rfft(t, size).reshape((-1,) + (1,) * (v.ndim - 1)), spectrum, out=spectrum)
+    return np.fft.irfft(spectrum, size, axis=0)[n - 1 : 2 * n - 1]
 
 
 def fh_matrix(delta: float, N: int) -> np.ndarray:

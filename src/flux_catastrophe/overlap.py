@@ -224,7 +224,8 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     |D~| depends on (delta_L, N) alone and is taken before any jump matrix
     exists: matrixcore.fh_log_det in O(1) (periodic; the sign (-1)^{n_L}
     leaves |det| unchanged) or the real parity reduction
-    hilbert.dirichlet_flux_logdet (Dirichlet).  Then |D| by LU, C_{N,L} =
+    hilbert.dirichlet_flux_logdet, a certified low-rank log-det from FFT
+    products in O(N log N) (Dirichlet).  Then |D| by LU, C_{N,L} =
     |D|^2 / |D~|^2, and Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}), formed in
     place of the exact matrix, so at most two N x N matrices are alive at
     once, a factorization's copy included.  Its trace norm is checked

@@ -216,6 +216,8 @@ def test_each_experiment_runs_and_passes_its_gate(tmp_path, capsys, experiment):
          "tolerances: band_factor must be a non-negative finite number, got inf"),
         ({"experiment": "exponent_fit", "delta_override": 0.5, "tolerances": {"slope_abs_err": -1}},
          "tolerances: slope_abs_err must be a non-negative finite number, got -1"),
+        ({"experiment": "overlap_sweep", "potential": POTENTIAL, "tolerances": {"band_factor": 0.5}},
+         "tolerances: band_factor must be >= 1, since max C / min C >= 1, got 0.5"),
         ({"experiment": "anderson", "delta_override": 0.5, "n_grid": [True, 2]},
          "n_grid: must be a nonempty strictly increasing list of integers"),
         ({"experiment": "exponent_fit", "delta_override": 0.5, "n_grid": [16, 32, 64]},
@@ -252,7 +254,8 @@ def test_each_experiment_runs_and_passes_its_gate(tmp_path, capsys, experiment):
          "potential: total_flux: the unit bump integrates to 0.0 over its support"),
     ],
     ids=["odd-N", "sweep-no-potential", "lemma-no-potential", "no-delta", "no-tolerance-keys",
-         "misspelled-key", "non-numeric", "bool", "infinite", "negative", "bool-in-grid", "short-fit-grid",
+         "misspelled-key", "non-numeric", "bool", "infinite", "negative", "band-factor-below-one",
+         "bool-in-grid", "short-fit-grid",
          "delta-above-pi-over-2", "sweep-delta-override", "lemma-delta-override", "energy-delta-override",
          "potential-string", "potential-bool", "potential-nan", "potential-infinite", "potential-knot",
          "potential-table-value", "potential-table-bool", "potential-bump-without-support",

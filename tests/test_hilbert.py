@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import flux_catastrophe.hilbert as hilbert_module
 from flux_catastrophe.asymptotics import trigamma
 from flux_catastrophe.errors import DomainError
 from flux_catastrophe.hilbert import (
@@ -139,20 +140,32 @@ def test_norm_peak_memory_is_linear_in_m(norm):
     assert peak <= 64 * M * 8, peak / (M * 8)
 
 
-@pytest.mark.parametrize("build", [k_matrix, lambda N: dirichlet_flux_logdet(math.pi / 4, N)],
-                         ids=["k_matrix", "dirichlet_flux_logdet"])
-def test_k_matrix_peak_memory_is_two_matrices(build):
+def test_k_matrix_peak_memory_is_two_matrices():
     # K_M is built in place next to one scratch array; the broadcast formula
     # with np.where and np.eye peaked at 3.13x one M x M matrix
     M = 1024
-    build(16)
+    k_matrix(16)
     tracemalloc.start()
     try:
-        build(2 * M)
+        k_matrix(2 * M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * M * M * 8, peak / (M * M * 8)
+
+
+def test_dirichlet_flux_logdet_peak_memory_is_linear_in_m():
+    # K is applied to M x k blocks only; one M x M array would be
+    # M / (16 k) = 10.7 times this budget
+    M = 4096
+    dirichlet_flux_logdet(math.pi / 4, 64)
+    tracemalloc.start()
+    try:
+        dirichlet_flux_logdet(math.pi / 4, 2 * M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * hilbert_module._SKETCH_COLUMNS * M * 8, peak / (M * 8)
 
 
 @pytest.mark.parametrize("M", [1, 2, 24, 4096])
@@ -205,6 +218,53 @@ def test_dirichlet_flux_logdet_matches_lu_for_every_n(flux):
             assert dense == reduced == -math.inf and N % 2 and delta == math.pi / 2, (N, dense, reduced)
         else:
             assert abs(dense - reduced) <= 1e-12, (N, dense - reduced)
+
+
+def _dense_jump_logdet(K: np.ndarray, delta: float, N: int) -> float:
+    A = np.eye(len(K)) - (4.0 / math.pi**2) * math.sin(delta) ** 2 * K
+    if N % 2:
+        return log_det(A) + (-math.inf if abs(delta) == math.pi / 2 else math.log(abs(math.cos(delta))))
+    return log_det(A)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 48, 49, 181, 1024, 4097, 8192])
+def test_dirichlet_flux_logdet_matches_dense_k_route(N):
+    # the sketch is exact for M <= 24 and low rank beyond; the dense oracle
+    # factors I - alpha K with K from k_matrix
+    K = k_matrix(N)
+    assert dirichlet_flux_logdet(0.0, N) == 0.0
+    for delta in (math.pi / 4, 1.2375, math.pi / 2):
+        engine, dense = dirichlet_flux_logdet(delta, N), _dense_jump_logdet(K, delta, N)
+        # the log-det depends on delta through sin^2 and |cos| alone
+        assert dirichlet_flux_logdet(-delta, N) == engine
+        if math.isinf(dense) or math.isinf(engine):
+            assert dense == engine == -math.inf and N % 2 and delta == math.pi / 2
+        else:
+            assert abs(engine - dense) <= 1e-12, (delta, engine - dense)
+
+
+def test_dirichlet_flux_logdet_doubles_the_sketch_until_certified(monkeypatch):
+    # a 2-column sketch cannot hold K's dozen leading eigenvalues, so the
+    # certificate rejects it and k doubles until the bound holds
+    N, delta = 1024, 1.2375
+    expected = dirichlet_flux_logdet(delta, N)
+    products = []
+    original = hilbert_module.toeplitz_product
+
+    def counted(t, v):
+        products.append(v.shape[1])
+        return original(t, v)
+
+    monkeypatch.setattr(hilbert_module, "toeplitz_product", counted)
+    monkeypatch.setattr(hilbert_module, "_SKETCH_COLUMNS", 2)
+    doubled = dirichlet_flux_logdet(delta, N)
+    assert products[0] == 2 and 16 <= max(products) < N // 2  # certified before the exact identity sketch
+    assert abs(doubled - expected) <= 1e-12
+
+
+def test_dirichlet_flux_logdet_is_deterministic():
+    for N in (181, 4096):
+        assert dirichlet_flux_logdet(1.2375, N).hex() == dirichlet_flux_logdet(1.2375, N).hex()
 
 
 def test_dirichlet_logdet_decays_in_M():

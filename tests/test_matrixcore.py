@@ -265,6 +265,19 @@ def test_toeplitz_product_matches_dense_toeplitz(n):
     assert_allclose(fast, toeplitz(t, n) @ v, rtol=0, atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(v))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4097])
+def test_toeplitz_product_of_a_block_matches_its_columns(n):
+    rng = np.random.default_rng(n)
+    t = rng.standard_normal(2 * n - 1)
+    block = rng.standard_normal((n, 3))
+    fast = toeplitz_product(t, block)
+    assert fast.shape == (n, 3)
+    for col in range(3):
+        assert_allclose(fast[:, col], toeplitz_product(t, block[:, col]), rtol=0, atol=1e-14 * np.linalg.norm(t)
+                        * np.linalg.norm(block[:, col]))
+    assert_allclose(fast, toeplitz(t, n) @ block, rtol=0, atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(block))
+
+
 # -- reference assembly (tests/oracles.py) ----------------------------------
 
 

@@ -17,7 +17,6 @@ from scipy.integrate import quad
 from flux_catastrophe import cli
 from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.hilbert import dirichlet_flux_logdet
-import flux_catastrophe.hilbert as hilbert_module
 from flux_catastrophe.matrixcore import fh_matrix, log_det, trace_norm
 import flux_catastrophe.matrixcore as matrixcore_module
 import flux_catastrophe.overlap as overlap_module
@@ -317,8 +316,8 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_evaluate_point_factors_no_complex_matrix_but_the_overlap(monkeypatch, bc):
-    # both jump log-dets come from (delta_L, N); dense complex LU is spent on
-    # the exact overlap matrix alone
+    # both jump log-dets come from (delta_L, N) without a matrix; dense LU is
+    # spent on the exact overlap matrix alone
     built, factored = [], []
     original_build, original_log_det = overlap_module.overlap_matrix, log_det
 
@@ -331,11 +330,10 @@ def test_evaluate_point_factors_no_complex_matrix_but_the_overlap(monkeypatch, b
         return original_log_det(m)
 
     monkeypatch.setattr(overlap_module, "overlap_matrix", recording_build)
-    for module in (overlap_module, hilbert_module, matrixcore_module):
+    for module in (overlap_module, matrixcore_module):
         monkeypatch.setattr(module, "log_det", recording_log_det)
     evaluate_point(gaussian_bump_with_flux(2.0), bc, 40, 20.0)
-    complex_args = [m for m in factored if np.iscomplexobj(m)]
-    assert len(built) == 1 and len(complex_args) == 1 and complex_args[0] is built[0]
+    assert len(built) == 1 and len(factored) == 1 and factored[0] is built[0]
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
