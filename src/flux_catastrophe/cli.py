@@ -473,6 +473,17 @@ def selftest() -> int:
     )
     check("matrix-free K log-det vs dense K", worst < 1e-12, f"max |diff| {worst:.1e}")
 
+    # the certified matrix-free log|D|^2 against LU of the assembled overlap matrix
+    bump = potential_from_dict(_BUMP)
+    worst = max(
+        abs(overlap.overlap_log_det_sq(overlap.overlap_coefficients(prof, bc, n), bc, n)
+            - 2.0 * log_det(overlap.overlap_matrix(prof, bc, n)))
+        for bc in BoundaryCondition
+        for n in (64, 181)
+        for prof in [flux_profile(bump, n / 2.0)]
+    )
+    check("matrix-free overlap log-det vs LU", worst < 1e-10, f"max |diff| {worst:.1e}")
+
     m = overlap.overlap_matrix(flux_profile(zero_potential(), 8.0), BoundaryCondition.PERIODIC, 16)
     check("zero potential identity", float(np.max(np.abs(m - np.eye(16)))) < 1e-10)
 

@@ -28,8 +28,9 @@ Hankel section of H and K^{--} are applied by FFT Toeplitz products from
 O(M) vectors and their traces are closed forms.  K itself is applied the
 same way, four FFT Toeplitz/Hankel products per block of columns, and
 dirichlet_flux_logdet takes log det(I - (4/pi^2) sin^2(delta) K) from its
-few eigenvalues above rounding under a closed-form trace certificate, so
-only k_matrix, the dense oracle, holds an M x M array.
+few eigenvalues above rounding with the shared certified engine
+matrixcore.ritz_log_det, so only k_matrix, the dense oracle, holds an
+M x M array.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .asymptotics import digamma, trigamma
 from .errors import DomainError
-from .matrixcore import operator_norm, toeplitz_product
+from .matrixcore import operator_norm, ritz_log_det, toeplitz_product
 
 
 def hilbert_section_norm(M: int) -> float:
@@ -168,7 +169,6 @@ def k_part_norms(M: int) -> KPartNorms:
     return KPartNorms(t_mm, t_pp, t_mixed, op_mm)
 
 
-_SKETCH_SEED = 0x5EED
 _SKETCH_COLUMNS = 24
 _LOGDET_ABS_ERR = 1e-12
 
@@ -182,24 +182,12 @@ def dirichlet_flux_logdet(delta: float, N: int) -> float:
     at delta = pi/2 gives exactly -inf and delta = 0 exactly 0.0.
 
     K is positive semidefinite, and all but its first twenty or so
-    eigenvalues are below rounding for N <= 2^17, so the log-det is a
-    randomized Rayleigh-Ritz sum (Halko, Martinsson, Tropp, SIAM Review 53,
-    2011): a fixed-seed Gaussian sketch of k = 24 columns gives
-    Q = qr(K Omega), and sum log1p(-alpha lambda) runs over the eigenvalues
-    lambda of Q^T K Q.  K is only ever applied to M x k blocks
-    (_k_product), so for M > k no M x M array exists.  The result is
-    certified: with Q_perp completing Q, the Schur complement on
-    (Q, Q_perp) and ||K_12||_F^2 <= ||K_11|| tr K_22 give
-
-        0 <= log det(I - alpha K_11) - log det(I - alpha K) <= alpha g / (1 - alpha g),
-
-    g = gap / (1 - alpha lambda_max), where gap = tr K - sum lambda = tr K_22
-    >= 0 (tr K is the sum of the closed-form diagonal), plus
-    (log2 M + k) eps (tr K + sum |lambda|) for the rounding of the two sums.
-    The sum is returned once this bound is <= 1e-12; otherwise k doubles,
-    and once k >= M the sketch is replaced by the identity, which is exact.
-    The seed is fixed, so the result is deterministic.  LU of the dense K
-    of k_matrix and of overlap.flux_matrix(Phi, DIRICHLET, N),
+    eigenvalues are below rounding for N <= 2^17, so matrixcore.ritz_log_det
+    takes log det(I - alpha K) from a k = 24 column Rayleigh-Ritz sketch of
+    E = alpha K, certified to 1e-12 under the closed-form trace alpha tr K
+    (the sum of the closed-form diagonal).  K is only ever applied to M x k
+    blocks (_k_product), so for M > k no M x M array exists.  LU of the
+    dense K of k_matrix and of overlap.flux_matrix(Phi, DIRICHLET, N),
     Phi = n pi + delta, are the test oracles.
     """
     if abs(delta) > math.pi / 2:
@@ -216,19 +204,4 @@ def dirichlet_flux_logdet(delta: float, N: int) -> float:
     if alpha == 0.0 or M == 0:
         return odd
     apply, trace = _k_product(N)
-    rng = np.random.default_rng(_SKETCH_SEED)
-    k = _SKETCH_COLUMNS
-    while True:
-        exact = k >= M
-        q = np.eye(M) if exact else np.linalg.qr(apply(rng.standard_normal((M, k))))[0]
-        ritz = q.T @ apply(q)
-        lam = np.linalg.eigvalsh(0.5 * (ritz + ritz.T))
-        ld = float(np.sum(np.log1p(-alpha * lam)))
-        if exact:
-            return odd + ld
-        rounding = (M.bit_length() + k) * np.finfo(float).eps * (trace + float(np.sum(np.abs(lam))))
-        gap = max(trace - float(np.sum(lam)), 0.0) + rounding
-        alpha_g = alpha * gap / (1.0 - alpha * float(lam[-1]))
-        if alpha_g < 1.0 and alpha_g / (1.0 - alpha_g) <= _LOGDET_ABS_ERR:
-            return odd + ld
-        k *= 2
+    return odd + ritz_log_det(lambda V: alpha * apply(V), alpha * trace, M, _LOGDET_ABS_ERR, _SKETCH_COLUMNS)

@@ -1,24 +1,27 @@
 """Toeplitz matrices and products, their log-determinants and norms.
 
-The overlap objects are N x N arrays: classical Toeplitz in the plane-wave
-basis of the periodic problem, Toeplitz-minus-Hankel in the Dirichlet
-sine basis.  This module holds what every consumer shares: the strided
-view that turns 2N - 1 coefficients into a Toeplitz matrix, the FFT
+The overlap objects are N x N operators: classical Toeplitz in the
+plane-wave basis of the periodic problem, Toeplitz-minus-Hankel in the
+Dirichlet sine basis.  This module holds what every consumer shares: the
+strided view that turns 2N - 1 coefficients into a Toeplitz matrix, the FFT
 product toeplitz_product that applies it without forming it, the
-closed-form jump-symbol matrix fh_matrix and its O(1) log-determinant
-fh_log_det, the dense log-determinant, the certified trace norm, and the
-power-iteration norm of a symmetric operator given by its product.
+closed-form jump-symbol coefficients fh_coefficients with their matrix
+fh_matrix and O(1) log-determinant fh_log_det, the dense log-determinant,
+the certified Rayleigh-Ritz log det(I - E), the certified trace norm, and
+the power-iteration norm of a symmetric operator given by its product.
 
 Determinants of these matrices decay polynomially in N, so only their
 magnitudes are kept, in log space throughout.  fh_log_det sums Cauchy's
 product formula for the periodic jump-symbol matrix in O(1) (its docstring
-has the derivation); hilbert.dirichlet_flux_logdet reduces the Dirichlet
-one to a real (N // 2) x (N // 2) determinant of low rank plus identity,
-which it takes from blocks of toeplitz_product without forming it.
-log_det, dense LU with partial pivoting (LAPACK via numpy), factors the
-exact overlap matrix, whose O(N^3) LU is the costliest step of an overlap
-sweep.  The matrices themselves are assembled in O(N^2) from O(N)
-verified coefficients, and the trace norm of the low-rank Delta_N costs
+has the derivation).  Both other determinants an overlap sweep needs are
+log det(I - E) of a positive semidefinite E with few eigenvalues above
+rounding, and ritz_log_det takes them from block products alone:
+E = I - A^H A for the exact overlap matrix A (overlap.overlap_log_det_sq)
+and E = (4/pi^2) sin^2(delta) K for the Dirichlet jump matrix
+(hilbert.dirichlet_flux_logdet).  log_det, dense LU with partial pivoting
+(LAPACK via numpy), is the O(N^3) oracle they are tested against; no
+overlap sweep calls it.  The one N x N array of a grid point is Delta_N,
+assembled in O(N^2) from O(N) verified coefficients, whose trace norm costs
 O(N^2 k).
 """
 
@@ -50,7 +53,68 @@ def log_det(matrix: np.ndarray) -> float:
 _SKETCH_SEED = 0x5EED
 _SKETCH_COLUMNS = 32
 _SKETCH_REL_TOL = 1e-10
-_RESIDUAL_BLOCK_ENTRIES = 1 << 18
+_RESIDUAL_BLOCK_ENTRIES = 1 << 14
+
+
+def ritz_log_det(
+    apply: Callable[[np.ndarray], np.ndarray], trace: float, n: int, abs_err: float, columns: int = _SKETCH_COLUMNS
+) -> float:
+    """log det(I - E) for a Hermitian positive semidefinite n x n operator E with ||E|| < 1.
+
+    E is given by its block product V -> E V on (n, k) arrays and by its
+    trace.  When all but a few eigenvalues of E lie below rounding, a
+    randomized Rayleigh-Ritz sum finds the determinant (Halko, Martinsson,
+    Tropp, SIAM Review 53, 2011): a fixed-seed real Gaussian sketch of k
+    columns gives Q = qr(E Omega), and sum log1p(-theta) runs over the Ritz
+    values theta of Q^H E Q.  Only (n, k) blocks are formed.
+
+    The result is certified.  With Q_perp completing Q, the Schur complement
+    on (Q, Q_perp) gives det(I - E) = det(I - E_11) det(I - S) with
+    S = E_22 + E_21 (I - E_11)^-1 E_12 >= 0, so the Ritz sum exceeds the
+    log-det by at most g / (1 - g) for any g >= tr S.  Such a g is
+
+        g = (tr E - sum theta) + ||E Q - Q (Q^H E Q)||_F^2 / (1 - theta_max) + rounding,
+
+    since tr E_22 = tr E - tr E_11 and E_21 is the residual of E Q.  The
+    rounding term carries the two trace sums, (log2 n + k) eps (tr E +
+    sum |theta|), and each Ritz value's matvec error, about log2(2n) eps
+    for an FFT product, through d log1p(-theta) / d theta: the sum of
+    1 / (1 - theta) over the Ritz values.  The sum is returned once
+    g / (1 - g) <= abs_err; otherwise k doubles, and once k >= n the identity
+    replaces the sketch, which is exact.  When the rounding alone exceeds
+    the budget (an I - E close to singular), no sketch meets it and the
+    doubling ends there.  The empty sketch comes first: when tr E alone
+    meets the budget, the result is 0.0.  An I - E singular to working
+    precision (theta_max >= 1) gives -inf.  The seed is fixed, so the result
+    is deterministic.
+    """
+    eps = float(np.finfo(float).eps)
+    # the empty sketch: tr E alone bounds the sum, so E = 0 gives exactly 0.0
+    g = trace * (1.0 + n.bit_length() * eps)
+    if g < 1.0 and g / (1.0 - g) <= abs_err:
+        return 0.0
+    rng = np.random.default_rng(_SKETCH_SEED)
+    k = columns
+    while True:
+        exact = k >= n
+        q = np.eye(n) if exact else np.linalg.qr(apply(rng.standard_normal((n, k))))[0]
+        eq = apply(q)
+        ritz = q.conj().T @ eq
+        theta = np.linalg.eigvalsh(0.5 * (ritz + ritz.conj().T))
+        if theta[-1] >= 1.0:
+            return -math.inf
+        ld = float(np.sum(np.log1p(-theta)))
+        if exact:
+            return ld
+        eq -= q @ ritz
+        rounding = eps * (
+            (n.bit_length() + k) * (trace + float(np.sum(np.abs(theta))))
+            + (2 * n).bit_length() * float(np.sum(1.0 / (1.0 - theta)))
+        )
+        g = max(trace - float(np.sum(theta)), 0.0) + float(np.vdot(eq, eq).real) / (1.0 - theta[-1]) + rounding
+        if g < 1.0 and g / (1.0 - g) <= abs_err:
+            return ld
+        k *= 2
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -133,31 +197,31 @@ def toeplitz(t: np.ndarray, N: int) -> np.ndarray:
 
 
 def toeplitz_product(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """toeplitz(t, n) @ v for real t and a real vector or (n, k) block v, n = len(v), in O(k n log n).
+    """toeplitz(t, n) @ v for a vector or (n, k) block v, n = len(v), in O(k n log n).
 
     The product is entries n - 1 .. 2n - 2 of the convolution t * v (3n - 2
-    entries).  A cyclic convolution of length >= 2n - 1, one real FFT along
-    axis 0, folds the entries past its end onto indices below n - 1 only, so
-    those are exact.  One call serves every column of a block.
+    entries).  A cyclic convolution of length >= 2n - 1, one FFT along
+    axis 0 (a real one when t and v are both real), folds the entries past
+    its end onto indices below n - 1 only, so those are exact.  One call
+    serves every column of a block.
     """
     n = len(v)
     size = 1 << (2 * n - 2).bit_length()
-    spectrum = np.fft.rfft(v, size, axis=0)
-    np.multiply(np.fft.rfft(t, size).reshape((-1,) + (1,) * (v.ndim - 1)), spectrum, out=spectrum)
-    return np.fft.irfft(spectrum, size, axis=0)[n - 1 : 2 * n - 1]
+    real = not (np.iscomplexobj(t) or np.iscomplexobj(v))
+    forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    spectrum = forward(v, size, axis=0)
+    np.multiply(forward(t, size).reshape((-1,) + (1,) * (v.ndim - 1)), spectrum, out=spectrum)
+    return inverse(spectrum, size, axis=0)[n - 1 : 2 * n - 1]
 
 
-def fh_matrix(delta: float, N: int) -> np.ndarray:
-    """Toeplitz matrix with entries sin(delta) / (delta - pi (j-k)).
+def fh_coefficients(delta: float, N: int) -> np.ndarray:
+    """The 2N - 1 coefficients sin(delta) / (delta - pi d), d = -(N-1) .. N-1, of fh_matrix.
 
-    This is the determinant-carrying matrix of the jump symbol: the
-    diagonal is sin(delta)/delta, which the same formula gives at d = 0
-    to within an ulp for every delta down to the smallest subnormal; only
-    delta = 0 (0/0) is set to the limit 1.  At
-    |delta| = pi/2 it is (1/pi) times the nonsingular Cauchy matrix
-    1/(1/2 -+ (j-k)), so only |delta| > pi/2 is rejected.  The result
-    is a writable copy of a strided view of the 2N - 1 coefficients, so
-    the only N x N allocation is the result itself.
+    The d = 0 entry sin(delta)/delta is what the same formula gives to
+    within an ulp for every delta down to the smallest subnormal; only
+    delta = 0 (0/0) is set to the limit 1.  At |delta| = pi/2 the matrix is
+    (1/pi) times the nonsingular Cauchy matrix 1/(1/2 -+ (j-k)), so only
+    |delta| > pi/2 is rejected.
     """
     if abs(delta) > np.pi / 2:
         raise DomainError("fh_matrix requires |delta| <= pi/2")
@@ -168,7 +232,17 @@ def fh_matrix(delta: float, N: int) -> np.ndarray:
         s = np.sin(delta) / (delta - np.pi * d)
     if delta == 0.0:
         s[N - 1] = 1.0
-    return toeplitz(s, N).copy()
+    return s
+
+
+def fh_matrix(delta: float, N: int) -> np.ndarray:
+    """Toeplitz matrix with entries sin(delta) / (delta - pi (j-k)), the jump symbol's.
+
+    This is the determinant-carrying matrix of the jump symbol, a writable
+    copy of a strided view of fh_coefficients, so the only N x N allocation
+    is the result itself.
+    """
+    return toeplitz(fh_coefficients(delta, N), N).copy()
 
 
 def fh_log_det(delta: float, N: int) -> float:

@@ -14,6 +14,7 @@ from flux_catastrophe.matrixcore import (
     fh_matrix,
     log_det,
     operator_norm,
+    ritz_log_det,
     toeplitz,
     toeplitz_product,
     trace_norm,
@@ -276,6 +277,102 @@ def test_toeplitz_product_of_a_block_matches_its_columns(n):
         assert_allclose(fast[:, col], toeplitz_product(t, block[:, col]), rtol=0, atol=1e-14 * np.linalg.norm(t)
                         * np.linalg.norm(block[:, col]))
     assert_allclose(fast, toeplitz(t, n) @ block, rtol=0, atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(block))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4097])
+def test_toeplitz_product_of_a_complex_block_matches_dense_toeplitz(n):
+    rng = np.random.default_rng(n)
+    t = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
+    block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    fast = toeplitz_product(t, block)
+    assert fast.shape == (n, 3) and np.iscomplexobj(fast)
+    assert_allclose(fast, toeplitz(t, n) @ block, rtol=0, atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(block))
+    # a real block under a complex kernel takes the complex transform too
+    assert_allclose(toeplitz_product(t, block.real), toeplitz(t, n) @ block.real, rtol=0,
+                    atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(block))
+
+
+# -- ritz_log_det: certified log det(I - E) from block products ---------------
+
+
+def _known_spectrum(mu: np.ndarray, n: int, seed: int = 7):
+    """E = U diag(mu) U^H with random orthonormal U: (V -> E V, tr E, exact log det(I - E), widths seen, U)."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0][:, : len(mu)]
+    widths = []
+
+    def apply(V):
+        widths.append(V.shape[1])
+        return u @ (mu[:, None] * (u.conj().T @ V))
+
+    return apply, math.fsum(mu), float(np.sum(np.log1p(-mu))), widths, u
+
+
+def test_ritz_log_det_of_the_zero_operator_is_exactly_zero():
+    for n in (1, 5, 300):
+        assert ritz_log_det(lambda V: np.zeros_like(V), 0.0, n, 1e-10) == 0.0
+
+
+def test_ritz_log_det_doubles_the_sketch_for_a_spectrum_wider_than_32():
+    # 0.9 * 0.6^i stays above 1e-10 for i < 44: 32 columns leave more than
+    # the budget behind, 64 hold everything above rounding
+    mu = 0.9 * 0.6 ** np.arange(80)
+    apply, trace, exact, widths, _u = _known_spectrum(mu, 400)
+    got = ritz_log_det(apply, trace, 400, 1e-10)
+    assert abs(got - exact) <= 1e-10
+    assert widths == [32, 32, 64, 64]
+
+
+def test_ritz_log_det_of_a_low_rank_spectrum_needs_one_sketch():
+    mu = np.array([0.999, 0.5, 0.25, 1e-3, 1e-8])
+    apply, trace, exact, widths, _u = _known_spectrum(mu, 300)
+    assert abs(ritz_log_det(apply, trace, 300, 1e-10) - exact) <= 1e-12
+    assert widths == [32, 32]
+
+
+def test_ritz_log_det_carries_matvec_rounding_through_the_top_ritz_value():
+    # log2(600) eps / (1 - 0.999) = 2.2e-12 of rounding alone: a 1e-12 budget
+    # cannot be certified by any sketch, so the doubling ends at the identity
+    mu = np.array([0.999, 0.5, 0.25, 1e-3, 1e-8])
+    apply, trace, exact, widths, _u = _known_spectrum(mu, 300)
+    assert abs(ritz_log_det(apply, trace, 300, 1e-12) - exact) <= 1e-12
+    assert widths[-1] == 300
+
+
+def test_ritz_log_det_rejects_a_misaligned_sketch():
+    # the first sketch is pushed out of range(E) by about 1e-6: the trace gap
+    # is then ~1e-12, but theta_max = 1 - 1e-4 turns the coupling to the
+    # missed directions into a log-det error of ~1e-8, which only the
+    # residual term of the certificate sees
+    n = 64
+    mu = np.concatenate([[1.0 - 1e-4], 0.5 ** np.arange(1, 10)])
+    apply, trace, exact, widths, u = _known_spectrum(mu, n, seed=3)
+
+    def first_sketch_off(V):
+        out = apply(V)
+        if len(widths) == 1:
+            noise = np.random.default_rng(11).standard_normal((n, V.shape[1])) + 0j
+            noise -= u @ (u.conj().T @ noise)  # E annihilates it
+            out = out + 1e-6 * np.linalg.norm(out) / np.linalg.norm(noise) * noise
+        return out
+
+    got = ritz_log_det(first_sketch_off, trace, n, 1e-10)
+    assert abs(got - exact) <= 1e-10
+    assert widths[0] == 32 and widths[-1] == n  # the first sketch was rejected
+
+
+def test_ritz_log_det_is_bit_identical_on_repeat():
+    mu = 0.9 * 0.6 ** np.arange(80)
+    apply, trace, _exact, _widths, _u = _known_spectrum(mu, 400)
+    assert ritz_log_det(apply, trace, 400, 1e-10).hex() == ritz_log_det(apply, trace, 400, 1e-10).hex()
+
+
+def test_ritz_log_det_identity_sketch_is_exact_for_small_n():
+    # k >= n: Q = I, so the sum runs over the eigenvalues of E itself
+    mu = np.array([0.9, 0.3, 0.1])
+    apply, trace, exact, widths, _u = _known_spectrum(mu, 6)
+    assert abs(ritz_log_det(apply, trace, 6, 1e-10) - exact) <= 1e-14
+    assert widths == [6]
 
 
 # -- reference assembly (tests/oracles.py) ----------------------------------

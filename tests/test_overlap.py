@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -21,7 +22,13 @@ from flux_catastrophe.matrixcore import fh_matrix, log_det, trace_norm
 import flux_catastrophe.matrixcore as matrixcore_module
 import flux_catastrophe.overlap as overlap_module
 import flux_catastrophe.quadrature as quadrature_module
-from flux_catastrophe.overlap import evaluate_point, flux_matrix, overlap_matrix
+from flux_catastrophe.overlap import (
+    evaluate_point,
+    flux_matrix,
+    overlap_coefficients,
+    overlap_log_det_sq,
+    overlap_matrix,
+)
 from flux_catastrophe.potential import (
     GaussianBump,
     PiecewiseLinear,
@@ -296,8 +303,11 @@ def test_trace_norm_of_delta_is_deterministic():
 
 
 def test_evaluate_point_builds_each_matrix_once(monkeypatch):
-    # and the flux profile once: overlap_matrix takes it, flux_matrix needs only Phi_L(L)
-    calls = {"overlap_matrix": 0, "flux_matrix": 0, "flux_profile": 0}
+    # each matrix as its coefficient vector, and the flux profile once:
+    # overlap_coefficients takes it, flux_coefficients needs only Phi_L(L);
+    # neither matrix is assembled, only Delta_N from their difference
+    calls = {name: 0 for name in ("overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix",
+                                  "flux_matrix", "_assemble")}
     for name in calls:
         original = getattr(overlap_module, name)
 
@@ -311,29 +321,22 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
         for name in calls:
             calls[name] = 0
         evaluate_point(a, bc, 40, 20.0)
-        assert calls == {"overlap_matrix": 1, "flux_matrix": 1, "flux_profile": 1}, bc
+        assert calls == {"overlap_coefficients": 1, "flux_coefficients": 1, "flux_profile": 1, "overlap_matrix": 0,
+                         "flux_matrix": 0, "_assemble": 1}, bc
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_evaluate_point_factors_no_complex_matrix_but_the_overlap(monkeypatch, bc):
-    # both jump log-dets come from (delta_L, N) without a matrix; dense LU is
-    # spent on the exact overlap matrix alone
-    built, factored = [], []
-    original_build, original_log_det = overlap_module.overlap_matrix, log_det
+    # no matrix is factored at all: both jump log-dets come from (delta_L, N)
+    # and |D| from FFT products of the overlap coefficients
+    def no_lu(*args, **kwargs):
+        raise AssertionError("dense LU in evaluate_point")
 
-    def recording_build(*args):
-        built.append(original_build(*args))
-        return built[-1]
-
-    def recording_log_det(m):
-        factored.append(m)
-        return original_log_det(m)
-
-    monkeypatch.setattr(overlap_module, "overlap_matrix", recording_build)
-    for module in (overlap_module, matrixcore_module):
-        monkeypatch.setattr(module, "log_det", recording_log_det)
-    evaluate_point(gaussian_bump_with_flux(2.0), bc, 40, 20.0)
-    assert len(built) == 1 and len(factored) == 1 and factored[0] is built[0]
+    monkeypatch.setattr(matrixcore_module, "log_det", no_lu)
+    monkeypatch.setattr(np.linalg, "slogdet", no_lu)
+    monkeypatch.setattr(np.linalg, "det", no_lu)
+    point = evaluate_point(gaussian_bump_with_flux(2.0), bc, 40, 20.0)
+    assert math.isfinite(point.log_D_sq)
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
@@ -342,16 +345,29 @@ def test_evaluate_point_matches_each_quantity_built_directly(bc):
     point = evaluate_point(a, bc, 40, 20.0)
     prof = flux_profile(a, 20.0)
     assert (point.delta_L, point.n_L) == (prof.delta_L, prof.n_L)
-    ld_exact = log_det(overlap_matrix(prof, bc, 40))
-    assert point.log_D_sq == 2.0 * ld_exact
+    # |D| is certified to 1e-10 without a factorization; dense LU is its oracle
+    assert abs(point.log_D_sq - 2.0 * log_det(overlap_matrix(prof, bc, 40))) <= 1e-10
     # the jump log-det is the O(N) Cauchy sum (periodic) or the parity reduction
     # (Dirichlet); dense LU of the closed-form jump matrix is its oracle
     dense = flux_matrix(prof.total_flux, bc, 40)
     assert abs(point.log_Dtilde_sq - 2.0 * log_det(dense)) <= 2e-13
-    assert point.c_ratio == math.exp(2.0 * ld_exact - point.log_Dtilde_sq)
-    assert point.trace_norm_delta == trace_norm(_delta_n(a, bc, 40, 20.0))
+    assert point.c_ratio == math.exp(point.log_D_sq - point.log_Dtilde_sq)
+    # Delta_N is assembled from the coefficient difference: the same entries
+    # as the difference of the two matrices (periodic), or the same to rounding
+    delta = _delta_n(a, bc, 40, 20.0)
+    if bc is PER:
+        assert point.trace_norm_delta == trace_norm(delta)
+    assert_allclose(point.trace_norm_delta, trace_norm(delta), rtol=1e-13)
     assert point.bound == 40 / 20.0 * moment_integrals(a, 20.0)
     assert point.bound_holds == (point.trace_norm_delta <= point.bound + 1e-8)
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_evaluate_point_of_the_zero_potential_is_exactly_one(bc):
+    # tr E = N - ||A||_F^2 is below rounding, so the empty sketch certifies
+    # log|D|^2 = 0.0 and C = 1 exactly
+    point = evaluate_point(zero_potential(), bc, 64, 32.0)
+    assert (point.log_D_sq, point.log_Dtilde_sq, point.c_ratio) == (0.0, 0.0, 1.0)
 
 
 # -- factored build from O(N) verified coefficients ---------------------------
@@ -373,8 +389,7 @@ def test_dirichlet_sweep_jump_logdet_matches_lu_at_every_bench_n():
     # the Dirichlet sweep's |D~| is the parity reduction at delta_L = 1.2375 for
     # N = 128 .. 2048, odd N = 181 included; dense LU is its oracle
     a = SWEEP_POTENTIALS[DIR]
-    config = json.loads((Path(__file__).resolve().parents[1] / "bench" / "configs" / "sweep_dirichlet.json").read_text())
-    for N in config["n_grid"]:
+    for N in _bench_grid(DIR):
         prof = flux_profile(a, N / 2.0)
         dense = log_det(flux_matrix(prof.total_flux, DIR, N))
         assert abs(dirichlet_flux_logdet(prof.delta_L, N) - dense) <= 1e-10, N
@@ -493,6 +508,52 @@ def test_unsettled_quadrature_raises_with_achieved_error(bc, monkeypatch):
     assert _PER_ENTRY[bc] * info.value.context["achieved"] > 1e-30
 
 
+def _bench_grid(bc) -> list[int]:
+    """The N grid of the benchmark's periodic or Dirichlet overlap sweep."""
+    config = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"sweep_{bc.value}.json"
+    return json.loads(config.read_text())["n_grid"]
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_overlap_log_det_matches_lu_at_every_bench_n(bc):
+    # N = 128 .. 2048, odd N = 181 included: the certified Rayleigh-Ritz sum
+    # against LU of the assembled matrix of the same coefficients
+    a = SWEEP_POTENTIALS[bc]
+    for N in _bench_grid(bc):
+        c = overlap_coefficients(flux_profile(a, N / 2.0), bc, N)
+        dense = 2.0 * log_det(overlap_module._assemble(c, N, bc is PER))
+        assert abs(overlap_log_det_sq(c, bc, N) - dense) <= 1e-10, N
+
+
+def test_overlap_log_det_is_bit_identical_on_repeat():
+    for bc in (PER, DIR):
+        c = overlap_coefficients(flux_profile(SWEEP_POTENTIALS[bc], 90.5), bc, 181)
+        assert overlap_log_det_sq(c, bc, 181).hex() == overlap_log_det_sq(c, bc, 181).hex(), bc
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 16, 33])
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_frobenius_deficit_matches_the_assembled_matrix(bc, N):
+    # tr E = N - ||A||_F^2 from the coefficients alone, against the entrywise
+    # sum over the assembled Toeplitz(-minus-Hankel) matrix
+    rng = np.random.default_rng(N)
+    size = 2 * N - 1 if bc is PER else 2 * N + 1
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    m = overlap_module._assemble(c, N, bc is PER)
+    reference = N - float(np.vdot(m, m).real)
+    assert abs(overlap_module._frobenius_deficit(c, N, bc is PER) - reference) <= 1e-13 * float(np.vdot(m, m).real)
+
+
+def test_frobenius_deficit_of_the_sweep_is_rounded_once():
+    # N - ||A||_F^2 cancels N to a few units: summed exactly, it agrees with
+    # the rational sum of the same floats to the last bit
+    N = 512
+    c = overlap_coefficients(flux_profile(SWEEP_POTENTIALS[PER], N / 2.0), PER, N)
+    weights = N - np.abs(np.arange(1 - N, N))
+    exact = N - sum(int(w) * (Fraction(float(z.real)) ** 2 + Fraction(float(z.imag)) ** 2) for w, z in zip(weights, c))
+    assert overlap_module._frobenius_deficit(c, N, True) == float(exact)
+
+
 @pytest.mark.parametrize("N", [128, 2048])
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_sweep_potentials_accept_the_refine_one_build(bc, N):
@@ -524,10 +585,11 @@ def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(bc, build):
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
-def test_evaluate_point_peak_memory_is_about_two_matrices(bc):
-    # Delta_N is formed in place of the exact matrix and the jump matrix is
-    # freed before the trace norm; holding exact, flux and exact - flux
-    # together peaked at 3.3x (periodic) and 3.8x (Dirichlet)
+def test_evaluate_point_peak_memory_is_about_one_matrix(bc):
+    # Delta_N is the one N x N array: |D| is taken from O(N k) blocks, and the
+    # trace norm's residual runs over row blocks of 2^14 entries; the dense-LU
+    # evaluator, which formed Delta_N in place of the exact matrix, peaked at
+    # 1.85x and held the jump matrix besides
     N, L = 1024, 512.0
     a = SWEEP_POTENTIALS[bc]
     evaluate_point(a, bc, N, L)  # warm the cached quadrature rule
@@ -537,7 +599,7 @@ def test_evaluate_point_peak_memory_is_about_two_matrices(bc):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * N * N * 16, peak / (N * N * 16)
+    assert peak <= 1.25 * N * N * 16, peak / (N * N * 16)
 
 
 @st.composite
