@@ -60,8 +60,9 @@ produce byte-identical CSV files.
 --jobs defaults to 1.  Each grid point already runs multithreaded BLAS, so
 extra worker processes oversubscribe the cores: on a 2-core Xeon VM
 (OpenBLAS 0.3.31, 2 threads) the periodic N = 128 .. 2048 overlap sweep,
-bench/configs/sweep_periodic.json, took 1.62, 1.71 and 1.64 s at --jobs 1
-against 2.37, 2.48 and 5.80 s at --jobs 2 (wall clock of the command).
+bench/configs/sweep_periodic.json, took 0.77, 0.80 and 0.61 s at --jobs 1
+against 1.24, 6.72 and 8.64 s at --jobs 2 (wall clock of the command, with
+no N x N array held by any grid point).
 
 Exit codes: 0 success, 2 property-check failure, 1 config, numerical or
 usage error (a --jobs below 1 is one, and so is an output directory that

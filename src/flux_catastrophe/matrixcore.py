@@ -20,9 +20,11 @@ E = I - A^H A for the exact overlap matrix A (overlap.overlap_log_det_sq)
 and E = (4/pi^2) sin^2(delta) K for the Dirichlet jump matrix
 (hilbert.dirichlet_flux_logdet).  log_det, dense LU with partial pivoting
 (LAPACK via numpy), is the O(N^3) oracle they are tested against; no
-overlap sweep calls it.  The one N x N array of a grid point is Delta_N,
-assembled in O(N^2) from O(N) verified coefficients, whose trace norm costs
-O(N^2 k).
+overlap sweep calls it.  trace_norm likewise reaches Delta_N through FFT
+block products of its O(N) coefficient difference, and reads its
+certificate's residual from zero-copy strided row views of it, so a grid
+point forms no N x N array: memory is O(N k), time O(N k log N) for the
+sketch and O(N^2 k) for the residual pass.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ def log_det(matrix: np.ndarray) -> float:
 _SKETCH_SEED = 0x5EED
 _SKETCH_COLUMNS = 32
 _SKETCH_REL_TOL = 1e-10
-_RESIDUAL_BLOCK_ENTRIES = 1 << 14
 
 
 def ritz_log_det(
@@ -81,9 +82,10 @@ def ritz_log_det(
     for an FFT product, through d log1p(-theta) / d theta: the sum of
     1 / (1 - theta) over the Ritz values.  The sum is returned once
     g / (1 - g) <= abs_err; otherwise k doubles, and once k >= n the identity
-    replaces the sketch, which is exact.  When the rounding alone exceeds
-    the budget (an I - E close to singular), no sketch meets it and the
-    doubling ends there.  The empty sketch comes first: when tr E alone
+    replaces the sketch, which is exact.  The rounding term grows with k,
+    so when it alone exceeds the budget (an I - E close to singular) no
+    sketch meets it, and NumericalError is raised with the bound achieved
+    and the budget requested.  The empty sketch comes first: when tr E alone
     meets the budget, the result is 0.0.  An I - E singular to working
     precision (theta_max >= 1) gives -inf.  The seed is fixed, so the result
     is deterministic.
@@ -114,29 +116,41 @@ def ritz_log_det(
         g = max(trace - float(np.sum(theta)), 0.0) + float(np.vdot(eq, eq).real) / (1.0 - theta[-1]) + rounding
         if g < 1.0 and g / (1.0 - g) <= abs_err:
             return ld
+        if rounding >= 1.0 or rounding / (1.0 - rounding) > abs_err:
+            achieved = g / (1.0 - g) if g < 1.0 else math.inf
+            raise NumericalError("log-det rounding alone exceeds the budget", achieved=achieved, requested=abs_err)
         k *= 2
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values, from a certified randomized range finder.
+def trace_norm(
+    a: np.ndarray, minus: np.ndarray | None, product: Callable[[np.ndarray, bool], np.ndarray]
+) -> float:
+    """Trace norm of D = a - minus (D = a when minus is None), from a certified randomized range finder.
 
-    A matrix of low numerical rank (such as Delta_N, whose symbol vanishes
-    outside the potential's support) is compressed first: a fixed-seed
-    Gaussian sketch Y = A Omega with k columns gives an orthonormal basis
-    Q = qr(Y), and the singular values of the small matrix B = Q* A are
-    summed (Halko, Martinsson, Tropp, SIAM Review 53, 2011).
+    D is given twice: by row-readable arrays a and minus, typically
+    zero-copy strided views of a structured matrix, and by its block
+    product (V, adjoint) -> D V or D^H V, typically FFT Toeplitz products
+    of O(n) coefficients.  A matrix of low numerical rank (such as Delta_N,
+    whose symbol vanishes outside the potential's support) is compressed
+    first: a fixed-seed Gaussian sketch Y = D Omega with k columns gives an
+    orthonormal basis Q = qr(Y), and the singular values of the small
+    matrix B = Q^H D = (D^H Q)^H are summed (Halko, Martinsson, Tropp, SIAM
+    Review 53, 2011).  Y and B come from the product alone; an FFT product
+    carries a relative rounding of about log2(2n) eps, far inside the
+    certificate's 1e-10.
 
     The sum is accepted only under an a-posteriori certificate.  Since
-    ||Q*|| <= 1, sum sigma(B) <= ||A||_1 <= sum sigma(B) + ||R||_1 with
-    R = A - Q B, and ||R||_1 <= sqrt(rank R) ||R||_F <= sqrt(n) ||R||_F
+    ||Q^H|| <= 1, sum sigma(B) <= ||D||_1 <= sum sigma(B) + ||R||_1 with
+    R = D - Q B, and ||R||_1 <= sqrt(rank R) ||R||_F <= sqrt(n) ||R||_F
     for n = min(rows, cols).  So the result is within a relative 1e-10 of
-    the trace norm once sqrt(n) ||R||_F <= 1e-10 sum sigma(B).  Otherwise
-    k doubles; once k would reach n/2 (and always for small matrices) the
-    dense LAPACK SVD is used instead.  ||R||_F is accumulated over row
-    blocks, so no second full-size temporary is allocated.  The seed is
-    fixed, so the result is deterministic for a given matrix.
+    the trace norm once sqrt(n) ||R||_F <= 1e-10 sum sigma(B).  ||R||_F is
+    accumulated over blocks of k rows, each the size of B, read from exact
+    rows of a and minus, so the upper bound stays rigorous however B was
+    rounded, and no rows x cols array is stored.  Otherwise k doubles; once k would reach
+    n/2 (and always for small matrices) the dense LAPACK SVD of D, formed
+    from a and minus, is used instead.  The seed is fixed, so the result is
+    deterministic for a given D.
     """
-    a = np.asarray(m)
     rows, cols = a.shape
     n = min(rows, cols)
     rng = np.random.default_rng(_SKETCH_SEED)
@@ -145,18 +159,22 @@ def trace_norm(m: np.ndarray) -> float:
         omega = rng.standard_normal((cols, k))
         if np.iscomplexobj(a):
             omega = omega + 1j * rng.standard_normal((cols, k))
-        q, _ = np.linalg.qr(a @ omega)
-        b = q.conj().T @ a
+        q, _ = np.linalg.qr(product(omega, False))
+        b = product(q, True).conj().T
         total = float(np.sum(np.linalg.svd(b, compute_uv=False)))
-        step = max(1, _RESIDUAL_BLOCK_ENTRIES // cols)
         residual_sq = 0.0
-        for lo in range(0, rows, step):
-            block = a[lo : lo + step] - q[lo : lo + step] @ b
+        for lo in range(0, rows, k):
+            # Q B - D over k rows, the size of B, with no temporary for D
+            block = q[lo : lo + k] @ b
+            block -= a[lo : lo + k]
+            if minus is not None:
+                block += minus[lo : lo + k]
             residual_sq += float(np.vdot(block, block).real)
         if math.sqrt(n * residual_sq) <= _SKETCH_REL_TOL * total:
             return total
         k *= 2
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    dense = a if minus is None else np.subtract(a, minus)
+    return float(np.sum(np.linalg.svd(dense, compute_uv=False)))
 
 
 _POWER_REL_TOL = 1e-10

@@ -42,7 +42,9 @@ bounds every entry change from above and the driver gets half the entry
 tolerance.  As |c| <= 1 (the symbol is unimodular) its max(1, |c|) floor
 leaves the check absolute.  overlap_coefficients returns the accepted
 vector, and flux_coefficients the closed-form one of the jump symbol;
-_assemble builds either matrix from strided Toeplitz and Hankel views.
+_views reads either matrix as zero-copy strided Toeplitz and Hankel views,
+and _assemble is their dense copy, kept for overlap_matrix, flux_matrix
+and the test oracles.
 
 |D| without a matrix.  The overlap matrix A is a finite section of the
 unitary multiplication by e^{i g_L}, so E = I - A^H A is positive
@@ -65,12 +67,17 @@ Gaussian bump (R = 4, rho = 1) 13 singular values lie above 1e-12 sigma_max
 from N = 128 to 2048.  matrixcore.trace_norm uses this through a
 certified randomized range finder; it is the same compact-support fact
 behind the paper's estimate ||Delta_N||_1 <= (N/L) int |y a(y)| dy.
+Delta_N is the overlap-type matrix of the coefficient difference c - c~,
+so the sketch applies it with the FFT products of _overlap_product, and
+the certificate's residual reads its exact rows from _views; it is never
+formed.
 
 evaluate_point builds the flux profile and both coefficient vectors once
 per grid point and derives C_{N,L}, ||Delta_N||_1 and the moment bound; the
-jump log-determinant comes in closed form from (delta_L, N).  The band gate on
-C_{N,L} along a grid is the overlap_sweep row of the CLI's experiment
-table (cli._c_band_gate).
+jump log-determinant comes in closed form from (delta_L, N).  A grid
+point with N > 64 forms no N x N array: its memory is O(N k) for sketches
+of k columns.  The band gate on C_{N,L} along a grid is the overlap_sweep
+row of the CLI's experiment table (cli._c_band_gate).
 """
 
 from __future__ import annotations
@@ -140,12 +147,29 @@ def _dirichlet_cosine_coefficients(prof: FluxProfile, N: int, refine: int) -> np
     return 0.5 * (i_m * F[2 * N :] + i_m.conj() * F[2 * N :: -1])
 
 
+def _toeplitz_hankel(c: np.ndarray, N: int, periodic: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(t, h) with A = T(t) - H(h): T_jk = t[(N - 1) + j - k] and H_jk = h[j + k], j, k = 0..N-1.
+
+    Periodic: t = c (c[0 .. 2N-2]) and no Hankel part (h is None).
+    Dirichlet (c[0 .. 2N]): t_d = c_|d| and h = c[2:], so entry (j, k) is
+    c[|j - k|] - c[j + k] for j, k = 1..N.
+    """
+    if periodic:
+        return c, None
+    return np.concatenate([c[N - 1 : 0 : -1], c[:N]]), c[2:]
+
+
+def _views(c: np.ndarray, N: int, periodic: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read-only N x N strided views (T, H) of A = _assemble(c, N, periodic) = T - H; H is None when periodic."""
+    t, h = _toeplitz_hankel(c, N, periodic)
+    return toeplitz(t, N), None if h is None else sliding_window_view(h, N)
+
+
 def _assemble(c: np.ndarray, N: int, periodic: bool) -> np.ndarray:
     """New N x N array with entry (j, k) = c[(N - 1) + j - k] (periodic, c[0 .. 2N-2])
     or c[|j - k|] - c[j + k], j, k = 1..N (Dirichlet, c[0 .. 2N])."""
-    if periodic:
-        return toeplitz(c, N).copy()
-    return np.subtract(toeplitz(np.concatenate([c[N - 1 : 0 : -1], c[:N]]), N), sliding_window_view(c[2:], N))
+    a, minus = _views(c, N, periodic)
+    return a.copy() if minus is None else np.subtract(a, minus)
 
 
 # Quadrature doubling check: refine until no entry moves by more than
@@ -276,10 +300,10 @@ def _overlap_product(c: np.ndarray, N: int, periodic: bool) -> Callable[[np.ndar
     product of the reversed block; A is complex symmetric, so
     A^H v = conj(A conj v).
     """
-    if periodic:
-        t_h = c[::-1].conj()
-        return lambda V, adjoint: toeplitz_product(t_h if adjoint else c, V)
-    t, h = np.concatenate([c[N - 1 : 0 : -1], c[:N]]), c[2:]
+    t, h = _toeplitz_hankel(c, N, periodic)
+    if h is None:
+        t_h = t[::-1].conj()
+        return lambda V, adjoint: toeplitz_product(t_h if adjoint else t, V)
 
     def product(V: np.ndarray, adjoint: bool) -> np.ndarray:
         V = V.conj() if adjoint else V
@@ -340,12 +364,16 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     O(1) (periodic; the sign (-1)^{n_L} leaves |det| unchanged) or the real
     parity reduction hilbert.dirichlet_flux_logdet (Dirichlet).  |D| comes
     from overlap_log_det_sq, certified to 1e-10 from FFT products of the
-    coefficients, and C_{N,L} = |D|^2 / |D~|^2.  No dense LU runs, and the
-    one N x N array is Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}), assembled
-    from the coefficient difference.  Its trace norm is checked against the
-    periodic proof's estimate ||Delta_N||_1 <= (N/L) int |y a(y)| dy
-    (numerically it holds for the Dirichlet basis as well; the same
-    splitting argument applies entrywise), up to an absolute slack of 1e-8.
+    coefficients, and C_{N,L} = |D|^2 / |D~|^2.  No dense LU runs.
+    matrixcore.trace_norm takes ||Delta_N||_1 of
+    Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}) from the coefficient
+    difference, with sketch products by FFT and the certificate's residual
+    read from strided row views, so no N x N array is formed once N > 64
+    (below, its dense SVD fallback forms Delta_N).  The trace norm is
+    checked against the periodic proof's estimate
+    ||Delta_N||_1 <= (N/L) int |y a(y)| dy (numerically it holds for the
+    Dirichlet basis as well; the same splitting argument applies
+    entrywise), up to an absolute slack of 1e-8.
     """
     prof = flux_profile(a, L)
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
@@ -353,6 +381,7 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     c = overlap_coefficients(prof, bc, N)
     ld_exact_sq = overlap_log_det_sq(c, bc, N)
     c_ratio = math.inf if math.isinf(ld_flux) else math.exp(ld_exact_sq - 2.0 * ld_flux)
-    tn = trace_norm(_assemble(c - flux_coefficients(prof.total_flux, bc, N), N, periodic))
+    dc = c - flux_coefficients(prof.total_flux, bc, N)
+    tn = trace_norm(*_views(dc, N, periodic), _overlap_product(dc, N, periodic))
     bound = N / L * moment_integrals(a, L)
     return GridPoint(prof.delta_L, prof.n_L, ld_exact_sq, 2.0 * ld_flux, c_ratio, tn, bound, tn <= bound + 1e-8)

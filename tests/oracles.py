@@ -43,6 +43,11 @@ from flux_catastrophe.quadrature import cis_integral
 from flux_catastrophe.spectrum import BoundaryCondition
 
 
+def dense_product(m: np.ndarray) -> Callable[[np.ndarray, bool], np.ndarray]:
+    """(V, adjoint) -> m V or m^H V by dense matrix products, the reference for FFT block products."""
+    return lambda V, adjoint: (m.conj().T if adjoint else m) @ V
+
+
 def cofactor_det(m: np.ndarray) -> complex:
     """Determinant by recursive cofactor expansion (use only for tiny n)."""
     n = m.shape[0]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flux_catastrophe.errors import DomainError
+from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.matrixcore import (
     fh_log_det,
     fh_matrix,
@@ -19,7 +19,7 @@ from flux_catastrophe.matrixcore import (
     toeplitz_product,
     trace_norm,
 )
-from oracles import BasisSpec, assemble_toeplitz, cauchy_fh_logdet_sq, cofactor_det
+from oracles import BasisSpec, assemble_toeplitz, cauchy_fh_logdet_sq, cofactor_det, dense_product
 
 
 # -- fh_matrix --------------------------------------------------------------
@@ -164,9 +164,14 @@ def test_log_det_requires_square():
 # -- norms --------------------------------------------------------------------
 
 
+def _dense_trace_norm(m):
+    """trace_norm of a dense matrix: the matrix itself as the row reader, with its dense product."""
+    return trace_norm(m, None, dense_product(m))
+
+
 def test_norms_on_diagonal_matrix():
     m = np.diag([1.0, -2.0, 3.0])
-    assert_allclose(trace_norm(m), 6.0, rtol=1e-14)
+    assert_allclose(_dense_trace_norm(m), 6.0, rtol=1e-14)
     assert_allclose(operator_norm(m.__matmul__, 3), 3.0, rtol=1e-10)
 
 
@@ -175,7 +180,7 @@ def test_trace_norm_rank_one():
     u = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     m = np.outer(u, v.conj())
-    assert_allclose(trace_norm(m), np.linalg.norm(u) * np.linalg.norm(v), rtol=1e-12)
+    assert_allclose(_dense_trace_norm(m), np.linalg.norm(u) * np.linalg.norm(v), rtol=1e-12)
     # operator_norm takes symmetric operators only: u u^T has norm |u|^2
     r = u.real
     assert_allclose(operator_norm(np.outer(r, r).__matmul__, 7), r @ r, rtol=1e-9)
@@ -186,7 +191,7 @@ def test_norms_vs_eigendecomposition_oracle():
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     # independent oracle: singular values from the hermitian eigenproblem of m* m
     sv = np.sqrt(np.maximum(np.linalg.eigvalsh(m.conj().T @ m), 0.0))
-    assert_allclose(trace_norm(m), float(np.sum(sv)), rtol=1e-9)
+    assert_allclose(_dense_trace_norm(m), float(np.sum(sv)), rtol=1e-9)
     # a random real symmetric matrix: the norm is the largest |eigenvalue|
     sym = m.real + m.real.T
     assert_allclose(operator_norm(sym.__matmul__, 6), float(np.max(np.abs(np.linalg.eigvalsh(sym)))), rtol=1e-9)
@@ -198,7 +203,7 @@ def test_norm_sandwich_property():
         n = int(rng.integers(2, 9))
         a = rng.standard_normal((n, n))
         m = a + a.T
-        op, tr = operator_norm(m.__matmul__, n), trace_norm(m)
+        op, tr = operator_norm(m.__matmul__, n), _dense_trace_norm(m)
         rank = np.linalg.matrix_rank(m)
         assert op <= tr + 1e-10
         assert tr <= rank * op + 1e-8
@@ -219,7 +224,7 @@ def _recording_svd(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 256])
 def test_trace_norm_zero_matrix_is_exactly_zero(n):
-    assert trace_norm(np.zeros((n, n), dtype=complex)) == 0.0
+    assert _dense_trace_norm(np.zeros((n, n), dtype=complex)) == 0.0
 
 
 def test_trace_norm_full_rank_takes_dense_fallback(monkeypatch):
@@ -227,7 +232,7 @@ def test_trace_norm_full_rank_takes_dense_fallback(monkeypatch):
     m = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     dense = np.linalg.svd(m, compute_uv=False).sum()
     shapes = _recording_svd(monkeypatch)
-    tn = trace_norm(m)
+    tn = _dense_trace_norm(m)
     # sketches of 32 and 64 columns fail the certificate; 128 = N/2 is dense
     assert shapes == [(32, 256), (64, 256), (256, 256)]
     assert tn == float(dense)
@@ -240,7 +245,7 @@ def test_trace_norm_low_rank_certified_by_sketch(monkeypatch):
     m = u @ v.conj().T
     dense = np.linalg.svd(m, compute_uv=False).sum()
     shapes = _recording_svd(monkeypatch)
-    tn = trace_norm(m)
+    tn = _dense_trace_norm(m)
     assert shapes == [(32, 300)]
     assert_allclose(tn, dense, rtol=1e-10)
 
@@ -248,7 +253,18 @@ def test_trace_norm_low_rank_certified_by_sketch(monkeypatch):
 def test_trace_norm_rectangular_low_rank():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((400, 3)) @ rng.standard_normal((3, 150))
-    assert_allclose(trace_norm(m), np.linalg.svd(m, compute_uv=False).sum(), rtol=1e-10)
+    assert_allclose(_dense_trace_norm(m), np.linalg.svd(m, compute_uv=False).sum(), rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 300])
+def test_trace_norm_reads_the_difference_of_its_two_row_readers(n):
+    # D = a - minus has rank 4 although a and minus have full rank: the
+    # sketch (n = 300) and the dense fallback (n = 8) both see D alone
+    rng = np.random.default_rng(n)
+    d = (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))) @ rng.standard_normal((4, n))
+    minus = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dense = np.linalg.svd(d, compute_uv=False).sum()
+    assert_allclose(trace_norm(minus + d, minus, dense_product(d)), dense, rtol=1e-10)
 
 
 def test_operator_norm_zero_matrix():
@@ -331,12 +347,18 @@ def test_ritz_log_det_of_a_low_rank_spectrum_needs_one_sketch():
 
 
 def test_ritz_log_det_carries_matvec_rounding_through_the_top_ritz_value():
-    # log2(600) eps / (1 - 0.999) = 2.2e-12 of rounding alone: a 1e-12 budget
-    # cannot be certified by any sketch, so the doubling ends at the identity
+    # log2(600) eps / (1 - 0.999) = 2.2e-12 of rounding alone: the rounding
+    # grows with k, so no sketch meets a 1e-12 budget and the first one raises
+    # rather than doubling up to the n x n identity
     mu = np.array([0.999, 0.5, 0.25, 1e-3, 1e-8])
     apply, trace, exact, widths, _u = _known_spectrum(mu, 300)
-    assert abs(ritz_log_det(apply, trace, 300, 1e-12) - exact) <= 1e-12
-    assert widths[-1] == 300
+    with pytest.raises(NumericalError) as info:
+        ritz_log_det(apply, trace, 300, 1e-12)
+    assert info.value.context["requested"] == 1e-12
+    assert info.value.context["achieved"] >= 10 * np.finfo(float).eps / (1.0 - 0.999)
+    assert widths == [32, 32]
+    # the same spectrum meets a 1e-10 budget with the same sketch
+    assert abs(ritz_log_det(apply, trace, 300, 1e-10) - exact) <= 1e-10
 
 
 def test_ritz_log_det_rejects_a_misaligned_sketch():

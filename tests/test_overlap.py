@@ -40,7 +40,14 @@ from flux_catastrophe.potential import (
     zero_potential,
 )
 from flux_catastrophe.spectrum import BoundaryCondition
-from oracles import BasisSpec, assemble_toeplitz, dense_overlap_matrix, dirichlet_flux_entries, half_fluxes
+from oracles import (
+    BasisSpec,
+    assemble_toeplitz,
+    dense_overlap_matrix,
+    dense_product,
+    dirichlet_flux_entries,
+    half_fluxes,
+)
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -279,6 +286,17 @@ def _delta_n(a, bc, N, L):
     return overlap_matrix(prof, bc, N) - flux_matrix(prof.total_flux, bc, N)
 
 
+def _delta_coefficients(a, bc, N, L):
+    prof = flux_profile(a, L)
+    return overlap_coefficients(prof, bc, N) - overlap_module.flux_coefficients(prof.total_flux, bc, N)
+
+
+def _matrix_free_trace_norm(dc, bc, N):
+    """||Delta_N||_1 as evaluate_point takes it: strided row views and FFT products of dc."""
+    periodic = bc is PER
+    return trace_norm(*overlap_module._views(dc, N, periodic), overlap_module._overlap_product(dc, N, periodic))
+
+
 # flux pi/4 has n_L = 0, flux 2.0 has n_L = 1 (the (-1)^{n_L} sign in Delta_N)
 @pytest.mark.parametrize("N", [64, 256, 512])
 @pytest.mark.parametrize(
@@ -290,22 +308,49 @@ def test_trace_norm_of_delta_matches_dense_svd(flux, bc, N):
     a = gaussian_bump_with_flux(flux)
     L = N / 2.0
     assert flux_profile(a, L).n_L == round(flux / math.pi)
-    delta = _delta_n(a, bc, N, L)
-    dense = np.linalg.svd(delta, compute_uv=False).sum()
-    assert_allclose(trace_norm(delta), dense, rtol=1e-10)
+    dense = np.linalg.svd(_delta_n(a, bc, N, L), compute_uv=False).sum()
+    assert_allclose(_matrix_free_trace_norm(_delta_coefficients(a, bc, N, L), bc, N), dense, rtol=1e-10)
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_matrix_free_trace_norm_matches_dense_svd_at_every_bench_n(monkeypatch, bc):
+    # N = 128 .. 2048, odd N = 181 included: strided row views and FFT
+    # products against the dense SVD of the assembled Delta_N, and the first
+    # 32-column sketch certifies (one forward and one adjoint product)
+    widths = []
+    product = overlap_module._overlap_product
+
+    def recording(dc, N, periodic):
+        inner = product(dc, N, periodic)
+
+        def apply(V, adjoint):
+            widths.append(V.shape[1])
+            return inner(V, adjoint)
+
+        return apply
+
+    monkeypatch.setattr(overlap_module, "_overlap_product", recording)
+    a = SWEEP_POTENTIALS[bc]
+    for N in _bench_grid(bc):
+        dc = _delta_coefficients(a, bc, N, N / 2.0)
+        dense = np.linalg.svd(overlap_module._assemble(dc, N, bc is PER), compute_uv=False).sum()
+        widths.clear()
+        assert_allclose(_matrix_free_trace_norm(dc, bc, N), dense, rtol=1e-10, err_msg=str(N))
+        assert widths == [32, 32], N
 
 
 def test_trace_norm_of_delta_is_deterministic():
-    a = gaussian_bump_with_flux(2.0)
-    delta = _delta_n(a, PER, 256, 128.0)
-    first, second = trace_norm(delta), trace_norm(delta)
-    assert first.hex() == second.hex()
+    for bc in (PER, DIR):
+        dc = _delta_coefficients(SWEEP_POTENTIALS[bc], bc, 256, 128.0)
+        first, second = _matrix_free_trace_norm(dc, bc, 256), _matrix_free_trace_norm(dc, bc, 256)
+        assert first.hex() == second.hex(), bc
 
 
 def test_evaluate_point_builds_each_matrix_once(monkeypatch):
     # each matrix as its coefficient vector, and the flux profile once:
     # overlap_coefficients takes it, flux_coefficients needs only Phi_L(L);
-    # neither matrix is assembled, only Delta_N from their difference
+    # no matrix is assembled, Delta_N included: its trace norm reads strided
+    # views of the coefficient difference
     calls = {name: 0 for name in ("overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix",
                                   "flux_matrix", "_assemble")}
     for name in calls:
@@ -322,7 +367,7 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
             calls[name] = 0
         evaluate_point(a, bc, 40, 20.0)
         assert calls == {"overlap_coefficients": 1, "flux_coefficients": 1, "flux_profile": 1, "overlap_matrix": 0,
-                         "flux_matrix": 0, "_assemble": 1}, bc
+                         "flux_matrix": 0, "_assemble": 0}, bc
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
@@ -352,12 +397,14 @@ def test_evaluate_point_matches_each_quantity_built_directly(bc):
     dense = flux_matrix(prof.total_flux, bc, 40)
     assert abs(point.log_Dtilde_sq - 2.0 * log_det(dense)) <= 2e-13
     assert point.c_ratio == math.exp(point.log_D_sq - point.log_Dtilde_sq)
-    # Delta_N is assembled from the coefficient difference: the same entries
-    # as the difference of the two matrices (periodic), or the same to rounding
+    # Delta_N is read from the coefficient difference: the same entries as the
+    # difference of the two matrices (periodic), or the same to rounding
+    assert point.trace_norm_delta == _matrix_free_trace_norm(_delta_coefficients(a, bc, 40, 20.0), bc, 40)
     delta = _delta_n(a, bc, 40, 20.0)
+    dense_tn = trace_norm(delta, None, dense_product(delta))
     if bc is PER:
-        assert point.trace_norm_delta == trace_norm(delta)
-    assert_allclose(point.trace_norm_delta, trace_norm(delta), rtol=1e-13)
+        assert point.trace_norm_delta == dense_tn
+    assert_allclose(point.trace_norm_delta, dense_tn, rtol=1e-13)
     assert point.bound == 40 / 20.0 * moment_integrals(a, 20.0)
     assert point.bound_holds == (point.trace_norm_delta <= point.bound + 1e-8)
 
@@ -585,12 +632,13 @@ def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(bc, build):
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
-def test_evaluate_point_peak_memory_is_about_one_matrix(bc):
-    # Delta_N is the one N x N array: |D| is taken from O(N k) blocks, and the
-    # trace norm's residual runs over row blocks of 2^14 entries; the dense-LU
-    # evaluator, which formed Delta_N in place of the exact matrix, peaked at
-    # 1.85x and held the jump matrix besides
-    N, L = 1024, 512.0
+def test_evaluate_point_peak_memory_is_linear_in_n(bc):
+    # no N x N array is formed: |D| and ||Delta_N||_1 work on (N, k) blocks
+    # with k = 32, and the trace norm's residual on blocks of k rows.  The
+    # peak reads 7.1 (periodic) and 9.3 (Dirichlet) N k 16 bytes from
+    # N = 2048 on; the budget of 12 leaves a 29% margin.  Assembling Delta_N
+    # alone would take N / k = 64 of them
+    N, L, k = 2048, 1024.0, 32
     a = SWEEP_POTENTIALS[bc]
     evaluate_point(a, bc, N, L)  # warm the cached quadrature rule
     tracemalloc.start()
@@ -599,7 +647,7 @@ def test_evaluate_point_peak_memory_is_about_one_matrix(bc):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * N * N * 16, peak / (N * N * 16)
+    assert peak <= 12 * N * k * 16, peak / (N * k * 16)
 
 
 @st.composite
@@ -744,6 +792,6 @@ def test_split_piece_trace_norm_bound(bump_quarter_pi):
     split = periodic_split_symbols(bump_quarter_pi, L)
     basis = BasisSpec.periodic_window(L, N)
     m = assemble_toeplitz(lambda x: split.e_plus(x).astype(complex), basis, breakpoints=(-4.0, 4.0))
-    tn = trace_norm(m)
+    tn = trace_norm(m, None, dense_product(m))
     bound = N / (2 * L) * weighted_abs_moment(bump_quarter_pi, 0.0, L)
     assert tn <= bound + 1e-8
