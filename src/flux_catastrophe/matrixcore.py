@@ -7,8 +7,9 @@ strided view that turns 2N - 1 coefficients into a Toeplitz matrix, the FFT
 product toeplitz_product that applies it without forming it, the
 closed-form jump-symbol coefficients fh_coefficients with their matrix
 fh_matrix and O(1) log-determinant fh_log_det, the dense log-determinant,
-the certified Rayleigh-Ritz log det(I - E), the certified trace norm, and
-the power-iteration norm of a symmetric operator given by its product.
+the certified Rayleigh-Ritz log det(I - E), the trace norm of a matrix
+given by a small core and its Gram matrix, and the power-iteration norm
+of a symmetric operator given by its product.
 
 Determinants of these matrices decay polynomially in N, so only their
 magnitudes are kept, in log space throughout.  fh_log_det sums Cauchy's
@@ -20,11 +21,10 @@ E = I - A^H A for the exact overlap matrix A (overlap.overlap_log_det_sq)
 and E = (4/pi^2) sin^2(delta) K for the Dirichlet jump matrix
 (hilbert.dirichlet_flux_logdet).  log_det, dense LU with partial pivoting
 (LAPACK via numpy), is the O(N^3) oracle they are tested against; no
-overlap sweep calls it.  trace_norm likewise reaches Delta_N through FFT
-block products of its O(N) coefficient difference, and reads its
-certificate's residual from zero-copy strided row views of it, so a grid
-point forms no N x N array: memory is O(N k), time O(N k log N) for the
-sketch and O(N^2 k) for the residual pass.
+overlap sweep calls it.  trace_norm is the last step of ||Delta_N||_1:
+overlap writes Delta_N = V^H C V with a p x p core C from Chebyshev
+interpolation of the basis and a closed-form Gram matrix V V^H; p follows
+from the support and the density, not from N (overlap bounds the error).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ def log_det(matrix: np.ndarray) -> float:
 
 _SKETCH_SEED = 0x5EED
 _SKETCH_COLUMNS = 32
-_SKETCH_REL_TOL = 1e-10
 
 
 def ritz_log_det(
@@ -122,59 +121,16 @@ def ritz_log_det(
         k *= 2
 
 
-def trace_norm(
-    a: np.ndarray, minus: np.ndarray | None, product: Callable[[np.ndarray, bool], np.ndarray]
-) -> float:
-    """Trace norm of D = a - minus (D = a when minus is None), from a certified randomized range finder.
+def trace_norm(core: np.ndarray, gram: np.ndarray) -> float:
+    """Sum of the singular values of V^H core V, from the p x p core and gram = V V^H alone, in O(p^3).
 
-    D is given twice: by row-readable arrays a and minus, typically
-    zero-copy strided views of a structured matrix, and by its block
-    product (V, adjoint) -> D V or D^H V, typically FFT Toeplitz products
-    of O(n) coefficients.  A matrix of low numerical rank (such as Delta_N,
-    whose symbol vanishes outside the potential's support) is compressed
-    first: a fixed-seed Gaussian sketch Y = D Omega with k columns gives an
-    orthonormal basis Q = qr(Y), and the singular values of the small
-    matrix B = Q^H D = (D^H Q)^H are summed (Halko, Martinsson, Tropp, SIAM
-    Review 53, 2011).  Y and B come from the product alone; an FFT product
-    carries a relative rounding of about log2(2n) eps, far inside the
-    certificate's 1e-10.
-
-    The sum is accepted only under an a-posteriori certificate.  Since
-    ||Q^H|| <= 1, sum sigma(B) <= ||D||_1 <= sum sigma(B) + ||R||_1 with
-    R = D - Q B, and ||R||_1 <= sqrt(rank R) ||R||_F <= sqrt(n) ||R||_F
-    for n = min(rows, cols).  So the result is within a relative 1e-10 of
-    the trace norm once sqrt(n) ||R||_F <= 1e-10 sum sigma(B).  ||R||_F is
-    accumulated over blocks of k rows, each the size of B, read from exact
-    rows of a and minus, so the upper bound stays rigorous however B was
-    rounded, and no rows x cols array is stored.  Otherwise k doubles; once k would reach
-    n/2 (and always for small matrices) the dense LAPACK SVD of D, formed
-    from a and minus, is used instead.  The seed is fixed, so the result is
-    deterministic for a given D.
+    V = F W for F = Q sqrt(lambda) from eigh(gram) (rounding below zero set to zero) and a
+    partial isometry W, so V^H core V and F^H core F share their nonzero singular values
+    for any number of columns of V; gram = I gives the dense trace norm.
     """
-    rows, cols = a.shape
-    n = min(rows, cols)
-    rng = np.random.default_rng(_SKETCH_SEED)
-    k = _SKETCH_COLUMNS
-    while 2 * k < n:
-        omega = rng.standard_normal((cols, k))
-        if np.iscomplexobj(a):
-            omega = omega + 1j * rng.standard_normal((cols, k))
-        q, _ = np.linalg.qr(product(omega, False))
-        b = product(q, True).conj().T
-        total = float(np.sum(np.linalg.svd(b, compute_uv=False)))
-        residual_sq = 0.0
-        for lo in range(0, rows, k):
-            # Q B - D over k rows, the size of B, with no temporary for D
-            block = q[lo : lo + k] @ b
-            block -= a[lo : lo + k]
-            if minus is not None:
-                block += minus[lo : lo + k]
-            residual_sq += float(np.vdot(block, block).real)
-        if math.sqrt(n * residual_sq) <= _SKETCH_REL_TOL * total:
-            return total
-        k *= 2
-    dense = a if minus is None else np.subtract(a, minus)
-    return float(np.sum(np.linalg.svd(dense, compute_uv=False)))
+    lam, q = np.linalg.eigh(gram)
+    f = q * np.sqrt(np.maximum(lam, 0.0))
+    return float(np.sum(np.linalg.svd(f.conj().T @ core @ f, compute_uv=False)))
 
 
 _POWER_REL_TOL = 1e-10

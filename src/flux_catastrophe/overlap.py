@@ -41,10 +41,7 @@ change exactly; a Dirichlet entry is c_{|j-k|} - c_{j+k}, so 2 max |dc_m|
 bounds every entry change from above and the driver gets half the entry
 tolerance.  As |c| <= 1 (the symbol is unimodular) its max(1, |c|) floor
 leaves the check absolute.  overlap_coefficients returns the accepted
-vector, and flux_coefficients the closed-form one of the jump symbol;
-_views reads either matrix as zero-copy strided Toeplitz and Hankel views,
-and _assemble is their dense copy, kept for overlap_matrix, flux_matrix
-and the test oracles.
+vector, and flux_coefficients the closed-form one of the jump symbol.
 
 |D| without a matrix.  The overlap matrix A is a finite section of the
 unitary multiplication by e^{i g_L}, so E = I - A^H A is positive
@@ -55,29 +52,27 @@ costs two FFT Toeplitz products per factor (A is T(t), or T(c_|d|) - H(c)
 in the Dirichlet case, which is complex symmetric, so A^H v =
 conj(A conj v)), and tr E = N - ||A||_F^2 is a closed form in O(N).
 
-Delta_N has low numerical rank.  In both bases the exact and the jump
-symbol agree outside the support [-R, R], so
-Delta_N = <phi_j, (e^{i g_L} - e^{i g~_L}) phi_k> only sees the basis
-functions restricted to [-R, R].  On the path L = N / (2 rho) their
-frequencies fill a band of width about 2 pi rho, and functions limited to
-an interval of length 2R and to that band span, up to an accuracy eps, a
-space of dimension about 2 R rho plus a term logarithmic in 1/eps (the
-Slepian time-frequency count), whatever N is.  For the benchmark's
-Gaussian bump (R = 4, rho = 1) 13 singular values lie above 1e-12 sigma_max
-from N = 128 to 2048.  matrixcore.trace_norm uses this through a
-certified randomized range finder; it is the same compact-support fact
-behind the paper's estimate ||Delta_N||_1 <= (N/L) int |y a(y)| dy.
-Delta_N is the overlap-type matrix of the coefficient difference c - c~,
-so the sketch applies it with the FFT products of _overlap_product, and
-the certificate's residual reads its exact rows from _views; it is never
-formed.
+||Delta_N||_1 from a p x p core.  The two symbols agree outside [-R, R],
+so on quadrature nodes x with weights w there (support_nodes' panels and
+a break at 0, where e^{i g~_L} jumps) Delta_N = U^H diag(mu) U: U holds
+the basis at x, e^{-i pi k x / L} for N consecutive k centred at 0 (a
+unitary shift of the window) or sin(j y), and mu = w (e^{i g_L} -
+e^{i g~_L}) / 2L, or w (e^{i Phi_L} - e^{i Phi_L(L) sign x}) / L.  On
+[-R, R] each u_k is a constant phase times e^{i omega x}, |omega| <= pi rho
+(rho = N / 2L), so p first-kind Chebyshev points, p from kappa = pi rho R
+by Trefethen's Bernstein-ellipse bound, interpolate them all: U = P V + E,
+|E| <= eps_p.  As |u_k| <= 1, Hoelder's inequality bounds the change of the
+trace norm by (2 eps_p + eps_p^2) N sum |mu| when Delta_N is replaced by
+V^H C V, C = P^T diag(mu) P, and matrixcore.trace_norm takes that from C
+and the closed-form Gram matrix V V^H.  n and p depend on rho and R, not
+on N; the cost is O(n p^2 + p^3), and Delta_N's rounded entries never
+enter.  The paper's ||Delta_N||_1 <= (N/L) int |y a(y)| dy rests on it too.
 
-evaluate_point builds the flux profile and both coefficient vectors once
-per grid point and derives C_{N,L}, ||Delta_N||_1 and the moment bound; the
-jump log-determinant comes in closed form from (delta_L, N).  A grid
-point with N > 64 forms no N x N array: its memory is O(N k) for sketches
-of k columns.  The band gate on C_{N,L} along a grid is the overlap_sweep
-row of the CLI's experiment table (cli._c_band_gate).
+evaluate_point builds the flux profile and the overlap coefficients once
+per grid point and derives C_{N,L}, ||Delta_N||_1 (for N <= 2p from those
+coefficients) and the moment bound; the jump log-determinant comes
+in closed form from (delta_L, N).  The band gate on C_{N,L} is the
+overlap_sweep row of the CLI's experiment table (cli._c_band_gate).
 """
 
 from __future__ import annotations
@@ -88,7 +83,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .hilbert import dirichlet_flux_logdet
 from .matrixcore import fh_coefficients, fh_log_det, ritz_log_det, toeplitz, toeplitz_product, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
@@ -159,17 +154,11 @@ def _toeplitz_hankel(c: np.ndarray, N: int, periodic: bool) -> tuple[np.ndarray,
     return np.concatenate([c[N - 1 : 0 : -1], c[:N]]), c[2:]
 
 
-def _views(c: np.ndarray, N: int, periodic: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read-only N x N strided views (T, H) of A = _assemble(c, N, periodic) = T - H; H is None when periodic."""
-    t, h = _toeplitz_hankel(c, N, periodic)
-    return toeplitz(t, N), None if h is None else sliding_window_view(h, N)
-
-
 def _assemble(c: np.ndarray, N: int, periodic: bool) -> np.ndarray:
     """New N x N array with entry (j, k) = c[(N - 1) + j - k] (periodic, c[0 .. 2N-2])
     or c[|j - k|] - c[j + k], j, k = 1..N (Dirichlet, c[0 .. 2N])."""
-    a, minus = _views(c, N, periodic)
-    return a.copy() if minus is None else np.subtract(a, minus)
+    t, h = _toeplitz_hankel(c, N, periodic)
+    return toeplitz(t, N).copy() if h is None else np.subtract(toeplitz(t, N), sliding_window_view(h, N))
 
 
 # Quadrature doubling check: refine until no entry moves by more than
@@ -333,6 +322,72 @@ def overlap_log_det_sq(c: np.ndarray, bc: BoundaryCondition, N: int) -> float:
     return ritz_log_det(lambda V: V - product(product(V, False), True), trace, N, _LOGDET_ABS_ERR)
 
 
+_REL_TOL = 1e-10  # the change of ||Delta_N||_1 accepted under doubling p and halving the panels, relative
+
+
+def _chebyshev_size(kappa: float) -> int:
+    """Smallest multiple p of 16 for which Trefethen's bound (ATAP, 2013, Thm 8.2; it holds for first-kind
+    points too) min_r 4 e^{kappa (r - 1/r) / 2} r^{1-p} / (r - 1) on interpolating e^{i kappa t} is 1e-13."""
+    r = 1.0 + np.geomspace(1e-3, 1e3, 400)[:, None]
+    p = np.arange(16, 2.0 * kappa + 80.0, 16)
+    log_bound = np.log(4.0 / (r - 1.0)) + 0.5 * kappa * (r - 1.0 / r) - (p - 1) * np.log(r)
+    return int(p[np.argmax(log_bound.min(axis=0) <= math.log(1e-13))])
+
+
+def _dirichlet_kernel(t: np.ndarray, N: int) -> np.ndarray:
+    """sin(N t / 2) / sin(t / 2), the sum of e^{i k t} over N consecutive k centred at 0; N at t = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t == 0.0, float(N), np.sin(0.5 * N * t) / np.sin(0.5 * t))
+
+
+def _delta_core(prof: FluxProfile, periodic: bool, N: int, p: int, refine: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, G): Delta_N = V^H C V up to interpolation, V the basis at p Chebyshev points of [-R, R], G = V V^H."""
+    a, L, R = prof.potential, prof.L, min(prof.potential.support_radius, prof.L)
+    # panels end at a's breakpoints and at 0, at most 1/8 of a basis product's wavelength 2L/N wide
+    x, w = panel_nodes(build_edges(-R, R, (0.0, *a.breakpoints), L / (4 * N), refine), *gauss_legendre_rule(16))
+    phi, jump = prof.phi_at(x), prof.total_flux * np.sign(x)
+    tilt = prof.delta_L * x / L if periodic else 0.0
+    # e^{i g} - e^{i g~} = 2i sin((phi - jump) / 2) e^{i ((phi + jump) / 2 - tilt)}, relative to rounding
+    mu = 2j * np.sin(0.5 * (phi - jump)) * np.exp(1j * (0.5 * (phi + jump) - tilt)) * w / (2 * L if periodic else L)
+    angle = (2 * np.arange(p) + 1) * np.pi / (2 * p)
+    cheb, weights = R * np.cos(angle), (-1.0) ** np.arange(p) * np.sin(angle)
+    core, rows = np.zeros((p, p), dtype=complex), (1 << 20) // p  # 8 MB blocks of nodes, whatever n is
+    for lo in range(0, len(x), rows):
+        interp = x[lo : lo + rows, None] - cheb  # to the barycentric Lagrange matrix, in place
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(weights, interp, out=interp)
+            interp /= interp.sum(axis=1, keepdims=True)
+        interp[np.isnan(interp)] = 1.0  # a node on a Chebyshev point
+        scaled = interp * mu.real[lo : lo + rows, None]
+        core.real += interp.T @ scaled
+        core.imag += interp.T @ np.multiply(interp, mu.imag[lo : lo + rows, None], out=scaled)
+    if periodic:
+        return core, _dirichlet_kernel(np.pi * (cheb[:, None] - cheb) / L, N)
+    # sum_j sin(j y_a) sin(j y_b) for y = pi/2 + s in s_a -+ s_b, so no argument grows with N
+    s = np.pi * cheb / (2 * L)
+    d, u = s[:, None] - s, s[:, None] + s
+    return core, 0.25 * (_dirichlet_kernel(d, 2 * N + 1) - (-1) ** N * np.cos((N + 0.5) * u) / np.cos(0.5 * u))
+
+
+def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int, c: np.ndarray) -> float:
+    """||Delta_N||_1 of Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}) from a p x p core, p independent of N.
+
+    The module docstring has the error argument.  The core of 2p points on
+    panels halved once is returned if it agrees with that of p points to a
+    relative 1e-10 (else NumericalError).  For N <= 2p the SVD of Delta_N from
+    c = overlap_coefficients(prof, bc, N) is summed, there 3-400x faster.
+    """
+    periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
+    p = _chebyshev_size(math.pi * N * min(prof.potential.support_radius, prof.L) / (2.0 * prof.L))
+    if N <= 2 * p:
+        delta = _assemble(c - flux_coefficients(prof.total_flux, bc, N), N, periodic)
+        return float(np.sum(np.linalg.svd(delta, compute_uv=False)))
+    coarse, fine = (trace_norm(*_delta_core(prof, periodic, N, q, refine)) for refine, q in enumerate((p, 2 * p)))
+    if abs(fine - coarse) > _REL_TOL * fine:
+        raise NumericalError("||Delta_N||_1 did not settle", achieved=abs(fine - coarse), requested=_REL_TOL * fine)
+    return fine
+
+
 # ---------------------------------------------------------------------------
 # one grid point
 # ---------------------------------------------------------------------------
@@ -357,23 +412,13 @@ class GridPoint(NamedTuple):
 
 
 def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> GridPoint:
-    """Build the flux profile and the coefficients of both overlap matrices once each, and derive every result.
+    """Build the flux profile and the overlap coefficients once each, and derive every result.
 
-    overlap_coefficients reads the profile and flux_coefficients only its
-    Phi_L(L).  |D~| depends on (delta_L, N) alone: matrixcore.fh_log_det in
-    O(1) (periodic; the sign (-1)^{n_L} leaves |det| unchanged) or the real
-    parity reduction hilbert.dirichlet_flux_logdet (Dirichlet).  |D| comes
-    from overlap_log_det_sq, certified to 1e-10 from FFT products of the
-    coefficients, and C_{N,L} = |D|^2 / |D~|^2.  No dense LU runs.
-    matrixcore.trace_norm takes ||Delta_N||_1 of
-    Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}) from the coefficient
-    difference, with sketch products by FFT and the certificate's residual
-    read from strided row views, so no N x N array is formed once N > 64
-    (below, its dense SVD fallback forms Delta_N).  The trace norm is
-    checked against the periodic proof's estimate
-    ||Delta_N||_1 <= (N/L) int |y a(y)| dy (numerically it holds for the
-    Dirichlet basis as well; the same splitting argument applies
-    entrywise), up to an absolute slack of 1e-8.
+    |D~| comes from (delta_L, N) alone: matrixcore.fh_log_det (periodic; the
+    sign (-1)^{n_L} leaves |det| unchanged) or hilbert.dirichlet_flux_logdet.
+    |D| comes from overlap_log_det_sq, certified to 1e-10 from FFT products
+    of the coefficients; no dense LU runs.  delta_trace_norm's ||Delta_N||_1
+    is checked against the periodic proof's (N/L) int |y a(y)| dy (Dirichlet too, numerically) up to an absolute 1e-8.
     """
     prof = flux_profile(a, L)
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
@@ -381,7 +426,6 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     c = overlap_coefficients(prof, bc, N)
     ld_exact_sq = overlap_log_det_sq(c, bc, N)
     c_ratio = math.inf if math.isinf(ld_flux) else math.exp(ld_exact_sq - 2.0 * ld_flux)
-    dc = c - flux_coefficients(prof.total_flux, bc, N)
-    tn = trace_norm(*_views(dc, N, periodic), _overlap_product(dc, N, periodic))
+    tn = delta_trace_norm(prof, bc, N, c)
     bound = N / L * moment_integrals(a, L)
     return GridPoint(prof.delta_L, prof.n_L, ld_exact_sq, 2.0 * ld_flux, c_ratio, tn, bound, tn <= bound + 1e-8)

@@ -15,7 +15,10 @@ matrix is written entry by entry with integer parity signs.  assemble_toeplitz
 integrates <phi_j, f phi_k> for any symbol f over all of [-L, L] on its
 own Gauss-Legendre panels, with the basis functions evaluated directly and
 every entry checked by panel doubling, in place of the package's
-support-only coefficient sums and closed-form outer integrals.  The
+support-only coefficient sums and closed-form outer integrals.
+sketch_trace_norm sums the singular values of a randomized range-finder
+compression of Delta_N, applied by np.fft convolutions of the coefficient
+difference, in place of the package's interpolated p x p core.  The
 partial-fraction parts of K_M and the square of the Hilbert matrix are
 written through the package's digamma/trigamma, but by other formulas than
 hilbert.k_matrix; they and the Hilbert section are dense matrices, the
@@ -41,11 +44,6 @@ from flux_catastrophe.overlap import support_nodes
 from flux_catastrophe.potential import flux_profile
 from flux_catastrophe.quadrature import cis_integral
 from flux_catastrophe.spectrum import BoundaryCondition
-
-
-def dense_product(m: np.ndarray) -> Callable[[np.ndarray, bool], np.ndarray]:
-    """(V, adjoint) -> m V or m^H V by dense matrix products, the reference for FFT block products."""
-    return lambda V, adjoint: (m.conj().T if adjoint else m) @ V
 
 
 def cofactor_det(m: np.ndarray) -> complex:
@@ -450,3 +448,45 @@ def assemble_toeplitz(
         achieved=worst,
         requested=ASSEMBLY_TOL,
     )
+
+
+def _convolution_tail(t: np.ndarray, x: np.ndarray, N: int) -> np.ndarray:
+    """Entries N-1 .. 2N-2 of the linear convolution t * x, per column of x, by np.fft
+    with room for all 3N - 2 entries, so nothing wraps."""
+    size = 1 << (3 * N - 2).bit_length()
+    return np.fft.ifft(np.fft.fft(t, size)[:, None] * np.fft.fft(x, size, axis=0), axis=0)[N - 1 : 2 * N - 1]
+
+
+def sketch_trace_norm(dc: np.ndarray, N: int, periodic: bool, columns: int = 32) -> float:
+    """Uncertified sum of the singular values of B = Q^H Delta, Q = qr(Delta Omega), Omega Gaussian (N x columns).
+
+    Delta is the N x N matrix of the coefficient difference dc: entry
+    (j, k) = dc[(N - 1) + j - k] (periodic) or dc[|j - k|] - dc[j + k],
+    j, k = 1..N (Dirichlet, complex symmetric, so Delta^H x =
+    conj(Delta conj x)).  Its products are linear convolutions by np.fft,
+    eight columns at a time; Delta is never formed.  For a Delta of
+    numerical rank well below ``columns`` this is its trace norm.
+    """
+    if periodic:
+        t, h = dc, None
+        t_adjoint = dc[::-1].conj()
+    else:
+        t, h = np.concatenate([dc[N - 1 : 0 : -1], dc[:N]]), dc[2:]
+
+    def apply(x: np.ndarray, adjoint: bool) -> np.ndarray:
+        out = np.empty(x.shape, dtype=complex)
+        for lo in range(0, x.shape[1], 8):
+            block = x[:, lo : lo + 8]
+            if h is None:
+                out[:, lo : lo + 8] = _convolution_tail(t_adjoint if adjoint else t, block, N)
+                continue
+            block = block.conj() if adjoint else block
+            y = _convolution_tail(t, block, N) - _convolution_tail(h, block[::-1], N)
+            out[:, lo : lo + 8] = y.conj() if adjoint else y
+        return out
+
+    rng = np.random.default_rng(20150226)
+    omega = rng.standard_normal((N, columns)) + 1j * rng.standard_normal((N, columns))
+    q = np.linalg.qr(apply(omega, False))[0]
+    return float(np.sum(np.linalg.svd(apply(q, True).conj().T, compute_uv=False)))
+

@@ -19,7 +19,7 @@ from flux_catastrophe.matrixcore import (
     toeplitz_product,
     trace_norm,
 )
-from oracles import BasisSpec, assemble_toeplitz, cauchy_fh_logdet_sq, cofactor_det, dense_product
+from oracles import BasisSpec, assemble_toeplitz, cauchy_fh_logdet_sq, cofactor_det
 
 
 # -- fh_matrix --------------------------------------------------------------
@@ -165,8 +165,8 @@ def test_log_det_requires_square():
 
 
 def _dense_trace_norm(m):
-    """trace_norm of a dense matrix: the matrix itself as the row reader, with its dense product."""
-    return trace_norm(m, None, dense_product(m))
+    """trace_norm of a dense matrix: the matrix itself as the core, with the identity Gram matrix."""
+    return trace_norm(m, np.eye(len(m)))
 
 
 def test_norms_on_diagonal_matrix():
@@ -209,62 +209,20 @@ def test_norm_sandwich_property():
         assert tr <= rank * op + 1e-8
 
 
-def _recording_svd(monkeypatch):
-    """Record the shape of every matrix passed to np.linalg.svd."""
-    shapes = []
-    svd = np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return shapes
-
-
 @pytest.mark.parametrize("n", [8, 256])
 def test_trace_norm_zero_matrix_is_exactly_zero(n):
     assert _dense_trace_norm(np.zeros((n, n), dtype=complex)) == 0.0
 
 
-def test_trace_norm_full_rank_takes_dense_fallback(monkeypatch):
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-    dense = np.linalg.svd(m, compute_uv=False).sum()
-    shapes = _recording_svd(monkeypatch)
-    tn = _dense_trace_norm(m)
-    # sketches of 32 and 64 columns fail the certificate; 128 = N/2 is dense
-    assert shapes == [(32, 256), (64, 256), (256, 256)]
-    assert tn == float(dense)
-
-
-def test_trace_norm_low_rank_certified_by_sketch(monkeypatch):
-    rng = np.random.default_rng(9)
-    u = rng.standard_normal((300, 5)) + 1j * rng.standard_normal((300, 5))
-    v = rng.standard_normal((300, 5)) + 1j * rng.standard_normal((300, 5))
-    m = u @ v.conj().T
-    dense = np.linalg.svd(m, compute_uv=False).sum()
-    shapes = _recording_svd(monkeypatch)
-    tn = _dense_trace_norm(m)
-    assert shapes == [(32, 300)]
-    assert_allclose(tn, dense, rtol=1e-10)
-
-
-def test_trace_norm_rectangular_low_rank():
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((400, 3)) @ rng.standard_normal((3, 150))
-    assert_allclose(_dense_trace_norm(m), np.linalg.svd(m, compute_uv=False).sum(), rtol=1e-10)
-
-
-@pytest.mark.parametrize("n", [8, 300])
-def test_trace_norm_reads_the_difference_of_its_two_row_readers(n):
-    # D = a - minus has rank 4 although a and minus have full rank: the
-    # sketch (n = 300) and the dense fallback (n = 8) both see D alone
-    rng = np.random.default_rng(n)
-    d = (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))) @ rng.standard_normal((4, n))
-    minus = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    dense = np.linalg.svd(d, compute_uv=False).sum()
-    assert_allclose(trace_norm(minus + d, minus, dense_product(d)), dense, rtol=1e-10)
+@pytest.mark.parametrize("p, n", [(12, 40), (40, 12)], ids=["p-below-n", "p-above-n"])
+def test_trace_norm_from_core_and_gram_matches_the_sandwich(p, n):
+    # sigma(V^H C V) from C and G = V V^H alone, for V of full row rank
+    # (p < n) and for a singular G (p > n), against the SVD of V^H C V
+    rng = np.random.default_rng(p * n)
+    v = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+    c = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    dense = np.linalg.svd(v.conj().T @ c @ v, compute_uv=False).sum()
+    assert_allclose(trace_norm(c, v @ v.conj().T), dense, rtol=1e-10)
 
 
 def test_operator_norm_zero_matrix():

@@ -23,6 +23,7 @@ import flux_catastrophe.matrixcore as matrixcore_module
 import flux_catastrophe.overlap as overlap_module
 import flux_catastrophe.quadrature as quadrature_module
 from flux_catastrophe.overlap import (
+    delta_trace_norm,
     evaluate_point,
     flux_matrix,
     overlap_coefficients,
@@ -44,9 +45,9 @@ from oracles import (
     BasisSpec,
     assemble_toeplitz,
     dense_overlap_matrix,
-    dense_product,
     dirichlet_flux_entries,
     half_fluxes,
+    sketch_trace_norm,
 )
 
 PER = BoundaryCondition.PERIODIC
@@ -291,10 +292,10 @@ def _delta_coefficients(a, bc, N, L):
     return overlap_coefficients(prof, bc, N) - overlap_module.flux_coefficients(prof.total_flux, bc, N)
 
 
-def _matrix_free_trace_norm(dc, bc, N):
-    """||Delta_N||_1 as evaluate_point takes it: strided row views and FFT products of dc."""
-    periodic = bc is PER
-    return trace_norm(*overlap_module._views(dc, N, periodic), overlap_module._overlap_product(dc, N, periodic))
+def _dense_delta_trace_norm(a, bc, N, L):
+    """The SVD of Delta_N assembled from the coefficient difference."""
+    dc = _delta_coefficients(a, bc, N, L)
+    return np.linalg.svd(overlap_module._assemble(dc, N, bc is PER), compute_uv=False).sum()
 
 
 # flux pi/4 has n_L = 0, flux 2.0 has n_L = 1 (the (-1)^{n_L} sign in Delta_N)
@@ -309,48 +310,132 @@ def test_trace_norm_of_delta_matches_dense_svd(flux, bc, N):
     L = N / 2.0
     assert flux_profile(a, L).n_L == round(flux / math.pi)
     dense = np.linalg.svd(_delta_n(a, bc, N, L), compute_uv=False).sum()
-    assert_allclose(_matrix_free_trace_norm(_delta_coefficients(a, bc, N, L), bc, N), dense, rtol=1e-10)
+    prof = flux_profile(a, L)
+    assert_allclose(delta_trace_norm(prof, bc, N, overlap_coefficients(prof, bc, N)), dense, rtol=1e-10)
+
+
+def _recording_core(monkeypatch):
+    """Record the (p, refine) of every core delta_trace_norm builds (none on the dense path)."""
+    calls = []
+    core = overlap_module._delta_core
+
+    def recording(prof, periodic, N, p, refine):
+        calls.append((p, refine))
+        return core(prof, periodic, N, p, refine)
+
+    monkeypatch.setattr(overlap_module, "_delta_core", recording)
+    return calls
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_matrix_free_trace_norm_matches_dense_svd_at_every_bench_n(monkeypatch, bc):
-    # N = 128 .. 2048, odd N = 181 included: strided row views and FFT
-    # products against the dense SVD of the assembled Delta_N, and the first
-    # 32-column sketch certifies (one forward and one adjoint product)
-    widths = []
-    product = overlap_module._overlap_product
-
-    def recording(dc, N, periodic):
-        inner = product(dc, N, periodic)
-
-        def apply(V, adjoint):
-            widths.append(V.shape[1])
-            return inner(V, adjoint)
-
-        return apply
-
-    monkeypatch.setattr(overlap_module, "_overlap_product", recording)
+    # N = 128 .. 2048, odd N = 181 included: the p x p core against the
+    # dense SVD of the assembled Delta_N.  Every bench point takes the core,
+    # at p = 48 (kappa = 4 pi for the bump, 3 pi for the knots) and then 96
+    calls = _recording_core(monkeypatch)
     a = SWEEP_POTENTIALS[bc]
     for N in _bench_grid(bc):
-        dc = _delta_coefficients(a, bc, N, N / 2.0)
-        dense = np.linalg.svd(overlap_module._assemble(dc, N, bc is PER), compute_uv=False).sum()
-        widths.clear()
-        assert_allclose(_matrix_free_trace_norm(dc, bc, N), dense, rtol=1e-10, err_msg=str(N))
-        assert widths == [32, 32], N
+        dense = _dense_delta_trace_norm(a, bc, N, N / 2.0)
+        prof = flux_profile(a, N / 2.0)
+        c = overlap_coefficients(prof, bc, N)
+        calls.clear()
+        assert_allclose(delta_trace_norm(prof, bc, N, c), dense, rtol=1e-10, err_msg=str(N))
+        assert calls == [(48, 0), (96, 1)], N
+
+
+WIDE_BUMP = GaussianBump(0.0, 2.0, 1.0, 12.0)
+
+
+# (potential, N, L): a support of radius 12 at rho = 2 (kappa = 24 pi, p = 128), L
+# at the support radius (the Gram matrices' arguments reach +-2 pi and +-pi), and
+# delta_L = pi/2, where the Dirichlet jump matrix is singular for odd N
+CORE_CASES = {
+    "wide-support": (WIDE_BUMP, 512, 128.0),
+    "L-equals-R": (gaussian_bump_with_flux(2.0), 64, 4.0),
+    "flux-pi-over-2": (gaussian_bump_with_flux(math.pi / 2), 513, 256.5),
+}
+
+
+@pytest.mark.parametrize("case", CORE_CASES)
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_delta_core_matches_dense_svd_at_the_edges(bc, case):
+    a, N, L = CORE_CASES[case]
+    prof = flux_profile(a, L)
+    p = overlap_module._chebyshev_size(math.pi * N * min(a.support_radius, L) / (2.0 * L))
+    core = trace_norm(*overlap_module._delta_core(prof, bc is PER, N, p, 1))
+    assert_allclose(core, _dense_delta_trace_norm(a, bc, N, L), rtol=1e-10)
+    # delta_trace_norm takes the core unless N <= 2p (L = R here; then Delta_N is dense)
+    assert_allclose(delta_trace_norm(prof, bc, N, overlap_coefficients(prof, bc, N)), core, rtol=1e-10)
+
+
+@pytest.mark.parametrize("N", [8192, 2**15])
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_delta_trace_norm_matches_the_sketch_oracle_at_large_n(bc, N):
+    # N x N arrays are out of reach here; the oracle compresses Delta_N by a
+    # 32-column Gaussian sketch applied by np.fft convolutions of c - c~
+    prof = flux_profile(SWEEP_POTENTIALS[bc], N / 2.0)
+    c = overlap_coefficients(prof, bc, N)
+    oracle = sketch_trace_norm(c - overlap_module.flux_coefficients(prof.total_flux, bc, N), N, bc is PER)
+    assert_allclose(delta_trace_norm(prof, bc, N, c), oracle, rtol=1e-10)
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_delta_trace_norm_peak_memory_does_not_grow_with_n(bc):
+    # the quadrature nodes and the Chebyshev points depend on rho and the
+    # support alone, so N = 2^15 takes no more memory than N = 2^12
+    peaks = []
+    a = SWEEP_POTENTIALS[bc]
+    for N in (2**12, 2**12, 2**15):  # the first call warms the cached quadrature rule
+        prof = flux_profile(a, N / 2.0)
+        c = overlap_coefficients(prof, bc, N)
+        tracemalloc.start()
+        try:
+            delta_trace_norm(prof, bc, N, c)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.01 * peaks[1], peaks
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_delta_trace_norm_is_relative_for_a_weak_potential(bc):
+    # Delta_N is linear in a weak potential to first order, and the symbol
+    # difference is taken as 2i sin(d/2) e^{...}, accurate relative to its
+    # size: at flux 1e-12 the result is 1e-6 of that at flux 1e-6
+    tn = {}
+    for f in (1e-12, 1e-6):
+        prof = flux_profile(gaussian_bump_with_flux(f), 128.0)
+        tn[f] = delta_trace_norm(prof, bc, 256, overlap_coefficients(prof, bc, 256))
+    assert_allclose(1e6 * tn[1e-12], tn[1e-6], rtol=1e-9)
+
+
+@pytest.mark.parametrize("flux", [2.0, 1e-12])
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_delta_trace_norm_rejects_a_core_that_moves_under_doubling(monkeypatch, bc, flux):
+    # 16 points are far too few for kappa = 4 pi; the check is relative, so
+    # it also rejects the weak potential, whose change (5e-16) an absolute
+    # 1e-10 would pass
+    monkeypatch.setattr(overlap_module, "_chebyshev_size", lambda kappa: 16)
+    prof = flux_profile(gaussian_bump_with_flux(flux), 128.0)
+    c = overlap_coefficients(prof, bc, 256)
+    with pytest.raises(NumericalError) as info:
+        delta_trace_norm(prof, bc, 256, c)
+    assert info.value.context["achieved"] > info.value.context["requested"] > 0.0
 
 
 def test_trace_norm_of_delta_is_deterministic():
     for bc in (PER, DIR):
-        dc = _delta_coefficients(SWEEP_POTENTIALS[bc], bc, 256, 128.0)
-        first, second = _matrix_free_trace_norm(dc, bc, 256), _matrix_free_trace_norm(dc, bc, 256)
+        prof = flux_profile(SWEEP_POTENTIALS[bc], 128.0)
+        c = overlap_coefficients(prof, bc, 256)
+        first, second = delta_trace_norm(prof, bc, 256, c), delta_trace_norm(prof, bc, 256, c)
         assert first.hex() == second.hex(), bc
 
 
 def test_evaluate_point_builds_each_matrix_once(monkeypatch):
-    # each matrix as its coefficient vector, and the flux profile once:
-    # overlap_coefficients takes it, flux_coefficients needs only Phi_L(L);
-    # no matrix is assembled, Delta_N included: its trace norm reads strided
-    # views of the coefficient difference
+    # the flux profile once, and the overlap matrix once as its coefficient
+    # vector.  At N = 128 ||Delta_N||_1 reads the profile through the p x p
+    # core and assembles no matrix; at N = 40 <= 2p the dense SVD assembles
+    # Delta_N once from those coefficients less the jump symbol's
     calls = {name: 0 for name in ("overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix",
                                   "flux_matrix", "_assemble")}
     for name in calls:
@@ -362,12 +447,13 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
 
         monkeypatch.setattr(overlap_module, name, counted)
     a = gaussian_bump_with_flux(2.0)
-    for bc in (PER, DIR):
-        for name in calls:
-            calls[name] = 0
-        evaluate_point(a, bc, 40, 20.0)
-        assert calls == {"overlap_coefficients": 1, "flux_coefficients": 1, "flux_profile": 1, "overlap_matrix": 0,
-                         "flux_matrix": 0, "_assemble": 0}, bc
+    for N, dense in ((40, 1), (128, 0)):
+        for bc in (PER, DIR):
+            for name in calls:
+                calls[name] = 0
+            evaluate_point(a, bc, N, N / 2.0)
+            assert calls == {"overlap_coefficients": 1, "flux_coefficients": dense, "flux_profile": 1,
+                             "overlap_matrix": 0, "flux_matrix": 0, "_assemble": dense}, (N, bc)
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
@@ -397,11 +483,11 @@ def test_evaluate_point_matches_each_quantity_built_directly(bc):
     dense = flux_matrix(prof.total_flux, bc, 40)
     assert abs(point.log_Dtilde_sq - 2.0 * log_det(dense)) <= 2e-13
     assert point.c_ratio == math.exp(point.log_D_sq - point.log_Dtilde_sq)
-    # Delta_N is read from the coefficient difference: the same entries as the
-    # difference of the two matrices (periodic), or the same to rounding
-    assert point.trace_norm_delta == _matrix_free_trace_norm(_delta_coefficients(a, bc, 40, 20.0), bc, 40)
-    delta = _delta_n(a, bc, 40, 20.0)
-    dense_tn = trace_norm(delta, None, dense_product(delta))
+    # at N = 40 <= 2p Delta_N is assembled from the coefficient difference:
+    # the same entries as the difference of the two matrices (periodic), or
+    # the same to rounding
+    assert point.trace_norm_delta == delta_trace_norm(prof, bc, 40, overlap_coefficients(prof, bc, 40))
+    dense_tn = np.linalg.svd(_delta_n(a, bc, 40, 20.0), compute_uv=False).sum()
     if bc is PER:
         assert point.trace_norm_delta == dense_tn
     assert_allclose(point.trace_norm_delta, dense_tn, rtol=1e-13)
@@ -633,10 +719,10 @@ def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(bc, build):
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_evaluate_point_peak_memory_is_linear_in_n(bc):
-    # no N x N array is formed: |D| and ||Delta_N||_1 work on (N, k) blocks
-    # with k = 32, and the trace norm's residual on blocks of k rows.  The
-    # peak reads 7.1 (periodic) and 9.3 (Dirichlet) N k 16 bytes from
-    # N = 2048 on; the budget of 12 leaves a 29% margin.  Assembling Delta_N
+    # no N x N array is formed: |D| works on (N, k) blocks with k = 32, and
+    # ||Delta_N||_1 on a core whose size does not depend on N.  The peak
+    # reads 7.1 (periodic) and 8.1 (Dirichlet) N k 16 bytes at N = 2048,
+    # set by |D|; the budget of 12 leaves a 48% margin.  Assembling Delta_N
     # alone would take N / k = 64 of them
     N, L, k = 2048, 1024.0, 32
     a = SWEEP_POTENTIALS[bc]
@@ -792,6 +878,6 @@ def test_split_piece_trace_norm_bound(bump_quarter_pi):
     split = periodic_split_symbols(bump_quarter_pi, L)
     basis = BasisSpec.periodic_window(L, N)
     m = assemble_toeplitz(lambda x: split.e_plus(x).astype(complex), basis, breakpoints=(-4.0, 4.0))
-    tn = trace_norm(m, None, dense_product(m))
+    tn = trace_norm(m, np.eye(N))
     bound = N / (2 * L) * weighted_abs_moment(bump_quarter_pi, 0.0, L)
     assert tn <= bound + 1e-8
