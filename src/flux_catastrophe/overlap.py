@@ -28,20 +28,23 @@ F(w) = (1/2L) int_{-L}^{L} e^{i Phi_L(x)} e^{i w x} dx, on an evenly spaced
 grid w_m = (step (shift + m) - delta) / L: the periodic t_d need step = pi
 and delta = delta_L, the Dirichlet c_m step = pi/2 and delta = 0.  Outside
 [-R, R] e^{i Phi_L} is the constant e^{+-i Phi_L(L)}, so those parts are
-closed-form cis integrals (zero when L = R).  Over the support the
-quadrature nodes x give sum_x w_x e^{i (Phi_L(x) - delta x / L)}
-e^{i (shift + m) step x / L}, whose phases _phase_sums factors.
+closed-form cis integrals (zero when L = R).  Over the support the nodes x
+of support_nodes, the one panel rule on [-R, R], give
+sum_x w_x e^{i (Phi_L(x) - delta x / L)} e^{i (shift + m) step x / L},
+whose phases _phase_sums factors.
 
-Quadrature check.  support_nodes' panels end at the breakpoints and are at
-most an eighth of the shortest wavelength wide; the doubling driver the
-moment shares, quadrature.adaptive_gauss_legendre, halves them all and
-compares the O(N) coefficient vectors, not two N x N matrices.
-Periodic entries are the t_d themselves, so max |dt_d| is the entrywise
-change exactly; a Dirichlet entry is c_{|j-k|} - c_{j+k}, so 2 max |dc_m|
-bounds every entry change from above and the driver gets half the entry
-tolerance.  As |c| <= 1 (the symbol is unimodular) its max(1, |c|) floor
-leaves the check absolute.  overlap_coefficients returns the accepted
-vector, and flux_coefficients the closed-form one of the jump symbol.
+Quadrature check.  support_nodes' panels end at the breakpoints and at 0
+and are at most L / 4N wide, an eighth of 2L/N, the shortest wavelength of
+a product of two basis functions (every |w_m| <= pi N / L).  The doubling
+driver quadrature.adaptive_gauss_legendre, shared with ||Delta_N||_1 and
+the moment, halves them all and compares the O(N) coefficient vectors, not
+two N x N matrices.  Periodic entries are the t_d themselves, so
+max |dt_d| is the entrywise change exactly; a Dirichlet entry is
+c_{|j-k|} - c_{j+k}, so 2 max |dc_m| bounds every entry change from above
+and the driver gets half the entry tolerance.  As |c| <= 1 (the symbol is
+unimodular) its scale-1 floor max(1, |c|) leaves the check absolute.
+overlap_coefficients returns the accepted vector, and flux_coefficients
+the closed-form one of the jump symbol.
 
 |D| without a matrix.  The overlap matrix A is a finite section of the
 unitary multiplication by e^{i g_L}, so E = I - A^H A is positive
@@ -53,20 +56,22 @@ in the Dirichlet case, which is complex symmetric, so A^H v =
 conj(A conj v)), and tr E = N - ||A||_F^2 is a closed form in O(N).
 
 ||Delta_N||_1 from a p x p core.  The two symbols agree outside [-R, R],
-so on quadrature nodes x with weights w there (support_nodes' panels and
-a break at 0, where e^{i g~_L} jumps) Delta_N = U^H diag(mu) U: U holds
-the basis at x, e^{-i pi k x / L} for N consecutive k centred at 0 (a
-unitary shift of the window) or sin(j y), and mu = w (e^{i g_L} -
-e^{i g~_L}) / 2L, or w (e^{i Phi_L} - e^{i Phi_L(L) sign x}) / L.  On
-[-R, R] each u_k is a constant phase times e^{i omega x}, |omega| <= pi rho
-(rho = N / 2L), so p first-kind Chebyshev points, p from kappa = pi rho R
-by Trefethen's Bernstein-ellipse bound, interpolate them all: U = P V + E,
-|E| <= eps_p.  As |u_k| <= 1, Hoelder's inequality bounds the change of the
-trace norm by (2 eps_p + eps_p^2) N sum |mu| when Delta_N is replaced by
-V^H C V, C = P^T diag(mu) P, and matrixcore.trace_norm takes that from C
-and the closed-form Gram matrix V V^H.  n and p depend on rho and R, not
-on N; the cost is O(n p^2 + p^3), and Delta_N's rounded entries never
-enter.  The paper's ||Delta_N||_1 <= (N/L) int |y a(y)| dy rests on it too.
+so on support_nodes' x and w (their break at 0 is where e^{i g~_L} jumps)
+Delta_N = U^H diag(mu) U: U holds the basis at x, e^{-i pi k x / L} for N
+consecutive k centred at 0 (a unitary shift of the window) or sin(j y),
+and mu = w (e^{i g_L} - e^{i g~_L}) / 2L, or
+w (e^{i Phi_L} - e^{i Phi_L(L) sign x}) / L.  On [-R, R] each u_k is a
+constant phase times e^{i omega x}, |omega| <= pi rho (rho = N / 2L), so
+p first-kind Chebyshev points, p from kappa = pi rho R by Trefethen's
+Bernstein-ellipse bound, interpolate them all: U = P V + E, |E| <= eps_p.
+As |u_k| <= 1, Hoelder's inequality bounds the change of the trace norm by
+(2 eps_p + eps_p^2) N sum |mu| when Delta_N is replaced by V^H C V,
+C = P^T diag(mu) P, and matrixcore.trace_norm takes that from C and the
+closed-form Gram matrix V V^H.  n and p depend on rho and R, not on N; the
+cost is O(n p^2 + p^3), and Delta_N's rounded entries never enter.  The
+same driver settles it, with p 2^r points at refine r, at scale 0: the
+check is relative, as a weak potential's ||Delta_N||_1 is tiny.  The
+paper's ||Delta_N||_1 <= (N/L) int |y a(y)| dy rests on it too.
 
 evaluate_point builds the flux profile and the overlap coefficients once
 per grid point and derives C_{N,L}, ||Delta_N||_1 (for N <= 2p from those
@@ -83,7 +88,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .hilbert import dirichlet_flux_logdet
 from .matrixcore import fh_coefficients, fh_log_det, ritz_log_det, toeplitz, toeplitz_product, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
@@ -91,12 +96,11 @@ from .quadrature import adaptive_gauss_legendre, build_edges, cis_integral, gaus
 from .spectrum import BoundaryCondition
 
 
-def support_nodes(a: MagneticPotential, L: float, omega_max: float, refine: int):
-    """(R, nodes, weights) of 16-point panels on [-R, R], R = min(support_radius, L), ending at
-    a's breakpoints and at most 2 pi / omega_max / 8 wide, each halved ``refine`` times."""
+def support_nodes(a: MagneticPotential, L: float, N: int, refine: int):
+    """(R, nodes, weights) of 16-point panels on [-R, R], R = min(support_radius, L), ending at a's
+    breakpoints and at 0, at most L / 4N wide (the module docstring says why), each halved ``refine`` times."""
     R = min(a.support_radius, L)
-    wavelength = 2.0 * math.pi / omega_max if omega_max > 0 else 2.0 * R
-    edges = build_edges(-R, R, a.breakpoints, wavelength / 8.0, refine)
+    edges = build_edges(-R, R, (0.0, *a.breakpoints), L / (4 * N), refine)
     return (R, *panel_nodes(edges, *gauss_legendre_rule(16)))
 
 
@@ -116,11 +120,11 @@ def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndar
     return (outer @ inner).ravel()[:M]
 
 
-def _symbol_transform(prof: FluxProfile, step: float, delta: float, shift: int, M: int, refine: int) -> np.ndarray:
+def _symbol_transform(prof: FluxProfile, N: int, step: float, delta: float, shift: int, M: int, refine: int):
     """F(w) = (1/2L) int_{-L}^{L} e^{i Phi_L(x)} e^{i w x} dx at w_m = (step (shift + m) - delta) / L, m = 0..M-1."""
     L = prof.L
     omega = (step * (shift + np.arange(M)) - delta) / L
-    R, nodes, weights = support_nodes(prof.potential, L, float(np.max(np.abs(omega))), refine)
+    R, nodes, weights = support_nodes(prof.potential, L, N, refine)
     values = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
     support = _phase_sums(step / L, shift, M, nodes, values)
     # e^{i Phi_L} is e^{+i Phi_L(L)} on [R, L] and e^{-i Phi_L(L)} on [-L, -R]
@@ -131,12 +135,12 @@ def _symbol_transform(prof: FluxProfile, step: float, delta: float, shift: int, 
 
 def _periodic_overlap_coefficients(prof: FluxProfile, N: int, refine: int) -> np.ndarray:
     """The 2N-1 Toeplitz coefficients t_d of e^{i g_L}, d = -(N-1) .. N-1."""
-    return _symbol_transform(prof, np.pi, prof.delta_L, -(N - 1), 2 * N - 1, refine)
+    return _symbol_transform(prof, N, np.pi, prof.delta_L, -(N - 1), 2 * N - 1, refine)
 
 
 def _dirichlet_cosine_coefficients(prof: FluxProfile, N: int, refine: int) -> np.ndarray:
     """c_m = (1/2L) int_{-L}^{L} e^{i Phi_L} cos(m y) dx, m = 0..2N, with y = pi (x + L) / 2L."""
-    F = _symbol_transform(prof, np.pi / 2.0, 0.0, -2 * N, 4 * N + 1, refine)
+    F = _symbol_transform(prof, N, np.pi / 2.0, 0.0, -2 * N, 4 * N + 1, refine)
     # cos(m y) is the mean of i^{+-m} e^{+-i m pi x / 2L}
     i_m = np.array([1.0, 1j, -1.0, -1j])[np.arange(2 * N + 1) % 4]
     return 0.5 * (i_m * F[2 * N :] + i_m.conj() * F[2 * N :: -1])
@@ -161,8 +165,7 @@ def _assemble(c: np.ndarray, N: int, periodic: bool) -> np.ndarray:
     return toeplitz(t, N).copy() if h is None else np.subtract(toeplitz(t, N), sliding_window_view(h, N))
 
 
-# Quadrature doubling check: refine until no entry moves by more than
-# _QUADRATURE_TOL.
+# Quadrature doubling check: no overlap entry moves by more than this, nor ||Delta_N||_1 by this of itself
 _QUADRATURE_TOL = 1e-10
 
 
@@ -322,9 +325,6 @@ def overlap_log_det_sq(c: np.ndarray, bc: BoundaryCondition, N: int) -> float:
     return ritz_log_det(lambda V: V - product(product(V, False), True), trace, N, _LOGDET_ABS_ERR)
 
 
-_REL_TOL = 1e-10  # the change of ||Delta_N||_1 accepted under doubling p and halving the panels, relative
-
-
 def _chebyshev_size(kappa: float) -> int:
     """Smallest multiple p of 16 for which Trefethen's bound (ATAP, 2013, Thm 8.2; it holds for first-kind
     points too) min_r 4 e^{kappa (r - 1/r) / 2} r^{1-p} / (r - 1) on interpolating e^{i kappa t} is 1e-13."""
@@ -342,9 +342,8 @@ def _dirichlet_kernel(t: np.ndarray, N: int) -> np.ndarray:
 
 def _delta_core(prof: FluxProfile, periodic: bool, N: int, p: int, refine: int) -> tuple[np.ndarray, np.ndarray]:
     """(C, G): Delta_N = V^H C V up to interpolation, V the basis at p Chebyshev points of [-R, R], G = V V^H."""
-    a, L, R = prof.potential, prof.L, min(prof.potential.support_radius, prof.L)
-    # panels end at a's breakpoints and at 0, at most 1/8 of a basis product's wavelength 2L/N wide
-    x, w = panel_nodes(build_edges(-R, R, (0.0, *a.breakpoints), L / (4 * N), refine), *gauss_legendre_rule(16))
+    L = prof.L
+    R, x, w = support_nodes(prof.potential, L, N, refine)
     phi, jump = prof.phi_at(x), prof.total_flux * np.sign(x)
     tilt = prof.delta_L * x / L if periodic else 0.0
     # e^{i g} - e^{i g~} = 2i sin((phi - jump) / 2) e^{i ((phi + jump) / 2 - tilt)}, relative to rounding
@@ -372,9 +371,9 @@ def _delta_core(prof: FluxProfile, periodic: bool, N: int, p: int, refine: int) 
 def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int, c: np.ndarray) -> float:
     """||Delta_N||_1 of Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}) from a p x p core, p independent of N.
 
-    The module docstring has the error argument.  The core of 2p points on
-    panels halved once is returned if it agrees with that of p points to a
-    relative 1e-10 (else NumericalError).  For N <= 2p the SVD of Delta_N from
+    The module docstring has the error argument; adaptive_gauss_legendre settles
+    it to a relative 1e-10, refine r taking the core of p 2^r points on
+    support_nodes' panels halved r times.  For N <= 2p the SVD of Delta_N from
     c = overlap_coefficients(prof, bc, N) is summed, there 3-400x faster.
     """
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
@@ -382,10 +381,9 @@ def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int, c: np.nda
     if N <= 2 * p:
         delta = _assemble(c - flux_coefficients(prof.total_flux, bc, N), N, periodic)
         return float(np.sum(np.linalg.svd(delta, compute_uv=False)))
-    coarse, fine = (trace_norm(*_delta_core(prof, periodic, N, q, refine)) for refine, q in enumerate((p, 2 * p)))
-    if abs(fine - coarse) > _REL_TOL * fine:
-        raise NumericalError("||Delta_N||_1 did not settle", achieved=abs(fine - coarse), requested=_REL_TOL * fine)
-    return fine
+    return adaptive_gauss_legendre(
+        lambda refine: trace_norm(*_delta_core(prof, periodic, N, p << refine, refine)), _QUADRATURE_TOL, scale=0.0
+    )
 
 
 # ---------------------------------------------------------------------------

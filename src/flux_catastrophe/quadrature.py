@@ -2,13 +2,13 @@
 
 All integrands appearing in this package are piecewise smooth: magnetic
 potentials are smooth between declared breakpoints and the gauge symbols
-oscillate at known basis frequencies.  Both integrals the package needs,
-the overlap coefficients of e^{i Phi_L} and the moment int |y a(y)| dy,
-therefore use the same scheme: 16-point Gauss-Legendre panels between the
-potential's breakpoints (build_edges, panel_nodes), at most as wide as the
-caller's one width rule allows, and one refinement policy,
-adaptive_gauss_legendre, which halves every panel exactly until two
-successive estimates agree.
+oscillate at known basis frequencies.  The three integrals the package
+needs, the overlap coefficients of e^{i Phi_L}, the p x p core of Delta_N
+and the moment int |y a(y)| dy, therefore use the same scheme: 16-point
+Gauss-Legendre panels between the potential's breakpoints (build_edges,
+panel_nodes), at most as wide as the caller's one width rule allows, and
+one refinement policy, adaptive_gauss_legendre, which halves every panel
+exactly until two successive estimates agree.
 """
 
 from __future__ import annotations
@@ -52,22 +52,24 @@ def panel_nodes(edges: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.nda
 _MAX_REFINE = 4
 
 
-def adaptive_gauss_legendre(estimate: Callable[[int], float | np.ndarray], abs_tol: float):
+def adaptive_gauss_legendre(estimate: Callable[[int], float | np.ndarray], tol: float, scale: float = 1.0):
     """The first settled estimate of the panel-doubling sequence.
 
     ``estimate(refine)`` is a float or an array of quadratures on panels
     halved ``refine`` times.  For refine = 0, 1, ... the first estimate whose
     largest absolute change from its predecessor is at most
-    ``abs_tol * max(1, max |estimate|)`` is returned: the check is absolute
-    for estimates of modulus up to 1, and large ones settle at their
-    rounding.  NumericalError, carrying the last change (achieved) and its
-    bound (requested), when none has settled after _MAX_REFINE halvings.
+    ``tol * max(scale, max |estimate|)`` is returned: scale = 1 makes the
+    check absolute up to modulus 1, where coefficients may be all rounding,
+    scale = 0 relative, for a tiny but accurate ||Delta_N||_1, and large
+    estimates settle at their rounding.  NumericalError, carrying the last
+    change (achieved) and its bound (requested), if none settles in
+    _MAX_REFINE halvings.
     """
     current = estimate(0)
     for refine in range(1, _MAX_REFINE + 1):
         refined = estimate(refine)
         change = float(np.max(np.abs(refined - current)))
-        requested = abs_tol * max(1.0, float(np.max(np.abs(refined))))
+        requested = tol * max(scale, float(np.max(np.abs(refined))))
         if change <= requested:
             return refined
         current = refined

@@ -311,7 +311,7 @@ def dense_overlap_matrix(a, periodic: bool, N: int, L: float, refine: int) -> np
         delta = prof.delta_L
         d = np.arange(-(N - 1), N, dtype=float)
         omega = (np.pi * d - delta) / L
-        R, nodes, weights = support_nodes(a, L, float(np.max(np.abs(omega))), refine)
+        R, nodes, weights = support_nodes(a, L, N, refine)
         boundary = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
         t = np.exp(1j * np.outer(np.pi * d / L, nodes)) @ boundary
         if L > R:
@@ -322,7 +322,7 @@ def dense_overlap_matrix(a, periodic: bool, N: int, L: float, refine: int) -> np
     # c_m = (1/2L) int e^{i Phi_L} cos(m y) dx and y = pi (x + L) / 2L
     h = np.pi / (2.0 * L)
     m = np.arange(0, 2 * N + 1)
-    R, nodes, weights = support_nodes(a, L, h * 2 * N, refine)
+    R, nodes, weights = support_nodes(a, L, N, refine)
     c = np.cos(np.outer(m, h * (nodes + L))) @ (np.exp(1j * prof.phi_at(nodes)) * weights) / (2.0 * L)
     if L > R:
         # int cos(m y) dy over [0, y(-R)] and [y(R), pi], written out

@@ -123,13 +123,30 @@ def test_dirichlet_overlap_vs_independent_quadrature(potential, margin):
 
 @pytest.mark.parametrize("a", [SHORT_SEGMENT_KNOTS, NARROW_BUMP], ids=["short-segment", "narrow-bump"])
 @pytest.mark.parametrize("refine", [0, 1])
-def test_support_nodes_stay_within_the_wavelength_and_breakpoint_budget(a, refine):
-    # a short feature costs panels at its breakpoints only, not over the whole support
-    L, omega = 64.0, 127 * math.pi / 64
-    R, nodes, weights = overlap_module.support_nodes(a, L, omega, refine)
-    panels = math.ceil(2 * R / (2 * math.pi / omega / 8)) + len(a.breakpoints)
+def test_support_nodes_stay_within_the_wavelength_and_breakpoint_budget(monkeypatch, a, refine):
+    # panels at most L / 4N wide (1/8 of 2L/N, a basis product's shortest
+    # wavelength) with edges at a's breakpoints and at 0, where e^{i g~_L}
+    # jumps; a short feature costs panels at its breakpoints only
+    L, N = 64.0, 127
+    R, nodes, weights = overlap_module.support_nodes(a, L, N, refine)
+    width = weights.reshape(-1, 16).sum(axis=1)
+    edges = np.append(nodes.reshape(-1, 16).mean(axis=1) - 0.5 * width, R)
+    assert width.max() <= (1 + 1e-12) * L / (4 * N) / 2**refine
+    for edge in {0.0, *a.breakpoints}:
+        assert np.min(np.abs(edges - edge)) <= 1e-12 * R, edge
+    panels = math.ceil(2 * R / (L / (4 * N))) + len(a.breakpoints) + 1
     assert len(nodes) == len(weights) <= 16 * 2**refine * panels
     assert abs(weights.sum() - 2 * R) <= 1e-12 * R
+    # the coefficients in both bases and Delta_N's core read the same nodes
+    asked = []
+    nodes_at = overlap_module.support_nodes
+    monkeypatch.setattr(overlap_module, "support_nodes", lambda *args: asked.append(args) or nodes_at(*args))
+    prof = flux_profile(a, L)
+    overlap_module._periodic_overlap_coefficients(prof, N, refine)
+    overlap_module._dirichlet_cosine_coefficients(prof, N, refine)
+    for periodic in (True, False):
+        overlap_module._delta_core(prof, periodic, N, 16, refine)
+    assert asked == [(a, L, N, refine)] * 4
 
 
 def test_dirichlet_single_state_unimodularity():
@@ -412,15 +429,27 @@ def test_delta_trace_norm_is_relative_for_a_weak_potential(bc):
 @pytest.mark.parametrize("flux", [2.0, 1e-12])
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_delta_trace_norm_rejects_a_core_that_moves_under_doubling(monkeypatch, bc, flux):
-    # 16 points are far too few for kappa = 4 pi; the check is relative, so
-    # it also rejects the weak potential, whose change (5e-16) an absolute
-    # 1e-10 would pass
-    monkeypatch.setattr(overlap_module, "_chebyshev_size", lambda kappa: 16)
+    # p doubles with every halving, and 1 point doubled _MAX_REFINE = 4 times
+    # is 16, far too few for kappa = 4 pi; the check is relative, so it also
+    # rejects the weak potential, whose change an absolute 1e-10 would pass
+    monkeypatch.setattr(overlap_module, "_chebyshev_size", lambda kappa: 1)
     prof = flux_profile(gaussian_bump_with_flux(flux), 128.0)
     c = overlap_coefficients(prof, bc, 256)
     with pytest.raises(NumericalError) as info:
         delta_trace_norm(prof, bc, 256, c)
     assert info.value.context["achieved"] > info.value.context["requested"] > 0.0
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+@pytest.mark.parametrize("flux", [100.0, 150.0])
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_narrow_strong_bump_settles_to_the_dense_svd(bc, flux, N):
+    # e^{i Phi_L} turns once every 0.016 or so across a bump 0.1 wide with
+    # flux 100, against panels L / 4N = 0.125 wide: Delta_N's core settles
+    # only after more than one halving
+    a = gaussian_bump_with_flux(flux, width=0.1)
+    point = evaluate_point(a, bc, N, N / 2.0)
+    assert_allclose(point.trace_norm_delta, _dense_delta_trace_norm(a, bc, N, N / 2.0), rtol=1e-10)
 
 
 def test_trace_norm_of_delta_is_deterministic():

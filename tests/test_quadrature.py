@@ -24,33 +24,50 @@ def _recorded(values):
 
 
 def test_driver_returns_the_first_settled_scalar():
-    estimate, asked = _recorded([1.0, 1.5, 1.5 + 2e-12, 1.5 + 3e-12, 9.0])
-    assert adaptive_gauss_legendre(estimate, 1e-11) == 1.5 + 2e-12
-    assert asked == [0, 1, 2]
+    # scale 1 (absolute below modulus 1) and scale 0 (relative) agree on estimates of modulus >= 1/2
+    for scale in (1.0, 0.0):
+        estimate, asked = _recorded([1.0, 1.5, 1.5 + 2e-12, 1.5 + 3e-12, 9.0])
+        assert adaptive_gauss_legendre(estimate, 1e-11, scale) == 1.5 + 2e-12
+        assert asked == [0, 1, 2]
 
 
 def test_driver_returns_the_first_settled_array():
-    values = [np.array([0.5, 0.25j]), np.array([0.5, 0.25j + 1e-9]), np.array([0.5 + 1e-13, 0.25j + 1e-9])]
-    estimate, asked = _recorded(values)
-    assert adaptive_gauss_legendre(estimate, 1e-12) is values[2]
-    assert asked == [0, 1, 2]
+    for scale in (1.0, 0.0):
+        values = [np.array([0.5, 0.25j]), np.array([0.5, 0.25j + 1e-9]), np.array([0.5 + 1e-13, 0.25j + 1e-9])]
+        estimate, asked = _recorded(values)
+        assert adaptive_gauss_legendre(estimate, 1e-12, scale) is values[2]
+        assert asked == [0, 1, 2]
 
 
 def test_driver_settles_large_estimates_relative_to_their_size():
     # a change of 1e-6 on an estimate of 1e7 is within 1e-12 * |estimate|
-    estimate, asked = _recorded([1e7, 1e7 + 1e-6])
-    assert adaptive_gauss_legendre(estimate, 1e-12) == 1e7 + 1e-6
+    for scale in (1.0, 0.0):
+        estimate, asked = _recorded([1e7, 1e7 + 1e-6])
+        assert adaptive_gauss_legendre(estimate, 1e-12, scale) == 1e7 + 1e-6
+        assert asked == [0, 1]
+
+
+def test_driver_scale_zero_makes_the_check_relative():
+    # a change of 1e-13 on an estimate of 1e-3 is within 1e-12 * max(1, 1e-3)
+    # but not within 1e-12 * max(0, 1e-3)
+    values = [1e-3, 1e-3 + 1e-13, 1e-3 + 1e-13]
+    estimate, asked = _recorded(values)
+    assert adaptive_gauss_legendre(estimate, 1e-12, 1.0) == values[1]
     assert asked == [0, 1]
+    estimate, asked = _recorded(values)
+    assert adaptive_gauss_legendre(estimate, 1e-12, 0.0) == values[2]
+    assert asked == [0, 1, 2]
 
 
 def test_driver_raises_after_max_refine_halvings():
-    estimate, asked = _recorded([float(r) for r in range(10)])
-    with pytest.raises(NumericalError) as info:
-        adaptive_gauss_legendre(estimate, 1e-12)
-    max_refine = quadrature_module._MAX_REFINE
-    assert asked == list(range(max_refine + 1))
-    assert info.value.context["achieved"] == 1.0
-    assert info.value.context["requested"] == 1e-12 * max_refine
+    for scale in (1.0, 0.0):
+        estimate, asked = _recorded([float(r) for r in range(10)])
+        with pytest.raises(NumericalError) as info:
+            adaptive_gauss_legendre(estimate, 1e-12, scale)
+        max_refine = quadrature_module._MAX_REFINE
+        assert asked == list(range(max_refine + 1))
+        assert info.value.context["achieved"] == 1.0
+        assert info.value.context["requested"] == 1e-12 * max_refine
 
 
 def test_narrow_bump_with_a_large_flux_settles():
