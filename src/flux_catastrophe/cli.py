@@ -60,8 +60,8 @@ produce byte-identical CSV files.
 --jobs defaults to 1.  Each grid point already runs multithreaded BLAS, so
 extra worker processes oversubscribe the cores: on a 2-core Xeon VM
 (OpenBLAS 0.3.31, 2 threads) the periodic N = 128 .. 2048 overlap sweep,
-bench/configs/sweep_periodic.json, took 0.77, 0.80 and 0.61 s at --jobs 1
-against 1.24, 6.72 and 8.64 s at --jobs 2 (wall clock of the command, with
+bench/configs/sweep_periodic.json, took 0.45, 0.53 and 0.39 s at --jobs 1
+against 0.88, 3.77 and 3.10 s at --jobs 2 (wall clock of the command, with
 no N x N array held by any grid point).
 
 Exit codes: 0 success, 2 property-check failure, 1 config, numerical or
@@ -87,7 +87,7 @@ import numpy as np
 
 from . import asymptotics, hilbert, overlap, spectrum
 from .errors import DomainError, NumericalError
-from .matrixcore import fh_log_det, fh_matrix, log_det
+from .matrixcore import fh_log_det, fh_matrix, log_det, toeplitz, toeplitz_hankel_operator
 from .potential import (
     MagneticPotential,
     flux_profile,
@@ -484,6 +484,31 @@ def selftest() -> int:
         for prof in [flux_profile(bump, n / 2.0)]
     )
     check("matrix-free overlap log-det vs LU", worst < 1e-10, f"max |diff| {worst:.1e}")
+
+    # the support sums contracted onto p Chebyshev points against the sums over the n quadrature nodes,
+    # one exponential per (frequency, node), per coefficient (1/2L of a sum) on the periodic and the
+    # Dirichlet frequency grids
+    worst = 0.0
+    for n in (128, 512):
+        L = n / 2.0
+        R, x, w = overlap.support_nodes(bump, L, n, 0)
+        values = np.exp(1j * flux_profile(bump, L).phi_at(x)) * w
+        for h, shift, M in ((math.pi / L, 1 - n, 2 * n - 1), (math.pi / (2 * L), -2 * n, 4 * n + 1)):
+            direct = np.exp(1j * np.outer(h * (shift + np.arange(M)), x)) @ values
+            diff = overlap.support_sums(h, shift, M, x, values, R) - direct
+            worst = max(worst, float(np.max(np.abs(diff))) / (2 * L))
+    check("contracted vs direct support sums", worst < 1e-13, f"max |diff| {worst:.1e}")
+
+    # the FFT operator against the dense T(t) - H(h), real and complex symbols, on a (k, n) block
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for n in (64, 181):
+        t, h = (rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1) for _ in range(2))
+        block = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        for tt, hh in ((t.real, h.real), (t, h)):
+            dense = toeplitz(tt, n) - np.lib.stride_tricks.sliding_window_view(hh, n)
+            worst = max(worst, float(np.max(np.abs(toeplitz_hankel_operator(tt, hh)(block) - block @ dense.T))))
+    check("T - H operator vs dense T - H", worst < 1e-12, f"max |diff| {worst:.1e}")
 
     m = overlap.overlap_matrix(flux_profile(zero_potential(), 8.0), BoundaryCondition.PERIODIC, 16)
     check("zero potential identity", float(np.max(np.abs(m - np.eye(16)))) < 1e-10)

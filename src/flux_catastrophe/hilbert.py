@@ -26,7 +26,7 @@ H = (1/(j+k-1/2)) and inherits the norm bound ||K^{--}|| <= pi^2/4 from
 O(1), which is what produces the sin^2(delta) upper-bound exponent.  The
 Hankel section of H and K^{--} are applied by FFT Toeplitz products from
 O(M) vectors and their traces are closed forms.  K itself is applied the
-same way, four FFT Toeplitz/Hankel products per block of columns, and
+same way, two FFT Toeplitz-minus-Hankel products per (k, M) block, and
 dirichlet_flux_logdet takes log det(I - (4/pi^2) sin^2(delta) K) from its
 few eigenvalues above rounding with the shared certified engine
 matrixcore.ritz_log_det, so only k_matrix, the dense oracle, holds an
@@ -42,20 +42,20 @@ import numpy as np
 
 from .asymptotics import digamma, trigamma
 from .errors import DomainError
-from .matrixcore import operator_norm, ritz_log_det, toeplitz_product
+from .matrixcore import operator_norm, ritz_log_det, toeplitz_hankel_operator
 
 
 def hilbert_section_norm(M: int) -> float:
     """Operator norm of the M x M section (1/(j+k-1/2))_{j,k=1..M} of H_{-1/2}.
 
-    The section is the Hankel matrix h_{j+k}, h_s = 1/(s - 1/2), so its
-    product with v is the Toeplitz product of h with v reversed.  Finite
+    The section is the Hankel matrix h_{j+k}, h_s = 1/(s - 1/2), whose FFT
+    operator (applied as -H, of the same norm) needs no matrix.  Finite
     sections are strictly below the full norm pi and increase with M.
     """
     if M < 1:
         raise DomainError("dimension must be >= 1")
     h = 1.0 / (np.arange(2, 2 * M + 1) - 0.5)
-    return operator_norm(lambda v: toeplitz_product(h, v[::-1]), M)
+    return operator_norm(toeplitz_hankel_operator(None, h), M)
 
 
 def _k_vectors(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,23 +98,21 @@ def k_matrix(N: int) -> np.ndarray:
 
 
 def _k_product(N: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """V -> K V for an (M, k) block V in O(k M log M), and tr K.
+    """V -> K V for a (k, M) block V, one vector per row, in O(k M log M), and tr K.
 
     jk / (j^2 - k^2) = (j/2) [1/(j - k) - 1/(j + k)] turns the off-diagonal
     entries into K V = diag V + (j/2) [S (T - H) V - (T - H)(S V)] with the
     Toeplitz T_jk = 1/(j - k) (zero diagonal) and the Hankel H_jk = 1/(j + k),
-    whose diagonal term drops out of the difference; each is one
-    toeplitz_product over all k columns.
+    whose diagonal term drops out of the difference; each T - H is one call
+    of the FFT operator over all k rows.
     """
     jv, S, diag = _k_vectors(N)
     M = len(jv)
     d = np.arange(1 - M, M, dtype=float)
     t = np.divide(1.0, d, out=np.zeros_like(d), where=d != 0)
     h = 1.0 / np.arange(2, 2 * M + 1, dtype=float)
-    half_j, S, diag = 0.5 * jv[:, None], S[:, None], diag[:, None]
-
-    def t_minus_h(V: np.ndarray) -> np.ndarray:
-        return toeplitz_product(t, V) - toeplitz_product(h, V[::-1])
+    half_j = 0.5 * jv
+    t_minus_h = toeplitz_hankel_operator(t, h)
 
     def apply(V: np.ndarray) -> np.ndarray:
         return diag * V + half_j * (S * t_minus_h(V) - t_minus_h(S * V))
@@ -154,7 +152,8 @@ def k_part_norms(M: int) -> KPartNorms:
     K^{--}_jk = (psi(x_j) - psi(x_k)) / (4 (k - j)), psi_1(x_j) / 4 on the
     diagonal, x_j = M + 1/2 - j.  With f = psi(x) and the Toeplitz
     T_jk = 1/(k - j) (zero diagonal), K^{--} v = (1/4) [f Tv - T(f v) +
-    psi_1(x) v]: two Toeplitz products per power-iteration step.
+    psi_1(x) v]: one FFT Toeplitz product of the stacked [v, f v] per
+    power-iteration step.
     """
     if M < 1:
         raise DomainError("M must be >= 1")
@@ -165,7 +164,13 @@ def k_part_norms(M: int) -> KPartNorms:
     f, df = digamma(x), trigamma(x)
     d = np.arange(1 - M, M, dtype=float)
     t = np.divide(-1.0, d, out=np.zeros_like(d), where=d != 0)
-    op_mm = operator_norm(lambda v: 0.25 * (f * toeplitz_product(t, v) - toeplitz_product(t, f * v) + df * v), M)
+    product = toeplitz_hankel_operator(t)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        tv, tfv = product(np.stack([v, f * v]))
+        return 0.25 * (f * tv - tfv + df * v)
+
+    op_mm = operator_norm(apply, M)
     return KPartNorms(t_mm, t_pp, t_mixed, op_mm)
 
 
@@ -185,7 +190,7 @@ def dirichlet_flux_logdet(delta: float, N: int) -> float:
     eigenvalues are below rounding for N <= 2^17, so matrixcore.ritz_log_det
     takes log det(I - alpha K) from a k = 24 column Rayleigh-Ritz sketch of
     E = alpha K, certified to 1e-12 under the closed-form trace alpha tr K
-    (the sum of the closed-form diagonal).  K is only ever applied to M x k
+    (the sum of the closed-form diagonal).  K is only ever applied to (k, M)
     blocks (_k_product), so for M > k no M x M array exists.  LU of the
     dense K of k_matrix and of overlap.flux_matrix(Phi, DIRICHLET, N),
     Phi = n pi + delta, are the test oracles.

@@ -4,12 +4,14 @@ The overlap objects are N x N operators: classical Toeplitz in the
 plane-wave basis of the periodic problem, Toeplitz-minus-Hankel in the
 Dirichlet sine basis.  This module holds what every consumer shares: the
 strided view that turns 2N - 1 coefficients into a Toeplitz matrix, the FFT
-product toeplitz_product that applies it without forming it, the
-closed-form jump-symbol coefficients fh_coefficients with their matrix
-fh_matrix and O(1) log-determinant fh_log_det, the dense log-determinant,
-the certified Rayleigh-Ritz log det(I - E), the trace norm of a matrix
-given by a small core and its Gram matrix, and the power-iteration norm
-of a symmetric operator given by its product.
+operator toeplitz_hankel_operator that applies T(t) - H(h) without forming
+it, one forward and one inverse FFT along the contiguous last axis of a
+(k, N) block per call, the closed-form jump-symbol coefficients
+fh_coefficients with their matrix fh_matrix and O(1) log-determinant
+fh_log_det, the dense log-determinant, the certified Rayleigh-Ritz
+log det(I - E), the trace norm of a matrix given by a small core and its
+Gram matrix, and the power-iteration norm of a symmetric operator given by
+its product.
 
 Determinants of these matrices decay polynomially in N, so only their
 magnitudes are kept, in log space throughout.  fh_log_det sums Cauchy's
@@ -61,12 +63,13 @@ def ritz_log_det(
 ) -> float:
     """log det(I - E) for a Hermitian positive semidefinite n x n operator E with ||E|| < 1.
 
-    E is given by its block product V -> E V on (n, k) arrays and by its
-    trace.  When all but a few eigenvalues of E lie below rounding, a
-    randomized Rayleigh-Ritz sum finds the determinant (Halko, Martinsson,
-    Tropp, SIAM Review 53, 2011): a fixed-seed real Gaussian sketch of k
-    columns gives Q = qr(E Omega), and sum log1p(-theta) runs over the Ritz
-    values theta of Q^H E Q.  Only (n, k) blocks are formed.
+    E is given by its block product V -> E V on C-contiguous (k, n) arrays,
+    one vector per row, and by its trace.  When all but a few eigenvalues of
+    E lie below rounding, a randomized Rayleigh-Ritz sum finds the
+    determinant (Halko, Martinsson, Tropp, SIAM Review 53, 2011): a
+    fixed-seed real Gaussian sketch of k rows gives the orthonormal rows Q of
+    qr((E Omega)^T), and sum log1p(-theta) runs over the Ritz values theta of
+    Q^H E Q.  Only (k, n) blocks are formed.
 
     The result is certified.  With Q_perp completing Q, the Schur complement
     on (Q, Q_perp) gives det(I - E) = det(I - E_11) det(I - S) with
@@ -98,16 +101,16 @@ def ritz_log_det(
     k = columns
     while True:
         exact = k >= n
-        q = np.eye(n) if exact else np.linalg.qr(apply(rng.standard_normal((n, k))))[0]
+        q = np.eye(n) if exact else np.ascontiguousarray(np.linalg.qr(apply(rng.standard_normal((k, n))).T)[0].T)
         eq = apply(q)
-        ritz = q.conj().T @ eq
+        ritz = q.conj() @ eq.T
         theta = np.linalg.eigvalsh(0.5 * (ritz + ritz.conj().T))
         if theta[-1] >= 1.0:
             return -math.inf
         ld = float(np.sum(np.log1p(-theta)))
         if exact:
             return ld
-        eq -= q @ ritz
+        eq -= ritz.T @ q
         rounding = eps * (
             (n.bit_length() + k) * (trace + float(np.sum(np.abs(theta))))
             + (2 * n).bit_length() * float(np.sum(1.0 / (1.0 - theta)))
@@ -170,22 +173,55 @@ def toeplitz(t: np.ndarray, N: int) -> np.ndarray:
     return sliding_window_view(t[::-1], N)[::-1]
 
 
-def toeplitz_product(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """toeplitz(t, n) @ v for a vector or (n, k) block v, n = len(v), in O(k n log n).
+def toeplitz_hankel_operator(t: np.ndarray | None, h: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> (T(t) - H(h)) v along the last axis of a vector or (k, n) block, in O(k n log n) per call.
 
-    The product is entries n - 1 .. 2n - 2 of the convolution t * v (3n - 2
-    entries).  A cyclic convolution of length >= 2n - 1, one FFT along
-    axis 0 (a real one when t and v are both real), folds the entries past
-    its end onto indices below n - 1 only, so those are exact.  One call
-    serves every column of a block.
+    T_jk = t[(n - 1) + j - k] and H_jk = h[j + k], j, k = 0..n-1, each from
+    2n - 1 coefficients; t = None leaves -H(h), h = None leaves T(t).  T v is
+    entries n - 1 .. 2n - 2 of the convolution t * v, and H v the same
+    entries of h * rev(v), rev(v)_m = v[n - 1 - m].  A cyclic convolution of
+    length size >= 2n - 1 folds the entries past its end onto indices below
+    n - 1 only, so those are exact.  With w = e^{-2 pi i / size} the DFT of
+    rev(v) is w^{j (n - 1)} V[-j], read off the block's own transform V
+    (V[-j] = conj V[j] for real v), so both symbol spectra, the Hankel one
+    times w^{j (n - 1)} (j (n - 1) reduced mod size first), are computed once
+    and a call costs one forward and one inverse FFT of the block, a real
+    pair when the symbols and v are real; a complex v under real symbols
+    takes its real and imaginary parts apart.  The result is a new
+    C-contiguous array.
     """
-    n = len(v)
+    n = (len(h if t is None else t) + 1) // 2
     size = 1 << (2 * n - 2).bit_length()
-    real = not (np.iscomplexobj(t) or np.iscomplexobj(v))
+    real = not any(np.iscomplexobj(s) for s in (t, h))
     forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    spectrum = forward(v, size, axis=0)
-    np.multiply(forward(t, size).reshape((-1,) + (1,) * (v.ndim - 1)), spectrum, out=spectrum)
-    return inverse(spectrum, size, axis=0)[n - 1 : 2 * n - 1]
+    t_hat = 0.0 if t is None else forward(t, size)
+    h_hat = None
+    if h is not None:
+        j = np.arange(size // 2 + 1 if real else size)
+        h_hat = forward(h, size) * np.exp(-2j * np.pi / size * (j * (n - 1) % size))
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        if real and np.iscomplexobj(v):
+            return apply(v.real) + 1j * apply(v.imag)
+        spectrum = forward(v, size)
+        if h_hat is None:
+            spectrum *= t_hat
+        else:
+            if real:  # V[-j] = conj V[j]
+                mirror = np.conj(spectrum)
+                mirror *= h_hat
+            else:  # V[-j]: V[0], then V reversed
+                mirror = np.empty_like(spectrum)
+                np.multiply(spectrum[..., :1], h_hat[:1], out=mirror[..., :1])
+                np.multiply(spectrum[..., :0:-1], h_hat[1:], out=mirror[..., 1:])
+            spectrum *= t_hat
+            spectrum -= mirror
+            del mirror
+        # the complex inverse overwrites the spectrum; only the n entries kept outlive the call
+        product = inverse(spectrum, size) if real else inverse(spectrum, size, out=spectrum)
+        return np.ascontiguousarray(product[..., n - 1 : 2 * n - 1])
+
+    return apply
 
 
 def fh_coefficients(delta: float, N: int) -> np.ndarray:

@@ -30,12 +30,26 @@ and delta = delta_L, the Dirichlet c_m step = pi/2 and delta = 0.  Outside
 [-R, R] e^{i Phi_L} is the constant e^{+-i Phi_L(L)}, so those parts are
 closed-form cis integrals (zero when L = R).  Over the support the nodes x
 of support_nodes, the one panel rule on [-R, R], give
-sum_x w_x e^{i (Phi_L(x) - delta x / L)} e^{i (shift + m) step x / L},
-whose phases _phase_sums factors.
+sum_x v_x e^{i (shift + m) step x / L}, v_x = w_x e^{i (Phi_L(x) - delta x / L)}.
+Every node against every one of the M = 2N - 1 or 4N + 1 frequencies
+would cost O(M n).  But on [-R, R] every e^{i omega x},
+|omega| <= omega_max = step max|shift + m| / L, equals its interpolant
+sum_a l_a(x) e^{i omega x_a} on the p first-kind Chebyshev points x_a to
+eps_p = 1e-13, p = _chebyshev_size(omega_max R) (Trefethen's
+Bernstein-ellipse bound, ATAP 2013, Thm 8.2; 48 and 64 on the benchmark
+sweeps, whatever N is).  So support_sums contracts the weighted
+values once, u = P^T v with the barycentric Lagrange matrix P_xa = l_a(x),
+and _phase_sums factors the phases of sum_a u_a e^{i (shift + m) step x_a / L}:
+O(n p + M p) in place of O(M n).  As |v_x| = w_x and sum w_x = 2R, every
+coefficient, 1/2L of a sum, moves by at most eps_p R / L, and both
+estimates the doubling check compares are contracted alike.
 
-Quadrature check.  support_nodes' panels end at the breakpoints and at 0
-and are at most L / 4N wide, an eighth of 2L/N, the shortest wavelength of
-a product of two basis functions (every |w_m| <= pi N / L).  The doubling
+Quadrature check.  support_nodes' panels end at the breakpoints and at 0.
+On each gap between them they are at most min(L / 4N, pi / (4 max|a|))
+wide: an eighth of 2L/N, the shortest wavelength of a product of two basis
+functions (every |w_m| <= pi N / L), and an eighth of 2 pi / max|a|, the
+shortest wavelength of e^{i Phi_L} on the gap, as d Phi_L / dx = a(x); the
+second binds only for a strong narrow potential.  The doubling
 driver quadrature.adaptive_gauss_legendre, shared with ||Delta_N||_1 and
 the moment, halves them all and compares the O(N) coefficient vectors, not
 two N x N matrices.  Periodic entries are the t_d themselves, so
@@ -51,9 +65,10 @@ unitary multiplication by e^{i g_L}, so E = I - A^H A is positive
 semidefinite and log|D|^2 = log det(I - E).  Only O(log N) eigenvalues of
 E lie above rounding (about 30 at N = 2048 on the benchmark sweeps), and
 overlap_log_det_sq hands E to matrixcore.ritz_log_det: E V = V - A^H (A V)
-costs two FFT Toeplitz products per factor (A is T(t), or T(c_|d|) - H(c)
-in the Dirichlet case, which is complex symmetric, so A^H v =
-conj(A conj v)), and tr E = N - ||A||_F^2 is a closed form in O(N).
+costs one matrixcore.toeplitz_hankel_operator call per factor on a (k, N)
+block (A is T(t), or T(c_|d|) - H(c) in the Dirichlet case, and A^H the
+operator of the conjugated symbols), and tr E = N - ||A||_F^2 is a closed
+form in O(N).
 
 ||Delta_N||_1 from a p x p core.  The two symbols agree outside [-R, R],
 so on support_nodes' x and w (their break at 0 is where e^{i g~_L} jumps)
@@ -67,8 +82,11 @@ Bernstein-ellipse bound, interpolate them all: U = P V + E, |E| <= eps_p.
 As |u_k| <= 1, Hoelder's inequality bounds the change of the trace norm by
 (2 eps_p + eps_p^2) N sum |mu| when Delta_N is replaced by V^H C V,
 C = P^T diag(mu) P, and matrixcore.trace_norm takes that from C and the
-closed-form Gram matrix V V^H.  n and p depend on rho and R, not on N; the
-cost is O(n p^2 + p^3), and Delta_N's rounded entries never enter.  The
+closed-form Gram matrix V V^H.  l_a l_b has degree 2p - 2, so the 2p
+Chebyshev points y_c interpolate it exactly, and C = Lambda^T diag(m) Lambda
+with Lambda_ca = l_a(y_c) and m the contraction of mu onto the y_c, the
+same contraction as the support sums'.  n and p depend on rho and R, not
+on N; the cost is O(n p + p^3), and Delta_N's rounded entries never enter.  The
 same driver settles it, with p 2^r points at refine r, at scale 0: the
 check is relative, as a weak potential's ||Delta_N||_1 is tiny.  The
 paper's ||Delta_N||_1 <= (N/L) int |y a(y)| dy rests on it too.
@@ -90,7 +108,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .hilbert import dirichlet_flux_logdet
-from .matrixcore import fh_coefficients, fh_log_det, ritz_log_det, toeplitz, toeplitz_product, trace_norm
+from .matrixcore import fh_coefficients, fh_log_det, ritz_log_det, toeplitz, toeplitz_hankel_operator, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
 from .quadrature import adaptive_gauss_legendre, build_edges, cis_integral, gauss_legendre_rule, panel_nodes
 from .spectrum import BoundaryCondition
@@ -98,10 +116,56 @@ from .spectrum import BoundaryCondition
 
 def support_nodes(a: MagneticPotential, L: float, N: int, refine: int):
     """(R, nodes, weights) of 16-point panels on [-R, R], R = min(support_radius, L), ending at a's
-    breakpoints and at 0, at most L / 4N wide (the module docstring says why), each halved ``refine`` times."""
+    breakpoints and at 0, on each gap at most min(L / 4N, pi / (4 max|a|)) wide (the module docstring
+    says why), each halved ``refine`` times."""
     R = min(a.support_radius, L)
-    edges = build_edges(-R, R, (0.0, *a.breakpoints), L / (4 * N), refine)
+
+    def width(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.minimum(L / (4 * N), np.pi / (4 * a.peak(lo, hi)))
+
+    edges = build_edges(-R, R, (0.0, *a.breakpoints), width, refine)
     return (R, *panel_nodes(edges, *gauss_legendre_rule(16)))
+
+
+def _chebyshev_size(kappa: float) -> int:
+    """Smallest multiple p of 16 for which Trefethen's bound (ATAP, 2013, Thm 8.2; it holds for first-kind
+    points too) min_r 4 e^{kappa (r - 1/r) / 2} r^{1-p} / (r - 1) on interpolating e^{i kappa t} is 1e-13."""
+    r = 1.0 + np.geomspace(1e-3, 1e3, 400)[:, None]
+    p = np.arange(16, 2.0 * kappa + 80.0, 16)
+    log_bound = np.log(4.0 / (r - 1.0)) + 0.5 * kappa * (r - 1.0 / r) - (p - 1) * np.log(r)
+    return int(p[np.argmax(log_bound.min(axis=0) <= math.log(1e-13))])
+
+
+def _chebyshev_points(R: float, p: int) -> np.ndarray:
+    """The p first-kind Chebyshev points R cos((2a + 1) pi / 2p) of [-R, R]."""
+    return R * np.cos((2 * np.arange(p) + 1) * np.pi / (2 * p))
+
+
+def _barycentric(x: np.ndarray, R: float, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(K, s) with l_a(x) = K_xa / s_x, the barycentric Lagrange basis of the p Chebyshev points x_a of [-R, R]:
+    K_xa = w_a / (x - x_a), w_a = (-1)^a sin((2a + 1) pi / 2p), and s = K 1; a node on a point gets that point's
+    indicator row and s_x = 1."""
+    points = _chebyshev_points(R, p)
+    kernel = x[:, None] - points
+    with np.errstate(divide="ignore"):
+        np.divide((-1.0) ** np.arange(p) * np.sin((2 * np.arange(p) + 1) * np.pi / (2 * p)), kernel, out=kernel)
+    total = kernel.sum(axis=1)
+    hit = ~np.isfinite(total)
+    if hit.any():
+        kernel[hit], total[hit] = x[hit, None] == points, 1.0
+    return kernel, total
+
+
+def _chebyshev_contract(x: np.ndarray, values: np.ndarray, R: float, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x_a, u_a = sum_x values_x l_a(x)): complex values at nodes x in [-R, R] contracted onto the p Chebyshev
+    points x_a, in 8 MB blocks of nodes whatever n is, and one real product per block for both parts."""
+    pairs = np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2)
+    u, rows = np.zeros((p, 2)), (1 << 20) // p
+    for lo in range(0, len(x), rows):
+        kernel, total = _barycentric(x[lo : lo + rows], R, p)
+        u += kernel.T @ (pairs[lo : lo + rows] / total[:, None])
+    return _chebyshev_points(R, p), u.view(complex).ravel()
 
 
 def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -120,13 +184,24 @@ def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndar
     return (outer @ inner).ravel()[:M]
 
 
+def support_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndarray, R: float) -> np.ndarray:
+    """_phase_sums(h, shift, M, nodes, values) for nodes in [-R, R], contracted onto p Chebyshev points.
+
+    Every e^{i w x}, |w| <= h max|shift + m|, equals sum_a l_a(x) e^{i w x_a}
+    on [-R, R] to eps_p = 1e-13 (_chebyshev_size), so the sums over x are
+    sums over the p points x_a with weights u = P^T values.
+    """
+    p = _chebyshev_size(h * max(abs(shift), abs(shift + M - 1)) * R)
+    return _phase_sums(h, shift, M, *_chebyshev_contract(nodes, values, R, p))
+
+
 def _symbol_transform(prof: FluxProfile, N: int, step: float, delta: float, shift: int, M: int, refine: int):
     """F(w) = (1/2L) int_{-L}^{L} e^{i Phi_L(x)} e^{i w x} dx at w_m = (step (shift + m) - delta) / L, m = 0..M-1."""
     L = prof.L
     omega = (step * (shift + np.arange(M)) - delta) / L
     R, nodes, weights = support_nodes(prof.potential, L, N, refine)
     values = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
-    support = _phase_sums(step / L, shift, M, nodes, values)
+    support = support_sums(step / L, shift, M, nodes, values, R)
     # e^{i Phi_L} is e^{+i Phi_L(L)} on [R, L] and e^{-i Phi_L(L)} on [-L, -R]
     right = np.exp(1j * prof.total_flux) * cis_integral(omega, R, L)
     left = np.exp(-1j * prof.total_flux) * cis_integral(omega, -L, -R)
@@ -284,23 +359,21 @@ def _frobenius_deficit(c: np.ndarray, N: int, periodic: bool) -> float:
     return math.fsum(np.concatenate([[N, cross], -squares]))
 
 
-def _overlap_product(c: np.ndarray, N: int, periodic: bool) -> Callable[[np.ndarray, bool], np.ndarray]:
-    """(V, adjoint) -> A V or A^H V on (N, k) blocks, A = _assemble(c, N, periodic), by FFT products.
+def _overlap_product(c: np.ndarray, N: int, periodic: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """V -> E V = V - A^H (A V) on (k, N) blocks, A = _assemble(c, N, periodic) = T(t) - H(h), by FFT operators.
 
-    Periodic A = T(t) and A^H = T(conj t reversed).  Dirichlet
-    A = T(c_|d|) - H(c) with the Hankel H_jk = c_{j+k} applied as a Toeplitz
-    product of the reversed block; A is complex symmetric, so
-    A^H v = conj(A conj v).
+    A^H = T(conj t reversed) - H(conj h), as T(t)^H is the Toeplitz matrix
+    of the reversed conjugate and a Hankel matrix is symmetric, so the
+    adjoint is the operator of the conjugated symbols and no block is
+    conjugated.
     """
     t, h = _toeplitz_hankel(c, N, periodic)
-    if h is None:
-        t_h = t[::-1].conj()
-        return lambda V, adjoint: toeplitz_product(t_h if adjoint else t, V)
+    forward = toeplitz_hankel_operator(t, h)
+    adjoint = toeplitz_hankel_operator(t[::-1].conj(), None if h is None else h.conj())
 
-    def product(V: np.ndarray, adjoint: bool) -> np.ndarray:
-        V = V.conj() if adjoint else V
-        out = toeplitz_product(t, V) - toeplitz_product(h, V[::-1])
-        return out.conj() if adjoint else out
+    def product(V: np.ndarray) -> np.ndarray:
+        out = adjoint(forward(V))
+        return np.subtract(V, out, out=out)
 
     return product
 
@@ -320,18 +393,7 @@ def overlap_log_det_sq(c: np.ndarray, bc: BoundaryCondition, N: int) -> float:
     is the test oracle.
     """
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    product = _overlap_product(c, N, periodic)
-    trace = _frobenius_deficit(c, N, periodic)
-    return ritz_log_det(lambda V: V - product(product(V, False), True), trace, N, _LOGDET_ABS_ERR)
-
-
-def _chebyshev_size(kappa: float) -> int:
-    """Smallest multiple p of 16 for which Trefethen's bound (ATAP, 2013, Thm 8.2; it holds for first-kind
-    points too) min_r 4 e^{kappa (r - 1/r) / 2} r^{1-p} / (r - 1) on interpolating e^{i kappa t} is 1e-13."""
-    r = 1.0 + np.geomspace(1e-3, 1e3, 400)[:, None]
-    p = np.arange(16, 2.0 * kappa + 80.0, 16)
-    log_bound = np.log(4.0 / (r - 1.0)) + 0.5 * kappa * (r - 1.0 / r) - (p - 1) * np.log(r)
-    return int(p[np.argmax(log_bound.min(axis=0) <= math.log(1e-13))])
+    return ritz_log_det(_overlap_product(c, N, periodic), _frobenius_deficit(c, N, periodic), N, _LOGDET_ABS_ERR)
 
 
 def _dirichlet_kernel(t: np.ndarray, N: int) -> np.ndarray:
@@ -348,18 +410,12 @@ def _delta_core(prof: FluxProfile, periodic: bool, N: int, p: int, refine: int) 
     tilt = prof.delta_L * x / L if periodic else 0.0
     # e^{i g} - e^{i g~} = 2i sin((phi - jump) / 2) e^{i ((phi + jump) / 2 - tilt)}, relative to rounding
     mu = 2j * np.sin(0.5 * (phi - jump)) * np.exp(1j * (0.5 * (phi + jump) - tilt)) * w / (2 * L if periodic else L)
-    angle = (2 * np.arange(p) + 1) * np.pi / (2 * p)
-    cheb, weights = R * np.cos(angle), (-1.0) ** np.arange(p) * np.sin(angle)
-    core, rows = np.zeros((p, p), dtype=complex), (1 << 20) // p  # 8 MB blocks of nodes, whatever n is
-    for lo in range(0, len(x), rows):
-        interp = x[lo : lo + rows, None] - cheb  # to the barycentric Lagrange matrix, in place
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(weights, interp, out=interp)
-            interp /= interp.sum(axis=1, keepdims=True)
-        interp[np.isnan(interp)] = 1.0  # a node on a Chebyshev point
-        scaled = interp * mu.real[lo : lo + rows, None]
-        core.real += interp.T @ scaled
-        core.imag += interp.T @ np.multiply(interp, mu.imag[lo : lo + rows, None], out=scaled)
+    # l_a l_b has degree 2p - 2, so the 2p points y_c interpolate it exactly:
+    # C = P^T diag(mu) P = Lambda^T diag(m) Lambda, m = mu contracted onto y, Lambda_ca = l_a(y_c)
+    y, m = _chebyshev_contract(x, mu, R, 2 * p)
+    kernel, total = _barycentric(y, R, p)
+    lam = kernel / total[:, None]
+    core, cheb = lam.T @ (m[:, None] * lam), _chebyshev_points(R, p)
     if periodic:
         return core, _dirichlet_kernel(np.pi * (cheb[:, None] - cheb) / L, N)
     # sum_j sin(j y_a) sin(j y_b) for y = pi/2 + s in s_a -+ s_b, so no argument grows with N

@@ -66,6 +66,10 @@ class GaussianBump:
     def total_integral(self) -> float:
         return float(self.antiderivative(self.support_radius))
 
+    def peak(self, lo, hi):
+        """max |a| on each [lo, hi] inside the support (arrays of ends): |a| at the point nearest the center."""
+        return np.abs(self(np.clip(self.center, lo, hi)))
+
     @property
     def breakpoints(self) -> tuple[float, ...]:
         """-R, R and center + k width / 2, |k| <= 16, inside (-R, R): a is smooth on the
@@ -130,6 +134,14 @@ class PiecewiseLinear:
     @property
     def total_integral(self) -> float:
         return float(self._cum[-1])
+
+    def peak(self, lo, hi):
+        """max |a| on each [lo, hi] (arrays of ends): a is linear between knots, so the largest of |a| at the
+        two ends and at the knots between them."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        inside = (lo[..., None] <= self._xs) & (self._xs <= hi[..., None])
+        knots = np.max(np.where(inside, np.abs(self._vs), 0.0), axis=-1)
+        return np.maximum(np.maximum(np.abs(self(lo)), np.abs(self(hi))), knots)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:

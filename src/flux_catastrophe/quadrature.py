@@ -27,13 +27,21 @@ def gauss_legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(npts)
 
 
-def build_edges(a: float, b: float, breakpoints: Iterable[float], max_width: float, refine: int) -> np.ndarray:
+def build_edges(
+    a: float,
+    b: float,
+    breakpoints: Iterable[float],
+    max_width: float | Callable[[np.ndarray, np.ndarray], np.ndarray],
+    refine: int,
+) -> np.ndarray:
     """Panel edges over [a, b]: the breakpoints inside it, and between them the np.linspace
-    cuts into ceil(gap / max_width) * 2**refine equal panels (refine r + 1 halves refine r)."""
+    cuts into ceil(gap / max_width) * 2**refine equal panels (refine r + 1 halves refine r).
+    ``max_width`` is one width, or a function of the gaps' (lo, hi) ends giving one width per gap."""
     p = np.asarray([*breakpoints], dtype=float)
     pts = np.unique(np.concatenate([[a, b], p[(a < p) & (p < b)]]))
     gap = np.diff(pts)
-    k = np.ceil(gap / max_width).astype(int) * 2**refine
+    width = max_width(pts[:-1], pts[1:]) if callable(max_width) else max_width
+    k = np.ceil(gap / width).astype(int) * 2**refine
     panel = np.repeat(np.arange(len(k)), k)
     j = np.arange(len(panel)) - np.repeat(np.cumsum(k) - k, k)
     return np.append(pts[panel] + j * (gap / k)[panel], b)

@@ -302,18 +302,23 @@ def dense_overlap_matrix(a, periodic: bool, N: int, L: float, refine: int) -> np
     """T_N(e^{i g_L}) at quadrature level ``refine`` with a dense phase matrix.
 
     Shares the support nodes and the flux profile with the package, and
-    the periodic outer-interval integrals; the sums over the nodes, the
-    Dirichlet outer integrals and the assembly are written out.
+    the periodic outer-interval integrals; the sums over the nodes (a dense
+    phase matrix per block of 2048 nodes), the Dirichlet outer integrals and
+    the assembly are written out.
     """
     prof = flux_profile(a, L)
     total = prof.total_flux
+
+    def node_sums(phase, nodes, values):
+        return sum(phase(nodes[lo : lo + 2048]) @ values[lo : lo + 2048] for lo in range(0, len(nodes), 2048))
+
     if periodic:
         delta = prof.delta_L
         d = np.arange(-(N - 1), N, dtype=float)
         omega = (np.pi * d - delta) / L
         R, nodes, weights = support_nodes(a, L, N, refine)
         boundary = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
-        t = np.exp(1j * np.outer(np.pi * d / L, nodes)) @ boundary
+        t = node_sums(lambda x: np.exp(1j * np.outer(np.pi * d / L, x)), nodes, boundary)
         if L > R:
             t = t + np.exp(1j * total) * cis_integral(omega, R, L) + np.exp(-1j * total) * cis_integral(omega, -L, -R)
         rows = np.arange(N)
@@ -323,7 +328,8 @@ def dense_overlap_matrix(a, periodic: bool, N: int, L: float, refine: int) -> np
     h = np.pi / (2.0 * L)
     m = np.arange(0, 2 * N + 1)
     R, nodes, weights = support_nodes(a, L, N, refine)
-    c = np.cos(np.outer(m, h * (nodes + L))) @ (np.exp(1j * prof.phi_at(nodes)) * weights) / (2.0 * L)
+    values = np.exp(1j * prof.phi_at(nodes)) * weights
+    c = node_sums(lambda x: np.cos(np.outer(m, h * (x + L))), nodes, values) / (2.0 * L)
     if L > R:
         # int cos(m y) dy over [0, y(-R)] and [y(R), pi], written out
         lo, hi = h * (L - R), h * (L + R)

@@ -249,13 +249,18 @@ def test_dirichlet_flux_logdet_doubles_the_sketch_until_certified(monkeypatch):
     N, delta = 1024, 1.2375
     expected = dirichlet_flux_logdet(delta, N)
     products = []
-    original = hilbert_module.toeplitz_product
+    original = hilbert_module.toeplitz_hankel_operator
 
-    def counted(t, v):
-        products.append(v.shape[1])
-        return original(t, v)
+    def counted(t, h=None):
+        product = original(t, h)
 
-    monkeypatch.setattr(hilbert_module, "toeplitz_product", counted)
+        def apply(v):
+            products.append(v.shape[0])  # rows of a (k, M) block
+            return product(v)
+
+        return apply
+
+    monkeypatch.setattr(hilbert_module, "toeplitz_hankel_operator", counted)
     monkeypatch.setattr(hilbert_module, "_SKETCH_COLUMNS", 2)
     doubled = dirichlet_flux_logdet(delta, N)
     assert products[0] == 2 and 16 <= max(products) < N // 2  # certified before the exact identity sketch

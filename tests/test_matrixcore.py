@@ -16,7 +16,7 @@ from flux_catastrophe.matrixcore import (
     operator_norm,
     ritz_log_det,
     toeplitz,
-    toeplitz_product,
+    toeplitz_hankel_operator,
     trace_norm,
 )
 from oracles import BasisSpec, assemble_toeplitz, cauchy_fh_logdet_sq, cofactor_det
@@ -234,7 +234,7 @@ def test_toeplitz_product_matches_dense_toeplitz(n):
     rng = np.random.default_rng(n)
     t = rng.standard_normal(2 * n - 1)
     v = rng.standard_normal(n)
-    fast = toeplitz_product(t, v)
+    fast = toeplitz_hankel_operator(t)(v)
     assert fast.shape == (n,)
     # FFT rounding is relative to |t| |v|; an index slip is an O(1) error
     assert_allclose(fast, toeplitz(t, n) @ v, rtol=0, atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(v))
@@ -242,42 +242,79 @@ def test_toeplitz_product_matches_dense_toeplitz(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 4097])
 def test_toeplitz_product_of_a_block_matches_its_columns(n):
+    # one vector per row of the (k, n) block
     rng = np.random.default_rng(n)
     t = rng.standard_normal(2 * n - 1)
-    block = rng.standard_normal((n, 3))
-    fast = toeplitz_product(t, block)
-    assert fast.shape == (n, 3)
-    for col in range(3):
-        assert_allclose(fast[:, col], toeplitz_product(t, block[:, col]), rtol=0, atol=1e-14 * np.linalg.norm(t)
-                        * np.linalg.norm(block[:, col]))
-    assert_allclose(fast, toeplitz(t, n) @ block, rtol=0, atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(block))
+    block = rng.standard_normal((3, n))
+    product = toeplitz_hankel_operator(t)
+    fast = product(block)
+    assert fast.shape == (3, n) and fast.flags.c_contiguous
+    for row in range(3):
+        assert_allclose(fast[row], product(block[row]), rtol=0, atol=1e-14 * np.linalg.norm(t)
+                        * np.linalg.norm(block[row]))
+    assert_allclose(fast, block @ toeplitz(t, n).T, rtol=0, atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(block))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 4097])
 def test_toeplitz_product_of_a_complex_block_matches_dense_toeplitz(n):
     rng = np.random.default_rng(n)
     t = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
-    block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    fast = toeplitz_product(t, block)
-    assert fast.shape == (n, 3) and np.iscomplexobj(fast)
-    assert_allclose(fast, toeplitz(t, n) @ block, rtol=0, atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(block))
+    block = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    product = toeplitz_hankel_operator(t)
+    fast = product(block)
+    assert fast.shape == (3, n) and np.iscomplexobj(fast)
+    assert_allclose(fast, block @ toeplitz(t, n).T, rtol=0, atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(block))
     # a real block under a complex kernel takes the complex transform too
-    assert_allclose(toeplitz_product(t, block.real), toeplitz(t, n) @ block.real, rtol=0,
+    assert_allclose(product(block.real), block.real @ toeplitz(t, n).T, rtol=0,
                     atol=1e-14 * np.linalg.norm(t) * np.linalg.norm(block))
+
+
+def _dense_t_minus_h(t, h, n):
+    """T(t) - H(h) indexed entry by entry, t[(n - 1) + j - k] - h[j + k], either part None for zero."""
+    j, k = np.ogrid[:n, :n]
+    return (0.0 if t is None else t[(n - 1) + j - k]) - (0.0 if h is None else h[j + k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 181, 724])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_toeplitz_hankel_operator_matches_dense_t_minus_h(n, kind):
+    rng = np.random.default_rng(n)
+
+    def symbol():
+        s = rng.standard_normal(2 * n - 1)
+        return s + 1j * rng.standard_normal(2 * n - 1) if kind == "complex" else s
+
+    t, h = symbol(), symbol()
+    vector = rng.standard_normal(n)
+    block = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    for tt, hh in ((t, h), (t, None), (None, h)):
+        dense = _dense_t_minus_h(tt, hh, n)
+        product = toeplitz_hankel_operator(tt, hh)
+        scale = 1e-14 * (np.linalg.norm(t) + np.linalg.norm(h))
+        # a real vector, a complex block (a real symbol splits it in two real blocks) and its real part
+        for v in (vector, block, block.real):
+            fast = product(v)
+            assert fast.shape == v.shape and fast.flags.c_contiguous
+            assert np.iscomplexobj(fast) == (kind == "complex" or np.iscomplexobj(v))
+            assert_allclose(fast, v @ dense.T, rtol=0, atol=scale * np.linalg.norm(v))
+        # the adjoint is the operator of the reversed conjugate Toeplitz and the conjugate Hankel symbol
+        adjoint = toeplitz_hankel_operator(None if tt is None else tt[::-1].conj(), None if hh is None else hh.conj())
+        assert_allclose(adjoint(block), block @ dense.conj(), rtol=0, atol=scale * np.linalg.norm(block))
 
 
 # -- ritz_log_det: certified log det(I - E) from block products ---------------
 
 
 def _known_spectrum(mu: np.ndarray, n: int, seed: int = 7):
-    """E = U diag(mu) U^H with random orthonormal U: (V -> E V, tr E, exact log det(I - E), widths seen, U)."""
+    """E = U diag(mu) U^H with random orthonormal U: (V -> E V on (k, n) rows, tr E, exact log det(I - E),
+    widths seen, U)."""
     rng = np.random.default_rng(seed)
     u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0][:, : len(mu)]
     widths = []
 
     def apply(V):
-        widths.append(V.shape[1])
-        return u @ (mu[:, None] * (u.conj().T @ V))
+        widths.append(V.shape[0])
+        return ((V @ u.conj()) * mu) @ u.T
 
     return apply, math.fsum(mu), float(np.sum(np.log1p(-mu))), widths, u
 
@@ -331,8 +368,8 @@ def test_ritz_log_det_rejects_a_misaligned_sketch():
     def first_sketch_off(V):
         out = apply(V)
         if len(widths) == 1:
-            noise = np.random.default_rng(11).standard_normal((n, V.shape[1])) + 0j
-            noise -= u @ (u.conj().T @ noise)  # E annihilates it
+            noise = np.random.default_rng(11).standard_normal((V.shape[0], n)) + 0j
+            noise -= (noise @ u.conj()) @ u.T  # E annihilates it
             out = out + 1e-6 * np.linalg.norm(out) / np.linalg.norm(noise) * noise
         return out
 

@@ -40,6 +40,7 @@ from flux_catastrophe.potential import (
     weighted_abs_moment,
     zero_potential,
 )
+from flux_catastrophe.quadrature import cis_integral
 from flux_catastrophe.spectrum import BoundaryCondition
 from oracles import (
     BasisSpec,
@@ -452,6 +453,47 @@ def test_narrow_strong_bump_settles_to_the_dense_svd(bc, flux, N):
     assert_allclose(point.trace_norm_delta, _dense_delta_trace_norm(a, bc, N, N / 2.0), rtol=1e-10)
 
 
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_phase_rate_caps_the_panels_of_a_strong_narrow_bump(bc):
+    # flux 1200 on a bump 0.1 wide turns e^{i Phi_L} about every 0.0013,
+    # and panels L / 4N = 0.125 wide stayed 0.0078 wide after _MAX_REFINE
+    # halvings: the quadrature raised.  Capped at pi / (4 max|a|) on each
+    # gap, it settles, and matches LU and the SVD of the dense oracle matrix
+    a = gaussian_bump_with_flux(1200.0, width=0.1)
+    N, L = 256, 128.0
+    point = evaluate_point(a, bc, N, L)
+    dense = dense_overlap_matrix(a, bc is PER, N, L, refine=1)
+    # the certificate's 1e-10 and the 1e-10 entry check through LU
+    assert abs(point.log_D_sq - 2.0 * log_det(dense)) <= 1e-9
+    delta = dense - flux_matrix(flux_profile(a, L).total_flux, bc, N)
+    assert_allclose(point.trace_norm_delta, np.linalg.svd(delta, compute_uv=False).sum(), rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        gaussian_bump_with_flux(1200.0, width=0.1),
+        PiecewiseLinear(((-2.0, 0.0), (-0.5, 300.0), (0.0, 80.0), (1.0, 0.0))),
+    ],
+    ids=["bump", "piecewise-linear"],
+)
+def test_support_nodes_cap_each_gap_at_the_phase_rate(a):
+    # every panel is at most min(L / 4N, pi / (4 max|a|)) wide, max|a| taken
+    # over the gap between breakpoints it lies in: an eighth of the shortest
+    # wavelength of a basis product and of e^{i Phi_L}
+    L, N = 64.0, 128
+    R, nodes, weights = overlap_module.support_nodes(a, L, N, 0)
+    width = weights.reshape(-1, 16).sum(axis=1)
+    lo = nodes.reshape(-1, 16).mean(axis=1) - 0.5 * width
+    gaps = np.unique([-R, R, 0.0, *[b for b in a.breakpoints if -R < b < R]])
+    gap = np.searchsorted(gaps, lo + 0.5 * width) - 1
+    with np.errstate(divide="ignore"):  # a gap where a vanishes has no phase cap
+        cap = np.minimum(L / (4 * N), np.pi / (4 * a.peak(gaps[gap], gaps[gap + 1])))
+    assert np.all(width <= cap * (1 + 1e-12))
+    assert width.min() < 0.5 * L / (4 * N)  # the cap binds somewhere
+    assert abs(weights.sum() - 2 * R) <= 1e-12 * R
+
+
 def test_trace_norm_of_delta_is_deterministic():
     for bc in (PER, DIR):
         prof = flux_profile(SWEEP_POTENTIALS[bc], 128.0)
@@ -748,10 +790,10 @@ def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(bc, build):
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_evaluate_point_peak_memory_is_linear_in_n(bc):
-    # no N x N array is formed: |D| works on (N, k) blocks with k = 32, and
+    # no N x N array is formed: |D| works on (k, N) blocks with k = 32, and
     # ||Delta_N||_1 on a core whose size does not depend on N.  The peak
-    # reads 7.1 (periodic) and 8.1 (Dirichlet) N k 16 bytes at N = 2048,
-    # set by |D|; the budget of 12 leaves a 48% margin.  Assembling Delta_N
+    # reads 5.2 (periodic) and 6.5 (Dirichlet) N k 16 bytes at N = 2048,
+    # set by |D|; the budget of 12 leaves an 85% margin.  Assembling Delta_N
     # alone would take N / k = 64 of them
     N, L, k = 2048, 1024.0, 32
     a = SWEEP_POTENTIALS[bc]
@@ -910,3 +952,41 @@ def test_split_piece_trace_norm_bound(bump_quarter_pi):
     tn = trace_norm(m, np.eye(N))
     bound = N / (2 * L) * weighted_abs_moment(bump_quarter_pi, 0.0, L)
     assert tn <= bound + 1e-8
+
+
+_CONTRACTION_POTENTIALS = {
+    "bench-bump": SWEEP_POTENTIALS[PER],
+    "bench-piecewise-linear": SWEEP_POTENTIALS[DIR],
+    "flux-100-width-0.1": gaussian_bump_with_flux(100.0, width=0.1),
+    "flux-300-width-0.1": gaussian_bump_with_flux(300.0, width=0.1),
+}
+
+
+@pytest.mark.parametrize("N", [128, 1024, 8192, 2**15])
+@pytest.mark.parametrize("rho", [1, 4])
+@pytest.mark.parametrize("name", list(_CONTRACTION_POTENTIALS))
+def test_contracted_support_sums_match_the_direct_node_sums(monkeypatch, name, rho, N):
+    # the support sums run over p Chebyshev points, not the n quadrature
+    # nodes; against the sum over the n nodes, written out with one
+    # exponential per (frequency, node) at 300 sampled frequencies and both
+    # ends, each coefficient of either basis moves by at most 1e-13
+    a, L = _CONTRACTION_POTENTIALS[name], N / (2.0 * rho)
+    prof = flux_profile(a, L)
+    R, nodes, weights = overlap_module.support_nodes(a, L, N, 0)
+    seen = []
+    phase_sums = overlap_module._phase_sums
+    monkeypatch.setattr(overlap_module, "_phase_sums", lambda h, shift, M, x, v: seen.append(len(x)) or
+                        phase_sums(h, shift, M, x, v))
+    rng = np.random.default_rng(N + rho)
+    # (step, delta, shift, M) of the periodic t_d and of the Dirichlet cosine sums
+    for step, delta, shift, M in ((np.pi, prof.delta_L, 1 - N, 2 * N - 1), (np.pi / 2, 0.0, -2 * N, 4 * N + 1)):
+        got = overlap_module._symbol_transform(prof, N, step, delta, shift, M, 0)
+        p = overlap_module._chebyshev_size(step / L * max(abs(shift), abs(shift + M - 1)) * R)
+        assert seen.pop() == p < len(nodes)
+        m = np.unique(np.concatenate([[0, M - 1], rng.integers(0, M, 300)]))
+        w = step * (shift + m) / L
+        values = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
+        outer = np.exp(1j * prof.total_flux) * cis_integral(w - delta / L, R, L)
+        outer += np.exp(-1j * prof.total_flux) * cis_integral(w - delta / L, -L, -R)
+        direct = (np.exp(1j * np.outer(w, nodes)) @ values + outer) / (2.0 * L)
+        assert np.max(np.abs(got[m] - direct)) <= 1e-13

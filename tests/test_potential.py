@@ -197,3 +197,26 @@ def test_flux_profile_rejects_bad_L(zero_pot):
         flux_profile(zero_pot, 0.0)
     with pytest.raises(DomainError):
         flux_decomposition(math.inf)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        GaussianBump(0.3, 0.1, -7.0, 4.0),
+        PiecewiseLinear(((-3.0, 0.0), (-1.5, 0.6), (0.0, -1.2), (0.5, 0.3), (2.5, 0.0))),
+    ],
+    ids=["bump", "piecewise-linear"],
+)
+def test_peak_is_the_largest_modulus_on_each_interval(a):
+    # against a 20001-point sample of each interval: never below it, and at
+    # most the rounding of a sample that misses the maximizer by 2e-5 above it
+    rng = np.random.default_rng(3)
+    ends = np.sort(rng.uniform(-a.support_radius, a.support_radius, (40, 2)), axis=1)
+    ends = np.vstack([ends, [[-1.0, 1.0], [0.3, 0.3], [-0.2, 0.1], [0.5, 2.5]]])
+    peak = a.peak(ends[:, 0], ends[:, 1])
+    assert peak.shape == (len(ends),)
+    for (lo, hi), top in zip(ends, peak):
+        sampled = float(np.max(np.abs(a(np.linspace(lo, hi, 20001)))))
+        assert sampled <= top * (1 + 1e-14)
+        assert top <= sampled + 1e-3 * max(top, 1e-300)
+    assert a.peak(0.3, 0.3) == pytest.approx(abs(float(a(0.3))), rel=1e-15)

@@ -116,3 +116,27 @@ def test_build_edges_equals_the_linspace_loop(seed):
             if coarser is not None:
                 assert np.array_equal(edges[::2], coarser)
             coarser = edges
+
+
+@pytest.mark.parametrize("refine", [0, 1, 2])
+def test_build_edges_takes_one_width_per_gap(refine):
+    # a width function of the gaps' ends: each gap gets its own
+    # ceil(gap / width) * 2**refine equal panels, and a constant function the
+    # edges of the constant width
+    a, b, breakpoints = -3.0, 4.0, (-1.0, 0.0, 2.5)
+    widths = {(-3.0, -1.0): 0.3, (-1.0, 0.0): 0.07, (0.0, 2.5): 1.0, (2.5, 4.0): 0.5}
+    seen = []
+
+    def width(lo, hi):
+        seen.append((lo.copy(), hi.copy()))
+        return np.array([widths[pair] for pair in zip(lo.tolist(), hi.tolist())])
+
+    edges = build_edges(a, b, breakpoints, width, refine)
+    assert len(seen) == 1 and seen[0][0].tolist() == [-3.0, -1.0, 0.0, 2.5]
+    for (lo, hi), w in widths.items():
+        inside = edges[(edges >= lo) & (edges <= hi)]
+        assert inside[0] == lo and inside[-1] == hi
+        assert len(inside) - 1 == math.ceil((hi - lo) / w) * 2**refine
+        assert np.all(np.diff(inside) <= w / 2**refine * (1.0 + 1e-15))
+    assert np.array_equal(build_edges(a, b, breakpoints, lambda lo, hi: np.full(len(lo), 0.3), refine),
+                          build_edges(a, b, breakpoints, 0.3, refine))
