@@ -1,7 +1,7 @@
 """Configuration-driven experiment runner.
 
 Usage:
-    flux-catastrophe run <config.json> [--jobs K] [--out DIR]
+    flux-catastrophe run <config.json> [--jobs 1] [--out DIR]
     flux-catastrophe selftest
 
 A config is a single JSON document (no environment variables are read):
@@ -52,21 +52,17 @@ differences and the limit 4 delta^2 rho^2 or 4 delta (delta - pi) rho^2 of
 N dE; under Dirichlet boundary conditions the spectrum does not move, so
 dE, the direct sum and the limit are all exactly 0.
 
-Every CSV row carries the config hash, grid points are evaluated in grid
-order (or by a pool of --jobs worker processes and merged in grid order),
-and floats are printed with 17 significant digits, so identical configs
-produce byte-identical CSV files.
+Every CSV row carries the config hash, grid points are evaluated one
+after another in grid order in this process (each already runs
+multithreaded BLAS), and floats are printed with 17 significant digits, so
+identical configs produce byte-identical CSV files.
 
---jobs defaults to 1.  Each grid point already runs multithreaded BLAS, so
-extra worker processes oversubscribe the cores: on a 2-core Xeon VM
-(OpenBLAS 0.3.31, 2 threads) the periodic N = 128 .. 2048 overlap sweep,
-bench/configs/sweep_periodic.json, took 0.45, 0.53 and 0.39 s at --jobs 1
-against 0.88, 3.77 and 3.10 s at --jobs 2 (wall clock of the command, with
-no N x N array held by any grid point).
+--jobs accepts only 1, its default; it is kept for callers that still pass
+it and goes once none does.
 
 Exit codes: 0 success, 2 property-check failure, 1 config, numerical or
-usage error (a --jobs below 1 is one, and so is an output directory that
-cannot be created, which is reported before any grid point runs).
+usage error (a --jobs other than 1 is one, and so is an output directory
+that cannot be created, which is reported before any grid point runs).
 """
 
 from __future__ import annotations
@@ -77,9 +73,7 @@ import json
 import math
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -87,7 +81,7 @@ import numpy as np
 
 from . import asymptotics, hilbert, overlap, spectrum
 from .errors import DomainError, NumericalError
-from .matrixcore import fh_log_det, fh_matrix, log_det, toeplitz, toeplitz_hankel_operator
+from .matrixcore import fh_log_det, fh_matrix, log_det
 from .potential import (
     MagneticPotential,
     flux_profile,
@@ -229,7 +223,7 @@ def write_rows(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-grid-point workers (top level for picklability): (config, N) -> CSV row
+# per-grid-point workers: (config, N) -> CSV row
 # ---------------------------------------------------------------------------
 
 
@@ -267,13 +261,6 @@ def _dirichlet_point(config: ExperimentConfig, n: int) -> tuple:
     delta, m = config.resolve_delta(), n // 2
     ld = hilbert.dirichlet_flux_logdet(delta, n)
     return (m, n, delta, 2.0 * ld, *hilbert.k_part_norms(m), hilbert.hilbert_section_norm(m))
-
-
-def _run_pool(worker, args_list, jobs: int) -> list[tuple]:
-    if jobs <= 1 or len(args_list) <= 1:
-        return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, args_list))
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +397,16 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
-def run_experiment(config: ExperimentConfig, out_dir: Path, jobs: int) -> int:
-    """Evaluate every grid point, write the experiment's CSV, apply its gate."""
+def run_experiment(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
+    """Evaluate every grid point in grid order, write the experiment's CSV, apply its gate.
+
+    ``jobs`` must be 1; it remains only for callers that still pass it.
+    """
+    if jobs != 1:
+        raise DomainError(f"jobs: grid points run in this process, so only 1 is accepted, got {jobs!r}")
     row = EXPERIMENTS[config.experiment]
     header = ["config_hash", *row.columns]
-    rows = [(config.config_hash, *r) for r in _run_pool(partial(row.worker, config), config.n_grid, jobs)]
+    rows = [(config.config_hash, *row.worker(config, n)) for n in config.n_grid]
     write_rows(out_dir / row.csv, header, rows)
     cols = dict(zip(header, zip(*rows)))
     ok, message = row.gate(config, cols, {**row.tolerances, **config.tolerances}, out_dir)
@@ -485,31 +477,6 @@ def selftest() -> int:
     )
     check("matrix-free overlap log-det vs LU", worst < 1e-10, f"max |diff| {worst:.1e}")
 
-    # the support sums contracted onto p Chebyshev points against the sums over the n quadrature nodes,
-    # one exponential per (frequency, node), per coefficient (1/2L of a sum) on the periodic and the
-    # Dirichlet frequency grids
-    worst = 0.0
-    for n in (128, 512):
-        L = n / 2.0
-        R, x, w = overlap.support_nodes(bump, L, n, 0)
-        values = np.exp(1j * flux_profile(bump, L).phi_at(x)) * w
-        for h, shift, M in ((math.pi / L, 1 - n, 2 * n - 1), (math.pi / (2 * L), -2 * n, 4 * n + 1)):
-            direct = np.exp(1j * np.outer(h * (shift + np.arange(M)), x)) @ values
-            diff = overlap.support_sums(h, shift, M, x, values, R) - direct
-            worst = max(worst, float(np.max(np.abs(diff))) / (2 * L))
-    check("contracted vs direct support sums", worst < 1e-13, f"max |diff| {worst:.1e}")
-
-    # the FFT operator against the dense T(t) - H(h), real and complex symbols, on a (k, n) block
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for n in (64, 181):
-        t, h = (rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1) for _ in range(2))
-        block = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-        for tt, hh in ((t.real, h.real), (t, h)):
-            dense = toeplitz(tt, n) - np.lib.stride_tricks.sliding_window_view(hh, n)
-            worst = max(worst, float(np.max(np.abs(toeplitz_hankel_operator(tt, hh)(block) - block @ dense.T))))
-    check("T - H operator vs dense T - H", worst < 1e-12, f"max |diff| {worst:.1e}")
-
     m = overlap.overlap_matrix(flux_profile(zero_potential(), 8.0), BoundaryCondition.PERIODIC, 16)
     check("zero potential identity", float(np.max(np.abs(m - np.eye(16)))) < 1e-10)
 
@@ -525,16 +492,14 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument(
         "--jobs",
         type=int,
+        choices=(1,),
         default=1,
-        help="worker processes (default: 1; grid points already use multithreaded BLAS, "
-        "so more workers oversubscribe the cores)",
+        help="accepted only as 1, the default: grid points run in this process in grid order",
     )
     runp.add_argument("--out", type=Path, default=None, help="output directory (overrides config output_path)")
     sub.add_parser("selftest", help="run the built-in property suite")
     try:
         args = parser.parse_args(argv)
-        if args.command == "run" and args.jobs < 1:
-            runp.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error, the property-failure code here
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG_OR_NUMERICAL

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from flux_catastrophe import cli, overlap
+from flux_catastrophe.errors import DomainError
 from flux_catastrophe.matrixcore import log_det
 from flux_catastrophe.spectrum import BoundaryCondition
 from oracles import cauchy_fh_logdet_sq
@@ -95,13 +99,6 @@ def test_tight_gate_exits_2(tmp_path, capsys):
     assert "band EXCEEDED" in capsys.readouterr().out
 
 
-def test_jobs_defaults_to_one(tmp_path, monkeypatch):
-    seen = []
-    monkeypatch.setattr(cli, "run_experiment", lambda config, out_dir, jobs: seen.append(jobs) or cli.EXIT_OK)
-    assert cli.main(["run", _sweep(tmp_path)]) == cli.EXIT_OK
-    assert seen == [1]
-
-
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -109,10 +106,10 @@ def test_jobs_defaults_to_one(tmp_path, monkeypatch):
         ([], "the following arguments are required: command"),
         (["rerun"], "invalid choice: 'rerun'"),
         (["run", "CONFIG", "--jobs", "two"], "argument --jobs: invalid int value: 'two'"),
-        (["run", "CONFIG", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
-        (["run", "CONFIG", "--jobs", "-1"], "argument --jobs: must be at least 1, got -1"),
+        (["run", "CONFIG", "--jobs", "2"], "argument --jobs: invalid choice: 2"),
+        (["run", "CONFIG", "--jobs", "0"], "argument --jobs: invalid choice: 0"),
     ],
-    ids=["no-config", "no-command", "unknown-command", "jobs-word", "jobs-zero", "jobs-negative"],
+    ids=["no-config", "no-command", "unknown-command", "jobs-word", "jobs-two", "jobs-zero"],
 )
 def test_usage_errors_exit_1_before_any_run(tmp_path, monkeypatch, capsys, args, message):
     # argparse's own usage-error code is 2, the property-failure code here
@@ -127,19 +124,33 @@ def test_help_exits_0(capsys):
     assert "--jobs" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("case", ["periodic", "dirichlet", "anderson"])
-def test_csv_identical_for_one_and_two_jobs(tmp_path, case):
-    if case == "anderson":
-        config = _write_config(tmp_path, experiment="anderson", delta_override=0.5, n_grid=[16, 32, 64])
-        csv = "anderson.csv"
-    else:
-        config, csv = _sweep(tmp_path, bc=case), "overlap_sweep.csv"
-    outputs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert cli.main(["run", config, "--jobs", jobs, "--out", str(out)]) == cli.EXIT_OK
-        outputs.append((out / csv).read_bytes())
+def test_jobs_one_and_no_flag_write_the_same_csv(tmp_path):
+    config, outputs = _sweep(tmp_path), []
+    for flag in (["--jobs", "1"], []):
+        out = tmp_path / f"out{len(outputs)}"
+        assert cli.main(["run", config, *flag, "--out", str(out)]) == cli.EXIT_OK
+        outputs.append((out / "overlap_sweep.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_run_experiment_called_positionally_with_jobs(tmp_path):
+    # the bench's in-process trace calls run_experiment(config, out, 1)
+    config = cli.ExperimentConfig.from_dict(json.loads(Path(_sweep(tmp_path)).read_text()))
+    assert cli.run_experiment(config, tmp_path / "one", 1) == cli.EXIT_OK
+    assert len((tmp_path / "one" / "overlap_sweep.csv").read_text().splitlines()) == 4
+    with pytest.raises(DomainError, match="only 1 is accepted, got 2"):
+        cli.run_experiment(config, tmp_path / "two", 2)
+    assert not (tmp_path / "two").exists()
+
+
+def test_importing_the_cli_starts_no_process_machinery():
+    # grid points run in the CLI's own process, so no pool module is loaded
+    code = ("import sys, flux_catastrophe.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # one tiny config per experiment: the CSV header and the phrase of a passing gate

@@ -956,13 +956,14 @@ def test_split_piece_trace_norm_bound(bump_quarter_pi):
 
 _CONTRACTION_POTENTIALS = {
     "bench-bump": SWEEP_POTENTIALS[PER],
+    "flux-pi-over-4": gaussian_bump_with_flux(math.pi / 4),
     "bench-piecewise-linear": SWEEP_POTENTIALS[DIR],
     "flux-100-width-0.1": gaussian_bump_with_flux(100.0, width=0.1),
     "flux-300-width-0.1": gaussian_bump_with_flux(300.0, width=0.1),
 }
 
 
-@pytest.mark.parametrize("N", [128, 1024, 8192, 2**15])
+@pytest.mark.parametrize("N", [128, 512, 1024, 8192, 2**15])
 @pytest.mark.parametrize("rho", [1, 4])
 @pytest.mark.parametrize("name", list(_CONTRACTION_POTENTIALS))
 def test_contracted_support_sums_match_the_direct_node_sums(monkeypatch, name, rho, N):
