@@ -61,8 +61,10 @@ identical configs produce byte-identical CSV files.
 it and goes once none does.
 
 Exit codes: 0 success, 2 property-check failure, 1 config, numerical or
-usage error (a --jobs other than 1 is one, and so is an output directory
-that cannot be created, which is reported before any grid point runs).
+usage error (a --jobs other than 1 is one, and so are a config file that
+cannot be read and an output directory that cannot be created, which are
+reported before any grid point runs; a grid point's error names the
+experiment and its N).
 """
 
 from __future__ import annotations
@@ -400,13 +402,23 @@ EXPERIMENTS: dict[str, Experiment] = {
 def run_experiment(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
     """Evaluate every grid point in grid order, write the experiment's CSV, apply its gate.
 
+    A grid point's DomainError or NumericalError propagates with the
+    experiment and N prefixed to its message, before any CSV is written.
+
     ``jobs`` must be 1; it remains only for callers that still pass it.
     """
     if jobs != 1:
         raise DomainError(f"jobs: grid points run in this process, so only 1 is accepted, got {jobs!r}")
     row = EXPERIMENTS[config.experiment]
     header = ["config_hash", *row.columns]
-    rows = [(config.config_hash, *row.worker(config, n)) for n in config.n_grid]
+    rows = []
+    for n in config.n_grid:
+        try:
+            rows.append((config.config_hash, *row.worker(config, n)))
+        except (DomainError, NumericalError) as exc:
+            # name the grid point, keeping the type and a NumericalError's context
+            exc.args = (f"{config.experiment} at N = {n}: {exc.args[0]}", *exc.args[1:])
+            raise
     write_rows(out_dir / row.csv, header, rows)
     cols = dict(zip(header, zip(*rows)))
     ok, message = row.gate(config, cols, {**row.tolerances, **config.tolerances}, out_dir)
@@ -514,6 +526,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_OR_NUMERICAL
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_OR_NUMERICAL
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG_OR_NUMERICAL
     try:
         config = ExperimentConfig.from_dict(raw)

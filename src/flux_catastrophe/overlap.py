@@ -35,11 +35,13 @@ Every node against every one of the M = 2N - 1 or 4N + 1 frequencies
 would cost O(M n).  But on [-R, R] every e^{i omega x},
 |omega| <= omega_max = step max|shift + m| / L, equals its interpolant
 sum_a l_a(x) e^{i omega x_a} on the p first-kind Chebyshev points x_a to
-eps_p = 1e-13, p = _chebyshev_size(omega_max R) (Trefethen's
-Bernstein-ellipse bound, ATAP 2013, Thm 8.2; 48 and 64 on the benchmark
-sweeps, whatever N is).  So support_sums contracts the weighted
-values once, u = P^T v with the barycentric Lagrange matrix P_xa = l_a(x),
-and _phase_sums factors the phases of sum_a u_a e^{i (shift + m) step x_a / L}:
+eps_p = 1e-13, p = _chebyshev_size(omega_max R) (48 and 64 on the benchmark
+sweeps, whatever N is).  That one rule, Trefethen's a-priori
+Bernstein-ellipse bound, sizes every Chebyshev interpolation in this
+module, and no run-time check repeats it.  So support_sums contracts the
+weighted values once, u = P^T v with the barycentric Lagrange matrix
+P_xa = l_a(x), and _phase_sums factors the phases of
+sum_a u_a e^{i (shift + m) step x_a / L}:
 O(n p + M p) in place of O(M n).  As |v_x| = w_x and sum w_x = 2R, every
 coefficient, 1/2L of a sum, moves by at most eps_p R / L, and both
 estimates the doubling check compares are contracted alike.
@@ -77,9 +79,9 @@ consecutive k centred at 0 (a unitary shift of the window) or sin(j y),
 and mu = w (e^{i g_L} - e^{i g~_L}) / 2L, or
 w (e^{i Phi_L} - e^{i Phi_L(L) sign x}) / L.  On [-R, R] each u_k is a
 constant phase times e^{i omega x}, |omega| <= pi rho (rho = N / 2L), so
-p first-kind Chebyshev points, p from kappa = pi rho R by Trefethen's
-Bernstein-ellipse bound, interpolate them all: U = P V + E, |E| <= eps_p.
-As |u_k| <= 1, Hoelder's inequality bounds the change of the trace norm by
+the p = _chebyshev_size(pi rho R) first-kind Chebyshev points interpolate
+them all: U = P V + E, |E| <= eps_p.  As |u_k| <= 1, Hoelder's inequality
+bounds the change of the trace norm by
 (2 eps_p + eps_p^2) N sum |mu| when Delta_N is replaced by V^H C V,
 C = P^T diag(mu) P, and matrixcore.trace_norm takes that from C and the
 closed-form Gram matrix V V^H.  l_a l_b has degree 2p - 2, so the 2p
@@ -87,9 +89,10 @@ Chebyshev points y_c interpolate it exactly, and C = Lambda^T diag(m) Lambda
 with Lambda_ca = l_a(y_c) and m the contraction of mu onto the y_c, the
 same contraction as the support sums'.  n and p depend on rho and R, not
 on N; the cost is O(n p + p^3), and Delta_N's rounded entries never enter.  The
-same driver settles it, with p 2^r points at refine r, at scale 0: the
-check is relative, as a weak potential's ||Delta_N||_1 is tiny.  The
-paper's ||Delta_N||_1 <= (N/L) int |y a(y)| dy rests on it too.
+same driver settles it at scale 0, with the same p at every refine, so two
+estimates differ in their panels alone: the check is relative, as a weak
+potential's ||Delta_N||_1 is tiny.  The paper's
+||Delta_N||_1 <= (N/L) int |y a(y)| dy rests on it too.
 
 evaluate_point builds the flux profile and the overlap coefficients once
 per grid point and derives C_{N,L}, ||Delta_N||_1 (for N <= 2p from those
@@ -339,7 +342,10 @@ def _frobenius_deficit(c: np.ndarray, N: int, periodic: bool) -> float:
     X = sum_{j,k} c_|j-k| conj(c_{j+k}) = sum_d w_d c_d conj(sum_s c_s),
     s = d + 2, d + 4, .., 2N - d (w_0 = 1, w_d = 2), whose inner sums are
     differences of per-parity prefix sums.  S_1 and S_2 are of size N and
-    nearly cancel N, so they are summed exactly; X is a few units.
+    nearly cancel N, so they are summed exactly; X is a few units.  A plain
+    float64 sum misses tr E by 2.8e-13 .. 9.5e-12 on the benchmark potentials
+    at N = 2^11 .. 2^17 (L = N/2), 17-385x ritz_log_det's own rounding
+    allowance (log2 N + k) eps tr E; the exact sum costs 8-460 ms there.
     """
     if periodic:
         squares = _weighted_squares(N - np.abs(np.arange(1 - N, N)), c)
@@ -428,9 +434,11 @@ def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int, c: np.nda
     """||Delta_N||_1 of Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}) from a p x p core, p independent of N.
 
     The module docstring has the error argument; adaptive_gauss_legendre settles
-    it to a relative 1e-10, refine r taking the core of p 2^r points on
+    it to a relative 1e-10, refine r taking the core of the same p points on
     support_nodes' panels halved r times.  For N <= 2p the SVD of Delta_N from
-    c = overlap_coefficients(prof, bc, N) is summed, there 3-400x faster.
+    c = overlap_coefficients(prof, bc, N) is summed, near the crossover (periodic
+    bump, dense/core, best of 3: 4.5/4.5 ms at p = 48, N = 128; 16/22 ms at p = 96,
+    N = 256; 519/212 ms at p = 272, N = 1024).  Bench sweeps (2p = 96) take the core.
     """
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
     p = _chebyshev_size(math.pi * N * min(prof.potential.support_radius, prof.L) / (2.0 * prof.L))
@@ -438,7 +446,7 @@ def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int, c: np.nda
         delta = _assemble(c - flux_coefficients(prof.total_flux, bc, N), N, periodic)
         return float(np.sum(np.linalg.svd(delta, compute_uv=False)))
     return adaptive_gauss_legendre(
-        lambda refine: trace_norm(*_delta_core(prof, periodic, N, p << refine, refine)), _QUADRATURE_TOL, scale=0.0
+        lambda refine: trace_norm(*_delta_core(prof, periodic, N, p, refine)), _QUADRATURE_TOL, scale=0.0
     )
 
 

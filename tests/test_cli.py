@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from flux_catastrophe import cli, overlap
-from flux_catastrophe.errors import DomainError
+from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.matrixcore import log_det
 from flux_catastrophe.spectrum import BoundaryCondition
 from oracles import cauchy_fh_logdet_sq
@@ -65,6 +65,40 @@ def test_missing_and_malformed_config_exit_1(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli.main(["run", str(bad)]) == cli.EXIT_CONFIG_OR_NUMERICAL
     assert "config is not valid JSON" in capsys.readouterr().err
+
+
+def test_config_directory_exits_1_without_a_traceback(tmp_path, capsys):
+    assert cli.main(["run", str(tmp_path)]) == cli.EXIT_CONFIG_OR_NUMERICAL
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
+def test_binary_config_exits_1_without_a_traceback(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"experiment": "\xff\xfe"}')
+    assert cli.main(["run", str(config)]) == cli.EXIT_CONFIG_OR_NUMERICAL
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
+def test_grid_point_error_names_the_experiment_and_n(tmp_path, monkeypatch, capsys):
+    evaluate = overlap.evaluate_point
+
+    def failing(a, bc, n, L):
+        if n == 24:
+            raise NumericalError("log-det rounding alone exceeds the budget", achieved=2e-10, requested=1e-10)
+        return evaluate(a, bc, n, L)
+
+    monkeypatch.setattr(cli.overlap, "evaluate_point", failing)
+    out = tmp_path / "out"
+    assert cli.main(["run", _sweep(tmp_path), "--out", str(out)]) == cli.EXIT_CONFIG_OR_NUMERICAL
+    assert capsys.readouterr().err == (
+        "error: overlap_sweep at N = 24: log-det rounding alone exceeds the budget "
+        "(achieved=2e-10, requested=1e-10)\n"
+    )
+    assert list(out.iterdir()) == []
+    # the type and the context reach in-process callers unchanged
+    with pytest.raises(NumericalError) as info:
+        cli.run_experiment(cli.ExperimentConfig.from_dict(json.loads(Path(_sweep(tmp_path)).read_text())), out)
+    assert info.value.context == {"achieved": 2e-10, "requested": 1e-10}
 
 
 def test_numerical_domain_error_exits_1(tmp_path, capsys):

@@ -348,8 +348,9 @@ def _recording_core(monkeypatch):
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_matrix_free_trace_norm_matches_dense_svd_at_every_bench_n(monkeypatch, bc):
     # N = 128 .. 2048, odd N = 181 included: the p x p core against the
-    # dense SVD of the assembled Delta_N.  Every bench point takes the core,
-    # at p = 48 (kappa = 4 pi for the bump, 3 pi for the knots) and then 96
+    # dense SVD of the assembled Delta_N.  Every bench point takes the core
+    # at p = 48 (kappa = 4 pi for the bump, 3 pi for the knots), and the
+    # refinement halves its panels only
     calls = _recording_core(monkeypatch)
     a = SWEEP_POTENTIALS[bc]
     for N in _bench_grid(bc):
@@ -358,7 +359,7 @@ def test_matrix_free_trace_norm_matches_dense_svd_at_every_bench_n(monkeypatch, 
         c = overlap_coefficients(prof, bc, N)
         calls.clear()
         assert_allclose(delta_trace_norm(prof, bc, N, c), dense, rtol=1e-10, err_msg=str(N))
-        assert calls == [(48, 0), (96, 1)], N
+        assert calls == [(48, 0), (48, 1)], N
 
 
 WIDE_BUMP = GaussianBump(0.0, 2.0, 1.0, 12.0)
@@ -430,27 +431,45 @@ def test_delta_trace_norm_is_relative_for_a_weak_potential(bc):
 @pytest.mark.parametrize("flux", [2.0, 1e-12])
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_delta_trace_norm_rejects_a_core_that_moves_under_doubling(monkeypatch, bc, flux):
-    # p doubles with every halving, and 1 point doubled _MAX_REFINE = 4 times
-    # is 16, far too few for kappa = 4 pi; the check is relative, so it also
-    # rejects the weak potential, whose change an absolute 1e-10 would pass
-    monkeypatch.setattr(overlap_module, "_chebyshev_size", lambda kappa: 1)
+    # the core's panels starved to one midpoint node each: _MAX_REFINE = 4
+    # halvings still leave the midpoint rule far from settled; the check is
+    # relative, so it also rejects the weak potential, whose change an
+    # absolute 1e-10 would pass
     prof = flux_profile(gaussian_bump_with_flux(flux), 128.0)
     c = overlap_coefficients(prof, bc, 256)
+    monkeypatch.setattr(overlap_module, "gauss_legendre_rule", lambda npts: quadrature_module.gauss_legendre_rule(1))
     with pytest.raises(NumericalError) as info:
         delta_trace_norm(prof, bc, 256, c)
     assert info.value.context["achieved"] > info.value.context["requested"] > 0.0
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.5, math.pi, 4 * math.pi, 24 * math.pi, 100.0, 400.0, 1000.0])
+def test_chebyshev_size_interpolates_the_phase_to_its_bound(kappa):
+    # the a-priori rule every Chebyshev interpolation rests on, with no
+    # run-time check behind it: e^{i kappa t} from its values at the p
+    # first-kind points of [-1, 1] is within 1e-13 of itself, up to the p eps
+    # rounding of a p-term barycentric sum (Higham, IMA J. Numer. Anal. 24,
+    # 2004), which also covers the rounding of kappa t as p > kappa
+    p = overlap_module._chebyshev_size(kappa)
+    assert p % 16 == 0 and p > kappa
+    t = np.linspace(-1.0, 1.0, 4001)
+    kernel, total = overlap_module._barycentric(t, 1.0, p)
+    interpolant = kernel @ np.exp(1j * kappa * overlap_module._chebyshev_points(1.0, p)) / total
+    assert np.max(np.abs(interpolant - np.exp(1j * kappa * t))) <= 1e-13 + p * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("N", [256, 1024])
 @pytest.mark.parametrize("flux", [100.0, 150.0])
 @pytest.mark.parametrize("bc", [PER, DIR])
-def test_narrow_strong_bump_settles_to_the_dense_svd(bc, flux, N):
+def test_narrow_strong_bump_settles_to_the_dense_svd(monkeypatch, bc, flux, N):
     # e^{i Phi_L} turns once every 0.016 or so across a bump 0.1 wide with
-    # flux 100, against panels L / 4N = 0.125 wide: Delta_N's core settles
-    # only after more than one halving
+    # flux 100; the panels' phase-rate cap pi / (4 max|a|) resolves it, so
+    # the core of one p settles after one halving, as on the bench
+    calls = _recording_core(monkeypatch)
     a = gaussian_bump_with_flux(flux, width=0.1)
     point = evaluate_point(a, bc, N, N / 2.0)
     assert_allclose(point.trace_norm_delta, _dense_delta_trace_norm(a, bc, N, N / 2.0), rtol=1e-10)
+    assert calls == [(48, 0), (48, 1)]
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
