@@ -478,14 +478,15 @@ def selftest() -> int:
     )
     check("matrix-free K log-det vs dense K", worst < 1e-12, f"max |diff| {worst:.1e}")
 
-    # the certified matrix-free log|D|^2 against LU of the assembled overlap matrix
-    bump = potential_from_dict(_BUMP)
+    # the certified matrix-free log|D|^2 against LU of the assembled overlap matrix, also
+    # near singular: the flux-1.58 bump has delta_L near -pi/2 and sigma_min about 6e-3
+    cases = [(bc, n, _BUMP) for bc in BoundaryCondition for n in (64, 181)]
+    cases.append((BoundaryCondition.PERIODIC, 512, dict(_BUMP, total_flux=1.58)))
     worst = max(
         abs(overlap.overlap_log_det_sq(overlap.overlap_coefficients(prof, bc, n), bc, n)
             - 2.0 * log_det(overlap.overlap_matrix(prof, bc, n)))
-        for bc in BoundaryCondition
-        for n in (64, 181)
-        for prof in [flux_profile(bump, n / 2.0)]
+        for bc, n, raw in cases
+        for prof in [flux_profile(potential_from_dict(raw), n / 2.0)]
     )
     check("matrix-free overlap log-det vs LU", worst < 1e-10, f"max |diff| {worst:.1e}")
 

@@ -25,24 +25,25 @@ H = (1/(j+k-1/2)) and inherits the norm bound ||K^{--}|| <= pi^2/4 from
 ||H|| = pi; its trace grows like (1/4) ln N while the other pieces stay
 O(1), which is what produces the sin^2(delta) upper-bound exponent.  The
 Hankel section of H and K^{--} are applied by FFT Toeplitz products from
-O(M) vectors and their traces are closed forms.  K itself is applied the
-same way, two FFT Toeplitz-minus-Hankel products per (k, M) block, and
-dirichlet_flux_logdet takes log det(I - (4/pi^2) sin^2(delta) K) from its
-few eigenvalues above rounding with the shared certified engine
-matrixcore.ritz_log_det, so only k_matrix, the dense oracle, holds an
-M x M array.
+O(M) vectors and their traces are closed forms.  As c^2 + s^2 = 1,
+I - alpha K = c^2 I + s^2 B^T B = G^T G, alpha = (4/pi^2) sin^2(delta), is
+the Gram matrix of G = [|c| I; |s| B], F's M even-parity columns up to a
+phase per block.  Up to signs B is (2/pi) B', one Toeplitz-minus-Hankel
+section, so dirichlet_flux_logdet hands _parity_factor's G to the shared
+certified engine matrixcore.ritz_log_det; only k_matrix, the dense oracle,
+holds an M x M array.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .asymptotics import digamma, trigamma
 from .errors import DomainError
-from .matrixcore import operator_norm, ritz_log_det, toeplitz_hankel_operator
+from .matrixcore import Product, operator_norm, ritz_log_det, toeplitz_hankel_operator
 
 
 def hilbert_section_norm(M: int) -> float:
@@ -97,27 +98,28 @@ def k_matrix(N: int) -> np.ndarray:
     return K
 
 
-def _k_product(N: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """V -> K V for a (k, M) block V, one vector per row, in O(k M log M), and tr K.
+def _parity_factor(N: int, delta: float) -> tuple[Product, Product]:
+    """V -> G V and W -> G^T W on (k, .) blocks, G = [|cos delta| I_M; (2/pi) |sin delta| B'], in O(k T log T).
 
-    jk / (j^2 - k^2) = (j/2) [1/(j - k) - 1/(j + k)] turns the off-diagonal
-    entries into K V = diag V + (j/2) [S (T - H) V - (T - H)(S V)] with the
-    Toeplitz T_jk = 1/(j - k) (zero diagonal) and the Hankel H_jk = 1/(j + k),
-    whose diagonal term drops out of the difference; each T - H is one call
-    of the FFT operator over all k rows.
+    B'_ab = 1/(2(a - b) - 1) - 1/(2(a + b) - 1), a = 1..T, b = 1..M, is
+    T(t) - H(h) with t_u = 1/(2u - 1) and h_v = 1/(2v + 3) (v = a + b - 2),
+    one FFT operator on T x T blocks: a (k, M) block is padded with a zero
+    column when N is odd (T = M + 1), and B'^T runs on the reversed t.
+    G^T G = I - alpha K up to diag((-1)^b) (module docstring).
     """
-    jv, S, diag = _k_vectors(N)
-    M = len(jv)
-    d = np.arange(1 - M, M, dtype=float)
-    t = np.divide(1.0, d, out=np.zeros_like(d), where=d != 0)
-    h = 1.0 / np.arange(2, 2 * M + 1, dtype=float)
-    half_j = 0.5 * jv
-    t_minus_h = toeplitz_hankel_operator(t, h)
+    M, T = N // 2, (N + 1) // 2
+    u = np.arange(1 - T, T, dtype=float)
+    t, h = 1.0 / (2.0 * u - 1.0), 1.0 / (2.0 * np.arange(2 * T - 1) + 3.0)
+    b, bt = toeplitz_hankel_operator(t, h), toeplitz_hankel_operator(t[::-1], h)
+    c, s = abs(math.cos(delta)), (2.0 / math.pi) * abs(math.sin(delta))
 
-    def apply(V: np.ndarray) -> np.ndarray:
-        return diag * V + half_j * (S * t_minus_h(V) - t_minus_h(S * V))
+    def forward(V: np.ndarray) -> np.ndarray:
+        return np.concatenate([c * V, s * b(np.pad(V, [(0, 0), (0, T - M)]))], axis=1)
 
-    return apply, float(np.sum(diag))
+    def adjoint(W: np.ndarray) -> np.ndarray:
+        return c * W[:, :M] + s * bt(np.ascontiguousarray(W[:, M:]))[:, :M]
+
+    return forward, adjoint
 
 
 class KPartNorms(NamedTuple):
@@ -179,21 +181,19 @@ _LOGDET_ABS_ERR = 1e-12
 
 
 def dirichlet_flux_logdet(delta: float, N: int) -> float:
-    """log|D~_{N,L}| of the N x N Dirichlet jump-symbol matrix, any N >= 1, from O(M) vectors.
+    """log|D~_{N,L}| of the N x N Dirichlet jump-symbol matrix, any N >= 1, from O(N) vectors.
 
-    det F = c^(N - 2M) det(c^2 I + s^2 B^T B) with I - B^T B = (4/pi^2) K
-    (module docstring) makes it (N - 2M) log|cos delta| plus
-    log det(I - alpha K), alpha = (4/pi^2) sin^2(delta), M = N // 2; odd N
-    at delta = pi/2 gives exactly -inf and delta = 0 exactly 0.0.
-
-    K is positive semidefinite, and all but its first twenty or so
-    eigenvalues are below rounding for N <= 2^17, so matrixcore.ritz_log_det
-    takes log det(I - alpha K) from a k = 24 column Rayleigh-Ritz sketch of
-    E = alpha K, certified to 1e-12 under the closed-form trace alpha tr K
-    (the sum of the closed-form diagonal).  K is only ever applied to (k, M)
-    blocks (_k_product), so for M > k no M x M array exists.  LU of the
-    dense K of k_matrix and of overlap.flux_matrix(Phi, DIRICHLET, N),
-    Phi = n pi + delta, are the test oracles.
+    det F = c^(N - 2M) det(G^T G) (module docstring) makes it
+    (N - 2M) log|cos delta| + log det(G^T G), M = N // 2, for _parity_factor's
+    G, which depends on delta through |cos delta| and |sin delta| alone (so
+    -delta gives the same bits); odd N at delta = pi/2 gives exactly -inf and
+    delta = 0 exactly 0.0.  All but twenty or so eigenvalues of
+    I - G^T G = alpha K, alpha = (4/pi^2) sin^2(delta), are below rounding for
+    N <= 2^17, so matrixcore.ritz_log_det takes log det(G^T G) from a k = 24
+    row sketch, certified to 1e-12 under the closed-form trace alpha tr K.
+    For M > k no M x M array exists.  LU of I - alpha K with k_matrix's K and
+    of overlap.flux_matrix(Phi, DIRICHLET, N), Phi = n pi + delta, are the
+    test oracles.
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")
@@ -208,5 +208,5 @@ def dirichlet_flux_logdet(delta: float, N: int) -> float:
     M = N // 2
     if alpha == 0.0 or M == 0:
         return odd
-    apply, trace = _k_product(N)
-    return odd + ritz_log_det(lambda V: alpha * apply(V), alpha * trace, M, _LOGDET_ABS_ERR, _SKETCH_COLUMNS)
+    trace = alpha * float(np.sum(_k_vectors(N)[2]))
+    return odd + ritz_log_det(*_parity_factor(N, delta), trace, M, _LOGDET_ABS_ERR, _SKETCH_COLUMNS)

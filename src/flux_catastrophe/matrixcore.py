@@ -9,24 +9,23 @@ it, one forward and one inverse FFT along the contiguous last axis of a
 (k, N) block per call, the closed-form jump-symbol coefficients
 fh_coefficients with their matrix fh_matrix and O(1) log-determinant
 fh_log_det, the dense log-determinant, the certified Rayleigh-Ritz
-log det(I - E), the trace norm of a matrix given by a small core and its
-Gram matrix, and the power-iteration norm of a symmetric operator given by
-its product.
+log det(A^H A) of a contraction A, the trace norm of a matrix given by a
+small core and its Gram matrix, and the power-iteration norm of a symmetric
+operator given by its product.
 
 Determinants of these matrices decay polynomially in N, so only their
 magnitudes are kept, in log space throughout.  fh_log_det sums Cauchy's
 product formula for the periodic jump-symbol matrix in O(1) (its docstring
 has the derivation).  Both other determinants an overlap sweep needs are
-log det(I - E) of a positive semidefinite E with few eigenvalues above
-rounding, and ritz_log_det takes them from block products alone:
-E = I - A^H A for the exact overlap matrix A (overlap.overlap_log_det_sq)
-and E = (4/pi^2) sin^2(delta) K for the Dirichlet jump matrix
-(hilbert.dirichlet_flux_logdet).  log_det, dense LU with partial pivoting
-(LAPACK via numpy), is the O(N^3) oracle they are tested against; no
-overlap sweep calls it.  trace_norm is the last step of ||Delta_N||_1:
-overlap writes Delta_N = V^H C V with a p x p core C from Chebyshev
-interpolation of the basis and a closed-form Gram matrix V V^H; p follows
-from the support and the density, not from N (overlap bounds the error).
+det(A^H A) of a contraction A, the overlap matrix or the Dirichlet parity
+factor, with few singular values below 1 - rounding; ritz_log_det takes
+them from A's block products, off the singular values of A on a sketch.
+log_det, dense LU with partial pivoting (LAPACK via numpy), is the O(N^3)
+oracle they are tested against; no overlap sweep calls it.  trace_norm is
+the last step of ||Delta_N||_1: overlap writes Delta_N = V^H C V with a
+p x p core C from Chebyshev interpolation of the basis and a closed-form
+Gram matrix V V^H; p follows from the support and the density, not from N
+(overlap bounds the error).
 """
 
 from __future__ import annotations
@@ -39,6 +38,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .asymptotics import hurwitz_zeta
 from .errors import DomainError, NumericalError
+
+# a block product V -> A V along the last axis of a vector or (k, n) block
+Product = Callable[[np.ndarray], np.ndarray]
 
 
 def log_det(matrix: np.ndarray) -> float:
@@ -59,38 +61,37 @@ _SKETCH_COLUMNS = 32
 
 
 def ritz_log_det(
-    apply: Callable[[np.ndarray], np.ndarray], trace: float, n: int, abs_err: float, columns: int = _SKETCH_COLUMNS
+    forward: Product, adjoint: Product, trace: float, n: int, abs_err: float, columns: int = _SKETCH_COLUMNS
 ) -> float:
-    """log det(I - E) for a Hermitian positive semidefinite n x n operator E with ||E|| < 1.
+    """log det(A^H A) of a contraction A on C^n, certified, from V -> A V and W -> A^H W alone.
 
-    E is given by its block product V -> E V on C-contiguous (k, n) arrays,
-    one vector per row, and by its trace.  When all but a few eigenvalues of
-    E lie below rounding, a randomized Rayleigh-Ritz sum finds the
-    determinant (Halko, Martinsson, Tropp, SIAM Review 53, 2011): a
-    fixed-seed real Gaussian sketch of k rows gives the orthonormal rows Q of
-    qr((E Omega)^T), and sum log1p(-theta) runs over the Ritz values theta of
-    Q^H E Q.  Only (k, n) blocks are formed.
+    The products act on C-contiguous (k, .) blocks, one vector per row, and
+    trace is tr E, E = I - A^H A >= 0.  When few eigenvalues of E lie above
+    rounding, a randomized Rayleigh-Ritz sum finds the determinant (Halko,
+    Martinsson, Tropp, SIAM Review 53, 2011): a fixed-seed real Gaussian
+    sketch of k rows gives the orthonormal rows Q of qr((E Omega)^T).  The
+    Ritz values are theta = 1 - s^2 over the singular values s of A Q (from
+    the R factor of (A Q)^T), the sum is 2 sum log s, and A Q also gives
+    E Q = Q - A^H (A Q).  Only (k, n) blocks are formed.
 
-    The result is certified.  With Q_perp completing Q, the Schur complement
-    on (Q, Q_perp) gives det(I - E) = det(I - E_11) det(I - S) with
-    S = E_22 + E_21 (I - E_11)^-1 E_12 >= 0, so the Ritz sum exceeds the
-    log-det by at most g / (1 - g) for any g >= tr S.  Such a g is
+    The Schur complement on (Q, Q_perp) gives det(I - E) =
+    det(I - E_11) det(I - S), S = E_22 + E_21 (I - E_11)^-1 E_12 >= 0, so
+    the sum exceeds the log-det by at most g / (1 - g) for any g >= tr S:
 
-        g = (tr E - sum theta) + ||E Q - Q (Q^H E Q)||_F^2 / (1 - theta_max) + rounding,
+        g = (tr E - sum theta) + ||E Q - Q (Q^H E Q)||_F^2 / s_min^2 + rounding,
 
-    since tr E_22 = tr E - tr E_11 and E_21 is the residual of E Q.  The
+    as tr E_22 = tr E - tr E_11 and E_21 is the residual of E Q.  The
     rounding term carries the two trace sums, (log2 n + k) eps (tr E +
-    sum |theta|), and each Ritz value's matvec error, about log2(2n) eps
-    for an FFT product, through d log1p(-theta) / d theta: the sum of
-    1 / (1 - theta) over the Ritz values.  The sum is returned once
-    g / (1 - g) <= abs_err; otherwise k doubles, and once k >= n the identity
-    replaces the sketch, which is exact.  The rounding term grows with k,
-    so when it alone exceeds the budget (an I - E close to singular) no
-    sketch meets it, and NumericalError is raised with the bound achieved
-    and the budget requested.  The empty sketch comes first: when tr E alone
-    meets the budget, the result is 0.0.  An I - E singular to working
-    precision (theta_max >= 1) gives -inf.  The seed is fixed, so the result
-    is deterministic.
+    sum |theta|), and each s's own error: A Q, an FFT product with
+    ||A|| <= 1, is about log2(2n) eps off per row, the QR and the k x k SVD
+    add about k eps, and 2 log s moves by 2 / s times that, in all
+    2 (log2(2n) + k) eps sum 1 / s.  Ritz values of A^H A would carry
+    1 / s^2 there (Golub & Van Loan, Matrix Computations, section 8.6).
+    The sum is returned once g / (1 - g) <= abs_err; otherwise k doubles,
+    and once k >= n the identity replaces the sketch, which is exact.  The
+    rounding term grows with k, so when it alone exceeds the budget
+    NumericalError is raised with the bound achieved, the budget requested,
+    s_min and k.  tr E within the budget gives 0.0; s_min = 0 gives -inf.
     """
     eps = float(np.finfo(float).eps)
     # the empty sketch: tr E alone bounds the sum, so E = 0 gives exactly 0.0
@@ -100,27 +101,36 @@ def ritz_log_det(
     rng = np.random.default_rng(_SKETCH_SEED)
     k = columns
     while True:
-        exact = k >= n
-        q = np.eye(n) if exact else np.ascontiguousarray(np.linalg.qr(apply(rng.standard_normal((k, n))).T)[0].T)
-        eq = apply(q)
-        ritz = q.conj() @ eq.T
-        theta = np.linalg.eigvalsh(0.5 * (ritz + ritz.conj().T))
-        if theta[-1] >= 1.0:
+        if k >= n:
+            q = np.eye(n)
+        else:
+            sketch = rng.standard_normal((k, n))
+            e_sketch = adjoint(forward(sketch))
+            q = np.ascontiguousarray(np.linalg.qr(np.subtract(sketch, e_sketch, out=e_sketch).T)[0].T)
+            del sketch, e_sketch
+        aq = forward(q)
+        s = np.linalg.svd(np.linalg.qr(aq.T, mode="r"), compute_uv=False)
+        if s[-1] == 0.0:
             return -math.inf
-        ld = float(np.sum(np.log1p(-theta)))
-        if exact:
+        ld = 2.0 * float(np.sum(np.log(s)))
+        if k >= n:  # the identity sketch is exact
             return ld
-        eq -= ritz.T @ q
+        eq = adjoint(aq)
+        del aq
+        np.subtract(q, eq, out=eq)
+        eq -= (q.conj() @ eq.T).T @ q
+        theta = 1.0 - s * s
         rounding = eps * (
             (n.bit_length() + k) * (trace + float(np.sum(np.abs(theta))))
-            + (2 * n).bit_length() * float(np.sum(1.0 / (1.0 - theta)))
+            + 2 * ((2 * n).bit_length() + k) * float(np.sum(1.0 / s))
         )
-        g = max(trace - float(np.sum(theta)), 0.0) + float(np.vdot(eq, eq).real) / (1.0 - theta[-1]) + rounding
+        g = max(trace - float(np.sum(theta)), 0.0) + float(np.vdot(eq, eq).real) / s[-1] ** 2 + rounding
         if g < 1.0 and g / (1.0 - g) <= abs_err:
             return ld
         if rounding >= 1.0 or rounding / (1.0 - rounding) > abs_err:
             achieved = g / (1.0 - g) if g < 1.0 else math.inf
-            raise NumericalError("log-det rounding alone exceeds the budget", achieved=achieved, requested=abs_err)
+            context = dict(achieved=achieved, requested=abs_err, s_min=float(s[-1]), k=k)
+            raise NumericalError("log-det rounding alone exceeds the budget", **context)
         k *= 2
 
 
@@ -140,7 +150,7 @@ _POWER_REL_TOL = 1e-10
 _POWER_MAX_ITER = 10_000
 
 
-def operator_norm(apply: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+def operator_norm(apply: Product, n: int) -> float:
     """Norm (largest |eigenvalue|) of a real symmetric n x n operator, given as v -> A v.
 
     Power iteration from a fixed pseudorandom unit vector, so the result is
@@ -173,7 +183,7 @@ def toeplitz(t: np.ndarray, N: int) -> np.ndarray:
     return sliding_window_view(t[::-1], N)[::-1]
 
 
-def toeplitz_hankel_operator(t: np.ndarray | None, h: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+def toeplitz_hankel_operator(t: np.ndarray | None, h: np.ndarray | None = None) -> Product:
     """v -> (T(t) - H(h)) v along the last axis of a vector or (k, n) block, in O(k n log n) per call.
 
     T_jk = t[(n - 1) + j - k] and H_jk = h[j + k], j, k = 0..n-1, each from

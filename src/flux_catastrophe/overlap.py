@@ -35,9 +35,10 @@ Every node against every one of the M = 2N - 1 or 4N + 1 frequencies
 would cost O(M n).  But on [-R, R] every e^{i omega x},
 |omega| <= omega_max = step max|shift + m| / L, equals its interpolant
 sum_a l_a(x) e^{i omega x_a} on the p first-kind Chebyshev points x_a to
-eps_p = 1e-13, p = _chebyshev_size(omega_max R) (48 and 64 on the benchmark
-sweeps, whatever N is).  That one rule, Trefethen's a-priori
-Bernstein-ellipse bound, sizes every Chebyshev interpolation in this
+eps_p = 1e-13 + p eps (the bound plus the barycentric rounding),
+p = _chebyshev_size(omega_max R) (48 and 64 on the benchmark sweeps,
+whatever N is).  That one rule, Trefethen's a-priori Bernstein-ellipse
+bound, sizes every Chebyshev interpolation in this
 module, and no run-time check repeats it.  So support_sums contracts the
 weighted values once, u = P^T v with the barycentric Lagrange matrix
 P_xa = l_a(x), and _phase_sums factors the phases of
@@ -63,14 +64,14 @@ overlap_coefficients returns the accepted vector, and flux_coefficients
 the closed-form one of the jump symbol.
 
 |D| without a matrix.  The overlap matrix A is a finite section of the
-unitary multiplication by e^{i g_L}, so E = I - A^H A is positive
-semidefinite and log|D|^2 = log det(I - E).  Only O(log N) eigenvalues of
-E lie above rounding (about 30 at N = 2048 on the benchmark sweeps), and
-overlap_log_det_sq hands E to matrixcore.ritz_log_det: E V = V - A^H (A V)
-costs one matrixcore.toeplitz_hankel_operator call per factor on a (k, N)
+unitary multiplication by e^{i g_L}, a contraction, so
+log|D|^2 = log det(A^H A).  Only O(log N) singular values of A lie below
+1 - rounding (about 30 at N = 2048 on the benchmark sweeps), and
+overlap_log_det_sq hands A itself to matrixcore.ritz_log_det: A V and
+A^H W cost one matrixcore.toeplitz_hankel_operator call each on a (k, N)
 block (A is T(t), or T(c_|d|) - H(c) in the Dirichlet case, and A^H the
-operator of the conjugated symbols), and tr E = N - ||A||_F^2 is a closed
-form in O(N).
+operator of the conjugated symbols), and tr(I - A^H A) = N - ||A||_F^2 is
+a closed form in O(N).
 
 ||Delta_N||_1 from a p x p core.  The two symbols agree outside [-R, R],
 so on support_nodes' x and w (their break at 0 is where e^{i g~_L} jumps)
@@ -80,8 +81,8 @@ and mu = w (e^{i g_L} - e^{i g~_L}) / 2L, or
 w (e^{i Phi_L} - e^{i Phi_L(L) sign x}) / L.  On [-R, R] each u_k is a
 constant phase times e^{i omega x}, |omega| <= pi rho (rho = N / 2L), so
 the p = _chebyshev_size(pi rho R) first-kind Chebyshev points interpolate
-them all: U = P V + E, |E| <= eps_p.  As |u_k| <= 1, Hoelder's inequality
-bounds the change of the trace norm by
+them all: U = P V + E, |E| <= eps_p = 1e-13 + p eps.  As |u_k| <= 1,
+Hoelder's inequality bounds the change of the trace norm by
 (2 eps_p + eps_p^2) N sum |mu| when Delta_N is replaced by V^H C V,
 C = P^T diag(mu) P, and matrixcore.trace_norm takes that from C and the
 closed-form Gram matrix V V^H.  l_a l_b has degree 2p - 2, so the 2p
@@ -104,7 +105,7 @@ overlap_sweep row of the CLI's experiment table (cli._c_band_gate).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -133,7 +134,8 @@ def support_nodes(a: MagneticPotential, L: float, N: int, refine: int):
 
 def _chebyshev_size(kappa: float) -> int:
     """Smallest multiple p of 16 for which Trefethen's bound (ATAP, 2013, Thm 8.2; it holds for first-kind
-    points too) min_r 4 e^{kappa (r - 1/r) / 2} r^{1-p} / (r - 1) on interpolating e^{i kappa t} is 1e-13."""
+    points too) min_r 4 e^{kappa (r - 1/r) / 2} r^{1-p} / (r - 1) on interpolating e^{i kappa t} is 1e-13; the
+    barycentric evaluation adds about p eps of rounding, so the interpolant is good to 1e-13 + p eps."""
     r = 1.0 + np.geomspace(1e-3, 1e3, 400)[:, None]
     p = np.arange(16, 2.0 * kappa + 80.0, 16)
     log_bound = np.log(4.0 / (r - 1.0)) + 0.5 * kappa * (r - 1.0 / r) - (p - 1) * np.log(r)
@@ -191,8 +193,8 @@ def support_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.nda
     """_phase_sums(h, shift, M, nodes, values) for nodes in [-R, R], contracted onto p Chebyshev points.
 
     Every e^{i w x}, |w| <= h max|shift + m|, equals sum_a l_a(x) e^{i w x_a}
-    on [-R, R] to eps_p = 1e-13 (_chebyshev_size), so the sums over x are
-    sums over the p points x_a with weights u = P^T values.
+    on [-R, R] to eps_p = 1e-13 + p eps (_chebyshev_size), so the sums over
+    x are sums over the p points x_a with weights u = P^T values.
     """
     p = _chebyshev_size(h * max(abs(shift), abs(shift + M - 1)) * R)
     return _phase_sums(h, shift, M, *_chebyshev_contract(nodes, values, R, p))
@@ -365,25 +367,6 @@ def _frobenius_deficit(c: np.ndarray, N: int, periodic: bool) -> float:
     return math.fsum(np.concatenate([[N, cross], -squares]))
 
 
-def _overlap_product(c: np.ndarray, N: int, periodic: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """V -> E V = V - A^H (A V) on (k, N) blocks, A = _assemble(c, N, periodic) = T(t) - H(h), by FFT operators.
-
-    A^H = T(conj t reversed) - H(conj h), as T(t)^H is the Toeplitz matrix
-    of the reversed conjugate and a Hankel matrix is symmetric, so the
-    adjoint is the operator of the conjugated symbols and no block is
-    conjugated.
-    """
-    t, h = _toeplitz_hankel(c, N, periodic)
-    forward = toeplitz_hankel_operator(t, h)
-    adjoint = toeplitz_hankel_operator(t[::-1].conj(), None if h is None else h.conj())
-
-    def product(V: np.ndarray) -> np.ndarray:
-        out = adjoint(forward(V))
-        return np.subtract(V, out, out=out)
-
-    return product
-
-
 # log|D|^2 is certified to this absolute error
 _LOGDET_ABS_ERR = 1e-10
 
@@ -391,15 +374,20 @@ _LOGDET_ABS_ERR = 1e-10
 def overlap_log_det_sq(c: np.ndarray, bc: BoundaryCondition, N: int) -> float:
     """log|det A|^2 of the overlap matrix A = _assemble(c, N, periodic), without forming it.
 
-    A is a finite section of the unitary multiplication by e^{i g_L}, so
-    E = I - A^H A is positive semidefinite and log|det A|^2 = log det(I - E).
-    matrixcore.ritz_log_det takes it to an absolute 1e-10 from the block
-    products E V = V - A^H (A V) of _overlap_product and the closed-form
-    tr E = N - ||A||_F^2 of _frobenius_deficit.  Dense LU of overlap_matrix
-    is the test oracle.
+    matrixcore.ritz_log_det takes log det(A^H A) to an absolute 1e-10 from
+    the FFT operators of A = T(t) - H(h) and A^H = T(conj t reversed) -
+    H(conj h) and the closed-form tr(I - A^H A) = N - ||A||_F^2 of
+    _frobenius_deficit; dense LU of overlap_matrix is the test oracle.
+    sigma_min(A) is smallest as delta_L -> -pi/2: periodic Gaussian bumps of
+    width 0.5 (R = 4, L = N/2) and total flux pi/2 + eps certify at k = 32
+    for every eps scanned, 1e-12 to 0.1, at N = 2048 and 8192 (sigma_min 4.8e-3
+    and 4.2e-3 as eps -> 0): the smallest flux certified is pi/2 + 1e-12.
     """
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    return ritz_log_det(_overlap_product(c, N, periodic), _frobenius_deficit(c, N, periodic), N, _LOGDET_ABS_ERR)
+    t, h = _toeplitz_hankel(c, N, periodic)
+    forward = toeplitz_hankel_operator(t, h)
+    adjoint = toeplitz_hankel_operator(t[::-1].conj(), None if h is None else h.conj())
+    return ritz_log_det(forward, adjoint, _frobenius_deficit(c, N, periodic), N, _LOGDET_ABS_ERR)
 
 
 def _dirichlet_kernel(t: np.ndarray, N: int) -> np.ndarray:

@@ -428,6 +428,12 @@ def test_dirichlet_sweep_at_delta_pi_over_2(tmp_path, capsys):
     assert "degenerate C at N = [5, 7, 9, 65]" in capsys.readouterr().out
 
 
+def test_sweep_just_above_flux_pi_over_2_exits_ok(tmp_path):
+    # delta_L = 1.6 - pi: the overlap matrix is near singular, sigma_min about 5e-3
+    cols = _sweep_columns(tmp_path, dict(POTENTIAL, total_flux=1.6), [128, 512, 2048])
+    assert cols["n_L"] == [1] * 3 and all(math.isfinite(v) for v in cols["log_D_sq"])
+
+
 def test_sweep_at_delta_zero_with_even_n(tmp_path):
     # flux pi: n_L = 1 and delta_L = 0, so the jump matrix is -I and C_{N,L} = |D|^2
     cols = _sweep_columns(tmp_path, _triangle(2.0 * math.pi), [4, 6, 8])

@@ -243,6 +243,21 @@ def test_dirichlet_flux_logdet_matches_dense_k_route(N):
             assert abs(engine - dense) <= 1e-12, (delta, engine - dense)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 16, 17, 64, 65])
+def test_parity_factor_matches_the_dense_jump_matrix(N):
+    # the odd-row / even-column block of F = c I + i s S is i s B; B's
+    # entries carry the signs (-1)^(a+b) that G^T G's similarity drops
+    M, T = N // 2, (N + 1) // 2
+    signs = (-1.0) ** np.add.outer(np.arange(T), np.arange(M))
+    for delta in (math.pi / 4, 1.2375, math.pi / 2):
+        forward, adjoint = hilbert_module._parity_factor(N, delta)
+        F = flux_matrix(delta, BoundaryCondition.DIRICHLET, N)
+        B = signs * (F[0::2, 1::2] / (1j * math.sin(delta))).real
+        G = np.vstack([abs(math.cos(delta)) * np.eye(M), abs(math.sin(delta)) * B])
+        assert_allclose(forward(np.eye(M)).T, G, rtol=0, atol=1e-15)
+        assert_allclose(adjoint(np.eye(N)), G, rtol=0, atol=1e-15)
+
+
 def test_dirichlet_flux_logdet_doubles_the_sketch_until_certified(monkeypatch):
     # a 2-column sketch cannot hold K's dozen leading eigenvalues, so the
     # certificate rejects it and k doubles until the bound holds

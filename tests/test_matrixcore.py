@@ -302,94 +302,110 @@ def test_toeplitz_hankel_operator_matches_dense_t_minus_h(n, kind):
         assert_allclose(adjoint(block), block @ dense.conj(), rtol=0, atol=scale * np.linalg.norm(block))
 
 
-# -- ritz_log_det: certified log det(I - E) from block products ---------------
+# -- ritz_log_det: certified log det(A^H A) from block products -------------
 
 
 def _known_spectrum(mu: np.ndarray, n: int, seed: int = 7):
-    """E = U diag(mu) U^H with random orthonormal U: (V -> E V on (k, n) rows, tr E, exact log det(I - E),
-    widths seen, U)."""
+    """A = I - U diag(1 - sqrt(1 - mu)) U^H with random orthonormal U, so I - A^H A = U diag(mu) U^H:
+    (V -> A V on (k, n) rows, W -> A^H W, tr(I - A^H A), exact log det(A^H A), rows of each A V, U)."""
     rng = np.random.default_rng(seed)
     u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0][:, : len(mu)]
+    shrink = 1.0 - np.sqrt(1.0 - mu)
     widths = []
 
-    def apply(V):
-        widths.append(V.shape[0])
-        return ((V @ u.conj()) * mu) @ u.T
+    def adjoint(V):  # A is Hermitian
+        return V - ((V @ u.conj()) * shrink) @ u.T
 
-    return apply, math.fsum(mu), float(np.sum(np.log1p(-mu))), widths, u
+    def forward(V):
+        widths.append(V.shape[0])
+        return adjoint(V)
+
+    return forward, adjoint, math.fsum(mu), float(np.sum(np.log1p(-mu))), widths, u
 
 
 def test_ritz_log_det_of_the_zero_operator_is_exactly_zero():
+    # E = I - A^H A = 0 for the identity factor
     for n in (1, 5, 300):
-        assert ritz_log_det(lambda V: np.zeros_like(V), 0.0, n, 1e-10) == 0.0
+        assert ritz_log_det(np.copy, np.copy, 0.0, n, 1e-10) == 0.0
 
 
 def test_ritz_log_det_doubles_the_sketch_for_a_spectrum_wider_than_32():
     # 0.9 * 0.6^i stays above 1e-10 for i < 44: 32 columns leave more than
     # the budget behind, 64 hold everything above rounding
     mu = 0.9 * 0.6 ** np.arange(80)
-    apply, trace, exact, widths, _u = _known_spectrum(mu, 400)
-    got = ritz_log_det(apply, trace, 400, 1e-10)
+    forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, 400)
+    got = ritz_log_det(forward, adjoint, trace, 400, 1e-10)
     assert abs(got - exact) <= 1e-10
     assert widths == [32, 32, 64, 64]
 
 
 def test_ritz_log_det_of_a_low_rank_spectrum_needs_one_sketch():
     mu = np.array([0.999, 0.5, 0.25, 1e-3, 1e-8])
-    apply, trace, exact, widths, _u = _known_spectrum(mu, 300)
-    assert abs(ritz_log_det(apply, trace, 300, 1e-10) - exact) <= 1e-12
+    forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, 300)
+    assert abs(ritz_log_det(forward, adjoint, trace, 300, 1e-10) - exact) <= 1e-12
     assert widths == [32, 32]
 
 
 def test_ritz_log_det_carries_matvec_rounding_through_the_top_ritz_value():
-    # log2(600) eps / (1 - 0.999) = 2.2e-12 of rounding alone: the rounding
-    # grows with k, so no sketch meets a 1e-12 budget and the first one raises
-    # rather than doubling up to the n x n identity
-    mu = np.array([0.999, 0.5, 0.25, 1e-3, 1e-8])
-    apply, trace, exact, widths, _u = _known_spectrum(mu, 300)
+    # s_min = sqrt(1 - mu_max) = 1e-3, so 2 log2(600) eps / s_min = 4.4e-12 of
+    # rounding alone: the rounding grows with k, so no sketch meets a 1e-12
+    # budget and the first one raises rather than doubling up to the n x n identity
+    mu = np.array([1.0 - 1e-6, 0.5, 0.25, 1e-3, 1e-8])
+    forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, 300)
     with pytest.raises(NumericalError) as info:
-        ritz_log_det(apply, trace, 300, 1e-12)
-    assert info.value.context["requested"] == 1e-12
-    assert info.value.context["achieved"] >= 10 * np.finfo(float).eps / (1.0 - 0.999)
+        ritz_log_det(forward, adjoint, trace, 300, 1e-12)
+    context = info.value.context
+    assert context["requested"] == 1e-12
+    assert context["achieved"] >= 2 * 10 * np.finfo(float).eps / 1e-3
+    assert context["k"] == 32
+    assert abs(context["s_min"] - 1e-3) <= 1e-9
     assert widths == [32, 32]
     # the same spectrum meets a 1e-10 budget with the same sketch
-    assert abs(ritz_log_det(apply, trace, 300, 1e-10) - exact) <= 1e-10
+    assert abs(ritz_log_det(forward, adjoint, trace, 300, 1e-10) - exact) <= 1e-10
 
 
 def test_ritz_log_det_rejects_a_misaligned_sketch():
     # the first sketch is pushed out of range(E) by about 1e-6: the trace gap
-    # is then ~1e-12, but theta_max = 1 - 1e-4 turns the coupling to the
-    # missed directions into a log-det error of ~1e-8, which only the
-    # residual term of the certificate sees
+    # is then ~1e-12, but s_min^2 = 1e-4 turns the coupling to the missed
+    # directions into a log-det error of ~1e-8, which only the residual term
+    # of the certificate sees
     n = 64
     mu = np.concatenate([[1.0 - 1e-4], 0.5 ** np.arange(1, 10)])
-    apply, trace, exact, widths, u = _known_spectrum(mu, n, seed=3)
+    forward, adjoint, trace, exact, widths, u = _known_spectrum(mu, n, seed=3)
 
     def first_sketch_off(V):
-        out = apply(V)
+        out = forward(V)
         if len(widths) == 1:
             noise = np.random.default_rng(11).standard_normal((V.shape[0], n)) + 0j
-            noise -= (noise @ u.conj()) @ u.T  # E annihilates it
-            out = out + 1e-6 * np.linalg.norm(out) / np.linalg.norm(noise) * noise
+            noise -= (noise @ u.conj()) @ u.T  # A is the identity on it, so E V moves by -noise
+            size = np.linalg.norm(V - adjoint(out))  # of E V
+            out = out + 1e-6 * size / np.linalg.norm(noise) * noise
         return out
 
-    got = ritz_log_det(first_sketch_off, trace, n, 1e-10)
+    got = ritz_log_det(first_sketch_off, adjoint, trace, n, 1e-10)
     assert abs(got - exact) <= 1e-10
     assert widths[0] == 32 and widths[-1] == n  # the first sketch was rejected
 
 
 def test_ritz_log_det_is_bit_identical_on_repeat():
     mu = 0.9 * 0.6 ** np.arange(80)
-    apply, trace, _exact, _widths, _u = _known_spectrum(mu, 400)
-    assert ritz_log_det(apply, trace, 400, 1e-10).hex() == ritz_log_det(apply, trace, 400, 1e-10).hex()
+    forward, adjoint, trace, _exact, _widths, _u = _known_spectrum(mu, 400)
+    first = ritz_log_det(forward, adjoint, trace, 400, 1e-10)
+    assert first.hex() == ritz_log_det(forward, adjoint, trace, 400, 1e-10).hex()
 
 
 def test_ritz_log_det_identity_sketch_is_exact_for_small_n():
-    # k >= n: Q = I, so the sum runs over the eigenvalues of E itself
+    # k >= n: Q = I, so the sum runs over the singular values of A itself
     mu = np.array([0.9, 0.3, 0.1])
-    apply, trace, exact, widths, _u = _known_spectrum(mu, 6)
-    assert abs(ritz_log_det(apply, trace, 6, 1e-10) - exact) <= 1e-14
+    forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, 6)
+    assert abs(ritz_log_det(forward, adjoint, trace, 6, 1e-10) - exact) <= 1e-14
     assert widths == [6]
+
+
+def test_ritz_log_det_of_the_zero_factor_is_minus_infinity():
+    # A = 0: E = I, and every singular value of A Q is exactly zero
+    for n in (6, 300):
+        assert ritz_log_det(np.zeros_like, np.zeros_like, float(n), n, 1e-10) == -math.inf
 
 
 # -- reference assembly (tests/oracles.py) ----------------------------------

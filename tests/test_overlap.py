@@ -748,6 +748,19 @@ def test_overlap_log_det_matches_lu_at_every_bench_n(bc):
         assert abs(overlap_log_det_sq(c, bc, N) - dense) <= 1e-10, N
 
 
+@pytest.mark.parametrize("flux", [1.58, 1.6, 1.65])
+def test_overlap_log_det_certifies_just_above_flux_pi_over_2(flux):
+    # delta_L = flux - pi near -pi/2 leaves sigma_min(A) about 5e-3: a
+    # rounding of order eps / sigma_min^2 would exceed the 1e-10 budget here
+    a = gaussian_bump_with_flux(flux)
+    for N in (2048, 8192):
+        point = evaluate_point(a, PER, N, N / 2.0)
+        assert point.n_L == 1 and point.delta_L < -1.49
+        if N == 2048:
+            dense = 2.0 * log_det(overlap_matrix(flux_profile(a, N / 2.0), PER, N))
+            assert abs(point.log_D_sq - dense) <= 1e-10, (flux, point.log_D_sq - dense)
+
+
 def test_overlap_log_det_is_bit_identical_on_repeat():
     for bc in (PER, DIR):
         c = overlap_coefficients(flux_profile(SWEEP_POTENTIALS[bc], 90.5), bc, 181)
