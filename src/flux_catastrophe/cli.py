@@ -64,7 +64,8 @@ Exit codes: 0 success, 2 property-check failure, 1 config, numerical or
 usage error (a --jobs other than 1 is one, and so are a config file that
 cannot be read and an output directory that cannot be created, which are
 reported before any grid point runs; a grid point's error names the
-experiment and its N).
+experiment, its N and, in the overlap and dirichlet_hilbert experiments,
+the stage that failed).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from typing import Callable
 import numpy as np
 
 from . import asymptotics, hilbert, overlap, spectrum
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, stage
 from .matrixcore import fh_log_det, fh_matrix, log_det
 from .potential import (
     MagneticPotential,
@@ -261,8 +262,13 @@ def _energy_point(config: ExperimentConfig, n: int) -> tuple:
 
 def _dirichlet_point(config: ExperimentConfig, n: int) -> tuple:
     delta, m = config.resolve_delta(), n // 2
-    ld = hilbert.dirichlet_flux_logdet(delta, n)
-    return (m, n, delta, 2.0 * ld, *hilbert.k_part_norms(m), hilbert.hilbert_section_norm(m))
+    with stage("jump log-det"):
+        ld = hilbert.dirichlet_flux_logdet(delta, n)
+    with stage("K-part norms"):
+        norms = hilbert.k_part_norms(m)
+    with stage("Hilbert section norm"):
+        section = hilbert.hilbert_section_norm(m)
+    return (m, n, delta, 2.0 * ld, *norms, section)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +409,9 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> in
     """Evaluate every grid point in grid order, write the experiment's CSV, apply its gate.
 
     A grid point's DomainError or NumericalError propagates with the
-    experiment and N prefixed to its message, before any CSV is written.
+    experiment and N prefixed to its message, before any CSV is written;
+    the overlap and Dirichlet workers name their stage after that
+    ("overlap_sweep at N = 2048: overlap log-det: ...").
 
     ``jobs`` must be 1; it remains only for callers that still pass it.
     """
@@ -413,12 +421,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> in
     header = ["config_hash", *row.columns]
     rows = []
     for n in config.n_grid:
-        try:
+        with stage(f"{config.experiment} at N = {n}"):
             rows.append((config.config_hash, *row.worker(config, n)))
-        except (DomainError, NumericalError) as exc:
-            # name the grid point, keeping the type and a NumericalError's context
-            exc.args = (f"{config.experiment} at N = {n}: {exc.args[0]}", *exc.args[1:])
-            raise
     write_rows(out_dir / row.csv, header, rows)
     cols = dict(zip(header, zip(*rows)))
     ok, message = row.gate(config, cols, {**row.tolerances, **config.tolerances}, out_dir)

@@ -1,6 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the stage prefix that names where a computation failed."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class DomainError(ValueError):
@@ -24,3 +26,17 @@ class NumericalError(RuntimeError):
             extras = ", ".join(f"{k}={v!r}" for k, v in self.context.items())
             return f"{base} ({extras})"
         return base
+
+
+@contextmanager
+def stage(name: str):
+    """Prefix ``name: `` to the message of a DomainError or NumericalError raised inside the block.
+
+    The exception keeps its type and a NumericalError its context, so nested
+    stages read outermost first: "overlap_sweep at N = 2048: overlap log-det: ...".
+    """
+    try:
+        yield
+    except (DomainError, NumericalError) as exc:
+        exc.args = (f"{name}: {exc.args[0] if exc.args else ''}", *exc.args[1:])
+        raise

@@ -20,6 +20,12 @@ has the derivation).  Both other determinants an overlap sweep needs are
 det(A^H A) of a contraction A, the overlap matrix or the Dirichlet parity
 factor, with few singular values below 1 - rounding; ritz_log_det takes
 them from A's block products, off the singular values of A on a sketch.
+It holds the sketch's orthonormal rows Q and one block for A Q, which
+turns into E Q in place, two (k, N) blocks and nothing else of that size:
+products, projections and the tall-skinny QRs that orthonormalize the
+sketch and factor A Q stream through row and column slices of at most
+8 MB, and a sketch that fails its certificate is extended by new rows
+rather than drawn again.
 log_det, dense LU with partial pivoting (LAPACK via numpy), is the O(N^3)
 oracle they are tested against; no overlap sweep calls it.  trace_norm is
 the last step of ||Delta_N||_1: overlap writes Delta_N = V^H C V with a
@@ -58,6 +64,72 @@ def log_det(matrix: np.ndarray) -> float:
 
 _SKETCH_SEED = 0x5EED
 _SKETCH_COLUMNS = 32
+# every row or column slice ritz_log_det streams through its products and QRs stays within this many bytes
+_BLOCK_BYTES = 1 << 23
+
+
+def _row_slices(k: int, width: int) -> list[slice]:
+    """Slices of range(k) of at most _BLOCK_BYTES // (256 width) rows (one at least), as a row's product holds
+    a few complex rows of FFT length 2 width .. 4 width."""
+    step = max(1, _BLOCK_BYTES // (256 * width))
+    return [slice(lo, min(k, lo + step)) for lo in range(0, k, step)]
+
+
+def _column_slices(k: int, n: int) -> list[slice]:
+    """m = max(1, n // w) near-equal slices of range(n), w = max(k, _BLOCK_BYTES // 64 k): each at least k wide,
+    so a slice's QR keeps all k rows, and a complex (k, w) slice a quarter of the budget, as numpy's QR of it
+    holds about four copies."""
+    m = max(1, n // max(k, _BLOCK_BYTES // (64 * k)))
+    return [slice(n * i // m, n * (i + 1) // m) for i in range(m)]
+
+
+def _rows(op: Callable[[slice], np.ndarray], k: int, width: int) -> np.ndarray:
+    """The (k, .) block whose row slices are op(slice), slices from _row_slices(k, width), in one array."""
+    slices = _row_slices(k, width)
+    first = op(slices[0])
+    out = np.empty((k, first.shape[1]), dtype=first.dtype)
+    out[slices[0]] = first
+    for sl in slices[1:]:
+        out[sl] = op(sl)
+    return out
+
+
+def _tsqr_r(blocks: list[np.ndarray]) -> np.ndarray:
+    """R of Y^T = Z R for Y the rows of the blocks stacked, each block (k_i, n), n >= sum k_i, by tall-skinny QR
+    (Demmel, Grigori, Hoemmen, Langou, SIAM J. Sci. Comput. 34, 2012): the R of each column slice, then the R
+    of those stacked, so no copy of Y exists."""
+    rs = []
+    for sl in _column_slices(sum(len(b) for b in blocks), blocks[0].shape[1]):
+        # numpy's QR copies its input, so a single block's slice goes in as a view
+        piece = blocks[0][:, sl] if len(blocks) == 1 else np.concatenate([b[:, sl] for b in blocks])
+        rs.append(np.linalg.qr(piece.T, mode="r"))
+    return rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs), mode="r")
+
+
+def _orthonormalize(y: np.ndarray) -> None:
+    """Overwrite the rows of the (k, n) block y, k <= n, with Q^T from y^T = Q R, by the same tall-skinny QR:
+    each column slice's Householder Q lands in place, and the Q of the stacked R factors then mixes each
+    slice's k rows.  Q is orthonormal to rounding whatever the rank of y."""
+    k = len(y)
+    parts = _column_slices(k, y.shape[1])
+    rs = []
+    for sl in parts:
+        z, r = np.linalg.qr(y[:, sl].T)
+        y[:, sl] = z.T
+        rs.append(r)
+    if len(parts) > 1:
+        z = np.linalg.qr(np.concatenate(rs))[0]
+        for i, sl in enumerate(parts):
+            y[:, sl] = z[i * k : (i + 1) * k].T @ y[:, sl]
+
+
+def _project_out(y: np.ndarray, q_blocks: list[np.ndarray]) -> None:
+    """y -= (y Q^H) Q in place, block by block of the orthonormal rows Q, each product summed over column slices."""
+    parts = _column_slices(len(y), y.shape[1])
+    for q in q_blocks:
+        c = sum(q[:, sl].conj() @ y[:, sl].T for sl in parts).T
+        for sl in parts:
+            y[:, sl] -= c @ q[:, sl]
 
 
 def ritz_log_det(
@@ -69,10 +141,10 @@ def ritz_log_det(
     trace is tr E, E = I - A^H A >= 0.  When few eigenvalues of E lie above
     rounding, a randomized Rayleigh-Ritz sum finds the determinant (Halko,
     Martinsson, Tropp, SIAM Review 53, 2011): a fixed-seed real Gaussian
-    sketch of k rows gives the orthonormal rows Q of qr((E Omega)^T).  The
-    Ritz values are theta = 1 - s^2 over the singular values s of A Q (from
-    the R factor of (A Q)^T), the sum is 2 sum log s, and A Q also gives
-    E Q = Q - A^H (A Q).  Only (k, n) blocks are formed.
+    sketch Omega of k rows gives the orthonormal rows Q of qr((E Omega)^T).
+    The Ritz values are theta = 1 - s^2 over the singular values s of A Q
+    (from the R factor of (A Q)^T), the sum is 2 sum log s, and A Q also
+    gives E Q = Q - A^H (A Q).
 
     The Schur complement on (Q, Q_perp) gives det(I - E) =
     det(I - E_11) det(I - S), S = E_22 + E_21 (I - E_11)^-1 E_12 >= 0, so
@@ -87,11 +159,33 @@ def ritz_log_det(
     add about k eps, and 2 log s moves by 2 / s times that, in all
     2 (log2(2n) + k) eps sum 1 / s.  Ritz values of A^H A would carry
     1 / s^2 there (Golub & Van Loan, Matrix Computations, section 8.6).
-    The sum is returned once g / (1 - g) <= abs_err; otherwise k doubles,
-    and once k >= n the identity replaces the sketch, which is exact.  The
-    rounding term grows with k, so when it alone exceeds the budget
-    NumericalError is raised with the bound achieved, the budget requested,
-    s_min and k.  tr E within the budget gives 0.0; s_min = 0 gives -inf.
+
+    The sum is returned once g / (1 - g) <= abs_err.  Otherwise the sketch
+    is extended, not redrawn (Halko et al., section 4.4): as many new rows
+    as Q holds come from the same generator, E is applied to them alone,
+    and they are projected off Q and orthonormalized twice, each time
+    followed by a QR.  A Q is formed again for the old rows as well, since
+    theirs became E Q.  Once k >= n the identity replaces the sketch, which
+    is exact.  The rounding term
+    grows with k, so when it alone exceeds the budget NumericalError is
+    raised with the bound achieved, the budget requested, s_min and k.  So
+    is it, after an extension, when the tail tr E - sum theta alone still
+    exceeds the budget, the extension took less than half of the tail
+    before it, and a Ritz value is at or below 0 (E is PSD up to the
+    rounding of A's coefficients, which can leave it slightly indefinite).
+    That stop is a judgement on observed progress, not a certificate: the
+    doubled sketch found little of the tail, and the sketch already reaches
+    E's floor, so the tail is read as spread over the complement, where a
+    larger sketch takes it only k rows at a time (the context adds the
+    tail).  It only ever raises, never returns an uncertified sum.  tr E
+    within the budget gives 0.0; s_min = 0 gives -inf.
+
+    Memory: Q and one block that holds A Q and then, in place, E Q: two
+    (k, n) blocks when A maps C^n to C^n.  While the sketch is extended the
+    new rows are a third, which becomes part of Q.  Products stream through
+    row slices, and the projections and the tall-skinny QRs (_tsqr_r,
+    _orthonormalize) through column slices, of at most 8 MB each
+    (_BLOCK_BYTES).
     """
     eps = float(np.finfo(float).eps)
     # the empty sketch: tr E alone bounds the sum, so E = 0 gives exactly 0.0
@@ -99,39 +193,53 @@ def ritz_log_det(
     if g < 1.0 and g / (1.0 - g) <= abs_err:
         return 0.0
     rng = np.random.default_rng(_SKETCH_SEED)
-    k = columns
+    q_blocks: list[np.ndarray] = []
+    k, previous_tail = columns, math.inf
     while True:
-        if k >= n:
-            q = np.eye(n)
+        if k >= n:  # the identity sketch is exact
+            q_blocks = [np.eye(n)]
         else:
-            sketch = rng.standard_normal((k, n))
-            e_sketch = adjoint(forward(sketch))
-            q = np.ascontiguousarray(np.linalg.qr(np.subtract(sketch, e_sketch, out=e_sketch).T)[0].T)
-            del sketch, e_sketch
-        aq = forward(q)
-        s = np.linalg.svd(np.linalg.qr(aq.T, mode="r"), compute_uv=False)
+
+            def sketch(sl: slice) -> np.ndarray:
+                omega = rng.standard_normal((sl.stop - sl.start, n))
+                return omega - adjoint(forward(omega))
+
+            y = _rows(sketch, k - sum(len(b) for b in q_blocks), n)
+            for _ in range(2 if q_blocks else 1):
+                _project_out(y, q_blocks)
+                _orthonormalize(y)
+            q_blocks.append(y)
+        aq_blocks = [_rows(lambda sl: forward(q[sl]), len(q), n) for q in q_blocks]
+        s = np.linalg.svd(_tsqr_r(aq_blocks), compute_uv=False)
         if s[-1] == 0.0:
             return -math.inf
         ld = 2.0 * float(np.sum(np.log(s)))
-        if k >= n:  # the identity sketch is exact
+        if k >= n:
             return ld
-        eq = adjoint(aq)
-        del aq
-        np.subtract(q, eq, out=eq)
-        eq -= (q.conj() @ eq.T).T @ q
-        theta = 1.0 - s * s
+        residual = 0.0
+        for q, aq in zip(q_blocks, aq_blocks):
+            eq = aq[:, :n]  # A Q turns into E Q in place, row slice by row slice
+            for sl in _row_slices(len(q), n):
+                eq[sl] = q[sl] - adjoint(aq[sl])
+            _project_out(eq, q_blocks)
+            residual += sum(float(np.vdot(eq[:, sl], eq[:, sl]).real) for sl in _column_slices(len(eq), n))
+        del aq_blocks, aq, eq  # before the next pass draws its sketch rows
+        theta = 1.0 - s * s  # ascending, as s descends
         rounding = eps * (
             (n.bit_length() + k) * (trace + float(np.sum(np.abs(theta))))
             + 2 * ((2 * n).bit_length() + k) * float(np.sum(1.0 / s))
         )
-        g = max(trace - float(np.sum(theta)), 0.0) + float(np.vdot(eq, eq).real) / s[-1] ** 2 + rounding
+        tail = trace - float(np.sum(theta))
+        g = max(tail, 0.0) + residual / s[-1] ** 2 + rounding
         if g < 1.0 and g / (1.0 - g) <= abs_err:
             return ld
+        achieved = float(g / (1.0 - g)) if g < 1.0 else math.inf
+        context = dict(achieved=achieved, requested=abs_err, s_min=float(s[-1]), k=k)
         if rounding >= 1.0 or rounding / (1.0 - rounding) > abs_err:
-            achieved = g / (1.0 - g) if g < 1.0 else math.inf
-            context = dict(achieved=achieved, requested=abs_err, s_min=float(s[-1]), k=k)
             raise NumericalError("log-det rounding alone exceeds the budget", **context)
-        k *= 2
+        if tail > abs_err and 2.0 * tail >= previous_tail and theta[0] <= 0.0:
+            raise NumericalError("log-det tail is spread over the sketch's complement", tail=tail, **context)
+        k, previous_tail = 2 * k, tail
 
 
 def trace_norm(core: np.ndarray, gram: np.ndarray) -> float:

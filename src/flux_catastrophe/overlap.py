@@ -104,13 +104,14 @@ overlap_sweep row of the CLI's experiment table (cli._c_band_gate).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError
+from .errors import DomainError, stage
 from .hilbert import dirichlet_flux_logdet
 from .matrixcore import fh_coefficients, fh_log_det, ritz_log_det, toeplitz, toeplitz_hankel_operator, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
@@ -319,52 +320,77 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-def _weighted_squares(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Floats whose exact sum is sum_i w_i |c_i|^2, for integer weights 0 <= w_i < 2^26.
+def _weighted_squares(w: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
+    """Float arrays whose exact sum is sum_i w_i |c_i|^2, for integers |w_i| < 2^26.
 
     |c|^2 = re^2 + im^2, and with x = hi + lo each of hi^2, 2 hi lo and
     lo^2 is exact; splitting it once more leaves 26-bit parts whose
-    products with w are exact, so math.fsum of the result rounds once.
+    products with w are exact, so math.fsum of the twelve rounds once.
     """
     terms = []
     for x in (c.real, c.imag):
         hi, lo = _split(x)
         for square in (hi * hi, 2.0 * hi * lo, lo * lo):
             terms.extend(w * part for part in _split(square))
-    return np.concatenate(terms)
+    return terms
+
+
+# terms per slice of _frobenius_deficit's streamed exact sum
+_SUM_SLICE = 1 << 12
+
+
+def _slices(total: int):
+    """range(total) in slices of _SUM_SLICE (even, so every slice starts at an even index), one at a time."""
+    return (slice(lo, min(total, lo + _SUM_SLICE)) for lo in range(0, total, _SUM_SLICE))
+
+
+def _deficit_terms(c: np.ndarray, N: int, periodic: bool):
+    """Float arrays, slice by slice, whose exact sum is _frobenius_deficit's N - ||A||_F^2."""
+    yield np.array([float(N)])
+    if periodic:
+        for sl in _slices(2 * N - 1):
+            yield from _weighted_squares(np.abs(np.arange(sl.start, sl.stop) - (N - 1)) - N, c[sl])
+        return
+    for sl in _slices(N):
+        d = np.arange(sl.start, sl.stop)
+        yield from _weighted_squares(np.where(d == 0, -N, 2 * (d - N)), c[sl])
+    for sl in _slices(2 * N - 1):
+        s = np.arange(sl.start, sl.stop) + 2
+        yield from _weighted_squares(-np.minimum(s - 1, 2 * N + 1 - s), c[s])
+    # + 2 Re X = 2 sum_m (Re P_m Re c' + Im P_m Im c'), c' = c_{m+2} and (m <= N - 2) c_{2N-m}
+    carry = np.zeros(2, dtype=complex)
+    for sl in _slices(N):
+        m = np.arange(sl.start, sl.stop)
+        wc, prefix = np.where(m == 0, 1.0, 2.0) * c[sl], np.empty(len(m), dtype=complex)
+        for parity in (0, 1):  # P_m = P_{m-2} + w_m c_m, the same additions in every slicing
+            run = np.cumsum(np.concatenate([carry[parity : parity + 1], wc[parity::2]]))
+            prefix[parity::2], carry[parity] = run[1:], run[-1]
+        for other in (c[m + 2], c[2 * N - m[m <= N - 2]]):
+            head = prefix[: len(other)]
+            yield 2.0 * head.real * other.real
+            yield 2.0 * head.imag * other.imag
 
 
 def _frobenius_deficit(c: np.ndarray, N: int, periodic: bool) -> float:
-    """N - ||A||_F^2 for A = _assemble(c, N, periodic), in O(N), summed exactly and rounded once.
+    """N - ||A||_F^2 for A = _assemble(c, N, periodic), in O(N) time and O(1) memory, exact and rounded once.
 
     Periodic: ||A||_F^2 = sum_d (N - |d|) |t_d|^2.  Dirichlet:
     ||A||_F^2 = S_1 + S_2 - 2 Re X, with the Toeplitz part
     S_1 = N |c_0|^2 + 2 sum_{d>=1} (N - d) |c_d|^2, the Hankel part
     S_2 = sum_{s=2}^{2N} min(s - 1, 2N + 1 - s) |c_s|^2 and the cross term
-    X = sum_{j,k} c_|j-k| conj(c_{j+k}) = sum_d w_d c_d conj(sum_s c_s),
-    s = d + 2, d + 4, .., 2N - d (w_0 = 1, w_d = 2), whose inner sums are
-    differences of per-parity prefix sums.  S_1 and S_2 are of size N and
-    nearly cancel N, so they are summed exactly; X is a few units.  A plain
-    float64 sum misses tr E by 2.8e-13 .. 9.5e-12 on the benchmark potentials
-    at N = 2^11 .. 2^17 (L = N/2), 17-385x ritz_log_det's own rounding
-    allowance (log2 N + k) eps tr E; the exact sum costs 8-460 ms there.
+    X = sum_{j,k} c_|j-k| conj(c_{j+k}) = sum_s conj(c_s) P_{min(s-2, 2N-s)},
+    P_m = sum w_d c_d over d <= m of m's parity (w_0 = 1, w_d = 2): one
+    ascending pass over m pairs P_m with c_{m+2} and c_{2N-m}.  S_1 and S_2
+    are of size N and nearly cancel N, so math.fsum sums their Veltkamp
+    parts exactly, with the rounded products of X's real part, and rounds
+    once.  _deficit_terms streams the parts in slices of 4096 terms (the
+    prefix P carried across slices), so no array of size N exists and the
+    result does not depend on the slicing.  A plain float64 sum misses tr E
+    by 2.8e-13 .. 9.5e-12 on the benchmark potentials at N = 2^11 .. 2^17
+    (L = N/2), 17-385x ritz_log_det's own rounding allowance
+    (log2 N + k) eps tr E; the exact sum costs 3-350 ms there.
     """
-    if periodic:
-        squares = _weighted_squares(N - np.abs(np.arange(1 - N, N)), c)
-        cross = 0.0
-    else:
-        d, s = np.arange(N), np.arange(2, 2 * N + 1)
-        squares = np.concatenate(
-            [
-                _weighted_squares(np.where(d == 0, N, 2 * (N - d)), c[:N]),
-                _weighted_squares(np.minimum(s - 1, 2 * N + 1 - s), c[2:]),
-            ]
-        )
-        prefix = np.empty_like(c)
-        prefix[0::2], prefix[1::2] = np.cumsum(c[0::2]), np.cumsum(c[1::2])
-        inner = prefix[2 * N - d] - prefix[d]
-        cross = 2.0 * float(np.sum(np.where(d == 0, 1.0, 2.0) * c[:N] * inner.conj()).real)
-    return math.fsum(np.concatenate([[N, cross], -squares]))
+    return math.fsum(itertools.chain.from_iterable(part.tolist() for part in _deficit_terms(c, N, periodic)))
 
 
 # log|D|^2 is certified to this absolute error
@@ -377,7 +403,9 @@ def overlap_log_det_sq(c: np.ndarray, bc: BoundaryCondition, N: int) -> float:
     matrixcore.ritz_log_det takes log det(A^H A) to an absolute 1e-10 from
     the FFT operators of A = T(t) - H(h) and A^H = T(conj t reversed) -
     H(conj h) and the closed-form tr(I - A^H A) = N - ||A||_F^2 of
-    _frobenius_deficit; dense LU of overlap_matrix is the test oracle.
+    _frobenius_deficit; dense LU of overlap_matrix is the test oracle.  The
+    Dirichlet A, c_|j-k| - c_{j+k}, is symmetric, so A^H W = conj(A conj W)
+    reuses A's operator and its two symbol spectra.
     sigma_min(A) is smallest as delta_L -> -pi/2: periodic Gaussian bumps of
     width 0.5 (R = 4, L = N/2) and total flux pi/2 + eps certify at k = 32
     for every eps scanned, 1e-12 to 0.1, at N = 2048 and 8192 (sigma_min 4.8e-3
@@ -386,7 +414,13 @@ def overlap_log_det_sq(c: np.ndarray, bc: BoundaryCondition, N: int) -> float:
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
     t, h = _toeplitz_hankel(c, N, periodic)
     forward = toeplitz_hankel_operator(t, h)
-    adjoint = toeplitz_hankel_operator(t[::-1].conj(), None if h is None else h.conj())
+    if periodic:
+        adjoint = toeplitz_hankel_operator(t[::-1].conj())
+    else:
+
+        def adjoint(w: np.ndarray) -> np.ndarray:
+            return forward(w.conj()).conj()
+
     return ritz_log_det(forward, adjoint, _frobenius_deficit(c, N, periodic), N, _LOGDET_ABS_ERR)
 
 
@@ -469,13 +503,20 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     |D| comes from overlap_log_det_sq, certified to 1e-10 from FFT products
     of the coefficients; no dense LU runs.  delta_trace_norm's ||Delta_N||_1
     is checked against the periodic proof's (N/L) int |y a(y)| dy (Dirichlet too, numerically) up to an absolute 1e-8.
+    A DomainError or NumericalError names its stage: coefficients, overlap log-det, jump log-det or trace norm.
     """
     prof = flux_profile(a, L)
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    ld_flux = (fh_log_det if periodic else dirichlet_flux_logdet)(prof.delta_L, N)
-    c = overlap_coefficients(prof, bc, N)
-    ld_exact_sq = overlap_log_det_sq(c, bc, N)
+    with stage("coefficients"):
+        c = overlap_coefficients(prof, bc, N)
+    with stage("overlap log-det"):
+        ld_exact_sq = overlap_log_det_sq(c, bc, N)
+    # after the overlap log-det, whose (k, N) blocks set the point's peak memory,
+    # so the Dirichlet jump's smaller blocks reuse the memory those freed
+    with stage("jump log-det"):
+        ld_flux = (fh_log_det if periodic else dirichlet_flux_logdet)(prof.delta_L, N)
     c_ratio = math.inf if math.isinf(ld_flux) else math.exp(ld_exact_sq - 2.0 * ld_flux)
-    tn = delta_trace_norm(prof, bc, N, c)
+    with stage("trace norm"):
+        tn = delta_trace_norm(prof, bc, N, c)
     bound = N / L * moment_integrals(a, L)
     return GridPoint(prof.delta_L, prof.n_L, ld_exact_sq, 2.0 * ld_flux, c_ratio, tn, bound, tn <= bound + 1e-8)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError
 from .potential import MagneticPotential, flux_profile, full_line_delta
 
@@ -39,20 +37,6 @@ class BoundaryCondition(str, Enum):
             raise DomainError(f"unknown boundary condition {value!r}") from None
 
 
-def occupied_indices(N: int, n_shift: int = 0) -> np.ndarray:
-    """Occupied one-particle indices of the periodic N-fermion ground state.
-
-    The window is centred at -n_shift (n_shift = n_L for the perturbed
-    state, 0 for the free one).
-    """
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    m = N // 2
-    if N % 2 == 1:
-        return np.arange(-m - n_shift, m - n_shift + 1)
-    return np.arange(-m - n_shift, m - n_shift)
-
-
 def energy_difference(bc: BoundaryCondition, a: MagneticPotential | None, N: int, L: float) -> float:
     """Exact ground-state energy difference E_a - E_0.
 
@@ -69,7 +53,7 @@ def energy_difference(bc: BoundaryCondition, a: MagneticPotential | None, N: int
 
 
 def energy_difference_direct(bc: BoundaryCondition, a: MagneticPotential | None, N: int, L: float) -> float:
-    """E_a - E_0 by direct summation over the occupied windows.
+    """E_a - E_0 from exact integer sums over the occupied windows.
 
     With p over the perturbed window, f over the free one and phi = Phi_L(L),
 
@@ -78,19 +62,23 @@ def energy_difference_direct(bc: BoundaryCondition, a: MagneticPotential | None,
     The index sums are exact integers, so the only rounding is in the last
     three-term combination; summing the N squared levels in floating point
     instead loses accuracy as N grows (6.1e-9 relative at N = 10^6).  The
-    perturbed window is the free one shifted by -n_L, so
-    sum p^2 - sum f^2 = sum (p - f)(p + f) stays a small integer.
+    free window is f = -m .. N - 1 - m, m = floor(N/2), and the perturbed one
+    is it shifted by -n_L, so sum p^2 - sum f^2 = sum (p - f)(p + f) stays a
+    small integer.  Both sums have integer closed forms in F = sum f =
+    N (N - 1) / 2 - N m: sum p = F - N n_L and sum (p - f)(p + f) =
+    n_L (N n_L - 2 F), so no array of size N exists.
     """
     bc = BoundaryCondition.parse(bc)
     if bc is BoundaryCondition.DIRICHLET:
         return 0.0
+    if N < 1:
+        raise DomainError("N must be >= 1")
     prof = flux_profile(a, L) if a is not None else None
     total = prof.total_flux if prof is not None else 0.0
     n_L = prof.n_L if prof is not None else 0
-    free = occupied_indices(N, 0)
-    pert = occupied_indices(N, n_L)
-    sum_p = int(np.sum(pert))
-    squares_diff = int(np.sum((pert - free) * (pert + free)))
+    free_sum = N * (N - 1) // 2 - N * (N // 2)
+    sum_p = free_sum - N * n_L
+    squares_diff = n_L * (N * n_L - 2 * free_sum)
     return (math.pi**2 * squares_diff + 2.0 * math.pi * total * sum_p + N * total * total) / (L * L)
 
 

@@ -278,6 +278,21 @@ def random_positive_real_symbol(rng: np.random.Generator, floor: float, degree: 
     return f, coeffs, floor
 
 
+def occupied_indices(N: int, n_shift: int = 0) -> np.ndarray:
+    """Occupied one-particle indices of the periodic N-fermion ground state.
+
+    The window is centred at -n_shift (n_shift = n_L for the perturbed
+    state, 0 for the free one): -m - n_shift .. m - n_shift for odd N and
+    -m - n_shift .. m - n_shift - 1 for even N, m = floor(N/2).
+    """
+    if N < 1:
+        raise DomainError("N must be >= 1")
+    m = N // 2
+    if N % 2 == 1:
+        return np.arange(-m - n_shift, m - n_shift + 1)
+    return np.arange(-m - n_shift, m - n_shift)
+
+
 def energy_difference_mp(total_flux: float, N: int, L: float) -> mpmath.mpf:
     """Periodic E_a - E_0 at 50 digits from exact level-by-level index sums.
 

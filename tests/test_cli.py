@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flux_catastrophe import cli, overlap
+from flux_catastrophe import cli, hilbert, overlap
 from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.matrixcore import log_det
 from flux_catastrophe.spectrum import BoundaryCondition
@@ -99,6 +99,26 @@ def test_grid_point_error_names_the_experiment_and_n(tmp_path, monkeypatch, caps
     with pytest.raises(NumericalError) as info:
         cli.run_experiment(cli.ExperimentConfig.from_dict(json.loads(Path(_sweep(tmp_path)).read_text())), out)
     assert info.value.context == {"achieved": 2e-10, "requested": 1e-10}
+
+
+def test_grid_point_error_names_the_stage_after_the_experiment_and_n(tmp_path, monkeypatch, capsys):
+    # a log-det budget no rounding meets: the certified engine raises with its
+    # context, and the message names the grid point, then the stage
+    monkeypatch.setattr(overlap, "_LOGDET_ABS_ERR", 1e-300)
+    config = _write_config(tmp_path, experiment="overlap_sweep", rho=1.0, n_grid=[48, 64], potential=POTENTIAL)
+    assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_OR_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: overlap_sweep at N = 48: overlap log-det: log-det rounding alone exceeds the budget ("
+    )
+    for key in ("achieved=", "requested=1e-300", "s_min=", "k="):
+        assert key in err
+    monkeypatch.setattr(hilbert, "_LOGDET_ABS_ERR", 1e-300)
+    config = _write_config(tmp_path, experiment="dirichlet_hilbert", delta_override=math.pi / 4, n_grid=[256])
+    with pytest.raises(NumericalError) as info:
+        cli.run_experiment(cli.ExperimentConfig.from_dict(json.loads(Path(config).read_text())), tmp_path / "out")
+    assert info.value.args[0] == "dirichlet_hilbert at N = 256: jump log-det: log-det rounding alone exceeds the budget"
+    assert info.value.context["requested"] == 1e-300 and info.value.context["k"] == 24
 
 
 def test_numerical_domain_error_exits_1(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import flux_catastrophe.hilbert as hilbert_module
+import flux_catastrophe.matrixcore as matrixcore_module
 from flux_catastrophe.asymptotics import trigamma
 from flux_catastrophe.errors import DomainError
 from flux_catastrophe.hilbert import (
@@ -155,8 +156,10 @@ def test_k_matrix_peak_memory_is_two_matrices():
 
 
 def test_dirichlet_flux_logdet_peak_memory_is_linear_in_m():
-    # K is applied to M x k blocks only; one M x M array would be
-    # M / (16 k) = 10.7 times this budget
+    # K is applied to (k, M) blocks only: Q (k, M) and G Q (k, 2M), real,
+    # plus row slices of product workspace.  The peak reads 6.3 k M 8 bytes
+    # at M = 4096; the budget of 8 leaves a 25% margin.  One M x M array
+    # would be M / (8 k) = 21 times this budget
     M = 4096
     dirichlet_flux_logdet(math.pi / 4, 64)
     tracemalloc.start()
@@ -165,7 +168,7 @@ def test_dirichlet_flux_logdet_peak_memory_is_linear_in_m():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * hilbert_module._SKETCH_COLUMNS * M * 8, peak / (M * 8)
+    assert peak <= 8 * hilbert_module._SKETCH_COLUMNS * M * 8, peak / (hilbert_module._SKETCH_COLUMNS * M * 8)
 
 
 @pytest.mark.parametrize("M", [1, 2, 24, 4096])
@@ -259,26 +262,25 @@ def test_parity_factor_matches_the_dense_jump_matrix(N):
 
 
 def test_dirichlet_flux_logdet_doubles_the_sketch_until_certified(monkeypatch):
-    # a 2-column sketch cannot hold K's dozen leading eigenvalues, so the
-    # certificate rejects it and k doubles until the bound holds
+    # a 2-row sketch cannot hold K's dozen leading eigenvalues, so the
+    # certificate rejects it and the sketch doubles until the bound holds.
+    # Each pass factors A Q for all k rows of Q at once, so the rows handed
+    # to that factorization are the sketch's width; the identity fallback
+    # would hand it M = N / 2 rows
     N, delta = 1024, 1.2375
     expected = dirichlet_flux_logdet(delta, N)
-    products = []
-    original = hilbert_module.toeplitz_hankel_operator
+    widths = []
+    original = matrixcore_module._tsqr_r
 
-    def counted(t, h=None):
-        product = original(t, h)
+    def recorded(blocks):
+        widths.append(sum(len(b) for b in blocks))
+        return original(blocks)
 
-        def apply(v):
-            products.append(v.shape[0])  # rows of a (k, M) block
-            return product(v)
-
-        return apply
-
-    monkeypatch.setattr(hilbert_module, "toeplitz_hankel_operator", counted)
+    monkeypatch.setattr(matrixcore_module, "_tsqr_r", recorded)
     monkeypatch.setattr(hilbert_module, "_SKETCH_COLUMNS", 2)
     doubled = dirichlet_flux_logdet(delta, N)
-    assert products[0] == 2 and 16 <= max(products) < N // 2  # certified before the exact identity sketch
+    assert widths == [2 << i for i in range(len(widths))]
+    assert 16 <= widths[-1] < N // 2  # certified before the exact identity sketch
     assert abs(doubled - expected) <= 1e-12
 
 

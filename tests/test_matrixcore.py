@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import flux_catastrophe.matrixcore as matrixcore_module
 from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.matrixcore import (
     fh_log_det,
@@ -331,12 +332,79 @@ def test_ritz_log_det_of_the_zero_operator_is_exactly_zero():
 
 def test_ritz_log_det_doubles_the_sketch_for_a_spectrum_wider_than_32():
     # 0.9 * 0.6^i stays above 1e-10 for i < 44: 32 columns leave more than
-    # the budget behind, 64 hold everything above rounding
+    # the budget behind, 64 hold everything above rounding.  The sketch is
+    # extended, not redrawn: the second pass applies E to the 32 new sketch
+    # rows only, then A to the old and the new rows of Q, 32 each (the old
+    # rows' A Q had turned into E Q in place)
     mu = 0.9 * 0.6 ** np.arange(80)
     forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, 400)
     got = ritz_log_det(forward, adjoint, trace, 400, 1e-10)
     assert abs(got - exact) <= 1e-10
-    assert widths == [32, 32, 64, 64]
+    assert widths == [32, 32, 32, 32, 32]
+
+
+def test_ritz_log_det_extends_q_by_rows_orthonormal_to_the_old_ones():
+    # 40 eigenvalues above rounding: the tail beyond 32 (~5e-10) fails the
+    # certificate, and the 32 new sketch rows hold only 8 directions outside
+    # the old Q, the rest rounding noise.  Projecting twice, each time followed
+    # by a QR, still leaves the new rows orthonormal to the old ones
+    n = 300
+    mu = 0.9 * 0.5 ** np.arange(40)
+    forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, n)
+    rows = []
+
+    def recorded(V):
+        rows.append(V.copy())
+        return forward(V)
+
+    assert abs(ritz_log_det(recorded, adjoint, trace, n, 1e-10) - exact) <= 1e-10
+    assert widths == [32, 32, 32, 32, 32]
+    q = np.concatenate([rows[3], rows[4]])  # the rows of Q in the second pass, old then new
+    assert_allclose(q @ q.conj().T, np.eye(64), rtol=0, atol=1e-14)
+
+
+def test_ritz_log_det_raises_on_a_tail_an_extension_does_not_shrink():
+    # ten concentrated eigenvalues, ten at -5e-11 (a factor A slightly
+    # expansive there, as rounded coefficients leave it) and 280 at 1e-12:
+    # the first sketch holds the twenty large ones and so a Ritz value below
+    # zero, with 2.6e-10 left over.  Extending to 64 takes only 32 of the
+    # 280 small ones, 2.3e-10 stays, and it raises rather than doubling on
+    n = 300
+    mu = np.concatenate([0.9 * 0.5 ** np.arange(10), np.full(10, -5e-11), np.full(280, 1e-12)])
+    forward, adjoint, trace, _exact, widths, _u = _known_spectrum(mu, n)
+    with pytest.raises(NumericalError, match="spread") as info:
+        ritz_log_det(forward, adjoint, trace, n, 1e-10)
+    assert widths == [32, 32, 32, 32, 32]
+    assert info.value.context["k"] == 64 and info.value.context["tail"] > 2e-10
+
+
+def test_ritz_log_det_extends_past_a_negative_ritz_value_while_the_tail_shrinks():
+    # ten concentrated eigenvalues, one at -5e-11 and forty at 1e-11: the
+    # k = 32 sketch holds the negative direction (five times the weight of a
+    # 1e-11 one in E Omega) and leaves 1.9e-10 behind, but the extension to
+    # 64 holds all 51 and certifies
+    n = 300
+    mu = np.concatenate([0.9 * 0.5 ** np.arange(10), [-5e-11], np.full(40, 1e-11)])
+    forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, n)
+    assert abs(ritz_log_det(forward, adjoint, trace, n, 1e-10) - exact) <= 1e-10
+    assert widths == [32, 32, 32, 32, 32]
+
+
+def test_tsqr_over_column_slices_matches_one_householder_qr(monkeypatch):
+    # a 24-row block of rank 10 in 7 column slices (from a 1 MB budget): the
+    # R factor has the singular values of one QR, and the rows overwritten in
+    # place are orthonormal and span the block's rows
+    monkeypatch.setattr(matrixcore_module, "_BLOCK_BYTES", 1 << 20)
+    rng = np.random.default_rng(5)
+    y = (rng.standard_normal((24, 10)) + 1j * rng.standard_normal((24, 10))) @ rng.standard_normal((10, 5000))
+    assert len(matrixcore_module._column_slices(24, 5000)) == 7
+    sigma = np.linalg.svd(y, compute_uv=False)
+    r = matrixcore_module._tsqr_r([y[:10], y[10:]])
+    assert_allclose(np.linalg.svd(r, compute_uv=False), sigma, rtol=0, atol=1e-12 * sigma[0])
+    q = y.copy()
+    matrixcore_module._orthonormalize(q)
+    assert_allclose(q @ q.conj().T, np.eye(24), rtol=0, atol=1e-14)
+    assert_allclose(y - (y @ q.conj().T) @ q, 0.0, rtol=0, atol=1e-12 * sigma[0])
 
 
 def test_ritz_log_det_of_a_low_rank_spectrum_needs_one_sketch():

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,11 +19,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import flux_catastrophe
 from flux_catastrophe import cli
 from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.hilbert import dirichlet_flux_logdet
 from flux_catastrophe.matrixcore import fh_matrix, log_det, trace_norm
 import flux_catastrophe.matrixcore as matrixcore_module
+import flux_catastrophe.hilbert as hilbert_module
 import flux_catastrophe.overlap as overlap_module
 import flux_catastrophe.quadrature as quadrature_module
 from flux_catastrophe.overlap import (
@@ -37,6 +43,7 @@ from flux_catastrophe.potential import (
     gaussian_bump_with_flux,
     moment_integrals,
     potential_from_dict,
+    potential_to_dict,
     weighted_abs_moment,
     zero_potential,
 )
@@ -790,6 +797,41 @@ def test_frobenius_deficit_of_the_sweep_is_rounded_once():
     assert overlap_module._frobenius_deficit(c, N, True) == float(exact)
 
 
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_frobenius_deficit_does_not_depend_on_the_slicing(bc, monkeypatch):
+    # the terms are streamed in slices of 4096, the prefix sums of the
+    # Dirichlet cross term carried across them: every term and so the exactly
+    # rounded sum are those of one slice over everything (and, at N = 2^11,
+    # of slices of 2)
+    rng = np.random.default_rng(11)
+    for N in 2 ** np.arange(11, 16):
+        size = 2 * N - 1 if bc is PER else 2 * N + 1
+        c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        sliced = overlap_module._frobenius_deficit(c, N, bc is PER)
+        for width in (4 * N + 2, 2) if N == 2**11 else (4 * N + 2,):
+            monkeypatch.setattr(overlap_module, "_SUM_SLICE", width)
+            assert overlap_module._frobenius_deficit(c, N, bc is PER).hex() == sliced.hex(), (N, width)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_frobenius_deficit_peak_memory_does_not_grow_with_n(bc):
+    # twelve Veltkamp parts per weighted square (24 in the Dirichlet basis)
+    # took 576 (936) bytes per unit of N when every term was held at once;
+    # streamed, the peak is one slice's parts whatever N is
+    peaks = []
+    for N in (64, 2**15, 2**17):  # the first call warms up
+        size = 2 * N - 1 if bc is PER else 2 * N + 1
+        c = np.full(size, 0.6 + 0.8j) / np.sqrt(size)
+        tracemalloc.start()
+        try:
+            overlap_module._frobenius_deficit(c, N, bc is PER)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1], peaks
+
+
 @pytest.mark.parametrize("N", [128, 2048])
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_sweep_potentials_accept_the_refine_one_build(bc, N):
@@ -822,11 +864,12 @@ def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(bc, build):
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_evaluate_point_peak_memory_is_linear_in_n(bc):
-    # no N x N array is formed: |D| works on (k, N) blocks with k = 32, and
-    # ||Delta_N||_1 on a core whose size does not depend on N.  The peak
-    # reads 5.2 (periodic) and 6.5 (Dirichlet) N k 16 bytes at N = 2048,
-    # set by |D|; the budget of 12 leaves an 85% margin.  Assembling Delta_N
-    # alone would take N / k = 64 of them
+    # no N x N array is formed: |D| holds Q and A Q (which becomes E Q in
+    # place), two (k, N) blocks with k = 32, plus slices of product and QR
+    # workspace, and ||Delta_N||_1 works on a core whose size does not depend
+    # on N.  The peak reads 4.2 (periodic) and 5.1 (Dirichlet) N k 16 bytes
+    # at N = 2048, set by |D|; the budget of 6 leaves a 17% margin over the
+    # larger.  Assembling Delta_N alone would take N / k = 64 of them
     N, L, k = 2048, 1024.0, 32
     a = SWEEP_POTENTIALS[bc]
     evaluate_point(a, bc, N, L)  # warm the cached quadrature rule
@@ -836,7 +879,68 @@ def test_evaluate_point_peak_memory_is_linear_in_n(bc):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * N * k * 16, peak / (N * k * 16)
+    assert peak <= 6 * N * k * 16, peak / (N * k * 16)
+
+
+# one grid point in a fresh interpreter; prints the peak resident set of its own address space in KiB.
+# Linux carries the forking process's peak across exec into ru_maxrss, so that would read the test
+# runner's size; VmHWM is the high-water mark of the address space the child built after exec
+_POINT_CHILD = """
+import json, sys
+from flux_catastrophe.overlap import evaluate_point
+from flux_catastrophe.potential import potential_from_dict
+N = int(sys.argv[3])
+evaluate_point(potential_from_dict(json.loads(sys.argv[1])), sys.argv[2], N, N / 2)
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("bc", [PER, DIR])
+def test_grid_point_process_peak_rss_is_three_blocks_at_n_2_15(bc):
+    # the whole process, untraced allocations (LAPACK, FFT plans) and the
+    # allocator's own retention included: a bench-potential point at
+    # N = 2^15 grows the peak resident set over the same point at N = 64 by
+    # at most three (k, N) complex blocks, k = 32: Q and A Q plus slack
+    package_root = str(Path(flux_catastrophe.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+    raw = json.dumps(potential_to_dict(SWEEP_POTENTIALS[bc]))
+
+    def peak_rss(N):
+        args = [sys.executable, "-c", _POINT_CHILD, raw, bc.value, str(N)]
+        return 1024 * int(subprocess.run(args, env=env, capture_output=True, text=True, check=True).stdout)
+
+    N, k = 2**15, 32
+    grown = peak_rss(N) - peak_rss(64)
+    assert grown <= 3 * N * k * 16, grown / (N * k * 16)
+
+
+_TRACE_NORM_CALLS = itertools.count(1)
+
+
+def _unsettled_trace_norm(core: np.ndarray, gram: np.ndarray) -> float:
+    """A trace norm that grows by one with every call, so its doubling check never settles."""
+    return float(next(_TRACE_NORM_CALLS))
+
+
+@pytest.mark.parametrize(
+    "bc, stage, module, name, value",
+    [
+        pytest.param(PER, "coefficients", overlap_module, "_QUADRATURE_TOL", 0.0, id="coefficients"),
+        pytest.param(DIR, "overlap log-det", overlap_module, "_LOGDET_ABS_ERR", 1e-300, id="overlap-log-det"),
+        pytest.param(DIR, "jump log-det", hilbert_module, "_LOGDET_ABS_ERR", 1e-300, id="jump-log-det"),
+        pytest.param(PER, "trace norm", overlap_module, "trace_norm", _unsettled_trace_norm, id="trace-norm"),
+    ],
+)
+def test_evaluate_point_error_names_its_stage(bc, stage, module, name, value, monkeypatch):
+    # each stage is made to fail for real: a quadrature or log-det budget no
+    # rounding meets, or a trace norm that never settles (N = 128 > 2p, so
+    # ||Delta_N||_1 comes from the p x p core's doubling check)
+    monkeypatch.setattr(module, name, value)
+    with pytest.raises(NumericalError) as info:
+        evaluate_point(SWEEP_POTENTIALS[bc], bc, 128, 64.0)
+    assert info.value.args[0].startswith(f"{stage}: "), info.value.args[0]
+    assert {"achieved", "requested"} <= set(info.value.context)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,9 @@ from flux_catastrophe.spectrum import (
     energy_difference,
     energy_difference_direct,
     finite_size_energy,
-    occupied_indices,
 )
 
-from oracles import energy_difference_mp
+from oracles import energy_difference_mp, occupied_indices
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -45,6 +45,37 @@ def test_occupied_windows_match_convention():
     assert occupied_indices(5, 0).tolist() == [-2, -1, 0, 1, 2]
     assert occupied_indices(4, 0).tolist() == [-2, -1, 0, 1]
     assert occupied_indices(5, 2).tolist() == [-4, -3, -2, -1, 0]
+
+
+def test_direct_energy_closed_form_sums_match_the_occupied_windows():
+    # the integer closed forms of sum p and sum (p - f)(p + f) give the same
+    # float as summing the windows themselves, for odd and even N and n_L of
+    # either sign
+    for flux in (2.0, 2.0 + 2 * math.pi, -4.0):
+        a = gaussian_bump_with_flux(flux)
+        for N in (1, 2, 16383, 16384, 16385, 40001):
+            L = N / 2.0 + 4.0
+            prof = flux_profile(a, L)
+            free, pert = occupied_indices(N, 0), occupied_indices(N, prof.n_L)
+            squares = int(np.sum((pert - free) * (pert + free)))
+            total = prof.total_flux
+            whole = (math.pi**2 * squares + 2.0 * math.pi * total * int(np.sum(pert)) + N * total * total) / (L * L)
+            assert energy_difference_direct(PER, a, N, L) == whole, (flux, N)
+
+
+def test_direct_energy_at_a_million_levels_allocates_no_array_of_size_n():
+    # five int64 arrays of N = 10^6 + 1 levels took 30.5 MiB; the closed
+    # forms hold a few Python integers
+    a = gaussian_bump_with_flux(2.0)
+    N = 10**6 + 1
+    energy_difference_direct(PER, a, 101, 50.5)  # warm up
+    tracemalloc.start()
+    try:
+        energy_difference_direct(PER, a, N, N / 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_energy_difference_closed_forms():
