@@ -25,7 +25,10 @@ turns into E Q in place, two (k, N) blocks and nothing else of that size:
 products, projections and the tall-skinny QRs that orthonormalize the
 sketch and factor A Q stream through row and column slices of at most
 8 MB, and a sketch that fails its certificate is extended by new rows
-rather than drawn again.
+rather than drawn again.  The sketch rows are random signs, +1 or -1, from
+the standard library's generator under a fixed seed: the certificate is
+computed from the rows the sketch gives, so it holds for any sketch, and
+the distribution only sets how soon it passes.
 log_det, dense LU with partial pivoting (LAPACK via numpy), is the O(N^3)
 oracle they are tested against; no overlap sweep calls it.  trace_norm is
 the last step of ||Delta_N||_1: overlap writes Delta_N = V^H C V with a
@@ -37,6 +40,7 @@ Gram matrix V V^H; p follows from the support and the density, not from N
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable
 
 import numpy as np
@@ -66,6 +70,19 @@ _SKETCH_SEED = 0x5EED
 _SKETCH_COLUMNS = 32
 # every row or column slice ritz_log_det streams through its products and QRs stays within this many bytes
 _BLOCK_BYTES = 1 << 23
+
+
+def _signs(rng: random.Random, rows: int, n: int) -> np.ndarray:
+    """The next (rows, n) entries of rng's sign stream, each +1 or -1.
+
+    Row by row, rng.randbytes gives 4 ceil(n / 32) bytes, and bit j of them,
+    most significant bit of each byte first, gives entry j as 1 - 2 bit.  A
+    row takes whole 32-bit words of the generator, so rows drawn in two
+    slices equal the same rows drawn at once.
+    """
+    width = 32 * -(-n // 32)
+    bits = np.unpackbits(np.frombuffer(rng.randbytes(rows * width // 8), dtype=np.uint8))
+    return 1.0 - 2.0 * bits.reshape(rows, width)[:, :n]
 
 
 def _row_slices(k: int, width: int) -> list[slice]:
@@ -140,8 +157,12 @@ def ritz_log_det(
     The products act on C-contiguous (k, .) blocks, one vector per row, and
     trace is tr E, E = I - A^H A >= 0.  When few eigenvalues of E lie above
     rounding, a randomized Rayleigh-Ritz sum finds the determinant (Halko,
-    Martinsson, Tropp, SIAM Review 53, 2011): a fixed-seed real Gaussian
-    sketch Omega of k rows gives the orthonormal rows Q of qr((E Omega)^T).
+    Martinsson, Tropp, SIAM Review 53, 2011): a fixed-seed random-sign
+    sketch Omega of k rows (entries +1 or -1, _signs of random.Random
+    seeded with _SKETCH_SEED) gives the orthonormal rows Q of
+    qr((E Omega)^T).  Halko et al. allow any test matrix (section 4), and
+    the bound g below is a posteriori, computed from the Q at hand, so the
+    certificate does not depend on the sketch's distribution.
     The Ritz values are theta = 1 - s^2 over the singular values s of A Q
     (from the R factor of (A Q)^T), the sum is 2 sum log s, and A Q also
     gives E Q = Q - A^H (A Q).
@@ -162,11 +183,11 @@ def ritz_log_det(
 
     The sum is returned once g / (1 - g) <= abs_err.  Otherwise the sketch
     is extended, not redrawn (Halko et al., section 4.4): as many new rows
-    as Q holds come from the same generator, E is applied to them alone,
-    and they are projected off Q and orthonormalized twice, each time
-    followed by a QR.  A Q is formed again for the old rows as well, since
-    theirs became E Q.  Once k >= n the identity replaces the sketch, which
-    is exact.  The rounding term
+    as Q holds are the next rows of the same sign stream, E is applied to
+    them alone, and they are projected off Q and orthonormalized twice,
+    each time followed by a QR.  A Q is formed again for the old rows as
+    well, since theirs became E Q.  Once k >= n the identity replaces the
+    sketch, which is exact.  The rounding term
     grows with k, so when it alone exceeds the budget NumericalError is
     raised with the bound achieved, the budget requested, s_min and k.  So
     is it, after an extension, when the tail tr E - sum theta alone still
@@ -192,7 +213,7 @@ def ritz_log_det(
     g = trace * (1.0 + n.bit_length() * eps)
     if g < 1.0 and g / (1.0 - g) <= abs_err:
         return 0.0
-    rng = np.random.default_rng(_SKETCH_SEED)
+    rng = random.Random(_SKETCH_SEED)
     q_blocks: list[np.ndarray] = []
     k, previous_tail = columns, math.inf
     while True:
@@ -201,7 +222,7 @@ def ritz_log_det(
         else:
 
             def sketch(sl: slice) -> np.ndarray:
-                omega = rng.standard_normal((sl.stop - sl.start, n))
+                omega = _signs(rng, sl.stop - sl.start, n)
                 return omega - adjoint(forward(omega))
 
             y = _rows(sketch, k - sum(len(b) for b in q_blocks), n)
@@ -261,12 +282,12 @@ _POWER_MAX_ITER = 10_000
 def operator_norm(apply: Product, n: int) -> float:
     """Norm (largest |eigenvalue|) of a real symmetric n x n operator, given as v -> A v.
 
-    Power iteration from a fixed pseudorandom unit vector, so the result is
-    deterministic.  It stops once two successive estimates agree to a
-    relative 1e-10 and raises NumericalError after 10,000 iterations.
+    Power iteration from a fixed unit vector, the first n signs of the
+    sketch stream over sqrt(n), so the result is deterministic.  It stops
+    once two successive estimates agree to a relative 1e-10 and raises
+    NumericalError after 10,000 iterations.
     """
-    v = np.random.default_rng(_SKETCH_SEED).standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = _signs(random.Random(_SKETCH_SEED), 1, n)[0] / math.sqrt(n)
     prev = -1.0
     sigma = 0.0
     for _ in range(_POWER_MAX_ITER):

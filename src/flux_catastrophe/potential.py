@@ -270,7 +270,7 @@ def weighted_abs_moment(a: MagneticPotential, lo: float, hi: float) -> float:
     """
     if hi <= lo:
         return 0.0
-    p = np.unique(a.breakpoints)
+    p = np.array(sorted(set(a.breakpoints)), dtype=float)
     v = a(p)
     s = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)
     roots = p[s] - v[s] * (p[s + 1] - p[s]) / (v[s + 1] - v[s])

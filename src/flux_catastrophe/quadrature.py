@@ -9,6 +9,11 @@ Gauss-Legendre panels between the potential's breakpoints (build_edges,
 panel_nodes), at most as wide as the caller's one width rule allows, and
 one refinement policy, adaptive_gauss_legendre, which halves every panel
 exactly until two successive estimates agree.
+
+gauss_legendre_rule builds the rule here, from the eigenvalues of the
+Jacobi matrix (Golub-Welsch) and one Newton step on Bonnet's recurrence,
+so no run loads numpy.polynomial; numpy.polynomial.legendre.leggauss is its
+test oracle.
 """
 
 from __future__ import annotations
@@ -21,10 +26,30 @@ import numpy as np
 from .errors import NumericalError
 
 
+def _legendre(npts: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_npts(x) and P_npts'(x) by Bonnet's recurrence (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}, |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, npts):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, npts * (p0 - x * p1) / (1.0 - x * x)
+
+
 @lru_cache(maxsize=32)
 def gauss_legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``npts``-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(npts)
+    """Nodes and weights of the ``npts``-point Gauss-Legendre rule on [-1, 1].
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
+    Legendre recurrence, off-diagonal j / sqrt(4 j^2 - 1) (Golub & Welsch,
+    Math. Comp. 23, 1969), polished by one Newton step on P_npts; the weights
+    are 2 / ((1 - x^2) P_npts'(x)^2).  Both are symmetrized about 0.
+    """
+    j = np.arange(1.0, npts)
+    x = np.linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))
+    p, dp = _legendre(npts, x)
+    x = x - p / dp
+    dp = _legendre(npts, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 def build_edges(
@@ -37,8 +62,7 @@ def build_edges(
     """Panel edges over [a, b]: the breakpoints inside it, and between them the np.linspace
     cuts into ceil(gap / max_width) * 2**refine equal panels (refine r + 1 halves refine r).
     ``max_width`` is one width, or a function of the gaps' (lo, hi) ends giving one width per gap."""
-    p = np.asarray([*breakpoints], dtype=float)
-    pts = np.unique(np.concatenate([[a, b], p[(a < p) & (p < b)]]))
+    pts = np.array(sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)}))
     gap = np.diff(pts)
     width = max_width(pts[:-1], pts[1:]) if callable(max_width) else max_width
     k = np.ceil(gap / width).astype(int) * 2**refine

@@ -17,6 +17,10 @@ from oracles import cauchy_fh_logdet_sq
 
 # flux 2.0 gives n_L = 1; support radius 4 keeps L = N / 2 >= 4 on every grid below
 POTENTIAL = {"kind": "gaussian_bump", "center": 0, "width": 0.5, "total_flux": 2.0, "support_radius": 4}
+# the Dirichlet benchmark sweep's potential
+DIRICHLET_SWEEP_POTENTIAL = {
+    "kind": "piecewise_linear", "knots": [[-3, 0], [-1.5, 0.6], [0, 1.2], [0.5, 0.3], [2.5, 0]], "support_radius": 3
+}
 
 
 def _write_config(tmp_path, **fields) -> str:
@@ -205,6 +209,42 @@ def test_importing_the_cli_starts_no_process_machinery():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# runs each config given in a fresh interpreter; prints the exit codes and the modules the runs
+# loaded beyond what a bare `import numpy` loads (numpy 1.x loads numpy.random and numpy.ma on import)
+_IMPORT_AUDIT = """
+import json, sys, tempfile
+import numpy
+bare = set(sys.modules)
+from flux_catastrophe import cli
+codes = []
+for config in sys.argv[1:]:
+    with tempfile.TemporaryDirectory() as out:
+        codes.append(cli.main(["run", config, "--out", out]))
+print(json.dumps([codes, sorted(set(sys.modules) - bare)]))
+"""
+
+
+def test_runs_load_no_numpy_random_polynomial_or_ma(tmp_path):
+    # the sketch signs come from the stdlib generator, the Gauss-Legendre rule
+    # is built in the package and breakpoints are deduplicated without np.unique
+    configs = []
+    for bc, potential in (("periodic", POTENTIAL), ("dirichlet", DIRICHLET_SWEEP_POTENTIAL)):
+        (tmp_path / bc).mkdir()
+        configs.append(_write_config(tmp_path / bc, experiment="overlap_sweep", bc=bc, rho=1.0,
+                                     n_grid=[128, 181], potential=potential))
+    (tmp_path / "hilbert").mkdir()
+    configs.append(_write_config(tmp_path / "hilbert", experiment="dirichlet_hilbert",
+                                 delta_override=math.pi / 4, n_grid=[512]))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _IMPORT_AUDIT, *configs], capture_output=True, text=True,
+                            env=env, check=True)
+    codes, loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert codes == [cli.EXIT_OK] * 3
+    banned = ("numpy.random", "numpy.polynomial", "numpy.ma")
+    assert [m for m in loaded if m in banned or m.startswith(tuple(b + "." for b in banned))] == []
 
 
 # one tiny config per experiment: the CSV header and the phrase of a passing gate

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 
 import mpmath
@@ -453,6 +454,40 @@ def test_ritz_log_det_rejects_a_misaligned_sketch():
     got = ritz_log_det(first_sketch_off, adjoint, trace, n, 1e-10)
     assert abs(got - exact) <= 1e-10
     assert widths[0] == 32 and widths[-1] == n  # the first sketch was rejected
+
+
+def test_sketch_rows_are_one_stream_of_signs():
+    # n = 45 is not a whole number of 32-bit words: each row still starts on a word
+    rng = random.Random(matrixcore_module._SKETCH_SEED)
+    parts = [matrixcore_module._signs(rng, rows, 45) for rows in (3, 5)]
+    whole = matrixcore_module._signs(random.Random(matrixcore_module._SKETCH_SEED), 8, 45)
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert whole.shape == (8, 45) and np.all(np.abs(whole) == 1.0)
+    assert 0 < np.count_nonzero(whole > 0) < whole.size
+
+
+def test_ritz_log_det_extends_its_sketch_by_the_next_rows_of_the_stream():
+    # the spectrum of the doubling test: the first pass sketches 32 rows, the
+    # extension the next 32 of the same stream, each row as drawn (E = I - A^H A
+    # is applied to the sketch as omega - A^H (A omega))
+    mu = 0.9 * 0.6 ** np.arange(80)
+    forward, adjoint, trace, _exact, _widths, _u = _known_spectrum(mu, 400)
+    seen = []
+
+    def recording(V):
+        seen.append(V.copy())
+        return forward(V)
+
+    ritz_log_det(recording, adjoint, trace, 400, 1e-10)
+    stream = matrixcore_module._signs(random.Random(matrixcore_module._SKETCH_SEED), 64, 400)
+    assert np.array_equal(seen[0], stream[:32]) and np.array_equal(seen[2], stream[32:])
+
+
+def test_operator_norm_is_bit_identical_on_repeat():
+    rng = np.random.default_rng(29)
+    m = rng.standard_normal((50, 50))
+    sym = m + m.T
+    assert operator_norm(sym.__matmul__, 50).hex() == operator_norm(sym.__matmul__, 50).hex()
 
 
 def test_ritz_log_det_is_bit_identical_on_repeat():

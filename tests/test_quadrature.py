@@ -79,6 +79,18 @@ def test_narrow_bump_with_a_large_flux_settles():
     assert abs(moment_integrals(a, 10.0) - exact) <= MOMENT_TOL * exact
 
 
+@pytest.mark.parametrize("npts", [16, 5])
+def test_gauss_legendre_rule_matches_leggauss(npts):
+    # numpy.polynomial's rule is the oracle: nodes within an ulp, weights within
+    # 1e-15, and x^j, j < 2 npts, integrated over [-1, 1] to 1e-15
+    x, w = gauss_legendre_rule(npts)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(npts)
+    assert np.all(np.abs(x - x_ref) <= np.spacing(np.abs(x_ref)))
+    assert np.max(np.abs(w - w_ref)) <= 1e-15
+    for j in range(2 * npts):
+        assert abs(w @ x**j - (2.0 / (j + 1) if j % 2 == 0 else 0.0)) <= 1e-15, j
+
+
 @pytest.mark.parametrize("degree", range(32))
 def test_panel_nodes_integrate_polynomials_of_degree_31_exactly(degree):
     rng = np.random.default_rng(degree)
