@@ -4,7 +4,7 @@ Usage:
     flux-catastrophe run <config.json> [--jobs 1] [--out DIR]
     flux-catastrophe selftest
 
-A config is a single JSON document (no environment variables are read):
+A config is a single JSON document (configs read no environment variable):
 
     {
       "experiment": "exponent_fit",      # overlap_sweep | exponent_fit |
@@ -53,9 +53,25 @@ N dE; under Dirichlet boundary conditions the spectrum does not move, so
 dE, the direct sum and the limit are all exactly 0.
 
 Every CSV row carries the config hash, grid points are evaluated one
-after another in grid order in this process (each already runs
-multithreaded BLAS), and floats are printed with 17 significant digits, so
-identical configs produce byte-identical CSV files.
+after another in grid order in this process, and floats are printed with
+17 significant digits, so identical configs produce byte-identical CSV
+files for a given numpy and OpenBLAS build, whatever the core count.
+
+BLAS runs on one thread.  The only environment variable the CLI touches is
+OPENBLAS_NUM_THREADS, which it sets to 1 before numpy loads unless the
+caller has set it; a caller's own value wins.  The determinants are
+evaluated matrix-free (FFT products, Ritz sketches of 24 to 64 rows up to
+N = 2^18, p x p cores), so no BLAS call is large enough for a second
+thread to help, while OpenBLAS's idle thread spins after every call.  On a
+2-core Xeon VM (numpy 2.4.6, OpenBLAS 0.3.31), a 32 x 32 eigh, a 2048 x 32
+complex QR and a 32 x 2048 Gram product took 0.13, 2.2 and 0.42 ms with
+two threads and 0.10, 2.4 and 0.34 ms with one, but twice the CPU with
+two; a periodic N = 2^17 grid point took 6.4 s of wall time and 6.4 s of
+CPU with one thread, 6.1 s and 8.4 s with two (medians of 8 runs; the
+walls overlap within the VM's run-to-run spread).  The thread count also
+changes the rounding of some BLAS calls, so the pin makes the CSV bytes
+independent of the core count.  Other BLAS builds (MKL and so on) keep
+their own default thread count; that case is untested.
 
 --jobs accepts only 1, its default; it is kept for callers that still pass
 it and goes once none does.
@@ -69,6 +85,11 @@ the stage that failed).
 """
 
 from __future__ import annotations
+
+import os
+
+# before numpy loads, so OpenBLAS starts no second thread (measurements above)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import hashlib

@@ -29,6 +29,19 @@ def _write_config(tmp_path, **fields) -> str:
     return str(path)
 
 
+def _cli_env(openblas_threads: str | None = None) -> dict[str, str]:
+    """This environment with the package on the path and OPENBLAS_NUM_THREADS as given (None: unset).
+
+    Importing cli sets OPENBLAS_NUM_THREADS in this process too, so a child
+    that should see the caller's default needs it removed."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
 def _sweep(tmp_path, bc="periodic", **extra) -> str:
     return _write_config(
         tmp_path, experiment="overlap_sweep", bc=bc, rho=1.0, n_grid=[16, 24, 32], potential=POTENTIAL, **extra
@@ -205,9 +218,7 @@ def test_importing_the_cli_starts_no_process_machinery():
     # grid points run in the CLI's own process, so no pool module is loaded
     code = ("import sys, flux_catastrophe.cli; "
             "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(), check=True)
     assert result.stdout.strip() == "[]"
 
 
@@ -237,14 +248,48 @@ def test_runs_load_no_numpy_random_polynomial_or_ma(tmp_path):
     (tmp_path / "hilbert").mkdir()
     configs.append(_write_config(tmp_path / "hilbert", experiment="dirichlet_hilbert",
                                  delta_override=math.pi / 4, n_grid=[512]))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", _IMPORT_AUDIT, *configs], capture_output=True, text=True,
-                            env=env, check=True)
+                            env=_cli_env(), check=True)
     codes, loaded = json.loads(result.stdout.strip().splitlines()[-1])
     assert codes == [cli.EXIT_OK] * 3
     banned = ("numpy.random", "numpy.polynomial", "numpy.ma")
     assert [m for m in loaded if m in banned or m.startswith(tuple(b + "." for b in banned))] == []
+
+
+# one run through cli.main in a fresh interpreter; prints its exit code and the threads the process then holds
+_THREAD_COUNT = """
+import os, sys, tempfile
+from flux_catastrophe import cli
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main(["run", sys.argv[1], "--out", out])
+print(code, len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+@pytest.mark.parametrize("caller, threads", [
+    pytest.param(None, 1, id="default"),
+    pytest.param("2", 2, id="caller-2", marks=pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core")),
+])
+def test_cli_runs_blas_on_one_thread_unless_the_caller_says_otherwise(tmp_path, caller, threads):
+    config = _write_config(tmp_path, experiment="overlap_sweep", rho=1.0, n_grid=[128], potential=POTENTIAL)
+    result = subprocess.run([sys.executable, "-c", _THREAD_COUNT, config], capture_output=True, text=True,
+                            env=_cli_env(caller), check=True)
+    assert result.stdout.split()[-2:] == [str(cli.EXIT_OK), str(threads)]
+
+
+@pytest.mark.parametrize("name", ["sweep_periodic", "sweep_dirichlet"])
+def test_bench_sweep_csv_is_the_one_thread_csv(tmp_path, name):
+    # the default run's bytes are those of an explicit OPENBLAS_NUM_THREADS=1,
+    # whatever the core count (two threads move the last digits of some rows)
+    config = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{name}.json"
+    csvs = []
+    for caller in (None, "1"):
+        out = tmp_path / str(caller)
+        subprocess.run([sys.executable, "-m", "flux_catastrophe", "run", str(config), "--out", str(out)],
+                       capture_output=True, env=_cli_env(caller), check=True)
+        csvs.append((out / "overlap_sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 # one tiny config per experiment: the CSV header and the phrase of a passing gate

@@ -884,14 +884,22 @@ def test_evaluate_point_peak_memory_is_linear_in_n(bc):
 
 # one grid point in a fresh interpreter; prints the peak resident set of its own address space in KiB.
 # Linux carries the forking process's peak across exec into ru_maxrss, so that would read the test
-# runner's size; VmHWM is the high-water mark of the address space the child built after exec
+# runner's size; VmHWM is the high-water mark of the address space the child built after exec.
+# The child also prints the Ritz width the overlap log-det certified at: the rows of its last _tsqr_r
 _POINT_CHILD = """
 import json, sys
-from flux_catastrophe.overlap import evaluate_point
+from flux_catastrophe import matrixcore, overlap
 from flux_catastrophe.potential import potential_from_dict
+widths, certified, tsqr_r, ritz_log_det = [], [], matrixcore._tsqr_r, overlap.ritz_log_det
+matrixcore._tsqr_r = lambda blocks: widths.append(sum(len(b) for b in blocks)) or tsqr_r(blocks)
+def overlap_log_det(*args):
+    value = ritz_log_det(*args)
+    certified.append(widths[-1])
+    return value
+overlap.ritz_log_det = overlap_log_det
 N = int(sys.argv[3])
-evaluate_point(potential_from_dict(json.loads(sys.argv[1])), sys.argv[2], N, N / 2)
-print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+overlap.evaluate_point(potential_from_dict(json.loads(sys.argv[1])), sys.argv[2], N, N / 2)
+print(certified[0], next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
 
 
@@ -901,17 +909,22 @@ def test_grid_point_process_peak_rss_is_three_blocks_at_n_2_15(bc):
     # the whole process, untraced allocations (LAPACK, FFT plans) and the
     # allocator's own retention included: a bench-potential point at
     # N = 2^15 grows the peak resident set over the same point at N = 64 by
-    # at most three (k, N) complex blocks, k = 32: Q and A Q plus slack
+    # at most three (k, N) complex blocks, k = 32: Q and A Q plus slack.
+    # The bound holds only where k = 32 certifies, so a sketch that had to
+    # extend fails as its width, not as a number of blocks
     package_root = str(Path(flux_catastrophe.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
     raw = json.dumps(potential_to_dict(SWEEP_POTENTIALS[bc]))
 
-    def peak_rss(N):
+    def point(N):
         args = [sys.executable, "-c", _POINT_CHILD, raw, bc.value, str(N)]
-        return 1024 * int(subprocess.run(args, env=env, capture_output=True, text=True, check=True).stdout)
+        width, peak_kb = subprocess.run(args, env=env, capture_output=True, text=True, check=True).stdout.split()
+        return int(width), 1024 * int(peak_kb)
 
     N, k = 2**15, 32
-    grown = peak_rss(N) - peak_rss(64)
+    (width, peak), (_, base) = point(N), point(64)
+    assert width == k, f"the overlap log-det certified at k = {width}, so the {k}-row bound does not apply"
+    grown = peak - base
     assert grown <= 3 * N * k * 16, grown / (N * k * 16)
 
 
