@@ -514,6 +514,11 @@ def selftest() -> int:
         for prof in [flux_profile(potential_from_dict(raw), n / 2.0)]
     )
     check("matrix-free overlap log-det vs LU", worst < 1e-10, f"max |diff| {worst:.1e}")
+    # ||Delta_N||_1 on both sides of its dense/core fork (n = 64, 181) against the SVD of the assembled difference
+    worst = max(abs(overlap.delta_trace_norm(prof, bc, n) / np.linalg.svd(overlap.overlap_matrix(prof, bc, n)
+                    - overlap.flux_matrix(prof.total_flux, bc, n), compute_uv=False).sum() - 1)
+                for bc, n, raw in cases[:4] for prof in [flux_profile(potential_from_dict(raw), n / 2.0)])
+    check("trace norm of Delta_N vs dense SVD", worst < 1e-10, f"max rel diff {worst:.1e}")
 
     m = overlap.overlap_matrix(flux_profile(zero_potential(), 8.0), BoundaryCondition.PERIODIC, 16)
     check("zero potential identity", float(np.max(np.abs(m - np.eye(16)))) < 1e-10)

@@ -23,87 +23,79 @@ c_m = [i^m F(m pi / 2L) + i^{-m} F(-m pi / 2L)] / 2 with the transform F
 below.  The jump symbol has c~_0 = cos(Phi_L(L)) and
 c~_m = -(2i/pi) sin(Phi_L(L)) sin(m pi/2) / m.
 
-Support sums.  Both bases sample one transform,
-F(w) = (1/2L) int_{-L}^{L} e^{i Phi_L(x)} e^{i w x} dx, on an evenly spaced
-grid w_m = (step (shift + m) - delta) / L: the periodic t_d need step = pi
-and delta = delta_L, the Dirichlet c_m step = pi/2 and delta = 0.  Outside
-[-R, R] e^{i Phi_L} is the constant e^{+-i Phi_L(L)}, so those parts are
-closed-form cis integrals (zero when L = R).  Over the support the nodes x
-of support_nodes, the one panel rule on [-R, R], give
-sum_x v_x e^{i (shift + m) step x / L}, v_x = w_x e^{i (Phi_L(x) - delta x / L)}.
-Every node against every one of the M = 2N - 1 or 4N + 1 frequencies
-would cost O(M n).  But on [-R, R] every e^{i omega x},
-|omega| <= omega_max = step max|shift + m| / L, equals its interpolant
-sum_a l_a(x) e^{i omega x_a} on the p first-kind Chebyshev points x_a to
-eps_p = 1e-13 + p eps (the bound plus the barycentric rounding),
-p = _chebyshev_size(omega_max R) (48 and 64 on the benchmark sweeps,
-whatever N is).  That one rule, Trefethen's a-priori Bernstein-ellipse
-bound, sizes every Chebyshev interpolation in this
-module, and no run-time check repeats it.  So support_sums contracts the
-weighted values once, u = P^T v with the barycentric Lagrange matrix
-P_xa = l_a(x), and _phase_sums factors the phases of
-sum_a u_a e^{i (shift + m) step x_a / L}:
-O(n p + M p) in place of O(M n).  As |v_x| = w_x and sum w_x = 2R, every
-coefficient, 1/2L of a sum, moves by at most eps_p R / L, and both
-estimates the doubling check compares are contracted alike.
+One support sample.  Off [-R, R] e^{i Phi_L} is the constant e^{+-i Phi_L(L)},
+so F takes its parts there from closed-form cis integrals (zero when L = R),
+and Delta_N, where the two symbols agree, has none.  On support_nodes' x and
+w, the one panel rule on [-R, R], _support_sampler evaluates Phi_L once per
+refine level for two integrands weighted by w / 2L: v = e^{i (Phi_L - tilt)},
+tilt = delta_L x / L (periodic) or 0, and mu = e^{i g_L} - e^{i g~_L} as
+2i sin((Phi_L - Phi~) / 2) e^{i ((Phi_L + Phi~) / 2 - tilt)}, Phi~ =
+Phi_L(L) sign x, accurate relative to its own size.  Their frequencies are
+at most pi N / L, and with p = _chebyshev_size(pi N R / 2L) (48 on the
+benchmark sweeps, whatever N is) the 2p first-kind Chebyshev points y_c of
+[-R, R] interpolate every such e^{i omega x} as sum_c l_c(x) e^{i omega y_c}
+to eps = 1e-13 + 2p eps, 2p eps the barycentric rounding: Trefethen's
+a-priori Bernstein-ellipse bound at (2 kappa, 2p) is the square of that at
+(kappa, p) times (r - 1) / 4r, so 2 _chebyshev_size(kappa) >=
+_chebyshev_size(2 kappa).  That one rule sizes every Chebyshev interpolation
+here, and no run-time check repeats it.  So one contraction,
+u = Lambda^T v and m = Lambda^T mu with Lambda_xc = l_c(x), serves both, and
+one transform turns either into coefficients: _phase_sums factors
+sum_c u_c e^{i (shift + j) step y_c / L} over the M = 2N - 1 or 4N + 1
+frequencies in O(n p + M p), not O(M n), and the Dirichlet c_m fold it.  Of
+m it gives Delta_N's own coefficients, without the c - c~ that cancels for a
+weak potential.  As sum |v_x| = R / L, every coefficient moves by at most
+eps R / L.
 
 Quadrature check.  support_nodes' panels end at the breakpoints and at 0.
 On each gap between them they are at most min(L / 4N, pi / (4 max|a|))
 wide: an eighth of 2L/N, the shortest wavelength of a product of two basis
 functions (every |w_m| <= pi N / L), and an eighth of 2 pi / max|a|, the
 shortest wavelength of e^{i Phi_L} on the gap, as d Phi_L / dx = a(x); the
-second binds only for a strong narrow potential.  The doubling
-driver quadrature.adaptive_gauss_legendre, shared with ||Delta_N||_1 and
-the moment, halves them all and compares the O(N) coefficient vectors, not
-two N x N matrices.  Periodic entries are the t_d themselves, so
+second binds only for a strong narrow potential.  The doubling driver
+quadrature.adaptive_gauss_legendre, shared with ||Delta_N||_1 and the
+moment, halves them all and compares the O(N) coefficient vectors, not two
+N x N matrices.  Periodic entries are the t_d themselves, so
 max |dt_d| is the entrywise change exactly; a Dirichlet entry is
 c_{|j-k|} - c_{j+k}, so 2 max |dc_m| bounds every entry change from above
 and the driver gets half the entry tolerance.  As |c| <= 1 (the symbol is
 unimodular) its scale-1 floor max(1, |c|) leaves the check absolute.
-overlap_coefficients returns the accepted vector, and flux_coefficients
-the closed-form one of the jump symbol.
 
 |D| without a matrix.  The overlap matrix A is a finite section of the
 unitary multiplication by e^{i g_L}, a contraction, so
 log|D|^2 = log det(A^H A).  Only O(log N) singular values of A lie below
 1 - rounding (about 30 at N = 2048 on the benchmark sweeps), and
 overlap_log_det_sq hands A itself to matrixcore.ritz_log_det: A V and
-A^H W cost one matrixcore.toeplitz_hankel_operator call each on a (k, N)
-block (A is T(t), or T(c_|d|) - H(c) in the Dirichlet case, and A^H the
-operator of the conjugated symbols), and tr(I - A^H A) = N - ||A||_F^2 is
-a closed form in O(N).
+A^H W = conj(A^T conj W) cost one call each of A's one
+matrixcore.toeplitz_hankel_operator (T(t), or T(c_|d|) - H(c)) on a (k, N)
+block, and tr(I - A^H A) = N - ||A||_F^2 is a closed form in O(N).
 
-||Delta_N||_1 from a p x p core.  The two symbols agree outside [-R, R],
-so on support_nodes' x and w (their break at 0 is where e^{i g~_L} jumps)
-Delta_N = U^H diag(mu) U: U holds the basis at x, e^{-i pi k x / L} for N
-consecutive k centred at 0 (a unitary shift of the window) or sin(j y),
-and mu = w (e^{i g_L} - e^{i g~_L}) / 2L, or
-w (e^{i Phi_L} - e^{i Phi_L(L) sign x}) / L.  On [-R, R] each u_k is a
-constant phase times e^{i omega x}, |omega| <= pi rho (rho = N / 2L), so
-the p = _chebyshev_size(pi rho R) first-kind Chebyshev points interpolate
-them all: U = P V + E, |E| <= eps_p = 1e-13 + p eps.  As |u_k| <= 1,
-Hoelder's inequality bounds the change of the trace norm by
-(2 eps_p + eps_p^2) N sum |mu| when Delta_N is replaced by V^H C V,
-C = P^T diag(mu) P, and matrixcore.trace_norm takes that from C and the
-closed-form Gram matrix V V^H.  l_a l_b has degree 2p - 2, so the 2p
-Chebyshev points y_c interpolate it exactly, and C = Lambda^T diag(m) Lambda
-with Lambda_ca = l_a(y_c) and m the contraction of mu onto the y_c, the
-same contraction as the support sums'.  n and p depend on rho and R, not
-on N; the cost is O(n p + p^3), and Delta_N's rounded entries never enter.  The
-same driver settles it at scale 0, with the same p at every refine, so two
-estimates differ in their panels alone: the check is relative, as a weak
+||Delta_N||_1 from a p x p core.  On the nodes Delta_N = U^H diag(s mu) U,
+s = 1 (periodic) or 2 (Dirichlet entries are (1/L) integrals): U holds the
+basis at x, e^{-i pi k x / L} for N consecutive k centred at 0 (a unitary
+shift of the window) or sin(j y), each a phase times e^{i omega x}, or the
+mean of two, |omega| <= pi N / 2L.  So U = P V + E on the p points, with
+|E| <= eps_p = 1e-13 + p eps, and as |u_k| <= 1, Hoelder's inequality bounds
+the change of the trace norm by (2 eps_p + eps_p^2) N s sum |mu| when
+Delta_N is replaced by V^H C V, C = P^T diag(s mu) P = Lambda^T diag(s m)
+Lambda with Lambda_ca = l_a(y_c), as the 2p points interpolate l_a l_b
+exactly.  matrixcore.trace_norm takes that from C and the closed-form Gram
+matrix V V^H in O(p^3), whatever N is; for N <= 2p the SVD of Delta_N from
+its own coefficients is cheaper.  The same driver settles either at scale
+0, with the same p at every refine: the check is relative, as a weak
 potential's ||Delta_N||_1 is tiny.  The paper's
 ||Delta_N||_1 <= (N/L) int |y a(y)| dy rests on it too.
 
-evaluate_point builds the flux profile and the overlap coefficients once
-per grid point and derives C_{N,L}, ||Delta_N||_1 (for N <= 2p from those
-coefficients) and the moment bound; the jump log-determinant comes
-in closed form from (delta_L, N).  The band gate on C_{N,L} is the
-overlap_sweep row of the CLI's experiment table (cli._c_band_gate).
+evaluate_point builds the flux profile once, samples the support once per
+refine level for both drivers, and derives C_{N,L}, ||Delta_N||_1 and the
+moment bound; the jump log-determinant comes in closed form from
+(delta_L, N).  The band gate on C_{N,L} is the overlap_sweep row of the
+CLI's experiment table (cli._c_band_gate).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -164,14 +156,14 @@ def _barycentric(x: np.ndarray, R: float, p: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _chebyshev_contract(x: np.ndarray, values: np.ndarray, R: float, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x_a, u_a = sum_x values_x l_a(x)): complex values at nodes x in [-R, R] contracted onto the p Chebyshev
-    points x_a, in 8 MB blocks of nodes whatever n is, and one real product per block for both parts."""
-    pairs = np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2)
-    u, rows = np.zeros((p, 2)), (1 << 20) // p
+    """(x_a, u_a = sum_x values_x l_a(x)): complex (n, k) values at nodes x in [-R, R] contracted onto the p
+    Chebyshev points x_a, in 8 MB blocks of nodes whatever n is, and one real product per block for all columns."""
+    pairs = np.ascontiguousarray(values, dtype=complex).view(float)
+    u, rows = np.zeros((p, pairs.shape[1])), (1 << 20) // p
     for lo in range(0, len(x), rows):
         kernel, total = _barycentric(x[lo : lo + rows], R, p)
         u += kernel.T @ (pairs[lo : lo + rows] / total[:, None])
-    return _chebyshev_points(R, p), u.view(complex).ravel()
+    return _chebyshev_points(R, p), u.view(complex)
 
 
 def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -190,38 +182,43 @@ def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndar
     return (outer @ inner).ravel()[:M]
 
 
-def support_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndarray, R: float) -> np.ndarray:
-    """_phase_sums(h, shift, M, nodes, values) for nodes in [-R, R], contracted onto p Chebyshev points.
+def _support_sampler(prof: FluxProfile, periodic: bool, N: int):
+    """refine -> (y, u, m), memoized: support_nodes(refine) sampled once and contracted onto the 2p Chebyshev points
+    y of [-R, R], u of v and m of mu, the integrands of the coefficients and of Delta_N (module docstring)."""
+    L, R = prof.L, prof.potential.support_radius
+    if N < 1:
+        raise DomainError("N must be >= 1")
+    if L < R:
+        raise DomainError(f"L = {L} is smaller than the support radius {R}; "
+                          "the compact-support reduction requires L >= support_radius")
+    points = 2 * _chebyshev_size(math.pi * N * R / (2.0 * L))
 
-    Every e^{i w x}, |w| <= h max|shift + m|, equals sum_a l_a(x) e^{i w x_a}
-    on [-R, R] to eps_p = 1e-13 + p eps (_chebyshev_size), so the sums over
-    x are sums over the p points x_a with weights u = P^T values.
-    """
-    p = _chebyshev_size(h * max(abs(shift), abs(shift + M - 1)) * R)
-    return _phase_sums(h, shift, M, *_chebyshev_contract(nodes, values, R, p))
+    @functools.cache
+    def sample(refine: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        _, x, w = support_nodes(prof.potential, L, N, refine)
+        phi, jump = prof.phi_at(x), prof.total_flux * np.sign(x)
+        tilt = prof.delta_L * x / L if periodic else 0.0
+        v = np.exp(1j * (phi - tilt)) * w / (2 * L)
+        # e^{i g} - e^{i g~} = 2i sin((phi - jump) / 2) e^{i ((phi + jump) / 2 - tilt)}, relative to rounding
+        mu = 2j * np.sin(0.5 * (phi - jump)) * np.exp(1j * (0.5 * (phi + jump) - tilt)) * w / (2 * L)
+        y, u = _chebyshev_contract(x, np.stack([v, mu], axis=1), R, points)
+        return y, u[:, 0], u[:, 1]
 
-
-def _symbol_transform(prof: FluxProfile, N: int, step: float, delta: float, shift: int, M: int, refine: int):
-    """F(w) = (1/2L) int_{-L}^{L} e^{i Phi_L(x)} e^{i w x} dx at w_m = (step (shift + m) - delta) / L, m = 0..M-1."""
-    L = prof.L
-    omega = (step * (shift + np.arange(M)) - delta) / L
-    R, nodes, weights = support_nodes(prof.potential, L, N, refine)
-    values = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
-    support = support_sums(step / L, shift, M, nodes, values, R)
-    # e^{i Phi_L} is e^{+i Phi_L(L)} on [R, L] and e^{-i Phi_L(L)} on [-L, -R]
-    right = np.exp(1j * prof.total_flux) * cis_integral(omega, R, L)
-    left = np.exp(-1j * prof.total_flux) * cis_integral(omega, -L, -R)
-    return (support + right + left) / (2.0 * L)
-
-
-def _periodic_overlap_coefficients(prof: FluxProfile, N: int, refine: int) -> np.ndarray:
-    """The 2N-1 Toeplitz coefficients t_d of e^{i g_L}, d = -(N-1) .. N-1."""
-    return _symbol_transform(prof, N, np.pi, prof.delta_L, -(N - 1), 2 * N - 1, refine)
+    return sample
 
 
-def _dirichlet_cosine_coefficients(prof: FluxProfile, N: int, refine: int) -> np.ndarray:
-    """c_m = (1/2L) int_{-L}^{L} e^{i Phi_L} cos(m y) dx, m = 0..2N, with y = pi (x + L) / 2L."""
-    F = _symbol_transform(prof, N, np.pi / 2.0, 0.0, -2 * N, 4 * N + 1, refine)
+def _support_coefficients(prof: FluxProfile, periodic: bool, N: int, y: np.ndarray, u: np.ndarray, symbol: bool):
+    """t_d, d = -(N-1) .. N-1 (periodic), or c_m, m = 0..2N (Dirichlet), of a sample u contracted onto y; ``symbol``
+    adds e^{i Phi_L}'s parts off the support, which the difference of the two symbols does not have."""
+    L, R = prof.L, prof.potential.support_radius
+    step, shift, M = (np.pi, 1 - N, 2 * N - 1) if periodic else (np.pi / 2.0, -2 * N, 4 * N + 1)
+    F = _phase_sums(step / L, shift, M, y, u)
+    if symbol:  # e^{i Phi_L} is e^{+i Phi_L(L)} on [R, L] and e^{-i Phi_L(L)} on [-L, -R]
+        omega = (step * (shift + np.arange(M)) - (prof.delta_L if periodic else 0.0)) / L
+        F += (np.exp(1j * prof.total_flux) * cis_integral(omega, R, L)
+              + np.exp(-1j * prof.total_flux) * cis_integral(omega, -L, -R)) / (2.0 * L)
+    if periodic:
+        return F
     # cos(m y) is the mean of i^{+-m} e^{+-i m pi x / 2L}
     i_m = np.array([1.0, 1j, -1.0, -1j])[np.arange(2 * N + 1) % 4]
     return 0.5 * (i_m * F[2 * N :] + i_m.conj() * F[2 * N :: -1])
@@ -246,30 +243,24 @@ def _assemble(c: np.ndarray, N: int, periodic: bool) -> np.ndarray:
     return toeplitz(t, N).copy() if h is None else np.subtract(toeplitz(t, N), sliding_window_view(h, N))
 
 
-# Quadrature doubling check: no overlap entry moves by more than this, nor ||Delta_N||_1 by this of itself
+# Quadrature doubling check: no overlap entry moves by more than this, nor ||Delta_N||_1 (its
+# coefficients for N <= 2p) by this of itself
 _QUADRATURE_TOL = 1e-10
 
 
-def overlap_coefficients(prof: FluxProfile, bc: BoundaryCondition, N: int) -> np.ndarray:
-    """The verified coefficients of the overlap matrix: t_d, d = -(N-1) .. N-1 (periodic), or c_m, m = 0..2N.
+def _overlap_coefficients(prof: FluxProfile, periodic: bool, N: int, sample) -> np.ndarray:
+    """overlap_coefficients from ``sample``'s (y, u); a Dirichlet entry holds two, so it gets half the tolerance."""
+    return adaptive_gauss_legendre(
+        lambda refine: _support_coefficients(prof, periodic, N, *sample(refine)[:2], symbol=True),
+        _QUADRATURE_TOL / (1.0 if periodic else 2.0),
+    )
 
-    They are verified by doubling the quadrature resolution until no entry
-    of the matrix they assemble to can move by more than 1e-10.
-    """
-    bc = BoundaryCondition.parse(bc)
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    if prof.L < prof.potential.support_radius:
-        raise DomainError(
-            f"L = {prof.L} is smaller than the support radius {prof.potential.support_radius}; "
-            "the compact-support reduction requires L >= support_radius"
-        )
-    periodic = bc is BoundaryCondition.PERIODIC
-    coefficients = _periodic_overlap_coefficients if periodic else _dirichlet_cosine_coefficients
-    # an entry is t_{j-k} (periodic) or c_{|j-k|} - c_{j+k} (Dirichlet)
-    coefficients_per_entry = 1.0 if periodic else 2.0
-    tol = _QUADRATURE_TOL / coefficients_per_entry
-    return adaptive_gauss_legendre(lambda refine: coefficients(prof, N, refine), tol)
+
+def overlap_coefficients(prof: FluxProfile, bc: BoundaryCondition, N: int) -> np.ndarray:
+    """The verified coefficients of the overlap matrix: t_d, d = -(N-1) .. N-1 (periodic), or c_m, m = 0..2N;
+    doubling the quadrature resolution moves no entry of the matrix they assemble to by more than 1e-10."""
+    periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
+    return _overlap_coefficients(prof, periodic, N, _support_sampler(prof, periodic, N))
 
 
 def overlap_matrix(prof: FluxProfile, bc: BoundaryCondition, N: int) -> np.ndarray:
@@ -401,25 +392,23 @@ def overlap_log_det_sq(c: np.ndarray, bc: BoundaryCondition, N: int) -> float:
     """log|det A|^2 of the overlap matrix A = _assemble(c, N, periodic), without forming it.
 
     matrixcore.ritz_log_det takes log det(A^H A) to an absolute 1e-10 from
-    the FFT operators of A = T(t) - H(h) and A^H = T(conj t reversed) -
-    H(conj h) and the closed-form tr(I - A^H A) = N - ||A||_F^2 of
-    _frobenius_deficit; dense LU of overlap_matrix is the test oracle.  The
-    Dirichlet A, c_|j-k| - c_{j+k}, is symmetric, so A^H W = conj(A conj W)
-    reuses A's operator and its two symbol spectra.
+    the FFT operator of A = T(t) - H(h) and the closed-form
+    tr(I - A^H A) = N - ||A||_F^2 of _frobenius_deficit; dense LU of
+    overlap_matrix is the test oracle.  A^H W = conj(A^T conj W) reuses A's
+    operator and its symbol spectra: the periodic A is Toeplitz, so
+    A^T = J A J with J the flip, and the Dirichlet A, c_|j-k| - c_{j+k}, is
+    symmetric.
     sigma_min(A) is smallest as delta_L -> -pi/2: periodic Gaussian bumps of
     width 0.5 (R = 4, L = N/2) and total flux pi/2 + eps certify at k = 32
     for every eps scanned, 1e-12 to 0.1, at N = 2048 and 8192 (sigma_min 4.8e-3
     and 4.2e-3 as eps -> 0): the smallest flux certified is pi/2 + 1e-12.
     """
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    t, h = _toeplitz_hankel(c, N, periodic)
-    forward = toeplitz_hankel_operator(t, h)
-    if periodic:
-        adjoint = toeplitz_hankel_operator(t[::-1].conj())
-    else:
+    forward = toeplitz_hankel_operator(*_toeplitz_hankel(c, N, periodic))
+    flip = slice(None, None, -1 if periodic else 1)  # J along the last axis, or none
 
-        def adjoint(w: np.ndarray) -> np.ndarray:
-            return forward(w.conj()).conj()
+    def adjoint(w: np.ndarray) -> np.ndarray:
+        return forward(w[..., flip].conj())[..., flip].conj()
 
     return ritz_log_det(forward, adjoint, _frobenius_deficit(c, N, periodic), N, _LOGDET_ABS_ERR)
 
@@ -430,20 +419,14 @@ def _dirichlet_kernel(t: np.ndarray, N: int) -> np.ndarray:
         return np.where(t == 0.0, float(N), np.sin(0.5 * N * t) / np.sin(0.5 * t))
 
 
-def _delta_core(prof: FluxProfile, periodic: bool, N: int, p: int, refine: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C, G): Delta_N = V^H C V up to interpolation, V the basis at p Chebyshev points of [-R, R], G = V V^H."""
-    L = prof.L
-    R, x, w = support_nodes(prof.potential, L, N, refine)
-    phi, jump = prof.phi_at(x), prof.total_flux * np.sign(x)
-    tilt = prof.delta_L * x / L if periodic else 0.0
-    # e^{i g} - e^{i g~} = 2i sin((phi - jump) / 2) e^{i ((phi + jump) / 2 - tilt)}, relative to rounding
-    mu = 2j * np.sin(0.5 * (phi - jump)) * np.exp(1j * (0.5 * (phi + jump) - tilt)) * w / (2 * L if periodic else L)
+def _delta_core(prof: FluxProfile, periodic: bool, N: int, y: np.ndarray, m: np.ndarray):
+    """(C, G): Delta_N = V^H C V up to interpolation, V the basis at p Chebyshev points, G = V V^H, from m on 2p."""
+    L, R, p = prof.L, prof.potential.support_radius, len(y) // 2
     # l_a l_b has degree 2p - 2, so the 2p points y_c interpolate it exactly:
-    # C = P^T diag(mu) P = Lambda^T diag(m) Lambda, m = mu contracted onto y, Lambda_ca = l_a(y_c)
-    y, m = _chebyshev_contract(x, mu, R, 2 * p)
+    # C = P^T diag(s mu) P = Lambda^T diag(s m) Lambda, Lambda_ca = l_a(y_c), s = 2 in the Dirichlet basis
     kernel, total = _barycentric(y, R, p)
     lam = kernel / total[:, None]
-    core, cheb = lam.T @ (m[:, None] * lam), _chebyshev_points(R, p)
+    core, cheb = lam.T @ ((m if periodic else 2.0 * m)[:, None] * lam), _chebyshev_points(R, p)
     if periodic:
         return core, _dirichlet_kernel(np.pi * (cheb[:, None] - cheb) / L, N)
     # sum_j sin(j y_a) sin(j y_b) for y = pi/2 + s in s_a -+ s_b, so no argument grows with N
@@ -452,24 +435,33 @@ def _delta_core(prof: FluxProfile, periodic: bool, N: int, p: int, refine: int) 
     return core, 0.25 * (_dirichlet_kernel(d, 2 * N + 1) - (-1) ** N * np.cos((N + 0.5) * u) / np.cos(0.5 * u))
 
 
-def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int, c: np.ndarray) -> float:
+def _delta_trace_norm(prof: FluxProfile, periodic: bool, N: int, sample) -> float:
+    """delta_trace_norm from the sampler ``sample``."""
+    dense = N <= len(sample(0)[0])  # N <= 2p
+
+    def estimate(refine: int):
+        y, _, m = sample(refine)
+        return _support_coefficients(prof, periodic, N, y, m, symbol=False) if dense else trace_norm(
+            *_delta_core(prof, periodic, N, y, m))
+
+    settled = adaptive_gauss_legendre(estimate, _QUADRATURE_TOL, scale=0.0)
+    return float(np.sum(np.linalg.svd(_assemble(settled, N, periodic), compute_uv=False))) if dense else settled
+
+
+def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int) -> float:
     """||Delta_N||_1 of Delta_N = T_N(e^{i g_L}) - T_N(e^{i g~_L}) from a p x p core, p independent of N.
 
     The module docstring has the error argument; adaptive_gauss_legendre settles
     it to a relative 1e-10, refine r taking the core of the same p points on
-    support_nodes' panels halved r times.  For N <= 2p the SVD of Delta_N from
-    c = overlap_coefficients(prof, bc, N) is summed, near the crossover (periodic
-    bump, dense/core, best of 3: 4.5/4.5 ms at p = 48, N = 128; 16/22 ms at p = 96,
-    N = 256; 519/212 ms at p = 272, N = 1024).  Bench sweeps (2p = 96) take the core.
+    support_nodes' panels halved r times.  For N <= 2p it settles Delta_N's own
+    coefficients instead and sums the SVD of what they assemble: dense vs core
+    on samples already taken (bench bump, L = N / 2 rho, single runs, one BLAS
+    thread, 2-core Xeon), p = 48: 0.3-1.2 vs 1.0-1.2 ms (N = 24-96); p = 272:
+    10-15 and 98-103 vs 52-62 ms (N = 256, 544); p = 912: 0.11, 0.46-0.56 and
+    3.7-4.0 s vs 1.9-2.3 s (N = 538, 912, 1824).  Bench sweeps take the core.
     """
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    p = _chebyshev_size(math.pi * N * min(prof.potential.support_radius, prof.L) / (2.0 * prof.L))
-    if N <= 2 * p:
-        delta = _assemble(c - flux_coefficients(prof.total_flux, bc, N), N, periodic)
-        return float(np.sum(np.linalg.svd(delta, compute_uv=False)))
-    return adaptive_gauss_legendre(
-        lambda refine: trace_norm(*_delta_core(prof, periodic, N, p, refine)), _QUADRATURE_TOL, scale=0.0
-    )
+    return _delta_trace_norm(prof, periodic, N, _support_sampler(prof, periodic, N))
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +488,19 @@ class GridPoint(NamedTuple):
 
 
 def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> GridPoint:
-    """Build the flux profile and the overlap coefficients once each, and derive every result.
+    """Build the flux profile once, sample the support once per refine level for both drivers, and derive every result.
 
-    |D~| comes from (delta_L, N) alone: matrixcore.fh_log_det (periodic; the
-    sign (-1)^{n_L} leaves |det| unchanged) or hilbert.dirichlet_flux_logdet.
-    |D| comes from overlap_log_det_sq, certified to 1e-10 from FFT products
-    of the coefficients; no dense LU runs.  delta_trace_norm's ||Delta_N||_1
-    is checked against the periodic proof's (N/L) int |y a(y)| dy (Dirichlet too, numerically) up to an absolute 1e-8.
-    A DomainError or NumericalError names its stage: coefficients, overlap log-det, jump log-det or trace norm.
+    |D~| comes from (delta_L, N) alone: matrixcore.fh_log_det (periodic; the sign (-1)^{n_L} leaves |det|
+    unchanged) or hilbert.dirichlet_flux_logdet.  |D| comes from overlap_log_det_sq, certified to 1e-10 from FFT
+    products of the coefficients; no dense LU runs.  ||Delta_N||_1 is checked against the periodic proof's
+    (N/L) int |y a(y)| dy (Dirichlet too, numerically) up to an absolute 1e-8.  A DomainError or NumericalError
+    names its stage: coefficients, overlap log-det, jump log-det or trace norm.
     """
     prof = flux_profile(a, L)
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
     with stage("coefficients"):
-        c = overlap_coefficients(prof, bc, N)
+        sample = _support_sampler(prof, periodic, N)
+        c = _overlap_coefficients(prof, periodic, N, sample)
     with stage("overlap log-det"):
         ld_exact_sq = overlap_log_det_sq(c, bc, N)
     # after the overlap log-det, whose (k, N) blocks set the point's peak memory,
@@ -517,6 +509,6 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
         ld_flux = (fh_log_det if periodic else dirichlet_flux_logdet)(prof.delta_L, N)
     c_ratio = math.inf if math.isinf(ld_flux) else math.exp(ld_exact_sq - 2.0 * ld_flux)
     with stage("trace norm"):
-        tn = delta_trace_norm(prof, bc, N, c)
+        tn = _delta_trace_norm(prof, periodic, N, sample)
     bound = N / L * moment_integrals(a, L)
     return GridPoint(prof.delta_L, prof.n_L, ld_exact_sq, 2.0 * ld_flux, c_ratio, tn, bound, tn <= bound + 1e-8)

@@ -145,16 +145,14 @@ def test_support_nodes_stay_within_the_wavelength_and_breakpoint_budget(monkeypa
     panels = math.ceil(2 * R / (L / (4 * N))) + len(a.breakpoints) + 1
     assert len(nodes) == len(weights) <= 16 * 2**refine * panels
     assert abs(weights.sum() - 2 * R) <= 1e-12 * R
-    # the coefficients in both bases and Delta_N's core read the same nodes
+    # one sample of these nodes per basis feeds the coefficients and Delta_N alike
     asked = []
     nodes_at = overlap_module.support_nodes
     monkeypatch.setattr(overlap_module, "support_nodes", lambda *args: asked.append(args) or nodes_at(*args))
     prof = flux_profile(a, L)
-    overlap_module._periodic_overlap_coefficients(prof, N, refine)
-    overlap_module._dirichlet_cosine_coefficients(prof, N, refine)
     for periodic in (True, False):
-        overlap_module._delta_core(prof, periodic, N, 16, refine)
-    assert asked == [(a, L, N, refine)] * 4
+        overlap_module._support_sampler(prof, periodic, N)(refine)
+    assert asked == [(a, L, N, refine)] * 2
 
 
 def test_dirichlet_single_state_unimodularity():
@@ -336,17 +334,17 @@ def test_trace_norm_of_delta_matches_dense_svd(flux, bc, N):
     assert flux_profile(a, L).n_L == round(flux / math.pi)
     dense = np.linalg.svd(_delta_n(a, bc, N, L), compute_uv=False).sum()
     prof = flux_profile(a, L)
-    assert_allclose(delta_trace_norm(prof, bc, N, overlap_coefficients(prof, bc, N)), dense, rtol=1e-10)
+    assert_allclose(delta_trace_norm(prof, bc, N), dense, rtol=1e-10)
 
 
 def _recording_core(monkeypatch):
-    """Record the (p, refine) of every core delta_trace_norm builds (none on the dense path)."""
+    """Record the p of every core delta_trace_norm builds, one per refine from 0 up (none on the dense path)."""
     calls = []
     core = overlap_module._delta_core
 
-    def recording(prof, periodic, N, p, refine):
-        calls.append((p, refine))
-        return core(prof, periodic, N, p, refine)
+    def recording(prof, periodic, N, y, m):
+        calls.append(len(y) // 2)
+        return core(prof, periodic, N, y, m)
 
     monkeypatch.setattr(overlap_module, "_delta_core", recording)
     return calls
@@ -363,10 +361,9 @@ def test_matrix_free_trace_norm_matches_dense_svd_at_every_bench_n(monkeypatch, 
     for N in _bench_grid(bc):
         dense = _dense_delta_trace_norm(a, bc, N, N / 2.0)
         prof = flux_profile(a, N / 2.0)
-        c = overlap_coefficients(prof, bc, N)
         calls.clear()
-        assert_allclose(delta_trace_norm(prof, bc, N, c), dense, rtol=1e-10, err_msg=str(N))
-        assert calls == [(48, 0), (48, 1)], N
+        assert_allclose(delta_trace_norm(prof, bc, N), dense, rtol=1e-10, err_msg=str(N))
+        assert calls == [48, 48], N
 
 
 WIDE_BUMP = GaussianBump(0.0, 2.0, 1.0, 12.0)
@@ -387,11 +384,11 @@ CORE_CASES = {
 def test_delta_core_matches_dense_svd_at_the_edges(bc, case):
     a, N, L = CORE_CASES[case]
     prof = flux_profile(a, L)
-    p = overlap_module._chebyshev_size(math.pi * N * min(a.support_radius, L) / (2.0 * L))
-    core = trace_norm(*overlap_module._delta_core(prof, bc is PER, N, p, 1))
+    y, _, m = overlap_module._support_sampler(prof, bc is PER, N)(1)
+    core = trace_norm(*overlap_module._delta_core(prof, bc is PER, N, y, m))
     assert_allclose(core, _dense_delta_trace_norm(a, bc, N, L), rtol=1e-10)
     # delta_trace_norm takes the core unless N <= 2p (L = R here; then Delta_N is dense)
-    assert_allclose(delta_trace_norm(prof, bc, N, overlap_coefficients(prof, bc, N)), core, rtol=1e-10)
+    assert_allclose(delta_trace_norm(prof, bc, N), core, rtol=1e-10)
 
 
 @pytest.mark.parametrize("N", [8192, 2**15])
@@ -402,7 +399,7 @@ def test_delta_trace_norm_matches_the_sketch_oracle_at_large_n(bc, N):
     prof = flux_profile(SWEEP_POTENTIALS[bc], N / 2.0)
     c = overlap_coefficients(prof, bc, N)
     oracle = sketch_trace_norm(c - overlap_module.flux_coefficients(prof.total_flux, bc, N), N, bc is PER)
-    assert_allclose(delta_trace_norm(prof, bc, N, c), oracle, rtol=1e-10)
+    assert_allclose(delta_trace_norm(prof, bc, N), oracle, rtol=1e-10)
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
@@ -413,10 +410,9 @@ def test_delta_trace_norm_peak_memory_does_not_grow_with_n(bc):
     a = SWEEP_POTENTIALS[bc]
     for N in (2**12, 2**12, 2**15):  # the first call warms the cached quadrature rule
         prof = flux_profile(a, N / 2.0)
-        c = overlap_coefficients(prof, bc, N)
         tracemalloc.start()
         try:
-            delta_trace_norm(prof, bc, N, c)
+            delta_trace_norm(prof, bc, N)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -427,12 +423,11 @@ def test_delta_trace_norm_peak_memory_does_not_grow_with_n(bc):
 def test_delta_trace_norm_is_relative_for_a_weak_potential(bc):
     # Delta_N is linear in a weak potential to first order, and the symbol
     # difference is taken as 2i sin(d/2) e^{...}, accurate relative to its
-    # size: at flux 1e-12 the result is 1e-6 of that at flux 1e-6
-    tn = {}
-    for f in (1e-12, 1e-6):
-        prof = flux_profile(gaussian_bump_with_flux(f), 128.0)
-        tn[f] = delta_trace_norm(prof, bc, 256, overlap_coefficients(prof, bc, 256))
-    assert_allclose(1e6 * tn[1e-12], tn[1e-6], rtol=1e-9)
+    # size: at flux 1e-12 the result is 1e-6 of that at flux 1e-6, on the
+    # dense side of the fork (N = 64 <= 2p = 96) as on the core's (N = 256)
+    for N in (64, 256):
+        tn = {f: delta_trace_norm(flux_profile(gaussian_bump_with_flux(f), N / 2.0), bc, N) for f in (1e-12, 1e-6)}
+        assert_allclose(1e6 * tn[1e-12], tn[1e-6], rtol=1e-9, err_msg=str(N))
 
 
 @pytest.mark.parametrize("flux", [2.0, 1e-12])
@@ -443,10 +438,9 @@ def test_delta_trace_norm_rejects_a_core_that_moves_under_doubling(monkeypatch, 
     # relative, so it also rejects the weak potential, whose change an
     # absolute 1e-10 would pass
     prof = flux_profile(gaussian_bump_with_flux(flux), 128.0)
-    c = overlap_coefficients(prof, bc, 256)
     monkeypatch.setattr(overlap_module, "gauss_legendre_rule", lambda npts: quadrature_module.gauss_legendre_rule(1))
     with pytest.raises(NumericalError) as info:
-        delta_trace_norm(prof, bc, 256, c)
+        delta_trace_norm(prof, bc, 256)
     assert info.value.context["achieved"] > info.value.context["requested"] > 0.0
 
 
@@ -459,6 +453,8 @@ def test_chebyshev_size_interpolates_the_phase_to_its_bound(kappa):
     # 2004), which also covers the rounding of kappa t as p > kappa
     p = overlap_module._chebyshev_size(kappa)
     assert p % 16 == 0 and p > kappa
+    # so the 2p points of Delta_N's core also interpolate the coefficients' e^{i 2 kappa t}
+    assert overlap_module._chebyshev_size(2 * kappa) <= 2 * p
     t = np.linspace(-1.0, 1.0, 4001)
     kernel, total = overlap_module._barycentric(t, 1.0, p)
     interpolant = kernel @ np.exp(1j * kappa * overlap_module._chebyshev_points(1.0, p)) / total
@@ -476,7 +472,7 @@ def test_narrow_strong_bump_settles_to_the_dense_svd(monkeypatch, bc, flux, N):
     a = gaussian_bump_with_flux(flux, width=0.1)
     point = evaluate_point(a, bc, N, N / 2.0)
     assert_allclose(point.trace_norm_delta, _dense_delta_trace_norm(a, bc, N, N / 2.0), rtol=1e-10)
-    assert calls == [(48, 0), (48, 1)]
+    assert calls == [48, 48]
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
@@ -523,18 +519,19 @@ def test_support_nodes_cap_each_gap_at_the_phase_rate(a):
 def test_trace_norm_of_delta_is_deterministic():
     for bc in (PER, DIR):
         prof = flux_profile(SWEEP_POTENTIALS[bc], 128.0)
-        c = overlap_coefficients(prof, bc, 256)
-        first, second = delta_trace_norm(prof, bc, 256, c), delta_trace_norm(prof, bc, 256, c)
+        first, second = delta_trace_norm(prof, bc, 256), delta_trace_norm(prof, bc, 256)
         assert first.hex() == second.hex(), bc
 
 
 def test_evaluate_point_builds_each_matrix_once(monkeypatch):
-    # the flux profile once, and the overlap matrix once as its coefficient
-    # vector.  At N = 128 ||Delta_N||_1 reads the profile through the p x p
-    # core and assembles no matrix; at N = 40 <= 2p the dense SVD assembles
-    # Delta_N once from those coefficients less the jump symbol's
-    calls = {name: 0 for name in ("overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix",
-                                  "flux_matrix", "_assemble")}
+    # the flux profile once, the overlap matrix once as its coefficient
+    # vector, and one support sample (nodes and one Chebyshev contraction)
+    # per refine level, 0 and 1, which the coefficients and ||Delta_N||_1
+    # share.  At N = 128 ||Delta_N||_1 is the p x p core's and no matrix is
+    # assembled; at N = 40 <= 2p the dense SVD assembles Delta_N once from
+    # its own coefficients, not from the jump symbol's
+    calls = {name: 0 for name in ("_overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix",
+                                  "flux_matrix", "_assemble", "support_nodes", "_chebyshev_contract")}
     for name in calls:
         original = getattr(overlap_module, name)
 
@@ -549,8 +546,9 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
             for name in calls:
                 calls[name] = 0
             evaluate_point(a, bc, N, N / 2.0)
-            assert calls == {"overlap_coefficients": 1, "flux_coefficients": dense, "flux_profile": 1,
-                             "overlap_matrix": 0, "flux_matrix": 0, "_assemble": dense}, (N, bc)
+            assert calls == {"_overlap_coefficients": 1, "flux_coefficients": 0, "flux_profile": 1,
+                             "overlap_matrix": 0, "flux_matrix": 0, "_assemble": dense, "support_nodes": 2,
+                             "_chebyshev_contract": 2}, (N, bc)
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
@@ -580,13 +578,10 @@ def test_evaluate_point_matches_each_quantity_built_directly(bc):
     dense = flux_matrix(prof.total_flux, bc, 40)
     assert abs(point.log_Dtilde_sq - 2.0 * log_det(dense)) <= 2e-13
     assert point.c_ratio == math.exp(point.log_D_sq - point.log_Dtilde_sq)
-    # at N = 40 <= 2p Delta_N is assembled from the coefficient difference:
-    # the same entries as the difference of the two matrices (periodic), or
-    # the same to rounding
-    assert point.trace_norm_delta == delta_trace_norm(prof, bc, 40, overlap_coefficients(prof, bc, 40))
+    # at N = 40 <= 2p Delta_N is assembled from its own coefficients, which
+    # at flux 2 agree with the difference of the two matrices to rounding
+    assert point.trace_norm_delta == delta_trace_norm(prof, bc, 40)
     dense_tn = np.linalg.svd(_delta_n(a, bc, 40, 20.0), compute_uv=False).sum()
-    if bc is PER:
-        assert point.trace_norm_delta == dense_tn
     assert_allclose(point.trace_norm_delta, dense_tn, rtol=1e-13)
     assert point.bound == 40 / 20.0 * moment_integrals(a, 20.0)
     assert point.bound_holds == (point.trace_norm_delta <= point.bound + 1e-8)
@@ -625,11 +620,10 @@ def test_dirichlet_sweep_jump_logdet_matches_lu_at_every_bench_n():
         assert abs(dirichlet_flux_logdet(prof.delta_L, N) - dense) <= 1e-10, N
 
 
-_COEFFICIENTS = {PER: "_periodic_overlap_coefficients", DIR: "_dirichlet_cosine_coefficients"}
-
-
 def _coefficients(a, bc, N, L, refine):
-    return getattr(overlap_module, _COEFFICIENTS[bc])(flux_profile(a, L), N, refine)
+    prof = flux_profile(a, L)
+    y, u, _ = overlap_module._support_sampler(prof, bc is PER, N)(refine)
+    return overlap_module._support_coefficients(prof, bc is PER, N, y, u, symbol=True)
 
 
 def _assemble(bc, coefficients, N):
@@ -648,7 +642,8 @@ def _first_change_bound(a, bc, N, L, builds=None):
         patch.setattr(overlap_module, "_QUADRATURE_TOL", -1.0)
         patch.setattr(quadrature_module, "_MAX_REFINE", 1)
         if builds is not None:
-            patch.setattr(overlap_module, _COEFFICIENTS[bc], lambda prof, N, refine: builds[refine])
+            built = iter(builds)  # the driver builds refine 0, then refine 1
+            patch.setattr(overlap_module, "_support_coefficients", lambda *args, **kwargs: next(built))
         with pytest.raises(NumericalError) as info:
             overlap_matrix(flux_profile(a, L), bc, N)
     # the driver reports the largest coefficient change; an entry holds _PER_ENTRY of them
@@ -1116,10 +1111,11 @@ _CONTRACTION_POTENTIALS = {
 @pytest.mark.parametrize("rho", [1, 4])
 @pytest.mark.parametrize("name", list(_CONTRACTION_POTENTIALS))
 def test_contracted_support_sums_match_the_direct_node_sums(monkeypatch, name, rho, N):
-    # the support sums run over p Chebyshev points, not the n quadrature
-    # nodes; against the sum over the n nodes, written out with one
-    # exponential per (frequency, node) at 300 sampled frequencies and both
-    # ends, each coefficient of either basis moves by at most 1e-13
+    # the support sums run over the 2p Chebyshev points of the sample Delta_N's
+    # core shares, not the n quadrature nodes; against the sum over the n
+    # nodes, written out with one exponential per (frequency, node) at 300
+    # sampled coefficients and both ends, each coefficient of either basis
+    # moves by at most 1e-13
     a, L = _CONTRACTION_POTENTIALS[name], N / (2.0 * rho)
     prof = flux_profile(a, L)
     R, nodes, weights = overlap_module.support_nodes(a, L, N, 0)
@@ -1128,15 +1124,24 @@ def test_contracted_support_sums_match_the_direct_node_sums(monkeypatch, name, r
     monkeypatch.setattr(overlap_module, "_phase_sums", lambda h, shift, M, x, v: seen.append(len(x)) or
                         phase_sums(h, shift, M, x, v))
     rng = np.random.default_rng(N + rho)
-    # (step, delta, shift, M) of the periodic t_d and of the Dirichlet cosine sums
-    for step, delta, shift, M in ((np.pi, prof.delta_L, 1 - N, 2 * N - 1), (np.pi / 2, 0.0, -2 * N, 4 * N + 1)):
-        got = overlap_module._symbol_transform(prof, N, step, delta, shift, M, 0)
-        p = overlap_module._chebyshev_size(step / L * max(abs(shift), abs(shift + M - 1)) * R)
-        assert seen.pop() == p < len(nodes)
-        m = np.unique(np.concatenate([[0, M - 1], rng.integers(0, M, 300)]))
-        w = step * (shift + m) / L
+    p = overlap_module._chebyshev_size(math.pi * N * R / (2.0 * L))
+
+    def direct(step, delta, k):
+        """(1/2L) int e^{i (Phi_L - delta x / L)} e^{i step k x / L} dx over [-L, L], support by the node sum."""
+        w = step * k / L
         values = np.exp(1j * (prof.phi_at(nodes) - delta * nodes / L)) * weights
         outer = np.exp(1j * prof.total_flux) * cis_integral(w - delta / L, R, L)
         outer += np.exp(-1j * prof.total_flux) * cis_integral(w - delta / L, -L, -R)
-        direct = (np.exp(1j * np.outer(w, nodes)) @ values + outer) / (2.0 * L)
-        assert np.max(np.abs(got[m] - direct)) <= 1e-13
+        return (np.exp(1j * np.outer(w, nodes)) @ values + outer) / (2.0 * L)
+
+    for periodic, size in ((True, 2 * N - 1), (False, 2 * N + 1)):
+        y, u, _ = overlap_module._support_sampler(prof, periodic, N)(0)
+        got = overlap_module._support_coefficients(prof, periodic, N, y, u, symbol=True)
+        assert seen.pop() == 2 * p < len(nodes)
+        m = np.unique(np.concatenate([[0, size - 1], rng.integers(0, size, 300)]))
+        if periodic:  # t_d, d = m - (N - 1)
+            expected = direct(np.pi, prof.delta_L, m - (N - 1))
+        else:  # c_m, the mean of i^{+-m} F(+-m pi / 2L)
+            i_m = 1j ** (m % 4)
+            expected = 0.5 * (i_m * direct(np.pi / 2, 0.0, m) + i_m.conj() * direct(np.pi / 2, 0.0, -m))
+        assert np.max(np.abs(got[m] - expected)) <= 1e-13
