@@ -57,21 +57,28 @@ after another in grid order in this process, and floats are printed with
 17 significant digits, so identical configs produce byte-identical CSV
 files for a given numpy and OpenBLAS build, whatever the core count.
 
+Only the experiments that build arrays load numpy: overlap_sweep and
+lemma_check (through overlap), dirichlet_hilbert (through hilbert) and
+selftest import it when they run.  exponent_fit, anderson and energy are
+closed forms on math, and so is every config check
+(ExperimentConfig.from_dict), so their processes never load numpy.
+
 BLAS runs on one thread.  The only environment variable the CLI touches is
-OPENBLAS_NUM_THREADS, which it sets to 1 before numpy loads unless the
-caller has set it; a caller's own value wins.  The determinants are
-evaluated matrix-free (FFT products, Ritz sketches of 24 to 64 rows up to
-N = 2^18, p x p cores), so no BLAS call is large enough for a second
-thread to help, while OpenBLAS's idle thread spins after every call.  On a
-2-core Xeon VM (numpy 2.4.6, OpenBLAS 0.3.31), a 32 x 32 eigh, a 2048 x 32
-complex QR and a 32 x 2048 Gram product took 0.13, 2.2 and 0.42 ms with
-two threads and 0.10, 2.4 and 0.34 ms with one, but twice the CPU with
-two; a periodic N = 2^17 grid point took 6.4 s of wall time and 6.4 s of
-CPU with one thread, 6.1 s and 8.4 s with two (medians of 8 runs; the
-walls overlap within the VM's run-to-run spread).  The thread count also
-changes the rounding of some BLAS calls, so the pin makes the CSV bytes
-independent of the core count.  Other BLAS builds (MKL and so on) keep
-their own default thread count; that case is untested.
+OPENBLAS_NUM_THREADS, which it sets to 1 when it is imported, before any
+experiment loads numpy, unless the caller has set it; a caller's own value
+wins.  The determinants are evaluated matrix-free (FFT products, Ritz
+sketches of 24 to 64 rows up to N = 2^18, p x p cores), so no BLAS call is
+large enough for a second thread to help, while OpenBLAS's idle thread
+spins after every call.  On a 2-core Xeon VM (numpy 2.4.6, OpenBLAS
+0.3.31), a 32 x 32 eigh, a 2048 x 32 complex QR and a 32 x 2048 Gram
+product took 0.13, 2.2 and 0.42 ms with two threads and 0.10, 2.4 and 0.34
+ms with one, but twice the CPU with two; a periodic N = 2^17 grid point
+took 6.4 s of wall time and 6.4 s of CPU with one thread, 6.1 s and 8.4 s
+with two (medians of 8 runs; the walls overlap within the VM's run-to-run
+spread).  The thread count also changes the rounding of some BLAS calls, so
+the pin makes the CSV bytes independent of the core count.  Other BLAS
+builds (MKL and so on) keep their own default thread count; that case is
+untested.
 
 --jobs accepts only 1, its default; it is kept for callers that still pass
 it and goes once none does.
@@ -88,7 +95,7 @@ from __future__ import annotations
 
 import os
 
-# before numpy loads, so OpenBLAS starts no second thread (measurements above)
+# before any experiment loads numpy, so OpenBLAS starts no second thread (measurements above)
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
@@ -96,16 +103,12 @@ import hashlib
 import json
 import math
 import sys
-import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from . import asymptotics, hilbert, overlap, spectrum
+from . import asymptotics, spectrum
 from .errors import DomainError, NumericalError, stage
-from .matrixcore import fh_log_det, fh_matrix, log_det
 from .potential import (
     MagneticPotential,
     flux_profile,
@@ -252,18 +255,20 @@ def write_rows(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def _overlap_point(config: ExperimentConfig, n: int) -> tuple:
+    from . import overlap
+
     L = n / (2.0 * config.rho)
     return (n, L, config.rho, *overlap.evaluate_point(config.potential, config.bc, n, L))
 
 
 def _fh_point(config: ExperimentConfig, n: int) -> tuple:
-    return (n, 2.0 * fh_log_det(config.resolve_delta(), n))
+    return (n, 2.0 * asymptotics.fh_log_det(config.resolve_delta(), n))
 
 
 def _anderson_point(config: ExperimentConfig, n: int) -> tuple:
     """det(A) <= exp(-tr(1 - A)) for the jump symbol: log|D~|^2 <= -I_N, up to 1e-8."""
     delta = config.resolve_delta()
-    log_sq = 2.0 * fh_log_det(delta, n)
+    log_sq = 2.0 * asymptotics.fh_log_det(delta, n)
     integral = asymptotics.anderson_integral(delta, n)
     return (n, delta, integral, log_sq, log_sq <= -integral + 1e-8)
 
@@ -282,6 +287,8 @@ def _energy_point(config: ExperimentConfig, n: int) -> tuple:
 
 
 def _dirichlet_point(config: ExperimentConfig, n: int) -> tuple:
+    from . import hilbert
+
     delta, m = config.resolve_delta(), n // 2
     with stage("jump log-det"):
         ld = hilbert.dirichlet_flux_logdet(delta, n)
@@ -469,6 +476,13 @@ _SELFTEST_CONFIGS = (
 
 def selftest() -> int:
     """Fast built-in property suite; the full acceptance suite lives in pytest."""
+    import tempfile
+
+    import numpy as np
+
+    from . import hilbert, overlap
+    from .matrixcore import fh_matrix, log_det
+
     failures = 0
 
     def check(label: str, ok: bool, detail: str = "") -> None:
@@ -485,7 +499,8 @@ def selftest() -> int:
     # the jump matrices they stand for (fh_matrix, and flux_matrix's Dirichlet
     # assembly); at delta = 0 the jump matrix is the identity
     worst = max(
-        abs(fh_log_det(delta, n) - log_det(fh_matrix(delta, n))) for delta in (0.0, math.pi / 4, math.pi / 2)
+        abs(asymptotics.fh_log_det(delta, n) - log_det(fh_matrix(delta, n)))
+        for delta in (0.0, math.pi / 4, math.pi / 2)
         for n in (64, 181)
     )
     check("jump log-det vs LU", worst < 1e-12, f"max |diff| {worst:.1e}")

@@ -7,19 +7,19 @@ strided view that turns 2N - 1 coefficients into a Toeplitz matrix, the FFT
 operator toeplitz_hankel_operator that applies T(t) - H(h) without forming
 it, one forward and one inverse FFT along the contiguous last axis of a
 (k, N) block per call, the closed-form jump-symbol coefficients
-fh_coefficients with their matrix fh_matrix and O(1) log-determinant
-fh_log_det, the dense log-determinant, the certified Rayleigh-Ritz
-log det(A^H A) of a contraction A, the trace norm of a matrix given by a
-small core and its Gram matrix, and the power-iteration norm of a symmetric
-operator given by its product.
+fh_coefficients with their matrix fh_matrix, the dense log-determinant,
+the certified Rayleigh-Ritz log det(A^H A) of a contraction A, the trace
+norm of a matrix given by a small core and its Gram matrix, and the
+power-iteration norm of a symmetric operator given by its product.
 
 Determinants of these matrices decay polynomially in N, so only their
-magnitudes are kept, in log space throughout.  fh_log_det sums Cauchy's
-product formula for the periodic jump-symbol matrix in O(1) (its docstring
-has the derivation).  Both other determinants an overlap sweep needs are
-det(A^H A) of a contraction A, the overlap matrix or the Dirichlet parity
-factor, with few singular values below 1 - rounding; ritz_log_det takes
-them from A's block products, off the singular values of A on a sketch.
+magnitudes are kept, in log space throughout.  The determinant of the
+periodic jump-symbol matrix needs no array: asymptotics.fh_log_det sums
+Cauchy's product formula for it in O(1).  Both other determinants an
+overlap sweep needs are det(A^H A) of a contraction A, the overlap matrix
+or the Dirichlet parity factor, with few singular values below
+1 - rounding; ritz_log_det takes them from A's block products, off the
+singular values of A on a sketch.
 It holds the sketch's orthonormal rows Q and one block for A Q, which
 turns into E Q in place, two (k, N) blocks and nothing else of that size:
 products, projections and the tall-skinny QRs that orthonormalize the
@@ -46,7 +46,6 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .asymptotics import hurwitz_zeta
 from .errors import DomainError, NumericalError
 
 # a block product V -> A V along the last axis of a vector or (k, n) block
@@ -392,44 +391,3 @@ def fh_matrix(delta: float, N: int) -> np.ndarray:
     is the result itself.
     """
     return toeplitz(fh_coefficients(delta, N), N).copy()
-
-
-def fh_log_det(delta: float, N: int) -> float:
-    """log|det fh_matrix(delta, N)| in O(1), from Cauchy's determinant formula.
-
-    With c = delta / pi the matrix is (sin(delta) / pi) times the Cauchy
-    matrix 1 / ((k + c) - j), whose determinant is a ratio of difference
-    products.  Grouping its factors by d = |j - k| gives
-
-        |det| = |sin(delta) / delta|^N  prod_{d=1}^{N-1} (1 - c^2/d^2)^-(N-d),
-
-    and Euler's product sin(pi c) / (pi c) = prod_{d>=1} (1 - c^2/d^2)
-    absorbs the first factor, leaving sum_{d>=1} min(d, N) log(1 - c^2/d^2).
-    The terms d < 64 are summed directly.  Beyond, c^2/d^2 <= 2^-14, so
-    five terms of the log series leave a relative remainder below 1e-22,
-    and summing them over d with asymptotics.hurwitz_zeta gives, with
-    X = max(N, 64),
-
-        log|det| = sum_{d=1}^{63} min(d, N) log(1 - c^2/d^2)
-                   - sum_{k=1}^{5} (c^(2k) / k) [zeta(2k-1, 64) - zeta(2k-1, X)
-                                                 + N zeta(2k, X)],
-
-    where zeta(1, .) is -psi.  Since |c| <= 1/2, every term is negative and
-    no sum cancels, where the textbook form subtracts sums of size
-    N^2 log N.  Dense LU of fh_matrix is the test oracle.  The domain is
-    fh_matrix's, |delta| <= pi/2 and N >= 1, and delta = 0 gives exactly 0.0.
-    """
-    if abs(delta) > np.pi / 2:
-        raise DomainError("fh_log_det requires |delta| <= pi/2")
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    if delta == 0.0:
-        return 0.0
-    c2 = (delta / math.pi) ** 2
-    d = np.arange(1.0, 64.0)
-    out = float(np.sum(np.minimum(d, N) * np.log1p(-c2 / (d * d))))
-    x = float(max(N, 64))
-    for k in range(1, 6):
-        lo, hi = hurwitz_zeta(2 * k - 1, [64.0, x])
-        out -= c2**k / k * (lo - hi + N * hurwitz_zeta(2 * k, x))
-    return float(out)

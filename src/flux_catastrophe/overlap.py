@@ -103,9 +103,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .asymptotics import fh_log_det
 from .errors import DomainError, stage
 from .hilbert import dirichlet_flux_logdet
-from .matrixcore import fh_coefficients, fh_log_det, ritz_log_det, toeplitz, toeplitz_hankel_operator, trace_norm
+from .matrixcore import fh_coefficients, ritz_log_det, toeplitz, toeplitz_hankel_operator, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
 from .quadrature import adaptive_gauss_legendre, build_edges, cis_integral, gauss_legendre_rule, panel_nodes
 from .spectrum import BoundaryCondition
@@ -490,7 +491,7 @@ class GridPoint(NamedTuple):
 def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> GridPoint:
     """Build the flux profile once, sample the support once per refine level for both drivers, and derive every result.
 
-    |D~| comes from (delta_L, N) alone: matrixcore.fh_log_det (periodic; the sign (-1)^{n_L} leaves |det|
+    |D~| comes from (delta_L, N) alone: asymptotics.fh_log_det (periodic; the sign (-1)^{n_L} leaves |det|
     unchanged) or hilbert.dirichlet_flux_logdet.  |D| comes from overlap_log_det_sq, certified to 1e-10 from FFT
     products of the coefficients; no dense LU runs.  ||Delta_N||_1 is checked against the periodic proof's
     (N/L) int |y a(y)| dy (Dirichlet too, numerically) up to an absolute 1e-8.  A DomainError or NumericalError

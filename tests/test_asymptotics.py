@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from flux_catastrophe.asymptotics import (
     anderson_integral,
     digamma,
+    fh_log_det,
     fit_decay_exponent,
     hurwitz_zeta,
     theorem_constant,
@@ -20,7 +21,6 @@ from flux_catastrophe.asymptotics import (
     upper_bound_exponent,
 )
 from flux_catastrophe.errors import DomainError
-from flux_catastrophe.matrixcore import fh_log_det
 from oracles import anderson_bruteforce, cauchy_fh_logdet_sq, inv_square_tail_partial
 
 EULER_GAMMA = 0.5772156649015329
@@ -104,8 +104,15 @@ def test_hurwitz_zeta_against_mpmath(s):
     # 80 digits: at 50, mpmath 1.3's zeta(26, 64) is itself off by 2e-13
     with mpmath.workdps(80):
         ref = [float(-mpmath.digamma(x) if s == 1 else mpmath.zeta(s, x)) for x in ZETA_POINTS]
-    assert_allclose(hurwitz_zeta(s, ZETA_POINTS), ref, rtol=1e-14, atol=0.0)
+    array = hurwitz_zeta(s, np.array(ZETA_POINTS))
+    assert_allclose(array, ref, rtol=1e-14, atol=0.0)
     assert all(abs(hurwitz_zeta(s, x) - r) <= 1e-14 * abs(r) for x, r in zip(ZETA_POINTS, ref))
+    # a float takes the math path, an array the numpy path: the two agree to 4 ulp.  The array
+    # is a batch, as hilbert passes it: numpy sums the recurrence terms of a batch row by row, as
+    # the float path does, but those of a one-element array pairwise, 5 ulp away at (11, 20.0)
+    for x, a in zip(ZETA_POINTS, array):
+        scalar = hurwitz_zeta(s, x)
+        assert type(scalar) is float and abs(scalar - a) <= 4 * math.ulp(a), (x, scalar, a)
 
 
 def test_hurwitz_zeta_domain():

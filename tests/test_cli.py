@@ -104,7 +104,7 @@ def test_grid_point_error_names_the_experiment_and_n(tmp_path, monkeypatch, caps
             raise NumericalError("log-det rounding alone exceeds the budget", achieved=2e-10, requested=1e-10)
         return evaluate(a, bc, n, L)
 
-    monkeypatch.setattr(cli.overlap, "evaluate_point", failing)
+    monkeypatch.setattr(overlap, "evaluate_point", failing)
     out = tmp_path / "out"
     assert cli.main(["run", _sweep(tmp_path), "--out", str(out)]) == cli.EXIT_CONFIG_OR_NUMERICAL
     assert capsys.readouterr().err == (
@@ -254,6 +254,49 @@ def test_runs_load_no_numpy_random_polynomial_or_ma(tmp_path):
     assert codes == [cli.EXIT_OK] * 3
     banned = ("numpy.random", "numpy.polynomial", "numpy.ma")
     assert [m for m in loaded if m in banned or m.startswith(tuple(b + "." for b in banned))] == []
+
+
+# in a fresh interpreter: runs each config but the last through cli.main, validates the config documents
+# of the JSON list argv[1], runs the last config; prints the exit codes and whether numpy was loaded before
+# the last run and after it
+_NUMPY_AUDIT = """
+import json, sys, tempfile
+from flux_catastrophe import cli
+*closed_forms, array_run = sys.argv[2:]
+codes = []
+for config in closed_forms:
+    with tempfile.TemporaryDirectory() as out:
+        codes.append(cli.main(["run", config, "--out", out]))
+for raw in json.loads(sys.argv[1]):
+    cli.ExperimentConfig.from_dict(raw)
+before = "numpy" in sys.modules
+with tempfile.TemporaryDirectory() as out:
+    codes.append(cli.main(["run", array_run, "--out", out]))
+print(json.dumps([codes, before, "numpy" in sys.modules]))
+"""
+
+
+def test_closed_form_runs_and_config_checks_load_no_numpy(tmp_path):
+    # exponent_fit, anderson and energy are closed forms on math, and a config check builds its
+    # potential without arrays; the first overlap_sweep run is what loads numpy
+    runs = {"exponent_fit": {"delta_override": 0.5, "n_grid": [64, 128, 256, 512]},
+            "anderson": {"delta_override": 0.5, "n_grid": [16, 64]},
+            "energy": {"potential": POTENTIAL, "n_grid": [101, 1000]},
+            "overlap_sweep": {"potential": POTENTIAL, "n_grid": [16, 24]}}
+    configs = []
+    for experiment, fields in runs.items():
+        (tmp_path / experiment).mkdir()
+        configs.append(_write_config(tmp_path / experiment, experiment=experiment, **fields))
+    bench = Path(__file__).resolve().parents[1] / "bench" / "configs"
+    documents = [json.loads(path.read_text()) for path in sorted(bench.glob("*.json"))]
+    table = {"kind": "table_samples", "x0": -2.0, "dx": 0.5, "values": [0.0, 0.3, 1.0, 0.4, -0.2, 0.1, 0.0, 0.0, 0.0]}
+    documents.append({"experiment": "overlap_sweep", "potential": table, "n_grid": [16, 32]})
+    assert len(documents) == 7
+    result = subprocess.run([sys.executable, "-c", _NUMPY_AUDIT, json.dumps(documents), *configs],
+                            capture_output=True, text=True, env=_cli_env(), check=True)
+    codes, before, after = json.loads(result.stdout.strip().splitlines()[-1])
+    assert codes == [cli.EXIT_OK] * 4
+    assert (before, after) == (False, True)
 
 
 # one run through cli.main in a fresh interpreter; prints its exit code and the threads the process then holds

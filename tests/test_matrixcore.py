@@ -10,9 +10,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import flux_catastrophe.matrixcore as matrixcore_module
+from flux_catastrophe.asymptotics import fh_log_det
 from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.matrixcore import (
-    fh_log_det,
     fh_matrix,
     log_det,
     operator_norm,

@@ -172,6 +172,15 @@ def test_compact_support_guarantee():
     # the end knots keep their values; one ulp beyond them a(x) is 0
     x = np.array([-1.0, 1.0, np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), -1.5, 1.5])
     assert p(x).tolist() == [0.25, 0.5, 0.0, 0.0, 0.0, 0.0]
+    # the antiderivative of a float (math) is that of an array (numpy) bit for bit, at -+R, at -+L
+    # inside and beyond the support, at every breakpoint and beyond the support
+    table = table_samples(-1.3, 0.35, [0.0, 0.4, -0.2, 1.1, 0.7, 0.0], support_radius=2.0)
+    for pot in (a, gaussian_bump_with_flux(2.0, center=0.3), p, table):
+        R = pot.support_radius
+        xs = [-R, R, *pot.breakpoints, *(s * L for s in (-1.0, 1.0) for L in (0.5 * R, 2.5 * R)), -R - 1.0, 1e3]
+        scalar = [pot.antiderivative(x) for x in xs]
+        assert all(type(v) is float for v in scalar)
+        assert [v.hex() for v in scalar] == [v.hex() for v in pot.antiderivative(np.array(xs)).tolist()]
 
 
 def test_json_roundtrip_and_errors():
