@@ -72,10 +72,10 @@ large enough for a second thread to help, while OpenBLAS's idle thread
 spins after every call.  On a 2-core Xeon VM (numpy 2.4.6, OpenBLAS
 0.3.31), a 32 x 32 eigh, a 2048 x 32 complex QR and a 32 x 2048 Gram
 product took 0.13, 2.2 and 0.42 ms with two threads and 0.10, 2.4 and 0.34
-ms with one, but twice the CPU with two; a periodic N = 2^17 grid point
-took 6.4 s of wall time and 6.4 s of CPU with one thread, 6.1 s and 8.4 s
-with two (medians of 8 runs; the walls overlap within the VM's run-to-run
-spread).  The thread count also changes the rounding of some BLAS calls, so
+ms with one, but twice the CPU with two; a periodic N = 2^17 grid point,
+then on the Ritz route, took 6.4 s of wall time and 6.4 s of CPU with one
+thread, 6.1 s and 8.4 s with two (medians of 8 runs; the walls overlap
+within the VM's run-to-run spread).  The thread count also changes the rounding of some BLAS calls, so
 the pin makes the CSV bytes independent of the core count.  Other BLAS
 builds (MKL and so on) keep their own default thread count; that case is
 untested.
@@ -529,6 +529,16 @@ def selftest() -> int:
         for prof in [flux_profile(potential_from_dict(raw), n / 2.0)]
     )
     check("matrix-free overlap log-det vs LU", worst < 1e-10, f"max |diff| {worst:.1e}")
+    # two matrix-free routes to the periodic log|D|^2: the grid point's closed-form log|D~|^2 plus the
+    # p x p Sylvester log C_{N,L} on Delta_N's core, against the Ritz sum on A's FFT products
+    per = BoundaryCondition.PERIODIC
+    worst = max(
+        abs(overlap.evaluate_point(prof.potential, per, n, prof.L).log_D_sq
+            - overlap.overlap_log_det_sq(overlap.overlap_coefficients(prof, per, n), per, n))
+        for n, raw in [(n, _BUMP) for n in (64, 181, 512)] + [(512, dict(_BUMP, total_flux=1.58))]
+        for prof in [flux_profile(potential_from_dict(raw), n / 2.0)]
+    )
+    check("periodic C via core vs Ritz on A", worst < 1e-10, f"max |diff| {worst:.1e}")
     # ||Delta_N||_1 on both sides of its dense/core fork (n = 64, 181) against the SVD of the assembled difference
     worst = max(abs(overlap.delta_trace_norm(prof, bc, n) / np.linalg.svd(overlap.overlap_matrix(prof, bc, n)
                     - overlap.flux_matrix(prof.total_flux, bc, n), compute_uv=False).sum() - 1)

@@ -53,22 +53,13 @@ wide: an eighth of 2L/N, the shortest wavelength of a product of two basis
 functions (every |w_m| <= pi N / L), and an eighth of 2 pi / max|a|, the
 shortest wavelength of e^{i Phi_L} on the gap, as d Phi_L / dx = a(x); the
 second binds only for a strong narrow potential.  The doubling driver
-quadrature.adaptive_gauss_legendre, shared with ||Delta_N||_1 and the
-moment, halves them all and compares the O(N) coefficient vectors, not two
-N x N matrices.  Periodic entries are the t_d themselves, so
+quadrature.adaptive_gauss_legendre, shared with ||Delta_N||_1, the periodic
+C_{N,L} and the moment, halves them all and compares the O(N) coefficient
+vectors, not two N x N matrices.  Periodic entries are the t_d themselves, so
 max |dt_d| is the entrywise change exactly; a Dirichlet entry is
 c_{|j-k|} - c_{j+k}, so 2 max |dc_m| bounds every entry change from above
 and the driver gets half the entry tolerance.  As |c| <= 1 (the symbol is
 unimodular) its scale-1 floor max(1, |c|) leaves the check absolute.
-
-|D| without a matrix.  The overlap matrix A is a finite section of the
-unitary multiplication by e^{i g_L}, a contraction, so
-log|D|^2 = log det(A^H A).  Only O(log N) singular values of A lie below
-1 - rounding (about 30 at N = 2048 on the benchmark sweeps), and
-overlap_log_det_sq hands A itself to matrixcore.ritz_log_det: A V and
-A^H W = conj(A^T conj W) cost one call each of A's one
-matrixcore.toeplitz_hankel_operator (T(t), or T(c_|d|) - H(c)) on a (k, N)
-block, and tr(I - A^H A) = N - ||A||_F^2 is a closed form in O(N).
 
 ||Delta_N||_1 from a p x p core.  On the nodes Delta_N = U^H diag(s mu) U,
 s = 1 (periodic) or 2 (Dirichlet entries are (1/L) integrals): U holds the
@@ -86,11 +77,48 @@ its own coefficients is cheaper.  The same driver settles either at scale
 potential's ||Delta_N||_1 is tiny.  The paper's
 ||Delta_N||_1 <= (N/L) int |y a(y)| dy rests on it too.
 
+|D| without a matrix, periodic.  The jump matrix F = T_N(e^{i g~_L}) is
+s T, s = (-1)^{n_L} sin(delta_L) / pi, with T Cauchy: log|det F| is
+asymptotics.fh_log_det in O(1), F^{-1} = diag(a) T(t) diag(b) is a closed
+form (_jump_inverse), and A = F + Delta_N with Delta_N = V^H C V on the core
+above.  Sylvester's identity det(I_N + X Y) = det(I_p + Y X) gives
+
+    det A = det F det(I_p + C G),    G = V F^{-1} V^H,
+
+so log|D|^2 = 2 fh_log_det + log C_{N,L}, C_{N,L} = |det(I_p + C G)|^2, a
+p x p determinant whatever N is (p = 48 on the benchmark sweep).  G takes p
+FFT products with T(t) and the factored phases of _window_phases, O(p N log N)
+time and O(N) memory, once per point; a refinement rebuilds only C, the
+same core ||Delta_N||_1 reads.  The doubling driver settles C_{N,L} to a
+relative 1e-10, log C to an absolute 1e-10, from one SVD of I + C G per
+refine level.  _sylvester_bound then bounds, to first order, what the
+interpolation (eps_p, the a-priori error at the chosen p, at most 1e-13,
+plus 2p eps) and the p x p rounding leave in log|D|^2, through
+(I + C G)^{-1}, the conditioning of the p x p step; a bound above 1e-10
+raises NumericalError.  The bound reads 7.6e-12 on the benchmark sweep and
+at most 1.1e-11 for the bumps of flux pi/2 + 1e-12, 1.58 and 1.6.  G's own
+rounding is not in it: dense LU and the Ritz sum below are its oracles.
+The bulk F enters only through its closed forms, while the Ritz sum on A
+reads log det(A^H A) against tr(I - A^H A), whose O(N) terms carry the
+rounding of every t_d: one ulp of t_0 moves that tail by 2 N |t_0| eps,
+1.85e-10 at N = 2^20 on the benchmark potential, above the budget.  This
+route settles that point in 11 s at a 199 MB peak (one run, one BLAS
+thread, 2-core Xeon VM).
+
+|D| without a matrix, Dirichlet (and the periodic test oracle).  The overlap
+matrix A is a finite section of the unitary multiplication by e^{i g_L}, a
+contraction, so log|D|^2 = log det(A^H A).  Only O(log N) singular values of
+A lie below 1 - rounding (about 30 at N = 2048 on the benchmark sweeps), and
+overlap_log_det_sq hands A itself to matrixcore.ritz_log_det: A V and
+A^H W = conj(A^T conj W) cost one call each of A's one
+matrixcore.toeplitz_hankel_operator (T(t), or T(c_|d|) - H(c)) on a (k, N)
+block, and tr(I - A^H A) = N - ||A||_F^2 is a closed form in O(N).
+
 evaluate_point builds the flux profile once, samples the support once per
-refine level for both drivers, and derives C_{N,L}, ||Delta_N||_1 and the
-moment bound; the jump log-determinant comes in closed form from
-(delta_L, N).  The band gate on C_{N,L} is the overlap_sweep row of the
-CLI's experiment table (cli._c_band_gate).
+refine level for every driver, and derives C_{N,L}, ||Delta_N||_1 and the
+moment bound; the jump log-determinant comes from (delta_L, N) alone.  The
+band gate on C_{N,L} is the overlap_sweep row of the CLI's experiment table
+(cli._c_band_gate).
 """
 
 from __future__ import annotations
@@ -104,7 +132,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .asymptotics import fh_log_det
-from .errors import DomainError, stage
+from .errors import DomainError, NumericalError, stage
 from .hilbert import dirichlet_flux_logdet
 from .matrixcore import fh_coefficients, ritz_log_det, toeplitz, toeplitz_hankel_operator, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
@@ -126,14 +154,19 @@ def support_nodes(a: MagneticPotential, L: float, N: int, refine: int):
     return (R, *panel_nodes(edges, *gauss_legendre_rule(16)))
 
 
-def _chebyshev_size(kappa: float) -> int:
-    """Smallest multiple p of 16 for which Trefethen's bound (ATAP, 2013, Thm 8.2; it holds for first-kind
-    points too) min_r 4 e^{kappa (r - 1/r) / 2} r^{1-p} / (r - 1) on interpolating e^{i kappa t} is 1e-13; the
-    barycentric evaluation adds about p eps of rounding, so the interpolant is good to 1e-13 + p eps."""
+def _chebyshev_log_error(kappa: float, p) -> np.ndarray:
+    """log of Trefethen's bound (ATAP, 2013, Thm 8.2; it holds for first-kind points too)
+    min_r 4 e^{kappa (r - 1/r) / 2} r^{1-p} / (r - 1) on interpolating e^{i kappa t} at p points, p an array,
+    the minimum over a grid of r > 1, each of which gives a bound."""
     r = 1.0 + np.geomspace(1e-3, 1e3, 400)[:, None]
+    return (np.log(4.0 / (r - 1.0)) + 0.5 * kappa * (r - 1.0 / r) - (p - 1) * np.log(r)).min(axis=0)
+
+
+def _chebyshev_size(kappa: float) -> int:
+    """Smallest multiple p of 16 for which _chebyshev_log_error is at most log 1e-13; the barycentric evaluation
+    adds about p eps of rounding, so the interpolant is good to 1e-13 + p eps."""
     p = np.arange(16, 2.0 * kappa + 80.0, 16)
-    log_bound = np.log(4.0 / (r - 1.0)) + 0.5 * kappa * (r - 1.0 / r) - (p - 1) * np.log(r)
-    return int(p[np.argmax(log_bound.min(axis=0) <= math.log(1e-13))])
+    return int(p[np.argmax(_chebyshev_log_error(kappa, p) <= math.log(1e-13))])
 
 
 def _chebyshev_points(R: float, p: int) -> np.ndarray:
@@ -392,6 +425,11 @@ _LOGDET_ABS_ERR = 1e-10
 def overlap_log_det_sq(c: np.ndarray, bc: BoundaryCondition, N: int) -> float:
     """log|det A|^2 of the overlap matrix A = _assemble(c, N, periodic), without forming it.
 
+    The Dirichlet sweep's overlap log-det, and the oracle of the periodic
+    sweep's, which takes C_{N,L} from the p x p Sylvester determinant
+    instead (module docstring): in the periodic basis the tail
+    tr E - sum theta carries the rounding of every t_d, 2 N |t_0| eps per
+    ulp of t_0, so this route stops short of N = 2^20 there.
     matrixcore.ritz_log_det takes log det(A^H A) to an absolute 1e-10 from
     the FFT operator of A = T(t) - H(h) and the closed-form
     tr(I - A^H A) = N - ||A||_F^2 of _frobenius_deficit; dense LU of
@@ -436,14 +474,21 @@ def _delta_core(prof: FluxProfile, periodic: bool, N: int, y: np.ndarray, m: np.
     return core, 0.25 * (_dirichlet_kernel(d, 2 * N + 1) - (-1) ** N * np.cos((N + 0.5) * u) / np.cos(0.5 * u))
 
 
-def _delta_trace_norm(prof: FluxProfile, periodic: bool, N: int, sample) -> float:
-    """delta_trace_norm from the sampler ``sample``."""
+def _core_sampler(prof: FluxProfile, periodic: bool, N: int, sample):
+    """refine -> _delta_core of ``sample``'s (y, m) at that refine, memoized: ||Delta_N||_1 and the periodic
+    C_{N,L} read the same cores."""
+    return functools.cache(lambda refine: _delta_core(prof, periodic, N, *sample(refine)[::2]))
+
+
+def _delta_trace_norm(prof: FluxProfile, periodic: bool, N: int, sample, core) -> float:
+    """delta_trace_norm from the sampler ``sample`` and its cores ``core``."""
     dense = N <= len(sample(0)[0])  # N <= 2p
 
     def estimate(refine: int):
-        y, _, m = sample(refine)
-        return _support_coefficients(prof, periodic, N, y, m, symbol=False) if dense else trace_norm(
-            *_delta_core(prof, periodic, N, y, m))
+        if dense:
+            y, _, m = sample(refine)
+            return _support_coefficients(prof, periodic, N, y, m, symbol=False)
+        return trace_norm(*core(refine))
 
     settled = adaptive_gauss_legendre(estimate, _QUADRATURE_TOL, scale=0.0)
     return float(np.sum(np.linalg.svd(_assemble(settled, N, periodic), compute_uv=False))) if dense else settled
@@ -462,7 +507,120 @@ def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int) -> float:
     3.7-4.0 s vs 1.9-2.3 s (N = 538, 912, 1824).  Bench sweeps take the core.
     """
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    return _delta_trace_norm(prof, periodic, N, _support_sampler(prof, periodic, N))
+    sample = _support_sampler(prof, periodic, N)
+    return _delta_trace_norm(prof, periodic, N, sample, _core_sampler(prof, periodic, N, sample))
+
+
+def _window_phases(y: np.ndarray, L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(outer, inner) with V_ak = e^{-i pi (k - (N-1)/2) y_a / L} = outer[a, q] inner[a, r] for k = B q + r,
+    B = ceil(sqrt N): the periodic basis at the points y from B + ceil(N / B) exponentials per point, each
+    phase a product of two, as in _phase_sums."""
+    B = math.isqrt(N - 1) + 1
+    outer = np.exp(-1j * np.pi / L * np.outer(y, B * np.arange(-(-N // B)) - 0.5 * (N - 1)))
+    inner = np.exp(-1j * np.pi / L * np.outer(y, np.arange(B)))
+    return outer, inner
+
+
+def _jump_inverse(delta: float, n_L: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, t) with F^{-1} = diag(a) T(t) diag(b), T(t)_kj = t[(N - 1) + k - j], for the periodic jump
+    matrix F = flux_matrix(n_L pi + delta, PERIODIC, N), 0 < |delta| <= pi/2.
+
+    F = s T with s = (-1)^{n_L} sin(delta) / pi and the Cauchy matrix
+    T_jk = 1 / (c + k - j), c = delta / pi, so F^{-1} = (1/s) diag(x) T^T diag(w)
+    with x_k = c prod_{d<=k} (1 + c/d) prod_{d<=N-1-k} (1 - c/d) and w the
+    same with the two products swapped, each product a cumulative log1p sum
+    (lgamma differences lose 4e-12 at N = 2048).  a = x / s, b = w and
+    t_d = 1 / (c + d), d = -(N-1) .. N-1, the integer d added to c last.
+    """
+    sign = -1.0 if n_L % 2 else 1.0
+    c = delta / math.pi
+    d = np.arange(1.0, N)
+    up = np.concatenate([[0.0], np.cumsum(np.log1p(c / d))])
+    down = np.concatenate([[0.0], np.cumsum(np.log1p(-c / d))])
+    left = (sign * delta / math.sin(delta)) * np.exp(up + down[::-1])  # c / s = sign delta / sin(delta)
+    right = c * np.exp(down + up[::-1])
+    return left, right, 1.0 / (c + np.arange(1 - N, N))
+
+
+def _jump_inverse_gram(prof: FluxProfile, N: int, points: np.ndarray) -> np.ndarray:
+    """G = V F^{-1} V^H (p x p) for the periodic jump matrix F and V the basis at the p Chebyshev points.
+
+    F^{-1} = diag(a) T(t) diag(b) in closed form (_jump_inverse): T(t) acts
+    on the rows b conj(V_b) through one FFT operator, and the sums over k
+    against V's rows factor as in _window_phases, so no (p, N) array
+    exists: the rows stream, 2^15 / N of them at a time (one at least), a
+    slice's FFT work about 8 MB as in matrixcore's products.  At delta_L = 0,
+    F = +-I and G is +-V V^H, the Gram matrix of _delta_core.
+    """
+    L, p = prof.L, len(points)
+    if prof.delta_L == 0.0:
+        return (-1.0 if prof.n_L % 2 else 1.0) * _dirichlet_kernel(np.pi * (points[:, None] - points) / L, N)
+    left, right, t = _jump_inverse(prof.delta_L, prof.n_L, N)
+    product = toeplitz_hankel_operator(t)
+    outer, inner = _window_phases(points, L, N)
+    Q, B = outer.shape[1], inner.shape[1]
+    gram = np.empty((p, p), dtype=complex)
+    step = max(1, (1 << 15) // N)
+    for sl in (slice(lo, min(p, lo + step)) for lo in range(0, p, step)):
+        rows = (outer[sl, :, None] * inner[sl, None, :]).reshape(-1, Q * B)  # V's rows, B Q - N >= 0 past the end
+        rows[:, :N] = left * product(right * rows[:, :N].conj())  # the columns sl of F^{-1} V^H, transposed
+        rows[:, N:] = 0.0
+        gram[:, sl] = np.einsum("bqa,aq->ab", rows.reshape(-1, Q, B) @ inner.T, outer)
+    return gram
+
+
+def _sylvester_bound(core: np.ndarray, gram: np.ndarray, eps_p: float) -> tuple[float, float]:
+    """(bound, s_min): a first-order bound on the error of log|det(I + M)|^2, M = core @ gram, and the smallest
+    singular value of I + M.
+
+    With X = (I + M)^{-1} = W S^{-1} U^H from the SVD I + M = U S W^H, a
+    change dM moves log|det(I + M)| by Re tr(X dM) to first order:
+    - interpolation: the p points reproduce the basis to eps_p (at most
+      1e-13 + 2p eps, module docstring), read as dM = eta M + M eta' with
+      |eta|_2, |eta'|_2 <= eps_p on either factor, so
+      |tr(X dM)| <= (2 eps_p + eps_p^2) |I - X|_*, as X M = M X = I - X;
+    - forming M: |dM| <= p eps |core| |gram| entrywise, so
+      |tr(X dM)| <= p eps sum |X^T| |core| |gram|;
+    - the SVD: each singular value moves by at most about p eps s_max, so the
+      sum of log s by p eps s_max sum 1 / s.
+    log|det|^2 doubles the sum.
+    """
+    p = len(core)
+    eps = float(np.finfo(float).eps)
+    u, s, wh = np.linalg.svd(np.eye(p) + core @ gram)
+    if s[-1] == 0.0:
+        return math.inf, 0.0
+    inverse = (wh.conj().T / s) @ u.conj().T
+    interpolation = (2.0 * eps_p + eps_p**2) * float(np.sum(np.linalg.svd(np.eye(p) - inverse, compute_uv=False)))
+    product = p * eps * float(np.sum(np.abs(inverse.T) * (np.abs(core) @ np.abs(gram))))
+    svd = p * eps * float(s[0] * np.sum(1.0 / s))
+    return 2.0 * (interpolation + product + svd), float(s[-1])
+
+
+def _periodic_log_c(prof: FluxProfile, N: int, core) -> tuple[float, float]:
+    """(log C_{N,L}, C_{N,L}) from Sylvester's identity on the cores of ``core``, certified to 1e-10 in log C.
+
+    adaptive_gauss_legendre settles C = |det(I_p + C_r G)|^2, C_r the core at refine r, to a relative 1e-10,
+    an absolute 1e-10 in log C; one SVD of I + C_r G gives it.  G is built once.  NumericalError if the
+    settled level's _sylvester_bound exceeds 1e-10.
+    """
+    L, R, p = prof.L, prof.potential.support_radius, len(core(0)[0])
+    gram = _jump_inverse_gram(prof, N, _chebyshev_points(R, p))
+    last = {}
+
+    def estimate(refine: int) -> float:
+        s = np.linalg.svd(np.eye(p) + core(refine)[0] @ gram, compute_uv=False)
+        last.update(refine=refine, log_c=2.0 * float(np.sum(np.log(s))))
+        return math.exp(last["log_c"])
+
+    c_ratio = adaptive_gauss_legendre(estimate, _QUADRATURE_TOL, scale=0.0)
+    # the a-priori interpolation error at this p, at most the 1e-13 the p was chosen for, plus its rounding
+    eps_p = math.exp(_chebyshev_log_error(math.pi * N * R / (2.0 * L), p)[0]) + 2 * p * float(np.finfo(float).eps)
+    bound, s_min = _sylvester_bound(core(last["refine"])[0], gram, eps_p)
+    if not bound <= _LOGDET_ABS_ERR:
+        raise NumericalError("Sylvester log-det bound exceeds the budget", achieved=bound,
+                             requested=_LOGDET_ABS_ERR, s_min=s_min, p=p)
+    return last["log_c"], c_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -489,27 +647,40 @@ class GridPoint(NamedTuple):
 
 
 def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> GridPoint:
-    """Build the flux profile once, sample the support once per refine level for both drivers, and derive every result.
+    """Build the flux profile once, sample the support once per refine level for every driver, and derive every result.
 
     |D~| comes from (delta_L, N) alone: asymptotics.fh_log_det (periodic; the sign (-1)^{n_L} leaves |det|
-    unchanged) or hilbert.dirichlet_flux_logdet.  |D| comes from overlap_log_det_sq, certified to 1e-10 from FFT
-    products of the coefficients; no dense LU runs.  ||Delta_N||_1 is checked against the periodic proof's
+    unchanged) or hilbert.dirichlet_flux_logdet.  Periodic: C_{N,L} = |det(I_p + C G)|^2 from the p x p cores
+    that ||Delta_N||_1 reads too, settled and bounded to 1e-10 in log C (_periodic_log_c), and
+    log|D|^2 = log|D~|^2 + log C_{N,L}; no O(N) coefficient vector is built.  Dirichlet: |D| from
+    overlap_log_det_sq, certified to 1e-10 from FFT products of the coefficients, and
+    C_{N,L} = |D|^2 / |D~|^2.  No dense LU runs.  ||Delta_N||_1 is checked against the periodic proof's
     (N/L) int |y a(y)| dy (Dirichlet too, numerically) up to an absolute 1e-8.  A DomainError or NumericalError
-    names its stage: coefficients, overlap log-det, jump log-det or trace norm.
+    names its stage: coefficients (Dirichlet), overlap log-det, jump log-det or trace norm.
     """
     prof = flux_profile(a, L)
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    with stage("coefficients"):
-        sample = _support_sampler(prof, periodic, N)
-        c = _overlap_coefficients(prof, periodic, N, sample)
-    with stage("overlap log-det"):
-        ld_exact_sq = overlap_log_det_sq(c, bc, N)
-    # after the overlap log-det, whose (k, N) blocks set the point's peak memory,
-    # so the Dirichlet jump's smaller blocks reuse the memory those freed
-    with stage("jump log-det"):
-        ld_flux = (fh_log_det if periodic else dirichlet_flux_logdet)(prof.delta_L, N)
-    c_ratio = math.inf if math.isinf(ld_flux) else math.exp(ld_exact_sq - 2.0 * ld_flux)
+    if periodic:
+        with stage("overlap log-det"):
+            sample = _support_sampler(prof, periodic, N)
+            core = _core_sampler(prof, periodic, N, sample)
+            log_c, c_ratio = _periodic_log_c(prof, N, core)
+        with stage("jump log-det"):
+            ld_flux = fh_log_det(prof.delta_L, N)
+        ld_exact_sq = 2.0 * ld_flux + log_c
+    else:
+        with stage("coefficients"):
+            sample = _support_sampler(prof, periodic, N)
+            c = _overlap_coefficients(prof, periodic, N, sample)
+        core = _core_sampler(prof, periodic, N, sample)
+        with stage("overlap log-det"):
+            ld_exact_sq = overlap_log_det_sq(c, bc, N)
+        # after the overlap log-det, whose (k, N) blocks set the point's peak memory,
+        # so the jump's smaller blocks reuse the memory those freed
+        with stage("jump log-det"):
+            ld_flux = dirichlet_flux_logdet(prof.delta_L, N)
+        c_ratio = math.inf if math.isinf(ld_flux) else math.exp(ld_exact_sq - 2.0 * ld_flux)
     with stage("trace norm"):
-        tn = _delta_trace_norm(prof, periodic, N, sample)
+        tn = _delta_trace_norm(prof, periodic, N, sample, core)
     bound = N / L * moment_integrals(a, L)
     return GridPoint(prof.delta_L, prof.n_L, ld_exact_sq, 2.0 * ld_flux, c_ratio, tn, bound, tn <= bound + 1e-8)

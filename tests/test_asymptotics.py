@@ -107,12 +107,21 @@ def test_hurwitz_zeta_against_mpmath(s):
     array = hurwitz_zeta(s, np.array(ZETA_POINTS))
     assert_allclose(array, ref, rtol=1e-14, atol=0.0)
     assert all(abs(hurwitz_zeta(s, x) - r) <= 1e-14 * abs(r) for x, r in zip(ZETA_POINTS, ref))
-    # a float takes the math path, an array the numpy path: the two agree to 4 ulp.  The array
-    # is a batch, as hilbert passes it: numpy sums the recurrence terms of a batch row by row, as
-    # the float path does, but those of a one-element array pairwise, 5 ulp away at (11, 20.0)
+    # a float takes the math path, an array the numpy path: the two agree to 4 ulp
     for x, a in zip(ZETA_POINTS, array):
         scalar = hurwitz_zeta(s, x)
         assert type(scalar) is float and abs(scalar - a) <= 4 * math.ulp(a), (x, scalar, a)
+
+
+@pytest.mark.parametrize("s", [1, 2, 11, 29])
+def test_hurwitz_zeta_of_an_argument_does_not_depend_on_its_batch(s):
+    # the recurrence terms are summed down each column in one order: a lone
+    # argument, 0-d or in a one-element array, gives the bits it gives inside
+    # a batch (np.sum put (11, 20.0) 5 ulp apart)
+    batch = np.array([0.5, 3.0, 20.0, 63.9, 70.0, 1.25])
+    for x, value in zip(batch, hurwitz_zeta(s, batch)):
+        assert hurwitz_zeta(s, np.array([x]))[0].hex() == value.hex(), x
+        assert hurwitz_zeta(s, np.array(x)).hex() == value.hex(), x
 
 
 def test_hurwitz_zeta_domain():

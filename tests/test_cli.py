@@ -120,16 +120,18 @@ def test_grid_point_error_names_the_experiment_and_n(tmp_path, monkeypatch, caps
 
 def test_grid_point_error_names_the_stage_after_the_experiment_and_n(tmp_path, monkeypatch, capsys):
     # a log-det budget no rounding meets: the certified engine raises with its
-    # context, and the message names the grid point, then the stage
+    # context, and the message names the grid point, then the stage; the
+    # Dirichlet overlap runs the Ritz engine, the periodic one bounds its p x p step
     monkeypatch.setattr(overlap, "_LOGDET_ABS_ERR", 1e-300)
-    config = _write_config(tmp_path, experiment="overlap_sweep", rho=1.0, n_grid=[48, 64], potential=POTENTIAL)
-    assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_OR_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith(
-        "error: overlap_sweep at N = 48: overlap log-det: log-det rounding alone exceeds the budget ("
-    )
-    for key in ("achieved=", "requested=1e-300", "s_min=", "k="):
-        assert key in err
+    for bc, message, keys in (("dirichlet", "log-det rounding alone exceeds the budget", ("s_min=", "k=")),
+                              ("periodic", "Sylvester log-det bound exceeds the budget", ("s_min=", "p=48"))):
+        config = _write_config(tmp_path, experiment="overlap_sweep", bc=bc, rho=1.0, n_grid=[48, 64],
+                               potential=POTENTIAL)
+        assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_OR_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: overlap_sweep at N = 48: overlap log-det: {message} ("), err
+        for key in ("achieved=", "requested=1e-300", *keys):
+            assert key in err
     monkeypatch.setattr(hilbert, "_LOGDET_ABS_ERR", 1e-300)
     config = _write_config(tmp_path, experiment="dirichlet_hilbert", delta_override=math.pi / 4, n_grid=[256])
     with pytest.raises(NumericalError) as info:

@@ -39,6 +39,7 @@ from flux_catastrophe.overlap import (
 from flux_catastrophe.potential import (
     GaussianBump,
     PiecewiseLinear,
+    flux_decomposition,
     flux_profile,
     gaussian_bump_with_flux,
     moment_integrals,
@@ -524,14 +525,17 @@ def test_trace_norm_of_delta_is_deterministic():
 
 
 def test_evaluate_point_builds_each_matrix_once(monkeypatch):
-    # the flux profile once, the overlap matrix once as its coefficient
-    # vector, and one support sample (nodes and one Chebyshev contraction)
-    # per refine level, 0 and 1, which the coefficients and ||Delta_N||_1
-    # share.  At N = 128 ||Delta_N||_1 is the p x p core's and no matrix is
-    # assembled; at N = 40 <= 2p the dense SVD assembles Delta_N once from
-    # its own coefficients, not from the jump symbol's
+    # the flux profile once and one support sample (nodes and one Chebyshev
+    # contraction) per refine level, 0 and 1, which every driver shares.  The
+    # Dirichlet overlap matrix is built once, as its coefficient vector; the
+    # periodic C_{N,L} needs none, only G = V F^{-1} V^H once and the p x p
+    # core per refine level, which ||Delta_N||_1 reuses.  At N = 128
+    # ||Delta_N||_1 is the core's and no matrix is assembled; at N = 40 <= 2p
+    # the dense SVD assembles Delta_N once from its own coefficients, not from
+    # the jump symbol's
     calls = {name: 0 for name in ("_overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix",
-                                  "flux_matrix", "_assemble", "support_nodes", "_chebyshev_contract")}
+                                  "flux_matrix", "_assemble", "support_nodes", "_chebyshev_contract", "_delta_core",
+                                  "_jump_inverse_gram")}
     for name in calls:
         original = getattr(overlap_module, name)
 
@@ -546,15 +550,19 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
             for name in calls:
                 calls[name] = 0
             evaluate_point(a, bc, N, N / 2.0)
-            assert calls == {"_overlap_coefficients": 1, "flux_coefficients": 0, "flux_profile": 1,
-                             "overlap_matrix": 0, "flux_matrix": 0, "_assemble": dense, "support_nodes": 2,
-                             "_chebyshev_contract": 2}, (N, bc)
+            periodic = bc is PER
+            assert calls == {"_overlap_coefficients": 0 if periodic else 1, "flux_coefficients": 0,
+                             "flux_profile": 1, "overlap_matrix": 0, "flux_matrix": 0, "_assemble": dense,
+                             "support_nodes": 2, "_chebyshev_contract": 2,
+                             "_delta_core": 2 if periodic or not dense else 0,
+                             "_jump_inverse_gram": 1 if periodic else 0}, (N, bc)
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_evaluate_point_factors_no_complex_matrix_but_the_overlap(monkeypatch, bc):
-    # no matrix is factored at all: both jump log-dets come from (delta_L, N)
-    # and |D| from FFT products of the overlap coefficients
+    # no matrix is factored at all: both jump log-dets come from (delta_L, N),
+    # the periodic |D| from one SVD of the p x p matrix I + C G, and the
+    # Dirichlet |D| from FFT products of the overlap coefficients
     def no_lu(*args, **kwargs):
         raise AssertionError("dense LU in evaluate_point")
 
@@ -577,7 +585,10 @@ def test_evaluate_point_matches_each_quantity_built_directly(bc):
     # (Dirichlet); dense LU of the closed-form jump matrix is its oracle
     dense = flux_matrix(prof.total_flux, bc, 40)
     assert abs(point.log_Dtilde_sq - 2.0 * log_det(dense)) <= 2e-13
-    assert point.c_ratio == math.exp(point.log_D_sq - point.log_Dtilde_sq)
+    if bc is PER:  # C_{N,L} is |det(I + C G)|^2 itself, and log|D|^2 = log|D~|^2 + log C_{N,L}
+        assert_allclose(point.c_ratio, math.exp(point.log_D_sq - point.log_Dtilde_sq), rtol=1e-14)
+    else:
+        assert point.c_ratio == math.exp(point.log_D_sq - point.log_Dtilde_sq)
     # at N = 40 <= 2p Delta_N is assembled from its own coefficients, which
     # at flux 2 agree with the difference of the two matrices to rounding
     assert point.trace_norm_delta == delta_trace_norm(prof, bc, 40)
@@ -753,20 +764,99 @@ def test_overlap_log_det_matches_lu_at_every_bench_n(bc):
 @pytest.mark.parametrize("flux", [1.58, 1.6, 1.65])
 def test_overlap_log_det_certifies_just_above_flux_pi_over_2(flux):
     # delta_L = flux - pi near -pi/2 leaves sigma_min(A) about 5e-3: a
-    # rounding of order eps / sigma_min^2 would exceed the 1e-10 budget here
+    # rounding of order eps / sigma_min^2 would exceed the 1e-10 budget here.
+    # The grid point takes the periodic C_{N,L} from the p x p Sylvester
+    # determinant, the Ritz sum on the coefficients is its oracle
     a = gaussian_bump_with_flux(flux)
     for N in (2048, 8192):
+        prof = flux_profile(a, N / 2.0)
         point = evaluate_point(a, PER, N, N / 2.0)
         assert point.n_L == 1 and point.delta_L < -1.49
+        ritz = overlap_log_det_sq(overlap_coefficients(prof, PER, N), PER, N)
+        assert abs(point.log_D_sq - ritz) <= 2e-10, (flux, N, point.log_D_sq - ritz)
         if N == 2048:
-            dense = 2.0 * log_det(overlap_matrix(flux_profile(a, N / 2.0), PER, N))
+            dense = 2.0 * log_det(overlap_matrix(prof, PER, N))
             assert abs(point.log_D_sq - dense) <= 1e-10, (flux, point.log_D_sq - dense)
+            assert abs(ritz - dense) <= 1e-10, (flux, ritz - dense)
 
 
 def test_overlap_log_det_is_bit_identical_on_repeat():
     for bc in (PER, DIR):
         c = overlap_coefficients(flux_profile(SWEEP_POTENTIALS[bc], 90.5), bc, 181)
         assert overlap_log_det_sq(c, bc, 181).hex() == overlap_log_det_sq(c, bc, 181).hex(), bc
+
+
+# -- the periodic C_{N,L} as a p x p Sylvester determinant -----------------------
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 64, 2048])
+@pytest.mark.parametrize("flux", [math.pi / 4, math.pi / 2, math.pi / 2 + 1e-12, 2.0, math.pi + 2e-8, 2 * math.pi + 0.5])
+def test_jump_inverse_matches_the_dense_inverse(flux, N):
+    # the closed-form Cauchy inverse diag(a) T(t) diag(b) of the periodic jump
+    # matrix against LAPACK's inverse, delta_L = pi/2 and -pi/2 + 1e-12, a
+    # delta_L of 2e-8 and n_L = 0, 1 and 2 included
+    n_L, delta = flux_decomposition(flux)
+    left, right, t = overlap_module._jump_inverse(delta, n_L, N)
+    closed = left[:, None] * matrixcore_module.toeplitz(t, N) * right
+    dense = np.linalg.inv(flux_matrix(flux, PER, N))
+    assert np.max(np.abs(closed - dense)) <= 5e-13 * np.max(np.abs(dense)), np.max(np.abs(closed - dense))
+
+
+# (flux, N): delta_L = 0 (flux pi), pi/2, -pi/2 + 1e-12 and 2e-8, the near-singular
+# flux-1.58 and flux-1.6 bumps, n_L = 0, 1 and 2, each on N = 40 < p = 48 and N = 256 > 2p
+SYLVESTER_CASES = [
+    (flux, N)
+    for flux in (math.pi, math.pi / 2, math.pi / 2 + 1e-12, math.pi + 2e-8, 1.58, 1.6, 0.7, 2.0, 2 * math.pi + 0.5)
+    for N in (40, 256)
+]
+
+
+@pytest.mark.parametrize("flux, N", SYLVESTER_CASES)
+def test_sylvester_log_det_matches_lu(flux, N):
+    a = gaussian_bump_with_flux(flux)
+    prof = flux_profile(a, N / 2.0)
+    point = evaluate_point(a, PER, N, N / 2.0)
+    dense = 2.0 * log_det(overlap_matrix(prof, PER, N))
+    assert abs(point.log_D_sq - dense) <= 1e-10, point.log_D_sq - dense
+    assert_allclose(point.c_ratio, math.exp(dense - 2.0 * log_det(flux_matrix(prof.total_flux, PER, N))), rtol=1e-10)
+
+
+def test_sylvester_gram_at_delta_zero_is_the_signed_basis_gram():
+    # F = (-1)^{n_L} I at delta_L = 0, so G is the Gram matrix of the core, signed
+    for flux, sign in ((0.0, 1.0), (math.pi, -1.0), (2 * math.pi, 1.0)):
+        prof = flux_profile(gaussian_bump_with_flux(flux), 64.0)
+        assert prof.delta_L == 0.0
+        points = overlap_module._chebyshev_points(4.0, 48)
+        basis = np.exp(-1j * np.pi / 64.0 * np.outer(points, np.arange(128) - 63.5))
+        assert_allclose(overlap_module._jump_inverse_gram(prof, 128, points), sign * basis @ basis.conj().T,
+                        atol=1e-12 * 128)
+
+
+@pytest.mark.parametrize("N", [64, 181, 2048])
+def test_sylvester_gram_matches_the_dense_product(N):
+    # the streamed, factored-phase G = V F^{-1} V^H against the dense product
+    prof = flux_profile(gaussian_bump_with_flux(2.0), N / 2.0)
+    points = overlap_module._chebyshev_points(4.0, 48)
+    basis = np.exp(-1j * np.pi / prof.L * np.outer(points, np.arange(N) - 0.5 * (N - 1)))
+    dense = basis @ np.linalg.solve(flux_matrix(prof.total_flux, PER, N), basis.conj().T)
+    gram = overlap_module._jump_inverse_gram(prof, N, points)
+    assert np.max(np.abs(gram - dense)) <= 1e-13 * np.max(np.abs(dense)), np.max(np.abs(gram - dense))
+
+
+def test_sylvester_log_det_matches_the_ritz_oracle_at_2_15():
+    N = 2**15
+    prof = flux_profile(SWEEP_POTENTIALS[PER], N / 2.0)
+    point = evaluate_point(SWEEP_POTENTIALS[PER], PER, N, N / 2.0)
+    ritz = overlap_log_det_sq(overlap_coefficients(prof, PER, N), PER, N)
+    assert abs(point.log_D_sq - ritz) <= 2e-10, point.log_D_sq - ritz
+
+
+def test_sylvester_c_at_2_17_matches_the_gate_value():
+    # the Ritz route's C at 2^17 on the bench potential, L = N / 2; it carries
+    # that route's own rounding floor, about 1e-11 relative
+    N = 2**17
+    point = evaluate_point(SWEEP_POTENTIALS[PER], PER, N, N / 2.0)
+    assert_allclose(point.c_ratio, 0.001187089904828048, rtol=1e-10)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 16, 33])
@@ -880,7 +970,8 @@ def test_evaluate_point_peak_memory_is_linear_in_n(bc):
 # one grid point in a fresh interpreter; prints the peak resident set of its own address space in KiB.
 # Linux carries the forking process's peak across exec into ru_maxrss, so that would read the test
 # runner's size; VmHWM is the high-water mark of the address space the child built after exec.
-# The child also prints the Ritz width the overlap log-det certified at: the rows of its last _tsqr_r
+# The child also prints the Ritz width the overlap log-det certified at, the rows of its last _tsqr_r
+# (0 when no Ritz log-det ran, as for the periodic C_{N,L} from the p x p core)
 _POINT_CHILD = """
 import json, sys
 from flux_catastrophe import matrixcore, overlap
@@ -894,7 +985,8 @@ def overlap_log_det(*args):
 overlap.ritz_log_det = overlap_log_det
 N = int(sys.argv[3])
 overlap.evaluate_point(potential_from_dict(json.loads(sys.argv[1])), sys.argv[2], N, N / 2)
-print(certified[0], next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+print(certified[0] if certified else 0,
+      next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
 
 
@@ -906,7 +998,9 @@ def test_grid_point_process_peak_rss_is_three_blocks_at_n_2_15(bc):
     # N = 2^15 grows the peak resident set over the same point at N = 64 by
     # at most three (k, N) complex blocks, k = 32: Q and A Q plus slack.
     # The bound holds only where k = 32 certifies, so a sketch that had to
-    # extend fails as its width, not as a number of blocks
+    # extend fails as its width, not as a number of blocks.  The periodic
+    # point runs no Ritz log-det: its C_{N,L} streams V's rows one FFT row
+    # at a time, and the point grows by at most one such block
     package_root = str(Path(flux_catastrophe.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
     raw = json.dumps(potential_to_dict(SWEEP_POTENTIALS[bc]))
@@ -918,8 +1012,12 @@ def test_grid_point_process_peak_rss_is_three_blocks_at_n_2_15(bc):
 
     N, k = 2**15, 32
     (width, peak), (_, base) = point(N), point(64)
-    assert width == k, f"the overlap log-det certified at k = {width}, so the {k}-row bound does not apply"
     grown = peak - base
+    if bc is PER:
+        assert width == 0, "the periodic overlap log-det ran a Ritz sketch"
+        assert grown <= N * k * 16, grown / (N * k * 16)
+        return
+    assert width == k, f"the overlap log-det certified at k = {width}, so the {k}-row bound does not apply"
     assert grown <= 3 * N * k * 16, grown / (N * k * 16)
 
 
@@ -934,7 +1032,9 @@ def _unsettled_trace_norm(core: np.ndarray, gram: np.ndarray) -> float:
 @pytest.mark.parametrize(
     "bc, stage, module, name, value",
     [
-        pytest.param(PER, "coefficients", overlap_module, "_QUADRATURE_TOL", 0.0, id="coefficients"),
+        pytest.param(DIR, "coefficients", overlap_module, "_QUADRATURE_TOL", 0.0, id="coefficients"),
+        pytest.param(PER, "overlap log-det", overlap_module, "_QUADRATURE_TOL", 0.0, id="periodic-settling"),
+        pytest.param(PER, "overlap log-det", overlap_module, "_LOGDET_ABS_ERR", 1e-300, id="periodic-bound"),
         pytest.param(DIR, "overlap log-det", overlap_module, "_LOGDET_ABS_ERR", 1e-300, id="overlap-log-det"),
         pytest.param(DIR, "jump log-det", hilbert_module, "_LOGDET_ABS_ERR", 1e-300, id="jump-log-det"),
         pytest.param(PER, "trace norm", overlap_module, "trace_norm", _unsettled_trace_norm, id="trace-norm"),
