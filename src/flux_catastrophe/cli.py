@@ -66,8 +66,8 @@ closed forms on math, and so is every config check
 BLAS runs on one thread.  The only environment variable the CLI touches is
 OPENBLAS_NUM_THREADS, which it sets to 1 when it is imported, before any
 experiment loads numpy, unless the caller has set it; a caller's own value
-wins.  The determinants are evaluated matrix-free (FFT products, Ritz
-sketches of 24 to 64 rows up to N = 2^18, p x p cores), so no BLAS call is
+wins.  The determinants are evaluated matrix-free (FFT products, conjugate
+gradients, Ritz sketches from 24 rows and p x p cores), so no BLAS call is
 large enough for a second thread to help, while OpenBLAS's idle thread
 spins after every call.  On a 2-core Xeon VM (numpy 2.4.6, OpenBLAS
 0.3.31), a 32 x 32 eigh, a 2048 x 32 complex QR and a 32 x 2048 Gram
@@ -518,31 +518,24 @@ def selftest() -> int:
     )
     check("matrix-free K log-det vs dense K", worst < 1e-12, f"max |diff| {worst:.1e}")
 
-    # the certified matrix-free log|D|^2 against LU of the assembled overlap matrix, also
-    # near singular: the flux-1.58 bump has delta_L near -pi/2 and sigma_min about 6e-3
-    cases = [(bc, n, _BUMP) for bc in BoundaryCondition for n in (64, 181)]
-    cases.append((BoundaryCondition.PERIODIC, 512, dict(_BUMP, total_flux=1.58)))
+    # the grid point's matrix-free log|D|^2 against LU of the assembled overlap matrix, in both bases: the
+    # flux-1.58 bump has delta_L near -pi/2 and sigma_min about 6e-3, and the flux-pi/2 triangle at odd N
+    # an exactly singular Dirichlet jump matrix, which the Sylvester step borders
+    per, dirichlet = BoundaryCondition.PERIODIC, BoundaryCondition.DIRICHLET
+    triangle = {"kind": "piecewise_linear", "knots": [[-1, 0], [0, math.pi / 2], [1, 0]]}
     worst = max(
-        abs(overlap.overlap_log_det_sq(overlap.overlap_coefficients(prof, bc, n), bc, n)
+        abs(overlap.evaluate_point(prof.potential, bc, n, prof.L).log_D_sq
             - 2.0 * log_det(overlap.overlap_matrix(prof, bc, n)))
-        for bc, n, raw in cases
+        for bc, n, raw in [(per, 512, dict(_BUMP, total_flux=1.58)), (dirichlet, 64, _BUMP), (dirichlet, 181, _BUMP),
+                           (dirichlet, 65, triangle)]
         for prof in [flux_profile(potential_from_dict(raw), n / 2.0)]
     )
-    check("matrix-free overlap log-det vs LU", worst < 1e-10, f"max |diff| {worst:.1e}")
-    # two matrix-free routes to the periodic log|D|^2: the grid point's closed-form log|D~|^2 plus the
-    # p x p Sylvester log C_{N,L} on Delta_N's core, against the Ritz sum on A's FFT products
-    per = BoundaryCondition.PERIODIC
-    worst = max(
-        abs(overlap.evaluate_point(prof.potential, per, n, prof.L).log_D_sq
-            - overlap.overlap_log_det_sq(overlap.overlap_coefficients(prof, per, n), per, n))
-        for n, raw in [(n, _BUMP) for n in (64, 181, 512)] + [(512, dict(_BUMP, total_flux=1.58))]
-        for prof in [flux_profile(potential_from_dict(raw), n / 2.0)]
-    )
-    check("periodic C via core vs Ritz on A", worst < 1e-10, f"max |diff| {worst:.1e}")
+    check("grid point log|D|^2 vs LU", worst < 1e-10, f"max |diff| {worst:.1e}")
     # ||Delta_N||_1 on both sides of its dense/core fork (n = 64, 181) against the SVD of the assembled difference
     worst = max(abs(overlap.delta_trace_norm(prof, bc, n) / np.linalg.svd(overlap.overlap_matrix(prof, bc, n)
                     - overlap.flux_matrix(prof.total_flux, bc, n), compute_uv=False).sum() - 1)
-                for bc, n, raw in cases[:4] for prof in [flux_profile(potential_from_dict(raw), n / 2.0)])
+                for bc in BoundaryCondition for n in (64, 181)
+                for prof in [flux_profile(potential_from_dict(_BUMP), n / 2.0)])
     check("trace norm of Delta_N vs dense SVD", worst < 1e-10, f"max rel diff {worst:.1e}")
 
     m = overlap.overlap_matrix(flux_profile(zero_potential(), 8.0), BoundaryCondition.PERIODIC, 16)

@@ -181,32 +181,30 @@ _LOGDET_ABS_ERR = 1e-12
 
 
 def dirichlet_flux_logdet(delta: float, N: int) -> float:
-    """log|D~_{N,L}| of the N x N Dirichlet jump-symbol matrix, any N >= 1, from O(N) vectors.
+    """log|D~_{N,L}| of the N x N Dirichlet jump-symbol matrix, any N >= 1, from O(N) vectors: by det F =
+    c^(N - 2M) det(G^T G) (module docstring), (N - 2M) log|cos delta| + dirichlet_rest_logdet(delta, N), M = N // 2,
+    so odd N at delta = pi/2 gives exactly -inf.  LU of I - alpha K with k_matrix's K and of
+    overlap.flux_matrix(Phi, DIRICHLET, N), Phi = n pi + delta, are the test oracles."""
+    odd = N % 2 and (-math.inf if abs(delta) == math.pi / 2 else math.log(abs(math.cos(delta))))
+    return odd + dirichlet_rest_logdet(delta, N)
 
-    det F = c^(N - 2M) det(G^T G) (module docstring) makes it
-    (N - 2M) log|cos delta| + log det(G^T G), M = N // 2, for _parity_factor's
-    G, which depends on delta through |cos delta| and |sin delta| alone (so
-    -delta gives the same bits); odd N at delta = pi/2 gives exactly -inf and
-    delta = 0 exactly 0.0.  All but twenty or so eigenvalues of
-    I - G^T G = alpha K, alpha = (4/pi^2) sin^2(delta), are below rounding for
-    N <= 2^17, so matrixcore.ritz_log_det takes log det(G^T G) from a k = 24
-    row sketch, certified to 1e-12 under the closed-form trace alpha tr K.
-    For M > k no M x M array exists.  LU of I - alpha K with k_matrix's K and
-    of overlap.flux_matrix(Phi, DIRICHLET, N), Phi = n pi + delta, are the
-    test oracles.
+
+def dirichlet_rest_logdet(delta: float, N: int) -> float:
+    """log det(G^T G) for _parity_factor's G: log|det F| without the odd-N factor, for odd N log|det F_rest| of F
+    on the complement of its off-diagonal part's null vector, finite at delta = pi/2 too.
+
+    G depends on delta through |cos delta| and |sin delta| alone (so -delta gives the same bits); delta = 0
+    gives exactly 0.0.  All but twenty or so eigenvalues of I - G^T G = alpha K, alpha = (4/pi^2) sin^2(delta),
+    are below rounding for N <= 2^17, so matrixcore.ritz_log_det takes it from a k = 24 row sketch, certified
+    to 1e-12 under the closed-form trace alpha tr K.  For M > k no M x M array exists.
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")
     if N < 1:
         raise DomainError("N must be >= 1")
-    odd = 0.0
-    if N % 2:
-        if abs(delta) == math.pi / 2:
-            return -math.inf
-        odd = math.log(abs(math.cos(delta)))
     alpha = (4.0 / math.pi**2) * math.sin(delta) ** 2
     M = N // 2
     if alpha == 0.0 or M == 0:
-        return odd
+        return 0.0
     trace = alpha * float(np.sum(_k_vectors(N)[2]))
-    return odd + ritz_log_det(*_parity_factor(N, delta), trace, M, _LOGDET_ABS_ERR, _SKETCH_COLUMNS)
+    return ritz_log_det(*_parity_factor(N, delta), trace, M, _LOGDET_ABS_ERR, _SKETCH_COLUMNS)

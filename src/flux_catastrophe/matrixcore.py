@@ -15,13 +15,13 @@ power-iteration norm of a symmetric operator given by its product.
 Determinants of these matrices decay polynomially in N, so only their
 magnitudes are kept, in log space throughout.  The determinant of the
 periodic jump-symbol matrix needs no array: asymptotics.fh_log_det sums
-Cauchy's product formula for it in O(1), and the periodic overlap
-determinant follows from it and a p x p determinant on Delta_N's core
-(overlap).  The two determinants of the Dirichlet sweep are det(A^H A) of
-a contraction A, the overlap matrix or the parity factor, with few
-singular values below 1 - rounding; ritz_log_det takes them from A's block
-products, off the singular values of A on a sketch, and serves as the
-periodic overlap's test oracle.
+Cauchy's product formula for it in O(1), and in both bases the overlap
+determinant follows from the jump determinant and a p x p determinant on
+Delta_N's core (overlap).  The Dirichlet jump determinant is det(G^T G) of
+a contraction G, the parity factor (hilbert), with few singular values
+below 1 - rounding; ritz_log_det takes it from G's block products, off the
+singular values of G on a sketch, and the tests' oracle takes the overlap
+log-det the same way from the overlap matrix's FFT products.
 It holds the sketch's orthonormal rows Q and one block for A Q, which
 turns into E Q in place, two (k, N) blocks and nothing else of that size:
 products, projections and the tall-skinny QRs that orthonormalize the

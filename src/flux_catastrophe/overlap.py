@@ -53,10 +53,10 @@ wide: an eighth of 2L/N, the shortest wavelength of a product of two basis
 functions (every |w_m| <= pi N / L), and an eighth of 2 pi / max|a|, the
 shortest wavelength of e^{i Phi_L} on the gap, as d Phi_L / dx = a(x); the
 second binds only for a strong narrow potential.  The doubling driver
-quadrature.adaptive_gauss_legendre, shared with ||Delta_N||_1, the periodic
-C_{N,L} and the moment, halves them all and compares the O(N) coefficient
-vectors, not two N x N matrices.  Periodic entries are the t_d themselves, so
-max |dt_d| is the entrywise change exactly; a Dirichlet entry is
+quadrature.adaptive_gauss_legendre, shared with ||Delta_N||_1, C_{N,L} and
+the moment, halves them all; overlap_matrix compares the O(N) coefficient
+vectors, not two N x N matrices.  Periodic entries are the t_d themselves,
+so max |dt_d| is the entrywise change exactly; a Dirichlet entry is
 c_{|j-k|} - c_{j+k}, so 2 max |dc_m| bounds every entry change from above
 and the driver gets half the entry tolerance.  As |c| <= 1 (the symbol is
 unimodular) its scale-1 floor max(1, |c|) leaves the check absolute.
@@ -71,48 +71,54 @@ the change of the trace norm by (2 eps_p + eps_p^2) N s sum |mu| when
 Delta_N is replaced by V^H C V, C = P^T diag(s mu) P = Lambda^T diag(s m)
 Lambda with Lambda_ca = l_a(y_c), as the 2p points interpolate l_a l_b
 exactly.  matrixcore.trace_norm takes that from C and the closed-form Gram
-matrix V V^H in O(p^3), whatever N is; for N <= 2p the SVD of Delta_N from
-its own coefficients is cheaper.  The same driver settles either at scale
-0, with the same p at every refine: the check is relative, as a weak
+matrix V V^H in O(p^3), whatever N is; for N <= 3p/2 the SVD of Delta_N
+from its own coefficients is cheaper.  The same driver settles either at
+scale 0, with the same p at every refine: the check is relative, as a weak
 potential's ||Delta_N||_1 is tiny.  The paper's
 ||Delta_N||_1 <= (N/L) int |y a(y)| dy rests on it too.
 
-|D| without a matrix, periodic.  The jump matrix F = T_N(e^{i g~_L}) is
-s T, s = (-1)^{n_L} sin(delta_L) / pi, with T Cauchy: log|det F| is
-asymptotics.fh_log_det in O(1), F^{-1} = diag(a) T(t) diag(b) is a closed
-form (_jump_inverse), and A = F + Delta_N with Delta_N = V^H C V on the core
-above.  Sylvester's identity det(I_N + X Y) = det(I_p + Y X) gives
+|D| without a matrix.  In both bases A = F + Delta_N, F = T_N(e^{i g~_L})
+the jump matrix and Delta_N = V^H C V (V^T C V, V real, Dirichlet) on the
+core above, so Sylvester's identity det(I_N + X Y) = det(I_p + Y X) gives
 
-    det A = det F det(I_p + C G),    G = V F^{-1} V^H,
+    det A = det F det(I_p + C G),    G = V F^{-1} V^H  (V^T, Dirichlet):
 
-so log|D|^2 = 2 fh_log_det + log C_{N,L}, C_{N,L} = |det(I_p + C G)|^2, a
-p x p determinant whatever N is (p = 48 on the benchmark sweep).  G takes p
-FFT products with T(t) and the factored phases of _window_phases, O(p N log N)
-time and O(N) memory, once per point; a refinement rebuilds only C, the
-same core ||Delta_N||_1 reads.  The doubling driver settles C_{N,L} to a
-relative 1e-10, log C to an absolute 1e-10, from one SVD of I + C G per
-refine level.  _sylvester_bound then bounds, to first order, what the
-interpolation (eps_p, the a-priori error at the chosen p, at most 1e-13,
-plus 2p eps) and the p x p rounding leave in log|D|^2, through
-(I + C G)^{-1}, the conditioning of the p x p step; a bound above 1e-10
-raises NumericalError.  The bound reads 7.6e-12 on the benchmark sweep and
-at most 1.1e-11 for the bumps of flux pi/2 + 1e-12, 1.58 and 1.6.  G's own
-rounding is not in it: dense LU and the Ritz sum below are its oracles.
-The bulk F enters only through its closed forms, while the Ritz sum on A
-reads log det(A^H A) against tr(I - A^H A), whose O(N) terms carry the
-rounding of every t_d: one ulp of t_0 moves that tail by 2 N |t_0| eps,
-1.85e-10 at N = 2^20 on the benchmark potential, above the budget.  This
-route settles that point in 11 s at a 199 MB peak (one run, one BLAS
-thread, 2-core Xeon VM).
+log|D|^2 = log|D~|^2 + log C_{N,L}, C_{N,L} = |det(I_p + C G)|^2, p x p
+whatever N is (p = 48 on the benchmark sweeps), and no coefficient vector of
+A is built.  G is built once per point in O(p N log N) time and O(N) memory;
+a refinement rebuilds only C.  Periodic: F = s T, s = (-1)^{n_L}
+sin(delta_L) / pi, T Cauchy, so log|det F| is asymptotics.fh_log_det and
+F^{-1} = diag(a) T(t) diag(b) a closed form (_jump_inverse).  Dirichlet:
+F = c I + i s S, c = cos Phi_L(L), s = sin Phi_L(L), S real symmetric
+(_sine_symbol), is normal, so F^{-1} = (c I - i s S)(c^2 I + s^2 S^2)^{-1},
+by real conjugate gradients, two FFT products with S per step; the spectrum
+clusters at 1, and 5-8 steps reach eps_p for N = 128 .. 2^17 on the
+benchmark potential.  For odd N, S u_0 = 0 (_null_vector), so F u_0 = c u_0
+and F is singular at |delta_L| = pi/2: u_0 is projected out of the CG, which
+gives G_perp on its complement, and with g = V u_0
 
-|D| without a matrix, Dirichlet (and the periodic test oracle).  The overlap
-matrix A is a finite section of the unitary multiplication by e^{i g_L}, a
-contraction, so log|D|^2 = log det(A^H A).  Only O(log N) singular values of
-A lie below 1 - rounding (about 30 at N = 2048 on the benchmark sweeps), and
-overlap_log_det_sq hands A itself to matrixcore.ritz_log_det: A V and
-A^H W = conj(A^T conj W) cost one call each of A's one
-matrixcore.toeplitz_hankel_operator (T(t), or T(c_|d|) - H(c)) on a (k, N)
-block, and tr(I - A^H A) = N - ||A||_F^2 is a closed form in O(N).
+    det A = det F_rest |g| det [[I + C G_perp, C g], [-g^T / |g|, c / |g|]],
+
+log|det F_rest| from hilbert.dirichlet_rest_logdet.  The border row is scaled
+to a unit vector: unscaled, |g| ~ sqrt N spreads M's singular values, and
+their rounding exceeded the budget at N = 2047.  So log|D|^2 stays finite
+where D~ = 0, and C_{N,L} = inf there.  The Chebyshev points are symmetric,
+and V(-y) = conj V(y) with F^{-1} real, or V(-y) = V(y) D with D =
+diag((-1)^(j+1)), D F D = conj F and D u_0 = u_0, so G[::-1, ::-1] = conj G
+and only p/2 columns are solved for; V's rows stream through
+_factored_phases, and no (p, N) array exists.
+
+The doubling driver settles |det M|^2, M = I + C G or the bordered matrix,
+to a relative 1e-10 from one SVD of M per refine level.  _sylvester_bound
+then bounds, to first order, what the interpolation (eps_p, the a-priori
+error at the chosen p plus 2p eps), the CG residual (stopped at eps_p) and
+the p x p rounding leave in log|D|^2; above 1e-10 it raises NumericalError.
+It reads 7.6e-12 and 4.3e-12 on the periodic and Dirichlet benchmark sweeps,
+at most 1.1e-11 for the periodic bumps of flux pi/2 + 1e-12, 1.58 and 1.6
+and for the Dirichlet flux-pi/2 triangle at N = 2047.  G's own rounding is
+not in it: dense LU and the tests' Ritz sum on A's FFT products are its
+oracles, the latter short of N = 2^20, where its tr(I - A^H A) carries
+1.85e-10 of coefficient rounding (2 N |t_0| eps per ulp of t_0).
 
 evaluate_point builds the flux profile once, samples the support once per
 refine level for every driver, and derives C_{N,L}, ||Delta_N||_1 and the
@@ -124,7 +130,6 @@ band gate on C_{N,L} is the overlap_sweep row of the CLI's experiment table
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -133,8 +138,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .asymptotics import fh_log_det
 from .errors import DomainError, NumericalError, stage
-from .hilbert import dirichlet_flux_logdet
-from .matrixcore import fh_coefficients, ritz_log_det, toeplitz, toeplitz_hankel_operator, trace_norm
+from .hilbert import dirichlet_rest_logdet
+from .matrixcore import fh_coefficients, toeplitz, toeplitz_hankel_operator, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
 from .quadrature import adaptive_gauss_legendre, build_edges, cis_integral, gauss_legendre_rule, panel_nodes
 from .spectrum import BoundaryCondition
@@ -278,23 +283,20 @@ def _assemble(c: np.ndarray, N: int, periodic: bool) -> np.ndarray:
 
 
 # Quadrature doubling check: no overlap entry moves by more than this, nor ||Delta_N||_1 (its
-# coefficients for N <= 2p) by this of itself
+# coefficients for N <= 3p/2) by this of itself
 _QUADRATURE_TOL = 1e-10
-
-
-def _overlap_coefficients(prof: FluxProfile, periodic: bool, N: int, sample) -> np.ndarray:
-    """overlap_coefficients from ``sample``'s (y, u); a Dirichlet entry holds two, so it gets half the tolerance."""
-    return adaptive_gauss_legendre(
-        lambda refine: _support_coefficients(prof, periodic, N, *sample(refine)[:2], symbol=True),
-        _QUADRATURE_TOL / (1.0 if periodic else 2.0),
-    )
 
 
 def overlap_coefficients(prof: FluxProfile, bc: BoundaryCondition, N: int) -> np.ndarray:
     """The verified coefficients of the overlap matrix: t_d, d = -(N-1) .. N-1 (periodic), or c_m, m = 0..2N;
-    doubling the quadrature resolution moves no entry of the matrix they assemble to by more than 1e-10."""
+    doubling the quadrature resolution moves no entry of the matrix they assemble to by more than 1e-10 (a
+    Dirichlet entry holds two, so the driver gets half the tolerance)."""
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    return _overlap_coefficients(prof, periodic, N, _support_sampler(prof, periodic, N))
+    sample = _support_sampler(prof, periodic, N)
+    return adaptive_gauss_legendre(
+        lambda refine: _support_coefficients(prof, periodic, N, *sample(refine)[:2], symbol=True),
+        _QUADRATURE_TOL / (1.0 if periodic else 2.0),
+    )
 
 
 def overlap_matrix(prof: FluxProfile, bc: BoundaryCondition, N: int) -> np.ndarray:
@@ -314,9 +316,8 @@ def flux_coefficients(total_flux: float, bc: BoundaryCondition, N: int) -> np.nd
 
     Periodic: (-1)^{n_L} fh_coefficients(delta_L, N).  Dirichlet: the symbol
     is e^{-i Phi} below y = pi/2 and e^{+i Phi} above, so c~_m vanishes for
-    even m > 0 and off the diagonal cos(Phi) only opposite parities couple.
-    At delta_L = pi/2 c~_0 is exactly 0, where math.cos would leave 6e-17:
-    the matrix is then exactly singular for odd N (unequal parity classes).
+    even m > 0 and off the diagonal cos(Phi) only opposite parities couple;
+    at delta_L = pi/2 (_jump_diagonal) the matrix is exactly singular for odd N.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -324,132 +325,29 @@ def flux_coefficients(total_flux: float, bc: BoundaryCondition, N: int) -> np.nd
     if BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC:
         s = fh_coefficients(delta_L, N)
         return np.negative(s, out=s) if n_L % 2 else s
-    odd = np.arange(1, 2 * N + 1, 2)
-    c = np.zeros(2 * N + 1, dtype=complex)
-    c[0] = 0.0 if delta_L == math.pi / 2 else math.cos(total_flux)
-    # sin(m pi/2) = (-1)^((m-1)/2) for odd m
-    c[odd] = -2j * math.sin(total_flux) / (math.pi * odd) * (-1.0) ** (odd // 2)
+    c = 1j * math.sin(total_flux) * _sine_symbol(N)
+    c[0] = _jump_diagonal(total_flux)
     return c
+
+
+def _jump_diagonal(total_flux: float) -> float:
+    """cos Phi, the diagonal of the Dirichlet jump matrix: exactly 0 at delta_L = pi/2, where math.cos leaves 6e-17."""
+    return 0.0 if flux_decomposition(total_flux)[1] == math.pi / 2 else math.cos(total_flux)
+
+
+def _sine_symbol(N: int) -> np.ndarray:
+    """sigma_m = -(2/pi) sin(m pi/2) / m for odd m and 0 for even m, m = 0..2N: the Dirichlet jump matrix is
+    cos(Phi) I + i sin(Phi) S with the real symmetric S_jk = sigma_|j-k| - sigma_{j+k}."""
+    odd = np.arange(1, 2 * N + 1, 2)
+    sigma = np.zeros(2 * N + 1)
+    sigma[odd] = -2.0 / (math.pi * odd) * (-1.0) ** (odd // 2)  # sin(m pi/2) = (-1)^((m-1)/2) for odd m
+    return sigma
 
 
 def flux_matrix(total_flux: float, bc: BoundaryCondition, N: int) -> np.ndarray:
     """Closed-form T_N(e^{i g~_L}), assembled from flux_coefficients."""
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
     return _assemble(flux_coefficients(total_flux, bc, N), N, periodic)
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x = hi + lo exactly, each part with at most 26 significant bits (Veltkamp's splitting)."""
-    t = 134217729.0 * x
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-def _weighted_squares(w: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
-    """Float arrays whose exact sum is sum_i w_i |c_i|^2, for integers |w_i| < 2^26.
-
-    |c|^2 = re^2 + im^2, and with x = hi + lo each of hi^2, 2 hi lo and
-    lo^2 is exact; splitting it once more leaves 26-bit parts whose
-    products with w are exact, so math.fsum of the twelve rounds once.
-    """
-    terms = []
-    for x in (c.real, c.imag):
-        hi, lo = _split(x)
-        for square in (hi * hi, 2.0 * hi * lo, lo * lo):
-            terms.extend(w * part for part in _split(square))
-    return terms
-
-
-# terms per slice of _frobenius_deficit's streamed exact sum
-_SUM_SLICE = 1 << 12
-
-
-def _slices(total: int):
-    """range(total) in slices of _SUM_SLICE (even, so every slice starts at an even index), one at a time."""
-    return (slice(lo, min(total, lo + _SUM_SLICE)) for lo in range(0, total, _SUM_SLICE))
-
-
-def _deficit_terms(c: np.ndarray, N: int, periodic: bool):
-    """Float arrays, slice by slice, whose exact sum is _frobenius_deficit's N - ||A||_F^2."""
-    yield np.array([float(N)])
-    if periodic:
-        for sl in _slices(2 * N - 1):
-            yield from _weighted_squares(np.abs(np.arange(sl.start, sl.stop) - (N - 1)) - N, c[sl])
-        return
-    for sl in _slices(N):
-        d = np.arange(sl.start, sl.stop)
-        yield from _weighted_squares(np.where(d == 0, -N, 2 * (d - N)), c[sl])
-    for sl in _slices(2 * N - 1):
-        s = np.arange(sl.start, sl.stop) + 2
-        yield from _weighted_squares(-np.minimum(s - 1, 2 * N + 1 - s), c[s])
-    # + 2 Re X = 2 sum_m (Re P_m Re c' + Im P_m Im c'), c' = c_{m+2} and (m <= N - 2) c_{2N-m}
-    carry = np.zeros(2, dtype=complex)
-    for sl in _slices(N):
-        m = np.arange(sl.start, sl.stop)
-        wc, prefix = np.where(m == 0, 1.0, 2.0) * c[sl], np.empty(len(m), dtype=complex)
-        for parity in (0, 1):  # P_m = P_{m-2} + w_m c_m, the same additions in every slicing
-            run = np.cumsum(np.concatenate([carry[parity : parity + 1], wc[parity::2]]))
-            prefix[parity::2], carry[parity] = run[1:], run[-1]
-        for other in (c[m + 2], c[2 * N - m[m <= N - 2]]):
-            head = prefix[: len(other)]
-            yield 2.0 * head.real * other.real
-            yield 2.0 * head.imag * other.imag
-
-
-def _frobenius_deficit(c: np.ndarray, N: int, periodic: bool) -> float:
-    """N - ||A||_F^2 for A = _assemble(c, N, periodic), in O(N) time and O(1) memory, exact and rounded once.
-
-    Periodic: ||A||_F^2 = sum_d (N - |d|) |t_d|^2.  Dirichlet:
-    ||A||_F^2 = S_1 + S_2 - 2 Re X, with the Toeplitz part
-    S_1 = N |c_0|^2 + 2 sum_{d>=1} (N - d) |c_d|^2, the Hankel part
-    S_2 = sum_{s=2}^{2N} min(s - 1, 2N + 1 - s) |c_s|^2 and the cross term
-    X = sum_{j,k} c_|j-k| conj(c_{j+k}) = sum_s conj(c_s) P_{min(s-2, 2N-s)},
-    P_m = sum w_d c_d over d <= m of m's parity (w_0 = 1, w_d = 2): one
-    ascending pass over m pairs P_m with c_{m+2} and c_{2N-m}.  S_1 and S_2
-    are of size N and nearly cancel N, so math.fsum sums their Veltkamp
-    parts exactly, with the rounded products of X's real part, and rounds
-    once.  _deficit_terms streams the parts in slices of 4096 terms (the
-    prefix P carried across slices), so no array of size N exists and the
-    result does not depend on the slicing.  A plain float64 sum misses tr E
-    by 2.8e-13 .. 9.5e-12 on the benchmark potentials at N = 2^11 .. 2^17
-    (L = N/2), 17-385x ritz_log_det's own rounding allowance
-    (log2 N + k) eps tr E; the exact sum costs 3-350 ms there.
-    """
-    return math.fsum(itertools.chain.from_iterable(part.tolist() for part in _deficit_terms(c, N, periodic)))
-
-
-# log|D|^2 is certified to this absolute error
-_LOGDET_ABS_ERR = 1e-10
-
-
-def overlap_log_det_sq(c: np.ndarray, bc: BoundaryCondition, N: int) -> float:
-    """log|det A|^2 of the overlap matrix A = _assemble(c, N, periodic), without forming it.
-
-    The Dirichlet sweep's overlap log-det, and the oracle of the periodic
-    sweep's, which takes C_{N,L} from the p x p Sylvester determinant
-    instead (module docstring): in the periodic basis the tail
-    tr E - sum theta carries the rounding of every t_d, 2 N |t_0| eps per
-    ulp of t_0, so this route stops short of N = 2^20 there.
-    matrixcore.ritz_log_det takes log det(A^H A) to an absolute 1e-10 from
-    the FFT operator of A = T(t) - H(h) and the closed-form
-    tr(I - A^H A) = N - ||A||_F^2 of _frobenius_deficit; dense LU of
-    overlap_matrix is the test oracle.  A^H W = conj(A^T conj W) reuses A's
-    operator and its symbol spectra: the periodic A is Toeplitz, so
-    A^T = J A J with J the flip, and the Dirichlet A, c_|j-k| - c_{j+k}, is
-    symmetric.
-    sigma_min(A) is smallest as delta_L -> -pi/2: periodic Gaussian bumps of
-    width 0.5 (R = 4, L = N/2) and total flux pi/2 + eps certify at k = 32
-    for every eps scanned, 1e-12 to 0.1, at N = 2048 and 8192 (sigma_min 4.8e-3
-    and 4.2e-3 as eps -> 0): the smallest flux certified is pi/2 + 1e-12.
-    """
-    periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    forward = toeplitz_hankel_operator(*_toeplitz_hankel(c, N, periodic))
-    flip = slice(None, None, -1 if periodic else 1)  # J along the last axis, or none
-
-    def adjoint(w: np.ndarray) -> np.ndarray:
-        return forward(w[..., flip].conj())[..., flip].conj()
-
-    return ritz_log_det(forward, adjoint, _frobenius_deficit(c, N, periodic), N, _LOGDET_ABS_ERR)
 
 
 def _dirichlet_kernel(t: np.ndarray, N: int) -> np.ndarray:
@@ -482,7 +380,7 @@ def _core_sampler(prof: FluxProfile, periodic: bool, N: int, sample):
 
 def _delta_trace_norm(prof: FluxProfile, periodic: bool, N: int, sample, core) -> float:
     """delta_trace_norm from the sampler ``sample`` and its cores ``core``."""
-    dense = N <= len(sample(0)[0])  # N <= 2p
+    dense = 4 * N <= 3 * len(sample(0)[0])  # N <= 3p/2
 
     def estimate(refine: int):
         if dense:
@@ -499,26 +397,40 @@ def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int) -> float:
 
     The module docstring has the error argument; adaptive_gauss_legendre settles
     it to a relative 1e-10, refine r taking the core of the same p points on
-    support_nodes' panels halved r times.  For N <= 2p it settles Delta_N's own
-    coefficients instead and sums the SVD of what they assemble: dense vs core
-    on samples already taken (bench bump, L = N / 2 rho, single runs, one BLAS
-    thread, 2-core Xeon), p = 48: 0.3-1.2 vs 1.0-1.2 ms (N = 24-96); p = 272:
-    10-15 and 98-103 vs 52-62 ms (N = 256, 544); p = 912: 0.11, 0.46-0.56 and
-    3.7-4.0 s vs 1.9-2.3 s (N = 538, 912, 1824).  Bench sweeps take the core.
+    support_nodes' panels halved r times.  For N <= 3p/2 it settles Delta_N's
+    own coefficients instead and sums the SVD of what they assemble: dense vs
+    core on samples and cores already taken, as evaluate_point leaves them
+    (bench bump, L = N / 2 rho, best of 5 runs, 2 for p = 272, both bases, one
+    BLAS thread, 2-core Xeon) at N = p, 3p/2 and 2p: p = 48, 0.42-0.53 vs
+    0.81-0.85, 0.76-0.89 vs 0.86-0.87 and 1.0-1.1 vs 0.61 ms; p = 128, 2.0-2.3
+    vs 4.8, 4.7-5.0 vs 4.8 and 11.5-11.6 vs 5.9-6.0 ms; p = 272, 12-17 vs
+    48-52, 42-46 vs 46-49 and 97-98 vs 36-37 ms.  Bench sweeps take the core.
     """
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
     sample = _support_sampler(prof, periodic, N)
     return _delta_trace_norm(prof, periodic, N, sample, _core_sampler(prof, periodic, N, sample))
 
 
-def _window_phases(y: np.ndarray, L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(outer, inner) with V_ak = e^{-i pi (k - (N-1)/2) y_a / L} = outer[a, q] inner[a, r] for k = B q + r,
-    B = ceil(sqrt N): the periodic basis at the points y from B + ceil(N / B) exponentials per point, each
-    phase a product of two, as in _phase_sums."""
+def _factored_phases(theta: np.ndarray, shift: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(outer, inner) with e^{i (shift + k) theta_a} = outer[a, q] inner[a, r] for k = B q + r, k = 0..N-1,
+    B = ceil(sqrt N): N phases per point from B + ceil(N / B) exponentials, each a product of two, as in
+    _phase_sums."""
     B = math.isqrt(N - 1) + 1
-    outer = np.exp(-1j * np.pi / L * np.outer(y, B * np.arange(-(-N // B)) - 0.5 * (N - 1)))
-    inner = np.exp(-1j * np.pi / L * np.outer(y, np.arange(B)))
-    return outer, inner
+    outer = np.exp(1j * np.outer(theta, shift + B * np.arange(-(-N // B))))
+    return outer, np.exp(1j * np.outer(theta, np.arange(B)))
+
+
+def _phase_rows(outer: np.ndarray, inner: np.ndarray, sl: slice, N: int) -> np.ndarray:
+    """Rows sl of the phases of _factored_phases, zero past their N entries, B Q wide for _phase_products."""
+    rows = (outer[sl, :, None] * inner[sl, None, :]).reshape(-1, outer.shape[1] * inner.shape[1])
+    rows[:, N:] = 0.0
+    return rows
+
+
+def _phase_products(outer: np.ndarray, inner: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """E rows^T for E_ak = outer[a, q] inner[a, r] (k = B q + r) and rows of length B Q, zero past N."""
+    Q, B = outer.shape[1], inner.shape[1]
+    return np.einsum("bqa,aq->ab", rows.reshape(-1, Q, B) @ inner.T, outer)
 
 
 def _jump_inverse(delta: float, n_L: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -542,85 +454,188 @@ def _jump_inverse(delta: float, n_L: int, N: int) -> tuple[np.ndarray, np.ndarra
     return left, right, 1.0 / (c + np.arange(1 - N, N))
 
 
-def _jump_inverse_gram(prof: FluxProfile, N: int, points: np.ndarray) -> np.ndarray:
-    """G = V F^{-1} V^H (p x p) for the periodic jump matrix F and V the basis at the p Chebyshev points.
+def _gram_slices(half: int, N: int):
+    """Slices of range(half), 2^15 / N at a time (one at least): a slice's rows of length N hold about 8 MB of FFT
+    work, as in matrixcore's products."""
+    step = max(1, (1 << 15) // N)
+    return (slice(lo, min(half, lo + step)) for lo in range(0, half, step))
 
-    F^{-1} = diag(a) T(t) diag(b) in closed form (_jump_inverse): T(t) acts
-    on the rows b conj(V_b) through one FFT operator, and the sums over k
-    against V's rows factor as in _window_phases, so no (p, N) array
-    exists: the rows stream, 2^15 / N of them at a time (one at least), a
-    slice's FFT work about 8 MB as in matrixcore's products.  At delta_L = 0,
-    F = +-I and G is +-V V^H, the Gram matrix of _delta_core.
+
+def _periodic_columns(prof: FluxProfile, N: int, points: np.ndarray, half: int) -> np.ndarray:
+    """G[:, :half] of G = V F^{-1} V^H for the periodic jump matrix F, 0 < |delta_L| <= pi/2, and
+    V_ak = e^{-i pi (k - (N-1)/2) y_a / L} at the points y.
+
+    F^{-1} = diag(a) T(t) diag(b) in closed form (_jump_inverse): T(t) acts on the rows b conj(V_b) through one
+    FFT operator, and the sums over k against V's rows factor (_factored_phases).
     """
-    L, p = prof.L, len(points)
-    if prof.delta_L == 0.0:
-        return (-1.0 if prof.n_L % 2 else 1.0) * _dirichlet_kernel(np.pi * (points[:, None] - points) / L, N)
     left, right, t = _jump_inverse(prof.delta_L, prof.n_L, N)
     product = toeplitz_hankel_operator(t)
-    outer, inner = _window_phases(points, L, N)
-    Q, B = outer.shape[1], inner.shape[1]
-    gram = np.empty((p, p), dtype=complex)
-    step = max(1, (1 << 15) // N)
-    for sl in (slice(lo, min(p, lo + step)) for lo in range(0, p, step)):
-        rows = (outer[sl, :, None] * inner[sl, None, :]).reshape(-1, Q * B)  # V's rows, B Q - N >= 0 past the end
+    outer, inner = _factored_phases(-np.pi * points / prof.L, -0.5 * (N - 1), N)
+    columns = np.empty((len(points), half), dtype=complex)
+    for sl in _gram_slices(half, N):
+        rows = _phase_rows(outer, inner, sl, N)
         rows[:, :N] = left * product(right * rows[:, :N].conj())  # the columns sl of F^{-1} V^H, transposed
-        rows[:, N:] = 0.0
-        gram[:, sl] = np.einsum("bqa,aq->ab", rows.reshape(-1, Q, B) @ inner.T, outer)
-    return gram
+        columns[:, sl] = _phase_products(outer, inner, rows)
+    return columns
 
 
-def _sylvester_bound(core: np.ndarray, gram: np.ndarray, eps_p: float) -> tuple[float, float]:
-    """(bound, s_min): a first-order bound on the error of log|det(I + M)|^2, M = core @ gram, and the smallest
-    singular value of I + M.
+def _null_vector(N: int) -> np.ndarray:
+    """The unit u_0 with S u_0 = 0 for odd N (S of _sine_symbol), positive at j = 1.
 
-    With X = (I + M)^{-1} = W S^{-1} U^H from the SVD I + M = U S W^H, a
-    change dM moves log|det(I + M)| by Re tr(X dM) to first order:
-    - interpolation: the p points reproduce the basis to eps_p (at most
-      1e-13 + 2p eps, module docstring), read as dM = eta M + M eta' with
-      |eta|_2, |eta'|_2 <= eps_p on either factor, so
-      |tr(X dM)| <= (2 eps_p + eps_p^2) |I - X|_*, as X M = M X = I - X;
-    - forming M: |dM| <= p eps |core| |gram| entrywise, so
-      |tr(X dM)| <= p eps sum |X^T| |core| |gram|;
-    - the SVD: each singular value moves by at most about p eps s_max, so the
-      sum of log s by p eps s_max sum 1 / s.
+    u_0 lives on the odd j = 2a - 1, a = 1..T, T = (N + 1) / 2, where
+    u_a is proportional to (-1)^a prod_{b<=M} ((2a-1)^2 - (2b)^2) / prod_{a'!=a} ((2a-1)^2 - (2a'-1)^2);
+    the products telescope to u_{a+1} / u_a = -((T - a) / (T - a - 1/2)) ((a + T - 1/2) / (a + T)), summed
+    as cumulative log1p terms, as the products themselves overflow near N = 181.
+    """
+    T = (N + 1) // 2
+    a = np.arange(1, T)
+    size = np.exp(np.concatenate([[0.0], np.cumsum(np.log1p(-0.5 / (a + T)) - np.log1p(-0.5 / (T - a)))]))
+    u = np.zeros(N)
+    u[::2] = size * (-1.0) ** np.arange(T)
+    return u / np.linalg.norm(u)
+
+
+def _conjugate_gradients(apply, b: np.ndarray, tol: float, null: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """(x, rho): conjugate gradients on apply(x) = b row by row of a real (k, n) block, ``apply`` symmetric
+    positive definite on the complement of the unit vector ``null`` (None: R^n), which is projected out of b and
+    of every residual.  A row stops at a residual of tol |b_row|, all within n steps; rho is the largest
+    |r| / |b| at the end."""
+
+    def project(y: np.ndarray) -> np.ndarray:
+        if null is not None:
+            y -= np.outer(y @ null, null)
+        return y
+
+    norms = np.linalg.norm(b, axis=1)
+    x, r = np.zeros_like(b), project(b.copy())
+    d, rr = r.copy(), np.einsum("ij,ij->i", r, r)
+    target = (tol * norms) ** 2
+    for _ in range(b.shape[1]):
+        active = rr > target
+        if not active.any():
+            break
+        q = apply(d)
+        alpha = np.divide(rr, np.einsum("ij,ij->i", d, q), out=np.zeros_like(rr), where=active)
+        x += alpha[:, None] * d
+        r -= alpha[:, None] * q
+        previous, rr = rr, np.einsum("ij,ij->i", project(r), r)
+        d = r + np.divide(rr, previous, out=np.zeros_like(rr), where=active)[:, None] * d
+    return x, math.sqrt(float(np.max(rr / norms**2)))
+
+
+def _dirichlet_columns(prof: FluxProfile, N: int, points: np.ndarray, half: int, tol: float,
+                       null: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """(G[:, :half], g, rho) of the Dirichlet G = V F^{-1} V^T, V_aj = sin(j y_a), y = pi/2 + pi points / 2L, or
+    of G_perp on the complement of ``null`` (odd N) with g = V null (None without it), and the CG's rho.
+    F^{-1} = (c I - i s S)(c^2 I + s^2 S^2)^{-1}, the inverse by _conjugate_gradients to tol, and V = Im(i^j E)
+    for E_aj = e^{i j pi y_a / 2L} (_factored_phases), so V x^T = (E (i^j x)^T - conj(E (i^j conj x)^T)) / 2i."""
+    c, sine = _jump_diagonal(prof.total_flux), math.sin(prof.total_flux)
+    product = toeplitz_hankel_operator(*_toeplitz_hankel(_sine_symbol(N), N, False))
+    outer, inner = _factored_phases(np.pi * points / (2.0 * prof.L), 1.0, N)
+    i_j, pad = np.array([1.0, 1j, -1.0, -1j])[np.arange(1, N + 1) % 4], outer.shape[1] * inner.shape[1] - N
+
+    def basis_products(x: np.ndarray) -> np.ndarray:  # V x^T for complex rows x
+        both = _phase_products(outer, inner, np.pad(np.concatenate([i_j * x, i_j * x.conj()]), [(0, 0), (0, pad)]))
+        return (both[:, : len(x)] - both[:, len(x) :].conj()) / 2j
+
+    columns, rho = np.empty((len(points), half), dtype=complex), 0.0
+    for sl in _gram_slices(half, N):
+        v = (_phase_rows(outer, inner, sl, N)[:, :N] * i_j).imag  # V's rows sl
+        z, residual = _conjugate_gradients(lambda u: c * c * u + sine * sine * product(product(u)), v, tol, null)
+        columns[:, sl] = basis_products(c * z - 1j * sine * product(z))
+        rho = max(rho, residual)
+    return columns, None if null is None else basis_products(null[None, :].astype(complex))[:, 0].real, rho
+
+
+def _jump_inverse_gram(prof: FluxProfile, periodic: bool, N: int, points: np.ndarray, tol: float):
+    """(G, g, rho) for V the basis at the p Chebyshev points: G = V F^{-1} V^H (periodic) or V F^{-1} V^T
+    (Dirichlet; G_perp and g = V u_0 for odd N, else g = None) and the CG's relative residual rho (0 for the
+    periodic closed form).  p/2 columns are built and the rest mirrored, G[::-1, ::-1] = conj G (module
+    docstring).  At delta_L = 0 the periodic F = +-I and G is +-V V^H, the Gram matrix of _delta_core.
+    """
+    p, half = len(points), len(points) // 2
+    if periodic and prof.delta_L == 0.0:
+        sign = -1.0 if prof.n_L % 2 else 1.0
+        return sign * _dirichlet_kernel(np.pi * (points[:, None] - points) / prof.L, N), None, 0.0
+    gram, g, rho = np.empty((p, p), dtype=complex), None, 0.0
+    if periodic:
+        gram[:, :half] = _periodic_columns(prof, N, points, half)
+    else:
+        gram[:, :half], g, rho = _dirichlet_columns(prof, N, points, half, tol, _null_vector(N) if N % 2 else None)
+    gram[:, half:] = gram[::-1, half - 1 :: -1].conj()
+    return gram, g, rho
+
+
+def _sylvester_bound(matrix: np.ndarray, fixed: np.ndarray, core: np.ndarray, gram: np.ndarray, eps_core: float,
+                     eps_gram: float) -> tuple[float, float]:
+    """(bound, s_min): a first-order bound on the error of log|det M|^2, M = ``matrix``, and its smallest singular
+    value.
+
+    M - J = diag(C, 1) G' for J = diag(``fixed``) (I, or diag(I, c / |g|) with the border), the core C and the
+    bordered Gram matrix G'.  With X = M^{-1} from the SVD of M, a change dM moves log|det M| by Re tr(X dM):
+    - interpolation: the p points reproduce the basis to eps_p (module docstring), read as relative changes of
+      the two factors, eps_core on C's side and eps_gram (eps_p plus the CG residual) on G''s, so, as
+      (M - J) X = I - J X and X (M - J) = I - X J,
+      |tr(X dM)| <= (eps_core + eps_core eps_gram) |I - J X|_* + eps_gram |I - X J|_*;
+    - forming C G: |dM| <= p eps |C| |G| entrywise on its p rows, so |tr(X dM)| <= p eps sum |X^T| |C| |G|;
+    - the SVD: each singular value moves by at most about n eps s_max, so the sum of log s by n eps s_max sum 1/s.
     log|det|^2 doubles the sum.
     """
-    p = len(core)
+    p, n = len(core), len(matrix)
     eps = float(np.finfo(float).eps)
-    u, s, wh = np.linalg.svd(np.eye(p) + core @ gram)
+    u, s, wh = np.linalg.svd(matrix)
     if s[-1] == 0.0:
         return math.inf, 0.0
     inverse = (wh.conj().T / s) @ u.conj().T
-    interpolation = (2.0 * eps_p + eps_p**2) * float(np.sum(np.linalg.svd(np.eye(p) - inverse, compute_uv=False)))
-    product = p * eps * float(np.sum(np.abs(inverse.T) * (np.abs(core) @ np.abs(gram))))
-    svd = p * eps * float(s[0] * np.sum(1.0 / s))
+
+    def nuclear(a: np.ndarray) -> float:
+        return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+    left = nuclear(np.eye(n) - fixed[:, None] * inverse)
+    right = left if np.all(fixed == 1.0) else nuclear(np.eye(n) - inverse * fixed)
+    interpolation = (eps_core + eps_core * eps_gram) * left + eps_gram * right
+    product = p * eps * float(np.sum(np.abs(inverse.T[:p]) * (np.abs(core) @ np.abs(gram))))
+    svd = n * eps * float(s[0] * np.sum(1.0 / s))
     return 2.0 * (interpolation + product + svd), float(s[-1])
 
 
-def _periodic_log_c(prof: FluxProfile, N: int, core) -> tuple[float, float]:
-    """(log C_{N,L}, C_{N,L}) from Sylvester's identity on the cores of ``core``, certified to 1e-10 in log C.
+# log|D|^2 is certified to this absolute error
+_LOGDET_ABS_ERR = 1e-10
 
-    adaptive_gauss_legendre settles C = |det(I_p + C_r G)|^2, C_r the core at refine r, to a relative 1e-10,
-    an absolute 1e-10 in log C; one SVD of I + C_r G gives it.  G is built once.  NumericalError if the
-    settled level's _sylvester_bound exceeds 1e-10.
-    """
+
+def _sylvester_log_det(prof: FluxProfile, periodic: bool, N: int, core) -> tuple[float, float]:
+    """(log|det M|^2, |det M|^2) for M = I + C G, or the odd-N Dirichlet border (module docstring) with its |g|
+    folded in, on the cores of ``core``: settled to a relative 1e-10 by adaptive_gauss_legendre, one SVD of M
+    per refine, with G built once, its CG run to eps_p; NumericalError if _sylvester_bound exceeds 1e-10."""
     L, R, p = prof.L, prof.potential.support_radius, len(core(0)[0])
-    gram = _jump_inverse_gram(prof, N, _chebyshev_points(R, p))
-    last = {}
-
-    def estimate(refine: int) -> float:
-        s = np.linalg.svd(np.eye(p) + core(refine)[0] @ gram, compute_uv=False)
-        last.update(refine=refine, log_c=2.0 * float(np.sum(np.log(s))))
-        return math.exp(last["log_c"])
-
-    c_ratio = adaptive_gauss_legendre(estimate, _QUADRATURE_TOL, scale=0.0)
     # the a-priori interpolation error at this p, at most the 1e-13 the p was chosen for, plus its rounding
     eps_p = math.exp(_chebyshev_log_error(math.pi * N * R / (2.0 * L), p)[0]) + 2 * p * float(np.finfo(float).eps)
-    bound, s_min = _sylvester_bound(core(last["refine"])[0], gram, eps_p)
+    gram, g, rho = _jump_inverse_gram(prof, periodic, N, _chebyshev_points(R, p), eps_p)
+    base, size = np.eye(p, dtype=complex), 1.0
+    if g is not None:  # det A = det F_rest |g| det M, M bordered by C g and the unit row -g^T / |g|
+        size = float(np.linalg.norm(g))
+        corner = np.full((1, 1), _jump_diagonal(prof.total_flux) / size)
+        base = np.block([[base, np.zeros((p, 1))], [-g[None, :] / size, corner]])
+        gram = np.concatenate([gram, g[:, None]], axis=1)
+    last = {}
+
+    def matrix(refine: int) -> np.ndarray:
+        m = base.copy()
+        m[:p] += core(refine)[0] @ gram
+        return m
+
+    def estimate(refine: int) -> float:
+        s = np.linalg.svd(matrix(refine), compute_uv=False)
+        last.update(refine=refine, log_det=2.0 * float(np.sum(np.log(s))) + 2.0 * math.log(size))
+        return math.exp(last["log_det"])
+
+    det_sq = adaptive_gauss_legendre(estimate, _QUADRATURE_TOL, scale=0.0)
+    refine = last["refine"]
+    bound, s_min = _sylvester_bound(matrix(refine), np.diag(base), core(refine)[0], gram, eps_p, eps_p + rho)
     if not bound <= _LOGDET_ABS_ERR:
         raise NumericalError("Sylvester log-det bound exceeds the budget", achieved=bound,
                              requested=_LOGDET_ABS_ERR, s_min=s_min, p=p)
-    return last["log_c"], c_ratio
+    return last["log_det"], det_sq
 
 
 # ---------------------------------------------------------------------------
@@ -649,38 +664,26 @@ class GridPoint(NamedTuple):
 def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float) -> GridPoint:
     """Build the flux profile once, sample the support once per refine level for every driver, and derive every result.
 
-    |D~| comes from (delta_L, N) alone: asymptotics.fh_log_det (periodic; the sign (-1)^{n_L} leaves |det|
-    unchanged) or hilbert.dirichlet_flux_logdet.  Periodic: C_{N,L} = |det(I_p + C G)|^2 from the p x p cores
-    that ||Delta_N||_1 reads too, settled and bounded to 1e-10 in log C (_periodic_log_c), and
-    log|D|^2 = log|D~|^2 + log C_{N,L}; no O(N) coefficient vector is built.  Dirichlet: |D| from
-    overlap_log_det_sq, certified to 1e-10 from FFT products of the coefficients, and
-    C_{N,L} = |D|^2 / |D~|^2.  No dense LU runs.  ||Delta_N||_1 is checked against the periodic proof's
-    (N/L) int |y a(y)| dy (Dirichlet too, numerically) up to an absolute 1e-8.  A DomainError or NumericalError
-    names its stage: coefficients (Dirichlet), overlap log-det, jump log-det or trace norm.
+    In both bases, with no O(N) coefficient vector and no dense LU: log|D|^2 = 2 log|det F_rest| + log|det M|^2,
+    M the Sylvester matrix on the cores ||Delta_N||_1 reads too (_sylvester_log_det), and log|det F_rest| from
+    (delta_L, N) alone, asymptotics.fh_log_det or hilbert.dirichlet_rest_logdet.  F_rest = F but for odd N in
+    the Dirichlet basis, where F = c F_rest, c = cos Phi_L(L): log|D~| adds log|c| and C_{N,L} = |det M|^2 / c^2
+    (inf where c = 0), otherwise |det M|^2.  ||Delta_N||_1 is checked against the periodic proof's (N/L)
+    int |y a(y)| dy (Dirichlet too, numerically) up to an absolute 1e-8.  A DomainError or NumericalError names
+    its stage: overlap log-det, jump log-det or trace norm.
     """
     prof = flux_profile(a, L)
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    if periodic:
-        with stage("overlap log-det"):
-            sample = _support_sampler(prof, periodic, N)
-            core = _core_sampler(prof, periodic, N, sample)
-            log_c, c_ratio = _periodic_log_c(prof, N, core)
-        with stage("jump log-det"):
-            ld_flux = fh_log_det(prof.delta_L, N)
-        ld_exact_sq = 2.0 * ld_flux + log_c
-    else:
-        with stage("coefficients"):
-            sample = _support_sampler(prof, periodic, N)
-            c = _overlap_coefficients(prof, periodic, N, sample)
+    with stage("overlap log-det"):
+        sample = _support_sampler(prof, periodic, N)
         core = _core_sampler(prof, periodic, N, sample)
-        with stage("overlap log-det"):
-            ld_exact_sq = overlap_log_det_sq(c, bc, N)
-        # after the overlap log-det, whose (k, N) blocks set the point's peak memory,
-        # so the jump's smaller blocks reuse the memory those freed
-        with stage("jump log-det"):
-            ld_flux = dirichlet_flux_logdet(prof.delta_L, N)
-        c_ratio = math.inf if math.isinf(ld_flux) else math.exp(ld_exact_sq - 2.0 * ld_flux)
+        log_det_sq, det_sq = _sylvester_log_det(prof, periodic, N, core)
+    with stage("jump log-det"):
+        ld_rest = fh_log_det(prof.delta_L, N) if periodic else dirichlet_rest_logdet(prof.delta_L, N)
+    c = 1.0 if periodic or N % 2 == 0 else _jump_diagonal(prof.total_flux)
+    ld_flux = ld_rest + math.log(abs(c)) if c else -math.inf
     with stage("trace norm"):
         tn = _delta_trace_norm(prof, periodic, N, sample, core)
     bound = N / L * moment_integrals(a, L)
-    return GridPoint(prof.delta_L, prof.n_L, ld_exact_sq, 2.0 * ld_flux, c_ratio, tn, bound, tn <= bound + 1e-8)
+    return GridPoint(prof.delta_L, prof.n_L, 2.0 * ld_rest + log_det_sq, 2.0 * ld_flux,
+                     det_sq / c / c if c else math.inf, tn, bound, tn <= bound + 1e-8)

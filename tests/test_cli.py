@@ -12,6 +12,7 @@ import pytest
 from flux_catastrophe import cli, hilbert, overlap
 from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.matrixcore import log_det
+from flux_catastrophe.potential import flux_profile, potential_from_dict
 from flux_catastrophe.spectrum import BoundaryCondition
 from oracles import cauchy_fh_logdet_sq
 
@@ -119,18 +120,18 @@ def test_grid_point_error_names_the_experiment_and_n(tmp_path, monkeypatch, caps
 
 
 def test_grid_point_error_names_the_stage_after_the_experiment_and_n(tmp_path, monkeypatch, capsys):
-    # a log-det budget no rounding meets: the certified engine raises with its
-    # context, and the message names the grid point, then the stage; the
-    # Dirichlet overlap runs the Ritz engine, the periodic one bounds its p x p step
+    # a log-det budget no rounding meets: the bound raises with its context,
+    # and the message names the grid point, then the stage; both bases bound
+    # their p x p Sylvester step
     monkeypatch.setattr(overlap, "_LOGDET_ABS_ERR", 1e-300)
-    for bc, message, keys in (("dirichlet", "log-det rounding alone exceeds the budget", ("s_min=", "k=")),
-                              ("periodic", "Sylvester log-det bound exceeds the budget", ("s_min=", "p=48"))):
+    for bc in ("dirichlet", "periodic"):
         config = _write_config(tmp_path, experiment="overlap_sweep", bc=bc, rho=1.0, n_grid=[48, 64],
                                potential=POTENTIAL)
         assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_OR_NUMERICAL
         err = capsys.readouterr().err
-        assert err.startswith(f"error: overlap_sweep at N = 48: overlap log-det: {message} ("), err
-        for key in ("achieved=", "requested=1e-300", *keys):
+        assert err.startswith("error: overlap_sweep at N = 48: overlap log-det: "
+                              "Sylvester log-det bound exceeds the budget ("), err
+        for key in ("achieved=", "requested=1e-300", "s_min=", "p=48"):
             assert key in err
     monkeypatch.setattr(hilbert, "_LOGDET_ABS_ERR", 1e-300)
     config = _write_config(tmp_path, experiment="dirichlet_hilbert", delta_override=math.pi / 4, n_grid=[256])
@@ -565,10 +566,14 @@ def test_sweep_at_delta_pi_over_2_matches_cauchy_determinant(tmp_path):
 def test_dirichlet_sweep_at_delta_pi_over_2(tmp_path, capsys):
     # cos(Phi) = 0 empties the jump matrix's diagonal, and only opposite parities
     # couple: for odd N the two parity classes differ in size, so D~ = 0 exactly
+    # D does not vanish: the Sylvester step borders the jump matrix's null vector, so log|D|^2 stays
+    # finite and matches LU of the assembled overlap matrix at every N
     cols = _sweep_columns(tmp_path, _triangle(math.pi), [4, 5, 6, 7, 8, 9, 64, 65], "dirichlet",
                           cli.EXIT_PROPERTY_FAILURE)
     assert cols["delta_L"] == [math.pi / 2] * 8
-    for n, log_dtilde, c_ratio in zip(cols["N"], cols["log_Dtilde_sq"], cols["C_ratio"]):
+    for n, log_d, log_dtilde, c_ratio in zip(cols["N"], cols["log_D_sq"], cols["log_Dtilde_sq"], cols["C_ratio"]):
+        prof = flux_profile(potential_from_dict(_triangle(math.pi)), n / 2.0)
+        assert abs(log_d - 2.0 * log_det(overlap.overlap_matrix(prof, BoundaryCondition.DIRICHLET, int(n)))) <= 1e-10, n
         if n % 2:
             assert (log_dtilde, c_ratio) == (-math.inf, math.inf), n
         else:

@@ -33,7 +33,6 @@ from flux_catastrophe.overlap import (
     evaluate_point,
     flux_matrix,
     overlap_coefficients,
-    overlap_log_det_sq,
     overlap_matrix,
 )
 from flux_catastrophe.potential import (
@@ -50,12 +49,15 @@ from flux_catastrophe.potential import (
 )
 from flux_catastrophe.quadrature import cis_integral
 from flux_catastrophe.spectrum import BoundaryCondition
+import oracles as oracles_module
 from oracles import (
     BasisSpec,
     assemble_toeplitz,
     dense_overlap_matrix,
     dirichlet_flux_entries,
+    frobenius_deficit,
     half_fluxes,
+    overlap_log_det_sq,
     sketch_trace_norm,
 )
 
@@ -388,7 +390,7 @@ def test_delta_core_matches_dense_svd_at_the_edges(bc, case):
     y, _, m = overlap_module._support_sampler(prof, bc is PER, N)(1)
     core = trace_norm(*overlap_module._delta_core(prof, bc is PER, N, y, m))
     assert_allclose(core, _dense_delta_trace_norm(a, bc, N, L), rtol=1e-10)
-    # delta_trace_norm takes the core unless N <= 2p (L = R here; then Delta_N is dense)
+    # delta_trace_norm takes the core unless N <= 3p/2 (L = R here; then Delta_N is dense)
     assert_allclose(delta_trace_norm(prof, bc, N), core, rtol=1e-10)
 
 
@@ -425,7 +427,7 @@ def test_delta_trace_norm_is_relative_for_a_weak_potential(bc):
     # Delta_N is linear in a weak potential to first order, and the symbol
     # difference is taken as 2i sin(d/2) e^{...}, accurate relative to its
     # size: at flux 1e-12 the result is 1e-6 of that at flux 1e-6, on the
-    # dense side of the fork (N = 64 <= 2p = 96) as on the core's (N = 256)
+    # dense side of the fork (N = 64 <= 3p/2 = 72) as on the core's (N = 256)
     for N in (64, 256):
         tn = {f: delta_trace_norm(flux_profile(gaussian_bump_with_flux(f), N / 2.0), bc, N) for f in (1e-12, 1e-6)}
         assert_allclose(1e6 * tn[1e-12], tn[1e-6], rtol=1e-9, err_msg=str(N))
@@ -526,14 +528,14 @@ def test_trace_norm_of_delta_is_deterministic():
 
 def test_evaluate_point_builds_each_matrix_once(monkeypatch):
     # the flux profile once and one support sample (nodes and one Chebyshev
-    # contraction) per refine level, 0 and 1, which every driver shares.  The
-    # Dirichlet overlap matrix is built once, as its coefficient vector; the
-    # periodic C_{N,L} needs none, only G = V F^{-1} V^H once and the p x p
-    # core per refine level, which ||Delta_N||_1 reuses.  At N = 128
-    # ||Delta_N||_1 is the core's and no matrix is assembled; at N = 40 <= 2p
-    # the dense SVD assembles Delta_N once from its own coefficients, not from
-    # the jump symbol's
-    calls = {name: 0 for name in ("_overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix",
+    # contraction) per refine level, 0 and 1, which every driver shares.  In
+    # both bases C_{N,L} needs no coefficient vector of the overlap matrix,
+    # only G = V F^{-1} V^H (V^T, Dirichlet) once and the p x p core per
+    # refine level, which ||Delta_N||_1 reuses.  At N = 128 ||Delta_N||_1 is
+    # the core's and no matrix is assembled; at N = 40 <= 3p/2 the dense SVD
+    # assembles Delta_N once from its own coefficients, not from the jump
+    # symbol's
+    calls = {name: 0 for name in ("overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix",
                                   "flux_matrix", "_assemble", "support_nodes", "_chebyshev_contract", "_delta_core",
                                   "_jump_inverse_gram")}
     for name in calls:
@@ -550,19 +552,15 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
             for name in calls:
                 calls[name] = 0
             evaluate_point(a, bc, N, N / 2.0)
-            periodic = bc is PER
-            assert calls == {"_overlap_coefficients": 0 if periodic else 1, "flux_coefficients": 0,
-                             "flux_profile": 1, "overlap_matrix": 0, "flux_matrix": 0, "_assemble": dense,
-                             "support_nodes": 2, "_chebyshev_contract": 2,
-                             "_delta_core": 2 if periodic or not dense else 0,
-                             "_jump_inverse_gram": 1 if periodic else 0}, (N, bc)
+            assert calls == {"overlap_coefficients": 0, "flux_coefficients": 0, "flux_profile": 1,
+                             "overlap_matrix": 0, "flux_matrix": 0, "_assemble": dense, "support_nodes": 2,
+                             "_chebyshev_contract": 2, "_delta_core": 2, "_jump_inverse_gram": 1}, (N, bc)
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_evaluate_point_factors_no_complex_matrix_but_the_overlap(monkeypatch, bc):
     # no matrix is factored at all: both jump log-dets come from (delta_L, N),
-    # the periodic |D| from one SVD of the p x p matrix I + C G, and the
-    # Dirichlet |D| from FFT products of the overlap coefficients
+    # and |D| from one SVD of the p x p matrix I + C G in either basis
     def no_lu(*args, **kwargs):
         raise AssertionError("dense LU in evaluate_point")
 
@@ -585,11 +583,9 @@ def test_evaluate_point_matches_each_quantity_built_directly(bc):
     # (Dirichlet); dense LU of the closed-form jump matrix is its oracle
     dense = flux_matrix(prof.total_flux, bc, 40)
     assert abs(point.log_Dtilde_sq - 2.0 * log_det(dense)) <= 2e-13
-    if bc is PER:  # C_{N,L} is |det(I + C G)|^2 itself, and log|D|^2 = log|D~|^2 + log C_{N,L}
-        assert_allclose(point.c_ratio, math.exp(point.log_D_sq - point.log_Dtilde_sq), rtol=1e-14)
-    else:
-        assert point.c_ratio == math.exp(point.log_D_sq - point.log_Dtilde_sq)
-    # at N = 40 <= 2p Delta_N is assembled from its own coefficients, which
+    # C_{N,L} is |det(I + C G)|^2 itself, and log|D|^2 = log|D~|^2 + log C_{N,L}
+    assert_allclose(point.c_ratio, math.exp(point.log_D_sq - point.log_Dtilde_sq), rtol=1e-14)
+    # at N = 40 <= 3p/2 Delta_N is assembled from its own coefficients, which
     # at flux 2 agree with the difference of the two matrices to rounding
     assert point.trace_norm_delta == delta_trace_norm(prof, bc, 40)
     dense_tn = np.linalg.svd(_delta_n(a, bc, 40, 20.0), compute_uv=False).sum()
@@ -600,7 +596,7 @@ def test_evaluate_point_matches_each_quantity_built_directly(bc):
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_evaluate_point_of_the_zero_potential_is_exactly_one(bc):
-    # tr E = N - ||A||_F^2 is below rounding, so the empty sketch certifies
+    # the core is exactly zero, so the Sylvester matrix is I and its SVD gives
     # log|D|^2 = 0.0 and C = 1 exactly
     point = evaluate_point(zero_potential(), bc, 64, 32.0)
     assert (point.log_D_sq, point.log_Dtilde_sq, point.c_ratio) == (0.0, 0.0, 1.0)
@@ -752,12 +748,14 @@ def _bench_grid(bc) -> list[int]:
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_overlap_log_det_matches_lu_at_every_bench_n(bc):
-    # N = 128 .. 2048, odd N = 181 included: the certified Rayleigh-Ritz sum
-    # against LU of the assembled matrix of the same coefficients
+    # N = 128 .. 2048, odd N = 181 included: the grid point's Sylvester
+    # log|D|^2 and the oracles' certified Rayleigh-Ritz sum against LU of the
+    # assembled matrix of the verified coefficients
     a = SWEEP_POTENTIALS[bc]
     for N in _bench_grid(bc):
         c = overlap_coefficients(flux_profile(a, N / 2.0), bc, N)
         dense = 2.0 * log_det(overlap_module._assemble(c, N, bc is PER))
+        assert abs(evaluate_point(a, bc, N, N / 2.0).log_D_sq - dense) <= 1e-10, N
         assert abs(overlap_log_det_sq(c, bc, N) - dense) <= 1e-10, N
 
 
@@ -828,18 +826,19 @@ def test_sylvester_gram_at_delta_zero_is_the_signed_basis_gram():
         assert prof.delta_L == 0.0
         points = overlap_module._chebyshev_points(4.0, 48)
         basis = np.exp(-1j * np.pi / 64.0 * np.outer(points, np.arange(128) - 63.5))
-        assert_allclose(overlap_module._jump_inverse_gram(prof, 128, points), sign * basis @ basis.conj().T,
-                        atol=1e-12 * 128)
+        assert_allclose(overlap_module._jump_inverse_gram(prof, True, 128, points, 0.0)[0],
+                        sign * basis @ basis.conj().T, atol=1e-12 * 128)
 
 
 @pytest.mark.parametrize("N", [64, 181, 2048])
 def test_sylvester_gram_matches_the_dense_product(N):
-    # the streamed, factored-phase G = V F^{-1} V^H against the dense product
+    # the streamed, factored-phase G = V F^{-1} V^H, half of it mirrored, against the dense product
     prof = flux_profile(gaussian_bump_with_flux(2.0), N / 2.0)
     points = overlap_module._chebyshev_points(4.0, 48)
     basis = np.exp(-1j * np.pi / prof.L * np.outer(points, np.arange(N) - 0.5 * (N - 1)))
     dense = basis @ np.linalg.solve(flux_matrix(prof.total_flux, PER, N), basis.conj().T)
-    gram = overlap_module._jump_inverse_gram(prof, N, points)
+    gram, border, rho = overlap_module._jump_inverse_gram(prof, True, N, points, 0.0)
+    assert border is None and rho == 0.0
     assert np.max(np.abs(gram - dense)) <= 1e-13 * np.max(np.abs(dense)), np.max(np.abs(gram - dense))
 
 
@@ -859,6 +858,89 @@ def test_sylvester_c_at_2_17_matches_the_gate_value():
     assert_allclose(point.c_ratio, 0.001187089904828048, rtol=1e-10)
 
 
+# -- the Dirichlet C_{N,L} from the same Sylvester step ---------------------------
+
+
+@pytest.mark.parametrize("N", [1, 5, 9, 31, 181])
+def test_null_vector_matches_the_svd_null_vector(N):
+    # the closed-form u_0 of the odd-N jump matrix's off-diagonal part S (F = i S at flux pi/2)
+    S = flux_matrix(math.pi / 2, DIR, N).imag
+    null = np.linalg.svd(S)[2][-1]
+    u = overlap_module._null_vector(N)
+    assert np.max(np.abs(S @ u)) <= 1e-15
+    assert_allclose(u, np.sign(null[0]) * null, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 64, 181])
+@pytest.mark.parametrize(
+    "flux", [math.pi / 4, math.pi / 2, math.pi / 2 - 1e-9, math.pi / 2 + 1e-9, math.pi, 2 * math.pi + 0.5]
+)
+def test_dirichlet_gram_matches_the_dense_solve(flux, N):
+    # the CG-built G = V F^{-1} V^T, half of it mirrored, against V solve(F, V^T); for odd N, where F is
+    # exactly singular at delta_L = pi/2, G_perp against the same solve with F's eigenvalue c on its null
+    # vector u moved to 1 and that direction taken out again, and g against V u
+    prof = flux_profile(gaussian_bump_with_flux(flux), max(N / 2.0, 4.0))
+    points = overlap_module._chebyshev_points(4.0, 48)
+    basis = np.sin(np.outer(np.pi / 2 + np.pi * points / (2.0 * prof.L), np.arange(1, N + 1)))
+    jump = flux_matrix(prof.total_flux, DIR, N)
+    gram, g, rho = overlap_module._jump_inverse_gram(prof, False, N, points, 1e-14)
+    assert rho <= 1e-14
+    if N % 2:
+        u = np.linalg.svd(flux_matrix(math.pi / 2, DIR, N).imag)[2][-1]
+        u *= np.sign(u[0])
+        dense = basis @ np.linalg.solve(jump + (1.0 - jump[0, 0]) * np.outer(u, u), basis.T)
+        dense -= np.outer(basis @ u, basis @ u)
+        assert np.max(np.abs(g - basis @ u)) <= 1e-13 * np.max(np.abs(basis @ u))
+    else:
+        dense = basis @ np.linalg.solve(jump, basis.T)
+        assert g is None
+    assert np.max(np.abs(gram - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense))), np.max(np.abs(gram - dense))
+
+
+@pytest.mark.parametrize("flux, N", [(flux, N + 1) for flux, N in SYLVESTER_CASES] + SYLVESTER_CASES)
+def test_dirichlet_sylvester_log_det_matches_lu(flux, N):
+    # the periodic cases' fluxes on N = 41 (odd: bordered, and exactly singular F at flux pi/2), 257, 40 and 256
+    a = gaussian_bump_with_flux(flux)
+    prof = flux_profile(a, N / 2.0)
+    point = evaluate_point(a, DIR, N, N / 2.0)
+    dense = 2.0 * log_det(overlap_matrix(prof, DIR, N))
+    assert abs(point.log_D_sq - dense) <= 1e-10, point.log_D_sq - dense
+    assert_allclose(point.c_ratio, math.exp(dense - 2.0 * log_det(flux_matrix(prof.total_flux, DIR, N))), rtol=1e-10)
+
+
+def _triangle(total_flux: float) -> PiecewiseLinear:
+    """A triangle on [-1, 1] of the given total flux (1/2) int a."""
+    return PiecewiseLinear(((-1.0, 0.0), (0.0, 2.0 * total_flux), (1.0, 0.0)))
+
+
+@pytest.mark.parametrize("N, eps", [(N, eps) for N in (181, 513) for eps in (1e-3, 1e-5, 1e-7, 1e-9, 0.0)]
+                         + [(2047, 1e-9), (2047, 0.0)])
+def test_dirichlet_log_det_at_odd_n_near_delta_pi_over_2_matches_lu(N, eps):
+    # delta_L = pi/2 - eps: c = cos(delta_L) vanishes on the null vector u_0 of the jump matrix's off-diagonal
+    # part, and the bordered Sylvester matrix keeps log|D|^2 finite; at eps = 0, D~ = 0 and C = inf
+    a = _triangle(math.pi / 2 - eps)
+    prof = flux_profile(a, N / 2.0)
+    assert abs(prof.delta_L - (math.pi / 2 - eps)) <= 1e-15
+    point = evaluate_point(a, DIR, N, N / 2.0)
+    assert abs(point.log_D_sq - 2.0 * log_det(overlap_matrix(prof, DIR, N))) <= 1e-10
+    assert (point.c_ratio == math.inf) == (point.log_Dtilde_sq == -math.inf) == (eps == 0.0)
+
+
+def test_dirichlet_sylvester_log_det_matches_the_ritz_oracle_at_2_15():
+    N = 2**15
+    prof = flux_profile(SWEEP_POTENTIALS[DIR], N / 2.0)
+    point = evaluate_point(SWEEP_POTENTIALS[DIR], DIR, N, N / 2.0)
+    ritz = overlap_log_det_sq(overlap_coefficients(prof, DIR, N), DIR, N)
+    assert abs(point.log_D_sq - ritz) <= 2e-10, point.log_D_sq - ritz
+
+
+def test_dirichlet_sylvester_c_at_2_17_matches_the_gate_value():
+    # the Ritz route's C at 2^17 on the bench potential, L = N / 2, as in the periodic case
+    N = 2**17
+    point = evaluate_point(SWEEP_POTENTIALS[DIR], DIR, N, N / 2.0)
+    assert_allclose(point.c_ratio, 2.504238716331226, rtol=1e-10)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 16, 33])
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_frobenius_deficit_matches_the_assembled_matrix(bc, N):
@@ -869,7 +951,7 @@ def test_frobenius_deficit_matches_the_assembled_matrix(bc, N):
     c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     m = overlap_module._assemble(c, N, bc is PER)
     reference = N - float(np.vdot(m, m).real)
-    assert abs(overlap_module._frobenius_deficit(c, N, bc is PER) - reference) <= 1e-13 * float(np.vdot(m, m).real)
+    assert abs(frobenius_deficit(c, N, bc is PER) - reference) <= 1e-13 * float(np.vdot(m, m).real)
 
 
 def test_frobenius_deficit_of_the_sweep_is_rounded_once():
@@ -879,7 +961,7 @@ def test_frobenius_deficit_of_the_sweep_is_rounded_once():
     c = overlap_coefficients(flux_profile(SWEEP_POTENTIALS[PER], N / 2.0), PER, N)
     weights = N - np.abs(np.arange(1 - N, N))
     exact = N - sum(int(w) * (Fraction(float(z.real)) ** 2 + Fraction(float(z.imag)) ** 2) for w, z in zip(weights, c))
-    assert overlap_module._frobenius_deficit(c, N, True) == float(exact)
+    assert frobenius_deficit(c, N, True) == float(exact)
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
@@ -892,10 +974,10 @@ def test_frobenius_deficit_does_not_depend_on_the_slicing(bc, monkeypatch):
     for N in 2 ** np.arange(11, 16):
         size = 2 * N - 1 if bc is PER else 2 * N + 1
         c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        sliced = overlap_module._frobenius_deficit(c, N, bc is PER)
+        sliced = frobenius_deficit(c, N, bc is PER)
         for width in (4 * N + 2, 2) if N == 2**11 else (4 * N + 2,):
-            monkeypatch.setattr(overlap_module, "_SUM_SLICE", width)
-            assert overlap_module._frobenius_deficit(c, N, bc is PER).hex() == sliced.hex(), (N, width)
+            monkeypatch.setattr(oracles_module, "_SUM_SLICE", width)
+            assert frobenius_deficit(c, N, bc is PER).hex() == sliced.hex(), (N, width)
         monkeypatch.undo()
 
 
@@ -910,7 +992,7 @@ def test_frobenius_deficit_peak_memory_does_not_grow_with_n(bc):
         c = np.full(size, 0.6 + 0.8j) / np.sqrt(size)
         tracemalloc.start()
         try:
-            overlap_module._frobenius_deficit(c, N, bc is PER)
+            frobenius_deficit(c, N, bc is PER)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -949,12 +1031,12 @@ def test_matrix_build_peak_memory_is_a_small_multiple_of_the_result(bc, build):
 
 @pytest.mark.parametrize("bc", [PER, DIR])
 def test_evaluate_point_peak_memory_is_linear_in_n(bc):
-    # no N x N array is formed: |D| holds Q and A Q (which becomes E Q in
-    # place), two (k, N) blocks with k = 32, plus slices of product and QR
-    # workspace, and ||Delta_N||_1 works on a core whose size does not depend
-    # on N.  The peak reads 4.2 (periodic) and 5.1 (Dirichlet) N k 16 bytes
-    # at N = 2048, set by |D|; the budget of 6 leaves a 17% margin over the
-    # larger.  Assembling Delta_N alone would take N / k = 64 of them
+    # no N x N array is formed: |D| streams V's rows into a p x p matrix,
+    # the Dirichlet jump log-det holds a sketch of 24 real rows and their
+    # products, and ||Delta_N||_1 works on a core whose size does not depend
+    # on N.  The peak reads 2.8 (periodic) and 3.6 (Dirichlet) N k 16 bytes,
+    # k = 32, at N = 2048, under a budget of 6.  Assembling Delta_N alone
+    # would take N / k = 64 of them
     N, L, k = 2048, 1024.0, 32
     a = SWEEP_POTENTIALS[bc]
     evaluate_point(a, bc, N, L)  # warm the cached quadrature rule
@@ -970,23 +1052,27 @@ def test_evaluate_point_peak_memory_is_linear_in_n(bc):
 # one grid point in a fresh interpreter; prints the peak resident set of its own address space in KiB.
 # Linux carries the forking process's peak across exec into ru_maxrss, so that would read the test
 # runner's size; VmHWM is the high-water mark of the address space the child built after exec.
-# The child also prints the Ritz width the overlap log-det certified at, the rows of its last _tsqr_r
-# (0 when no Ritz log-det ran, as for the periodic C_{N,L} from the p x p core)
+# The child also prints how many tall-skinny QRs (matrixcore._tsqr_r, one per Ritz pass) ran outside the
+# Dirichlet jump log-det's ritz_log_det: none, as no Ritz sketch runs on the overlap matrix
 _POINT_CHILD = """
 import json, sys
-from flux_catastrophe import matrixcore, overlap
+from flux_catastrophe import hilbert, matrixcore, overlap
 from flux_catastrophe.potential import potential_from_dict
-widths, certified, tsqr_r, ritz_log_det = [], [], matrixcore._tsqr_r, overlap.ritz_log_det
-matrixcore._tsqr_r = lambda blocks: widths.append(sum(len(b) for b in blocks)) or tsqr_r(blocks)
-def overlap_log_det(*args):
-    value = ritz_log_det(*args)
-    certified.append(widths[-1])
-    return value
-overlap.ritz_log_det = overlap_log_det
+inside, outside, ritz_log_det, tsqr_r = [False], [], hilbert.ritz_log_det, matrixcore._tsqr_r
+def jump_log_det(*args):
+    inside[0] = True
+    try:
+        return ritz_log_det(*args)
+    finally:
+        inside[0] = False
+def counted(blocks):
+    if not inside[0]:
+        outside.append(sum(len(b) for b in blocks))
+    return tsqr_r(blocks)
+hilbert.ritz_log_det, matrixcore._tsqr_r = jump_log_det, counted
 N = int(sys.argv[3])
 overlap.evaluate_point(potential_from_dict(json.loads(sys.argv[1])), sys.argv[2], N, N / 2)
-print(certified[0] if certified else 0,
-      next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+print(len(outside), next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
 
 
@@ -996,29 +1082,25 @@ def test_grid_point_process_peak_rss_is_three_blocks_at_n_2_15(bc):
     # the whole process, untraced allocations (LAPACK, FFT plans) and the
     # allocator's own retention included: a bench-potential point at
     # N = 2^15 grows the peak resident set over the same point at N = 64 by
-    # at most three (k, N) complex blocks, k = 32: Q and A Q plus slack.
-    # The bound holds only where k = 32 certifies, so a sketch that had to
-    # extend fails as its width, not as a number of blocks.  The periodic
-    # point runs no Ritz log-det: its C_{N,L} streams V's rows one FFT row
-    # at a time, and the point grows by at most one such block
+    # at most a (k, N) complex block, k = 32 (periodic), or one and a half
+    # (Dirichlet).  No Ritz sketch runs on the overlap matrix: C_{N,L}
+    # streams V's rows 2^15 / N at a time (one FFT row here), and the
+    # Dirichlet jump log-det's sketch holds 24 real rows of length N/2 and
+    # their products of length N.  The growth reads 0.21 and 0.91 blocks
     package_root = str(Path(flux_catastrophe.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
     raw = json.dumps(potential_to_dict(SWEEP_POTENTIALS[bc]))
 
     def point(N):
         args = [sys.executable, "-c", _POINT_CHILD, raw, bc.value, str(N)]
-        width, peak_kb = subprocess.run(args, env=env, capture_output=True, text=True, check=True).stdout.split()
-        return int(width), 1024 * int(peak_kb)
+        sketches, peak_kb = subprocess.run(args, env=env, capture_output=True, text=True, check=True).stdout.split()
+        return int(sketches), 1024 * int(peak_kb)
 
     N, k = 2**15, 32
-    (width, peak), (_, base) = point(N), point(64)
+    (sketches, peak), (_, base) = point(N), point(64)
     grown = peak - base
-    if bc is PER:
-        assert width == 0, "the periodic overlap log-det ran a Ritz sketch"
-        assert grown <= N * k * 16, grown / (N * k * 16)
-        return
-    assert width == k, f"the overlap log-det certified at k = {width}, so the {k}-row bound does not apply"
-    assert grown <= 3 * N * k * 16, grown / (N * k * 16)
+    assert sketches == 0, f"{sketches} Ritz passes ran on the overlap matrix"
+    assert grown <= (1.0 if bc is PER else 1.5) * N * k * 16, grown / (N * k * 16)
 
 
 _TRACE_NORM_CALLS = itertools.count(1)
@@ -1032,7 +1114,7 @@ def _unsettled_trace_norm(core: np.ndarray, gram: np.ndarray) -> float:
 @pytest.mark.parametrize(
     "bc, stage, module, name, value",
     [
-        pytest.param(DIR, "coefficients", overlap_module, "_QUADRATURE_TOL", 0.0, id="coefficients"),
+        pytest.param(DIR, "overlap log-det", overlap_module, "_QUADRATURE_TOL", 0.0, id="dirichlet-settling"),
         pytest.param(PER, "overlap log-det", overlap_module, "_QUADRATURE_TOL", 0.0, id="periodic-settling"),
         pytest.param(PER, "overlap log-det", overlap_module, "_LOGDET_ABS_ERR", 1e-300, id="periodic-bound"),
         pytest.param(DIR, "overlap log-det", overlap_module, "_LOGDET_ABS_ERR", 1e-300, id="overlap-log-det"),
