@@ -45,8 +45,7 @@ to 1 ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 
@@ -134,8 +133,7 @@ def trigamma(x):
 DEFAULT_N_GRID = (128, 181, 256, 362, 512, 724, 1024, 1448, 2048)
 
 
-@dataclass(frozen=True)
-class ExponentFit:
+class ExponentFit(NamedTuple):
     """Least-squares line through (ln N, log value) pairs."""
 
     slope: float

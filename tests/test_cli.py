@@ -260,8 +260,8 @@ def test_runs_load_no_numpy_random_polynomial_or_ma(tmp_path):
 
 
 # in a fresh interpreter: runs each config but the last through cli.main, validates the config documents
-# of the JSON list argv[1], runs the last config; prints the exit codes and whether numpy was loaded before
-# the last run and after it
+# of the JSON list argv[1], runs the last config; prints the exit codes and which of numpy, dataclasses and
+# _hashlib (OpenSSL) were loaded before the last run and after it
 _NUMPY_AUDIT = """
 import json, sys, tempfile
 from flux_catastrophe import cli
@@ -272,16 +272,18 @@ for config in closed_forms:
         codes.append(cli.main(["run", config, "--out", out]))
 for raw in json.loads(sys.argv[1]):
     cli.ExperimentConfig.from_dict(raw)
-before = "numpy" in sys.modules
+audited = ("numpy", "dataclasses", "_hashlib")
+before = [name for name in audited if name in sys.modules]
 with tempfile.TemporaryDirectory() as out:
     codes.append(cli.main(["run", array_run, "--out", out]))
-print(json.dumps([codes, before, "numpy" in sys.modules]))
+print(json.dumps([codes, before, [name for name in audited if name in sys.modules]]))
 """
 
 
 def test_closed_form_runs_and_config_checks_load_no_numpy(tmp_path):
     # exponent_fit, anderson and energy are closed forms on math, and a config check builds its
-    # potential without arrays; the first overlap_sweep run is what loads numpy
+    # potential without arrays; the first overlap_sweep run is what loads numpy.  No run loads
+    # dataclasses, and the config hash takes the interpreter's own SHA-256, not OpenSSL's
     runs = {"exponent_fit": {"delta_override": 0.5, "n_grid": [64, 128, 256, 512]},
             "anderson": {"delta_override": 0.5, "n_grid": [16, 64]},
             "energy": {"potential": POTENTIAL, "n_grid": [101, 1000]},
@@ -299,7 +301,7 @@ def test_closed_form_runs_and_config_checks_load_no_numpy(tmp_path):
                             capture_output=True, text=True, env=_cli_env(), check=True)
     codes, before, after = json.loads(result.stdout.strip().splitlines()[-1])
     assert codes == [cli.EXIT_OK] * 4
-    assert (before, after) == (False, True)
+    assert (before, after) == ([], ["numpy"])
 
 
 # one run through cli.main in a fresh interpreter; prints its exit code and the threads the process then holds
@@ -516,6 +518,14 @@ def test_bench_config_hashes_are_pinned(name):
     path = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{name}.json"
     config = cli.ExperimentConfig.from_dict(json.loads(path.read_text()))
     assert config.config_hash == BENCH_CONFIG_HASHES[name]
+
+
+def test_config_hash_of_tolerances_and_bc_is_pinned():
+    # no bench config has tolerances: this pins their part of the canonical dict, the raw values in
+    # sorted key order (an integer stays an integer), and a non-default bc
+    raw = {"experiment": "exponent_fit", "bc": "dirichlet", "delta_override": 0.5, "n_grid": [64, 128, 256, 512],
+           "tolerances": {"slope_abs_err": 0.02, "constant_abs_err": 1}}
+    assert cli.ExperimentConfig.from_dict(raw).config_hash == "26921dcba782"
 
 
 def test_selftest_passes(capsys):

@@ -201,6 +201,50 @@ def test_json_roundtrip_and_errors():
         potential_from_dict({"kind": "gaussian_bump", "amplitude": 1.0, "total_flux": 1.0})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussianBump(width=0.0),
+        lambda: GaussianBump(0.0, -0.5),
+        lambda: GaussianBump(support_radius=-1.0),
+        lambda: GaussianBump()._replace(width=-0.5),
+        lambda: PiecewiseLinear(((0.0, 1.0), (0.0, 2.0))),
+        lambda: PiecewiseLinear(((-1.0, 0.0), (1.0, 1.0), (0.5, 0.0))),
+    ],
+    ids=["zero-width", "negative-width", "negative-radius", "replaced-width", "repeated-knot", "decreasing-knots"],
+)
+def test_invalid_potentials_raise_at_construction(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+SPECS = {
+    "gaussian_bump": {"kind": "gaussian_bump", "center": 0.3, "width": 0.4, "amplitude": 1.2, "support_radius": 3.5},
+    "piecewise_linear": {"kind": "piecewise_linear", "knots": [[-1.0, 0.0], [0.5, 2.0], [1.5, 0.0]],
+                         "support_radius": 2.0},
+    "table_samples": {"kind": "table_samples", "x0": -1.0, "dx": 0.5, "values": [0.0, 0.4, 1.0, 0.2, 0.0],
+                      "support_radius": 2.0},
+}
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_potentials_are_immutable_values(kind):
+    a, b = potential_from_dict(SPECS[kind]), potential_from_dict(SPECS[kind])
+    assert a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        a.support_radius = 10.0
+    assert potential_to_dict(a) == SPECS[kind]
+
+
+def test_piecewise_linear_lifts_support_radius_to_its_outermost_knot():
+    knots = ((-3.0, 0.0), (1.0, 1.0), (2.0, 0.0))
+    assert PiecewiseLinear(knots).support_radius == 3.0
+    assert PiecewiseLinear(knots, support_radius=1.0).support_radius == 3.0
+    assert PiecewiseLinear(knots, support_radius=5.0).support_radius == 5.0
+    lowered = PiecewiseLinear(knots, support_radius=5.0)._replace(support_radius=0.0)
+    assert lowered.support_radius == 3.0 and lowered.antiderivative(3.0) == lowered.total_integral == 2.5
+
+
 def test_flux_profile_rejects_bad_L(zero_pot):
     with pytest.raises(DomainError):
         flux_profile(zero_pot, 0.0)
