@@ -30,8 +30,10 @@ I - alpha K = c^2 I + s^2 B^T B = G^T G, alpha = (4/pi^2) sin^2(delta), is
 the Gram matrix of G = [|c| I; |s| B], F's M even-parity columns up to a
 phase per block.  Up to signs B is (2/pi) B', one Toeplitz-minus-Hankel
 section, so dirichlet_flux_logdet hands _parity_factor's G to the shared
-certified engine matrixcore.ritz_log_det; only k_matrix, the dense oracle,
-holds an M x M array.
+certified engine matrixcore.ritz_sketch; only k_matrix, the dense oracle,
+holds an M x M array.  The same sketch (dirichlet_rest_sketch) also gives
+overlap the Woodbury inverse of the jump matrix for the Dirichlet G, so a
+grid point runs it once for both determinants.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .asymptotics import digamma, trigamma
 from .errors import DomainError
-from .matrixcore import Product, operator_norm, ritz_log_det, toeplitz_hankel_operator
+from .matrixcore import Product, RitzSketch, operator_norm, ritz_sketch, toeplitz_hankel_operator
 
 
 def hilbert_section_norm(M: int) -> float:
@@ -98,26 +100,35 @@ def k_matrix(N: int) -> np.ndarray:
     return K
 
 
-def _parity_factor(N: int, delta: float) -> tuple[Product, Product]:
-    """V -> G V and W -> G^T W on (k, .) blocks, G = [|cos delta| I_M; (2/pi) |sin delta| B'], in O(k T log T).
+def parity_block(N: int) -> tuple[Product, Product]:
+    """(V -> B' V, W -> B'^T W) on (k, M) and (k, T) blocks, in O(k T log T), M = N // 2, T = N - M.
 
     B'_ab = 1/(2(a - b) - 1) - 1/(2(a + b) - 1), a = 1..T, b = 1..M, is
     T(t) - H(h) with t_u = 1/(2u - 1) and h_v = 1/(2v + 3) (v = a + b - 2),
     one FFT operator on T x T blocks: a (k, M) block is padded with a zero
-    column when N is odd (T = M + 1), and B'^T runs on the reversed t.
-    G^T G = I - alpha K up to diag((-1)^b) (module docstring).
+    column when N is odd (T = M + 1), and B'^T runs on the reversed t.  In
+    flux_matrix's order B = D_1 (2/pi) B' D_2, D_1 = diag((-1)^(a+1)) and
+    D_2 = diag((-1)^(b+1)) (module docstring).
     """
     M, T = N // 2, (N + 1) // 2
     u = np.arange(1 - T, T, dtype=float)
     t, h = 1.0 / (2.0 * u - 1.0), 1.0 / (2.0 * np.arange(2 * T - 1) + 3.0)
     b, bt = toeplitz_hankel_operator(t, h), toeplitz_hankel_operator(t[::-1], h)
+    return (lambda V: b(np.pad(V, [(0, 0), (0, T - M)]))), (lambda W: bt(W)[:, :M])
+
+
+def _parity_factor(N: int, delta: float) -> tuple[Product, Product]:
+    """V -> G V and W -> G^T W on (k, .) blocks, G = [|cos delta| I_M; (2/pi) |sin delta| B'], B' of parity_block.
+    G^T G = I - alpha K up to diag((-1)^b) (module docstring)."""
+    M = N // 2
+    b, bt = parity_block(N)
     c, s = abs(math.cos(delta)), (2.0 / math.pi) * abs(math.sin(delta))
 
     def forward(V: np.ndarray) -> np.ndarray:
-        return np.concatenate([c * V, s * b(np.pad(V, [(0, 0), (0, T - M)]))], axis=1)
+        return np.concatenate([c * V, s * b(V)], axis=1)
 
     def adjoint(W: np.ndarray) -> np.ndarray:
-        return c * W[:, :M] + s * bt(np.ascontiguousarray(W[:, M:]))[:, :M]
+        return c * W[:, :M] + s * bt(np.ascontiguousarray(W[:, M:]))
 
     return forward, adjoint
 
@@ -178,6 +189,8 @@ def k_part_norms(M: int) -> KPartNorms:
 
 _SKETCH_COLUMNS = 24
 _LOGDET_ABS_ERR = 1e-12
+# the sketch's Woodbury inverse feeds overlap's G, whose interpolation floor is 1e-13
+_INVERSE_REL_ERR = 1e-13
 
 
 def dirichlet_flux_logdet(delta: float, N: int) -> float:
@@ -191,12 +204,22 @@ def dirichlet_flux_logdet(delta: float, N: int) -> float:
 
 def dirichlet_rest_logdet(delta: float, N: int) -> float:
     """log det(G^T G) for _parity_factor's G: log|det F| without the odd-N factor, for odd N log|det F_rest| of F
-    on the complement of its off-diagonal part's null vector, finite at delta = pi/2 too.
+    on the complement of its off-diagonal part's null vector, finite at delta = pi/2 too: dirichlet_rest_sketch's
+    log-det."""
+    return dirichlet_rest_sketch(delta, N).log_det
+
+
+def dirichlet_rest_sketch(delta: float, N: int) -> RitzSketch:
+    """dirichlet_rest_logdet with the sketch it comes from: matrixcore.ritz_sketch on _parity_factor's G, whose
+    q, rest (G Q's odd part, (2/pi) |sin delta| B' Q) and R also give (G^T G)^-1 (overlap's jump inverse).
 
     G depends on delta through |cos delta| and |sin delta| alone (so -delta gives the same bits); delta = 0
-    gives exactly 0.0.  All but twenty or so eigenvalues of I - G^T G = alpha K, alpha = (4/pi^2) sin^2(delta),
-    are below rounding for N <= 2^17, so matrixcore.ritz_log_det takes it from a k = 24 row sketch, certified
-    to 1e-12 under the closed-form trace alpha tr K.  For M > k no M x M array exists.
+    (and N = 1) gives exactly 0.0 and the empty sketch.  All but twenty or so eigenvalues of I - G^T G =
+    alpha K, alpha = (4/pi^2) sin^2(delta), are below rounding for N <= 2^17, so ritz_sketch takes it from a
+    k = 24 row sketch, certified to 1e-12 under the closed-form trace alpha tr K; the tail tr E - sum theta
+    it leaves reads at most 7.8e-15 and the residual ||E Q - Q H||_F 1.6e-14 on the sweep_dirichlet grid, 7.0e-14
+    and 4.2e-13 at N = 2^17.  A certified sketch whose Woodbury inverse is off by more than 1e-13 (_INVERSE_REL_ERR)
+    is extended while its rounding term allows.  For M > k no M x M array exists.
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")
@@ -205,6 +228,6 @@ def dirichlet_rest_logdet(delta: float, N: int) -> float:
     alpha = (4.0 / math.pi**2) * math.sin(delta) ** 2
     M = N // 2
     if alpha == 0.0 or M == 0:
-        return 0.0
+        return RitzSketch(0.0, np.zeros((0, M)), np.zeros((0, N - M)), np.zeros((0, 0)), 0.0, 0.0, 1.0)
     trace = alpha * float(np.sum(_k_vectors(N)[2]))
-    return ritz_log_det(*_parity_factor(N, delta), trace, M, _LOGDET_ABS_ERR, _SKETCH_COLUMNS)
+    return ritz_sketch(*_parity_factor(N, delta), trace, M, _LOGDET_ABS_ERR, _SKETCH_COLUMNS, _INVERSE_REL_ERR)

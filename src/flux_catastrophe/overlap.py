@@ -90,30 +90,44 @@ a refinement rebuilds only C.  Periodic: F = s T, s = (-1)^{n_L}
 sin(delta_L) / pi, T Cauchy, so log|det F| is asymptotics.fh_log_det and
 F^{-1} = diag(a) T(t) diag(b) a closed form (_jump_inverse).  Dirichlet:
 F = c I + i s S, c = cos Phi_L(L), s = sin Phi_L(L), S real symmetric
-(_sine_symbol), is normal, so F^{-1} = (c I - i s S)(c^2 I + s^2 S^2)^{-1},
-by real conjugate gradients, two FFT products with S per step; the spectrum
-clusters at 1, and 5-8 steps reach eps_p for N = 128 .. 2^17 on the
-benchmark potential.  For odd N, S u_0 = 0 (_null_vector), so F u_0 = c u_0
-and F is singular at |delta_L| = pi/2: u_0 is projected out of the CG, which
-gives G_perp on its complement, and with g = V u_0
+(_sine_symbol), is normal, so F^{-1} = (c I - i s S)(c^2 I + s^2 S^2)^{-1}.
+In hilbert's parity order S = [[0, B], [B^T, 0]], B = D_1 (2/pi) B' D_2, and
+c^2 + s^2 B^T B = A^T A for hilbert's parity factor A, whose jump log-det
+sketch (hilbert.dirichlet_rest_sketch) leaves Q, A Q and R, R^T R =
+Q A^T A Q^T.  So X_e = (A^T A)^{-1} ~ I + Q^T ((R^T R)^{-1} - I) Q, by
+Woodbury on the numerically low-rank E = I - A^T A, and the odd block
+X_o = (c^2 + s^2 B B^T)^{-1}, of the same nonzero spectrum, ~ I + W P^{-1}
+((R^T R)^{-1} - I) W^T with W = B D_2 Q^T, A Q's odd rows, and P = W^T W.
+Push-through (B^T X_o = X_e B^T) gives G = c V_o X_o V_o^T + c V_e X_e V_e^T
+- i s (Y + Y^T), Y = V_o B X_e V_e^T: V V^T in closed form, p x k
+contractions of Q and W through _factored_phases, and one half-length B'
+product on p/2 rows of V_e (_dirichlet_gram), with no solve.  To first
+order the Woodbury inverse is off by a relative (tail + residual) / s_min^2,
+the tail tr E - sum theta, residual ||E Q - Q H|| scaled per Ritz vector in
+the odd block, from the sketch: at most 9e-14 on the benchmark sweep, 2.7e-12
+at N = 2^17 and 1.0e-11 at 2^20, where the residual sits at the FFT products'
+rounding floor.  For odd N, S u_0 = 0 (_null_vector), so F u_0 = c u_0
+and F is singular at |delta_L| = pi/2: W is orthogonal to u_0, and V V^T
+loses g g^T, g = V u_0, which gives G_perp on its complement, and
 
     det A = det F_rest |g| det [[I + C G_perp, C g], [-g^T / |g|, c / |g|]],
 
-log|det F_rest| from hilbert.dirichlet_rest_logdet.  The border row is scaled
+log|det F_rest| from the same sketch.  The border row is scaled
 to a unit vector: unscaled, |g| ~ sqrt N spreads M's singular values, and
 their rounding exceeded the budget at N = 2047.  So log|D|^2 stays finite
 where D~ = 0, and C_{N,L} = inf there.  The Chebyshev points are symmetric,
-and V(-y) = conj V(y) with F^{-1} real, or V(-y) = V(y) D with D =
-diag((-1)^(j+1)), D F D = conj F and D u_0 = u_0, so G[::-1, ::-1] = conj G
-and only p/2 columns are solved for; V's rows stream through
-_factored_phases, and no (p, N) array exists.
+and V(-y) = conj V(y) with F^{-1} real, so periodic G[::-1, ::-1] = conj G
+and only p/2 columns are built; the Dirichlet V_e(-y) = -V_e(y), so Y needs
+p/2 columns.  V's rows stream through _factored_phases, and no (p, N) array
+exists.
 
 The doubling driver settles |det M|^2, M = I + C G or the bordered matrix,
 to a relative 1e-10 from one SVD of M per refine level.  _sylvester_bound
 then bounds, to first order, what the interpolation (eps_p, the a-priori
-error at the chosen p plus 2p eps), the CG residual (stopped at eps_p) and
-the p x p rounding leave in log|D|^2; above 1e-10 it raises NumericalError.
-It reads 7.6e-12 and 4.3e-12 on the periodic and Dirichlet benchmark sweeps,
+error at the chosen p plus 2p eps), the Woodbury truncation and the p x p
+rounding leave in log|D|^2; above 1e-10 it raises NumericalError.
+It reads 7.6e-12 and 5.6e-12 on the periodic and Dirichlet benchmark sweeps,
+5.2e-11 at the Dirichlet 2^20 point,
 at most 1.1e-11 for the periodic bumps of flux pi/2 + 1e-12, 1.58 and 1.6
 and for the Dirichlet flux-pi/2 triangle at N = 2047.  G's own rounding is
 not in it: dense LU and the tests' Ritz sum on A's FFT products are its
@@ -138,8 +152,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .asymptotics import fh_log_det
 from .errors import DomainError, NumericalError, stage
-from .hilbert import dirichlet_rest_logdet
-from .matrixcore import fh_coefficients, toeplitz, toeplitz_hankel_operator, trace_norm
+from .hilbert import dirichlet_rest_sketch, parity_block
+from .matrixcore import RitzSketch, fh_coefficients, toeplitz, toeplitz_hankel_operator, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
 from .quadrature import adaptive_gauss_legendre, build_edges, cis_integral, gauss_legendre_rule, panel_nodes
 from .spectrum import BoundaryCondition
@@ -363,13 +377,20 @@ def _delta_core(prof: FluxProfile, periodic: bool, N: int, y: np.ndarray, m: np.
     # C = P^T diag(s mu) P = Lambda^T diag(s m) Lambda, Lambda_ca = l_a(y_c), s = 2 in the Dirichlet basis
     kernel, total = _barycentric(y, R, p)
     lam = kernel / total[:, None]
-    core, cheb = lam.T @ ((m if periodic else 2.0 * m)[:, None] * lam), _chebyshev_points(R, p)
+    core = lam.T @ ((m if periodic else 2.0 * m)[:, None] * lam)
+    return core, _basis_gram(L, periodic, N, _chebyshev_points(R, p))
+
+
+def _basis_gram(L: float, periodic: bool, N: int, points: np.ndarray) -> np.ndarray:
+    """V V^H of the basis V at the points, in closed form: the Dirichlet kernel D_N (periodic), or
+    sum_j sin(j y_a) sin(j y_b) = (D_{2N+1}(y_a - y_b) - D_{2N+1}(y_a + y_b)) / 4, y = pi/2 + pi x / 2L.  As
+    D_{2N+1} is even and 2 pi-periodic, y_a + y_b = pi ((L + x_a) + (L + x_b)) / 2L is replaced by
+    pi ((L - x_a) + (L - x_b)) / 2L when that is smaller, so the argument keeps its relative accuracy near 0."""
     if periodic:
-        return core, _dirichlet_kernel(np.pi * (cheb[:, None] - cheb) / L, N)
-    # sum_j sin(j y_a) sin(j y_b) for y = pi/2 + s in s_a -+ s_b, so no argument grows with N
-    s = np.pi * cheb / (2 * L)
-    d, u = s[:, None] - s, s[:, None] + s
-    return core, 0.25 * (_dirichlet_kernel(d, 2 * N + 1) - (-1) ** N * np.cos((N + 0.5) * u) / np.cos(0.5 * u))
+        return _dirichlet_kernel(np.pi * (points[:, None] - points) / L, N)
+    far = np.minimum(np.add.outer(L + points, L + points), np.add.outer(L - points, L - points))
+    return 0.25 * (_dirichlet_kernel(np.pi * (points[:, None] - points) / (2 * L), 2 * N + 1)
+                   - _dirichlet_kernel(np.pi * far / (2 * L), 2 * N + 1))
 
 
 def _core_sampler(prof: FluxProfile, periodic: bool, N: int, sample):
@@ -461,6 +482,15 @@ def _gram_slices(half: int, N: int):
     return (slice(lo, min(half, lo + step)) for lo in range(0, half, step))
 
 
+def _phase_contract(outer: np.ndarray, inner: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_phase_products of a real (k, n) block, n <= B Q, zero-padded and streamed through _gram_slices."""
+    width = outer.shape[1] * inner.shape[1]
+    out = np.empty((len(outer), len(rows)), dtype=complex)
+    for sl in _gram_slices(len(rows), width):
+        out[:, sl] = _phase_products(outer, inner, np.pad(rows[sl], [(0, 0), (0, width - rows.shape[1])]))
+    return out
+
+
 def _periodic_columns(prof: FluxProfile, N: int, points: np.ndarray, half: int) -> np.ndarray:
     """G[:, :half] of G = V F^{-1} V^H for the periodic jump matrix F, 0 < |delta_L| <= pi/2, and
     V_ak = e^{-i pi (k - (N-1)/2) y_a / L} at the points y.
@@ -495,75 +525,58 @@ def _null_vector(N: int) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def _conjugate_gradients(apply, b: np.ndarray, tol: float, null: np.ndarray | None) -> tuple[np.ndarray, float]:
-    """(x, rho): conjugate gradients on apply(x) = b row by row of a real (k, n) block, ``apply`` symmetric
-    positive definite on the complement of the unit vector ``null`` (None: R^n), which is projected out of b and
-    of every residual.  A row stops at a residual of tol |b_row|, all within n steps; rho is the largest
-    |r| / |b| at the end."""
+def _dirichlet_gram(prof: FluxProfile, N: int, points: np.ndarray, sketch: RitzSketch):
+    """(G, g, truncation): the Dirichlet G = V F^{-1} V^T at the points, or G_perp on the complement of u_0 with
+    g = V u_0 (odd N; None for even N), from the parity sketch of hilbert.dirichlet_rest_sketch, and the
+    relative truncation bound of its Woodbury inverse (module docstring).
 
-    def project(y: np.ndarray) -> np.ndarray:
-        if null is not None:
-            y -= np.outer(y @ null, null)
-        return y
-
-    norms = np.linalg.norm(b, axis=1)
-    x, r = np.zeros_like(b), project(b.copy())
-    d, rr = r.copy(), np.einsum("ij,ij->i", r, r)
-    target = (tol * norms) ** 2
-    for _ in range(b.shape[1]):
-        active = rr > target
-        if not active.any():
-            break
-        q = apply(d)
-        alpha = np.divide(rr, np.einsum("ij,ij->i", d, q), out=np.zeros_like(rr), where=active)
-        x += alpha[:, None] * d
-        r -= alpha[:, None] * q
-        previous, rr = rr, np.einsum("ij,ij->i", project(r), r)
-        d = r + np.divide(rr, previous, out=np.zeros_like(rr), where=active)[:, None] * d
-    return x, math.sqrt(float(np.max(rr / norms**2)))
-
-
-def _dirichlet_columns(prof: FluxProfile, N: int, points: np.ndarray, half: int, tol: float,
-                       null: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, float]:
-    """(G[:, :half], g, rho) of the Dirichlet G = V F^{-1} V^T, V_aj = sin(j y_a), y = pi/2 + pi points / 2L, or
-    of G_perp on the complement of ``null`` (odd N) with g = V null (None without it), and the CG's rho.
-    F^{-1} = (c I - i s S)(c^2 I + s^2 S^2)^{-1}, the inverse by _conjugate_gradients to tol, and V = Im(i^j E)
-    for E_aj = e^{i j pi y_a / 2L} (_factored_phases), so V x^T = (E (i^j x)^T - conj(E (i^j conj x)^T)) / 2i."""
-    c, sine = _jump_diagonal(prof.total_flux), math.sin(prof.total_flux)
-    product = toeplitz_hankel_operator(*_toeplitz_hankel(_sine_symbol(N), N, False))
-    outer, inner = _factored_phases(np.pi * points / (2.0 * prof.L), 1.0, N)
-    i_j, pad = np.array([1.0, 1j, -1.0, -1j])[np.arange(1, N + 1) % 4], outer.shape[1] * inner.shape[1] - N
-
-    def basis_products(x: np.ndarray) -> np.ndarray:  # V x^T for complex rows x
-        both = _phase_products(outer, inner, np.pad(np.concatenate([i_j * x, i_j * x.conj()]), [(0, 0), (0, pad)]))
-        return (both[:, : len(x)] - both[:, len(x) :].conj()) / 2j
-
-    columns, rho = np.empty((len(points), half), dtype=complex), 0.0
-    for sl in _gram_slices(half, N):
-        v = (_phase_rows(outer, inner, sl, N)[:, :N] * i_j).imag  # V's rows sl
-        z, residual = _conjugate_gradients(lambda u: c * c * u + sine * sine * product(product(u)), v, tol, null)
-        columns[:, sl] = basis_products(c * z - 1j * sine * product(z))
-        rho = max(rho, residual)
-    return columns, None if null is None else basis_products(null[None, :].astype(complex))[:, 0].real, rho
-
-
-def _jump_inverse_gram(prof: FluxProfile, periodic: bool, N: int, points: np.ndarray, tol: float):
-    """(G, g, rho) for V the basis at the p Chebyshev points: G = V F^{-1} V^H (periodic) or V F^{-1} V^T
-    (Dirichlet; G_perp and g = V u_0 for odd N, else g = None) and the CG's relative residual rho (0 for the
-    periodic closed form).  p/2 columns are built and the rest mirrored, G[::-1, ::-1] = conj G (module
-    docstring).  At delta_L = 0 the periodic F = +-I and G is +-V V^H, the Gram matrix of _delta_core.
+    In hilbert's parity order and signs V_o' = cos((2a - 1) theta) and V_e' = -sin(2b theta), theta =
+    pi points / 2L, each the real or imaginary part of _factored_phases at 2 theta, and
+    G = c V V^T + c V_o' X_o V_o'^T + ... as in the module docstring, with V V^T the closed form _basis_gram.
     """
+    M, T, p, half = N // 2, (N + 1) // 2, len(points), len(points) // 2
+    c, sine = _jump_diagonal(prof.total_flux), math.sin(prof.total_flux)
+    angle = np.pi * points / prof.L
+    odd = _factored_phases(angle, 0.5, T)
+    gram, g, y = c * _basis_gram(prof.L, False, N, points), None, np.zeros((p, p))
+    if N % 2:
+        g = _phase_contract(*odd, (_null_vector(N)[::2] * (-1.0) ** np.arange(T))[None, :])[:, 0].real
+        gram -= c * np.outer(g, g)
+    if M:
+        even, block = _factored_phases(angle, 1.0, M), parity_block(N)[0]
+        for sl in _gram_slices(half, N):  # (2/pi) V_o' B' V_e'^T at half the points; V_e'(-y) = -V_e'(y)
+            y[:, sl] = (2.0 / math.pi) * _phase_contract(*odd, block(-_phase_rows(*even, sl, M)[:, :M].imag)).real
+        y[:, half:] = -y[:, half - 1 :: -1]
+    truncation = sketch.tail
+    if len(sketch.q):
+        _, sigma, zt = np.linalg.svd(sketch.r)
+        ve = -_phase_contract(*even, sketch.q).imag @ zt.T
+        vo = _phase_contract(*odd, sketch.rest).real @ zt.T
+        weight = np.einsum("ij,jk,ik->i", zt, sketch.rest @ sketch.rest.T, zt)  # |O~_i|^2
+        kappa = 1.0 / sigma**2 - 1.0
+        gram += c * ((ve * kappa) @ ve.T + (vo * (kappa / weight)) @ vo.T)
+        y += (vo * (kappa / abs(math.sin(prof.delta_L)))) @ ve.T
+        residual, scale = zt @ sketch.residual @ zt.T, np.sqrt(weight) / abs(math.sin(prof.delta_L))
+        spread = max(np.linalg.eigvalsh(m)[-1] for m in (residual, residual / np.outer(scale, scale)))
+        truncation = (max(sketch.tail, 0.0) + math.sqrt(max(float(spread), 0.0))) / sketch.s_min**2
+    return gram - 1j * sine * (y + y.T), g, truncation
+
+
+def _jump_inverse_gram(prof: FluxProfile, periodic: bool, N: int, points: np.ndarray, sketch: RitzSketch | None):
+    """(G, g, truncation) for V the basis at the p Chebyshev points: G = V F^{-1} V^H (periodic, sketch None) or
+    _dirichlet_gram of the parity sketch (G_perp and g = V u_0 for odd N, else g = None) and its truncation
+    bound (0 for the periodic closed form).  The periodic p/2 columns are built and the rest mirrored,
+    G[::-1, ::-1] = conj G (module docstring).  At delta_L = 0 the periodic F = +-I and G is +-V V^H.
+    """
+    if not periodic:
+        return _dirichlet_gram(prof, N, points, sketch)
+    if prof.delta_L == 0.0:
+        return (-1.0 if prof.n_L % 2 else 1.0) * _basis_gram(prof.L, True, N, points), None, 0.0
     p, half = len(points), len(points) // 2
-    if periodic and prof.delta_L == 0.0:
-        sign = -1.0 if prof.n_L % 2 else 1.0
-        return sign * _dirichlet_kernel(np.pi * (points[:, None] - points) / prof.L, N), None, 0.0
-    gram, g, rho = np.empty((p, p), dtype=complex), None, 0.0
-    if periodic:
-        gram[:, :half] = _periodic_columns(prof, N, points, half)
-    else:
-        gram[:, :half], g, rho = _dirichlet_columns(prof, N, points, half, tol, _null_vector(N) if N % 2 else None)
+    gram = np.empty((p, p), dtype=complex)
+    gram[:, :half] = _periodic_columns(prof, N, points, half)
     gram[:, half:] = gram[::-1, half - 1 :: -1].conj()
-    return gram, g, rho
+    return gram, None, 0.0
 
 
 def _sylvester_bound(matrix: np.ndarray, fixed: np.ndarray, core: np.ndarray, gram: np.ndarray, eps_core: float,
@@ -574,7 +587,7 @@ def _sylvester_bound(matrix: np.ndarray, fixed: np.ndarray, core: np.ndarray, gr
     M - J = diag(C, 1) G' for J = diag(``fixed``) (I, or diag(I, c / |g|) with the border), the core C and the
     bordered Gram matrix G'.  With X = M^{-1} from the SVD of M, a change dM moves log|det M| by Re tr(X dM):
     - interpolation: the p points reproduce the basis to eps_p (module docstring), read as relative changes of
-      the two factors, eps_core on C's side and eps_gram (eps_p plus the CG residual) on G''s, so, as
+      the two factors, eps_core on C's side and eps_gram (eps_p plus the Woodbury truncation) on G''s, so, as
       (M - J) X = I - J X and X (M - J) = I - X J,
       |tr(X dM)| <= (eps_core + eps_core eps_gram) |I - J X|_* + eps_gram |I - X J|_*;
     - forming C G: |dM| <= p eps |C| |G| entrywise on its p rows, so |tr(X dM)| <= p eps sum |X^T| |C| |G|;
@@ -603,14 +616,16 @@ def _sylvester_bound(matrix: np.ndarray, fixed: np.ndarray, core: np.ndarray, gr
 _LOGDET_ABS_ERR = 1e-10
 
 
-def _sylvester_log_det(prof: FluxProfile, periodic: bool, N: int, core) -> tuple[float, float]:
+def _sylvester_log_det(prof: FluxProfile, periodic: bool, N: int, core,
+                       sketch: RitzSketch | None) -> tuple[float, float]:
     """(log|det M|^2, |det M|^2) for M = I + C G, or the odd-N Dirichlet border (module docstring) with its |g|
     folded in, on the cores of ``core``: settled to a relative 1e-10 by adaptive_gauss_legendre, one SVD of M
-    per refine, with G built once, its CG run to eps_p; NumericalError if _sylvester_bound exceeds 1e-10."""
+    per refine, with G built once (Dirichlet: from the parity sketch); NumericalError if _sylvester_bound
+    exceeds 1e-10."""
     L, R, p = prof.L, prof.potential.support_radius, len(core(0)[0])
     # the a-priori interpolation error at this p, at most the 1e-13 the p was chosen for, plus its rounding
     eps_p = math.exp(_chebyshev_log_error(math.pi * N * R / (2.0 * L), p)[0]) + 2 * p * float(np.finfo(float).eps)
-    gram, g, rho = _jump_inverse_gram(prof, periodic, N, _chebyshev_points(R, p), eps_p)
+    gram, g, truncation = _jump_inverse_gram(prof, periodic, N, _chebyshev_points(R, p), sketch)
     base, size = np.eye(p, dtype=complex), 1.0
     if g is not None:  # det A = det F_rest |g| det M, M bordered by C g and the unit row -g^T / |g|
         size = float(np.linalg.norm(g))
@@ -631,10 +646,10 @@ def _sylvester_log_det(prof: FluxProfile, periodic: bool, N: int, core) -> tuple
 
     det_sq = adaptive_gauss_legendre(estimate, _QUADRATURE_TOL, scale=0.0)
     refine = last["refine"]
-    bound, s_min = _sylvester_bound(matrix(refine), np.diag(base), core(refine)[0], gram, eps_p, eps_p + rho)
+    bound, s_min = _sylvester_bound(matrix(refine), np.diag(base), core(refine)[0], gram, eps_p, eps_p + truncation)
     if not bound <= _LOGDET_ABS_ERR:
-        raise NumericalError("Sylvester log-det bound exceeds the budget", achieved=bound,
-                             requested=_LOGDET_ABS_ERR, s_min=s_min, p=p)
+        raise NumericalError("Sylvester log-det bound exceeds the budget", achieved=bound, requested=_LOGDET_ABS_ERR,
+                             s_min=s_min, p=p, k=0 if sketch is None else len(sketch.q), truncation=truncation)
     return last["log_det"], det_sq
 
 
@@ -666,7 +681,7 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
 
     In both bases, with no O(N) coefficient vector and no dense LU: log|D|^2 = 2 log|det F_rest| + log|det M|^2,
     M the Sylvester matrix on the cores ||Delta_N||_1 reads too (_sylvester_log_det), and log|det F_rest| from
-    (delta_L, N) alone, asymptotics.fh_log_det or hilbert.dirichlet_rest_logdet.  F_rest = F but for odd N in
+    (delta_L, N) alone, asymptotics.fh_log_det or hilbert.dirichlet_rest_sketch.  F_rest = F but for odd N in
     the Dirichlet basis, where F = c F_rest, c = cos Phi_L(L): log|D~| adds log|c| and C_{N,L} = |det M|^2 / c^2
     (inf where c = 0), otherwise |det M|^2.  ||Delta_N||_1 is checked against the periodic proof's (N/L)
     int |y a(y)| dy (Dirichlet too, numerically) up to an absolute 1e-8.  A DomainError or NumericalError names
@@ -674,12 +689,13 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     """
     prof = flux_profile(a, L)
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
+    with stage("jump log-det"):
+        sketch = None if periodic else dirichlet_rest_sketch(prof.delta_L, N)
+        ld_rest = fh_log_det(prof.delta_L, N) if periodic else sketch.log_det
     with stage("overlap log-det"):
         sample = _support_sampler(prof, periodic, N)
         core = _core_sampler(prof, periodic, N, sample)
-        log_det_sq, det_sq = _sylvester_log_det(prof, periodic, N, core)
-    with stage("jump log-det"):
-        ld_rest = fh_log_det(prof.delta_L, N) if periodic else dirichlet_rest_logdet(prof.delta_L, N)
+        log_det_sq, det_sq = _sylvester_log_det(prof, periodic, N, core, sketch)
     c = 1.0 if periodic or N % 2 == 0 else _jump_diagonal(prof.total_flux)
     ld_flux = ld_rest + math.log(abs(c)) if c else -math.inf
     with stage("trace norm"):

@@ -46,7 +46,7 @@ import numpy as np
 
 from flux_catastrophe.asymptotics import digamma, trigamma
 from flux_catastrophe.errors import DomainError, NumericalError
-from flux_catastrophe.matrixcore import ritz_log_det, toeplitz_hankel_operator
+from flux_catastrophe.matrixcore import ritz_sketch, toeplitz_hankel_operator
 from flux_catastrophe.overlap import support_nodes
 from flux_catastrophe.potential import flux_profile
 from flux_catastrophe.quadrature import cis_integral
@@ -595,7 +595,7 @@ def frobenius_deficit(c: np.ndarray, N: int, periodic: bool) -> float:
     prefix P carried across slices), so no array of size N exists and the
     result does not depend on the slicing.  A plain float64 sum misses tr E
     by 2.8e-13 .. 9.5e-12 on the benchmark potentials at N = 2^11 .. 2^17
-    (L = N/2), 17-385x ritz_log_det's own rounding allowance
+    (L = N/2), 17-385x ritz_sketch's own rounding allowance
     (log2 N + k) eps tr E.
     """
     return math.fsum(itertools.chain.from_iterable(part.tolist() for part in _deficit_terms(c, N, periodic)))
@@ -607,7 +607,7 @@ def overlap_log_det_sq(c: np.ndarray, bc, N: int) -> float:
     The overlap matrix is a finite section of the unitary multiplication by
     e^{i g_L}, a contraction, so log|D|^2 = log det(A^H A), and only
     O(log N) singular values of A lie below 1 - rounding.
-    matrixcore.ritz_log_det takes it to an absolute 1e-10 from the FFT
+    matrixcore.ritz_sketch takes it to an absolute 1e-10 from the FFT
     operator of A = T(t) - H(h) (T_jk = t[(N-1) + j - k] and H_jk = h[j + k];
     periodic: t = c and no H; Dirichlet: t_d = c_|d| and h = c[2:]) and the
     closed-form tr(I - A^H A) = N - ||A||_F^2 of frobenius_deficit.
@@ -627,4 +627,4 @@ def overlap_log_det_sq(c: np.ndarray, bc, N: int) -> float:
     def adjoint(w: np.ndarray) -> np.ndarray:
         return forward(w[..., flip].conj())[..., flip].conj()
 
-    return ritz_log_det(forward, adjoint, frobenius_deficit(c, N, periodic), N, 1e-10)
+    return ritz_sketch(forward, adjoint, frobenius_deficit(c, N, periodic), N, 1e-10).log_det

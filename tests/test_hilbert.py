@@ -297,6 +297,14 @@ def test_dirichlet_flux_logdet_doubles_the_sketch_until_certified(monkeypatch):
     assert abs(doubled - expected) <= 1e-12
 
 
+def test_dirichlet_flux_logdet_on_the_bench_grid_is_pinned_to_the_bit():
+    # the closed_forms dirichlet_hilbert grid at delta = pi/4: the parity sketch that now also feeds the
+    # Dirichlet overlap's G leaves the log-dets of the Ritz sum it certifies as they were, bit for bit
+    pinned = {512: "-0x1.23ee323ebd0bbp-1", 1024: "-0x1.3b34e3691f1fep-1", 2048: "-0x1.522ad04faa614p-1",
+              4096: "-0x1.68e6eb8ff42cap-1", 8192: "-0x1.7f79cdaf83124p-1"}
+    assert {N: dirichlet_flux_logdet(math.pi / 4, N).hex() for N in pinned} == pinned
+
+
 def test_dirichlet_flux_logdet_is_deterministic():
     for N in (181, 4096):
         assert dirichlet_flux_logdet(1.2375, N).hex() == dirichlet_flux_logdet(1.2375, N).hex()

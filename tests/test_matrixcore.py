@@ -16,7 +16,7 @@ from flux_catastrophe.matrixcore import (
     fh_matrix,
     log_det,
     operator_norm,
-    ritz_log_det,
+    ritz_sketch,
     toeplitz,
     toeplitz_hankel_operator,
     trace_norm,
@@ -304,7 +304,11 @@ def test_toeplitz_hankel_operator_matches_dense_t_minus_h(n, kind):
         assert_allclose(adjoint(block), block @ dense.conj(), rtol=0, atol=scale * np.linalg.norm(block))
 
 
-# -- ritz_log_det: certified log det(A^H A) from block products -------------
+# -- ritz_sketch: certified log det(A^H A) from block products -------------
+
+
+def ritz_log_det(*args) -> float:
+    return ritz_sketch(*args).log_det
 
 
 def _known_spectrum(mu: np.ndarray, n: int, seed: int = 7):
@@ -362,6 +366,35 @@ def test_ritz_log_det_extends_q_by_rows_orthonormal_to_the_old_ones():
     assert widths == [32, 32, 32, 32, 32]
     q = np.concatenate([rows[3], rows[4]])  # the rows of Q in the second pass, old then new
     assert_allclose(q @ q.conj().T, np.eye(64), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("width, k", [(5, 32), (40, 64)])
+def test_ritz_sketch_hands_back_its_last_pass(width, k):
+    # A = [A_0; A_0] / sqrt 2 maps C^n to C^2n with A^H A = A_0^H A_0: the sketch returns all rows of Q (one pass,
+    # or the extended 64), A Q's rows past n, the R of (A Q)^T and the terms of its certificate, each against
+    # the same quantity formed from Q directly
+    n = 300
+    forward0, adjoint0, trace, exact, _widths, _u = _known_spectrum(0.9 * 0.5 ** np.arange(width), n)
+
+    def forward(V):
+        half = forward0(V) / math.sqrt(2.0)
+        return np.concatenate([half, half], axis=1)
+
+    def adjoint(W):
+        return (adjoint0(np.ascontiguousarray(W[:, :n])) + adjoint0(np.ascontiguousarray(W[:, n:]))) / math.sqrt(2.0)
+
+    sketch = ritz_sketch(forward, adjoint, trace, n, 1e-10)
+    q, aq = sketch.q, forward(sketch.q)
+    assert abs(sketch.log_det - exact) <= 1e-10 and q.shape == (k, n)
+    assert_allclose(q @ q.conj().T, np.eye(k), rtol=0, atol=1e-14)
+    assert_allclose(sketch.rest, aq[:, n:], rtol=0, atol=1e-14)
+    assert_allclose(sketch.r.conj().T @ sketch.r, aq.conj() @ aq.T, rtol=0, atol=1e-14)
+    sigma = np.linalg.svd(sketch.r, compute_uv=False)
+    assert sketch.s_min == sigma[-1]
+    assert abs(sketch.tail - (trace - np.sum(1.0 - sigma**2))) <= 1e-14
+    eq = q - adjoint(aq)
+    residual = eq - (eq @ q.conj().T) @ q
+    assert_allclose(sketch.residual, residual @ residual.conj().T, rtol=0, atol=1e-28)
 
 
 def test_ritz_log_det_raises_on_a_tail_an_extension_does_not_shrink():

@@ -22,7 +22,7 @@ from scipy.integrate import quad
 import flux_catastrophe
 from flux_catastrophe import cli
 from flux_catastrophe.errors import DomainError, NumericalError
-from flux_catastrophe.hilbert import dirichlet_flux_logdet
+from flux_catastrophe.hilbert import dirichlet_flux_logdet, dirichlet_rest_sketch
 from flux_catastrophe.matrixcore import fh_matrix, log_det, trace_norm
 import flux_catastrophe.matrixcore as matrixcore_module
 import flux_catastrophe.hilbert as hilbert_module
@@ -534,27 +534,32 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
     # refine level, which ||Delta_N||_1 reuses.  At N = 128 ||Delta_N||_1 is
     # the core's and no matrix is assembled; at N = 40 <= 3p/2 the dense SVD
     # assembles Delta_N once from its own coefficients, not from the jump
-    # symbol's
-    calls = {name: 0 for name in ("overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix",
-                                  "flux_matrix", "_assemble", "support_nodes", "_chebyshev_contract", "_delta_core",
-                                  "_jump_inverse_gram")}
-    for name in calls:
-        original = getattr(overlap_module, name)
+    # symbol's.  A Dirichlet point runs one parity sketch (one Ritz engine
+    # run), whose Q and R give both its jump log-det and G; a periodic point
+    # runs none
+    names = ("overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix", "flux_matrix",
+             "_assemble", "support_nodes", "_chebyshev_contract", "_delta_core", "_jump_inverse_gram",
+             "dirichlet_rest_sketch")
+    calls = {name: 0 for name in names + ("ritz_sketch",)}
+    for module, name in [(overlap_module, name) for name in names] + [(hilbert_module, "ritz_sketch")]:
+        original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(overlap_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     a = gaussian_bump_with_flux(2.0)
     for N, dense in ((40, 1), (128, 0)):
         for bc in (PER, DIR):
             for name in calls:
                 calls[name] = 0
             evaluate_point(a, bc, N, N / 2.0)
+            sketches = int(bc is DIR)
             assert calls == {"overlap_coefficients": 0, "flux_coefficients": 0, "flux_profile": 1,
                              "overlap_matrix": 0, "flux_matrix": 0, "_assemble": dense, "support_nodes": 2,
-                             "_chebyshev_contract": 2, "_delta_core": 2, "_jump_inverse_gram": 1}, (N, bc)
+                             "_chebyshev_contract": 2, "_delta_core": 2, "_jump_inverse_gram": 1,
+                             "dirichlet_rest_sketch": sketches, "ritz_sketch": sketches}, (N, bc)
 
 
 @pytest.mark.parametrize("bc", [PER, DIR])
@@ -871,20 +876,19 @@ def test_null_vector_matches_the_svd_null_vector(N):
     assert_allclose(u, np.sign(null[0]) * null, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("N", [1, 2, 5, 64, 181])
-@pytest.mark.parametrize(
-    "flux", [math.pi / 4, math.pi / 2, math.pi / 2 - 1e-9, math.pi / 2 + 1e-9, math.pi, 2 * math.pi + 0.5]
-)
-def test_dirichlet_gram_matches_the_dense_solve(flux, N):
-    # the CG-built G = V F^{-1} V^T, half of it mirrored, against V solve(F, V^T); for odd N, where F is
+def _assert_dirichlet_gram_matches_the_dense_solve(flux, N):
+    # G = V F^{-1} V^T by Woodbury on the parity sketch against V solve(F, V^T); for odd N, where F is
     # exactly singular at delta_L = pi/2, G_perp against the same solve with F's eigenvalue c on its null
     # vector u moved to 1 and that direction taken out again, and g against V u
     prof = flux_profile(gaussian_bump_with_flux(flux), max(N / 2.0, 4.0))
     points = overlap_module._chebyshev_points(4.0, 48)
-    basis = np.sin(np.outer(np.pi / 2 + np.pi * points / (2.0 * prof.L), np.arange(1, N + 1)))
+    # sin(j pi/2 + j s) by parity, so that no argument rounds at j pi/2
+    j, s = np.arange(1, N + 1), np.pi * points[:, None] / (2.0 * prof.L)
+    basis = np.where(j % 2, np.sin(j * np.pi / 2) * np.cos(j * s), np.cos(j * np.pi / 2) * np.sin(j * s))
     jump = flux_matrix(prof.total_flux, DIR, N)
-    gram, g, rho = overlap_module._jump_inverse_gram(prof, False, N, points, 1e-14)
-    assert rho <= 1e-14
+    sketch = dirichlet_rest_sketch(prof.delta_L, N)
+    gram, g, truncation = overlap_module._jump_inverse_gram(prof, False, N, points, sketch)
+    assert truncation <= 1e-12
     if N % 2:
         u = np.linalg.svd(flux_matrix(math.pi / 2, DIR, N).imag)[2][-1]
         u *= np.sign(u[0])
@@ -895,6 +899,35 @@ def test_dirichlet_gram_matches_the_dense_solve(flux, N):
         dense = basis @ np.linalg.solve(jump, basis.T)
         assert g is None
     assert np.max(np.abs(gram - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense))), np.max(np.abs(gram - dense))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 64, 181, 512, 1447, 2048])
+@pytest.mark.parametrize(
+    "flux", [math.pi / 4, math.pi / 2, math.pi / 2 - 1e-9, math.pi / 2 + 1e-9, math.pi, 2 * math.pi + 0.5]
+)
+def test_dirichlet_gram_matches_the_dense_solve(flux, N):
+    _assert_dirichlet_gram_matches_the_dense_solve(flux, N)
+
+
+def _extended_sketches(monkeypatch) -> list[int]:
+    """Start the parity sketch at 8 rows, so that it has to be extended, and record each Ritz pass's width."""
+    widths, original = [], matrixcore_module._tsqr_r
+
+    def recorded(blocks):
+        widths.append(sum(len(b) for b in blocks))
+        return original(blocks)
+
+    monkeypatch.setattr(matrixcore_module, "_tsqr_r", recorded)
+    monkeypatch.setattr(hilbert_module, "_SKETCH_COLUMNS", 8)
+    return widths
+
+
+@pytest.mark.parametrize("flux", [math.pi / 4, math.pi / 2, 2 * math.pi + 0.5])
+def test_dirichlet_gram_from_an_extended_sketch_matches_the_dense_solve(monkeypatch, flux):
+    # 8 rows fail the certificate at N = 512: G is built from every row of the extended Q
+    widths = _extended_sketches(monkeypatch)
+    _assert_dirichlet_gram_matches_the_dense_solve(flux, 512)
+    assert widths[0] == 8 and widths[-1] > 8, widths
 
 
 @pytest.mark.parametrize("flux, N", [(flux, N + 1) for flux, N in SYLVESTER_CASES] + SYLVESTER_CASES)
@@ -924,6 +957,14 @@ def test_dirichlet_log_det_at_odd_n_near_delta_pi_over_2_matches_lu(N, eps):
     point = evaluate_point(a, DIR, N, N / 2.0)
     assert abs(point.log_D_sq - 2.0 * log_det(overlap_matrix(prof, DIR, N))) <= 1e-10
     assert (point.c_ratio == math.inf) == (point.log_Dtilde_sq == -math.inf) == (eps == 0.0)
+
+
+@pytest.mark.parametrize("N", [181, 513, 2047])
+def test_dirichlet_log_det_at_odd_n_and_delta_pi_over_2_from_an_extended_sketch_matches_lu(monkeypatch, N):
+    # the eps = 0 cases above, the bordered G_perp from a parity sketch extended from 8 rows
+    widths = _extended_sketches(monkeypatch)
+    test_dirichlet_log_det_at_odd_n_near_delta_pi_over_2_matches_lu(N, 0.0)
+    assert widths[0] == 8 and widths[-1] > 8, widths
 
 
 def test_dirichlet_sylvester_log_det_matches_the_ritz_oracle_at_2_15():
@@ -1053,23 +1094,23 @@ def test_evaluate_point_peak_memory_is_linear_in_n(bc):
 # Linux carries the forking process's peak across exec into ru_maxrss, so that would read the test
 # runner's size; VmHWM is the high-water mark of the address space the child built after exec.
 # The child also prints how many tall-skinny QRs (matrixcore._tsqr_r, one per Ritz pass) ran outside the
-# Dirichlet jump log-det's ritz_log_det: none, as no Ritz sketch runs on the overlap matrix
+# Dirichlet jump log-det's ritz_sketch: none, as no Ritz sketch runs on the overlap matrix
 _POINT_CHILD = """
 import json, sys
 from flux_catastrophe import hilbert, matrixcore, overlap
 from flux_catastrophe.potential import potential_from_dict
-inside, outside, ritz_log_det, tsqr_r = [False], [], hilbert.ritz_log_det, matrixcore._tsqr_r
-def jump_log_det(*args):
+inside, outside, ritz_sketch, tsqr_r = [False], [], hilbert.ritz_sketch, matrixcore._tsqr_r
+def jump_sketch(*args):
     inside[0] = True
     try:
-        return ritz_log_det(*args)
+        return ritz_sketch(*args)
     finally:
         inside[0] = False
 def counted(blocks):
     if not inside[0]:
         outside.append(sum(len(b) for b in blocks))
     return tsqr_r(blocks)
-hilbert.ritz_log_det, matrixcore._tsqr_r = jump_log_det, counted
+hilbert.ritz_sketch, matrixcore._tsqr_r = jump_sketch, counted
 N = int(sys.argv[3])
 overlap.evaluate_point(potential_from_dict(json.loads(sys.argv[1])), sys.argv[2], N, N / 2)
 print(len(outside), next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
