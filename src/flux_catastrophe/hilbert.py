@@ -189,37 +189,29 @@ def k_part_norms(M: int) -> KPartNorms:
 
 _SKETCH_COLUMNS = 24
 _LOGDET_ABS_ERR = 1e-12
-# the sketch's Woodbury inverse feeds overlap's G, whose interpolation floor is 1e-13
-_INVERSE_REL_ERR = 1e-13
 
 
 def dirichlet_flux_logdet(delta: float, N: int) -> float:
     """log|D~_{N,L}| of the N x N Dirichlet jump-symbol matrix, any N >= 1, from O(N) vectors: by det F =
-    c^(N - 2M) det(G^T G) (module docstring), (N - 2M) log|cos delta| + dirichlet_rest_logdet(delta, N), M = N // 2,
-    so odd N at delta = pi/2 gives exactly -inf.  LU of I - alpha K with k_matrix's K and of
+    c^(N - 2M) det(G^T G) (module docstring), (N - 2M) log|cos delta| + dirichlet_rest_sketch(delta, N)'s log-det,
+    M = N // 2, so odd N at delta = pi/2 gives exactly -inf.  LU of I - alpha K with k_matrix's K and of
     overlap.flux_matrix(Phi, DIRICHLET, N), Phi = n pi + delta, are the test oracles."""
     odd = N % 2 and (-math.inf if abs(delta) == math.pi / 2 else math.log(abs(math.cos(delta))))
-    return odd + dirichlet_rest_logdet(delta, N)
-
-
-def dirichlet_rest_logdet(delta: float, N: int) -> float:
-    """log det(G^T G) for _parity_factor's G: log|det F| without the odd-N factor, for odd N log|det F_rest| of F
-    on the complement of its off-diagonal part's null vector, finite at delta = pi/2 too: dirichlet_rest_sketch's
-    log-det."""
-    return dirichlet_rest_sketch(delta, N).log_det
+    return odd + dirichlet_rest_sketch(delta, N).log_det
 
 
 def dirichlet_rest_sketch(delta: float, N: int) -> RitzSketch:
-    """dirichlet_rest_logdet with the sketch it comes from: matrixcore.ritz_sketch on _parity_factor's G, whose
-    q, rest (G Q's odd part, (2/pi) |sin delta| B' Q) and R also give (G^T G)^-1 (overlap's jump inverse).
+    """matrixcore.ritz_sketch on _parity_factor's G: its log-det is log det(G^T G), log|det F| without the odd-N
+    factor, for odd N log|det F_rest| of F on the complement of its off-diagonal part's null vector, finite at
+    delta = pi/2 too; its q, rest (G Q's odd part, (2/pi) |sin delta| B' Q) and R also give (G^T G)^-1, overlap's
+    Dirichlet jump inverse.
 
     G depends on delta through |cos delta| and |sin delta| alone (so -delta gives the same bits); delta = 0
     (and N = 1) gives exactly 0.0 and the empty sketch.  All but twenty or so eigenvalues of I - G^T G =
     alpha K, alpha = (4/pi^2) sin^2(delta), are below rounding for N <= 2^17, so ritz_sketch takes it from a
     k = 24 row sketch, certified to 1e-12 under the closed-form trace alpha tr K; the tail tr E - sum theta
-    it leaves reads at most 7.8e-15 and the residual ||E Q - Q H||_F 1.6e-14 on the sweep_dirichlet grid, 7.0e-14
-    and 4.2e-13 at N = 2^17.  A certified sketch whose Woodbury inverse is off by more than 1e-13 (_INVERSE_REL_ERR)
-    is extended while its rounding term allows.  For M > k no M x M array exists.
+    it leaves reads at most 1.6e-14 and the residual ||E Q - Q H||_F 1.6e-14 on the sweep_dirichlet grid, 7.0e-14
+    and 4.2e-13 at N = 2^17.  For M > k no M x M array exists.
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")
@@ -228,6 +220,6 @@ def dirichlet_rest_sketch(delta: float, N: int) -> RitzSketch:
     alpha = (4.0 / math.pi**2) * math.sin(delta) ** 2
     M = N // 2
     if alpha == 0.0 or M == 0:
-        return RitzSketch(0.0, np.zeros((0, M)), np.zeros((0, N - M)), np.zeros((0, 0)), 0.0, 0.0, 1.0)
+        return RitzSketch(0.0, np.zeros((0, M)), np.zeros((0, N - M)), np.zeros((0, 0)), 0.0, np.zeros((0, 0)))
     trace = alpha * float(np.sum(_k_vectors(N)[2]))
-    return ritz_sketch(*_parity_factor(N, delta), trace, M, _LOGDET_ABS_ERR, _SKETCH_COLUMNS, _INVERSE_REL_ERR)
+    return ritz_sketch(*_parity_factor(N, delta), trace, M, _LOGDET_ABS_ERR, _SKETCH_COLUMNS)

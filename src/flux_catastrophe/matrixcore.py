@@ -155,8 +155,8 @@ class RitzSketch(NamedTuple):
     (k, n), the rows ``rest`` of A Q past n, (k, m - n) for A from C^n to C^m (A Q's first n entries become
     E Q), the R of (A Q)^T = Z R, so that Q^H E Q = I - R^H R, the tail tr E - sum theta, the k x k Gram
     matrix D D^H of the residual rows D = E Q - (Q^H E Q) Q, whose trace is ||D||_F^2 and whose largest
-    eigenvalue is ||D||_2^2, and the smallest singular value s_min of R.  The empty sketch (k = 0) has tail
-    tr E and s_min 1; the identity sketch (k = n) is exact, tail and residual 0."""
+    eigenvalue is ||D||_2^2.  The empty sketch (k = 0) has tail tr E; the identity sketch (k = n) is exact,
+    tail and residual 0."""
 
     log_det: float
     q: np.ndarray
@@ -164,17 +164,10 @@ class RitzSketch(NamedTuple):
     r: np.ndarray
     tail: float
     residual: np.ndarray
-    s_min: float
-
-
-def _stack(blocks: list[np.ndarray]) -> np.ndarray:
-    """The rows of the blocks in one array, the block itself when there is one."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def ritz_sketch(
-    forward: Product, adjoint: Product, trace: float, n: int, abs_err: float, columns: int = _SKETCH_COLUMNS,
-    inverse_err: float = math.inf,
+    forward: Product, adjoint: Product, trace: float, n: int, abs_err: float, columns: int = _SKETCH_COLUMNS
 ) -> RitzSketch:
     """log det(A^H A) of a contraction A on C^n, certified, from V -> A V and W -> A^H W alone, with its sketch.
 
@@ -229,13 +222,9 @@ def ritz_sketch(
     Woodbury inverse (A^H A)^-1 ~ I + Q^H ((R^H R)^-1 - I) Q, which drops
     E_22 and E_21.  Their norms are at most the tail and ||E_21||_2 =
     ||E Q - Q (Q^H E Q)||_2, from the Gram matrix of the residual rows handed
-    back, and ||(A^H A)^-1|| = 1 / s_min^2, so to first order the inverse is
-    off by a relative (max(tail, 0) + ||E_21||_2) / s_min^2.  A
-    certified pass whose inverse bound exceeds inverse_err (no limit by
-    default) extends the sketch as above, unless the rounding term of the
-    doubled sketch, whose k new singular values are at least 1, would no
-    longer fit abs_err: then the log-det could not be certified there, and
-    the sketch comes back with its bound for the caller to judge.
+    back, and ||(A^H A)^-1|| = 1 / s_min^2, s_min of R, so to first order
+    the inverse is off by a relative (max(tail, 0) + ||E_21||_2) / s_min^2,
+    for the caller to judge: the log-det's certificate alone sizes the sketch.
 
     Memory: Q and one block that holds A Q and then, in place, E Q: two
     (k, n) blocks when A maps C^n to C^n.  While the sketch is extended the
@@ -248,7 +237,7 @@ def ritz_sketch(
     # the empty sketch: tr E alone bounds the sum, so E = 0 gives exactly 0.0
     g = trace * (1.0 + n.bit_length() * eps)
     if g < 1.0 and g / (1.0 - g) <= abs_err:
-        return RitzSketch(0.0, np.zeros((0, n)), np.zeros((0, 0)), np.zeros((0, 0)), trace, np.zeros((0, 0)), 1.0)
+        return RitzSketch(0.0, np.zeros((0, n)), np.zeros((0, 0)), np.zeros((0, 0)), trace, np.zeros((0, 0)))
     rng = random.Random(_SKETCH_SEED)
     q_blocks: list[np.ndarray] = []
     k, previous_tail = columns, math.inf
@@ -271,44 +260,36 @@ def ritz_sketch(
         s = np.linalg.svd(r, compute_uv=False)
         ld = 2.0 * float(np.sum(np.log(s))) if s[-1] > 0.0 else -math.inf
         if k >= n or s[-1] == 0.0:
-            return RitzSketch(ld, _stack(q_blocks), _stack([aq[:, n:] for aq in aq_blocks]), r, 0.0, np.zeros(r.shape),
-                              float(s[-1]))
-        frobenius = 0.0  # ||E Q - Q (Q^H E Q)||_F^2
-        for q, aq in zip(q_blocks, aq_blocks):
-            eq = aq[:, :n]  # A Q turns into E Q in place, row slice by row slice
-            for sl in _row_slices(len(q), n):
-                eq[sl] = q[sl] - adjoint(aq[sl])
-            _project_out(eq, q_blocks)
-            frobenius += sum(float(np.vdot(eq[:, sl], eq[:, sl]).real) for sl in _column_slices(len(eq), n))
-        theta = 1.0 - s * s  # ascending, as s descends
-
-        def rounding(rows: int, inverse_sum: float) -> float:
-            return eps * (
-                (n.bit_length() + rows) * (trace + float(np.sum(np.abs(theta))))
-                + 2 * ((2 * n).bit_length() + rows) * inverse_sum
-            )
-
-        def fits(bound: float) -> bool:
-            return bound < 1.0 and bound / (1.0 - bound) <= abs_err
-
-        tail, spent = trace - float(np.sum(theta)), rounding(k, float(np.sum(1.0 / s)))
-        g = max(tail, 0.0) + frobenius / s[-1] ** 2 + spent
-        if fits(g):
-            slices = (np.concatenate([aq[:, sl] for aq in aq_blocks]) for sl in _column_slices(k, n))
-            residual = sum(e @ e.conj().T for e in slices)
-            inverse = (max(tail, 0.0) + math.sqrt(max(float(np.linalg.eigvalsh(residual)[-1]), 0.0))) / s[-1] ** 2
-            if inverse <= inverse_err or not fits(rounding(2 * k, float(np.sum(1.0 / s)) + k)):
-                return RitzSketch(ld, _stack(q_blocks), _stack([aq[:, n:] for aq in aq_blocks]), r, tail, residual,
-                                  float(s[-1]))
+            tail, residual = 0.0, np.zeros(r.shape)
         else:
-            context = dict(achieved=float(g / (1.0 - g)) if g < 1.0 else math.inf, requested=abs_err,
-                           s_min=float(s[-1]), k=k)
-            if not fits(spent):
-                raise NumericalError("log-det rounding alone exceeds the budget", **context)
-            if tail > abs_err and 2.0 * tail >= previous_tail and theta[0] <= 0.0:
-                raise NumericalError("log-det tail is spread over the sketch's complement", tail=tail, **context)
-        del aq_blocks, aq, eq  # before the next pass draws its sketch rows
-        k, previous_tail = 2 * k, tail
+            for q, aq in zip(q_blocks, aq_blocks):
+                eq = aq[:, :n]  # A Q turns into E Q in place, row slice by row slice
+                for sl in _row_slices(len(q), n):
+                    eq[sl] = q[sl] - adjoint(aq[sl])
+                _project_out(eq, q_blocks)
+            slices = (np.concatenate([aq[:, sl] for aq in aq_blocks]) for sl in _column_slices(k, n))
+            residual = sum(e @ e.conj().T for e in slices)  # D D^H, D = E Q - Q (Q^H E Q)
+            theta = 1.0 - s * s  # ascending, as s descends
+            rounding = eps * (
+                (n.bit_length() + k) * (trace + float(np.sum(np.abs(theta))))
+                + 2 * ((2 * n).bit_length() + k) * float(np.sum(1.0 / s))
+            )
+            tail = trace - float(np.sum(theta))
+            g = max(tail, 0.0) + float(np.trace(residual).real) / s[-1] ** 2 + rounding
+            if not (g < 1.0 and g / (1.0 - g) <= abs_err):
+                achieved = float(g / (1.0 - g)) if g < 1.0 else math.inf
+                context = dict(achieved=achieved, requested=abs_err, s_min=float(s[-1]), k=k)
+                if rounding >= 1.0 or rounding / (1.0 - rounding) > abs_err:
+                    raise NumericalError("log-det rounding alone exceeds the budget", **context)
+                if tail > abs_err and 2.0 * tail >= previous_tail and theta[0] <= 0.0:
+                    raise NumericalError("log-det tail is spread over the sketch's complement", tail=tail, **context)
+                del aq_blocks, aq, eq  # before the next pass draws its sketch rows
+                k, previous_tail = 2 * k, tail
+                continue
+        # one block is handed back as it is: a copy of A Q's rows past n would double them at N = 2^20
+        q, rest = (q_blocks[0], aq_blocks[0][:, n:]) if len(q_blocks) == 1 else (
+            np.concatenate(q_blocks), np.concatenate([aq[:, n:] for aq in aq_blocks]))
+        return RitzSketch(ld, q, rest, r, tail, residual)
 
 
 def trace_norm(core: np.ndarray, gram: np.ndarray) -> float:

@@ -104,7 +104,7 @@ contractions of Q and W through _factored_phases, and one half-length B'
 product on p/2 rows of V_e (_dirichlet_gram), with no solve.  To first
 order the Woodbury inverse is off by a relative (tail + residual) / s_min^2,
 the tail tr E - sum theta, residual ||E Q - Q H|| scaled per Ritz vector in
-the odd block, from the sketch: at most 9e-14 on the benchmark sweep, 2.7e-12
+the odd block, from the sketch: at most 6.4e-14 on the benchmark sweep, 2.6e-12
 at N = 2^17 and 1.0e-11 at 2^20, where the residual sits at the FFT products'
 rounding floor.  For odd N, S u_0 = 0 (_null_vector), so F u_0 = c u_0
 and F is singular at |delta_L| = pi/2: W is orthogonal to u_0, and V V^T
@@ -558,7 +558,7 @@ def _dirichlet_gram(prof: FluxProfile, N: int, points: np.ndarray, sketch: RitzS
         y += (vo * (kappa / abs(math.sin(prof.delta_L)))) @ ve.T
         residual, scale = zt @ sketch.residual @ zt.T, np.sqrt(weight) / abs(math.sin(prof.delta_L))
         spread = max(np.linalg.eigvalsh(m)[-1] for m in (residual, residual / np.outer(scale, scale)))
-        truncation = (max(sketch.tail, 0.0) + math.sqrt(max(float(spread), 0.0))) / sketch.s_min**2
+        truncation = (max(sketch.tail, 0.0) + math.sqrt(max(float(spread), 0.0))) / sigma[-1] ** 2
     return gram - 1j * sine * (y + y.T), g, truncation
 
 
@@ -689,13 +689,14 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     """
     prof = flux_profile(a, L)
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    with stage("jump log-det"):
+    with stage("jump log-det"):  # the Dirichlet parity sketch also gives the overlap's G
         sketch = None if periodic else dirichlet_rest_sketch(prof.delta_L, N)
-        ld_rest = fh_log_det(prof.delta_L, N) if periodic else sketch.log_det
     with stage("overlap log-det"):
         sample = _support_sampler(prof, periodic, N)
         core = _core_sampler(prof, periodic, N, sample)
         log_det_sq, det_sq = _sylvester_log_det(prof, periodic, N, core, sketch)
+    with stage("jump log-det"):
+        ld_rest = fh_log_det(prof.delta_L, N) if periodic else sketch.log_det
     c = 1.0 if periodic or N % 2 == 0 else _jump_diagonal(prof.total_flux)
     ld_flux = ld_rest + math.log(abs(c)) if c else -math.inf
     with stage("trace norm"):

@@ -13,7 +13,7 @@ from flux_catastrophe.asymptotics import trigamma
 from flux_catastrophe.errors import DomainError
 from flux_catastrophe.hilbert import (
     dirichlet_flux_logdet,
-    dirichlet_rest_logdet,
+    dirichlet_rest_sketch,
     hilbert_section_norm,
     k_matrix,
     k_part_norms,
@@ -249,14 +249,15 @@ def test_dirichlet_flux_logdet_matches_dense_k_route(N):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 48, 49, 181])
 def test_dirichlet_rest_logdet_matches_dense_k_route(N):
-    # the jump log-det without the odd-N factor log|cos delta|: log det(I - alpha K), finite at
-    # delta = pi/2 also for odd N, where D~ = 0
+    # the parity sketch's log-det, the jump log-det without the odd-N factor log|cos delta|:
+    # log det(I - alpha K), finite at delta = pi/2 also for odd N, where D~ = 0
     K = k_matrix(N)
     for delta in (math.pi / 4, 1.2375, math.pi / 2):
         dense = log_det(np.eye(len(K)) - (4.0 / math.pi**2) * math.sin(delta) ** 2 * K)
-        assert abs(dirichlet_rest_logdet(delta, N) - dense) <= 1e-12, (delta, N)
+        rest = dirichlet_rest_sketch(delta, N).log_det
+        assert abs(rest - dense) <= 1e-12, (delta, N)
         if N % 2 == 0:
-            assert dirichlet_rest_logdet(delta, N) == dirichlet_flux_logdet(delta, N)
+            assert rest == dirichlet_flux_logdet(delta, N)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 16, 17, 64, 65])

@@ -959,12 +959,23 @@ def test_dirichlet_log_det_at_odd_n_near_delta_pi_over_2_matches_lu(N, eps):
     assert (point.c_ratio == math.inf) == (point.log_Dtilde_sq == -math.inf) == (eps == 0.0)
 
 
-@pytest.mark.parametrize("N", [181, 513, 2047])
+@pytest.mark.parametrize("N", [513, 2047])
 def test_dirichlet_log_det_at_odd_n_and_delta_pi_over_2_from_an_extended_sketch_matches_lu(monkeypatch, N):
     # the eps = 0 cases above, the bordered G_perp from a parity sketch extended from 8 rows
     widths = _extended_sketches(monkeypatch)
     test_dirichlet_log_det_at_odd_n_near_delta_pi_over_2_matches_lu(N, 0.0)
     assert widths[0] == 8 and widths[-1] > 8, widths
+
+
+def test_dirichlet_sylvester_bound_charges_the_truncation_of_a_sketch_sized_for_the_log_det(monkeypatch):
+    # at N = 181, 8 rows certify the jump log-det in one pass, but their Woodbury inverse is off by a relative
+    # 2.6e-12, which the bordered Sylvester matrix at delta_L = pi/2 (s_min 0.011) amplifies past the budget:
+    # the bound raises, naming k and the truncation, rather than return the uncertified log-det
+    widths = _extended_sketches(monkeypatch)
+    with pytest.raises(NumericalError, match="Sylvester log-det bound") as raised:
+        evaluate_point(_triangle(math.pi / 2), DIR, 181, 90.5)
+    assert widths == [8] and raised.value.context["k"] == 8
+    assert 1e-12 < raised.value.context["truncation"] < 1e-11 and raised.value.context["achieved"] > 1e-10
 
 
 def test_dirichlet_sylvester_log_det_matches_the_ritz_oracle_at_2_15():
