@@ -73,8 +73,8 @@ asymptotics and spectrum from source is about 9.5 ms.
 BLAS runs on one thread.  The only environment variable the CLI touches is
 OPENBLAS_NUM_THREADS, which it sets to 1 when it is imported, before any
 experiment loads numpy, unless the caller has set it; a caller's own value
-wins.  The determinants are evaluated matrix-free (FFT products, conjugate
-gradients, Ritz sketches from 24 rows and p x p cores), so no BLAS call is
+wins.  The determinants are evaluated matrix-free (FFT products, Ritz
+sketches from 24 rows and p x p cores), so no BLAS call is
 large enough for a second thread to help, while OpenBLAS's idle thread
 spins after every call.  On a 2-core Xeon VM (numpy 2.4.6, OpenBLAS
 0.3.31), a 32 x 32 eigh, a 2048 x 32 complex QR and a 32 x 2048 Gram
@@ -312,10 +312,15 @@ def _dirichlet_point(config: ExperimentConfig, n: int) -> tuple:
 def _c_band_gate(config: ExperimentConfig, cols: dict, tol: dict, out_dir: Path) -> tuple[bool, str]:
     """The factorization lemma: 0 < C_{N,L} < inf at every point, within
     an empirical band max C / min C <= band_factor (the lemma's constants
-    are unnamed), and ||Delta_N||_1 within its moment bound."""
+    are unnamed), and ||Delta_N||_1 within its moment bound.  A point with
+    D~ = 0 exactly (log_Dtilde_sq = -inf) and a finite log_D_sq, odd-N
+    Dirichlet at delta_L = pi/2, has C = inf by definition, not by a
+    failure: it is reported apart and left out of the band."""
     ratios = cols["C_ratio"]
     finite = [c for c in ratios if math.isfinite(c) and c > 0]
-    degenerate = [n for n, c in zip(cols["N"], ratios) if not (math.isfinite(c) and c > 0)]
+    exact_zero = [n for n, log_d, log_dtilde in zip(cols["N"], cols["log_D_sq"], cols["log_Dtilde_sq"])
+                  if log_dtilde == -math.inf and math.isfinite(log_d)]
+    degenerate = [n for n, c in zip(cols["N"], ratios) if not (math.isfinite(c) and c > 0) and n not in exact_zero]
     lo, hi = (min(finite), max(finite)) if finite else (math.nan, math.nan)
     bound_ok = all(cols["bound_holds"])
     band_ok = not finite or hi / lo <= tol["band_factor"]
@@ -324,6 +329,8 @@ def _c_band_gate(config: ExperimentConfig, cols: dict, tol: dict, out_dir: Path)
         f"delta bound {'holds' if bound_ok else 'VIOLATED'}, "
         f"band {'ok' if band_ok else 'EXCEEDED'}"
     )
+    if exact_zero:
+        message += f", D~ = 0 at N = {exact_zero}"
     if degenerate:
         message += f", degenerate C at N = {degenerate}"
     return bound_ok and band_ok and not degenerate, message
@@ -535,7 +542,7 @@ def selftest() -> int:
         for prof in [flux_profile(potential_from_dict(raw), n / 2.0)]
     )
     check("grid point log|D|^2 vs LU", worst < 1e-10, f"max |diff| {worst:.1e}")
-    # ||Delta_N||_1 on both sides of its dense/core fork (n = 64, 181) against the SVD of the assembled difference
+    # ||Delta_N||_1 from its p x p core (n = 64, 181) against the SVD of the assembled difference
     worst = max(abs(overlap.delta_trace_norm(prof, bc, n) / np.linalg.svd(overlap.overlap_matrix(prof, bc, n)
                     - overlap.flux_matrix(prof.total_flux, bc, n), compute_uv=False).sum() - 1)
                 for bc in BoundaryCondition for n in (64, 181)

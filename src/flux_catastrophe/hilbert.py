@@ -211,15 +211,13 @@ def dirichlet_rest_sketch(delta: float, N: int) -> RitzSketch:
     alpha K, alpha = (4/pi^2) sin^2(delta), are below rounding for N <= 2^17, so ritz_sketch takes it from a
     k = 24 row sketch, certified to 1e-12 under the closed-form trace alpha tr K; the tail tr E - sum theta
     it leaves reads at most 1.6e-14 and the residual ||E Q - Q H||_F 1.6e-14 on the sweep_dirichlet grid, 7.0e-14
-    and 4.2e-13 at N = 2^17.  For M > k no M x M array exists.
+    and 4.2e-13 at N = 2^17.  No wider sketch would do: at k = 48 the rounding term alone exceeds the budget,
+    the bound reading 1.26e-12 to 1.32e-12 for N = 512 to 2047 at delta = pi/4, 1.2375 and pi/2, so k = 24
+    either certifies in one pass or raises.  For M > k no M x M array exists.
     """
     if abs(delta) > math.pi / 2:
         raise DomainError("dirichlet_flux_logdet requires |delta| <= pi/2")
     if N < 1:
         raise DomainError("N must be >= 1")
-    alpha = (4.0 / math.pi**2) * math.sin(delta) ** 2
-    M = N // 2
-    if alpha == 0.0 or M == 0:
-        return RitzSketch(0.0, np.zeros((0, M)), np.zeros((0, N - M)), np.zeros((0, 0)), 0.0, np.zeros((0, 0)))
-    trace = alpha * float(np.sum(_k_vectors(N)[2]))
-    return ritz_sketch(*_parity_factor(N, delta), trace, M, _LOGDET_ABS_ERR, _SKETCH_COLUMNS)
+    trace = (4.0 / math.pi**2) * math.sin(delta) ** 2 * float(np.sum(_k_vectors(N)[2]))
+    return ritz_sketch(*_parity_factor(N, delta), trace, N // 2, _LOGDET_ABS_ERR, _SKETCH_COLUMNS)

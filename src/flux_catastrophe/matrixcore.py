@@ -26,8 +26,8 @@ It holds the sketch's orthonormal rows Q and one block for A Q, which
 turns into E Q in place, two (k, N) blocks and nothing else of that size:
 products, projections and the tall-skinny QRs that orthonormalize the
 sketch and factor A Q stream through row and column slices of at most
-8 MB, and a sketch that fails its certificate is extended by new rows
-rather than drawn again.  The sketch rows are random signs, +1 or -1, from
+8 MB.  The caller sizes the sketch, and a sketch that fails its
+certificate raises.  The sketch rows are random signs, +1 or -1, from
 the standard library's generator under a fixed seed: the certificate is
 computed from the rows the sketch gives, so it holds for any sketch, and
 the distribution only sets how soon it passes.
@@ -68,8 +68,8 @@ def log_det(matrix: np.ndarray) -> float:
 
 
 _SKETCH_SEED = 0x5EED
-_SKETCH_COLUMNS = 32
-# every row or column slice ritz_sketch streams through its products and QRs stays within this many bytes
+# every row or column slice that ritz_sketch (and overlap, through row_slices) streams through its products and QRs
+# stays within this many bytes
 _BLOCK_BYTES = 1 << 23
 
 
@@ -86,7 +86,7 @@ def _signs(rng: random.Random, rows: int, n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits.reshape(rows, width)[:, :n]
 
 
-def _row_slices(k: int, width: int) -> list[slice]:
+def row_slices(k: int, width: int) -> list[slice]:
     """Slices of range(k) of at most _BLOCK_BYTES // (256 width) rows (one at least), as a row's product holds
     a few complex rows of FFT length 2 width .. 4 width."""
     step = max(1, _BLOCK_BYTES // (256 * width))
@@ -102,8 +102,8 @@ def _column_slices(k: int, n: int) -> list[slice]:
 
 
 def _rows(op: Callable[[slice], np.ndarray], k: int, width: int) -> np.ndarray:
-    """The (k, .) block whose row slices are op(slice), slices from _row_slices(k, width), in one array."""
-    slices = _row_slices(k, width)
+    """The (k, .) block whose row slices are op(slice), slices from row_slices(k, width), in one array."""
+    slices = row_slices(k, width)
     first = op(slices[0])
     out = np.empty((k, first.shape[1]), dtype=first.dtype)
     out[slices[0]] = first
@@ -112,15 +112,11 @@ def _rows(op: Callable[[slice], np.ndarray], k: int, width: int) -> np.ndarray:
     return out
 
 
-def _tsqr_r(blocks: list[np.ndarray]) -> np.ndarray:
-    """R of Y^T = Z R for Y the rows of the blocks stacked, each block (k_i, n), n >= sum k_i, by tall-skinny QR
-    (Demmel, Grigori, Hoemmen, Langou, SIAM J. Sci. Comput. 34, 2012): the R of each column slice, then the R
-    of those stacked, so no copy of Y exists."""
-    rs = []
-    for sl in _column_slices(sum(len(b) for b in blocks), blocks[0].shape[1]):
-        # numpy's QR copies its input, so a single block's slice goes in as a view
-        piece = blocks[0][:, sl] if len(blocks) == 1 else np.concatenate([b[:, sl] for b in blocks])
-        rs.append(np.linalg.qr(piece.T, mode="r"))
+def _tsqr_r(y: np.ndarray) -> np.ndarray:
+    """R of y^T = Z R for a (k, n) block y, n >= k, by tall-skinny QR (Demmel, Grigori, Hoemmen, Langou, SIAM
+    J. Sci. Comput. 34, 2012): the R of each column slice, then the R of those stacked; numpy's QR copies its
+    input, so each slice goes in as a view and no copy of y exists."""
+    rs = [np.linalg.qr(y[:, sl].T, mode="r") for sl in _column_slices(len(y), y.shape[1])]
     return rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs), mode="r")
 
 
@@ -141,17 +137,16 @@ def _orthonormalize(y: np.ndarray) -> None:
             y[:, sl] = z[i * k : (i + 1) * k].T @ y[:, sl]
 
 
-def _project_out(y: np.ndarray, q_blocks: list[np.ndarray]) -> None:
-    """y -= (y Q^H) Q in place, block by block of the orthonormal rows Q, each product summed over column slices."""
+def _project_out(y: np.ndarray, q: np.ndarray) -> None:
+    """y -= (y Q^H) Q in place for the orthonormal rows Q, the product summed over column slices."""
     parts = _column_slices(len(y), y.shape[1])
-    for q in q_blocks:
-        c = sum(q[:, sl].conj() @ y[:, sl].T for sl in parts).T
-        for sl in parts:
-            y[:, sl] -= c @ q[:, sl]
+    c = sum(q[:, sl].conj() @ y[:, sl].T for sl in parts).T
+    for sl in parts:
+        y[:, sl] -= c @ q[:, sl]
 
 
 class RitzSketch(NamedTuple):
-    """What ritz_sketch certifies and what its last pass leaves: the log-det, the sketch's orthonormal rows q,
+    """What ritz_sketch certifies and what its pass leaves: the log-det, the sketch's orthonormal rows q,
     (k, n), the rows ``rest`` of A Q past n, (k, m - n) for A from C^n to C^m (A Q's first n entries become
     E Q), the R of (A Q)^T = Z R, so that Q^H E Q = I - R^H R, the tail tr E - sum theta, the k x k Gram
     matrix D D^H of the residual rows D = E Q - (Q^H E Q) Q, whose trace is ||D||_F^2 and whose largest
@@ -166,9 +161,7 @@ class RitzSketch(NamedTuple):
     residual: np.ndarray
 
 
-def ritz_sketch(
-    forward: Product, adjoint: Product, trace: float, n: int, abs_err: float, columns: int = _SKETCH_COLUMNS
-) -> RitzSketch:
+def ritz_sketch(forward: Product, adjoint: Product, trace: float, n: int, abs_err: float, k: int) -> RitzSketch:
     """log det(A^H A) of a contraction A on C^n, certified, from V -> A V and W -> A^H W alone, with its sketch.
 
     The products act on C-contiguous (k, .) blocks, one vector per row, and
@@ -198,25 +191,14 @@ def ritz_sketch(
     2 (log2(2n) + k) eps sum 1 / s.  Ritz values of A^H A would carry
     1 / s^2 there (Golub & Van Loan, Matrix Computations, section 8.6).
 
-    The sum is returned once g / (1 - g) <= abs_err.  Otherwise the sketch
-    is extended, not redrawn (Halko et al., section 4.4): as many new rows
-    as Q holds are the next rows of the same sign stream, E is applied to
-    them alone, and they are projected off Q and orthonormalized twice,
-    each time followed by a QR.  A Q is formed again for the old rows as
-    well, since theirs became E Q.  Once k >= n the identity replaces the
-    sketch, which is exact.  The rounding term
-    grows with k, so when it alone exceeds the budget NumericalError is
-    raised with the bound achieved, the budget requested, s_min and k.  So
-    is it, after an extension, when the tail tr E - sum theta alone still
-    exceeds the budget, the extension took less than half of the tail
-    before it, and a Ritz value is at or below 0 (E is PSD up to the
-    rounding of A's coefficients, which can leave it slightly indefinite).
-    That stop is a judgement on observed progress, not a certificate: the
-    doubled sketch found little of the tail, and the sketch already reaches
-    E's floor, so the tail is read as spread over the complement, where a
-    larger sketch takes it only k rows at a time (the context adds the
-    tail).  It only ever raises, never returns an uncertified sum.  tr E
-    within the budget gives 0.0; s_min = 0 gives -inf.
+    The sum is returned once g / (1 - g) <= abs_err; otherwise
+    NumericalError is raised with k, the bound achieved, the budget
+    requested, s_min and the tail, so it never returns an uncertified sum.
+    The sketch is one pass of the caller's width k: the rounding term grows
+    with k, so a wider sketch is no cure when it alone exceeds the budget,
+    and the message says so.  For k >= n the identity replaces the sketch,
+    which is exact.  tr E within the budget gives 0.0 and the empty sketch;
+    s_min = 0 gives -inf.
 
     The sketch comes back with the log-det (RitzSketch), and with it the
     Woodbury inverse (A^H A)^-1 ~ I + Q^H ((R^H R)^-1 - I) Q, which drops
@@ -227,9 +209,8 @@ def ritz_sketch(
     for the caller to judge: the log-det's certificate alone sizes the sketch.
 
     Memory: Q and one block that holds A Q and then, in place, E Q: two
-    (k, n) blocks when A maps C^n to C^n.  While the sketch is extended the
-    new rows are a third, which becomes part of Q.  Products stream through
-    row slices, and the projections and the tall-skinny QRs (_tsqr_r,
+    (k, n) blocks when A maps C^n to C^n.  Products stream through row
+    slices, and the projection and the tall-skinny QRs (_tsqr_r,
     _orthonormalize) through column slices, of at most 8 MB each
     (_BLOCK_BYTES).
     """
@@ -238,58 +219,42 @@ def ritz_sketch(
     g = trace * (1.0 + n.bit_length() * eps)
     if g < 1.0 and g / (1.0 - g) <= abs_err:
         return RitzSketch(0.0, np.zeros((0, n)), np.zeros((0, 0)), np.zeros((0, 0)), trace, np.zeros((0, 0)))
-    rng = random.Random(_SKETCH_SEED)
-    q_blocks: list[np.ndarray] = []
-    k, previous_tail = columns, math.inf
-    while True:
-        if k >= n:  # the identity sketch is exact
-            q_blocks = [np.eye(n)]
-        else:
+    if k >= n:  # the identity sketch is exact
+        q = np.eye(n)
+    else:
+        rng = random.Random(_SKETCH_SEED)
 
-            def sketch(sl: slice) -> np.ndarray:
-                omega = _signs(rng, sl.stop - sl.start, n)
-                return omega - adjoint(forward(omega))
+        def sketch(sl: slice) -> np.ndarray:
+            omega = _signs(rng, sl.stop - sl.start, n)
+            return omega - adjoint(forward(omega))
 
-            y = _rows(sketch, k - sum(len(b) for b in q_blocks), n)
-            for _ in range(2 if q_blocks else 1):
-                _project_out(y, q_blocks)
-                _orthonormalize(y)
-            q_blocks.append(y)
-        aq_blocks = [_rows(lambda sl: forward(q[sl]), len(q), n) for q in q_blocks]
-        r = _tsqr_r(aq_blocks)
-        s = np.linalg.svd(r, compute_uv=False)
-        ld = 2.0 * float(np.sum(np.log(s))) if s[-1] > 0.0 else -math.inf
-        if k >= n or s[-1] == 0.0:
-            tail, residual = 0.0, np.zeros(r.shape)
-        else:
-            for q, aq in zip(q_blocks, aq_blocks):
-                eq = aq[:, :n]  # A Q turns into E Q in place, row slice by row slice
-                for sl in _row_slices(len(q), n):
-                    eq[sl] = q[sl] - adjoint(aq[sl])
-                _project_out(eq, q_blocks)
-            slices = (np.concatenate([aq[:, sl] for aq in aq_blocks]) for sl in _column_slices(k, n))
-            residual = sum(e @ e.conj().T for e in slices)  # D D^H, D = E Q - Q (Q^H E Q)
-            theta = 1.0 - s * s  # ascending, as s descends
-            rounding = eps * (
-                (n.bit_length() + k) * (trace + float(np.sum(np.abs(theta))))
-                + 2 * ((2 * n).bit_length() + k) * float(np.sum(1.0 / s))
-            )
-            tail = trace - float(np.sum(theta))
-            g = max(tail, 0.0) + float(np.trace(residual).real) / s[-1] ** 2 + rounding
-            if not (g < 1.0 and g / (1.0 - g) <= abs_err):
-                achieved = float(g / (1.0 - g)) if g < 1.0 else math.inf
-                context = dict(achieved=achieved, requested=abs_err, s_min=float(s[-1]), k=k)
-                if rounding >= 1.0 or rounding / (1.0 - rounding) > abs_err:
-                    raise NumericalError("log-det rounding alone exceeds the budget", **context)
-                if tail > abs_err and 2.0 * tail >= previous_tail and theta[0] <= 0.0:
-                    raise NumericalError("log-det tail is spread over the sketch's complement", tail=tail, **context)
-                del aq_blocks, aq, eq  # before the next pass draws its sketch rows
-                k, previous_tail = 2 * k, tail
-                continue
-        # one block is handed back as it is: a copy of A Q's rows past n would double them at N = 2^20
-        q, rest = (q_blocks[0], aq_blocks[0][:, n:]) if len(q_blocks) == 1 else (
-            np.concatenate(q_blocks), np.concatenate([aq[:, n:] for aq in aq_blocks]))
-        return RitzSketch(ld, q, rest, r, tail, residual)
+        q = _rows(sketch, k, n)
+        _orthonormalize(q)
+    aq = _rows(lambda sl: forward(q[sl]), len(q), n)
+    r = _tsqr_r(aq)
+    s = np.linalg.svd(r, compute_uv=False)
+    ld = 2.0 * float(np.sum(np.log(s))) if s[-1] > 0.0 else -math.inf
+    if k >= n or s[-1] == 0.0:
+        return RitzSketch(ld, q, aq[:, n:], r, 0.0, np.zeros(r.shape))
+    eq = aq[:, :n]  # A Q turns into E Q in place, row slice by row slice
+    for sl in row_slices(k, n):
+        eq[sl] = q[sl] - adjoint(aq[sl])
+    _project_out(eq, q)
+    residual = sum(eq[:, sl] @ eq[:, sl].conj().T for sl in _column_slices(k, n))  # D D^H, D = E Q - Q (Q^H E Q)
+    theta = 1.0 - s * s  # ascending, as s descends
+    rounding = eps * (
+        (n.bit_length() + k) * (trace + float(np.sum(np.abs(theta))))
+        + 2 * ((2 * n).bit_length() + k) * float(np.sum(1.0 / s))
+    )
+    tail = trace - float(np.sum(theta))
+    g = max(tail, 0.0) + float(np.trace(residual).real) / s[-1] ** 2 + rounding
+    if not (g < 1.0 and g / (1.0 - g) <= abs_err):
+        achieved = float(g / (1.0 - g)) if g < 1.0 else math.inf
+        context = dict(achieved=achieved, requested=abs_err, s_min=float(s[-1]), k=k, tail=tail)
+        if rounding >= 1.0 or rounding / (1.0 - rounding) > abs_err:
+            raise NumericalError("log-det rounding alone exceeds the budget", **context)
+        raise NumericalError("log-det certificate exceeds the budget at this sketch width", **context)
+    return RitzSketch(ld, q, aq[:, n:], r, tail, residual)
 
 
 def trace_norm(core: np.ndarray, gram: np.ndarray) -> float:

@@ -39,13 +39,12 @@ a-priori Bernstein-ellipse bound at (2 kappa, 2p) is the square of that at
 (kappa, p) times (r - 1) / 4r, so 2 _chebyshev_size(kappa) >=
 _chebyshev_size(2 kappa).  That one rule sizes every Chebyshev interpolation
 here, and no run-time check repeats it.  So one contraction,
-u = Lambda^T v and m = Lambda^T mu with Lambda_xc = l_c(x), serves both, and
-one transform turns either into coefficients: _phase_sums factors
-sum_c u_c e^{i (shift + j) step y_c / L} over the M = 2N - 1 or 4N + 1
-frequencies in O(n p + M p), not O(M n), and the Dirichlet c_m fold it.  Of
-m it gives Delta_N's own coefficients, without the c - c~ that cancels for a
-weak potential.  As sum |v_x| = R / L, every coefficient moves by at most
-eps R / L.
+u = Lambda^T v and m = Lambda^T mu with Lambda_xc = l_c(x), serves both: m
+gives Delta_N's p x p core below, without the c - c~ that cancels for a
+weak potential, and one transform turns u into coefficients: _phase_sums
+factors sum_c u_c e^{i (shift + j) step y_c / L} over the M = 2N - 1 or
+4N + 1 frequencies in O(n p + M p), not O(M n), and the Dirichlet c_m fold
+it.  As sum |v_x| = R / L, every coefficient moves by at most eps R / L.
 
 Quadrature check.  support_nodes' panels end at the breakpoints and at 0.
 On each gap between them they are at most min(L / 4N, pi / (4 max|a|))
@@ -71,8 +70,7 @@ the change of the trace norm by (2 eps_p + eps_p^2) N s sum |mu| when
 Delta_N is replaced by V^H C V, C = P^T diag(s mu) P = Lambda^T diag(s m)
 Lambda with Lambda_ca = l_a(y_c), as the 2p points interpolate l_a l_b
 exactly.  matrixcore.trace_norm takes that from C and the closed-form Gram
-matrix V V^H in O(p^3), whatever N is; for N <= 3p/2 the SVD of Delta_N
-from its own coefficients is cheaper.  The same driver settles either at
+matrix V V^H in O(p^3), whatever N is.  The same driver settles it at
 scale 0, with the same p at every refine: the check is relative, as a weak
 potential's ||Delta_N||_1 is tiny.  The paper's
 ||Delta_N||_1 <= (N/L) int |y a(y)| dy rests on it too.
@@ -153,7 +151,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .asymptotics import fh_log_det
 from .errors import DomainError, NumericalError, stage
 from .hilbert import dirichlet_rest_sketch, parity_block
-from .matrixcore import RitzSketch, fh_coefficients, toeplitz, toeplitz_hankel_operator, trace_norm
+from .matrixcore import RitzSketch, fh_coefficients, row_slices, toeplitz, toeplitz_hankel_operator, trace_norm
 from .potential import FluxProfile, MagneticPotential, flux_decomposition, flux_profile, moment_integrals
 from .quadrature import adaptive_gauss_legendre, build_edges, cis_integral, gauss_legendre_rule, panel_nodes
 from .spectrum import BoundaryCondition
@@ -260,16 +258,16 @@ def _support_sampler(prof: FluxProfile, periodic: bool, N: int):
     return sample
 
 
-def _support_coefficients(prof: FluxProfile, periodic: bool, N: int, y: np.ndarray, u: np.ndarray, symbol: bool):
-    """t_d, d = -(N-1) .. N-1 (periodic), or c_m, m = 0..2N (Dirichlet), of a sample u contracted onto y; ``symbol``
-    adds e^{i Phi_L}'s parts off the support, which the difference of the two symbols does not have."""
+def _support_coefficients(prof: FluxProfile, periodic: bool, N: int, y: np.ndarray, u: np.ndarray):
+    """t_d, d = -(N-1) .. N-1 (periodic), or c_m, m = 0..2N (Dirichlet), of e^{i Phi_L} from its sample u on the
+    support contracted onto y, with its parts off the support in closed form."""
     L, R = prof.L, prof.potential.support_radius
     step, shift, M = (np.pi, 1 - N, 2 * N - 1) if periodic else (np.pi / 2.0, -2 * N, 4 * N + 1)
     F = _phase_sums(step / L, shift, M, y, u)
-    if symbol:  # e^{i Phi_L} is e^{+i Phi_L(L)} on [R, L] and e^{-i Phi_L(L)} on [-L, -R]
-        omega = (step * (shift + np.arange(M)) - (prof.delta_L if periodic else 0.0)) / L
-        F += (np.exp(1j * prof.total_flux) * cis_integral(omega, R, L)
-              + np.exp(-1j * prof.total_flux) * cis_integral(omega, -L, -R)) / (2.0 * L)
+    # e^{i Phi_L} is e^{+i Phi_L(L)} on [R, L] and e^{-i Phi_L(L)} on [-L, -R]
+    omega = (step * (shift + np.arange(M)) - (prof.delta_L if periodic else 0.0)) / L
+    F += (np.exp(1j * prof.total_flux) * cis_integral(omega, R, L)
+          + np.exp(-1j * prof.total_flux) * cis_integral(omega, -L, -R)) / (2.0 * L)
     if periodic:
         return F
     # cos(m y) is the mean of i^{+-m} e^{+-i m pi x / 2L}
@@ -296,8 +294,8 @@ def _assemble(c: np.ndarray, N: int, periodic: bool) -> np.ndarray:
     return toeplitz(t, N).copy() if h is None else np.subtract(toeplitz(t, N), sliding_window_view(h, N))
 
 
-# Quadrature doubling check: no overlap entry moves by more than this, nor ||Delta_N||_1 (its
-# coefficients for N <= 3p/2) by this of itself
+# Quadrature doubling check: no overlap entry moves by more than this, nor ||Delta_N||_1 or C_{N,L}'s
+# |det M|^2 by this of itself
 _QUADRATURE_TOL = 1e-10
 
 
@@ -308,7 +306,7 @@ def overlap_coefficients(prof: FluxProfile, bc: BoundaryCondition, N: int) -> np
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
     sample = _support_sampler(prof, periodic, N)
     return adaptive_gauss_legendre(
-        lambda refine: _support_coefficients(prof, periodic, N, *sample(refine)[:2], symbol=True),
+        lambda refine: _support_coefficients(prof, periodic, N, *sample(refine)[:2]),
         _QUADRATURE_TOL / (1.0 if periodic else 2.0),
     )
 
@@ -399,18 +397,9 @@ def _core_sampler(prof: FluxProfile, periodic: bool, N: int, sample):
     return functools.cache(lambda refine: _delta_core(prof, periodic, N, *sample(refine)[::2]))
 
 
-def _delta_trace_norm(prof: FluxProfile, periodic: bool, N: int, sample, core) -> float:
-    """delta_trace_norm from the sampler ``sample`` and its cores ``core``."""
-    dense = 4 * N <= 3 * len(sample(0)[0])  # N <= 3p/2
-
-    def estimate(refine: int):
-        if dense:
-            y, _, m = sample(refine)
-            return _support_coefficients(prof, periodic, N, y, m, symbol=False)
-        return trace_norm(*core(refine))
-
-    settled = adaptive_gauss_legendre(estimate, _QUADRATURE_TOL, scale=0.0)
-    return float(np.sum(np.linalg.svd(_assemble(settled, N, periodic), compute_uv=False))) if dense else settled
+def _delta_trace_norm(core) -> float:
+    """delta_trace_norm from the cores ``core`` of _core_sampler."""
+    return adaptive_gauss_legendre(lambda refine: trace_norm(*core(refine)), _QUADRATURE_TOL, scale=0.0)
 
 
 def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int) -> float:
@@ -418,18 +407,10 @@ def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int) -> float:
 
     The module docstring has the error argument; adaptive_gauss_legendre settles
     it to a relative 1e-10, refine r taking the core of the same p points on
-    support_nodes' panels halved r times.  For N <= 3p/2 it settles Delta_N's
-    own coefficients instead and sums the SVD of what they assemble: dense vs
-    core on samples and cores already taken, as evaluate_point leaves them
-    (bench bump, L = N / 2 rho, best of 5 runs, 2 for p = 272, both bases, one
-    BLAS thread, 2-core Xeon) at N = p, 3p/2 and 2p: p = 48, 0.42-0.53 vs
-    0.81-0.85, 0.76-0.89 vs 0.86-0.87 and 1.0-1.1 vs 0.61 ms; p = 128, 2.0-2.3
-    vs 4.8, 4.7-5.0 vs 4.8 and 11.5-11.6 vs 5.9-6.0 ms; p = 272, 12-17 vs
-    48-52, 42-46 vs 46-49 and 97-98 vs 36-37 ms.  Bench sweeps take the core.
+    support_nodes' panels halved r times.
     """
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    sample = _support_sampler(prof, periodic, N)
-    return _delta_trace_norm(prof, periodic, N, sample, _core_sampler(prof, periodic, N, sample))
+    return _delta_trace_norm(_core_sampler(prof, periodic, N, _support_sampler(prof, periodic, N)))
 
 
 def _factored_phases(theta: np.ndarray, shift: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -475,18 +456,11 @@ def _jump_inverse(delta: float, n_L: int, N: int) -> tuple[np.ndarray, np.ndarra
     return left, right, 1.0 / (c + np.arange(1 - N, N))
 
 
-def _gram_slices(half: int, N: int):
-    """Slices of range(half), 2^15 / N at a time (one at least): a slice's rows of length N hold about 8 MB of FFT
-    work, as in matrixcore's products."""
-    step = max(1, (1 << 15) // N)
-    return (slice(lo, min(half, lo + step)) for lo in range(0, half, step))
-
-
 def _phase_contract(outer: np.ndarray, inner: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """_phase_products of a real (k, n) block, n <= B Q, zero-padded and streamed through _gram_slices."""
+    """_phase_products of a real (k, n) block, n <= B Q, zero-padded and streamed through row_slices."""
     width = outer.shape[1] * inner.shape[1]
     out = np.empty((len(outer), len(rows)), dtype=complex)
-    for sl in _gram_slices(len(rows), width):
+    for sl in row_slices(len(rows), width):
         out[:, sl] = _phase_products(outer, inner, np.pad(rows[sl], [(0, 0), (0, width - rows.shape[1])]))
     return out
 
@@ -502,7 +476,7 @@ def _periodic_columns(prof: FluxProfile, N: int, points: np.ndarray, half: int) 
     product = toeplitz_hankel_operator(t)
     outer, inner = _factored_phases(-np.pi * points / prof.L, -0.5 * (N - 1), N)
     columns = np.empty((len(points), half), dtype=complex)
-    for sl in _gram_slices(half, N):
+    for sl in row_slices(half, N):
         rows = _phase_rows(outer, inner, sl, N)
         rows[:, :N] = left * product(right * rows[:, :N].conj())  # the columns sl of F^{-1} V^H, transposed
         columns[:, sl] = _phase_products(outer, inner, rows)
@@ -544,7 +518,7 @@ def _dirichlet_gram(prof: FluxProfile, N: int, points: np.ndarray, sketch: RitzS
         gram -= c * np.outer(g, g)
     if M:
         even, block = _factored_phases(angle, 1.0, M), parity_block(N)[0]
-        for sl in _gram_slices(half, N):  # (2/pi) V_o' B' V_e'^T at half the points; V_e'(-y) = -V_e'(y)
+        for sl in row_slices(half, N):  # (2/pi) V_o' B' V_e'^T at half the points; V_e'(-y) = -V_e'(y)
             y[:, sl] = (2.0 / math.pi) * _phase_contract(*odd, block(-_phase_rows(*even, sl, M)[:, :M].imag)).real
         y[:, half:] = -y[:, half - 1 :: -1]
     truncation = sketch.tail
@@ -700,7 +674,7 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     c = 1.0 if periodic or N % 2 == 0 else _jump_diagonal(prof.total_flux)
     ld_flux = ld_rest + math.log(abs(c)) if c else -math.inf
     with stage("trace norm"):
-        tn = _delta_trace_norm(prof, periodic, N, sample, core)
+        tn = _delta_trace_norm(core)
     bound = N / L * moment_integrals(a, L)
     return GridPoint(prof.delta_L, prof.n_L, 2.0 * ld_rest + log_det_sq, 2.0 * ld_flux,
                      det_sq / c / c if c else math.inf, tn, bound, tn <= bound + 1e-8)

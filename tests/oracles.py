@@ -607,10 +607,11 @@ def overlap_log_det_sq(c: np.ndarray, bc, N: int) -> float:
     The overlap matrix is a finite section of the unitary multiplication by
     e^{i g_L}, a contraction, so log|D|^2 = log det(A^H A), and only
     O(log N) singular values of A lie below 1 - rounding.
-    matrixcore.ritz_sketch takes it to an absolute 1e-10 from the FFT
-    operator of A = T(t) - H(h) (T_jk = t[(N-1) + j - k] and H_jk = h[j + k];
-    periodic: t = c and no H; Dirichlet: t_d = c_|d| and h = c[2:]) and the
-    closed-form tr(I - A^H A) = N - ||A||_F^2 of frobenius_deficit.
+    matrixcore.ritz_sketch takes it to an absolute 1e-10, in one pass of a
+    k = 32 row sketch, from the FFT operator of A = T(t) - H(h)
+    (T_jk = t[(N-1) + j - k] and H_jk = h[j + k]; periodic: t = c and no H;
+    Dirichlet: t_d = c_|d| and h = c[2:]) and the closed-form
+    tr(I - A^H A) = N - ||A||_F^2 of frobenius_deficit.
     A^H W = conj(A^T conj W) reuses A's operator: the periodic A is
     Toeplitz, so A^T = J A J with J the flip, and the Dirichlet A is
     symmetric.  In the periodic basis the tail tr E - sum theta carries the
@@ -627,4 +628,4 @@ def overlap_log_det_sq(c: np.ndarray, bc, N: int) -> float:
     def adjoint(w: np.ndarray) -> np.ndarray:
         return forward(w[..., flip].conj())[..., flip].conj()
 
-    return ritz_sketch(forward, adjoint, frobenius_deficit(c, N, periodic), N, 1e-10).log_det
+    return ritz_sketch(forward, adjoint, frobenius_deficit(c, N, periodic), N, 1e-10, 32).log_det

@@ -577,9 +577,9 @@ def test_dirichlet_sweep_at_delta_pi_over_2(tmp_path, capsys):
     # cos(Phi) = 0 empties the jump matrix's diagonal, and only opposite parities
     # couple: for odd N the two parity classes differ in size, so D~ = 0 exactly
     # D does not vanish: the Sylvester step borders the jump matrix's null vector, so log|D|^2 stays
-    # finite and matches LU of the assembled overlap matrix at every N
-    cols = _sweep_columns(tmp_path, _triangle(math.pi), [4, 5, 6, 7, 8, 9, 64, 65], "dirichlet",
-                          cli.EXIT_PROPERTY_FAILURE)
+    # finite and matches LU of the assembled overlap matrix at every N.  The band gate reports the odd N,
+    # where C = inf by definition, apart from degenerate points, and the sweep passes
+    cols = _sweep_columns(tmp_path, _triangle(math.pi), [4, 5, 6, 7, 8, 9, 64, 65], "dirichlet")
     assert cols["delta_L"] == [math.pi / 2] * 8
     for n, log_d, log_dtilde, c_ratio in zip(cols["N"], cols["log_D_sq"], cols["log_Dtilde_sq"], cols["C_ratio"]):
         prof = flux_profile(potential_from_dict(_triangle(math.pi)), n / 2.0)
@@ -590,7 +590,8 @@ def test_dirichlet_sweep_at_delta_pi_over_2(tmp_path, capsys):
             dense = 2.0 * log_det(overlap.flux_matrix(math.pi / 2, BoundaryCondition.DIRICHLET, int(n)))
             assert abs(log_dtilde - dense) <= 1e-10, n
             assert math.isfinite(c_ratio) and c_ratio > 0, n
-    assert "degenerate C at N = [5, 7, 9, 65]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "D~ = 0 at N = [5, 7, 9, 65]" in out and "degenerate" not in out
 
 
 def test_sweep_just_above_flux_pi_over_2_exits_ok(tmp_path):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import flux_catastrophe.hilbert as hilbert_module
 import flux_catastrophe.matrixcore as matrixcore_module
 from flux_catastrophe.asymptotics import trigamma
-from flux_catastrophe.errors import DomainError
+from flux_catastrophe.errors import DomainError, NumericalError
 from flux_catastrophe.hilbert import (
     dirichlet_flux_logdet,
     dirichlet_rest_sketch,
@@ -275,27 +275,23 @@ def test_parity_factor_matches_the_dense_jump_matrix(N):
         assert_allclose(adjoint(np.eye(N)), G, rtol=0, atol=1e-15)
 
 
-def test_dirichlet_flux_logdet_doubles_the_sketch_until_certified(monkeypatch):
+def test_dirichlet_flux_logdet_raises_naming_a_sketch_too_narrow(monkeypatch):
     # a 2-row sketch cannot hold K's dozen leading eigenvalues, so the
-    # certificate rejects it and the sketch doubles until the bound holds.
-    # Each pass factors A Q for all k rows of Q at once, so the rows handed
-    # to that factorization are the sketch's width; the identity fallback
-    # would hand it M = N / 2 rows
+    # certificate rejects its one pass, which factors A Q for the 2 rows of Q
+    # alone, and the error names the width rather than widen the sketch
     N, delta = 1024, 1.2375
-    expected = dirichlet_flux_logdet(delta, N)
     widths = []
     original = matrixcore_module._tsqr_r
 
-    def recorded(blocks):
-        widths.append(sum(len(b) for b in blocks))
-        return original(blocks)
+    def recorded(y):
+        widths.append(len(y))
+        return original(y)
 
     monkeypatch.setattr(matrixcore_module, "_tsqr_r", recorded)
     monkeypatch.setattr(hilbert_module, "_SKETCH_COLUMNS", 2)
-    doubled = dirichlet_flux_logdet(delta, N)
-    assert widths == [2 << i for i in range(len(widths))]
-    assert 16 <= widths[-1] < N // 2  # certified before the exact identity sketch
-    assert abs(doubled - expected) <= 1e-12
+    with pytest.raises(NumericalError, match="sketch width") as info:
+        dirichlet_flux_logdet(delta, N)
+    assert widths == [2] and info.value.context["k"] == 2
 
 
 def test_dirichlet_flux_logdet_on_the_bench_grid_is_pinned_to_the_bit():

@@ -332,47 +332,35 @@ def _known_spectrum(mu: np.ndarray, n: int, seed: int = 7):
 def test_ritz_log_det_of_the_zero_operator_is_exactly_zero():
     # E = I - A^H A = 0 for the identity factor
     for n in (1, 5, 300):
-        assert ritz_log_det(np.copy, np.copy, 0.0, n, 1e-10) == 0.0
+        assert ritz_log_det(np.copy, np.copy, 0.0, n, 1e-10, 32) == 0.0
 
 
-def test_ritz_log_det_doubles_the_sketch_for_a_spectrum_wider_than_32():
-    # 0.9 * 0.6^i stays above 1e-10 for i < 44: 32 columns leave more than
-    # the budget behind, 64 hold everything above rounding.  The sketch is
-    # extended, not redrawn: the second pass applies E to the 32 new sketch
-    # rows only, then A to the old and the new rows of Q, 32 each (the old
-    # rows' A Q had turned into E Q in place)
+def test_ritz_log_det_raises_at_a_width_short_of_the_spectrum():
+    # 0.9 * 0.6^i stays above 1e-10 for i < 44: 32 rows leave 2.8e-7 of the
+    # tail behind, and the one pass raises, naming its width and the tail,
+    # rather than return an uncertified sum or widen the sketch
+    mu = 0.9 * 0.6 ** np.arange(80)
+    forward, adjoint, trace, _exact, widths, _u = _known_spectrum(mu, 400)
+    with pytest.raises(NumericalError, match="sketch width") as info:
+        ritz_log_det(forward, adjoint, trace, 400, 1e-10, 32)
+    assert widths == [32, 32]
+    assert info.value.context["k"] == 32 and info.value.context["tail"] > 1e-10
+
+
+def test_ritz_log_det_certifies_a_spectrum_wider_than_32_in_one_pass_at_64():
+    # the same spectrum: 64 rows hold everything above rounding, so one pass,
+    # E on the 64 sketch rows and then A on the 64 rows of Q, certifies
     mu = 0.9 * 0.6 ** np.arange(80)
     forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, 400)
-    got = ritz_log_det(forward, adjoint, trace, 400, 1e-10)
-    assert abs(got - exact) <= 1e-10
-    assert widths == [32, 32, 32, 32, 32]
-
-
-def test_ritz_log_det_extends_q_by_rows_orthonormal_to_the_old_ones():
-    # 40 eigenvalues above rounding: the tail beyond 32 (~5e-10) fails the
-    # certificate, and the 32 new sketch rows hold only 8 directions outside
-    # the old Q, the rest rounding noise.  Projecting twice, each time followed
-    # by a QR, still leaves the new rows orthonormal to the old ones
-    n = 300
-    mu = 0.9 * 0.5 ** np.arange(40)
-    forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, n)
-    rows = []
-
-    def recorded(V):
-        rows.append(V.copy())
-        return forward(V)
-
-    assert abs(ritz_log_det(recorded, adjoint, trace, n, 1e-10) - exact) <= 1e-10
-    assert widths == [32, 32, 32, 32, 32]
-    q = np.concatenate([rows[3], rows[4]])  # the rows of Q in the second pass, old then new
-    assert_allclose(q @ q.conj().T, np.eye(64), rtol=0, atol=1e-14)
+    assert abs(ritz_log_det(forward, adjoint, trace, 400, 1e-10, 64) - exact) <= 1e-10
+    assert widths == [64, 64]
 
 
 @pytest.mark.parametrize("width, k", [(5, 32), (40, 64)])
 def test_ritz_sketch_hands_back_its_last_pass(width, k):
-    # A = [A_0; A_0] / sqrt 2 maps C^n to C^2n with A^H A = A_0^H A_0: the sketch returns all rows of Q (one pass,
-    # or the extended 64), A Q's rows past n, the R of (A Q)^T and the terms of its certificate, each against
-    # the same quantity formed from Q directly
+    # A = [A_0; A_0] / sqrt 2 maps C^n to C^2n with A^H A = A_0^H A_0: the sketch returns all k rows of Q,
+    # A Q's rows past n, the R of (A Q)^T and the terms of its certificate, each against the same quantity
+    # formed from Q directly
     n = 300
     forward0, adjoint0, trace, exact, _widths, _u = _known_spectrum(0.9 * 0.5 ** np.arange(width), n)
 
@@ -383,7 +371,7 @@ def test_ritz_sketch_hands_back_its_last_pass(width, k):
     def adjoint(W):
         return (adjoint0(np.ascontiguousarray(W[:, :n])) + adjoint0(np.ascontiguousarray(W[:, n:]))) / math.sqrt(2.0)
 
-    sketch = ritz_sketch(forward, adjoint, trace, n, 1e-10)
+    sketch = ritz_sketch(forward, adjoint, trace, n, 1e-10, k)
     q, aq = sketch.q, forward(sketch.q)
     assert abs(sketch.log_det - exact) <= 1e-10 and q.shape == (k, n)
     assert_allclose(q @ q.conj().T, np.eye(k), rtol=0, atol=1e-14)
@@ -396,33 +384,6 @@ def test_ritz_sketch_hands_back_its_last_pass(width, k):
     assert_allclose(sketch.residual, residual @ residual.conj().T, rtol=0, atol=1e-28)
 
 
-def test_ritz_log_det_raises_on_a_tail_an_extension_does_not_shrink():
-    # ten concentrated eigenvalues, ten at -5e-11 (a factor A slightly
-    # expansive there, as rounded coefficients leave it) and 280 at 1e-12:
-    # the first sketch holds the twenty large ones and so a Ritz value below
-    # zero, with 2.6e-10 left over.  Extending to 64 takes only 32 of the
-    # 280 small ones, 2.3e-10 stays, and it raises rather than doubling on
-    n = 300
-    mu = np.concatenate([0.9 * 0.5 ** np.arange(10), np.full(10, -5e-11), np.full(280, 1e-12)])
-    forward, adjoint, trace, _exact, widths, _u = _known_spectrum(mu, n)
-    with pytest.raises(NumericalError, match="spread") as info:
-        ritz_log_det(forward, adjoint, trace, n, 1e-10)
-    assert widths == [32, 32, 32, 32, 32]
-    assert info.value.context["k"] == 64 and info.value.context["tail"] > 2e-10
-
-
-def test_ritz_log_det_extends_past_a_negative_ritz_value_while_the_tail_shrinks():
-    # ten concentrated eigenvalues, one at -5e-11 and forty at 1e-11: the
-    # k = 32 sketch holds the negative direction (five times the weight of a
-    # 1e-11 one in E Omega) and leaves 1.9e-10 behind, but the extension to
-    # 64 holds all 51 and certifies
-    n = 300
-    mu = np.concatenate([0.9 * 0.5 ** np.arange(10), [-5e-11], np.full(40, 1e-11)])
-    forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, n)
-    assert abs(ritz_log_det(forward, adjoint, trace, n, 1e-10) - exact) <= 1e-10
-    assert widths == [32, 32, 32, 32, 32]
-
-
 def test_tsqr_over_column_slices_matches_one_householder_qr(monkeypatch):
     # a 24-row block of rank 10 in 7 column slices (from a 1 MB budget): the
     # R factor has the singular values of one QR, and the rows overwritten in
@@ -432,7 +393,7 @@ def test_tsqr_over_column_slices_matches_one_householder_qr(monkeypatch):
     y = (rng.standard_normal((24, 10)) + 1j * rng.standard_normal((24, 10))) @ rng.standard_normal((10, 5000))
     assert len(matrixcore_module._column_slices(24, 5000)) == 7
     sigma = np.linalg.svd(y, compute_uv=False)
-    r = matrixcore_module._tsqr_r([y[:10], y[10:]])
+    r = matrixcore_module._tsqr_r(y)
     assert_allclose(np.linalg.svd(r, compute_uv=False), sigma, rtol=0, atol=1e-12 * sigma[0])
     q = y.copy()
     matrixcore_module._orthonormalize(q)
@@ -443,18 +404,18 @@ def test_tsqr_over_column_slices_matches_one_householder_qr(monkeypatch):
 def test_ritz_log_det_of_a_low_rank_spectrum_needs_one_sketch():
     mu = np.array([0.999, 0.5, 0.25, 1e-3, 1e-8])
     forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, 300)
-    assert abs(ritz_log_det(forward, adjoint, trace, 300, 1e-10) - exact) <= 1e-12
+    assert abs(ritz_log_det(forward, adjoint, trace, 300, 1e-10, 32) - exact) <= 1e-12
     assert widths == [32, 32]
 
 
 def test_ritz_log_det_carries_matvec_rounding_through_the_top_ritz_value():
     # s_min = sqrt(1 - mu_max) = 1e-3, so 2 log2(600) eps / s_min = 4.4e-12 of
-    # rounding alone: the rounding grows with k, so no sketch meets a 1e-12
-    # budget and the first one raises rather than doubling up to the n x n identity
+    # rounding alone: the rounding grows with k, so no wider sketch meets a
+    # 1e-12 budget, and the message says so
     mu = np.array([1.0 - 1e-6, 0.5, 0.25, 1e-3, 1e-8])
     forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, 300)
-    with pytest.raises(NumericalError) as info:
-        ritz_log_det(forward, adjoint, trace, 300, 1e-12)
+    with pytest.raises(NumericalError, match="rounding alone") as info:
+        ritz_log_det(forward, adjoint, trace, 300, 1e-12, 32)
     context = info.value.context
     assert context["requested"] == 1e-12
     assert context["achieved"] >= 2 * 10 * np.finfo(float).eps / 1e-3
@@ -462,14 +423,15 @@ def test_ritz_log_det_carries_matvec_rounding_through_the_top_ritz_value():
     assert abs(context["s_min"] - 1e-3) <= 1e-9
     assert widths == [32, 32]
     # the same spectrum meets a 1e-10 budget with the same sketch
-    assert abs(ritz_log_det(forward, adjoint, trace, 300, 1e-10) - exact) <= 1e-10
+    assert abs(ritz_log_det(forward, adjoint, trace, 300, 1e-10, 32) - exact) <= 1e-10
 
 
 def test_ritz_log_det_rejects_a_misaligned_sketch():
     # the first sketch is pushed out of range(E) by about 1e-6: the trace gap
     # is then ~1e-12, but s_min^2 = 1e-4 turns the coupling to the missed
     # directions into a log-det error of ~1e-8, which only the residual term
-    # of the certificate sees
+    # of the certificate sees: the tail stays within the budget, the bound
+    # does not, and the one pass raises.  The aligned sketch certifies
     n = 64
     mu = np.concatenate([[1.0 - 1e-4], 0.5 ** np.arange(1, 10)])
     forward, adjoint, trace, exact, widths, u = _known_spectrum(mu, n, seed=3)
@@ -483,9 +445,11 @@ def test_ritz_log_det_rejects_a_misaligned_sketch():
             out = out + 1e-6 * size / np.linalg.norm(noise) * noise
         return out
 
-    got = ritz_log_det(first_sketch_off, adjoint, trace, n, 1e-10)
-    assert abs(got - exact) <= 1e-10
-    assert widths[0] == 32 and widths[-1] == n  # the first sketch was rejected
+    with pytest.raises(NumericalError, match="sketch width") as info:
+        ritz_log_det(first_sketch_off, adjoint, trace, n, 1e-10, 32)
+    assert widths == [32, 32]
+    assert info.value.context["tail"] <= 1e-10 < info.value.context["achieved"]
+    assert abs(ritz_log_det(forward, adjoint, trace, n, 1e-10, 32) - exact) <= 1e-10
 
 
 def test_sketch_rows_are_one_stream_of_signs():
@@ -498,10 +462,10 @@ def test_sketch_rows_are_one_stream_of_signs():
     assert 0 < np.count_nonzero(whole > 0) < whole.size
 
 
-def test_ritz_log_det_extends_its_sketch_by_the_next_rows_of_the_stream():
-    # the spectrum of the doubling test: the first pass sketches 32 rows, the
-    # extension the next 32 of the same stream, each row as drawn (E = I - A^H A
-    # is applied to the sketch as omega - A^H (A omega))
+def test_ritz_log_det_sketches_the_first_rows_of_the_stream():
+    # the one pass sketches the first 64 rows of the fixed-seed sign stream,
+    # each row as drawn (E = I - A^H A is applied to the sketch as
+    # omega - A^H (A omega))
     mu = 0.9 * 0.6 ** np.arange(80)
     forward, adjoint, trace, _exact, _widths, _u = _known_spectrum(mu, 400)
     seen = []
@@ -510,9 +474,8 @@ def test_ritz_log_det_extends_its_sketch_by_the_next_rows_of_the_stream():
         seen.append(V.copy())
         return forward(V)
 
-    ritz_log_det(recording, adjoint, trace, 400, 1e-10)
-    stream = matrixcore_module._signs(random.Random(matrixcore_module._SKETCH_SEED), 64, 400)
-    assert np.array_equal(seen[0], stream[:32]) and np.array_equal(seen[2], stream[32:])
+    ritz_log_det(recording, adjoint, trace, 400, 1e-10, 64)
+    assert np.array_equal(seen[0], matrixcore_module._signs(random.Random(matrixcore_module._SKETCH_SEED), 64, 400))
 
 
 def test_operator_norm_is_bit_identical_on_repeat():
@@ -525,22 +488,22 @@ def test_operator_norm_is_bit_identical_on_repeat():
 def test_ritz_log_det_is_bit_identical_on_repeat():
     mu = 0.9 * 0.6 ** np.arange(80)
     forward, adjoint, trace, _exact, _widths, _u = _known_spectrum(mu, 400)
-    first = ritz_log_det(forward, adjoint, trace, 400, 1e-10)
-    assert first.hex() == ritz_log_det(forward, adjoint, trace, 400, 1e-10).hex()
+    first = ritz_log_det(forward, adjoint, trace, 400, 1e-10, 64)
+    assert first.hex() == ritz_log_det(forward, adjoint, trace, 400, 1e-10, 64).hex()
 
 
 def test_ritz_log_det_identity_sketch_is_exact_for_small_n():
     # k >= n: Q = I, so the sum runs over the singular values of A itself
     mu = np.array([0.9, 0.3, 0.1])
     forward, adjoint, trace, exact, widths, _u = _known_spectrum(mu, 6)
-    assert abs(ritz_log_det(forward, adjoint, trace, 6, 1e-10) - exact) <= 1e-14
+    assert abs(ritz_log_det(forward, adjoint, trace, 6, 1e-10, 32) - exact) <= 1e-14
     assert widths == [6]
 
 
 def test_ritz_log_det_of_the_zero_factor_is_minus_infinity():
     # A = 0: E = I, and every singular value of A Q is exactly zero
     for n in (6, 300):
-        assert ritz_log_det(np.zeros_like, np.zeros_like, float(n), n, 1e-10) == -math.inf
+        assert ritz_log_det(np.zeros_like, np.zeros_like, float(n), n, 1e-10, 32) == -math.inf
 
 
 # -- reference assembly (tests/oracles.py) ----------------------------------

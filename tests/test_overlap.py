@@ -341,7 +341,7 @@ def test_trace_norm_of_delta_matches_dense_svd(flux, bc, N):
 
 
 def _recording_core(monkeypatch):
-    """Record the p of every core delta_trace_norm builds, one per refine from 0 up (none on the dense path)."""
+    """Record the p of every core delta_trace_norm builds, one per refine from 0 up."""
     calls = []
     core = overlap_module._delta_core
 
@@ -390,7 +390,7 @@ def test_delta_core_matches_dense_svd_at_the_edges(bc, case):
     y, _, m = overlap_module._support_sampler(prof, bc is PER, N)(1)
     core = trace_norm(*overlap_module._delta_core(prof, bc is PER, N, y, m))
     assert_allclose(core, _dense_delta_trace_norm(a, bc, N, L), rtol=1e-10)
-    # delta_trace_norm takes the core unless N <= 3p/2 (L = R here; then Delta_N is dense)
+    # delta_trace_norm settles the same core over refine levels, also where N <= 3p/2 (L = R)
     assert_allclose(delta_trace_norm(prof, bc, N), core, rtol=1e-10)
 
 
@@ -426,8 +426,8 @@ def test_delta_trace_norm_peak_memory_does_not_grow_with_n(bc):
 def test_delta_trace_norm_is_relative_for_a_weak_potential(bc):
     # Delta_N is linear in a weak potential to first order, and the symbol
     # difference is taken as 2i sin(d/2) e^{...}, accurate relative to its
-    # size: at flux 1e-12 the result is 1e-6 of that at flux 1e-6, on the
-    # dense side of the fork (N = 64 <= 3p/2 = 72) as on the core's (N = 256)
+    # size: at flux 1e-12 the result is 1e-6 of that at flux 1e-6, at
+    # N = 64 <= 3p/2 = 72 as at N = 256
     for N in (64, 256):
         tn = {f: delta_trace_norm(flux_profile(gaussian_bump_with_flux(f), N / 2.0), bc, N) for f in (1e-12, 1e-6)}
         assert_allclose(1e6 * tn[1e-12], tn[1e-6], rtol=1e-9, err_msg=str(N))
@@ -531,12 +531,10 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
     # contraction) per refine level, 0 and 1, which every driver shares.  In
     # both bases C_{N,L} needs no coefficient vector of the overlap matrix,
     # only G = V F^{-1} V^H (V^T, Dirichlet) once and the p x p core per
-    # refine level, which ||Delta_N||_1 reuses.  At N = 128 ||Delta_N||_1 is
-    # the core's and no matrix is assembled; at N = 40 <= 3p/2 the dense SVD
-    # assembles Delta_N once from its own coefficients, not from the jump
-    # symbol's.  A Dirichlet point runs one parity sketch (one Ritz engine
-    # run), whose Q and R give both its jump log-det and G; a periodic point
-    # runs none
+    # refine level, which ||Delta_N||_1 reuses: at N = 40 as at N = 128 no
+    # matrix is assembled.  A Dirichlet point runs one parity sketch (one Ritz
+    # engine run), whose Q and R give both its jump log-det and G; a periodic
+    # point runs none
     names = ("overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix", "flux_matrix",
              "_assemble", "support_nodes", "_chebyshev_contract", "_delta_core", "_jump_inverse_gram",
              "dirichlet_rest_sketch")
@@ -550,14 +548,14 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     a = gaussian_bump_with_flux(2.0)
-    for N, dense in ((40, 1), (128, 0)):
+    for N in (40, 128):
         for bc in (PER, DIR):
             for name in calls:
                 calls[name] = 0
             evaluate_point(a, bc, N, N / 2.0)
             sketches = int(bc is DIR)
             assert calls == {"overlap_coefficients": 0, "flux_coefficients": 0, "flux_profile": 1,
-                             "overlap_matrix": 0, "flux_matrix": 0, "_assemble": dense, "support_nodes": 2,
+                             "overlap_matrix": 0, "flux_matrix": 0, "_assemble": 0, "support_nodes": 2,
                              "_chebyshev_contract": 2, "_delta_core": 2, "_jump_inverse_gram": 1,
                              "dirichlet_rest_sketch": sketches, "ritz_sketch": sketches}, (N, bc)
 
@@ -590,8 +588,8 @@ def test_evaluate_point_matches_each_quantity_built_directly(bc):
     assert abs(point.log_Dtilde_sq - 2.0 * log_det(dense)) <= 2e-13
     # C_{N,L} is |det(I + C G)|^2 itself, and log|D|^2 = log|D~|^2 + log C_{N,L}
     assert_allclose(point.c_ratio, math.exp(point.log_D_sq - point.log_Dtilde_sq), rtol=1e-14)
-    # at N = 40 <= 3p/2 Delta_N is assembled from its own coefficients, which
-    # at flux 2 agree with the difference of the two matrices to rounding
+    # at N = 40 <= 3p/2, too, ||Delta_N||_1 comes from the p x p core, which
+    # at flux 2 agrees with the SVD of the difference of the two matrices to rounding
     assert point.trace_norm_delta == delta_trace_norm(prof, bc, 40)
     dense_tn = np.linalg.svd(_delta_n(a, bc, 40, 20.0), compute_uv=False).sum()
     assert_allclose(point.trace_norm_delta, dense_tn, rtol=1e-13)
@@ -635,7 +633,7 @@ def test_dirichlet_sweep_jump_logdet_matches_lu_at_every_bench_n():
 def _coefficients(a, bc, N, L, refine):
     prof = flux_profile(a, L)
     y, u, _ = overlap_module._support_sampler(prof, bc is PER, N)(refine)
-    return overlap_module._support_coefficients(prof, bc is PER, N, y, u, symbol=True)
+    return overlap_module._support_coefficients(prof, bc is PER, N, y, u)
 
 
 def _assemble(bc, coefficients, N):
@@ -909,25 +907,25 @@ def test_dirichlet_gram_matches_the_dense_solve(flux, N):
     _assert_dirichlet_gram_matches_the_dense_solve(flux, N)
 
 
-def _extended_sketches(monkeypatch) -> list[int]:
-    """Start the parity sketch at 8 rows, so that it has to be extended, and record each Ritz pass's width."""
+def _sketch_widths(monkeypatch, k: int) -> list[int]:
+    """Size the parity sketch at k rows instead of 24 and record the width of each Ritz pass."""
     widths, original = [], matrixcore_module._tsqr_r
 
-    def recorded(blocks):
-        widths.append(sum(len(b) for b in blocks))
-        return original(blocks)
+    def recorded(y):
+        widths.append(len(y))
+        return original(y)
 
     monkeypatch.setattr(matrixcore_module, "_tsqr_r", recorded)
-    monkeypatch.setattr(hilbert_module, "_SKETCH_COLUMNS", 8)
+    monkeypatch.setattr(hilbert_module, "_SKETCH_COLUMNS", k)
     return widths
 
 
 @pytest.mark.parametrize("flux", [math.pi / 4, math.pi / 2, 2 * math.pi + 0.5])
-def test_dirichlet_gram_from_an_extended_sketch_matches_the_dense_solve(monkeypatch, flux):
-    # 8 rows fail the certificate at N = 512: G is built from every row of the extended Q
-    widths = _extended_sketches(monkeypatch)
+def test_dirichlet_gram_from_a_narrow_sketch_matches_the_dense_solve(monkeypatch, flux):
+    # 12 rows certify the jump log-det at N = 512 in one pass, and G built from them matches the dense solve
+    widths = _sketch_widths(monkeypatch, 12)
     _assert_dirichlet_gram_matches_the_dense_solve(flux, 512)
-    assert widths[0] == 8 and widths[-1] > 8, widths
+    assert widths == [12], widths
 
 
 @pytest.mark.parametrize("flux, N", [(flux, N + 1) for flux, N in SYLVESTER_CASES] + SYLVESTER_CASES)
@@ -960,18 +958,18 @@ def test_dirichlet_log_det_at_odd_n_near_delta_pi_over_2_matches_lu(N, eps):
 
 
 @pytest.mark.parametrize("N", [513, 2047])
-def test_dirichlet_log_det_at_odd_n_and_delta_pi_over_2_from_an_extended_sketch_matches_lu(monkeypatch, N):
-    # the eps = 0 cases above, the bordered G_perp from a parity sketch extended from 8 rows
-    widths = _extended_sketches(monkeypatch)
+def test_dirichlet_log_det_at_odd_n_and_delta_pi_over_2_from_a_narrow_sketch_matches_lu(monkeypatch, N):
+    # the eps = 0 cases above, the bordered G_perp from a 16-row parity sketch, certified in one pass
+    widths = _sketch_widths(monkeypatch, 16)
     test_dirichlet_log_det_at_odd_n_near_delta_pi_over_2_matches_lu(N, 0.0)
-    assert widths[0] == 8 and widths[-1] > 8, widths
+    assert widths == [16], widths
 
 
 def test_dirichlet_sylvester_bound_charges_the_truncation_of_a_sketch_sized_for_the_log_det(monkeypatch):
     # at N = 181, 8 rows certify the jump log-det in one pass, but their Woodbury inverse is off by a relative
     # 2.6e-12, which the bordered Sylvester matrix at delta_L = pi/2 (s_min 0.011) amplifies past the budget:
     # the bound raises, naming k and the truncation, rather than return the uncertified log-det
-    widths = _extended_sketches(monkeypatch)
+    widths = _sketch_widths(monkeypatch, 8)
     with pytest.raises(NumericalError, match="Sylvester log-det bound") as raised:
         evaluate_point(_triangle(math.pi / 2), DIR, 181, 90.5)
     assert widths == [8] and raised.value.context["k"] == 8
@@ -1104,7 +1102,7 @@ def test_evaluate_point_peak_memory_is_linear_in_n(bc):
 # one grid point in a fresh interpreter; prints the peak resident set of its own address space in KiB.
 # Linux carries the forking process's peak across exec into ru_maxrss, so that would read the test
 # runner's size; VmHWM is the high-water mark of the address space the child built after exec.
-# The child also prints how many tall-skinny QRs (matrixcore._tsqr_r, one per Ritz pass) ran outside the
+# The child also prints how many tall-skinny QRs (matrixcore._tsqr_r, one per Ritz sketch) ran outside the
 # Dirichlet jump log-det's ritz_sketch: none, as no Ritz sketch runs on the overlap matrix
 _POINT_CHILD = """
 import json, sys
@@ -1117,10 +1115,10 @@ def jump_sketch(*args):
         return ritz_sketch(*args)
     finally:
         inside[0] = False
-def counted(blocks):
+def counted(y):
     if not inside[0]:
-        outside.append(sum(len(b) for b in blocks))
-    return tsqr_r(blocks)
+        outside.append(len(y))
+    return tsqr_r(y)
 hilbert.ritz_sketch, matrixcore._tsqr_r = jump_sketch, counted
 N = int(sys.argv[3])
 overlap.evaluate_point(potential_from_dict(json.loads(sys.argv[1])), sys.argv[2], N, N / 2)
@@ -1370,7 +1368,7 @@ def test_contracted_support_sums_match_the_direct_node_sums(monkeypatch, name, r
 
     for periodic, size in ((True, 2 * N - 1), (False, 2 * N + 1)):
         y, u, _ = overlap_module._support_sampler(prof, periodic, N)(0)
-        got = overlap_module._support_coefficients(prof, periodic, N, y, u, symbol=True)
+        got = overlap_module._support_coefficients(prof, periodic, N, y, u)
         assert seen.pop() == 2 * p < len(nodes)
         m = np.unique(np.concatenate([[0, size - 1], rng.integers(0, size, 300)]))
         if periodic:  # t_d, d = m - (N - 1)

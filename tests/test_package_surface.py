@@ -1,13 +1,16 @@
-"""Every public name in the package is used by the package itself, and no
+"""Every top-level name in the package is used by the package itself, and no
 module reaches into another module's private names.
 
 The shipped package holds what the CLI runs; proof devices, oracles and
 other test-only code live under tests/.  This walks the AST of
 src/flux_catastrophe/*.py and follows references from the module-level
 code that is not a definition (the ``__main__`` entry points), through the
-bodies of the top-level definitions they reach.  A public top-level name
-that is never reached is reported: a name used only by its own definition,
-by tests, or by other unreached code counts as unused.
+bodies of the top-level definitions they reach.  A top-level name that is
+never reached is reported, public or private (dunders such as
+``__version__`` excepted): a name used only by its own definition, by
+tests, or by other unreached code counts as unused.  A private name belongs
+to its module, so a leftover is reported even where another module uses
+the same name.
 
 A name with a leading underscore is private to its module: importing it
 from another module, or reading it as an attribute of an imported module,
@@ -43,16 +46,22 @@ def _referenced(node: ast.AST) -> set[str]:
     return out
 
 
-def unreached_public_names(src: Path = SRC) -> list[str]:
-    bodies: dict[str, list[ast.stmt]] = {}
+def unreached_names(src: Path = SRC) -> list[str]:
+    """Every top-level name no root reaches but dunders; a private name is its module's own, ``module._name``, as
+    no module reads another's (private_imports), so one left behind is reported even where a namesake is used."""
+
+    def key(module: str, name: str) -> str:
+        return f"{module}.{name}" if name.startswith("_") else name
+
+    bodies: dict[str, list[tuple[str, ast.stmt]]] = {}
     roots: set[str] = set()
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             names = _defined_names(node)
             for name in names:
-                bodies.setdefault(name, []).append(node)
+                bodies.setdefault(key(path.stem, name), []).append((path.stem, node))
             if not names and not isinstance(node, (ast.Import, ast.ImportFrom)):
-                roots |= _referenced(node)
+                roots |= {key(path.stem, name) for name in _referenced(node)}
     reached: set[str] = set()
     pending = [name for name in roots if name in bodies]
     while pending:
@@ -60,13 +69,13 @@ def unreached_public_names(src: Path = SRC) -> list[str]:
         if name in reached:
             continue
         reached.add(name)
-        for node in bodies[name]:
-            pending.extend(n for n in _referenced(node) if n in bodies and n not in reached)
-    return sorted(name for name in bodies if not name.startswith("_") and name not in reached)
+        for module, node in bodies[name]:
+            pending.extend(n for n in (key(module, r) for r in _referenced(node)) if n in bodies and n not in reached)
+    return sorted(name for name in bodies if not name.rpartition(".")[2].startswith("__") and name not in reached)
 
 
 def test_every_public_name_is_used_by_the_package():
-    assert unreached_public_names() == []
+    assert unreached_names() == []
 
 
 def test_the_walk_reports_an_unused_name(tmp_path):
@@ -75,9 +84,16 @@ def test_the_walk_reports_an_unused_name(tmp_path):
         "def helper():\n    return 1\n\n"
         "def only_tests():\n    return only_tests_too()\n\n"
         "def only_tests_too():\n    return 2\n\n"
+        "_COLUMNS = 32\n__version__ = '1'\n\n"
         "if __name__ == '__main__':\n    main()\n"
     )
-    assert unreached_public_names(tmp_path) == ["only_tests", "only_tests_too"]
+    # a private leftover is reported although hilbert uses a constant of the same name
+    (tmp_path / "hilbert.py").write_text(
+        "_COLUMNS = 24\n\n"
+        "def _width():\n    return _COLUMNS\n\n"
+        "def helper():\n    return _width()\n"
+    )
+    assert unreached_names(tmp_path) == ["cli._COLUMNS", "only_tests", "only_tests_too"]
 
 
 def private_imports(src: Path = SRC) -> list[str]:
