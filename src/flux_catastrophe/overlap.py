@@ -26,25 +26,29 @@ c~_m = -(2i/pi) sin(Phi_L(L)) sin(m pi/2) / m.
 One support sample.  Off [-R, R] e^{i Phi_L} is the constant e^{+-i Phi_L(L)},
 so F takes its parts there from closed-form cis integrals (zero when L = R),
 and Delta_N, where the two symbols agree, has none.  On support_nodes' x and
-w, the one panel rule on [-R, R], _support_sampler evaluates Phi_L once per
-refine level for two integrands weighted by w / 2L: v = e^{i (Phi_L - tilt)},
-tilt = delta_L x / L (periodic) or 0, and mu = e^{i g_L} - e^{i g~_L} as
-2i sin((Phi_L - Phi~) / 2) e^{i ((Phi_L + Phi~) / 2 - tilt)}, Phi~ =
-Phi_L(L) sign x, accurate relative to its own size.  Their frequencies are
-at most pi N / L, and with p = _chebyshev_size(pi N R / 2L) (48 on the
-benchmark sweeps, whatever N is) the 2p first-kind Chebyshev points y_c of
-[-R, R] interpolate every such e^{i omega x} as sum_c l_c(x) e^{i omega y_c}
-to eps = 1e-13 + 2p eps, 2p eps the barycentric rounding: Trefethen's
-a-priori Bernstein-ellipse bound at (2 kappa, 2p) is the square of that at
-(kappa, p) times (r - 1) / 4r, so 2 _chebyshev_size(kappa) >=
-_chebyshev_size(2 kappa).  That one rule sizes every Chebyshev interpolation
-here, and no run-time check repeats it.  So one contraction,
-u = Lambda^T v and m = Lambda^T mu with Lambda_xc = l_c(x), serves both: m
-gives Delta_N's p x p core below, without the c - c~ that cancels for a
-weak potential, and one transform turns u into coefficients: _phase_sums
-factors sum_c u_c e^{i (shift + j) step y_c / L} over the M = 2N - 1 or
-4N + 1 frequencies in O(n p + M p), not O(M n), and the Dirichlet c_m fold
-it.  As sum |v_x| = R / L, every coefficient moves by at most eps R / L.
+w, the one panel rule on [-R, R], _core_sampler evaluates Phi_L once per
+refine level for one integrand, mu = (e^{i g_L} - e^{i g~_L}) w / 2L written
+2i sin((Phi_L - Phi~) / 2) e^{i ((Phi_L + Phi~) / 2 - tilt)} w / 2L, tilt =
+delta_L x / L (periodic) or 0, Phi~ = Phi_L(L) sign x, accurate relative to
+its own size.  Its frequencies are at most pi N / L, and with p =
+_chebyshev_size(pi N R / 2L) (48 on the benchmark sweeps, whatever N is) the
+2p first-kind Chebyshev points y_c of [-R, R] interpolate every such
+e^{i omega x} as sum_c l_c(x) e^{i omega y_c} to eps = 1e-13 + 2p eps, 2p eps
+the barycentric rounding: Trefethen's a-priori Bernstein-ellipse bound at
+(2 kappa, 2p) is the square of that at (kappa, p) times (r - 1) / 4r, so
+2 _chebyshev_size(kappa) >= _chebyshev_size(2 kappa).  That one rule sizes
+every Chebyshev interpolation here, and no run-time check repeats it.  So one
+contraction m = Lambda^T mu, Lambda_xc = l_c(x), gives Delta_N's p x p core
+below, without the c - c~ that cancels for a weak potential.
+
+The coefficients serve the dense path alone (overlap_coefficients,
+overlap_matrix), the tests' oracle: no grid point builds them.
+_support_coefficients sums v = e^{i (Phi_L - tilt)} w / 2L over the n nodes
+themselves, with no interpolation error, against the M = 2N - 1 or 4N + 1
+phases e^{i (shift + j) step x / L}, each the product of two exponentials
+(_factored_phases): one (Q x n) (n x B) product, B Q >= M, per block of nodes,
+O(n M) with n independent of N at fixed rho = N / 2L.  The Dirichlet c_m fold
+it.
 
 Quadrature check.  support_nodes' panels end at the breakpoints and at 0.
 On each gap between them they are at most min(L / 4N, pi / (4 max|a|))
@@ -206,64 +210,38 @@ def _barycentric(x: np.ndarray, R: float, p: int) -> tuple[np.ndarray, np.ndarra
     return kernel, total
 
 
-def _chebyshev_contract(x: np.ndarray, values: np.ndarray, R: float, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x_a, u_a = sum_x values_x l_a(x)): complex (n, k) values at nodes x in [-R, R] contracted onto the p
-    Chebyshev points x_a, in 8 MB blocks of nodes whatever n is, and one real product per block for all columns."""
-    pairs = np.ascontiguousarray(values, dtype=complex).view(float)
-    u, rows = np.zeros((p, pairs.shape[1])), (1 << 20) // p
+def _chebyshev_contract(x: np.ndarray, values: np.ndarray, R: float, p: int) -> np.ndarray:
+    """u_a = sum_x values_x l_a(x): complex values at nodes x in [-R, R] contracted onto the p Chebyshev points
+    x_a of [-R, R], in 8 MB blocks of nodes whatever n is, one real product per block for both parts."""
+    pairs = np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2)
+    u, rows = np.zeros((p, 2)), (1 << 20) // p
     for lo in range(0, len(x), rows):
         kernel, total = _barycentric(x[lo : lo + rows], R, p)
         u += kernel.T @ (pairs[lo : lo + rows] / total[:, None])
-    return _chebyshev_points(R, p), u.view(complex)
+    return u.view(complex)[:, 0]
 
 
-def _phase_sums(h: float, shift: int, M: int, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """S[m] = sum_x values_x e^{i (shift + m) h x} for m = 0 .. M-1.
-
-    With B = ceil(sqrt(M)) and m = B q + r, each phase factors as
-    e^{i (shift + B q) h x} e^{i r h x}, so B + ceil(M / B) rows of complex
-    exponentials and one (ceil(M / B) x n) (n x B) matrix product replace
-    M x n exponentials.  Every phase is a product of two exponentials and
-    stays exact to rounding.
-    """
-    B = math.isqrt(M - 1) + 1
-    Q = -(-M // B)
-    outer = np.exp(1j * np.outer(h * (shift + B * np.arange(Q)), nodes)) * values
-    inner = np.exp(1j * np.outer(nodes, h * np.arange(B)))
-    return (outer @ inner).ravel()[:M]
-
-
-def _support_sampler(prof: FluxProfile, periodic: bool, N: int):
-    """refine -> (y, u, m), memoized: support_nodes(refine) sampled once and contracted onto the 2p Chebyshev points
-    y of [-R, R], u of v and m of mu, the integrands of the coefficients and of Delta_N (module docstring)."""
-    L, R = prof.L, prof.potential.support_radius
+def _check_domain(prof: FluxProfile, N: int) -> None:
+    """DomainError unless N >= 1 and L >= the support radius, which the compact-support reduction requires."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    if L < R:
-        raise DomainError(f"L = {L} is smaller than the support radius {R}; "
+    if prof.L < prof.potential.support_radius:
+        raise DomainError(f"L = {prof.L} is smaller than the support radius {prof.potential.support_radius}; "
                           "the compact-support reduction requires L >= support_radius")
-    points = 2 * _chebyshev_size(math.pi * N * R / (2.0 * L))
-
-    @functools.cache
-    def sample(refine: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _, x, w = support_nodes(prof.potential, L, N, refine)
-        phi, jump = prof.phi_at(x), prof.total_flux * np.sign(x)
-        tilt = prof.delta_L * x / L if periodic else 0.0
-        v = np.exp(1j * (phi - tilt)) * w / (2 * L)
-        # e^{i g} - e^{i g~} = 2i sin((phi - jump) / 2) e^{i ((phi + jump) / 2 - tilt)}, relative to rounding
-        mu = 2j * np.sin(0.5 * (phi - jump)) * np.exp(1j * (0.5 * (phi + jump) - tilt)) * w / (2 * L)
-        y, u = _chebyshev_contract(x, np.stack([v, mu], axis=1), R, points)
-        return y, u[:, 0], u[:, 1]
-
-    return sample
 
 
-def _support_coefficients(prof: FluxProfile, periodic: bool, N: int, y: np.ndarray, u: np.ndarray):
-    """t_d, d = -(N-1) .. N-1 (periodic), or c_m, m = 0..2N (Dirichlet), of e^{i Phi_L} from its sample u on the
-    support contracted onto y, with its parts off the support in closed form."""
+def _support_coefficients(prof: FluxProfile, periodic: bool, N: int, refine: int) -> np.ndarray:
+    """t_d, d = -(N-1) .. N-1 (periodic), or c_m, m = 0..2N (Dirichlet), of e^{i Phi_L}: on the support the sum
+    over support_nodes(refine) with factored phases (module docstring), off it the closed-form cis integrals."""
     L, R = prof.L, prof.potential.support_radius
     step, shift, M = (np.pi, 1 - N, 2 * N - 1) if periodic else (np.pi / 2.0, -2 * N, 4 * N + 1)
-    F = _phase_sums(step / L, shift, M, y, u)
+    _, x, w = support_nodes(prof.potential, L, N, refine)
+    v = np.exp(1j * (prof.phi_at(x) - (prof.delta_L * x / L if periodic else 0.0))) * w / (2 * L)
+    F, rows = 0.0, (1 << 19) // (math.isqrt(M - 1) + 1)  # 8 MB of each phase factor per block of nodes
+    for lo in range(0, len(x), rows):
+        outer, inner = _factored_phases(step * x[lo : lo + rows] / L, shift, M)
+        F = F + (outer * v[lo : lo + rows, None]).T @ inner
+    F = F.ravel()[:M]
     # e^{i Phi_L} is e^{+i Phi_L(L)} on [R, L] and e^{-i Phi_L(L)} on [-L, -R]
     omega = (step * (shift + np.arange(M)) - (prof.delta_L if periodic else 0.0)) / L
     F += (np.exp(1j * prof.total_flux) * cis_integral(omega, R, L)
@@ -275,23 +253,12 @@ def _support_coefficients(prof: FluxProfile, periodic: bool, N: int, y: np.ndarr
     return 0.5 * (i_m * F[2 * N :] + i_m.conj() * F[2 * N :: -1])
 
 
-def _toeplitz_hankel(c: np.ndarray, N: int, periodic: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """(t, h) with A = T(t) - H(h): T_jk = t[(N - 1) + j - k] and H_jk = h[j + k], j, k = 0..N-1.
-
-    Periodic: t = c (c[0 .. 2N-2]) and no Hankel part (h is None).
-    Dirichlet (c[0 .. 2N]): t_d = c_|d| and h = c[2:], so entry (j, k) is
-    c[|j - k|] - c[j + k] for j, k = 1..N.
-    """
-    if periodic:
-        return c, None
-    return np.concatenate([c[N - 1 : 0 : -1], c[:N]]), c[2:]
-
-
 def _assemble(c: np.ndarray, N: int, periodic: bool) -> np.ndarray:
     """New N x N array with entry (j, k) = c[(N - 1) + j - k] (periodic, c[0 .. 2N-2])
-    or c[|j - k|] - c[j + k], j, k = 1..N (Dirichlet, c[0 .. 2N])."""
-    t, h = _toeplitz_hankel(c, N, periodic)
-    return toeplitz(t, N).copy() if h is None else np.subtract(toeplitz(t, N), sliding_window_view(h, N))
+    or c[|j - k|] - c[j + k], j, k = 1..N (Dirichlet, c[0 .. 2N]): T(t) - H(c[2:]), t_d = c_|d|."""
+    if periodic:
+        return toeplitz(c, N).copy()
+    return np.subtract(toeplitz(np.concatenate([c[N - 1 : 0 : -1], c[:N]]), N), sliding_window_view(c[2:], N))
 
 
 # Quadrature doubling check: no overlap entry moves by more than this, nor ||Delta_N||_1 or C_{N,L}'s
@@ -304,10 +271,9 @@ def overlap_coefficients(prof: FluxProfile, bc: BoundaryCondition, N: int) -> np
     doubling the quadrature resolution moves no entry of the matrix they assemble to by more than 1e-10 (a
     Dirichlet entry holds two, so the driver gets half the tolerance)."""
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    sample = _support_sampler(prof, periodic, N)
+    _check_domain(prof, N)
     return adaptive_gauss_legendre(
-        lambda refine: _support_coefficients(prof, periodic, N, *sample(refine)[:2]),
-        _QUADRATURE_TOL / (1.0 if periodic else 2.0),
+        lambda refine: _support_coefficients(prof, periodic, N, refine), _QUADRATURE_TOL / (1.0 if periodic else 2.0)
     )
 
 
@@ -368,17 +334,6 @@ def _dirichlet_kernel(t: np.ndarray, N: int) -> np.ndarray:
         return np.where(t == 0.0, float(N), np.sin(0.5 * N * t) / np.sin(0.5 * t))
 
 
-def _delta_core(prof: FluxProfile, periodic: bool, N: int, y: np.ndarray, m: np.ndarray):
-    """(C, G): Delta_N = V^H C V up to interpolation, V the basis at p Chebyshev points, G = V V^H, from m on 2p."""
-    L, R, p = prof.L, prof.potential.support_radius, len(y) // 2
-    # l_a l_b has degree 2p - 2, so the 2p points y_c interpolate it exactly:
-    # C = P^T diag(s mu) P = Lambda^T diag(s m) Lambda, Lambda_ca = l_a(y_c), s = 2 in the Dirichlet basis
-    kernel, total = _barycentric(y, R, p)
-    lam = kernel / total[:, None]
-    core = lam.T @ ((m if periodic else 2.0 * m)[:, None] * lam)
-    return core, _basis_gram(L, periodic, N, _chebyshev_points(R, p))
-
-
 def _basis_gram(L: float, periodic: bool, N: int, points: np.ndarray) -> np.ndarray:
     """V V^H of the basis V at the points, in closed form: the Dirichlet kernel D_N (periodic), or
     sum_j sin(j y_a) sin(j y_b) = (D_{2N+1}(y_a - y_b) - D_{2N+1}(y_a + y_b)) / 4, y = pi/2 + pi x / 2L.  As
@@ -391,10 +346,30 @@ def _basis_gram(L: float, periodic: bool, N: int, points: np.ndarray) -> np.ndar
                    - _dirichlet_kernel(np.pi * far / (2 * L), 2 * N + 1))
 
 
-def _core_sampler(prof: FluxProfile, periodic: bool, N: int, sample):
-    """refine -> _delta_core of ``sample``'s (y, m) at that refine, memoized: ||Delta_N||_1 and the periodic
-    C_{N,L} read the same cores."""
-    return functools.cache(lambda refine: _delta_core(prof, periodic, N, *sample(refine)[::2]))
+def _core_sampler(prof: FluxProfile, periodic: bool, N: int):
+    """refine -> (C, V V^H), memoized: Delta_N = V^H C V up to interpolation, V the basis at the p Chebyshev points
+    of [-R, R] (module docstring).  Once per point the domain checks, p, Lambda_ca = l_a(y_c) at the 2p points y_c
+    and the closed-form V V^H; per refine mu on support_nodes(refine), contracted onto the y_c."""
+    _check_domain(prof, N)
+    L, R = prof.L, prof.potential.support_radius
+    p = _chebyshev_size(math.pi * N * R / (2.0 * L))
+    kernel, total = _barycentric(_chebyshev_points(R, 2 * p), R, p)
+    lam = kernel / total[:, None]
+    gram = _basis_gram(L, periodic, N, _chebyshev_points(R, p))
+
+    @functools.cache
+    def core(refine: int) -> tuple[np.ndarray, np.ndarray]:
+        _, x, w = support_nodes(prof.potential, L, N, refine)
+        phi, jump = prof.phi_at(x), prof.total_flux * np.sign(x)
+        tilt = prof.delta_L * x / L if periodic else 0.0
+        # e^{i g} - e^{i g~} = 2i sin((phi - jump) / 2) e^{i ((phi + jump) / 2 - tilt)}, relative to rounding
+        mu = 2j * np.sin(0.5 * (phi - jump)) * np.exp(1j * (0.5 * (phi + jump) - tilt)) * w / (2 * L)
+        m = _chebyshev_contract(x, mu, R, 2 * p)
+        # l_a l_b has degree 2p - 2, so the 2p points y_c interpolate it exactly:
+        # C = P^T diag(s mu) P = Lambda^T diag(s m) Lambda, s = 2 in the Dirichlet basis
+        return lam.T @ ((m if periodic else 2.0 * m)[:, None] * lam), gram
+
+    return core
 
 
 def _delta_trace_norm(core) -> float:
@@ -410,29 +385,21 @@ def delta_trace_norm(prof: FluxProfile, bc: BoundaryCondition, N: int) -> float:
     support_nodes' panels halved r times.
     """
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
-    return _delta_trace_norm(_core_sampler(prof, periodic, N, _support_sampler(prof, periodic, N)))
+    return _delta_trace_norm(_core_sampler(prof, periodic, N))
 
 
 def _factored_phases(theta: np.ndarray, shift: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(outer, inner) with e^{i (shift + k) theta_a} = outer[a, q] inner[a, r] for k = B q + r, k = 0..N-1,
-    B = ceil(sqrt N): N phases per point from B + ceil(N / B) exponentials, each a product of two, as in
-    _phase_sums."""
+    B = ceil(sqrt N): N phases per point from B + ceil(N / B) exponentials, each phase a product of two and
+    exact to rounding."""
     B = math.isqrt(N - 1) + 1
     outer = np.exp(1j * np.outer(theta, shift + B * np.arange(-(-N // B))))
     return outer, np.exp(1j * np.outer(theta, np.arange(B)))
 
 
 def _phase_rows(outer: np.ndarray, inner: np.ndarray, sl: slice, N: int) -> np.ndarray:
-    """Rows sl of the phases of _factored_phases, zero past their N entries, B Q wide for _phase_products."""
-    rows = (outer[sl, :, None] * inner[sl, None, :]).reshape(-1, outer.shape[1] * inner.shape[1])
-    rows[:, N:] = 0.0
-    return rows
-
-
-def _phase_products(outer: np.ndarray, inner: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """E rows^T for E_ak = outer[a, q] inner[a, r] (k = B q + r) and rows of length B Q, zero past N."""
-    Q, B = outer.shape[1], inner.shape[1]
-    return np.einsum("bqa,aq->ab", rows.reshape(-1, Q, B) @ inner.T, outer)
+    """Rows sl of the N phases per point of _factored_phases."""
+    return (outer[sl, :, None] * inner[sl, None, :]).reshape(-1, outer.shape[1] * inner.shape[1])[:, :N]
 
 
 def _jump_inverse(delta: float, n_L: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -457,30 +424,35 @@ def _jump_inverse(delta: float, n_L: int, N: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _phase_contract(outer: np.ndarray, inner: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """_phase_products of a real (k, n) block, n <= B Q, zero-padded and streamed through row_slices."""
-    width = outer.shape[1] * inner.shape[1]
+    """E rows^T for E_ak = outer[a, q] inner[a, r] (k = B q + r) and a (j, n) block of rows, n <= B Q, zero-padded
+    to B Q and streamed through row_slices."""
+    Q, B = outer.shape[1], inner.shape[1]
     out = np.empty((len(outer), len(rows)), dtype=complex)
-    for sl in row_slices(len(rows), width):
-        out[:, sl] = _phase_products(outer, inner, np.pad(rows[sl], [(0, 0), (0, width - rows.shape[1])]))
+    for sl in row_slices(len(rows), Q * B):
+        padded = np.pad(rows[sl], [(0, 0), (0, Q * B - rows.shape[1])])
+        out[:, sl] = np.einsum("bqa,aq->ab", padded.reshape(-1, Q, B) @ inner.T, outer)
     return out
 
 
-def _periodic_columns(prof: FluxProfile, N: int, points: np.ndarray, half: int) -> np.ndarray:
-    """G[:, :half] of G = V F^{-1} V^H for the periodic jump matrix F, 0 < |delta_L| <= pi/2, and
-    V_ak = e^{-i pi (k - (N-1)/2) y_a / L} at the points y.
+def _periodic_gram(prof: FluxProfile, N: int, points: np.ndarray, basis_gram: np.ndarray) -> np.ndarray:
+    """G = V F^{-1} V^H for the periodic jump matrix F and V_ak = e^{-i pi (k - (N-1)/2) y_a / L} at the points y,
+    basis_gram = V V^H.  At delta_L = 0, F = +-I and G = +-V V^H.
 
-    F^{-1} = diag(a) T(t) diag(b) in closed form (_jump_inverse): T(t) acts on the rows b conj(V_b) through one
-    FFT operator, and the sums over k against V's rows factor (_factored_phases).
+    Otherwise F^{-1} = diag(a) T(t) diag(b) in closed form (_jump_inverse): T(t) acts on the rows b conj(V_b)
+    through one FFT operator, and the sums over k against V's rows factor (_factored_phases).  The p/2 columns
+    are built and the rest mirrored, G[::-1, ::-1] = conj G (module docstring).
     """
+    if prof.delta_L == 0.0:
+        return (-1.0 if prof.n_L % 2 else 1.0) * basis_gram
     left, right, t = _jump_inverse(prof.delta_L, prof.n_L, N)
     product = toeplitz_hankel_operator(t)
     outer, inner = _factored_phases(-np.pi * points / prof.L, -0.5 * (N - 1), N)
-    columns = np.empty((len(points), half), dtype=complex)
-    for sl in row_slices(half, N):
-        rows = _phase_rows(outer, inner, sl, N)
-        rows[:, :N] = left * product(right * rows[:, :N].conj())  # the columns sl of F^{-1} V^H, transposed
-        columns[:, sl] = _phase_products(outer, inner, rows)
-    return columns
+    p, half = len(points), len(points) // 2
+    gram = np.empty((p, p), dtype=complex)
+    for sl in row_slices(half, N):  # the columns sl of F^{-1} V^H, transposed
+        gram[:, sl] = _phase_contract(outer, inner, left * product(right * _phase_rows(outer, inner, sl, N).conj()))
+    gram[:, half:] = gram[::-1, half - 1 :: -1].conj()
+    return gram
 
 
 def _null_vector(N: int) -> np.ndarray:
@@ -499,27 +471,27 @@ def _null_vector(N: int) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def _dirichlet_gram(prof: FluxProfile, N: int, points: np.ndarray, sketch: RitzSketch):
+def _dirichlet_gram(prof: FluxProfile, N: int, points: np.ndarray, sketch: RitzSketch, basis_gram: np.ndarray):
     """(G, g, truncation): the Dirichlet G = V F^{-1} V^T at the points, or G_perp on the complement of u_0 with
-    g = V u_0 (odd N; None for even N), from the parity sketch of hilbert.dirichlet_rest_sketch, and the
-    relative truncation bound of its Woodbury inverse (module docstring).
+    g = V u_0 (odd N; None for even N), from basis_gram = V V^T and the parity sketch of
+    hilbert.dirichlet_rest_sketch, and the relative truncation bound of its Woodbury inverse (module docstring).
 
     In hilbert's parity order and signs V_o' = cos((2a - 1) theta) and V_e' = -sin(2b theta), theta =
     pi points / 2L, each the real or imaginary part of _factored_phases at 2 theta, and
-    G = c V V^T + c V_o' X_o V_o'^T + ... as in the module docstring, with V V^T the closed form _basis_gram.
+    G = c V V^T + c V_o' X_o V_o'^T + ... as in the module docstring.
     """
     M, T, p, half = N // 2, (N + 1) // 2, len(points), len(points) // 2
     c, sine = _jump_diagonal(prof.total_flux), math.sin(prof.total_flux)
     angle = np.pi * points / prof.L
     odd = _factored_phases(angle, 0.5, T)
-    gram, g, y = c * _basis_gram(prof.L, False, N, points), None, np.zeros((p, p))
+    gram, g, y = c * basis_gram, None, np.zeros((p, p))
     if N % 2:
         g = _phase_contract(*odd, (_null_vector(N)[::2] * (-1.0) ** np.arange(T))[None, :])[:, 0].real
         gram -= c * np.outer(g, g)
     if M:
         even, block = _factored_phases(angle, 1.0, M), parity_block(N)[0]
         for sl in row_slices(half, N):  # (2/pi) V_o' B' V_e'^T at half the points; V_e'(-y) = -V_e'(y)
-            y[:, sl] = (2.0 / math.pi) * _phase_contract(*odd, block(-_phase_rows(*even, sl, M)[:, :M].imag)).real
+            y[:, sl] = (2.0 / math.pi) * _phase_contract(*odd, block(-_phase_rows(*even, sl, M).imag)).real
         y[:, half:] = -y[:, half - 1 :: -1]
     truncation = sketch.tail
     if len(sketch.q):
@@ -534,23 +506,6 @@ def _dirichlet_gram(prof: FluxProfile, N: int, points: np.ndarray, sketch: RitzS
         spread = max(np.linalg.eigvalsh(m)[-1] for m in (residual, residual / np.outer(scale, scale)))
         truncation = (max(sketch.tail, 0.0) + math.sqrt(max(float(spread), 0.0))) / sigma[-1] ** 2
     return gram - 1j * sine * (y + y.T), g, truncation
-
-
-def _jump_inverse_gram(prof: FluxProfile, periodic: bool, N: int, points: np.ndarray, sketch: RitzSketch | None):
-    """(G, g, truncation) for V the basis at the p Chebyshev points: G = V F^{-1} V^H (periodic, sketch None) or
-    _dirichlet_gram of the parity sketch (G_perp and g = V u_0 for odd N, else g = None) and its truncation
-    bound (0 for the periodic closed form).  The periodic p/2 columns are built and the rest mirrored,
-    G[::-1, ::-1] = conj G (module docstring).  At delta_L = 0 the periodic F = +-I and G is +-V V^H.
-    """
-    if not periodic:
-        return _dirichlet_gram(prof, N, points, sketch)
-    if prof.delta_L == 0.0:
-        return (-1.0 if prof.n_L % 2 else 1.0) * _basis_gram(prof.L, True, N, points), None, 0.0
-    p, half = len(points), len(points) // 2
-    gram = np.empty((p, p), dtype=complex)
-    gram[:, :half] = _periodic_columns(prof, N, points, half)
-    gram[:, half:] = gram[::-1, half - 1 :: -1].conj()
-    return gram, None, 0.0
 
 
 def _sylvester_bound(matrix: np.ndarray, fixed: np.ndarray, core: np.ndarray, gram: np.ndarray, eps_core: float,
@@ -594,12 +549,17 @@ def _sylvester_log_det(prof: FluxProfile, periodic: bool, N: int, core,
                        sketch: RitzSketch | None) -> tuple[float, float]:
     """(log|det M|^2, |det M|^2) for M = I + C G, or the odd-N Dirichlet border (module docstring) with its |g|
     folded in, on the cores of ``core``: settled to a relative 1e-10 by adaptive_gauss_legendre, one SVD of M
-    per refine, with G built once (Dirichlet: from the parity sketch); NumericalError if _sylvester_bound
-    exceeds 1e-10."""
-    L, R, p = prof.L, prof.potential.support_radius, len(core(0)[0])
+    per refine, with G built once from the cores' V V^H (periodic: _periodic_gram; Dirichlet: _dirichlet_gram of
+    the parity sketch); NumericalError if _sylvester_bound exceeds 1e-10."""
+    L, R, basis_gram = prof.L, prof.potential.support_radius, core(0)[1]
+    p = len(basis_gram)
     # the a-priori interpolation error at this p, at most the 1e-13 the p was chosen for, plus its rounding
     eps_p = math.exp(_chebyshev_log_error(math.pi * N * R / (2.0 * L), p)[0]) + 2 * p * float(np.finfo(float).eps)
-    gram, g, truncation = _jump_inverse_gram(prof, periodic, N, _chebyshev_points(R, p), sketch)
+    points = _chebyshev_points(R, p)
+    if periodic:
+        gram, g, truncation = _periodic_gram(prof, N, points, basis_gram), None, 0.0
+    else:
+        gram, g, truncation = _dirichlet_gram(prof, N, points, sketch, basis_gram)
     base, size = np.eye(p, dtype=complex), 1.0
     if g is not None:  # det A = det F_rest |g| det M, M bordered by C g and the unit row -g^T / |g|
         size = float(np.linalg.norm(g))
@@ -665,12 +625,10 @@ def evaluate_point(a: MagneticPotential, bc: BoundaryCondition, N: int, L: float
     periodic = BoundaryCondition.parse(bc) is BoundaryCondition.PERIODIC
     with stage("jump log-det"):  # the Dirichlet parity sketch also gives the overlap's G
         sketch = None if periodic else dirichlet_rest_sketch(prof.delta_L, N)
-    with stage("overlap log-det"):
-        sample = _support_sampler(prof, periodic, N)
-        core = _core_sampler(prof, periodic, N, sample)
-        log_det_sq, det_sq = _sylvester_log_det(prof, periodic, N, core, sketch)
-    with stage("jump log-det"):
         ld_rest = fh_log_det(prof.delta_L, N) if periodic else sketch.log_det
+    with stage("overlap log-det"):
+        core = _core_sampler(prof, periodic, N)
+        log_det_sq, det_sq = _sylvester_log_det(prof, periodic, N, core, sketch)
     c = 1.0 if periodic or N % 2 == 0 else _jump_diagonal(prof.total_flux)
     ld_flux = ld_rest + math.log(abs(c)) if c else -math.inf
     with stage("trace norm"):

@@ -148,13 +148,14 @@ def test_support_nodes_stay_within_the_wavelength_and_breakpoint_budget(monkeypa
     panels = math.ceil(2 * R / (L / (4 * N))) + len(a.breakpoints) + 1
     assert len(nodes) == len(weights) <= 16 * 2**refine * panels
     assert abs(weights.sum() - 2 * R) <= 1e-12 * R
-    # one sample of these nodes per basis feeds the coefficients and Delta_N alike
+    # one sample of these nodes per basis and refine feeds Delta_N's core, however often it is read
     asked = []
     nodes_at = overlap_module.support_nodes
     monkeypatch.setattr(overlap_module, "support_nodes", lambda *args: asked.append(args) or nodes_at(*args))
     prof = flux_profile(a, L)
     for periodic in (True, False):
-        overlap_module._support_sampler(prof, periodic, N)(refine)
+        core = overlap_module._core_sampler(prof, periodic, N)
+        core(refine), core(refine)
     assert asked == [(a, L, N, refine)] * 2
 
 
@@ -343,13 +344,13 @@ def test_trace_norm_of_delta_matches_dense_svd(flux, bc, N):
 def _recording_core(monkeypatch):
     """Record the p of every core delta_trace_norm builds, one per refine from 0 up."""
     calls = []
-    core = overlap_module._delta_core
+    contract = overlap_module._chebyshev_contract
 
-    def recording(prof, periodic, N, y, m):
-        calls.append(len(y) // 2)
-        return core(prof, periodic, N, y, m)
+    def recording(x, values, R, points):
+        calls.append(points // 2)
+        return contract(x, values, R, points)
 
-    monkeypatch.setattr(overlap_module, "_delta_core", recording)
+    monkeypatch.setattr(overlap_module, "_chebyshev_contract", recording)
     return calls
 
 
@@ -387,8 +388,7 @@ CORE_CASES = {
 def test_delta_core_matches_dense_svd_at_the_edges(bc, case):
     a, N, L = CORE_CASES[case]
     prof = flux_profile(a, L)
-    y, _, m = overlap_module._support_sampler(prof, bc is PER, N)(1)
-    core = trace_norm(*overlap_module._delta_core(prof, bc is PER, N, y, m))
+    core = trace_norm(*overlap_module._core_sampler(prof, bc is PER, N)(1))
     assert_allclose(core, _dense_delta_trace_norm(a, bc, N, L), rtol=1e-10)
     # delta_trace_norm settles the same core over refine levels, also where N <= 3p/2 (L = R)
     assert_allclose(delta_trace_norm(prof, bc, N), core, rtol=1e-10)
@@ -527,17 +527,17 @@ def test_trace_norm_of_delta_is_deterministic():
 
 
 def test_evaluate_point_builds_each_matrix_once(monkeypatch):
-    # the flux profile once and one support sample (nodes and one Chebyshev
-    # contraction) per refine level, 0 and 1, which every driver shares.  In
-    # both bases C_{N,L} needs no coefficient vector of the overlap matrix,
-    # only G = V F^{-1} V^H (V^T, Dirichlet) once and the p x p core per
-    # refine level, which ||Delta_N||_1 reuses: at N = 40 as at N = 128 no
-    # matrix is assembled.  A Dirichlet point runs one parity sketch (one Ritz
-    # engine run), whose Q and R give both its jump log-det and G; a periodic
-    # point runs none
-    names = ("overlap_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix", "flux_matrix",
-             "_assemble", "support_nodes", "_chebyshev_contract", "_delta_core", "_jump_inverse_gram",
-             "dirichlet_rest_sketch")
+    # the flux profile once, the closed-form V V^H once, and one support
+    # sample (nodes and one Chebyshev contraction) per refine level, 0 and 1,
+    # which every driver shares.  In both bases C_{N,L} needs no coefficient
+    # vector of the overlap matrix, only G = V F^{-1} V^H (V^T, Dirichlet)
+    # once and the p x p core per refine level, which ||Delta_N||_1 reuses: at
+    # N = 40 as at N = 128 no matrix is assembled.  A Dirichlet point runs one
+    # parity sketch (one Ritz engine run), whose Q and R give both its jump
+    # log-det and G; a periodic point runs none
+    names = ("overlap_coefficients", "_support_coefficients", "flux_coefficients", "flux_profile", "overlap_matrix",
+             "flux_matrix", "_assemble", "support_nodes", "_chebyshev_contract", "_basis_gram", "_periodic_gram",
+             "_dirichlet_gram", "dirichlet_rest_sketch")
     calls = {name: 0 for name in names + ("ritz_sketch",)}
     for module, name in [(overlap_module, name) for name in names] + [(hilbert_module, "ritz_sketch")]:
         original = getattr(module, name)
@@ -554,9 +554,10 @@ def test_evaluate_point_builds_each_matrix_once(monkeypatch):
                 calls[name] = 0
             evaluate_point(a, bc, N, N / 2.0)
             sketches = int(bc is DIR)
-            assert calls == {"overlap_coefficients": 0, "flux_coefficients": 0, "flux_profile": 1,
-                             "overlap_matrix": 0, "flux_matrix": 0, "_assemble": 0, "support_nodes": 2,
-                             "_chebyshev_contract": 2, "_delta_core": 2, "_jump_inverse_gram": 1,
+            assert calls == {"overlap_coefficients": 0, "_support_coefficients": 0, "flux_coefficients": 0,
+                             "flux_profile": 1, "overlap_matrix": 0, "flux_matrix": 0, "_assemble": 0,
+                             "support_nodes": 2, "_chebyshev_contract": 2, "_basis_gram": 1,
+                             "_periodic_gram": 1 - sketches, "_dirichlet_gram": sketches,
                              "dirichlet_rest_sketch": sketches, "ritz_sketch": sketches}, (N, bc)
 
 
@@ -631,9 +632,7 @@ def test_dirichlet_sweep_jump_logdet_matches_lu_at_every_bench_n():
 
 
 def _coefficients(a, bc, N, L, refine):
-    prof = flux_profile(a, L)
-    y, u, _ = overlap_module._support_sampler(prof, bc is PER, N)(refine)
-    return overlap_module._support_coefficients(prof, bc is PER, N, y, u)
+    return overlap_module._support_coefficients(flux_profile(a, L), bc is PER, N, refine)
 
 
 def _assemble(bc, coefficients, N):
@@ -663,12 +662,15 @@ def _first_change_bound(a, bc, N, L, builds=None):
 @pytest.mark.parametrize("M", [1, 2, 7, 64, 4095])
 @pytest.mark.parametrize("shift", ["zero", "negative"])
 def test_phase_sums_match_dense_exponentials(M, shift):
+    # the node sums of _support_coefficients: sum_x values_x e^{i (shift + m) h x}, m = 0..M-1, from the
+    # factored phases as one (Q x n) (n x B) product
     rng = np.random.default_rng(M)
     m0 = 0 if shift == "zero" else -M
     h = math.pi / max(M / 2, 4.0)  # the periodic spacing pi / L on the path L = N / 2
     nodes = rng.uniform(-4.0, 4.0, 300)
     values = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    got = overlap_module._phase_sums(h, m0, M, nodes, values)
+    outer, inner = overlap_module._factored_phases(h * nodes, m0, M)
+    got = ((outer * values[:, None]).T @ inner).ravel()[:M]
     expected = np.exp(1j * np.outer(h * (m0 + np.arange(M)), nodes)) @ values
     assert got.shape == (M,)
     assert float(np.max(np.abs(got - expected))) <= 1e-14 * float(np.max(np.abs(expected)))
@@ -781,6 +783,22 @@ def test_overlap_log_det_certifies_just_above_flux_pi_over_2(flux):
             assert abs(ritz - dense) <= 1e-10, (flux, ritz - dense)
 
 
+def test_sweep_grid_points_are_pinned_to_the_bit():
+    # the first two points of each benchmark sweep (L = N / 2): log|D|^2, C_{N,L} and ||Delta_N||_1, whose
+    # CSV columns a refactor of the grid point's evaluation leaves as they were, bit for bit
+    pinned = {
+        (PER, 128): ("-0x1.0e9fa15e05e8cp+3", "0x1.3727713f05e9ep-10", "0x1.6c9f921f91e83p+0"),
+        (PER, 181): ("-0x1.118cba82ff849p+3", "0x1.372bd903aebb6p-10", "0x1.6ca59afd64244p+0"),
+        (DIR, 128): ("-0x1.756ab9f03218bp+0", "0x1.f8aeb22ee2f21p+0", "0x1.f859f06ba4381p+0"),
+        (DIR, 181): ("-0x1.923fff386b950p+0", "0x1.ec735a07dc616p+1", "0x1.f78c81a2e6b4ep+0"),
+    }
+    got = {}
+    for bc, N in pinned:
+        point = evaluate_point(SWEEP_POTENTIALS[bc], bc, N, N / 2.0)
+        got[bc, N] = (point.log_D_sq.hex(), point.c_ratio.hex(), point.trace_norm_delta.hex())
+    assert got == pinned
+
+
 def test_overlap_log_det_is_bit_identical_on_repeat():
     for bc in (PER, DIR):
         c = overlap_coefficients(flux_profile(SWEEP_POTENTIALS[bc], 90.5), bc, 181)
@@ -829,7 +847,8 @@ def test_sylvester_gram_at_delta_zero_is_the_signed_basis_gram():
         assert prof.delta_L == 0.0
         points = overlap_module._chebyshev_points(4.0, 48)
         basis = np.exp(-1j * np.pi / 64.0 * np.outer(points, np.arange(128) - 63.5))
-        assert_allclose(overlap_module._jump_inverse_gram(prof, True, 128, points, 0.0)[0],
+        basis_gram = overlap_module._basis_gram(64.0, True, 128, points)
+        assert_allclose(overlap_module._periodic_gram(prof, 128, points, basis_gram),
                         sign * basis @ basis.conj().T, atol=1e-12 * 128)
 
 
@@ -840,8 +859,7 @@ def test_sylvester_gram_matches_the_dense_product(N):
     points = overlap_module._chebyshev_points(4.0, 48)
     basis = np.exp(-1j * np.pi / prof.L * np.outer(points, np.arange(N) - 0.5 * (N - 1)))
     dense = basis @ np.linalg.solve(flux_matrix(prof.total_flux, PER, N), basis.conj().T)
-    gram, border, rho = overlap_module._jump_inverse_gram(prof, True, N, points, 0.0)
-    assert border is None and rho == 0.0
+    gram = overlap_module._periodic_gram(prof, N, points, overlap_module._basis_gram(prof.L, True, N, points))
     assert np.max(np.abs(gram - dense)) <= 1e-13 * np.max(np.abs(dense)), np.max(np.abs(gram - dense))
 
 
@@ -885,7 +903,8 @@ def _assert_dirichlet_gram_matches_the_dense_solve(flux, N):
     basis = np.where(j % 2, np.sin(j * np.pi / 2) * np.cos(j * s), np.cos(j * np.pi / 2) * np.sin(j * s))
     jump = flux_matrix(prof.total_flux, DIR, N)
     sketch = dirichlet_rest_sketch(prof.delta_L, N)
-    gram, g, truncation = overlap_module._jump_inverse_gram(prof, False, N, points, sketch)
+    basis_gram = overlap_module._basis_gram(prof.L, False, N, points)
+    gram, g, truncation = overlap_module._dirichlet_gram(prof, N, points, sketch, basis_gram)
     assert truncation <= 1e-12
     if N % 2:
         u = np.linalg.svd(flux_matrix(math.pi / 2, DIR, N).imag)[2][-1]
@@ -1164,8 +1183,8 @@ def _unsettled_trace_norm(core: np.ndarray, gram: np.ndarray) -> float:
 @pytest.mark.parametrize(
     "bc, stage, module, name, value",
     [
-        pytest.param(DIR, "overlap log-det", overlap_module, "_QUADRATURE_TOL", 0.0, id="dirichlet-settling"),
-        pytest.param(PER, "overlap log-det", overlap_module, "_QUADRATURE_TOL", 0.0, id="periodic-settling"),
+        pytest.param(DIR, "overlap log-det", overlap_module, "_QUADRATURE_TOL", -1.0, id="dirichlet-settling"),
+        pytest.param(PER, "overlap log-det", overlap_module, "_QUADRATURE_TOL", -1.0, id="periodic-settling"),
         pytest.param(PER, "overlap log-det", overlap_module, "_LOGDET_ABS_ERR", 1e-300, id="periodic-bound"),
         pytest.param(DIR, "overlap log-det", overlap_module, "_LOGDET_ABS_ERR", 1e-300, id="overlap-log-det"),
         pytest.param(DIR, "jump log-det", hilbert_module, "_LOGDET_ABS_ERR", 1e-300, id="jump-log-det"),
@@ -1174,7 +1193,8 @@ def _unsettled_trace_norm(core: np.ndarray, gram: np.ndarray) -> float:
 )
 def test_evaluate_point_error_names_its_stage(bc, stage, module, name, value, monkeypatch):
     # each stage is made to fail for real: a quadrature or log-det budget no
-    # rounding meets, or a trace norm that never settles (N = 128 > 2p, so
+    # rounding meets (a negative tolerance, which not even two bit-equal refine
+    # levels meet), or a trace norm that never settles (N = 128 > 2p, so
     # ||Delta_N||_1 comes from the p x p core's doubling check)
     monkeypatch.setattr(module, name, value)
     with pytest.raises(NumericalError) as info:
@@ -1343,20 +1363,18 @@ _CONTRACTION_POTENTIALS = {
 @pytest.mark.parametrize("rho", [1, 4])
 @pytest.mark.parametrize("name", list(_CONTRACTION_POTENTIALS))
 def test_contracted_support_sums_match_the_direct_node_sums(monkeypatch, name, rho, N):
-    # the support sums run over the 2p Chebyshev points of the sample Delta_N's
-    # core shares, not the n quadrature nodes; against the sum over the n
-    # nodes, written out with one exponential per (frequency, node) at 300
-    # sampled coefficients and both ends, each coefficient of either basis
-    # moves by at most 1e-13
+    # the support sums run over all n quadrature nodes, with factored phases;
+    # against the same sum written out with one exponential per (frequency,
+    # node) at 300 sampled coefficients and both ends, each coefficient of
+    # either basis moves by at most 1e-13
     a, L = _CONTRACTION_POTENTIALS[name], N / (2.0 * rho)
     prof = flux_profile(a, L)
     R, nodes, weights = overlap_module.support_nodes(a, L, N, 0)
     seen = []
-    phase_sums = overlap_module._phase_sums
-    monkeypatch.setattr(overlap_module, "_phase_sums", lambda h, shift, M, x, v: seen.append(len(x)) or
-                        phase_sums(h, shift, M, x, v))
+    phases = overlap_module._factored_phases
+    monkeypatch.setattr(overlap_module, "_factored_phases", lambda theta, shift, M: seen.append(len(theta)) or
+                        phases(theta, shift, M))
     rng = np.random.default_rng(N + rho)
-    p = overlap_module._chebyshev_size(math.pi * N * R / (2.0 * L))
 
     def direct(step, delta, k):
         """(1/2L) int e^{i (Phi_L - delta x / L)} e^{i step k x / L} dx over [-L, L], support by the node sum."""
@@ -1367,9 +1385,9 @@ def test_contracted_support_sums_match_the_direct_node_sums(monkeypatch, name, r
         return (np.exp(1j * np.outer(w, nodes)) @ values + outer) / (2.0 * L)
 
     for periodic, size in ((True, 2 * N - 1), (False, 2 * N + 1)):
-        y, u, _ = overlap_module._support_sampler(prof, periodic, N)(0)
-        got = overlap_module._support_coefficients(prof, periodic, N, y, u)
-        assert seen.pop() == 2 * p < len(nodes)
+        got = overlap_module._support_coefficients(prof, periodic, N, 0)
+        assert sum(seen) == len(nodes)
+        seen.clear()
         m = np.unique(np.concatenate([[0, size - 1], rng.integers(0, size, 300)]))
         if periodic:  # t_d, d = m - (N - 1)
             expected = direct(np.pi, prof.delta_L, m - (N - 1))
